@@ -111,6 +111,9 @@ pub fn net_traffic_run(days: u64, seed: u64) -> NetTrafficRun {
     }
     let end = SimTime::ZERO + horizon;
     scenario.run_until(end);
+    // Flow bytes are accounted when a flow's rate changes; bring the
+    // transfers still in flight at the horizon up to date.
+    scenario.world.net.settle(end);
     NetTrafficRun {
         scenario,
         end,

@@ -15,6 +15,7 @@ use crate::sha256::{Digest, Sha256};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A tagged, digest-pinned image reference, e.g.
 /// `pytorch/pytorch:2.3-cuda12@sha256:…`.
@@ -234,6 +235,13 @@ pub fn synthetic_content(seed: u64, len: usize) -> Vec<u8> {
 /// A ready-made catalogue matching the paper's workloads: PyTorch training
 /// images plus a Jupyter interactive image, all allow-listed.
 pub fn standard_catalogue() -> (ImageRegistry, Vec<ImageRef>) {
+    // Content-addressing the layers and manifests is ~30 µs of SHA-256 and
+    // the result is constant: build it once per process, hand out clones.
+    static CATALOGUE: OnceLock<(ImageRegistry, Vec<ImageRef>)> = OnceLock::new();
+    CATALOGUE.get_or_init(build_standard_catalogue).clone()
+}
+
+fn build_standard_catalogue() -> (ImageRegistry, Vec<ImageRef>) {
     let mut reg = ImageRegistry::new();
     let mut refs = Vec::new();
     let catalogue: [(&str, &str, u64, &[&str]); 3] = [

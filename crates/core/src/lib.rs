@@ -151,7 +151,10 @@ mod tests {
         let mut spec = TrainingJobSpec::new(ModelClass::TransformerSmall, 20_000);
         spec.checkpoint_interval = SimDuration::from_mins(2);
         s.submit_training_at(SimTime::from_secs(5), 0, spec);
-        s.run_until(SimTime::from_secs(1_800));
+        let end = SimTime::from_secs(1_800);
+        s.run_until(end);
+        // Count the transfers still in flight at the horizon too.
+        s.world.net.settle(end);
         let ckpt = s
             .world
             .net

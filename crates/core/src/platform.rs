@@ -760,7 +760,7 @@ impl Platform {
     pub fn apply_coord_actions(&mut self, now: SimTime, actions: Vec<CoordAction>) {
         for action in actions {
             match action {
-                CoordAction::Send { to, msg, delay } => {
+                CoordAction::Send { to, msg, .. } => {
                     // A RegisterAck is the first action naming a (possibly
                     // fresh) uid: learn its address from the directory's
                     // machine id before routing.
@@ -782,14 +782,8 @@ impl Platform {
                     let env = Envelope::new(gpunion_protocol::AuthToken::UNAUTHENTICATED, msg);
                     let size = env.wire_size();
                     let from = self.coordinator_addr;
-                    let at = now + delay;
-                    // Model the delay by sending at `now` with the payload
-                    // carrying no extra latency when delay is zero;
-                    // otherwise the send itself is deferred via the pump
-                    // (handled by the scenario layer scheduling). For
-                    // in-Platform use we send immediately after the delay has
-                    // been accounted in the coordinator's pass timing.
-                    let _ = at;
+                    // The message leaves at `now`: `delay` is already
+                    // accounted in the coordinator's pass timing.
                     let _ = self.net.send(
                         now,
                         from,

@@ -7,6 +7,19 @@
 //! recomputed and every flow's completion deadline moves accordingly — the
 //! same fluid approximation used by flow-level network simulators.
 //!
+//! The table is **event-driven**. Between two changes of the flow set every
+//! rate is constant, so a flow's state is `(remaining, rate)` as of the
+//! instant of the last change — the *epoch* — and nothing happens until the
+//! earliest completion ([`FlowTable::next_completion`], cached) or the next
+//! mutation. Only then does [`FlowTable::settle`] integrate every flow over
+//! the whole epoch at once. Asking in between changes nothing, so results
+//! do not depend on how often the embedding loop polls.
+//!
+//! Flows live in a `Vec` in [`FlowId`] order and the allocator works on
+//! dense per-channel arrays, so completions of one instant leave in id order
+//! and every float sum is taken in one order: two runs of one input agree
+//! bit for bit.
+//!
 //! Invariants (checked by property tests):
 //! * no channel's summed allocation exceeds its capacity (within float dust);
 //! * the allocation is Pareto-efficient: every flow is bottlenecked on at
@@ -17,7 +30,6 @@ use crate::bandwidth::Bandwidth;
 use crate::topology::{Channel, Topology};
 use gpunion_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identifier of an in-flight bulk transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -40,12 +52,13 @@ struct Flow {
     class: TrafficClass,
     path: Vec<Channel>,
     total_bytes: f64,
+    /// Bytes left as of the table's epoch.
     remaining: f64,
-    /// Current allocated rate in bytes/sec.
+    /// Allocated rate in bytes/sec, constant since the epoch.
     rate: f64,
 }
 
-/// A completed/failed flow notification produced by [`FlowTable::advance`].
+/// A completed/failed flow notification produced by [`FlowTable::settle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowEnd {
     /// Which flow ended.
@@ -57,27 +70,53 @@ pub struct FlowEnd {
 /// The set of active flows plus the fair-share allocator.
 #[derive(Debug)]
 pub struct FlowTable {
-    flows: HashMap<FlowId, Flow>,
+    /// Active flows in `FlowId` order (ids are handed out in ascending
+    /// order and removal keeps order).
+    flows: Vec<Flow>,
     next_id: u64,
-    last_advance: SimTime,
+    /// The instant `remaining` and `rate` of every flow are as of.
+    epoch: SimTime,
     /// Rate applied to flows with an empty path (src == dst local copies):
     /// models local disk bandwidth rather than the network.
     local_rate: Bandwidth,
+    /// The flow set changed since rates were last allocated.
     dirty: bool,
+    /// Earliest completion at the current rates; `None` when a mutation or
+    /// a settle has outdated it ([`FlowTable::reallocate`] refills it).
+    next_done: Option<Option<SimTime>>,
+    /// Allocator scratch, indexed by [`channel_index`] and reused across
+    /// calls: capacity left on the channel, unfixed flows crossing it.
+    cap: Vec<f64>,
+    users: Vec<u32>,
+    /// Allocator scratch: the channels in use, ascending.
+    in_use: Vec<usize>,
+    /// Allocator scratch: positions in `flows` not yet given a rate.
+    unfixed: Vec<usize>,
 }
 
 /// Completion epsilon: a flow with less than half a byte left is done.
 const EPSILON_BYTES: f64 = 0.5;
 
+/// Dense index of a directed channel: `2·link + direction`. A link joins two
+/// distinct nodes, so comparing the endpoints tells its directions apart.
+fn channel_index(ch: &Channel) -> usize {
+    2 * ch.link.0 as usize + usize::from(ch.from > ch.to)
+}
+
 impl FlowTable {
     /// Empty table. `local_rate` is used for same-node transfers.
     pub fn new(local_rate: Bandwidth) -> Self {
         FlowTable {
-            flows: HashMap::new(),
+            flows: Vec::new(),
             next_id: 0,
-            last_advance: SimTime::ZERO,
+            epoch: SimTime::ZERO,
             local_rate,
             dirty: false,
+            next_done: Some(None),
+            cap: Vec::new(),
+            users: Vec::new(),
+            in_use: Vec::new(),
+            unfixed: Vec::new(),
         }
     }
 
@@ -91,226 +130,245 @@ impl FlowTable {
         self.flows.is_empty()
     }
 
+    /// Position of a flow in `flows` (sorted by id).
+    fn position(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |f| f.id).ok()
+    }
+
+    fn get(&self, id: FlowId) -> Option<&Flow> {
+        self.position(id).map(|at| &self.flows[at])
+    }
+
+    fn invalidate(&mut self) {
+        self.dirty = true;
+        self.next_done = None;
+    }
+
     /// Begin a flow of `bytes` along `path` (empty path = local copy).
-    /// Call [`FlowTable::advance`] to `now` *before* adding, then
+    /// Call [`FlowTable::settle`] to `now` *before* adding, then
     /// [`FlowTable::reallocate`] after.
     pub fn add(&mut self, path: Vec<Channel>, bytes: u64, class: TrafficClass) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                id,
-                class,
-                path,
-                total_bytes: bytes as f64,
-                remaining: bytes as f64,
-                rate: 0.0,
-            },
-        );
-        self.dirty = true;
+            class,
+            path,
+            total_bytes: bytes as f64,
+            remaining: bytes as f64,
+            rate: 0.0,
+        });
+        self.invalidate();
         id
     }
 
     /// Remove a flow (cancellation). Returns true if it existed.
     pub fn remove(&mut self, id: FlowId) -> bool {
-        let existed = self.flows.remove(&id).is_some();
-        if existed {
-            self.dirty = true;
-        }
-        existed
+        let Some(at) = self.position(id) else {
+            return false;
+        };
+        self.flows.remove(at);
+        self.invalidate();
+        true
     }
 
-    /// Fraction of the flow already delivered, if it is still active.
-    pub fn progress(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| {
+    /// Fraction of the flow delivered by `now`, if it is still active:
+    /// extrapolated from the epoch at the flow's constant rate.
+    pub fn progress(&self, now: SimTime, id: FlowId) -> Option<f64> {
+        self.get(id).map(|f| {
             if f.total_bytes <= 0.0 {
-                1.0
-            } else {
-                1.0 - f.remaining / f.total_bytes
+                return 1.0;
             }
+            let dt = now.since(self.epoch).as_secs_f64();
+            1.0 - (f.remaining - f.rate * dt).max(0.0) / f.total_bytes
         })
-    }
-
-    /// Bytes remaining for an active flow.
-    pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
     }
 
     /// Current rate (bytes/sec) of an active flow.
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        self.get(id).map(|f| f.rate)
     }
 
-    /// Integrate all flows forward to `now`, debiting delivered bytes into
-    /// `accounting` and returning flows that finished in the interval.
+    /// Integrate every flow over `[epoch, now]` and move the epoch to `now`:
+    /// debit the delivered bytes into `accounting` — one span per hop for
+    /// the whole interval, exact because the rate was constant — and return
+    /// the flows that finished, in `FlowId` order.
     ///
-    /// Completions are detected at `now`; the caller should schedule wakes at
-    /// [`FlowTable::next_completion`] so no completion is observed late.
-    pub fn advance(&mut self, now: SimTime, accounting: &mut Accounting) -> Vec<FlowEnd> {
-        let from = self.last_advance;
-        if now < from {
+    /// Completions are detected at `now`; the caller should settle at
+    /// [`FlowTable::next_completion`] so no completion is observed late,
+    /// and call [`FlowTable::reallocate`] afterwards.
+    pub fn settle(&mut self, now: SimTime, accounting: &mut Accounting) -> Vec<FlowEnd> {
+        let from = self.epoch;
+        if now <= from {
             return Vec::new();
         }
         let dt = now.since(from).as_secs_f64();
         let mut done = Vec::new();
-        if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                if f.rate <= 0.0 {
-                    continue;
-                }
-                let moved = (f.rate * dt).min(f.remaining);
-                f.remaining -= moved;
-                for ch in &f.path {
-                    accounting.record_span(ch.link, f.class, from, now, moved);
-                }
-                if f.path.is_empty() {
-                    // Local copies never touch a link but still take time.
-                }
-                if f.remaining <= EPSILON_BYTES {
-                    done.push(FlowEnd {
-                        id: f.id,
-                        outcome: FlowOutcome::Completed,
-                    });
-                }
+        self.flows.retain_mut(|f| {
+            if f.rate <= 0.0 {
+                return true;
             }
-            for d in &done {
-                self.flows.remove(&d.id);
+            let moved = (f.rate * dt).min(f.remaining);
+            f.remaining -= moved;
+            // Local copies never touch a link but still take time.
+            for ch in &f.path {
+                accounting.record_span(ch.link, f.class, from, now, moved);
             }
-            if !done.is_empty() {
-                self.dirty = true;
+            let finished = f.remaining <= EPSILON_BYTES;
+            if finished {
+                done.push(FlowEnd {
+                    id: f.id,
+                    outcome: FlowOutcome::Completed,
+                });
             }
+            !finished
+        });
+        self.epoch = now;
+        self.next_done = None;
+        if !done.is_empty() {
+            self.dirty = true;
         }
-        self.last_advance = now;
         done
     }
 
     /// Drop every flow whose path crosses a now-down link or node; returns
-    /// the lost flows. Call after topology changes.
+    /// the lost flows in `FlowId` order. Call after topology changes.
     pub fn fail_broken_paths(&mut self, topo: &Topology) -> Vec<FlowEnd> {
         let mut lost = Vec::new();
-        self.flows.retain(|id, f| {
+        self.flows.retain(|f| {
             let broken = f
                 .path
                 .iter()
                 .any(|ch| !topo.link_up(ch.link) || !topo.node_up(ch.from) || !topo.node_up(ch.to));
             if broken {
                 lost.push(FlowEnd {
-                    id: *id,
+                    id: f.id,
                     outcome: FlowOutcome::PathLost,
                 });
             }
             !broken
         });
         if !lost.is_empty() {
-            self.dirty = true;
+            self.invalidate();
         }
         lost
     }
 
-    /// Recompute the max-min fair allocation if the flow set changed.
-    /// Returns true when any rate changed.
+    /// Recompute the max-min fair allocation if the flow set changed, and
+    /// the cached earliest completion. Returns true when rates were
+    /// recomputed.
     pub fn reallocate(&mut self, topo: &Topology) -> bool {
-        if !self.dirty {
-            return false;
+        let changed = self.dirty;
+        if changed {
+            self.dirty = false;
+            self.max_min(topo);
         }
-        self.dirty = false;
-        self.max_min(topo);
-        true
+        self.next_done = Some(self.earliest_completion());
+        changed
     }
 
-    /// Progressive-filling max-min fairness over directed channels.
+    /// Progressive-filling max-min fairness over directed channels. Ties
+    /// between bottlenecks go to the lowest channel index and flows are
+    /// visited in id order, so equal inputs give bit-equal rates.
     fn max_min(&mut self, topo: &Topology) {
-        // Channel capacities in bytes/sec, only for channels in use.
-        let mut cap: HashMap<Channel, f64> = HashMap::new();
-        let mut users: HashMap<Channel, Vec<FlowId>> = HashMap::new();
-        let mut unfixed: Vec<FlowId> = Vec::new();
-        for f in self.flows.values_mut() {
+        let FlowTable {
+            flows,
+            local_rate,
+            cap,
+            users,
+            in_use,
+            unfixed,
+            ..
+        } = self;
+        let channels = 2 * topo.link_count();
+        if cap.len() < channels {
+            cap.resize(channels, 0.0);
+            users.resize(channels, 0);
+        }
+        in_use.clear();
+        unfixed.clear();
+        for (at, f) in flows.iter_mut().enumerate() {
             if f.path.is_empty() {
-                f.rate = self.local_rate.bytes_per_sec();
+                f.rate = local_rate.bytes_per_sec();
                 continue;
             }
             f.rate = 0.0;
-            unfixed.push(f.id);
+            unfixed.push(at);
             for ch in &f.path {
-                cap.entry(*ch)
-                    .or_insert_with(|| topo.link_capacity(ch.link).bytes_per_sec());
-                users.entry(*ch).or_default().push(f.id);
+                let c = channel_index(ch);
+                if users[c] == 0 {
+                    cap[c] = topo.link_capacity(ch.link).bytes_per_sec();
+                    in_use.push(c);
+                }
+                users[c] += 1;
             }
         }
+        in_use.sort_unstable();
 
-        let mut remaining_users: HashMap<Channel, usize> =
-            users.iter().map(|(c, v)| (*c, v.len())).collect();
-        let mut fixed: HashMap<FlowId, f64> = HashMap::new();
-
-        while fixed.len() < unfixed.len() {
-            // Find the bottleneck channel: min capacity / active users.
-            let mut bottleneck: Option<(Channel, f64)> = None;
-            for (ch, &n) in &remaining_users {
-                if n == 0 {
-                    continue;
-                }
-                let fair = cap[ch] / n as f64;
+        while !unfixed.is_empty() {
+            // The bottleneck channel: least capacity per unfixed user.
+            let mut bottleneck: Option<(usize, f64)> = None;
+            for &c in in_use.iter().filter(|&&c| users[c] > 0) {
+                let fair = cap[c] / f64::from(users[c]);
                 match bottleneck {
                     Some((_, best)) if fair >= best => {}
-                    _ => bottleneck = Some((*ch, fair)),
+                    _ => bottleneck = Some((c, fair)),
                 }
             }
-            let Some((bch, rate)) = bottleneck else { break };
+            let (bottleneck, rate) = bottleneck.expect("an unfixed flow crosses a channel");
             let rate = rate.max(0.0);
             // Fix every unfixed flow crossing the bottleneck at `rate`.
-            let flows_here: Vec<FlowId> = users[&bch]
-                .iter()
-                .copied()
-                .filter(|id| !fixed.contains_key(id))
-                .collect();
-            debug_assert!(!flows_here.is_empty(), "bottleneck must have users");
-            for id in flows_here {
-                fixed.insert(id, rate);
-                let path = self.flows[&id].path.clone();
-                for ch in path {
-                    if let Some(c) = cap.get_mut(&ch) {
-                        *c = (*c - rate).max(0.0);
-                    }
-                    if let Some(n) = remaining_users.get_mut(&ch) {
-                        *n = n.saturating_sub(1);
-                    }
+            unfixed.retain(|&at| {
+                let f = &mut flows[at];
+                if !f.path.iter().any(|ch| channel_index(ch) == bottleneck) {
+                    return true;
                 }
-            }
-        }
-
-        for (id, rate) in fixed {
-            if let Some(f) = self.flows.get_mut(&id) {
                 f.rate = rate;
-            }
+                for ch in &f.path {
+                    let c = channel_index(ch);
+                    cap[c] = (cap[c] - rate).max(0.0);
+                    users[c] -= 1;
+                }
+                false
+            });
         }
+        // Every flow is fixed, so `users` is all zero again for the next call.
     }
 
-    /// Earliest time any flow will complete at current rates, if any flow is
-    /// active and draining.
-    pub fn next_completion(&self) -> Option<SimTime> {
+    /// Earliest instant any draining flow completes at the current rates.
+    fn earliest_completion(&self) -> Option<SimTime> {
         self.flows
-            .values()
+            .iter()
             .filter(|f| f.rate > 0.0)
             .map(|f| {
                 let secs = (f.remaining - EPSILON_BYTES).max(0.0) / f.rate;
                 // Round up to the next nanosecond so the completion check at
-                // the scheduled wake sees `remaining <= EPSILON_BYTES`.
-                let ns = (secs * 1e9).ceil() as u64 + 1;
-                self.last_advance + SimDuration::from_nanos(ns)
+                // the scheduled wake sees `remaining <= EPSILON_BYTES`. The
+                // cast and both additions saturate: a flow of 2^62 bytes
+                // completes "never", not at a wrapped instant.
+                let ns = ((secs * 1e9).ceil() as u64).saturating_add(1);
+                self.epoch.saturating_add(SimDuration::from_nanos(ns))
             })
             .min()
     }
 
-    /// Iterate over active flow ids with their classes (diagnostics).
+    /// Earliest time any flow will complete at current rates, if any flow is
+    /// active and draining. O(1) after [`FlowTable::reallocate`]; never
+    /// stale: a mutation since then makes this rescan the flows.
+    pub fn next_completion(&self) -> Option<SimTime> {
+        self.next_done.unwrap_or_else(|| self.earliest_completion())
+    }
+
+    /// Iterate over active flow ids with their classes, in id order
+    /// (diagnostics).
     pub fn active(&self) -> impl Iterator<Item = (FlowId, TrafficClass)> + '_ {
-        self.flows.values().map(|f| (f.id, f.class))
+        self.flows.iter().map(|f| (f.id, f.class))
     }
 
     /// Sum of allocated rates crossing a channel (test/diagnostic hook).
     pub fn channel_load(&self, ch: Channel) -> f64 {
         self.flows
-            .values()
+            .iter()
             .filter(|f| f.path.contains(&ch))
             .map(|f| f.rate)
             .sum()
@@ -342,7 +400,7 @@ mod tests {
         ft.add(path, 1_000_000_000, TrafficClass::Migration);
         ft.reallocate(&topo);
 
-        let rates: Vec<f64> = ft.flows.values().map(|f| f.rate).collect();
+        let rates: Vec<f64> = ft.flows.iter().map(|f| f.rate).collect();
         for r in &rates {
             assert!((r - 62.5e6).abs() < 1.0, "rate {r}");
         }
@@ -373,6 +431,9 @@ mod tests {
         assert!((ft.rate(f0).unwrap() - 12.5e6).abs() < 1.0);
         // f1 capped by its 1 Gb/s access link: 125 MB/s (backbone not limiting).
         assert!((ft.rate(f1).unwrap() - 125e6).abs() < 1.0);
+        // 2^62 bytes take longer than the clock can say: the completion
+        // instant saturates, it does not wrap.
+        assert_eq!(ft.next_completion(), Some(SimTime::MAX));
     }
 
     /// Flow completion time equals bytes / fair rate; releasing a flow
@@ -396,7 +457,7 @@ mod tests {
         let next = ft.next_completion().unwrap();
         assert!((next.as_secs_f64() - 2.0).abs() < 1e-3, "{next}");
 
-        let done = ft.advance(next, &mut ac);
+        let done = ft.settle(next, &mut ac);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, small);
         assert_eq!(done[0].outcome, FlowOutcome::Completed);
@@ -405,7 +466,7 @@ mod tests {
         // Big had 10 - 0.5*2 = 9 MB left, now at full 1 MB/s ⇒ 9 s more.
         let next2 = ft.next_completion().unwrap();
         assert!((next2.as_secs_f64() - 11.0).abs() < 1e-3, "next2 {next2}");
-        let done2 = ft.advance(next2, &mut ac);
+        let done2 = ft.settle(next2, &mut ac);
         assert_eq!(done2.len(), 1);
         assert_eq!(done2[0].id, big);
         assert!(ft.is_empty());
@@ -425,7 +486,7 @@ mod tests {
         assert!((ft.rate(f).unwrap() - 2e9).abs() < 1.0);
         let next = ft.next_completion().unwrap();
         assert!((next.as_secs_f64() - 1.0).abs() < 1e-3);
-        let done = ft.advance(next, &mut ac);
+        let done = ft.settle(next, &mut ac);
         assert_eq!(done.len(), 1);
         // Local copies generate no link traffic.
         assert_eq!(ac.total_bytes(), 0.0);
@@ -443,8 +504,10 @@ mod tests {
         let p = topo.route(hosts[0], coord).unwrap();
         let f = ft.add(p, 1 << 30, TrafficClass::Migration);
         ft.reallocate(&topo);
+        assert!(ft.next_completion().is_some());
         assert!(ft.remove(f));
         assert!(!ft.remove(f));
+        // No `reallocate` yet: the cached instant must not outlive the flow.
         assert!(ft.next_completion().is_none());
     }
 
@@ -471,6 +534,11 @@ mod tests {
         assert_eq!(lost[0].id, f0);
         assert_eq!(lost[0].outcome, FlowOutcome::PathLost);
         assert_eq!(ft.len(), 1);
+        // The survivor's completion is rescanned, not read from a cache
+        // that still knows the lost flow.
+        ft.reallocate(&topo);
+        let survivor = ft.next_completion().unwrap();
+        assert!((survivor.as_secs_f64() - (1u64 << 30) as f64 / 125e6).abs() < 1e-3);
     }
 
     #[test]
@@ -485,7 +553,7 @@ mod tests {
         let mut ac = acct();
         ft.add(path, 3_000_000, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
-        ft.advance(SimTime::from_secs(3), &mut ac);
+        ft.settle(SimTime::from_secs(3), &mut ac);
         assert!((ac.class_total(TrafficClass::Checkpoint) - 3e6).abs() < 10.0);
     }
 }

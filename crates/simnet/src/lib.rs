@@ -67,6 +67,136 @@ mod proptests {
         (topo, ft)
     }
 
+    /// One step of a flow script: `gap_ns` after the previous step, do
+    /// `kind` (start a flow a→b, cancel the a-th started flow, flip node a,
+    /// flip link a).
+    #[derive(Debug, Clone)]
+    struct ScriptOp {
+        kind: u8,
+        a: usize,
+        b: usize,
+        bytes: u64,
+        gap_ns: u64,
+    }
+
+    /// Every flow end with its instant, then the bits of every accounting
+    /// total after a final settle.
+    type ScriptResult = (Vec<(SimTime, FlowId, FlowOutcome)>, Vec<u64>);
+
+    /// Run `ops` on a star of `access` hosts (node 0 of the script is the
+    /// coordinator), polling at every `next_event_at()` and additionally at
+    /// every instant of `extra_polls`.
+    fn run_script(access: &[f64], ops: &[ScriptOp], extra_polls: &[u64]) -> ScriptResult {
+        let mut b = TopologyBuilder::new();
+        let sw = b.add_node("sw");
+        let coord = b.add_node("coord");
+        b.add_link(coord, sw, Bandwidth::gbps(1.0), SimDuration::ZERO);
+        let mut nodes = vec![coord];
+        for (i, m) in access.iter().enumerate() {
+            let h = b.add_node(format!("h{i}"));
+            b.add_link(h, sw, Bandwidth::mbps(*m), SimDuration::ZERO);
+            nodes.push(h);
+        }
+        let topo = b.build();
+        let links = topo.link_count();
+        let mut net: Network<u32> = Network::new(topo, Bandwidth::gbps(16.0), 1);
+
+        let mut extra: Vec<SimTime> = extra_polls
+            .iter()
+            .map(|ns| SimTime::from_nanos(*ns))
+            .collect();
+        extra.sort_unstable();
+        let mut extra = extra.into_iter().peekable();
+        let mut log = Vec::new();
+        let mut started: Vec<FlowId> = Vec::new();
+        let mut record = |at: SimTime, events: Vec<NetEvent<u32>>| {
+            for ev in events {
+                if let NetEvent::FlowEnded { id, outcome, .. } = ev {
+                    log.push((at, id, outcome));
+                }
+            }
+        };
+        // Poll at every network event and extra instant up to `until`.
+        let mut poll_until =
+            |net: &mut Network<u32>,
+             until: SimTime,
+             record: &mut dyn FnMut(SimTime, Vec<NetEvent<u32>>)| loop {
+                let due = net.next_event_at().filter(|t| *t <= until);
+                let idle = extra.peek().copied().filter(|t| *t <= until);
+                let at = match (due, idle) {
+                    (Some(d), Some(i)) if i < d => {
+                        extra.next();
+                        i
+                    }
+                    (Some(d), _) => d,
+                    (None, Some(i)) => {
+                        extra.next();
+                        i
+                    }
+                    (None, None) => break,
+                };
+                record(at, net.poll(at));
+            };
+
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            now += SimDuration::from_nanos(op.gap_ns);
+            poll_until(&mut net, now, &mut record);
+            match op.kind {
+                0..=4 => {
+                    let (from, to) = (nodes[op.a % nodes.len()], nodes[op.b % nodes.len()]);
+                    if let Ok(id) =
+                        net.start_flow(now, from, to, op.bytes, TrafficClass::Checkpoint, 0)
+                    {
+                        started.push(id);
+                    }
+                }
+                5 => {
+                    if !started.is_empty() {
+                        let id = started[op.a % started.len()];
+                        if net.cancel_flow(now, id).is_ok() {
+                            record(
+                                now,
+                                vec![NetEvent::FlowEnded {
+                                    id,
+                                    outcome: FlowOutcome::Cancelled,
+                                    tag: 0,
+                                }],
+                            );
+                        }
+                    }
+                }
+                6 => {
+                    let node = nodes[op.a % nodes.len()];
+                    let up = !net.topology().node_up(node);
+                    let lost = net.set_node_up(now, node, up);
+                    record(now, lost);
+                }
+                _ => {
+                    let link = LinkId((op.a % links) as u32);
+                    let up = !net.topology().link_up(link);
+                    let lost = net.set_link_up(now, link, up);
+                    record(now, lost);
+                }
+            }
+        }
+        let end = now + SimDuration::from_secs(120);
+        poll_until(&mut net, end, &mut record);
+        net.settle(end);
+        let acct = net.accounting();
+        let mut bits: Vec<u64> = TrafficClass::ALL
+            .iter()
+            .map(|c| acct.class_total(*c).to_bits())
+            .collect();
+        for l in 0..links {
+            bits.push(
+                acct.link_class_total(LinkId(l as u32), TrafficClass::Checkpoint)
+                    .to_bits(),
+            );
+        }
+        (log, bits)
+    }
+
     proptest! {
         /// No channel is allocated beyond its capacity.
         #[test]
@@ -103,10 +233,10 @@ mod proptests {
             }
         }
 
-        /// Conservation: bytes recorded in accounting equal bytes drained
-        /// from flows (for network flows).
+        /// Conservation: bytes recorded in accounting after a settle equal
+        /// bytes drained from flows (for network flows).
         #[test]
-        fn advance_conserves_bytes(
+        fn settle_conserves_bytes(
             bytes in 1_000u64..100_000_000,
             secs in 1u64..20,
         ) {
@@ -114,10 +244,12 @@ mod proptests {
                 2, Bandwidth::gbps(1.0), Bandwidth::gbps(10.0), SimDuration::ZERO);
             let mut net: Network<u32> = Network::new(topo, Bandwidth::gbps(16.0), 1);
             let id = net.start_flow(SimTime::ZERO, hosts[0], coord, bytes, TrafficClass::Checkpoint, 0).unwrap();
-            let _ = net.poll(SimTime::from_secs(secs));
+            let now = SimTime::from_secs(secs);
+            net.settle(now);
+            let _ = net.poll(now);
             let acct_bytes = net.accounting().class_total(TrafficClass::Checkpoint);
             let path_len = 2.0; // host→switch→coord
-            match net.flow_progress(id) {
+            match net.flow_progress(now, id) {
                 Some(p) => {
                     let moved = bytes as f64 * p;
                     prop_assert!((acct_bytes - moved * path_len).abs() < 16.0,
@@ -129,6 +261,27 @@ mod proptests {
                         "acct {acct_bytes} vs total {bytes} × {path_len}");
                 }
             }
+        }
+
+        /// Poll-cadence invariance: polling at arbitrary extra instants
+        /// changes neither which flows end, nor when, nor one bit of the
+        /// accounting.
+        #[test]
+        fn extra_polls_change_nothing(
+            access in proptest::collection::vec(50.0f64..1000.0, 2..6),
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..8, 0usize..8, prop_oneof![1u64..10_000, 1_000_000u64..2_000_000_000], 0u64..3_000_000_000),
+                1..40,
+            ),
+            extra in proptest::collection::vec(0u64..150_000_000_000, 0..200),
+        ) {
+            let ops: Vec<ScriptOp> = ops
+                .into_iter()
+                .map(|(kind, a, b, bytes, gap_ns)| ScriptOp { kind, a, b, bytes, gap_ns })
+                .collect();
+            let sparse = run_script(&access, &ops, &[]);
+            let dense = run_script(&access, &ops, &extra);
+            prop_assert_eq!(sparse, dense);
         }
 
         /// Routing never returns a path through a down node/link, for random

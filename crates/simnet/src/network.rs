@@ -6,6 +6,12 @@
 //! the clock reaches [`Network::next_event_at`], and re-arms its wake timer
 //! after every mutating call. This keeps the substrate deterministic and
 //! directly unit-testable without an event loop.
+//!
+//! Bulk flows are event-driven (see [`crate::flow`]): `poll` touches them
+//! only when a completion is due, so polling more often costs O(1) for
+//! flows and cannot change a result. Traffic accounting of flows is
+//! therefore exact as of the last settle — call [`Network::settle`] before
+//! reading [`Network::accounting`] at the end of a run.
 
 use crate::accounting::{Accounting, TrafficClass};
 use crate::bandwidth::Bandwidth;
@@ -71,6 +77,11 @@ pub struct Network<M> {
     msgs: MessageQueue<M>,
     accounting: Accounting,
     tags: HashMap<FlowId, M>,
+    /// Completions found while a mutator settled the flows; the next
+    /// [`Network::poll`] surfaces them.
+    ended: Vec<FlowEnd>,
+    /// When the oldest entry of `ended` was found.
+    ended_at: SimTime,
     /// Per-link message drop probability (fault injection).
     loss: HashMap<LinkId, f64>,
     default_loss: f64,
@@ -89,6 +100,8 @@ impl<M> Network<M> {
             msgs: MessageQueue::new(),
             accounting: Accounting::new(SimDuration::from_secs(60)),
             tags: HashMap::new(),
+            ended: Vec::new(),
+            ended_at: SimTime::ZERO,
             loss: HashMap::new(),
             default_loss: 0.0,
             rng: SmallRng::seed_from_u64(seed),
@@ -102,9 +115,28 @@ impl<M> Network<M> {
         &self.topo
     }
 
-    /// Traffic accounting collected so far.
+    /// Traffic accounting collected so far: every control message sent,
+    /// and every flow byte delivered up to the last settle.
     pub fn accounting(&self) -> &Accounting {
         &self.accounting
+    }
+
+    /// Integrate the flows to `now`, so that [`Network::accounting`] holds
+    /// every byte delivered by `now`. Flows that complete are surfaced by
+    /// the next [`Network::poll`].
+    pub fn settle(&mut self, now: SimTime) {
+        self.integrate_flows(now);
+        self.flows.reallocate(&self.topo);
+    }
+
+    /// Settle the flow table at `now` ahead of a change to the flow set,
+    /// keeping the completions for the next `poll`. The caller reallocates.
+    fn integrate_flows(&mut self, now: SimTime) {
+        let done = self.flows.settle(now, &mut self.accounting);
+        if self.ended.is_empty() {
+            self.ended_at = now;
+        }
+        self.ended.extend(done);
     }
 
     /// Total control messages accepted by [`Network::send`].
@@ -207,8 +239,7 @@ impl<M> Network<M> {
         } else {
             self.topo.route(from, to).ok_or(NetError::Unreachable)?
         };
-        // Integrate existing flows to `now` before the rate change.
-        let _ = self.flows.advance(now, &mut self.accounting);
+        self.integrate_flows(now);
         let id = self.flows.add(path, bytes, class);
         self.flows.reallocate(&self.topo);
         self.tags.insert(id, tag);
@@ -217,24 +248,25 @@ impl<M> Network<M> {
 
     /// Cancel an in-flight flow. The tag is returned for caller cleanup.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Result<M, NetError> {
-        let _ = self.flows.advance(now, &mut self.accounting);
-        if !self.flows.remove(id) {
+        self.integrate_flows(now);
+        let existed = self.flows.remove(id);
+        self.flows.reallocate(&self.topo);
+        if !existed {
             return Err(NetError::UnknownFlow);
         }
-        self.flows.reallocate(&self.topo);
         self.tags.remove(&id).ok_or(NetError::UnknownFlow)
     }
 
-    /// Fraction of a flow delivered so far.
-    pub fn flow_progress(&self, id: FlowId) -> Option<f64> {
-        self.flows.progress(id)
+    /// Fraction of a flow delivered by `now`.
+    pub fn flow_progress(&self, now: SimTime, id: FlowId) -> Option<f64> {
+        self.flows.progress(now, id)
     }
 
     /// Bring a node up or down. Downing a node kills in-flight messages and
     /// flows involving it; the lost flows are returned as events (so the
     /// caller can fail the associated transfers immediately).
     pub fn set_node_up(&mut self, now: SimTime, node: NodeId, up: bool) -> Vec<NetEvent<M>> {
-        let _ = self.flows.advance(now, &mut self.accounting);
+        self.integrate_flows(now);
         self.topo.set_node_up(node, up);
         let mut events = Vec::new();
         if !up {
@@ -249,7 +281,7 @@ impl<M> Network<M> {
 
     /// Bring a link up or down; flows crossing a downed link are lost.
     pub fn set_link_up(&mut self, now: SimTime, link: LinkId, up: bool) -> Vec<NetEvent<M>> {
-        let _ = self.flows.advance(now, &mut self.accounting);
+        self.integrate_flows(now);
         self.topo.set_link_up(link, up);
         let mut events = Vec::new();
         if !up {
@@ -273,22 +305,29 @@ impl<M> Network<M> {
         }
     }
 
-    /// The next instant at which [`Network::poll`] would produce events.
+    /// The next instant at which [`Network::poll`] would produce events:
+    /// the earliest message delivery or flow completion — or an instant
+    /// already past, while completions found by a mutator wait for a `poll`.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        match (self.msgs.next_at(), self.flows.next_completion()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let waiting = (!self.ended.is_empty()).then_some(self.ended_at);
+        [self.msgs.next_at(), self.flows.next_completion(), waiting]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Advance internal state to `now` and return everything that happened:
-    /// message deliveries (to still-up nodes) and flow completions.
+    /// flow completions (in `FlowId` order within one settle), then message
+    /// deliveries to still-up nodes. Flows are touched only if a completion
+    /// is due.
     pub fn poll(&mut self, now: SimTime) -> Vec<NetEvent<M>> {
         let mut events = Vec::new();
-        for end in self.flows.advance(now, &mut self.accounting) {
+        if self.flows.next_completion().is_some_and(|due| due <= now) {
+            self.settle(now);
+        }
+        for end in std::mem::take(&mut self.ended) {
             events.push(self.flow_end_event(end));
         }
-        self.flows.reallocate(&self.topo);
         for d in self.msgs.drain_due(now) {
             if self.topo.node_up(d.to) {
                 events.push(NetEvent::Delivered {
@@ -550,5 +589,109 @@ mod tests {
         assert!((at.as_secs_f64() - 1.0).abs() < 0.01, "{at}");
         let evs = net.poll(at);
         assert_eq!(evs.len(), 4, "all four finish together");
+    }
+
+    /// A flow that completes inside a mutator's settle is not lost: the
+    /// completion waits for the next `poll`, `next_event_at` asks for that
+    /// poll at once, and the tag leaves `tags` with it.
+    #[test]
+    fn completion_found_by_a_mutator_is_surfaced_by_the_next_poll() {
+        let (mut net, hosts, coord) = campus(3);
+        let id = net
+            .start_flow(
+                SimTime::ZERO,
+                hosts[0],
+                coord,
+                125_000_000,
+                TrafficClass::Checkpoint,
+                "ckpt",
+            )
+            .unwrap();
+        let due = net.next_event_at().unwrap();
+        // An unrelated node comes back at the very instant the flow is due,
+        // ahead of the poll armed for it.
+        assert!(net.set_node_up(due, hosts[2], true).is_empty());
+        assert_eq!(net.next_event_at(), Some(due));
+        assert_eq!(net.cancel_flow(due, id).unwrap_err(), NetError::UnknownFlow);
+        let evs = net.poll(due);
+        assert_eq!(evs.len(), 1);
+        match &evs[0] {
+            NetEvent::FlowEnded {
+                id: fid,
+                outcome,
+                tag,
+            } => {
+                assert_eq!(*fid, id);
+                assert_eq!(*outcome, FlowOutcome::Completed);
+                assert_eq!(*tag, "ckpt");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(net.tags.is_empty());
+        assert_eq!(net.next_event_at(), None);
+        assert!(net.poll(due + SimDuration::from_secs(1)).is_empty());
+    }
+
+    /// N equal flows on N equal access links complete in one `poll`, in
+    /// `FlowId` order — every time, not in the order of some hash map.
+    #[test]
+    fn same_instant_completions_leave_in_id_order() {
+        for _ in 0..2 {
+            let (mut net, hosts, coord) = campus(8);
+            let started: Vec<FlowId> = hosts
+                .iter()
+                .map(|h| {
+                    net.start_flow(
+                        SimTime::ZERO,
+                        coord,
+                        *h,
+                        50_000_000,
+                        TrafficClass::ImagePull,
+                        "img",
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let at = net.next_event_at().unwrap();
+            let ended: Vec<FlowId> = net
+                .poll(at)
+                .iter()
+                .map(|ev| match ev {
+                    NetEvent::FlowEnded { id, .. } => *id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(ended, started);
+        }
+    }
+
+    /// Idle polls between two flow events neither move a completion nor
+    /// account a byte; `settle` brings the accounting up to date.
+    #[test]
+    fn idle_polls_leave_flows_alone_and_settle_accounts() {
+        let (mut net, hosts, coord) = campus(2);
+        let id = net
+            .start_flow(
+                SimTime::ZERO,
+                hosts[0],
+                coord,
+                125_000_000,
+                TrafficClass::Checkpoint,
+                "c",
+            )
+            .unwrap();
+        let due = net.next_event_at().unwrap();
+        for ms in 1..500 {
+            assert!(net.poll(SimTime::from_millis(ms)).is_empty());
+            assert_eq!(net.next_event_at(), Some(due));
+        }
+        assert_eq!(net.accounting().class_total(TrafficClass::Checkpoint), 0.0);
+        let half = SimTime::from_millis(500);
+        assert!((net.flow_progress(half, id).unwrap() - 0.5).abs() < 1e-9);
+        net.settle(half);
+        // Two hops, half the bytes on each.
+        let settled = net.accounting().class_total(TrafficClass::Checkpoint);
+        assert!((settled - 125e6).abs() < 1.0, "{settled}");
+        assert_eq!(net.poll(due).len(), 1);
     }
 }

@@ -4,7 +4,10 @@ use gpunion::core::{PlatformConfig, Scenario};
 use gpunion::des::{SimDuration, SimTime};
 use gpunion::gpu::{GpuModel, ServerSpec};
 use gpunion::scheduler::JobEvent;
-use gpunion::workload::{ChurnModel, InteractiveSpec, ModelClass, TrainingJobSpec};
+use gpunion::simnet::TrafficClass;
+use gpunion::workload::{
+    ChurnModel, InteractiveSpec, InterruptionEvent, InterruptionKind, ModelClass, TrainingJobSpec,
+};
 use gpunion_des::RngPool;
 
 fn campus(n: usize) -> Vec<ServerSpec> {
@@ -210,6 +213,63 @@ fn deterministic_replay() {
     let a = run(7);
     let b = run(7);
     assert_eq!(a, b, "same seed ⇒ identical run");
+}
+
+/// A reclaim storm in miniature, twice in one process: 20 hosts pull the
+/// same image at the same instant (the pulls end in the same nanosecond),
+/// then half the fleet leaves within a minute and returns. Flows that end
+/// together leave simnet in `FlowId` order and every flow byte is summed in
+/// one order, so the displacement records agree *in order* and the bulk
+/// byte totals bit for bit — no sorting, no tolerance.
+#[test]
+fn reclaim_storm_replays_in_order_and_to_the_bit() {
+    let run = || {
+        let mut s = Scenario::new(PlatformConfig::default(), &campus(20));
+        for i in 0..24u64 {
+            let mut spec = TrainingJobSpec::new(ModelClass::CnnSmall, 60_000);
+            spec.checkpoint_interval = SimDuration::from_mins(2);
+            s.submit_training_at(SimTime::from_secs(30), i, spec);
+        }
+        let kinds = [
+            InterruptionKind::ScheduledDeparture,
+            InterruptionKind::EmergencyDeparture,
+            InterruptionKind::TemporaryUnavailability,
+        ];
+        let storm: Vec<InterruptionEvent> = (0..10)
+            .map(|host| {
+                let at = SimTime::from_secs(1_200 + 6 * (host as u64 % 5));
+                InterruptionEvent {
+                    at,
+                    node_index: host,
+                    kind: kinds[host % kinds.len()],
+                    returns_at: at + SimDuration::from_mins(5),
+                }
+            })
+            .collect();
+        let hosts = s.hosts().to_vec();
+        s.inject_interruptions(&storm, &hosts);
+        let end = SimTime::from_secs(3_600);
+        s.run_until(end);
+        s.world.net.settle(end);
+        let acct = s.world.net.accounting();
+        let bulk = [
+            TrafficClass::ImagePull,
+            TrafficClass::Checkpoint,
+            TrafficClass::Migration,
+        ]
+        .map(|class| acct.class_total(class).to_bits());
+        (format!("{:?}", s.world.stats.displacements), bulk)
+    };
+    let (displacements, bulk) = run();
+    assert!(
+        displacements.matches("Displacement {").count() >= 8,
+        "the storm displaces running jobs: {displacements}"
+    );
+    assert!(
+        bulk.iter().all(|bits| f64::from_bits(*bits) > 0.0),
+        "pulls, checkpoints and restores all moved bytes"
+    );
+    assert_eq!((displacements, bulk), run());
 }
 
 /// Regression for the fig3 migrate-back gap: under temporary provider
