@@ -1,10 +1,12 @@
 //! Criterion micro-bench: real wall-clock cost of one scheduling pass at
 //! increasing node counts (complements the simulated §5.2 latency model).
 //!
-//! `scheduling_pass` times the indexed batched pass. `fullscan_reference`
-//! reproduces the pre-index algorithm — per pending job, collect every
-//! eligible node from a full directory scan, then sort — on identical
-//! directory state, so the speedup is measured like-for-like. `db_queue`
+//! `scheduling_pass` times the indexed batched pass — on an idle fleet
+//! (`nodes/N`: every pick lands) and on a saturated one (`saturated_400`:
+//! every pick fails). `fullscan_reference` reproduces the pre-index
+//! algorithm — per pending job, collect every eligible node from a full
+//! directory scan, then sort — on identical directory state, so the
+//! speedup is measured like-for-like. `db_queue`
 //! times the write-queue actor itself: submit + drain of a heartbeat-scale
 //! write burst, the per-write data-structure cost underneath the emergent
 //! §5.2 latency. All use `iter_batched_ref`, which drops the (large)
@@ -12,7 +14,10 @@
 //! latency, not allocator teardown.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpunion_bench::{bench_spec, loaded_coordinator, loaded_coordinator_sharded};
+use gpunion_bench::{
+    bench_spec, loaded_coordinator, loaded_coordinator_sharded, saturated_coordinator,
+    SATURATED_JOBS,
+};
 use gpunion_db::{DbActor, DbActorConfig, WriteIntent};
 use gpunion_des::SimTime;
 use gpunion_protocol::NodeUid;
@@ -36,6 +41,16 @@ fn bench(c: &mut Criterion) {
             );
         });
     }
+    // The other regime: every node full, a backlog of jobs none of which
+    // fits. One turn of failing picks — the cost that used to be a walk
+    // of the whole fleet per pending job.
+    g.bench_function("saturated_400", |b| {
+        b.iter_batched_ref(
+            || saturated_coordinator(400, SATURATED_JOBS),
+            |coord| coord.advance(SimTime::from_secs(3900)),
+            criterion::BatchSize::SmallInput,
+        );
+    });
     g.finish();
 
     // The 10⁵-node fleet variants: the same turn over the sharded

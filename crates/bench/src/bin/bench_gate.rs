@@ -3,7 +3,9 @@
 //! Measures the scheduler's headline performance numbers — wall-clock
 //! latency of the actor turn that drains a 20-job scheduling pass at 400,
 //! 10 000, and 100 000 nodes (the quantities EXPERIMENTS.md §5.2 quotes;
-//! the 100k rows run the 16-way **sharded** directory, cold and warm)
+//! the 100k rows run the 16-way **sharded** directory, cold and warm),
+//! the same turn on a **saturated** 400-node fleet (50 pending jobs of
+//! five shapes, every pick fails — `pass_ns_400_saturated`),
 //! plus the simulated database write-queue figures at 400 nodes, the
 //! coordinator-inbox saturation figures at 500 nodes (ρ = 1.2), and the
 //! semester-scale DES row (6 weeks of 60 s heartbeats + weekly audits at
@@ -12,7 +14,7 @@
 //! framed encode of the dominant heartbeat message) and the parallel
 //! agent-pump storm rows (the lockstep 400-node agent phase inline and
 //! on 4 pump workers, plus its action checksum) — writes
-//! them to `BENCH_scheduler.json` (schema 8), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 9), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -78,12 +80,13 @@
 
 use gpunion_bench::{
     admission_shed_run, check_baseline_schema, codec_cost_run, contention_knee_run,
-    loaded_coordinator_sharded, market_grant_run, saturation_run, semester_sweep_heap,
-    semester_sweep_profile, semester_sweep_run, warm_actor_pass_ns, PassStats, BENCH_SCHEMA,
-    PASS_JOBS,
+    loaded_coordinator_sharded, market_grant_run, saturated_coordinator, saturation_run,
+    semester_sweep_heap, semester_sweep_profile, semester_sweep_run, warm_actor_pass_ns, PassStats,
+    BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
 use gpunion_core::pump_storm_run;
 use gpunion_des::SimTime;
+use gpunion_scheduler::CoordAction;
 use std::time::Instant;
 
 const DEFAULT_BASELINE: &str = "crates/bench/baseline/BENCH_scheduler.json";
@@ -122,6 +125,29 @@ fn pass_ns(n: usize, shards: usize, iters: usize) -> PassStats {
     PassStats::from_samples(samples)
 }
 
+/// The same cold turn on a **saturated** fleet: `n` full nodes and a
+/// [`SATURATED_JOBS`]-job backlog of five shapes, none of which fits —
+/// every pick of the pass fails, so the turn must offer nothing.
+fn saturated_pass_ns(n: usize, iters: usize) -> PassStats {
+    let samples: Vec<u64> = (0..iters)
+        .map(|_| {
+            let mut coord = saturated_coordinator(n, SATURATED_JOBS);
+            let t0 = Instant::now();
+            let actions = coord.advance(SimTime::from_secs(3900));
+            let dt = t0.elapsed().as_nanos() as u64;
+            assert!(
+                !actions
+                    .iter()
+                    .any(|a| matches!(a, CoordAction::JobEvent { .. })),
+                "saturated pass placed a job at {n} nodes"
+            );
+            assert_eq!(coord.db().pending_count(), SATURATED_JOBS, "backlog intact");
+            dt
+        })
+        .collect();
+    PassStats::from_samples(samples)
+}
+
 /// Minimal extractor for the flat JSON this binary writes.
 fn json_f64(s: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
@@ -148,6 +174,7 @@ fn main() {
 
     eprintln!("bench_gate: measuring scheduling pass (400 / 10k / 100k-sharded nodes)…");
     let p400 = pass_ns(400, 1, 31);
+    let p400_sat = saturated_pass_ns(400, 31);
     let p10k = pass_ns(10_000, 1, 11);
     let p100k = pass_ns(100_000, SCALE_SHARDS, 7);
     eprintln!("bench_gate: measuring warm actor turn (100k nodes, {SCALE_SHARDS} shard lanes)…");
@@ -349,7 +376,8 @@ fn main() {
     // flat-JSON f64 round-trip stays exact.
     let pump_checksum = (pump_w0_sum ^ (pump_w0_sum >> 32)) as u32;
     let json = format!(
-        "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \"pass_ns_10k\": {},\n  \
+        "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \
+         \"pass_ns_400_saturated\": {},\n  \"pass_ns_10k\": {},\n  \
          \"pass_ns_100k_sharded\": {},\n  \"pass_ns_100k_actor\": {},\n  \
          \"scale_shards\": {SCALE_SHARDS},\n  \
          \"grant_ns_1m_queue\": {},\n  \"admit_ns_1m_queue\": {},\n  \
@@ -361,6 +389,7 @@ fn main() {
          \"semester_wall_ms_400_w0\": {:.3},\n  \"semester_wall_ms_400_w4\": {:.3},\n  \
          \"pump_checksum_400\": {}\n}}\n",
         p400.median_ns,
+        p400_sat.median_ns,
         p10k.median_ns,
         p100k.median_ns,
         pactor.median_ns,
@@ -405,6 +434,7 @@ fn main() {
     let mut failed = false;
     for (key, measured) in [
         ("pass_ns_400", p400.median_ns as f64),
+        ("pass_ns_400_saturated", p400_sat.median_ns as f64),
         ("pass_ns_10k", p10k.median_ns as f64),
         ("pass_ns_100k_sharded", p100k.median_ns as f64),
         ("pass_ns_100k_actor", pactor.median_ns as f64),

@@ -26,7 +26,9 @@
 use gpunion_core::{PlatformConfig, Scenario};
 use gpunion_des::{HeapSim, RngPool, Sim, SimDuration, SimTime, TypedEvent};
 use gpunion_gpu::{paper_testbed, GpuModel};
-use gpunion_protocol::{Control, DispatchSpec, ExecMode, JobId, Message, NodeUid, UserId};
+use gpunion_protocol::{
+    Control, DispatchSpec, ExecMode, GpuStat, JobId, Message, NodeUid, UserId, Work,
+};
 use gpunion_scheduler::{CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, SendOutcome};
 use gpunion_workload::{
     generate, generate_into, paper_campus_labs, Request, TraceConfig, TraceEvent, TrainingJobSpec,
@@ -37,7 +39,7 @@ use std::time::Instant;
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 8;
+pub const BENCH_SCHEMA: u64 = 9;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -360,6 +362,89 @@ pub fn loaded_coordinator_with(
     // Process the submission turns (this arms the pass one emergent write
     // latency later); the pass itself belongs to the caller's timed turn.
     c.advance(SimTime::from_secs(3601));
+    c
+}
+
+/// Pending jobs of the saturated-fleet pass rows (criterion
+/// `scheduling_pass/saturated_400`, gate row `pass_ns_400_saturated`).
+pub const SATURATED_JOBS: usize = 50;
+
+/// A **saturated** fleet with a backlog — the regime a campus short of
+/// GPUs lives in, and the one `fleet400_day` spends its afternoon in: `n`
+/// single-3090 nodes each running one accepted 22 GB job (2 GB left), plus
+/// `jobs` pending submissions cycling through five shapes (4–20 GB, one
+/// compute-capability-constrained, one two-GPU) none of which fits
+/// anywhere, admitted with the pass armed but **not yet run**. The
+/// caller's timed [`Coordinator::advance`] at `t ≥ 3900 s` is one turn
+/// whose every pick fails: it must place nothing.
+pub fn saturated_coordinator(n: usize, jobs: usize) -> Coordinator {
+    let filler = || DispatchSpec {
+        gpu_mem_bytes: 22 << 30,
+        ..bench_spec()
+    };
+    let mut c = loaded_coordinator_with(n, 1, &mut std::iter::repeat_with(filler).take(n));
+    // Place the fillers (the pass defers while the write queue is at its
+    // bound, so this can take several turns), accept every offer — which
+    // hands the reservation over to the node's next heartbeat, so send
+    // that too — all before the caller's window.
+    let mut running = 0;
+    while let Some(at) = c.next_wake().filter(|&at| at <= SimTime::from_secs(3800)) {
+        for action in c.advance(at) {
+            if let CoordAction::Send {
+                to,
+                msg: Message::Work(Work::Dispatch { spec }),
+                ..
+            } = action
+            {
+                let reply = Work::DispatchReply {
+                    job: spec.job,
+                    accepted: true,
+                    reason: String::new(),
+                };
+                let beat = Control::Heartbeat {
+                    node: to,
+                    seq: 1,
+                    accepting: true,
+                    gpu_stats: vec![GpuStat {
+                        memory_used: spec.gpu_mem_bytes,
+                        memory_total: GpuModel::Rtx3090.vram_bytes(),
+                        utilization: 1.0,
+                        temperature_c: 70.0,
+                        power_w: 300.0,
+                    }],
+                    workloads: vec![],
+                };
+                c.send(at, CoordEnvelope::Msg(Box::new(reply.into())));
+                c.send(at, CoordEnvelope::Msg(Box::new(beat.into())));
+                running += 1;
+            }
+        }
+    }
+    assert_eq!(running, n, "every node runs one filler job");
+    let shape = |mem_gb: u64, gpus: u8, min_cc| DispatchSpec {
+        gpu_mem_bytes: mem_gb << 30,
+        gpus,
+        min_cc,
+        ..bench_spec()
+    };
+    let shapes = [
+        shape(4, 1, None),
+        shape(8, 1, None),
+        shape(12, 2, None),
+        shape(16, 1, Some((8, 6))),
+        shape(20, 1, None),
+    ];
+    for spec in shapes.iter().cycle().take(jobs) {
+        let outcome = c.send(
+            SimTime::from_secs(3801),
+            CoordEnvelope::SubmitJob(Box::new(spec.clone())),
+        );
+        assert!(
+            matches!(outcome, SendOutcome::Enqueued { job: Some(_) }),
+            "submissions are never shed"
+        );
+    }
+    c.advance(SimTime::from_secs(3801));
     c
 }
 

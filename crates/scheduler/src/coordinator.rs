@@ -1097,18 +1097,13 @@ impl Coordinator {
                             meta.lease = Some(now + lease_period);
                         }
                         if ws.checkpoint_seq > 0 {
-                            let stored = meta
-                                .latest_checkpoint
-                                .as_ref()
-                                .map(|(_, s)| s.clone())
-                                .unwrap_or_default();
-                            if meta
-                                .latest_checkpoint
-                                .as_ref()
-                                .map(|(s, _)| *s < ws.checkpoint_seq)
-                                .unwrap_or(true)
-                            {
-                                meta.latest_checkpoint = Some((ws.checkpoint_seq, stored));
+                            // Only the seq can be news here; where the
+                            // checkpoint is stored comes from CheckpointDone.
+                            match &mut meta.latest_checkpoint {
+                                Some((seq, _)) => *seq = (*seq).max(ws.checkpoint_seq),
+                                None => {
+                                    meta.latest_checkpoint = Some((ws.checkpoint_seq, Vec::new()))
+                                }
                             }
                         }
                     }

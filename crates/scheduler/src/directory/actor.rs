@@ -67,7 +67,7 @@ pub(crate) enum ShardIntent {
         accepting: bool,
         stats: Vec<GpuStat>,
     },
-    /// Reserve capacity for an in-flight offer. Replies `Bool`.
+    /// Reserve capacity for an in-flight offer. Replies `Reserved`.
     Reserve {
         uid: NodeUid,
         job: JobId,
@@ -75,7 +75,7 @@ pub(crate) enum ShardIntent {
         mem: u64,
         min_cc: Option<(u8, u8)>,
     },
-    /// Release a job's reservation.
+    /// Release a job's reservation. Replies `Released`.
     Release { uid: NodeUid, job: JobId },
     /// Transition liveness. Replies `Liveness` (the previous value).
     SetLiveness {
@@ -87,15 +87,23 @@ pub(crate) enum ShardIntent {
 }
 
 /// The reply a lane leaves in its slot after applying an intent. Only
-/// `Reserve` and `SetLiveness` carry information; the rest overwrite the
-/// slot with `None` (the slot always reflects the *latest* applied
-/// intent, and the producer only reads it right after quiescing on an
-/// intent it knows replies).
+/// `Reserve`, `Release` and `SetLiveness` carry information; the rest
+/// overwrite the slot with `None` (the slot always reflects the *latest*
+/// applied intent, and the producer only reads it right after quiescing
+/// on an intent it knows replies).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) enum ShardReply {
     #[default]
     None,
-    Bool(bool),
+    /// All slots covered / the node moved up a free-VRAM bucket.
+    Reserved {
+        complete: bool,
+        grew: bool,
+    },
+    /// The node moved up a free-VRAM bucket.
+    Released {
+        grew: bool,
+    },
     Liveness(Option<NodeLiveness>),
 }
 
@@ -150,11 +158,13 @@ impl ShardCell {
                 gpus,
                 mem,
                 min_cc,
-            } => ShardReply::Bool(shard.reserve(uid, job, gpus, mem, min_cc)),
-            ShardIntent::Release { uid, job } => {
-                shard.release(uid, job);
-                ShardReply::None
+            } => {
+                let (complete, grew) = shard.reserve(uid, job, gpus, mem, min_cc);
+                ShardReply::Reserved { complete, grew }
             }
+            ShardIntent::Release { uid, job } => ShardReply::Released {
+                grew: shard.release(uid, job),
+            },
             ShardIntent::SetLiveness { uid, liveness } => {
                 ShardReply::Liveness(shard.set_liveness(uid, liveness))
             }
@@ -409,7 +419,10 @@ mod tests {
                 min_cc: None,
             },
         );
-        assert!(matches!(r, ShardReply::Bool(true)), "{r:?}");
+        assert!(
+            matches!(r, ShardReply::Reserved { complete: true, .. }),
+            "{r:?}"
+        );
         // Oversubscribe: the same slot can't be double-reserved.
         let r = rt.send_with_reply(
             0,
@@ -421,6 +434,15 @@ mod tests {
                 min_cc: None,
             },
         );
-        assert!(matches!(r, ShardReply::Bool(false)), "{r:?}");
+        assert!(
+            matches!(
+                r,
+                ShardReply::Reserved {
+                    complete: false,
+                    ..
+                }
+            ),
+            "{r:?}"
+        );
     }
 }

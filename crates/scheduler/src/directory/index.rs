@@ -9,7 +9,7 @@
 
 use super::entry::{NodeEntry, NodeLiveness};
 use gpunion_des::SimTime;
-use gpunion_protocol::NodeUid;
+use gpunion_protocol::{DispatchSpec, NodeUid};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -53,6 +53,36 @@ pub(crate) struct ClassKey {
     tier: u8,
 }
 
+/// The weakest class that could host a spec: a node eligible for it has a
+/// slot with at least `gpu_mem_bytes` free at `min_cc` or better, so its
+/// class has `bucket >= floor.bucket` and `cc >= floor.min_cc`. Classes
+/// the floor admits are a superset of the exact answer (the floor bucket
+/// itself holds nodes on either side of the byte count, and `gpus` is not
+/// a class dimension); callers verify per node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClassFloor {
+    bucket: u8,
+    min_cc: Option<(u8, u8)>,
+}
+
+impl ClassFloor {
+    /// Admits every class (what a spec asking for no GPU is eligible on).
+    pub(crate) const ANY: ClassFloor = ClassFloor {
+        bucket: 0,
+        min_cc: None,
+    };
+
+    pub(crate) fn of(spec: &DispatchSpec) -> Self {
+        if spec.gpus == 0 {
+            return Self::ANY;
+        }
+        ClassFloor {
+            bucket: vram_bucket(spec.gpu_mem_bytes),
+            min_cc: spec.min_cc,
+        }
+    }
+}
+
 /// Where one node currently sits in the index (for in-place updates).
 #[derive(Debug, Clone, Copy)]
 struct IndexedAt {
@@ -64,11 +94,11 @@ struct IndexedAt {
 
 /// The incremental capacity index of one shard.
 ///
-/// Maintains four ordered views over the *schedulable* (Active) nodes —
-/// by capacity class for eligibility pruning, by total free VRAM for
-/// least-loaded picks, by device speed for fastest-device picks, and by uid
-/// for round-robin — plus a heartbeat-recency view over all non-offline
-/// nodes for staleness sweeps.
+/// Maintains three ordered views over the *schedulable* (Active) nodes —
+/// by capacity class for eligibility pruning and round-robin (each class's
+/// members sit in uid order), by total free VRAM for least-loaded picks,
+/// and by device speed for fastest-device picks — plus a heartbeat-recency
+/// view over all non-offline nodes for staleness sweeps.
 #[derive(Debug, Default)]
 pub(crate) struct CapacityIndex {
     /// (bucket, cc, tier) → members.
@@ -78,8 +108,6 @@ pub(crate) struct CapacityIndex {
     by_free: BTreeSet<(u64, Reverse<NodeUid>)>,
     /// (tflops bits, uid): iterate in reverse for fastest-device.
     by_speed: BTreeSet<(u64, Reverse<NodeUid>)>,
-    /// Active nodes by uid (round-robin cursor scans).
-    by_uid: BTreeSet<NodeUid>,
     /// (last heartbeat, uid) over non-offline nodes (staleness sweeps).
     by_heartbeat: BTreeSet<(SimTime, NodeUid)>,
     /// Current position of every tracked node.
@@ -112,7 +140,6 @@ impl CapacityIndex {
             }
             self.by_free.remove(&(at.total_free, Reverse(uid)));
             self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
-            self.by_uid.remove(&uid);
             self.by_heartbeat.remove(&(at.heartbeat, uid));
         }
     }
@@ -124,14 +151,15 @@ impl CapacityIndex {
     }
 
     /// Reposition only the capacity-derived views (class bucket, total
-    /// free) after a reservation change. Heartbeat recency, speed, and uid
+    /// free) after a reservation change. Heartbeat recency and speed
     /// views are untouched — this is the scheduling pass's per-placement
-    /// index update.
-    pub(crate) fn update_capacity(&mut self, entry: &NodeEntry) {
+    /// index update. Returns whether the node moved *up* a free-VRAM
+    /// bucket, i.e. joined a class set it was not a member of before.
+    pub(crate) fn update_capacity(&mut self, entry: &NodeEntry) -> bool {
         let uid = entry.uid;
         let Some(at) = self.entries.get(&uid).copied() else {
             // Not schedulable (non-Active): capacity views don't track it.
-            return;
+            return false;
         };
         let class = ClassKey {
             bucket: vram_bucket(entry.max_slot_free()),
@@ -151,9 +179,10 @@ impl CapacityIndex {
             self.by_free.remove(&(at.total_free, Reverse(uid)));
             self.by_free.insert((total_free, Reverse(uid)));
         }
-        let at = self.entries.get_mut(&uid).expect("present above");
-        at.class = class;
-        at.total_free = total_free;
+        let slot = self.entries.get_mut(&uid).expect("present above");
+        slot.class = class;
+        slot.total_free = total_free;
+        class.bucket > at.class.bucket
     }
 
     /// Re-derive a node's index position from its current entry state.
@@ -167,7 +196,6 @@ impl CapacityIndex {
                 self.by_class.entry(at.class).or_default().insert(uid);
                 self.by_free.insert((at.total_free, Reverse(uid)));
                 self.by_speed.insert((at.speed_bits, Reverse(uid)));
-                self.by_uid.insert(uid);
                 self.by_heartbeat.insert((at.heartbeat, uid));
                 self.entries.insert(uid, at);
             }
@@ -181,7 +209,7 @@ impl CapacityIndex {
 
     /// Schedulable (Active) node count.
     pub(crate) fn schedulable(&self) -> usize {
-        self.by_uid.len()
+        self.entries.len()
     }
 
     // ---- merge-ready ordered streams ---------------------------------
@@ -193,25 +221,31 @@ impl CapacityIndex {
     // free VRAM, equal TFLOPS) break on uid exactly like the unsharded
     // reverse iteration did.
 
-    /// Members of classes that could serve a slot of `mem` bytes at
-    /// `min_cc`, keyed `(Reverse(class), uid)` in ascending key order —
-    /// i.e. largest-free classes first, uid ascending within a class,
-    /// exactly the unsharded candidate order. Superset of the exact
-    /// answer; callers verify per node.
-    pub(crate) fn class_stream(
+    /// The classes `floor` admits, ascending class order.
+    fn classes_from(
         &self,
-        mem: u64,
-        min_cc: Option<(u8, u8)>,
-    ) -> impl Iterator<Item = ((Reverse<ClassKey>, NodeUid), ())> + '_ {
-        let floor = ClassKey {
-            bucket: vram_bucket(mem),
+        floor: ClassFloor,
+    ) -> impl DoubleEndedIterator<Item = (&ClassKey, &BTreeSet<NodeUid>)> + '_ {
+        let lowest = ClassKey {
+            bucket: floor.bucket,
             cc: (0, 0),
             tier: 0,
         };
         self.by_class
-            .range(floor..)
+            .range(lowest..)
+            .filter(move |(k, _)| floor.min_cc.is_none_or(|cc| k.cc >= cc))
+    }
+
+    /// Members of the classes `floor` admits, keyed `(Reverse(class), uid)`
+    /// in ascending key order — i.e. largest-free classes first, uid
+    /// ascending within a class, exactly the unsharded candidate order.
+    /// Superset of the exact answer; callers verify per node.
+    pub(crate) fn class_stream(
+        &self,
+        floor: ClassFloor,
+    ) -> impl Iterator<Item = ((Reverse<ClassKey>, NodeUid), ())> + '_ {
+        self.classes_from(floor)
             .rev()
-            .filter(move |(k, _)| min_cc.is_none_or(|cc| k.cc >= cc))
             .flat_map(|(k, set)| set.iter().map(move |&uid| ((Reverse(*k), uid), ())))
     }
 
@@ -233,25 +267,20 @@ impl CapacityIndex {
             .map(|&(bits, Reverse(uid))| ((Reverse(bits), uid), ()))
     }
 
-    /// Active uids in `range`, ascending (round-robin segments of the
-    /// reference enumeration — see `ShardedDirectory::round_robin_from`).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn uid_stream<R>(&self, range: R) -> impl Iterator<Item = (NodeUid, ())> + '_
-    where
-        R: std::ops::RangeBounds<NodeUid>,
-    {
-        self.by_uid.range(range).map(|&uid| (uid, ()))
-    }
-
-    /// Smallest Active uid in `range` — one tree descent, no iterator
-    /// state. The round-robin gather's per-shard reply: each refill asks
-    /// every shard for its next uid and merges the answers, re-asking
-    /// only the shard whose uid won (see `directory::merge::RrGather`).
-    pub(crate) fn first_uid_in(
+    /// Smallest uid in `range` among the members of the classes `floor`
+    /// admits — one tree descent per admitted class, no iterator state, and
+    /// `None` without touching a node when no class can serve the floor.
+    /// The round-robin gather's per-shard reply: each refill asks every
+    /// shard for its next candidate and merges the answers, re-asking only
+    /// the shard whose uid won (see `directory::merge::RrGather`).
+    pub(crate) fn first_candidate_in(
         &self,
+        floor: ClassFloor,
         range: (std::ops::Bound<NodeUid>, std::ops::Bound<NodeUid>),
     ) -> Option<NodeUid> {
-        self.by_uid.range(range).next().copied()
+        self.classes_from(floor)
+            .filter_map(|(_, set)| set.range(range).next().copied())
+            .min()
     }
 
     /// Non-offline `(last heartbeat, uid)` strictly before `cutoff`,

@@ -15,6 +15,7 @@
 //! heads beats a binary heap: no allocation per item, no sift traffic,
 //! and the heads vector stays in cache.
 
+use super::index::ClassFloor;
 use gpunion_protocol::NodeUid;
 use std::collections::VecDeque;
 
@@ -36,17 +37,20 @@ pub(crate) enum GatherPos {
 /// The round-robin scatter–gather reply buffer.
 ///
 /// Each refill (`ShardedDirectory::fill_round_robin`) quiesces every
-/// shard lane at the join point, gathers each lane's next Active uid,
-/// and merges the replies in ascending-uid order into `buf` — the same
-/// embedded-uid key order `KWayMerge` uses, so consuming the buffer is
-/// bit-identical to walking `round_robin_from(origin)`. All storage
-/// (`buf`, the `heads` scratch) is reused across refills: the warm pass
-/// allocates nothing on this path (pinned by `tests/alloc.rs`).
+/// shard lane at the join point, gathers each lane's next candidate —
+/// the smallest uid in the classes `floor` admits — and merges the
+/// replies in ascending-uid order into `buf` — the same embedded-uid key
+/// order `KWayMerge` uses, so consuming the buffer visits, in
+/// `round_robin_from(origin)` order, a superset of the nodes that can
+/// host a spec with that floor. All storage (`buf`, the `heads` scratch)
+/// is reused across refills: the warm pass allocates nothing on this
+/// path (pinned by `tests/alloc.rs`).
 ///
 /// The buffer may outlive the pick that filled it; `Selector::pick`
-/// guards reuse with two checks — `epoch` (any membership mutation
-/// invalidates) and the expected cursor (consumption must continue where
-/// the previous pick stopped) — and restarts the circle whenever an
+/// guards reuse with three checks — `epoch` (any mutation that can add a
+/// node to a class view invalidates), `floor` (the buffer holds one class
+/// floor's candidates) and the expected cursor (consumption must continue
+/// where the previous pick stopped) — and restarts the circle whenever an
 /// in-progress enumeration could not serve the current pick exactly.
 #[derive(Debug, Clone)]
 pub(crate) struct RrGather {
@@ -56,8 +60,10 @@ pub(crate) struct RrGather {
     pub(crate) heads: Vec<Option<NodeUid>>,
     /// Heads correspond to `pos`'s segment (false forces a re-prime).
     pub(crate) heads_primed: bool,
-    /// Directory membership epoch the enumeration was started under.
+    /// Directory gather epoch the enumeration was started under.
     pub(crate) epoch: u64,
+    /// The class floor whose candidates the enumeration gathers.
+    pub(crate) floor: ClassFloor,
     /// The circle's start (and wrap endpoint).
     pub(crate) origin: NodeUid,
     /// Refill resume position.
@@ -74,17 +80,20 @@ impl RrGather {
             heads: Vec::new(),
             heads_primed: false,
             epoch: 0,
+            floor: ClassFloor::ANY,
             origin: NodeUid(0),
             pos: GatherPos::Done,
             expected_cursor: None,
         }
     }
 
-    /// Start a fresh enumeration of `circle(cursor)` under `epoch`.
-    pub(crate) fn reset(&mut self, epoch: u64, cursor: NodeUid) {
+    /// Start a fresh enumeration of `floor`'s candidates on
+    /// `circle(cursor)` under `epoch`.
+    pub(crate) fn reset(&mut self, epoch: u64, cursor: NodeUid, floor: ClassFloor) {
         self.buf.clear();
         self.heads_primed = false;
         self.epoch = epoch;
+        self.floor = floor;
         self.origin = cursor;
         self.pos = GatherPos::Tail(None);
         self.expected_cursor = Some(cursor);

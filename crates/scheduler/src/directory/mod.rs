@@ -12,7 +12,7 @@
 //! owning the node's uid and updates that shard's
 //! `CapacityIndex` in place. The read surface composes shards
 //! lazily: each ordered per-shard view (by candidate class, by free VRAM,
-//! by device speed, by uid, by heartbeat recency) feeds a k-way merge
+//! by device speed, by heartbeat recency) feeds a k-way merge
 //! (`KWayMerge`) whose keys embed the node uid, so the merged
 //! stream is **bit-identical** to what a single unsharded index would
 //! produce (property-tested below across shard counts). The index prunes
@@ -44,6 +44,7 @@ pub use entry::{NodeEntry, NodeLiveness, Reliability};
 use actor::{ShardIntent, ShardReply, ShardRuntime};
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
+pub(crate) use index::ClassFloor;
 use merge::KWayMerge;
 pub(crate) use merge::{GatherPos, RrGather};
 use std::collections::HashMap;
@@ -63,12 +64,18 @@ pub struct ShardedDirectory {
     runtime: ShardRuntime,
     by_machine: HashMap<String, NodeUid>,
     next_uid: u64,
-    /// Bumped on every mutation that can change Active-uid membership
-    /// (register, heartbeat, liveness) — the round-robin gather buffer's
-    /// invalidation clock. Counted at *send* time, so it is identical at
-    /// any worker count. Reserve/release only move capacity views and
-    /// deliberately leave the epoch alone: that is what lets one gather
-    /// survive a whole scheduling pass.
+    /// The round-robin gather buffer's invalidation clock: bumped on every
+    /// mutation that can *add* a node to some class-filtered view —
+    /// membership (register, heartbeat, liveness) and capacity growth that
+    /// lifts a node into a higher free-VRAM bucket (a release, a reserve
+    /// that replaces a larger hold of the same job). A buffered
+    /// enumeration resumed across such a mutation could skip the node it
+    /// requalified. Everything else — a capacity-shrinking reserve above
+    /// all — only ever takes nodes *out* of a view or leaves them where
+    /// they were (the pick re-verifies every uid it pops), so it leaves
+    /// the epoch alone: that is what lets one gather survive a whole
+    /// scheduling pass's placements. A pure function of the intent
+    /// stream, so it is identical at any worker count.
     views_epoch: u64,
 }
 
@@ -119,8 +126,8 @@ impl ShardedDirectory {
         self.runtime.worker_count()
     }
 
-    /// Membership-mutation epoch (the gather buffer's invalidation clock).
-    pub(crate) fn membership_epoch(&self) -> u64 {
+    /// The gather buffer's invalidation clock (see `views_epoch`).
+    pub(crate) fn gather_epoch(&self) -> u64 {
         self.views_epoch
     }
 
@@ -251,14 +258,24 @@ impl ShardedDirectory {
                 min_cc,
             },
         );
-        matches!(reply, ShardReply::Bool(true))
+        let ShardReply::Reserved { complete, grew } = reply else {
+            return false;
+        };
+        // Re-reserving drops the job's earlier hold first: a smaller new
+        // hold can lift the node into a class it was not a member of.
+        self.views_epoch += u64::from(grew);
+        complete
     }
 
     /// Release a job's reservation (offer rejected, job finished, node
-    /// lost). No-op when none exists.
+    /// lost). No-op when none exists. Joins the owning lane for the
+    /// reply: whether the node rose a bucket decides the epoch bump.
     pub fn release(&mut self, uid: NodeUid, job: JobId) {
         let sh = self.shard_idx(uid);
-        self.runtime.send(sh, ShardIntent::Release { uid, job });
+        let reply = self
+            .runtime
+            .send_with_reply(sh, ShardIntent::Release { uid, job });
+        self.views_epoch += u64::from(matches!(reply, ShardReply::Released { grew: true }));
     }
 
     /// Transition a node's liveness. Returns the previous liveness.
@@ -320,7 +337,7 @@ impl ShardedDirectory {
     ) -> impl Iterator<Item = &'a NodeEntry> + 'a {
         let streams = self.runtime.joined_shards().map(move |sh| {
             sh.index
-                .class_stream(spec.gpu_mem_bytes, spec.min_cc)
+                .class_stream(ClassFloor::of(spec))
                 .filter_map(move |(key, ())| sh.nodes.get(&key.1).map(|e| (key, e)))
         });
         KWayMerge::new(streams)
@@ -408,39 +425,39 @@ impl ShardedDirectory {
     }
 
     /// Active uids starting at `cursor`, wrapping around once — the
-    /// round-robin scan order. Two merges (tail segment, then head
-    /// segment) chained, each in ascending uid order. This is the
-    /// reference enumeration the gather-buffered pick path
+    /// round-robin scan order, read off the node maps without the index.
+    /// This is the reference enumeration the gather-buffered pick path
     /// (`Selector::pick` + [`Self::fill_round_robin`]) is proven
     /// equivalent to; the equivalence tests walk it directly.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn round_robin_from(&self, cursor: NodeUid) -> impl Iterator<Item = NodeUid> + '_ {
+        let active = |(_, e): &(NodeUid, &NodeEntry)| e.liveness() == NodeLiveness::Active;
         let tail = KWayMerge::new(
             self.runtime
                 .joined_shards()
-                .map(move |s| s.index.uid_stream(cursor..)),
+                .map(move |s| s.nodes.range(cursor..).map(|(&uid, e)| (uid, e))),
         );
-        let head = std::iter::once_with(move || {
-            KWayMerge::new(
-                self.runtime
-                    .joined_shards()
-                    .map(move |s| s.index.uid_stream(..cursor)),
-            )
-        })
-        .flatten();
-        tail.map(|(uid, ())| uid).chain(head.map(|(uid, ())| uid))
+        let head = KWayMerge::new(
+            self.runtime
+                .joined_shards()
+                .map(move |s| s.nodes.range(..cursor).map(|(&uid, e)| (uid, e))),
+        );
+        tail.chain(head).filter(active).map(|(uid, _)| uid)
     }
 
     /// Refill a round-robin gather buffer with up to `max` more uids.
     ///
     /// The scatter–gather read: quiesce every shard lane at the join
-    /// point, prime each lane's next-uid reply for the current circle
-    /// segment, then repeatedly take the smallest reply — re-asking only
-    /// the winning lane — until `max` uids are buffered or the circle is
-    /// done. Replies are gathered in drain-schedule order, which cannot
-    /// change the merged result (uids are unique; property-tested under
-    /// seeded permutations). Uses only storage owned by `g`: the warm
-    /// path allocates nothing (pinned by `tests/alloc.rs`).
+    /// point, prime each lane's next-candidate reply (the smallest uid in
+    /// the classes `g.floor` admits) for the current circle segment, then
+    /// repeatedly take the smallest reply — re-asking only the winning
+    /// lane — until `max` uids are buffered or the circle is done. On a
+    /// fleet where no class can serve the floor the whole circle is
+    /// O(shards × classes) set lookups and buffers nothing. Replies are
+    /// gathered in drain-schedule order, which cannot change the merged
+    /// result (uids are unique; property-tested under seeded
+    /// permutations). Uses only storage owned by `g`: the warm path
+    /// allocates nothing (pinned by `tests/alloc.rs`).
     pub(crate) fn fill_round_robin(&self, g: &mut RrGather, max: usize) {
         self.runtime.join_all();
         let order = self.runtime.drain_order();
@@ -460,7 +477,11 @@ impl ShardedDirectory {
             };
             if !g.heads_primed {
                 for &i in order {
-                    g.heads[i] = self.runtime.shard(i).index.first_uid_in((lo, hi));
+                    g.heads[i] = self
+                        .runtime
+                        .shard(i)
+                        .index
+                        .first_candidate_in(g.floor, (lo, hi));
                 }
                 g.heads_primed = true;
             }
@@ -493,7 +514,7 @@ impl ShardedDirectory {
                     .runtime
                     .shard(winner)
                     .index
-                    .first_uid_in((Bound::Excluded(u), hi));
+                    .first_candidate_in(g.floor, (Bound::Excluded(u), hi));
             }
         }
     }

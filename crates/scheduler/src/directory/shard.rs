@@ -48,7 +48,9 @@ impl Shard {
     }
 
     /// Reserve capacity on a node (see
-    /// [`super::ShardedDirectory::reserve`]).
+    /// [`super::ShardedDirectory::reserve`]). Returns `(complete, grew)`:
+    /// whether all `gpus` slots were covered, and whether the node moved
+    /// up a free-VRAM bucket (the new hold replaced a larger one).
     pub(crate) fn reserve(
         &mut self,
         uid: NodeUid,
@@ -56,22 +58,22 @@ impl Shard {
         gpus: u8,
         mem: u64,
         min_cc: Option<(u8, u8)>,
-    ) -> bool {
-        if let Some(e) = self.nodes.get_mut(&uid) {
-            let complete = e.reserve(job, gpus, mem, min_cc);
-            self.index.update_capacity(e);
-            complete
-        } else {
-            false
-        }
+    ) -> (bool, bool) {
+        let Some(e) = self.nodes.get_mut(&uid) else {
+            return (false, false);
+        };
+        let complete = e.reserve(job, gpus, mem, min_cc);
+        (complete, self.index.update_capacity(e))
     }
 
-    /// Release a job's reservation. No-op when none exists.
-    pub(crate) fn release(&mut self, uid: NodeUid, job: JobId) {
-        if let Some(e) = self.nodes.get_mut(&uid) {
-            e.release(job);
-            self.index.update_capacity(e);
-        }
+    /// Release a job's reservation. No-op when none exists. Returns
+    /// whether the node moved up a free-VRAM bucket.
+    pub(crate) fn release(&mut self, uid: NodeUid, job: JobId) -> bool {
+        let Some(e) = self.nodes.get_mut(&uid) else {
+            return false;
+        };
+        e.release(job);
+        self.index.update_capacity(e)
     }
 
     /// Transition a node's liveness. Returns the previous liveness.

@@ -434,6 +434,64 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_only_advances_the_checkpoint_seq() {
+        let mut coord = Coordinator::new(CoordinatorConfig::default(), 1);
+        let n1 = register(&mut coord, t(1), "m-1");
+        heartbeat(&mut coord, t(2), n1, 1);
+        let (job, _) = submit(&mut coord, t(3), spec());
+        drive(&mut coord, t(4));
+        msg(
+            &mut coord,
+            t(5),
+            Work::DispatchReply {
+                job,
+                accepted: true,
+                reason: String::new(),
+            }
+            .into(),
+        );
+        let report = |coord: &mut Coordinator, now: u64, checkpoint_seq: u64| {
+            msg(
+                coord,
+                t(now),
+                Control::Heartbeat {
+                    node: n1,
+                    seq: now,
+                    accepting: true,
+                    gpu_stats: vec![],
+                    workloads: vec![WorkloadStatus {
+                        job,
+                        state: WorkloadState::Running,
+                        progress: 0.1,
+                        checkpoint_seq,
+                    }],
+                }
+                .into(),
+            );
+            coord.job_checkpoint(job)
+        };
+        assert_eq!(report(&mut coord, 6, 0), None, "seq 0 = no checkpoint yet");
+        assert_eq!(report(&mut coord, 7, 2), Some((2, vec![])));
+        let stored = vec![NodeUid(7), NodeUid(9)];
+        msg(
+            &mut coord,
+            t(8),
+            Work::CheckpointDone {
+                job,
+                seq: 3,
+                transfer_bytes: 1 << 20,
+                stored_on: stored.clone(),
+            }
+            .into(),
+        );
+        // A repeated or older seq leaves the record untouched…
+        assert_eq!(report(&mut coord, 9, 3), Some((3, stored.clone())));
+        assert_eq!(report(&mut coord, 10, 2), Some((3, stored.clone())));
+        // …a newer one advances the seq and keeps the storage nodes.
+        assert_eq!(report(&mut coord, 11, 4), Some((4, stored)));
+    }
+
+    #[test]
     fn migrate_back_on_provider_return() {
         let mut coord = Coordinator::new(CoordinatorConfig::default(), 1);
         let n1 = register(&mut coord, t(1), "m-1");

@@ -7,24 +7,37 @@
 //! job; the coordinator dispatches to the first and falls through on
 //! rejection.
 //!
-//! Strategies never scan the whole directory. [`Selector::pick`] — the hot
-//! path the batched scheduling pass drains jobs through — pops from the
-//! directory's ordered views (free-capacity order, device-speed order, uid
-//! order for round-robin; each a lazy k-way merge of the per-shard capacity
-//! indexes, bit-identical to the unsharded order), verifying each popped
-//! node exactly, so a placement decision is O(shards + log n) on a fleet
-//! where most nodes are eligible.
+//! [`Selector::pick`] — the hot path the batched scheduling pass drains
+//! jobs through — pops from the directory's ordered views (each a lazy
+//! k-way merge of the per-shard capacity indexes, bit-identical to the
+//! unsharded order) and verifies each popped node exactly. What a pick
+//! costs depends on the strategy and on how full the fleet is:
+//!
+//! * **Round-robin** (the paper's default) walks uid order over the
+//!   members of the capacity classes that could serve the job's shape
+//!   (free-VRAM bucket and compute capability at or above the spec's
+//!   floor), not over every Active node. On a fleet where most nodes are
+//!   eligible a pick is O(shards + log n), amortized over a pass by the
+//!   gather buffer. On a **saturated** fleet — many pending jobs, no free
+//!   node, the regime a campus short of GPUs lives in — a pick that finds
+//!   nothing costs O(shards × classes) set lookups and verifies only the
+//!   nodes of the floor bucket itself, instead of walking the fleet once
+//!   per pending job.
+//! * **Least-loaded** and **fastest-device** pop free-capacity and
+//!   device-speed order over *all* Active nodes: near-O(shards) when the
+//!   front of the order is eligible, O(fleet) when nothing is.
+//! * **Reliability-aware** scores the index's pre-filtered candidate set.
+//!
 //! [`Selector::rank`] returns the full ordering (diagnostics, tests,
-//! embedding loops that want fallbacks) over the index's pre-filtered
-//! candidate set.
+//! embedding loops that want fallbacks) over the same pre-filtered set.
 
-use crate::directory::{Directory, GatherPos, NodeEntry, RrGather};
+use crate::directory::{ClassFloor, Directory, GatherPos, NodeEntry, RrGather};
 use gpunion_protocol::{DispatchSpec, NodeUid};
 use serde::{Deserialize, Serialize};
 
 /// Uids gathered per round-robin refill: enough for a whole scheduling
-/// pass's picks in one scatter–gather, small enough that a mostly-
-/// ineligible fleet doesn't over-fetch.
+/// pass's picks in one scatter–gather, small enough that a pass with a
+/// single placement doesn't over-fetch much.
 const RR_GATHER_CHUNK: usize = 32;
 
 /// Selectable allocation strategies.
@@ -85,9 +98,8 @@ impl Selector {
 
     /// The single best node for `spec`, advancing round-robin state. This
     /// is the scheduling pass's fast path: ordered index views are popped
-    /// and verified until one eligible node survives — near-O(1) when most
-    /// of the fleet qualifies, never worse than the pre-filtered candidate
-    /// set.
+    /// and verified until one eligible node survives (costs per strategy
+    /// in the module docs).
     pub fn pick(
         &mut self,
         dir: &Directory,
@@ -97,7 +109,7 @@ impl Selector {
         let ok = |uid: &NodeUid| !exclude.contains(uid) && dir.is_candidate(*uid, spec);
         match self.strategy {
             Strategy::RoundRobin => {
-                let hit = self.rr_pick(dir, ok)?;
+                let hit = self.rr_pick(dir, ClassFloor::of(spec), ok)?;
                 self.rr_cursor = NodeUid(hit.0 + 1);
                 Some(hit)
             }
@@ -117,35 +129,48 @@ impl Selector {
 
     /// Round-robin pick through the scatter–gather buffer: exactly
     /// equivalent to `dir.round_robin_from(cursor).find(ok)` (tested
-    /// against it), but the per-shard stream setup is paid once per
-    /// refill, not once per pick.
+    /// against it) for any `ok` that only accepts nodes able to host a
+    /// spec with class floor `floor`, but it enumerates that floor's
+    /// candidates instead of every Active uid, and the per-shard stream
+    /// setup is paid once per refill, not once per pick.
     ///
-    /// Exactness argument. The buffer holds a prefix-ordered suffix of
-    /// `circle(origin)` = `[origin, ∞) ++ [0, origin)`. Reuse is allowed
-    /// only when (a) no membership mutation happened since the fill
-    /// (epoch check — reserve/release don't count, and eligibility is
-    /// re-verified per uid via `ok` anyway) and (b) the pick's cursor is
-    /// exactly where consumption stopped (`expected_cursor`). Under
-    /// those conditions the remaining enumeration visits the same uids
-    /// in the same order a fresh `circle(cursor)` scan would — except
-    /// the part already consumed by earlier picks, which a fresh scan
-    /// re-checks (non-membership mutations like `release` can requalify
-    /// a previously skipped uid without bumping the epoch). So: if a hit
-    /// occurs before the resumed enumeration runs dry, it is the fresh
-    /// scan's hit (the shared prefix is order-identical); if it
-    /// completes with no hit, the full circle is restarted at `cursor` —
-    /// uids re-checked by the restart stay ineligible because nothing
-    /// mutates mid-pick — and only a restarted (fresh-this-pick) scan
-    /// that comes up dry may conclude `None`.
+    /// Exactness argument. The buffer holds, in circle order, a suffix of
+    /// `circle(origin)` = `[origin, ∞) ++ [0, origin)` restricted to the
+    /// members of the classes `floor` admits — a superset of the nodes
+    /// `ok` can accept, so skipping the rest skips only rejections. Reuse
+    /// is allowed only when (a) the directory's gather epoch is unchanged:
+    /// nothing since the fill can have *added* a node to those classes
+    /// (membership changes, and capacity growth that lifts a node into a
+    /// higher bucket, bump it; a capacity-shrinking reserve can only
+    /// remove members, and a removed member still in the buffer is
+    /// rejected by `ok`), (b) the buffer was
+    /// gathered for the same `floor`, and (c) the pick's cursor is exactly
+    /// where consumption stopped (`expected_cursor`). Under those
+    /// conditions the remaining enumeration visits every node a fresh
+    /// `circle(cursor)` scan could accept, in the same order — except the
+    /// part already consumed by earlier picks, which a fresh scan
+    /// re-checks (an earlier hit may still have room, and `ok` differs
+    /// between picks: another job's exclusions, byte count or GPU count).
+    /// So: if a hit occurs before the resumed enumeration runs dry, it is
+    /// the fresh scan's hit; if it completes with no hit, the full circle
+    /// is restarted at `cursor` — uids re-checked by the restart stay
+    /// ineligible because nothing mutates mid-pick — and only a restarted
+    /// (fresh-this-pick) scan that comes up dry may conclude `None`.
     ///
     /// Assumes the selector serves one directory for its lifetime (as
     /// the coordinator's does): the epoch clock is per-directory.
-    fn rr_pick(&mut self, dir: &Directory, ok: impl Fn(&NodeUid) -> bool) -> Option<NodeUid> {
-        let epoch = dir.membership_epoch();
+    fn rr_pick(
+        &mut self,
+        dir: &Directory,
+        floor: ClassFloor,
+        ok: impl Fn(&NodeUid) -> bool,
+    ) -> Option<NodeUid> {
+        let epoch = dir.gather_epoch();
         let g = &mut self.gather;
-        let mut fresh = g.epoch != epoch || g.expected_cursor != Some(self.rr_cursor);
+        let mut fresh =
+            g.epoch != epoch || g.floor != floor || g.expected_cursor != Some(self.rr_cursor);
         if fresh {
-            g.reset(epoch, self.rr_cursor);
+            g.reset(epoch, self.rr_cursor, floor);
         }
         loop {
             while let Some(uid) = g.buf.pop_front() {
@@ -159,13 +184,12 @@ impl Selector {
                     // The enumeration was partly consumed by earlier
                     // picks, so this pick never saw the full circle.
                     // Restart it at the cursor before concluding None.
-                    g.reset(epoch, self.rr_cursor);
+                    g.reset(epoch, self.rr_cursor, floor);
                     fresh = true;
                     continue;
                 }
                 // Whole circle scanned this pick, nothing eligible. The
-                // next pick must rescan (eligibility changes between
-                // picks without bumping the membership epoch).
+                // next pick must rescan (`ok` changes between picks).
                 g.expected_cursor = None;
                 return None;
             }
@@ -369,32 +393,148 @@ mod tests {
         assert_eq!(picks, [&uids[..], &uids[..]].concat(), "wraps twice");
     }
 
+    /// `n` single-3090 nodes (24 GB each), uids `0..n`.
+    fn uniform_dir(n: usize, shards: usize) -> Directory {
+        let mut d = Directory::with_shards(shards);
+        for i in 0..n {
+            let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
+            d.register(&format!("m-{i}"), "h", gpus, t(0));
+        }
+        d
+    }
+
+    /// The requalify hazard of a class-filtered buffer: a release moves a
+    /// node into a qualifying class *ahead of* the buffer's position, so a
+    /// resumed enumeration would never see it.
+    #[test]
+    fn released_node_inside_the_buffered_span_is_not_skipped() {
+        let mut d = uniform_dir(3, 1);
+        d.reserve(NodeUid(1), JobId(9), 1, 20 << 30, None);
+        let mut sel = Selector::new(Strategy::RoundRobin);
+        // Node 1 has 4 GB free: outside every class a 16 GB job can use,
+        // so the gather buffers [0, 2] and this pick consumes 0.
+        assert_eq!(sel.pick(&d, &spec(16), &[]), Some(NodeUid(0)));
+        d.release(NodeUid(1), JobId(9));
+        assert_eq!(
+            sel.pick(&d, &spec(16), &[]),
+            d.round_robin_from(NodeUid(1))
+                .find(|u| d.is_candidate(*u, &spec(16))),
+        );
+        assert_eq!(sel.rr_cursor, NodeUid(2), "landed on the released node 1");
+    }
+
+    #[test]
+    fn failing_pick_leaves_cursor_and_next_pick_exact() {
+        let mut d = uniform_dir(8, 4);
+        let mut sel = Selector::new(Strategy::RoundRobin);
+        for _ in 0..3 {
+            sel.pick(&d, &spec(4), &[]).expect("idle fleet");
+        }
+        assert_eq!(sel.rr_cursor, NodeUid(3));
+        for uid in 0..8 {
+            d.reserve(NodeUid(uid), JobId(100 + uid), 1, 20 << 30, None);
+        }
+        for _ in 0..5 {
+            assert_eq!(sel.pick(&d, &spec(16), &[]), None, "saturated");
+            assert_eq!(sel.rr_cursor, NodeUid(3), "a None pick is not a turn");
+        }
+        // One release behind the cursor: the wrap-around must find it.
+        d.release(NodeUid(1), JobId(101));
+        assert_eq!(sel.pick(&d, &spec(16), &[]), Some(NodeUid(1)));
+        assert_eq!(sel.rr_cursor, NodeUid(2));
+    }
+
+    /// A failing pick asks the capacity classes, not every node: on a
+    /// saturated 400-node fleet it verifies only the few nodes that share
+    /// the spec's floor bucket without fitting it.
+    #[test]
+    fn failing_pick_on_a_saturated_fleet_verifies_a_handful_of_nodes() {
+        let mut d = uniform_dir(400, 16);
+        for uid in 0..400u64 {
+            // Five nodes keep 17 GB free (the 20 GB job's own bucket, yet
+            // too small); the rest keep 4 GB.
+            let held = if uid % 80 == 3 { 7 } else { 20 };
+            d.reserve(NodeUid(uid), JobId(uid), 1, held << 30, None);
+        }
+        let s = spec(20);
+        let mut sel = Selector::new(Strategy::RoundRobin);
+        let verified = std::cell::Cell::new(0usize);
+        let ok = |uid: &NodeUid| {
+            verified.set(verified.get() + 1);
+            d.is_candidate(*uid, &s)
+        };
+        assert_eq!(sel.rr_pick(&d, ClassFloor::of(&s), ok), None);
+        assert!(
+            verified.get() <= 8,
+            "a failing pick verified {} of 400 nodes",
+            verified.get()
+        );
+        assert_eq!(verified.get(), 5, "exactly the floor bucket's members");
+    }
+
+    /// A pick-turn spec drawn from few class floors (3 byte counts in 3
+    /// buckets × 2 compute capabilities) so consecutive picks often share
+    /// one and the gather buffer really is reused; GPU count varies inside
+    /// a floor.
+    fn floor_spec(b: u64) -> DispatchSpec {
+        let mut s = spec([4, 12, 20][(b % 3) as usize]);
+        s.min_cc = [None, Some((8, 6))][(b / 3 % 2) as usize];
+        s.gpus = 1 + (b / 6 % 2) as u8;
+        s
+    }
+
     proptest::proptest! {
-        /// The gather-buffered round-robin pick is *exactly* the fresh
-        /// enumeration `round_robin_from(cursor).find(ok)`, under any
-        /// interleaving of picks with membership mutations (register,
-        /// liveness flips) and capacity mutations (reserve/release) —
-        /// the cases the epoch clock, `expected_cursor` check, and the
-        /// Done-restart rule each exist for.
+        /// The gather-buffered, class-filtered round-robin pick is
+        /// *exactly* the fresh enumeration
+        /// `round_robin_from(cursor).find(ok)` over every Active uid,
+        /// under any interleaving of picks with membership mutations
+        /// (register, liveness flips) and capacity mutations (reserve,
+        /// re-reserve, release) — the cases the epoch clock, the floor
+        /// and `expected_cursor` checks, and the Done-restart rule each
+        /// exist for — on an idle fleet and then on a saturated one
+        /// (everything reserved, every pick on one class floor so each
+        /// resumes the last one's buffer, mostly `None`, with staggered
+        /// releases and shrunk holds freeing nodes between them).
         #[test]
         fn prop_gathered_pick_matches_fresh_enumeration(
-            actions in proptest::collection::vec((0u8..9, 0u64..10, 0u64..32), 1..120),
+            actions in proptest::collection::vec((0u8..10, 0u64..10, 0u64..32), 1..100),
+            saturated in proptest::collection::vec((0u8..4, 0u64..10, 0u64..32), 0..80),
+            sat_floor in 0u64..6,
             shards in 1usize..9,
         ) {
             let mut d = Directory::with_shards(shards);
             let mut sel = Selector::new(Strategy::RoundRobin);
             let mut cursor = NodeUid(0); // reference's mirror of rr_cursor
+            let mut next_job = 10_000u64; // placements: never a re-reserve
+            // One pick turn checked against the reference; `place` follows
+            // a hit with the pass's capacity-shrinking reserve, which must
+            // not invalidate the gather.
+            let mut pick_turn = |d: &mut Directory, b: u64, place: bool| {
+                let s = floor_spec(b);
+                let want = d
+                    .round_robin_from(cursor)
+                    .find(|uid| d.is_candidate(*uid, &s));
+                let got = sel.pick(d, &s, &[]);
+                proptest::prop_assert_eq!(got, want, "pick at cursor {:?}", cursor);
+                if let Some(hit) = want {
+                    cursor = NodeUid(hit.0 + 1);
+                    if place {
+                        next_job += 1;
+                        d.reserve(hit, JobId(next_job), s.gpus, s.gpu_mem_bytes, s.min_cc);
+                    }
+                }
+            };
             for (kind, a, b) in actions {
                 match kind {
                     0 | 1 => {
-                        let gpus: Vec<gpunion_protocol::GpuInfo> =
-                            vec![GpuModel::ALL[(a % 5) as usize].into()];
+                        let model = GpuModel::ALL[(a % 5) as usize];
+                        let gpus: Vec<GpuInfo> = vec![model.into(); 1 + (b % 2) as usize];
                         d.register(&format!("m-{a}"), "h", gpus, t(b));
                     }
                     2 => {
-                        d.reserve(NodeUid(a), JobId(b), 1, (b % 24) << 30, None);
+                        d.reserve(NodeUid(a), JobId(b % 4), 1 + (b % 2) as u8, (b % 24) << 30, None);
                     }
-                    3 => d.release(NodeUid(a), JobId(b)),
+                    3 => d.release(NodeUid(a), JobId(b % 4)),
                     4 => {
                         let l = match b % 4 {
                             0 => NodeLiveness::Active,
@@ -404,18 +544,23 @@ mod tests {
                         };
                         d.set_liveness(NodeUid(a), l);
                     }
-                    _ => {
-                        // A pick turn: spec varies so eligibility shifts
-                        // between picks over one gather buffer.
-                        let s = spec(b % 30);
-                        let ok = |uid: &NodeUid| d.is_candidate(*uid, &s);
-                        let want = d.round_robin_from(cursor).find(ok);
-                        if let Some(hit) = want {
-                            cursor = NodeUid(hit.0 + 1);
-                        }
-                        let got = sel.pick(&d, &s, &[]);
-                        proptest::prop_assert_eq!(got, want, "pick at cursor {:?}", cursor);
+                    _ => pick_turn(&mut d, b, a % 2 == 0),
+                }
+            }
+            // Saturate: 20 GB holds on every slot until none has 20 GB left.
+            for uid in 0..d.len() as u64 {
+                for k in 0..4 {
+                    d.reserve(NodeUid(uid), JobId(1_000 + uid * 4 + k), 2, 20 << 30, None);
+                }
+            }
+            for (kind, a, b) in saturated {
+                let hold = JobId(1_000 + a * 4 + b % 4);
+                match kind {
+                    0 => d.release(NodeUid(a), hold),
+                    1 => {
+                        d.reserve(NodeUid(a), hold, 1, 2 << 30, None);
                     }
+                    _ => pick_turn(&mut d, sat_floor + 6 * (b % 2), kind == 2),
                 }
             }
         }

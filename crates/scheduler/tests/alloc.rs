@@ -3,16 +3,17 @@
 //! The scheduling pass's round-robin pick reads a 16-shard directory
 //! through a reusable gather buffer (`RrGather`): one refill primes
 //! per-shard next-uid replies and k-way-merges them into a buffer many
-//! picks consume. This test pins the warm path — refills, merges, buffer
-//! pops, per-uid candidacy verification, and the wrap-around restart —
-//! to ZERO heap allocations by counting real allocations with a counting
-//! global allocator. The counter is **per thread** (const-initialized TLS,
-//! so reading it never recurses into the allocator): the libtest harness's
-//! main thread lazily initializes channel state while it blocks waiting
-//! for a test, and a process-global counter intermittently catches that
-//! bookkeeping inside a measured window. The directory here runs its shard
-//! actors inline (`with_shards` is `workers = 0`), so the calling thread's
-//! count is the whole story.
+//! picks consume. These tests pin the warm path — refills, merges, buffer
+//! pops, per-uid candidacy verification, and the wrap-around restart on a
+//! fleet with room; the per-shard class walk that finds nothing on a
+//! saturated one — to ZERO heap allocations by counting real allocations
+//! with a counting global allocator. The counter is **per thread**
+//! (const-initialized TLS, so reading it never recurses into the
+//! allocator): the libtest harness's main thread lazily initializes
+//! channel state while it blocks waiting for a test, and a process-global
+//! counter intermittently catches that bookkeeping inside a measured
+//! window. The directory here runs its shard actors inline (`with_shards`
+//! is `workers = 0`), so the calling thread's count is the whole story.
 
 use gpunion_des::SimTime;
 use gpunion_gpu::GpuModel;
@@ -50,15 +51,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-fn spec() -> DispatchSpec {
+fn spec(mem_gb: u64, min_cc: Option<(u8, u8)>) -> DispatchSpec {
     DispatchSpec {
         job: JobId(1),
         image_repo: "r".into(),
         image_tag: "t".into(),
         image_digest: [0; 32],
         gpus: 1,
-        gpu_mem_bytes: 4 << 30,
-        min_cc: None,
+        gpu_mem_bytes: mem_gb << 30,
+        min_cc,
         mode: ExecMode::Batch {
             entrypoint: vec!["x".into()],
         },
@@ -83,7 +84,7 @@ fn warm_round_robin_gather_does_not_allocate() {
     for i in (0..64u64).step_by(5) {
         dir.reserve(gpunion_protocol::NodeUid(i), JobId(i), 1, 8 << 30, None);
     }
-    let s = spec();
+    let s = spec(4, None);
     let mut sel = Selector::new(Strategy::RoundRobin);
 
     // Warm up: grow the gather buffer and per-shard head vector to their
@@ -107,6 +108,40 @@ fn warm_round_robin_gather_does_not_allocate() {
         after - before,
         0,
         "warm scatter–gather pick path allocated {} times over 130 picks",
+        after - before
+    );
+}
+
+#[test]
+fn warm_failing_picks_on_a_saturated_fleet_do_not_allocate() {
+    let mut dir = Directory::with_shards(16);
+    for i in 0..64u64 {
+        let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
+        dir.register(&format!("m-{i}"), "h", gpus, SimTime::from_secs(0));
+        // 4 GB left everywhere, except a few nodes left with 17 GB: inside
+        // the 20 GB shape's bucket, so its picks verify (and reject) them.
+        let held = if i % 16 == 3 { 7 } else { 20 };
+        dir.reserve(gpunion_protocol::NodeUid(i), JobId(i), 1, held << 30, None);
+    }
+    // Three shapes, three class floors (the last above any 3090's bucket).
+    let shapes = [spec(20, None), spec(18, Some((8, 6))), spec(40, None)];
+    let mut sel = Selector::new(Strategy::RoundRobin);
+    for s in &shapes {
+        assert!(sel.pick(&dir, s, &[]).is_none(), "warm-up pick");
+    }
+
+    let before = allocations();
+    let mut hits = 0usize;
+    for i in 0..200 {
+        hits += usize::from(sel.pick(&dir, &shapes[i % 3], &[]).is_some());
+    }
+    let after = allocations();
+
+    assert_eq!(hits, 0, "nothing fits a saturated fleet");
+    assert_eq!(
+        after - before,
+        0,
+        "failing pick path allocated {} times over 200 picks",
         after - before
     );
 }
