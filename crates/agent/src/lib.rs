@@ -15,6 +15,8 @@
 //! The agent returns [`Action`]s instead of touching the network, so the
 //! identical logic drives both the simulated campus and real TCP sockets.
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod config;
 pub mod rest;

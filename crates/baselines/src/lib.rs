@@ -16,6 +16,8 @@
 //! GPUnion-equivalent — over a trace and emits the [`Outcome`] rows used by
 //! the Fig. 2 and Table 1 benches.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod pool;
 

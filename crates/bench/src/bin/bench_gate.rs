@@ -11,10 +11,8 @@
 //! semester-scale DES row (6 weeks of 60 s heartbeats + weekly audits at
 //! 400 nodes on the typed-event wheel core, ≈24 M events) and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
-//! framed encode of the dominant heartbeat message) and the parallel
-//! agent-pump storm rows (the lockstep 400-node agent phase inline and
-//! on 4 pump workers, plus its action checksum) — writes
-//! them to `BENCH_scheduler.json` (schema 9), and fails (exit 1) on
+//! framed encode of the dominant heartbeat message) — writes
+//! them to `BENCH_scheduler.json` (schema 10), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -34,10 +32,9 @@
 //!   within `BENCH_GATE_SCALE_FACTOR`× (default 3×) of the 10k-node
 //!   turn — a 10× fleet cannot cost 10× (the per-shard indexes stay
 //!   logarithmic and the k-way merge is O(shards) per pop).
-//! * **Warm actor turn beats the small fleet**: the steady-state 100k
-//!   node turn over the actorized sharded directory — shard intents
-//!   through the runtime, reads through the reusable round-robin
-//!   scatter–gather — must cost at most `BENCH_GATE_ACTOR_FACTOR`×
+//! * **Warm turn beats the small fleet**: the steady-state 100k node
+//!   turn over the sharded directory — reads through the reusable
+//!   round-robin gather — must cost at most `BENCH_GATE_WARM_FACTOR`×
 //!   (default 1×) the **cold 10k single-shard** turn: a 10× fleet at
 //!   steady state is no slower than a small fleet from scratch, because
 //!   the per-pick shard-stream setup is amortized across the pass.
@@ -60,13 +57,6 @@
 //!   simulated message — must cost at most `BENCH_GATE_WIRE_SIZE_FACTOR`×
 //!   (default 0.25×) the old encode-and-drop way of learning a frame's
 //!   length (`to_bytes()` then discard), measured like-for-like in-run.
-//! * **Parallel pump pays for itself**: the lockstep agent phase of the
-//!   400-node storm on 4 pump workers must cost at most
-//!   `BENCH_GATE_PUMP_FACTOR`× (default 0.6×) the inline phase —
-//!   asserted only when ≥ 4 cores are available (a smaller runner
-//!   cannot physically show the speedup, so the check is skipped with a
-//!   note). The two runs' action checksums must match **unconditionally**
-//!   — parallelism may move wall-clock, never behaviour.
 //!
 //! Usage:
 //!
@@ -81,10 +71,9 @@
 use gpunion_bench::{
     admission_shed_run, check_baseline_schema, codec_cost_run, contention_knee_run,
     loaded_coordinator_sharded, market_grant_run, saturated_coordinator, saturation_run,
-    semester_sweep_heap, semester_sweep_profile, semester_sweep_run, warm_actor_pass_ns, PassStats,
+    semester_sweep_heap, semester_sweep_profile, semester_sweep_run, warm_pass_ns, PassStats,
     BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
-use gpunion_core::pump_storm_run;
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
 use std::time::Instant;
@@ -94,10 +83,6 @@ const DEFAULT_OUT: &str = "BENCH_scheduler.json";
 /// Shard count of the gated 100k-node rows (the bench default; pick order
 /// is bit-identical at any count, so this only moves cost).
 const SCALE_SHARDS: usize = 16;
-/// Lockstep agent-phase turns of the gated pump-storm rows: enough work
-/// per configuration for the wall-clock ratio to dominate thread wakeup
-/// jitter, short enough to keep the gate interactive.
-const PUMP_TURNS: usize = 600;
 
 /// Env-tunable factor with a default.
 fn env_factor(name: &str, default: f64) -> f64 {
@@ -177,8 +162,8 @@ fn main() {
     let p400_sat = saturated_pass_ns(400, 31);
     let p10k = pass_ns(10_000, 1, 11);
     let p100k = pass_ns(100_000, SCALE_SHARDS, 7);
-    eprintln!("bench_gate: measuring warm actor turn (100k nodes, {SCALE_SHARDS} shard lanes)…");
-    let pactor = warm_actor_pass_ns(100_000, SCALE_SHARDS, 15);
+    eprintln!("bench_gate: measuring warm turn (100k nodes, {SCALE_SHARDS} shards)…");
+    let pwarm = warm_pass_ns(100_000, SCALE_SHARDS, 15);
     // Sub-linear scale invariant, measured in-run so it is independent of
     // runner hardware: a 10× fleet must cost nowhere near 10×.
     let scale_factor = env_factor("BENCH_GATE_SCALE_FACTOR", 3.0);
@@ -195,23 +180,22 @@ fn main() {
          the 10k turn ({} ns), bound {scale_factor}× (minima)",
         p100k.min_ns, p10k.min_ns
     );
-    // Warm actor invariant: the steady-state 100k sharded-actor turn is
-    // at or below the cold 10k single-shard turn — the scatter–gather
-    // buffer amortizes the per-pick shard-stream setup the cold 100k row
-    // still pays per pass.
-    let actor_factor = env_factor("BENCH_GATE_ACTOR_FACTOR", 1.0);
-    let actor_ratio = pactor.min_ns as f64 / p10k.min_ns as f64;
+    // Warm invariant: the steady-state 100k sharded turn is at or below
+    // the cold 10k single-shard turn — the gather buffer amortizes the
+    // per-pick shard-stream setup the cold 100k row still pays per pass.
+    let warm_factor = env_factor("BENCH_GATE_WARM_FACTOR", 1.0);
+    let warm_ratio = pwarm.min_ns as f64 / p10k.min_ns as f64;
     assert!(
-        actor_ratio <= actor_factor,
-        "warm 100k-node actor turn is {actor_ratio:.2}× the cold 10k single-shard turn \
-         (bound {actor_factor}×): {} ns vs {} ns (minima)",
-        pactor.min_ns,
+        warm_ratio <= warm_factor,
+        "warm 100k-node turn is {warm_ratio:.2}× the cold 10k single-shard turn \
+         (bound {warm_factor}×): {} ns vs {} ns (minima)",
+        pwarm.min_ns,
         p10k.min_ns
     );
     eprintln!(
-        "bench_gate: actor ok — warm 100k/{SCALE_SHARDS}-lane turn {} ns is {actor_ratio:.2}× \
-         the cold 10k turn ({} ns), bound {actor_factor}× (minima)",
-        pactor.min_ns, p10k.min_ns
+        "bench_gate: warm ok — warm 100k/{SCALE_SHARDS}-shard turn {} ns is {warm_ratio:.2}× \
+         the cold 10k turn ({} ns), bound {warm_factor}× (minima)",
+        pwarm.min_ns, p10k.min_ns
     );
     eprintln!("bench_gate: running semester DES sweep (6 weeks, 400 nodes, typed wheel core)…");
     let sem = semester_sweep_run(400, 42);
@@ -261,42 +245,6 @@ fn main() {
             let share = *count as f64 / prow.events as f64 * 100.0;
             println!("  {kind:>8}: {count:>12} fired ({share:5.1}%)");
         }
-    }
-    eprintln!(
-        "bench_gate: driving the pump storm (400 nodes, {PUMP_TURNS} lockstep agent \
-         phases, inline vs 4 workers)…"
-    );
-    let (pump_w0_ms, pump_w0_sum) = pump_storm_run(400, PUMP_TURNS, 0);
-    let (pump_w4_ms, pump_w4_sum) = pump_storm_run(400, PUMP_TURNS, 4);
-    // Behavioural identity is unconditional: the parallel pump applies
-    // action batches in due order, so the fold over (addr, batch size)
-    // must be bit-equal regardless of worker count or core count.
-    assert_eq!(
-        pump_w0_sum, pump_w4_sum,
-        "parallel pump storm diverged from the inline run \
-         ({pump_w0_sum:#x} vs {pump_w4_sum:#x})"
-    );
-    let pump_factor = env_factor("BENCH_GATE_PUMP_FACTOR", 0.6);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pump_ratio = pump_w4_ms / pump_w0_ms;
-    if cores >= 4 {
-        assert!(
-            pump_ratio <= pump_factor,
-            "4-worker pump storm is {pump_ratio:.2}× the inline agent phase \
-             (bound {pump_factor}×): {pump_w4_ms:.1} ms vs {pump_w0_ms:.1} ms"
-        );
-        eprintln!(
-            "bench_gate: pump ok — 4-worker storm {pump_w4_ms:.1} ms is {pump_ratio:.2}× \
-             the inline phase ({pump_w0_ms:.1} ms), bound {pump_factor}×, checksum {pump_w0_sum:#x}"
-        );
-    } else {
-        eprintln!(
-            "bench_gate: pump speedup check SKIPPED — {cores} core(s) available, need ≥ 4 \
-             (checksums still matched: {pump_w0_sum:#x}); \
-             ratio was {pump_ratio:.2}× ({pump_w4_ms:.1} ms vs {pump_w0_ms:.1} ms)"
-        );
     }
     eprintln!("bench_gate: measuring db write queue at 400 nodes…");
     let knee = contention_knee_run(400, 7);
@@ -372,27 +320,22 @@ fn main() {
         codec.wire_size.min_ns, codec.encode_drop.min_ns, codec.encode_pooled.min_ns
     );
 
-    // The checksum row folds the 64-bit action fold to 32 bits so the
-    // flat-JSON f64 round-trip stays exact.
-    let pump_checksum = (pump_w0_sum ^ (pump_w0_sum >> 32)) as u32;
     let json = format!(
         "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \
          \"pass_ns_400_saturated\": {},\n  \"pass_ns_10k\": {},\n  \
-         \"pass_ns_100k_sharded\": {},\n  \"pass_ns_100k_actor\": {},\n  \
+         \"pass_ns_100k_sharded\": {},\n  \"pass_ns_100k_warm\": {},\n  \
          \"scale_shards\": {SCALE_SHARDS},\n  \
          \"grant_ns_1m_queue\": {},\n  \"admit_ns_1m_queue\": {},\n  \
          \"admission_batch_shed_60s\": {},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
          \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {},\n  \
-         \"semester_events_400\": {},\n  \"semester_wall_ms_400\": {:.3},\n  \
-         \"semester_wall_ms_400_w0\": {:.3},\n  \"semester_wall_ms_400_w4\": {:.3},\n  \
-         \"pump_checksum_400\": {}\n}}\n",
+         \"semester_events_400\": {},\n  \"semester_wall_ms_400\": {:.3}\n}}\n",
         p400.median_ns,
         p400_sat.median_ns,
         p10k.median_ns,
         p100k.median_ns,
-        pactor.median_ns,
+        pwarm.median_ns,
         market.grant_ns,
         market.admit_ns,
         adm.batch_shed,
@@ -403,10 +346,7 @@ fn main() {
         sat.inbox_sojourn_ms_mean,
         sat.deferred_turns,
         sem.events,
-        sem.wall_ms,
-        pump_w0_ms,
-        pump_w4_ms,
-        pump_checksum
+        sem.wall_ms
     );
     let target = write_baseline.clone().unwrap_or_else(|| out_path.clone());
     std::fs::write(&target, &json).unwrap_or_else(|e| panic!("write {target}: {e}"));
@@ -437,14 +377,12 @@ fn main() {
         ("pass_ns_400_saturated", p400_sat.median_ns as f64),
         ("pass_ns_10k", p10k.median_ns as f64),
         ("pass_ns_100k_sharded", p100k.median_ns as f64),
-        ("pass_ns_100k_actor", pactor.median_ns as f64),
+        ("pass_ns_100k_warm", pwarm.median_ns as f64),
         ("grant_ns_1m_queue", market.grant_ns as f64),
         ("admit_ns_1m_queue", market.admit_ns as f64),
         ("wire_size_ns", codec.wire_size.median_ns as f64),
         ("encode_ns_pooled", codec.encode_pooled.median_ns as f64),
         ("semester_wall_ms_400", sem.wall_ms),
-        ("semester_wall_ms_400_w0", pump_w0_ms),
-        ("semester_wall_ms_400_w4", pump_w4_ms),
     ] {
         let Some(base) = json_f64(&baseline, key) else {
             eprintln!("bench_gate: baseline missing {key}; failing");
@@ -474,7 +412,6 @@ fn main() {
         ("deferred_turns_sat500", sat.deferred_turns as f64),
         ("admission_batch_shed_60s", adm.batch_shed as f64),
         ("semester_events_400", sem.events as f64),
-        ("pump_checksum_400", f64::from(pump_checksum)),
     ] {
         let Some(base) = json_f64(&baseline, key) else {
             eprintln!("bench_gate: baseline missing {key}; failing");

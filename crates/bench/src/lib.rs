@@ -23,6 +23,8 @@
 //! moves an EXPERIMENTS.md number fails here first and forces the number
 //! to be re-recorded deliberately rather than drifting silently.
 
+#![forbid(unsafe_code)]
+
 use gpunion_core::{PlatformConfig, Scenario};
 use gpunion_des::{HeapSim, RngPool, Sim, SimDuration, SimTime, TypedEvent};
 use gpunion_gpu::{paper_testbed, GpuModel};
@@ -39,7 +41,7 @@ use std::time::Instant;
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 9;
+pub const BENCH_SCHEMA: u64 = 10;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -548,10 +550,10 @@ impl PassStats {
     }
 }
 
-/// The **warm steady-state** 20-job scheduling turn over the actorized
-/// sharded directory: one coordinator serves `rounds` submit → pass →
-/// cancel cycles, so the round-robin scatter–gather buffer, the shard
-/// actors' caches, and the write queue are all hot — the per-turn cost a
+/// The **warm steady-state** 20-job scheduling turn over the sharded
+/// directory: one coordinator serves `rounds` submit → pass → cancel
+/// cycles, so the round-robin gather buffer, the shard indexes' caches,
+/// and the write queue are all hot — the per-turn cost a
 /// long-lived deployment pays, as opposed to the cold `pass_ns` rows
 /// which rebuild the coordinator per sample.
 ///
@@ -561,13 +563,7 @@ impl PassStats {
 /// the turn that applies the queue writes and drains the pass — then
 /// cancel all 20 offers and drain the leftover no-op offer-timeout
 /// timers outside the timed window.
-///
-/// Runs the shard actors inline (`worker_threads = 0`): the degenerate
-/// actor is bit-identical in decisions (property-tested) and keeps the
-/// measured cost reproducible across runner core counts — thread-placed
-/// lanes trade per-intent handoff latency for cross-shard parallelism
-/// the simulated single-stream turn cannot exploit.
-pub fn warm_actor_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassStats {
+pub fn warm_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassStats {
     let mut coord = loaded_coordinator_sharded(nodes, PASS_JOBS, shards);
     // Warm turn: drains the first pass untimed (grows every buffer).
     let _ = coord.advance(SimTime::from_secs(3700));

@@ -13,6 +13,8 @@
 //! * [`runtime`] — the per-node runtime gluing those together, driven by the
 //!   provider agent.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod image;
 pub mod lifecycle;

@@ -225,44 +225,21 @@ pub fn run_fig3(days: u64, events_per_day: f64, seed: u64) -> Fig3Report {
     run_fig3_with(days, events_per_day, config)
 }
 
-/// [`run_fig3`] against a directory with `shard_count` shard actors served
-/// by `worker_threads` worker threads (0 = inline). Sharding and actor
-/// placement are pure mechanism, so the report must match [`run_fig3`]
-/// exactly — the end-to-end leg of the determinism proof chain (the
-/// directory- and coordinator-level proptests are the other two).
+/// [`run_fig3`] against a directory with `shard_count` shards. Sharding
+/// is pure mechanism, so the report must match [`run_fig3`] exactly — the
+/// end-to-end leg of the determinism proof chain (the directory- and
+/// coordinator-level proptests are the other two).
 pub fn run_fig3_sharded(
     days: u64,
     events_per_day: f64,
     seed: u64,
     shard_count: usize,
-    worker_threads: usize,
 ) -> Fig3Report {
     let mut config = PlatformConfig {
         seed,
         ..Default::default()
     };
     config.coordinator.shard_count = shard_count;
-    config.coordinator.worker_threads = worker_threads;
-    run_fig3_with(days, events_per_day, config)
-}
-
-/// [`run_fig3`] with `pump_workers` parallel agent-pump workers (0 =
-/// inline). The pump's partition/merge is pure mechanism — batches are
-/// applied in due order, exactly the inline order — so the report must
-/// match [`run_fig3`] bit for bit: the end-to-end leg of the parallel
-/// pump's determinism argument (the platform-level workers-{0,1,4}
-/// proptest is the unit leg).
-pub fn run_fig3_pumped(
-    days: u64,
-    events_per_day: f64,
-    seed: u64,
-    pump_workers: usize,
-) -> Fig3Report {
-    let config = PlatformConfig {
-        seed,
-        pump_workers,
-        ..Default::default()
-    };
     run_fig3_with(days, events_per_day, config)
 }
 

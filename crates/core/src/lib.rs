@@ -6,17 +6,19 @@
 //! protocol, telemetry, scheduler, agents) is re-exported through the
 //! corresponding crates.
 
+#![forbid(unsafe_code)]
+
 pub mod case_study;
 pub mod platform;
 pub mod scenario;
 
 pub use case_study::{
-    attribute_displacements, campus_shape, run_fig2, run_fig3, run_fig3_pumped, run_fig3_sharded,
-    run_table1, Fig2Report, Fig3Report, MigrationClassStats,
+    attribute_displacements, campus_shape, run_fig2, run_fig3, run_fig3_sharded, run_table1,
+    Fig2Report, Fig3Report, MigrationClassStats,
 };
 pub use platform::{
-    pump_storm_run, Displacement, Injection, Payload, Platform, PlatformConfig, PlatformEvent,
-    PlatformSim, PlatformStats,
+    Displacement, Injection, Payload, Platform, PlatformConfig, PlatformEvent, PlatformSim,
+    PlatformStats,
 };
 pub use scenario::{InjectedInterruption, Scenario};
 
@@ -167,63 +169,6 @@ mod tests {
             .accounting()
             .class_total(gpunion_simnet::TrafficClass::ImagePull);
         assert!(pulls > 1e9, "image pull bytes: {pulls}");
-    }
-
-    proptest::proptest! {
-        /// The parallel agent pump is pure mechanism: random scenario
-        /// streams — staggered training jobs of mixed classes plus a
-        /// mid-run emergency departure — must produce bit-equal platform
-        /// outcomes at pump workers {0, 1, 4}. The mirror of the
-        /// directory-worker proptest, one layer up: workers only change
-        /// *where* `on_wake` runs, never what the coordinator observes,
-        /// because action batches are applied in due order (= the inline
-        /// order) after the join point.
-        #[test]
-        fn prop_pump_workers_never_change_decisions(
-            jobs in proptest::collection::vec(
-                (2_000u64..30_000, 0u64..1_200, 0u8..3),
-                1..7,
-            ),
-            kill_at in 600u64..2_400,
-        ) {
-            let end = SimTime::from_secs(3_600);
-            let outcome = |pump_workers: usize| {
-                let config = PlatformConfig {
-                    seed: 11,
-                    pump_workers,
-                    ..Default::default()
-                };
-                let specs: Vec<ServerSpec> = (0..3)
-                    .map(|i| ServerSpec::workstation(format!("ws-{i}"), GpuModel::Rtx3090))
-                    .collect();
-                let mut s = Scenario::new(config, &specs);
-                for (i, &(steps, at, class)) in jobs.iter().enumerate() {
-                    let class = match class {
-                        0 => ModelClass::CnnSmall,
-                        1 => ModelClass::CnnLarge,
-                        _ => ModelClass::TransformerSmall,
-                    };
-                    let mut spec = TrainingJobSpec::new(class, steps);
-                    spec.checkpoint_interval = SimDuration::from_mins(3);
-                    s.submit_training_at(SimTime::from_secs(10 + at), i as u64, spec);
-                }
-                let victim = s.hosts()[0];
-                s.schedule(SimTime::from_secs(kill_at), move |w, t| {
-                    w.emergency_departure(t, victim);
-                });
-                s.run_until(end);
-                (
-                    s.world.stats.jobs_completed,
-                    s.world.net.messages_sent(),
-                    format!("{:?}", s.world.stats.job_log),
-                    format!("{:?}", s.world.stats.displacements),
-                    s.world.mean_utilization(end).to_bits(),
-                )
-            };
-            let inline = outcome(0);
-            proptest::prop_assert_eq!(&inline, &outcome(1));
-            proptest::prop_assert_eq!(&inline, &outcome(4));
-        }
     }
 
     #[test]

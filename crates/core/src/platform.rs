@@ -10,7 +10,7 @@
 
 use gpunion_agent::{Action, Agent, AgentConfig, FlowPeer, FlowPurpose};
 use gpunion_container::ImageRegistry;
-use gpunion_des::{JoinPoint, RngPool, Sim, SimDuration, SimTime, TypedEvent, WorkerPool};
+use gpunion_des::{RngPool, Sim, SimDuration, SimTime, TypedEvent};
 use gpunion_gpu::{GpuServer, ServerSpec};
 use gpunion_protocol::{
     Control, DispatchSpec, Envelope, ExecMode, JobId, Message, NodeUid, UserId, Work, WorkloadState,
@@ -22,9 +22,7 @@ use gpunion_simnet::{
     star_campus, Bandwidth, FlowOutcome, NetEvent, Network, NodeId, TrafficClass,
 };
 use gpunion_workload::{InteractiveSpec, InterruptionKind, TrainingJobSpec, TrainingRun};
-use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// The platform simulator: a [`Sim`] whose hot recurring events — pump
 /// wakes, boot registrations, harness injections — are typed
@@ -122,7 +120,6 @@ impl TypedEvent<Platform> for PlatformEvent {
                     .agents
                     .get_mut(&addr)
                     .expect("agent exists")
-                    .get_mut()
                     .start_registration(sim.now());
                 w.apply_agent_actions(sim.now(), addr, actions);
                 w.pump(sim);
@@ -238,15 +235,6 @@ pub struct PlatformConfig {
     pub link_latency: SimDuration,
     /// Local disk rate for same-node copies.
     pub local_disk: Bandwidth,
-    /// Worker threads for the pump's agent phase. `0` (inline, the
-    /// degenerate actor: the exact serial code path, byte-stable
-    /// goldens); `W ≥ 1` partitions each due list across `W` pinned
-    /// workers (agent `addr % W` → worker) whose action batches are
-    /// applied serially in ascending-address order after the join point —
-    /// exactly the inline order, so decisions are bit-identical at any
-    /// value (property-tested). Defaults to `GPUNION_PUMP_THREADS` when
-    /// set, so CI can run the whole suite threaded.
-    pub pump_workers: usize,
 }
 
 impl Default for PlatformConfig {
@@ -258,201 +246,7 @@ impl Default for PlatformConfig {
             backbone: Bandwidth::gbps(10.0),
             link_latency: SimDuration::from_micros(50),
             local_disk: Bandwidth::gbps(16.0),
-            pump_workers: std::env::var("GPUNION_PUMP_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
         }
-    }
-}
-
-/// One agent behind an [`UnsafeCell`] so pump workers can step their
-/// pinned partition of the due list through a shared `&BTreeMap`.
-///
-/// The aliasing discipline is the single-owner handoff from the
-/// directory's shard actors: during a pump turn, worker `w` dereferences
-/// only agents with `addr % W == w` (disjoint partitions, so no two
-/// threads ever touch the same cell), and the producer thread touches no
-/// cell between scattering the turn and the join point. Everywhere else
-/// — including the whole inline path — the lanes are quiescent and the
-/// producer owns every cell.
-struct AgentCell(UnsafeCell<Agent>);
-
-// SAFETY: aliasing is excluded by the partition + join protocol above —
-// workers write disjoint cells mid-turn, the producer only at quiescence,
-// and `JoinPoint`'s release/acquire pair orders the handoff.
-unsafe impl Sync for AgentCell {}
-
-impl AgentCell {
-    fn new(agent: Agent) -> Self {
-        AgentCell(UnsafeCell::new(agent))
-    }
-
-    /// Shared read. Sound because every caller runs on the producer
-    /// thread while the pump lanes are quiescent (no turn in flight).
-    fn get(&self) -> &Agent {
-        unsafe { &*self.0.get() }
-    }
-
-    fn get_mut(&mut self) -> &mut Agent {
-        self.0.get_mut()
-    }
-}
-
-// Compile-time audit backing the `unsafe impl`s around the parallel
-// pump: agents migrate between threads by reference, and the registry is
-// read concurrently by every worker.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_send::<Agent>();
-    assert_send::<Action>();
-    assert_sync::<ImageRegistry>();
-};
-
-/// One pump worker's lane: the `(addr, actions)` batches it produced
-/// this turn, and the join point it marks after each turn.
-struct PumpLane {
-    batches: UnsafeCell<Vec<(NodeId, Vec<Action>)>>,
-    join: JoinPoint,
-}
-
-// SAFETY: same handoff as `AgentCell` — the owning worker appends only
-// mid-turn, the producer drains only after `JoinPoint::wait`.
-unsafe impl Sync for PumpLane {}
-
-/// One scattered pump turn: everything a worker needs to step its
-/// partition of the due list. Plain pointers because the producer blocks
-/// at the join point before any of the borrows behind them expire.
-#[derive(Clone, Copy)]
-struct PumpTurn {
-    now: SimTime,
-    due: *const NodeId,
-    due_len: usize,
-    agents: *const BTreeMap<NodeId, AgentCell>,
-    registry: *const ImageRegistry,
-}
-
-// SAFETY: the pointers reference producer-owned state that outlives the
-// turn (the producer waits at the join point inside the same call), and
-// `Agent`/`ImageRegistry` are Send/Sync (asserted above).
-unsafe impl Send for PumpTurn {}
-
-/// The pump's parallel agent phase: a [`WorkerPool`] over per-worker
-/// [`PumpLane`]s. Exists only at `pump_workers ≥ 1`; the inline path
-/// never constructs one.
-///
-/// Per turn, every worker receives the same [`PumpTurn`] and scans the
-/// full (sorted) due slice, stepping only agents pinned to it
-/// (`addr % W == index`) and appending each agent's `(addr, actions)` to
-/// its lane in scan order. Because the scan order is ascending and the
-/// partitions are disjoint, draining lanes by `due` order afterwards
-/// replays the batches in exactly the serial (ascending-address) apply
-/// order — determinism is scheduling-independent by construction.
-struct AgentPump {
-    lanes: Arc<Vec<PumpLane>>,
-    pool: WorkerPool<PumpTurn>,
-    /// Producer-side cumulative turns sent per lane.
-    sent: Vec<u64>,
-    /// Per-lane drain cursor for the current turn.
-    cursors: Vec<usize>,
-}
-
-impl AgentPump {
-    /// A pump over `workers` threads; `None` at 0 (inline mode).
-    fn new(workers: usize) -> Option<AgentPump> {
-        if workers == 0 {
-            return None;
-        }
-        let lanes: Arc<Vec<PumpLane>> = Arc::new(
-            (0..workers)
-                .map(|_| PumpLane {
-                    batches: UnsafeCell::new(Vec::new()),
-                    join: JoinPoint::new(),
-                })
-                .collect(),
-        );
-        let pool = WorkerPool::new(workers, "agent-pump-worker", |index| {
-            let lanes = Arc::clone(&lanes);
-            let mut applied = 0u64;
-            move |turn: PumpTurn| {
-                // SAFETY: the producer keeps `due`, the agents map, and
-                // the registry alive (and untouched) until it has joined
-                // this turn; this worker's partition of the agent cells
-                // is disjoint from every other worker's.
-                let due = unsafe { std::slice::from_raw_parts(turn.due, turn.due_len) };
-                let agents = unsafe { &*turn.agents };
-                let registry = unsafe { &*turn.registry };
-                let batches = unsafe { &mut *lanes[index].batches.get() };
-                for &addr in due {
-                    if addr.0 as usize % lanes.len() != index {
-                        continue;
-                    }
-                    let cell = agents.get(&addr).expect("due agents exist");
-                    // SAFETY: `addr % W == index` — this worker owns the
-                    // cell for the duration of the turn.
-                    let agent = unsafe { &mut *cell.0.get() };
-                    let mut actions = agent.on_wake(turn.now);
-                    if agent.has_pending_verifications() {
-                        actions.extend(agent.complete_verifications(turn.now, registry));
-                    }
-                    batches.push((addr, actions));
-                }
-                applied += 1;
-                lanes[index].join.mark(applied);
-            }
-        });
-        Some(AgentPump {
-            sent: vec![0; workers],
-            cursors: vec![0; workers],
-            lanes,
-            pool,
-        })
-    }
-
-    /// Scatter one due list across the workers and block at the join
-    /// point until every lane holds its batches. Lane buffers, cursors,
-    /// and inbox queues are all reused — the warm turn is allocation-free
-    /// on the calling thread.
-    fn run_turn(
-        &mut self,
-        now: SimTime,
-        due: &[NodeId],
-        agents: &BTreeMap<NodeId, AgentCell>,
-        registry: &ImageRegistry,
-    ) {
-        for (w, lane) in self.lanes.iter().enumerate() {
-            // SAFETY: lanes are quiescent (previous turn fully joined).
-            unsafe { (*lane.batches.get()).clear() };
-            self.cursors[w] = 0;
-        }
-        let turn = PumpTurn {
-            now,
-            due: due.as_ptr(),
-            due_len: due.len(),
-            agents,
-            registry,
-        };
-        for w in 0..self.lanes.len() {
-            self.sent[w] += 1;
-            self.pool.send(w, turn);
-        }
-        for (w, lane) in self.lanes.iter().enumerate() {
-            lane.join.wait(self.sent[w]);
-        }
-    }
-
-    /// Pull the next batch off `addr`'s lane. Calling this in ascending
-    /// `due` order yields every batch exactly once, in inline order.
-    fn take_batch(&mut self, addr: NodeId) -> Vec<Action> {
-        let w = addr.0 as usize % self.lanes.len();
-        let i = self.cursors[w];
-        self.cursors[w] = i + 1;
-        // SAFETY: the turn is joined; the producer owns every lane.
-        let batches = unsafe { &mut *self.lanes[w].batches.get() };
-        let (got, actions) = std::mem::replace(&mut batches[i], (addr, Vec::new()));
-        debug_assert_eq!(got, addr, "lane batches must mirror due order");
-        actions
     }
 }
 
@@ -464,11 +258,8 @@ pub struct Platform {
     pub coordinator: Coordinator,
     coordinator_addr: NodeId,
     /// Ordered by address: boot staggering and the pump visit agents in a
-    /// deterministic order (uid assignment depends on it). Cells so the
-    /// parallel pump can step disjoint partitions through a shared map.
-    agents: BTreeMap<NodeId, AgentCell>,
-    /// The pump's worker-pool agent phase (`None` = inline).
-    pump: Option<AgentPump>,
+    /// deterministic order (uid assignment depends on it).
+    agents: BTreeMap<NodeId, Agent>,
     addr_of_uid: HashMap<NodeUid, NodeId>,
     /// Machine id → simnet address, fixed at deploy time. Used to learn
     /// uid → address mappings when the coordinator acks a registration
@@ -525,14 +316,13 @@ impl Platform {
             let agent_config = AgentConfig::new(spec.hostname.clone(), &mut rng);
             addr_of_machine.insert(agent_config.machine_id.clone(), hosts[i]);
             let agent = Agent::new(agent_config, GpuServer::new((*spec).clone()));
-            agents.insert(hosts[i], AgentCell::new(agent));
+            agents.insert(hosts[i], agent);
         }
         let platform = Platform {
             net,
             coordinator,
             coordinator_addr: coord_addr,
             agents,
-            pump: AgentPump::new(config.pump_workers),
             addr_of_uid: HashMap::new(),
             addr_of_machine,
             registry,
@@ -559,14 +349,14 @@ impl Platform {
 
     /// Agent access by address (tests/harnesses).
     pub fn agent(&self, addr: NodeId) -> Option<&Agent> {
-        self.agents.get(&addr).map(AgentCell::get)
+        self.agents.get(&addr)
     }
 
     /// Mutable agent access. Marks the wake index dirty: the caller may
     /// arm or clear agent timers directly, so the next pump resyncs.
     pub fn agent_mut(&mut self, addr: NodeId) -> Option<&mut Agent> {
         self.wake_dirty = true;
-        self.agents.get_mut(&addr).map(AgentCell::get_mut)
+        self.agents.get_mut(&addr)
     }
 
     /// The coordinator's simnet address.
@@ -579,8 +369,7 @@ impl Platform {
         let mut out: Vec<(NodeId, String, f64)> = self
             .agents
             .iter_mut()
-            .map(|(addr, cell)| {
-                let a = cell.get_mut();
+            .map(|(addr, a)| {
                 let name = a.config().hostname.clone();
                 (*addr, name, a.server_mut().mean_utilization(now))
             })
@@ -593,8 +382,7 @@ impl Platform {
     pub fn mean_utilization(&mut self, now: SimTime) -> f64 {
         let mut weighted = 0.0;
         let mut total = 0usize;
-        for cell in self.agents.values_mut() {
-            let a = cell.get_mut();
+        for a in self.agents.values_mut() {
             let n = a.server().gpu_count();
             weighted += a.server_mut().mean_utilization(now) * n as f64;
             total += n;
@@ -705,7 +493,7 @@ impl Platform {
 
     /// Graceful (scheduled) departure of the host at `addr`.
     pub fn scheduled_departure(&mut self, now: SimTime, addr: NodeId) {
-        let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut) else {
+        let Some(agent) = self.agents.get_mut(&addr) else {
             return;
         };
         let grace = agent.config().departure_grace;
@@ -730,7 +518,7 @@ impl Platform {
     /// The provider returns after an outage; the agent re-registers.
     pub fn provider_return(&mut self, now: SimTime, addr: NodeId) {
         let _ = self.net.set_node_up(now, addr, true);
-        if let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut) {
+        if let Some(agent) = self.agents.get_mut(&addr) {
             let actions = agent.reconnect(now);
             self.apply_agent_actions(now, addr, actions);
         }
@@ -739,7 +527,7 @@ impl Platform {
     fn harvest_runs(&mut self, now: SimTime, addr: NodeId) {
         // Jobs currently hosted by this agent whose state we must preserve
         // (rolled back to the last captured checkpoint).
-        let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut) else {
+        let Some(agent) = self.agents.get_mut(&addr) else {
             return;
         };
         let jobs: Vec<JobId> = self.stats.job_log.keys().copied().collect();
@@ -810,8 +598,7 @@ impl Platform {
                     // redispatch).
                     if let Message::Work(Work::WorkloadUpdate { status, .. }) = &msg {
                         if status.state == WorkloadState::Killed {
-                            if let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut)
-                            {
+                            if let Some(agent) = self.agents.get_mut(&addr) {
                                 if let Some(run) = agent.take_run(status.job) {
                                     agent.forget_workload(now, status.job);
                                     self.displaced_runs.insert(status.job, run);
@@ -822,10 +609,7 @@ impl Platform {
                     let (token, uid) = self
                         .agents
                         .get(&addr)
-                        .map(|c| {
-                            let a = c.get();
-                            (a.token(), a.uid())
-                        })
+                        .map(|a| (a.token(), a.uid()))
                         .unwrap_or((gpunion_protocol::AuthToken::UNAUTHENTICATED, None));
                     let env = match uid {
                         Some(uid) => Envelope::from_node(uid, token, msg),
@@ -878,10 +662,7 @@ impl Platform {
                         let actions = self
                             .agents
                             .get_mut(&addr)
-                            .map(|c| {
-                                c.get_mut()
-                                    .on_flow_done(now, purpose, false, &self.registry)
-                            })
+                            .map(|a| a.on_flow_done(now, purpose, false, &self.registry))
                             .unwrap_or_default();
                         self.apply_agent_actions(now, addr, actions);
                     }
@@ -925,7 +706,7 @@ impl Platform {
                         let actions = self
                             .agents
                             .get_mut(&agent_addr)
-                            .map(|c| c.get_mut().on_flow_done(now, purpose, ok, &self.registry))
+                            .map(|a| a.on_flow_done(now, purpose, ok, &self.registry))
                             .unwrap_or_default();
                         self.apply_agent_actions(now, agent_addr, actions);
                     }
@@ -950,7 +731,7 @@ impl Platform {
             Message::Work(Work::Dispatch { spec }) => Some((spec.job, spec.restore_from_seq)),
             _ => None,
         };
-        let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut) else {
+        let Some(agent) = self.agents.get_mut(&addr) else {
             return;
         };
         let actions = agent.handle_message(now, env.msg, &self.registry);
@@ -974,7 +755,7 @@ impl Platform {
                         .map(|spec| TrainingRun::new(spec.clone()))
                 });
                 if let Some(run) = run {
-                    if let Some(agent) = self.agents.get_mut(&addr).map(AgentCell::get_mut) {
+                    if let Some(agent) = self.agents.get_mut(&addr) {
                         agent.attach_run(job, run);
                     }
                 }
@@ -1052,7 +833,7 @@ impl Platform {
 
     /// Re-index one agent's next wake after its timers may have changed.
     fn refresh_wake(&mut self, addr: NodeId) {
-        let wake = self.agents.get(&addr).and_then(|c| c.get().next_wake());
+        let wake = self.agents.get(&addr).and_then(Agent::next_wake);
         let cached = self.wake_cache.get(&addr).copied();
         if wake == cached {
             return;
@@ -1076,8 +857,8 @@ impl Platform {
     fn resync_wakes(&mut self) {
         self.wake_index.clear();
         self.wake_cache.clear();
-        for (addr, cell) in &self.agents {
-            if let Some(t) = cell.get().next_wake() {
+        for (addr, agent) in &self.agents {
+            if let Some(t) = agent.next_wake() {
                 self.wake_index.insert((t, *addr));
                 self.wake_cache.insert(*addr, t);
             }
@@ -1093,12 +874,6 @@ impl Platform {
     /// the old scan produced. Agents woken *by* this iteration's processing
     /// (a delivery arming a timer at or before `now`) re-enter the index
     /// via `refresh_wake` and are caught by the next iteration, as before.
-    ///
-    /// At `pump_workers ≥ 1` the due agents are stepped on the agent
-    /// pump's worker pool instead (partitioned by `addr % W`),
-    /// and their action batches applied serially after the join point in
-    /// the same ascending-address order — bit-identical decisions at any
-    /// worker count.
     pub fn pump(&mut self, sim: &mut PlatformSim) {
         if self.wake_dirty {
             self.resync_wakes();
@@ -1136,34 +911,13 @@ impl Platform {
             due.sort_unstable();
             if !due.is_empty() {
                 progressed = true;
-                match self.pump.take() {
-                    // Parallel phase: scatter the due list, join, then
-                    // apply the batches serially in ascending-address
-                    // order — exactly the inline order below.
-                    Some(mut pump) => {
-                        pump.run_turn(now, &due, &self.agents, &self.registry);
-                        for &addr in &due {
-                            let actions = pump.take_batch(addr);
-                            self.apply_agent_actions(now, addr, actions);
-                        }
-                        self.pump = Some(pump);
+                for &addr in &due {
+                    let agent = self.agents.get_mut(&addr).expect("indexed agents exist");
+                    let mut actions = agent.on_wake(now);
+                    if agent.has_pending_verifications() {
+                        actions.extend(agent.complete_verifications(now, &self.registry));
                     }
-                    // Inline degenerate path (`pump_workers = 0`): the
-                    // exact serial code, byte-stable goldens.
-                    None => {
-                        for &addr in &due {
-                            let agent = self
-                                .agents
-                                .get_mut(&addr)
-                                .expect("indexed agents exist")
-                                .get_mut();
-                            let mut actions = agent.on_wake(now);
-                            if agent.has_pending_verifications() {
-                                actions.extend(agent.complete_verifications(now, &self.registry));
-                            }
-                            self.apply_agent_actions(now, addr, actions);
-                        }
-                    }
+                    self.apply_agent_actions(now, addr, actions);
                 }
             }
             self.due_scratch = due;
@@ -1195,164 +949,5 @@ impl Platform {
         }
         let id = sim.schedule_typed_at(at, PlatformEvent::Pump);
         self.pump_armed = Some((at, id));
-    }
-}
-
-/// Bench hook for the parallel agent pump: deploy and boot a
-/// `nodes`-agent campus, then drive `turns` lockstep agent phases in
-/// which **every** agent is due at once — the reclaim-storm worst case
-/// the pump parallelizes. Only the agent phase runs (partition scatter,
-/// `on_wake` + verification on the pool, join, batch drain in due order);
-/// the coordinator/network apply phase is deliberately excluded so the
-/// row isolates what `pump_workers` actually moves.
-///
-/// Returns `(wall_ms, checksum)`: wall-clock milliseconds of the turn
-/// loop and an order-sensitive fold of every drained `(addr, batch len)`
-/// pair. The checksum is a pure function of agent decisions, so runs at
-/// different worker counts must return bit-equal checksums — the gate's
-/// in-run determinism assert.
-pub fn pump_storm_run(nodes: usize, turns: usize, pump_workers: usize) -> (f64, u64) {
-    let specs: Vec<ServerSpec> = (0..nodes)
-        .map(|i| ServerSpec::workstation(format!("storm-{i}"), gpunion_gpu::GpuModel::Rtx3090))
-        .collect();
-    let config = PlatformConfig {
-        pump_workers,
-        ..PlatformConfig::default()
-    };
-    let (mut world, hosts) = Platform::deploy(&config, &specs);
-    let mut sim = PlatformSim::new();
-    Platform::boot(&mut world, &mut sim);
-    // Reach the registered, heartbeating steady state before measuring.
-    sim.run_until(&mut world, SimTime::from_secs(120));
-    let due = hosts;
-    let mut pump = world.pump.take();
-    let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-    let mut now = SimTime::from_secs(125);
-    let t0 = std::time::Instant::now();
-    for _ in 0..turns {
-        match pump.as_mut() {
-            Some(pump) => {
-                pump.run_turn(now, &due, &world.agents, &world.registry);
-                for &addr in &due {
-                    let actions = pump.take_batch(addr);
-                    checksum = fold(checksum, u64::from(addr.0));
-                    checksum = fold(checksum, actions.len() as u64);
-                }
-            }
-            None => {
-                for &addr in &due {
-                    let agent = world
-                        .agents
-                        .get_mut(&addr)
-                        .expect("deployed agents exist")
-                        .get_mut();
-                    let mut actions = agent.on_wake(now);
-                    if agent.has_pending_verifications() {
-                        actions.extend(agent.complete_verifications(now, &world.registry));
-                    }
-                    checksum = fold(checksum, u64::from(addr.0));
-                    checksum = fold(checksum, actions.len() as u64);
-                }
-            }
-        }
-        now += SimDuration::from_secs(5);
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, checksum)
-}
-
-#[cfg(test)]
-mod tests {
-    //! Allocation discipline of the warm parallel pump turn, measured on
-    //! the coordinator (calling) thread with the per-thread counting
-    //! allocator idiom from `des/tests/alloc.rs`. Worker threads allocate
-    //! their own action buffers; the machinery the coordinator runs —
-    //! lane clears, inbox sends, the join spin, the batch drain — must be
-    //! allocation-free once warm.
-
-    use super::*;
-    use gpunion_gpu::GpuModel;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    struct CountingAlloc;
-
-    thread_local! {
-        static LOCAL_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Allocations charged to the calling thread so far.
-    fn allocations() -> usize {
-        LOCAL_ALLOCATIONS.with(Cell::get)
-    }
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            // `try_with` so allocations during TLS teardown are not a panic.
-            let _ = LOCAL_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            let _ = LOCAL_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static A: CountingAlloc = CountingAlloc;
-
-    /// Warm parallel pump turns touch the allocator zero times on the
-    /// coordinator thread: lane batch buffers, per-worker inbox queues,
-    /// and the drain cursors are all reused across turns.
-    #[test]
-    fn warm_parallel_pump_turn_does_not_allocate() {
-        let specs: Vec<ServerSpec> = (0..8)
-            .map(|i| ServerSpec::workstation(format!("ws-{i}"), GpuModel::Rtx3090))
-            .collect();
-        let config = PlatformConfig {
-            pump_workers: 2,
-            ..PlatformConfig::default()
-        };
-        let (mut world, hosts) = Platform::deploy(&config, &specs);
-        let mut sim = PlatformSim::new();
-        Platform::boot(&mut world, &mut sim);
-        // Run the fleet to a registered, heartbeating steady state.
-        sim.run_until(&mut world, SimTime::from_secs(120));
-        let mut pump = world.pump.take().expect("pump_workers=2 builds a pool");
-        let due = hosts;
-        let mut now = SimTime::from_secs(125);
-
-        let turn = |pump: &mut AgentPump, now: SimTime| {
-            pump.run_turn(now, &due, &world.agents, &world.registry);
-            for &addr in &due {
-                // Dropping the batch stands in for the apply phase: only
-                // the coordinator-side turn mechanics are under test, and
-                // dealloc is not counted.
-                drop(pump.take_batch(addr));
-            }
-        };
-        // Warm-up: inboxes, lane batch vectors, and the per-lane turn
-        // counters all reach steady-state capacity.
-        for _ in 0..8 {
-            turn(&mut pump, now);
-            now += SimDuration::from_secs(5);
-        }
-        let before = allocations();
-        for _ in 0..8 {
-            turn(&mut pump, now);
-            now += SimDuration::from_secs(5);
-        }
-        let after = allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "warm parallel pump turn allocated {} times over 8 turns x {} agents",
-            after - before,
-            due.len()
-        );
     }
 }

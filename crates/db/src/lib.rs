@@ -13,6 +13,8 @@
 //! * [`contention`] — the M/M/1 formula, demoted from mechanism to
 //!   validation oracle for the actor's emergent latency.
 
+#![forbid(unsafe_code)]
+
 pub mod actor;
 pub mod contention;
 pub mod store;

@@ -16,9 +16,9 @@
 //!   seed, so runs are bit-reproducible and baselines can be compared on
 //!   identical traces.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
-pub mod join;
-pub mod pool;
 pub mod ratelimit;
 pub mod reference;
 pub mod rng;
@@ -28,8 +28,6 @@ pub mod time;
 mod wheel;
 
 pub use event::{EventId, Never, TypedEvent};
-pub use join::{drain_order, JoinPoint};
-pub use pool::WorkerPool;
 pub use ratelimit::TokenBucket;
 pub use reference::{HeapEventId, HeapSim};
 pub use rng::{chance, exponential, log_normal, RngPool};

@@ -11,6 +11,8 @@
 //! [`ComputeCapability`]). [`server::paper_testbed`] reconstructs the exact
 //! 11-server deployment of §4.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod server;
 pub mod specs;

@@ -15,6 +15,8 @@
 //! * [`transport`] — blocking framed TCP for live mode; the same envelopes
 //!   run over real sockets and over the simulated campus LAN.
 
+#![forbid(unsafe_code)]
+
 pub mod auth;
 pub mod framing;
 pub mod http;

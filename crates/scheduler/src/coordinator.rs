@@ -231,15 +231,6 @@ pub struct CoordinatorConfig {
     /// k-way-merged so pick order is bit-identical at any count
     /// (DESIGN.md §3b).
     pub shard_count: usize,
-    /// Directory shard-actor worker threads. 0 — the default — applies
-    /// shard intents inline on the coordinator's thread (the degenerate
-    /// actor: the exact pre-actor code path, byte-stable goldens);
-    /// `W ≥ 1` multiplexes the shards onto `W` worker threads behind
-    /// per-worker inboxes, with every read quiescing at the join point
-    /// first (DESIGN.md §3b). Scheduling decisions are bit-identical at
-    /// any value (property-tested). Defaults to `GPUNION_WORKER_THREADS`
-    /// when set, so CI can run the whole suite threaded.
-    pub worker_threads: usize,
     /// Database write-queue parameters (service time, inbox bound).
     pub db: DbActorConfig,
     /// Placement mode: coordinator-push (default) or worker-pull
@@ -261,10 +252,6 @@ impl Default for CoordinatorConfig {
             offer_timeout: SimDuration::from_secs(10),
             inbox_capacity: 4096,
             shard_count: 1,
-            worker_threads: std::env::var("GPUNION_WORKER_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
             db: DbActorConfig::default(),
             placement_mode: PlacementMode::Push,
             admission: None,
@@ -361,13 +348,16 @@ pub struct CoordinatorStats {
     pub inbox_depth: usize,
     /// Deepest the inbox has been since the last telemetry reset.
     pub inbox_depth_peak: usize,
-    /// Inbox sojourn statistics (enqueue → turn, seconds).
+    /// Inbox sojourn statistics (enqueue → turn, seconds). Under
+    /// critical-write backpressure this is where the database stall
+    /// becomes visible to senders.
     pub inbox_sojourn: Online,
     /// Heartbeat envelopes shed at the inbox bound.
     pub shed_envelopes: u64,
     /// Critical envelopes accepted while the inbox was over its bound.
     pub over_bound_envelopes: u64,
-    /// Turns deferred on database write-queue backpressure.
+    /// Turns deferred on database write-queue backpressure (envelope
+    /// stalls, timer re-arms, and mid-pass stops all count).
     pub deferred_turns: u64,
     /// Job submissions shed by token-bucket admission control. Criticals
     /// (priority ≥ [`AdmissionConfig::critical_priority`]) never count
@@ -474,7 +464,7 @@ impl Coordinator {
             .counter("nodes_lost_total", "node losses", labels([]))
             .ok();
         let db = DbActor::new(config.db, seed ^ 0xD8);
-        let dir = Directory::with_shards_workers(config.shard_count, config.worker_threads);
+        let dir = Directory::with_shards(config.shard_count);
         let admission = config
             .admission
             .as_ref()
@@ -524,8 +514,7 @@ impl Coordinator {
     /// One coherent snapshot of every observable counter — coordinator
     /// inbox, scheduling, admission, marketplace, and database write-queue
     /// telemetry together. This is THE read surface for benches, harnesses,
-    /// and experiment bins; the per-counter getters it replaces are
-    /// deprecated.
+    /// and experiment bins.
     pub fn stats(&self) -> CoordinatorStats {
         CoordinatorStats {
             live_jobs: self.jobs.len(),
@@ -567,62 +556,9 @@ impl Coordinator {
         &self.db
     }
 
-    /// Scheduling decision latency statistics (the §5.2 quantity).
-    #[deprecated(note = "use Coordinator::stats().decision_latency")]
-    pub fn decision_latency(&self) -> &Online {
-        &self.decision_latency
-    }
-
     /// Coordinator metrics registry.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
-    }
-
-    /// Number of jobs not yet terminal.
-    #[deprecated(note = "use Coordinator::stats().live_jobs")]
-    pub fn live_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Envelopes waiting in the inbox right now.
-    #[deprecated(note = "use Coordinator::stats().inbox_depth")]
-    pub fn inbox_depth(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// Deepest the inbox has been since the last telemetry reset.
-    #[deprecated(note = "use Coordinator::stats().inbox_depth_peak")]
-    pub fn inbox_depth_peak(&self) -> usize {
-        self.inbox_depth_peak
-    }
-
-    /// Inbox sojourn statistics (enqueue → turn, in seconds) since the
-    /// last telemetry reset. Under critical-write backpressure this is
-    /// where the database stall becomes visible to senders.
-    #[deprecated(note = "use Coordinator::stats().inbox_sojourn")]
-    pub fn inbox_sojourn(&self) -> &Online {
-        &self.inbox_sojourn
-    }
-
-    /// Heartbeat envelopes shed at the inbox bound.
-    #[deprecated(note = "use Coordinator::stats().shed_envelopes")]
-    pub fn shed_envelopes(&self) -> u64 {
-        self.shed_envelopes
-    }
-
-    /// Critical envelopes accepted while the inbox was over its bound
-    /// (never shed — counted so saturation is observable).
-    #[deprecated(note = "use Coordinator::stats().over_bound_envelopes")]
-    pub fn over_bound_envelopes(&self) -> u64 {
-        self.over_bound_envelopes
-    }
-
-    /// Turns deferred because the database write queue was at bound for
-    /// critical intents (envelope stalls, timer re-arms, and mid-pass
-    /// stops all count).
-    #[deprecated(note = "use Coordinator::stats().deferred_turns")]
-    pub fn deferred_turns(&self) -> u64 {
-        self.deferred_turns
     }
 
     /// Route a user's fair-share weight to the database (one critical

@@ -34,17 +34,16 @@ pub(crate) enum GatherPos {
     Done,
 }
 
-/// The round-robin scatter–gather reply buffer.
+/// The round-robin gather buffer.
 ///
-/// Each refill (`ShardedDirectory::fill_round_robin`) quiesces every
-/// shard lane at the join point, gathers each lane's next candidate —
-/// the smallest uid in the classes `floor` admits — and merges the
-/// replies in ascending-uid order into `buf` — the same embedded-uid key
-/// order `KWayMerge` uses, so consuming the buffer visits, in
-/// `round_robin_from(origin)` order, a superset of the nodes that can
-/// host a spec with that floor. All storage (`buf`, the `heads` scratch)
-/// is reused across refills: the warm pass allocates nothing on this
-/// path (pinned by `tests/alloc.rs`).
+/// Each refill (`ShardedDirectory::fill_round_robin`) asks every shard
+/// for its next candidate — the smallest uid in the classes `floor`
+/// admits — and merges the answers in ascending-uid order into `buf` —
+/// the same embedded-uid key order `KWayMerge` uses, so consuming the
+/// buffer visits, in `round_robin_from(origin)` order, a superset of the
+/// nodes that can host a spec with that floor. All storage (`buf`, the
+/// `heads` scratch) is reused across refills: the warm pass allocates
+/// nothing on this path (pinned by `tests/alloc.rs`).
 ///
 /// The buffer may outlive the pick that filled it; `Selector::pick`
 /// guards reuse with three checks — `epoch` (any mutation that can add a

@@ -24,16 +24,7 @@
 //! single-stream pass-through and the directory behaves exactly like the
 //! pre-sharding implementation; larger counts keep every per-shard tree
 //! small (cache-resident) as fleets grow past 10⁴ nodes.
-//!
-//! Each shard is an **actor** (the private `actor` module): mutations
-//! become typed
-//! `ShardIntent`s sent down the owning shard's lane, applied inline with
-//! zero worker threads (the default — the exact pre-actor code path) or
-//! by a worker pool; every read first quiesces all lanes at the join
-//! point and then borrows the shard state, so the merged views above —
-//! and their bit-identical-order proof — are untouched by threading.
 
-mod actor;
 mod entry;
 mod index;
 mod merge;
@@ -41,12 +32,12 @@ mod shard;
 
 pub use entry::{NodeEntry, NodeLiveness, Reliability};
 
-use actor::{ShardIntent, ShardReply, ShardRuntime};
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
 pub(crate) use index::ClassFloor;
 use merge::KWayMerge;
 pub(crate) use merge::{GatherPos, RrGather};
+use shard::Shard;
 use std::collections::HashMap;
 use std::ops::Bound;
 
@@ -61,7 +52,7 @@ use std::ops::Bound;
 /// node's shard affinity in job metadata (DESIGN.md §3b).
 #[derive(Debug)]
 pub struct ShardedDirectory {
-    runtime: ShardRuntime,
+    shards: Vec<Shard>,
     by_machine: HashMap<String, NodeUid>,
     next_uid: u64,
     /// The round-robin gather buffer's invalidation clock: bumped on every
@@ -74,8 +65,7 @@ pub struct ShardedDirectory {
     /// all — only ever takes nodes *out* of a view or leaves them where
     /// they were (the pick re-verifies every uid it pops), so it leaves
     /// the epoch alone: that is what lets one gather survive a whole
-    /// scheduling pass's placements. A pure function of the intent
-    /// stream, so it is identical at any worker count.
+    /// scheduling pass's placements.
     views_epoch: u64,
 }
 
@@ -95,21 +85,10 @@ impl ShardedDirectory {
         Self::default()
     }
 
-    /// Empty directory with `shards` independent shards (clamped to ≥ 1),
-    /// applied inline (zero worker threads).
+    /// Empty directory with `shards` independent shards (clamped to ≥ 1).
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_workers(shards, 0)
-    }
-
-    /// Empty directory with `shards` shard actors served by up to
-    /// `workers` threads. `workers = 0` applies intents inline on the
-    /// caller's thread — the degenerate actor, byte-identical to the
-    /// pre-actor directory; `workers ≥ 1` pins shard `i` to worker
-    /// `i % workers` and every read quiesces at the join point first.
-    /// Decisions are bit-identical at any worker count (property-tested).
-    pub fn with_shards_workers(shards: usize, workers: usize) -> Self {
         ShardedDirectory {
-            runtime: ShardRuntime::new(shards.max(1), workers),
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             by_machine: HashMap::new(),
             next_uid: 0,
             views_epoch: 0,
@@ -118,25 +97,12 @@ impl ShardedDirectory {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.runtime.len()
-    }
-
-    /// Worker threads serving the shard lanes (0 = inline).
-    pub fn worker_count(&self) -> usize {
-        self.runtime.worker_count()
+        self.shards.len()
     }
 
     /// The gather buffer's invalidation clock (see `views_epoch`).
     pub(crate) fn gather_epoch(&self) -> u64 {
         self.views_epoch
-    }
-
-    /// Test scaffolding: join shard lanes (and gather round-robin
-    /// replies) in `order` instead of lane order, simulating adversarial
-    /// reply arrival. Must be a permutation of `0..shard_count`.
-    #[cfg(test)]
-    pub(crate) fn set_drain_schedule(&mut self, order: Vec<usize>) {
-        self.runtime.set_drain_schedule(order);
     }
 
     /// The shard owning `uid` — a Fibonacci hash of the uid, so
@@ -151,10 +117,10 @@ impl ShardedDirectory {
 
     #[inline]
     fn shard_idx(&self, uid: NodeUid) -> usize {
-        if self.runtime.len() == 1 {
+        if self.shards.len() == 1 {
             0
         } else {
-            (uid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.runtime.len()
+            (uid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % self.shards.len()
         }
     }
 
@@ -171,12 +137,8 @@ impl ShardedDirectory {
         self.views_epoch += 1;
         if let Some(&uid) = self.by_machine.get(machine_id) {
             // Returning provider: refresh inventory, preserve reliability.
-            // Reading the old entry is a lane read: join it first.
             let sh = self.shard_idx(uid);
-            self.runtime.join_lane(sh);
-            let reliability = self
-                .runtime
-                .shard(sh)
+            let reliability = self.shards[sh]
                 .nodes
                 .get(&uid)
                 .map(|e| e.reliability.clone())
@@ -184,7 +146,7 @@ impl ShardedDirectory {
             let mut entry =
                 NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
             entry.reliability = reliability;
-            self.runtime.send(sh, ShardIntent::Insert(Box::new(entry)));
+            self.shards[sh].insert(entry);
             return (uid, true);
         }
         let uid = NodeUid(self.next_uid);
@@ -192,15 +154,13 @@ impl ShardedDirectory {
         self.by_machine.insert(machine_id.to_string(), uid);
         let entry = NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
         let sh = self.shard_idx(uid);
-        self.runtime.send(sh, ShardIntent::Insert(Box::new(entry)));
+        self.shards[sh].insert(entry);
         (uid, false)
     }
 
-    /// Entry by uid (routed to the owning shard's lane, joined first).
+    /// Entry by uid (routed to the owning shard).
     pub fn get(&self, uid: NodeUid) -> Option<&NodeEntry> {
-        let sh = self.shard_idx(uid);
-        self.runtime.join_lane(sh);
-        self.runtime.shard(sh).nodes.get(&uid)
+        self.shards[self.shard_idx(uid)].nodes.get(&uid)
     }
 
     /// Apply a heartbeat's telemetry. Returns false for unknown nodes.
@@ -214,25 +174,7 @@ impl ShardedDirectory {
     ) -> bool {
         self.views_epoch += 1;
         let sh = self.shard_idx(uid);
-        if self.runtime.is_inline() {
-            // Inline fast path: apply through the borrowed stats, no copy.
-            return self
-                .runtime
-                .apply_inline(sh, |s| s.apply_heartbeat(uid, now, seq, accepting, stats));
-        }
-        self.runtime.send(
-            sh,
-            ShardIntent::ApplyHeartbeat {
-                uid,
-                now,
-                seq,
-                accepting,
-                stats: stats.to_vec(),
-            },
-        );
-        // "Known node" without a round trip: entries are never removed,
-        // and every uid below the allocator watermark has one.
-        uid.0 < self.next_uid
+        self.shards[sh].apply_heartbeat(uid, now, seq, accepting, stats)
     }
 
     /// Reserve capacity on a node for an in-flight offer (idempotent per
@@ -248,19 +190,7 @@ impl ShardedDirectory {
         min_cc: Option<(u8, u8)>,
     ) -> bool {
         let sh = self.shard_idx(uid);
-        let reply = self.runtime.send_with_reply(
-            sh,
-            ShardIntent::Reserve {
-                uid,
-                job,
-                gpus,
-                mem,
-                min_cc,
-            },
-        );
-        let ShardReply::Reserved { complete, grew } = reply else {
-            return false;
-        };
+        let (complete, grew) = self.shards[sh].reserve(uid, job, gpus, mem, min_cc);
         // Re-reserving drops the job's earlier hold first: a smaller new
         // hold can lift the node into a class it was not a member of.
         self.views_epoch += u64::from(grew);
@@ -268,41 +198,32 @@ impl ShardedDirectory {
     }
 
     /// Release a job's reservation (offer rejected, job finished, node
-    /// lost). No-op when none exists. Joins the owning lane for the
-    /// reply: whether the node rose a bucket decides the epoch bump.
+    /// lost). No-op when none exists. Whether the node rose a bucket
+    /// decides the epoch bump.
     pub fn release(&mut self, uid: NodeUid, job: JobId) {
         let sh = self.shard_idx(uid);
-        let reply = self
-            .runtime
-            .send_with_reply(sh, ShardIntent::Release { uid, job });
-        self.views_epoch += u64::from(matches!(reply, ShardReply::Released { grew: true }));
+        let grew = self.shards[sh].release(uid, job);
+        self.views_epoch += u64::from(grew);
     }
 
     /// Transition a node's liveness. Returns the previous liveness.
     pub fn set_liveness(&mut self, uid: NodeUid, liveness: NodeLiveness) -> Option<NodeLiveness> {
         self.views_epoch += 1;
         let sh = self.shard_idx(uid);
-        match self
-            .runtime
-            .send_with_reply(sh, ShardIntent::SetLiveness { uid, liveness })
-        {
-            ShardReply::Liveness(prev) => prev,
-            _ => None,
-        }
+        self.shards[sh].set_liveness(uid, liveness)
     }
 
     /// Record a provider interruption against a node's reliability stats.
     pub fn record_interruption(&mut self, uid: NodeUid, now: SimTime) {
         let sh = self.shard_idx(uid);
-        self.runtime
-            .send(sh, ShardIntent::RecordInterruption { uid, now });
+        self.shards[sh].record_interruption(uid, now);
     }
 
     /// All entries, uid order (k-way merge of the per-shard maps).
     pub fn iter(&self) -> impl Iterator<Item = &NodeEntry> {
         KWayMerge::new(
-            self.runtime
-                .joined_shards()
+            self.shards
+                .iter()
                 .map(|s| s.nodes.iter().map(|(&uid, e)| (uid, e))),
         )
         .map(|(_, e)| e)
@@ -310,20 +231,17 @@ impl ShardedDirectory {
 
     /// Registered node count.
     pub fn len(&self) -> usize {
-        self.runtime.joined_shards().map(|s| s.nodes.len()).sum()
+        self.shards.iter().map(|s| s.nodes.len()).sum()
     }
 
     /// Is the directory empty?
     pub fn is_empty(&self) -> bool {
-        self.runtime.joined_shards().all(|s| s.nodes.is_empty())
+        self.shards.iter().all(|s| s.nodes.is_empty())
     }
 
     /// Schedulable (Active) node count, from the shard indexes.
     pub fn schedulable(&self) -> usize {
-        self.runtime
-            .joined_shards()
-            .map(|s| s.index.schedulable())
-            .sum()
+        self.shards.iter().map(|s| s.index.schedulable()).sum()
     }
 
     /// Nodes eligible to host `spec` right now: each shard's index prunes
@@ -335,7 +253,7 @@ impl ShardedDirectory {
         &'a self,
         spec: &'a DispatchSpec,
     ) -> impl Iterator<Item = &'a NodeEntry> + 'a {
-        let streams = self.runtime.joined_shards().map(move |sh| {
+        let streams = self.shards.iter().map(move |sh| {
             sh.index
                 .class_stream(ClassFloor::of(spec))
                 .filter_map(move |(key, ())| sh.nodes.get(&key.1).map(|e| (key, e)))
@@ -379,13 +297,10 @@ impl ShardedDirectory {
             self.shard_of(uid),
             "stale shard affinity for {uid:?}"
         );
-        if (shard as usize) >= self.runtime.len() {
+        let Some(sh) = self.shards.get(shard as usize) else {
             return false;
-        }
-        self.runtime.join_lane(shard as usize);
-        self.runtime
-            .shard(shard as usize)
-            .nodes
+        };
+        sh.nodes
             .get(&uid)
             .map(|e| e.liveness() == NodeLiveness::Active && e.eligible_for_holder(spec, job))
             .unwrap_or(false)
@@ -399,8 +314,8 @@ impl ShardedDirectory {
             return Vec::new();
         };
         KWayMerge::new(
-            self.runtime
-                .joined_shards()
+            self.shards
+                .iter()
                 .map(move |s| s.index.heartbeat_stream(cutoff)),
         )
         .filter(|((at, _), ())| now.since(*at) > timeout)
@@ -413,15 +328,13 @@ impl ShardedDirectory {
     /// Active uids by total effective free VRAM, most-free first (uid
     /// ascending on ties) — the least-loaded pick order.
     pub(crate) fn by_free_desc(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        KWayMerge::new(self.runtime.joined_shards().map(|s| s.index.free_stream()))
-            .map(|((_, uid), ())| uid)
+        KWayMerge::new(self.shards.iter().map(|s| s.index.free_stream())).map(|((_, uid), ())| uid)
     }
 
     /// Active uids by best-device TFLOPS, fastest first (uid ascending on
     /// ties) — the fastest-device pick order.
     pub(crate) fn by_speed_desc(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        KWayMerge::new(self.runtime.joined_shards().map(|s| s.index.speed_stream()))
-            .map(|((_, uid), ())| uid)
+        KWayMerge::new(self.shards.iter().map(|s| s.index.speed_stream())).map(|((_, uid), ())| uid)
     }
 
     /// Active uids starting at `cursor`, wrapping around once — the
@@ -433,13 +346,13 @@ impl ShardedDirectory {
     pub(crate) fn round_robin_from(&self, cursor: NodeUid) -> impl Iterator<Item = NodeUid> + '_ {
         let active = |(_, e): &(NodeUid, &NodeEntry)| e.liveness() == NodeLiveness::Active;
         let tail = KWayMerge::new(
-            self.runtime
-                .joined_shards()
+            self.shards
+                .iter()
                 .map(move |s| s.nodes.range(cursor..).map(|(&uid, e)| (uid, e))),
         );
         let head = KWayMerge::new(
-            self.runtime
-                .joined_shards()
+            self.shards
+                .iter()
                 .map(move |s| s.nodes.range(..cursor).map(|(&uid, e)| (uid, e))),
         );
         tail.chain(head).filter(active).map(|(uid, _)| uid)
@@ -447,23 +360,17 @@ impl ShardedDirectory {
 
     /// Refill a round-robin gather buffer with up to `max` more uids.
     ///
-    /// The scatter–gather read: quiesce every shard lane at the join
-    /// point, prime each lane's next-candidate reply (the smallest uid in
-    /// the classes `g.floor` admits) for the current circle segment, then
-    /// repeatedly take the smallest reply — re-asking only the winning
-    /// lane — until `max` uids are buffered or the circle is done. On a
-    /// fleet where no class can serve the floor the whole circle is
-    /// O(shards × classes) set lookups and buffers nothing. Replies are
-    /// gathered in drain-schedule order, which cannot change the merged
-    /// result (uids are unique; property-tested under seeded
-    /// permutations). Uses only storage owned by `g`: the warm path
-    /// allocates nothing (pinned by `tests/alloc.rs`).
+    /// Prime each shard's head (the smallest uid in the classes
+    /// `g.floor` admits) for the current circle segment, then repeatedly
+    /// take the smallest head — re-asking only the winning shard — until
+    /// `max` uids are buffered or the circle is done. On a fleet where no
+    /// class can serve the floor the whole circle is O(shards × classes)
+    /// set lookups and buffers nothing. Uses only storage owned by `g`:
+    /// the warm path allocates nothing (pinned by `tests/alloc.rs`).
     pub(crate) fn fill_round_robin(&self, g: &mut RrGather, max: usize) {
-        self.runtime.join_all();
-        let order = self.runtime.drain_order();
-        if g.heads.len() != order.len() {
+        if g.heads.len() != self.shards.len() {
             g.heads.clear();
-            g.heads.resize(order.len(), None);
+            g.heads.resize(self.shards.len(), None);
             g.heads_primed = false;
         }
         let mut filled = 0usize;
@@ -476,19 +383,15 @@ impl ShardedDirectory {
                 GatherPos::Head(Some(u)) => (Bound::Excluded(u), Bound::Excluded(g.origin)),
             };
             if !g.heads_primed {
-                for &i in order {
-                    g.heads[i] = self
-                        .runtime
-                        .shard(i)
-                        .index
-                        .first_candidate_in(g.floor, (lo, hi));
+                for (head, sh) in g.heads.iter_mut().zip(&self.shards) {
+                    *head = sh.index.first_candidate_in(g.floor, (lo, hi));
                 }
                 g.heads_primed = true;
             }
             while filled < max {
                 let mut best: Option<(NodeUid, usize)> = None;
-                for &i in order {
-                    if let Some(u) = g.heads[i] {
+                for (i, head) in g.heads.iter().enumerate() {
+                    if let Some(u) = *head {
                         if best.is_none_or(|(b, _)| u < b) {
                             best = Some((u, i));
                         }
@@ -510,9 +413,7 @@ impl ShardedDirectory {
                     GatherPos::Head(_) => GatherPos::Head(Some(u)),
                     GatherPos::Done => unreachable!("popped from a done gather"),
                 };
-                g.heads[winner] = self
-                    .runtime
-                    .shard(winner)
+                g.heads[winner] = self.shards[winner]
                     .index
                     .first_candidate_in(g.floor, (Bound::Excluded(u), hi));
             }
@@ -935,49 +836,6 @@ mod tests {
                 // …and the set equals the brute-force scan.
                 proptest::prop_assert_eq!(indexed(d, &s), want.clone(), "{} shards", n);
                 assert_views_agree(reference, d, &format!("{n} shards"));
-            }
-        }
-    }
-
-    proptest::proptest! {
-        /// The actor boundary is invisible too: running the shards on
-        /// worker threads behind SPSC inboxes — with a *seeded drain
-        /// schedule* permuting the order shard replies are joined and
-        /// gathered in — produces candidate streams, ordered views, and
-        /// staleness sweeps bit-identical to the inline unsharded
-        /// directory, and `candidates` still equals the brute-force scan.
-        /// Order independence of the merge is the asserted property: the
-        /// k-way merge keys embed the node uid, so *arrival* order of
-        /// shard replies cannot leak into *result* order.
-        #[test]
-        fn prop_actorized_shards_are_equivalent(
-            ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..60),
-            mem_gb in 0u64..80,
-            want_gpus in 1u8..4,
-            cc_minor in proptest::option::of(0u8..10),
-            drain_seed in proptest::prelude::any::<u64>(),
-        ) {
-            let mut reference = Directory::new();
-            let mut actors: Vec<(usize, usize, Directory)> = Vec::new();
-            for &n in &SHARD_COUNTS {
-                for workers in [1usize, 4] {
-                    let mut d = Directory::with_shards_workers(n, workers);
-                    d.set_drain_schedule(gpunion_des::drain_order(drain_seed, n));
-                    actors.push((n, workers, d));
-                }
-            }
-            for (op, a, b) in ops {
-                apply_op(&mut reference, op, a, b);
-                for (_, _, d) in &mut actors {
-                    apply_op(d, op, a, b);
-                }
-            }
-            let s = spec(mem_gb << 30, want_gpus, cc_minor.map(|m| (8, m)));
-            let want = brute_force(&reference, &s);
-            for (n, w, d) in &actors {
-                let label = format!("{n} shards / {w} workers / drain {drain_seed:#x}");
-                proptest::prop_assert_eq!(indexed(d, &s), want.clone(), "{}", &label);
-                assert_views_agree(&reference, d, &label);
             }
         }
     }

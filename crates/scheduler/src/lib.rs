@@ -14,6 +14,8 @@
 //! turns instead of over-filling it: critical writes are delayed, never
 //! dropped.
 
+#![forbid(unsafe_code)]
+
 pub mod coordinator;
 pub mod directory;
 pub mod strategy;
@@ -1590,54 +1592,6 @@ mod tests {
                 c.directory().iter().map(|e| e.uid).collect()
             };
             proptest::prop_assert_eq!(uids(&reference), uids(&sharded));
-        }
-
-        /// Worker threads are pure mechanism too: running the directory's
-        /// shard actors inline (`worker_threads = 0`), on one worker, or
-        /// on four must produce bit-equal action logs, pending queues,
-        /// job bookkeeping, and directory membership on any envelope
-        /// stream. Every read quiesces at the join point before merging,
-        /// so thread scheduling can change *when* a shard applies its
-        /// inbox, never *what* the coordinator observes.
-        #[test]
-        fn prop_worker_threads_never_change_decisions(
-            ops in proptest::collection::vec((0u8..7, 0u64..16, 0u64..32), 1..60),
-        ) {
-            let worlds = [0usize, 1, 4].map(|workers| {
-                let cfg = CoordinatorConfig {
-                    shard_count: 5,
-                    worker_threads: workers,
-                    ..CoordinatorConfig::default()
-                };
-                let mut coord = Coordinator::new(cfg, 9);
-                let mut log = Vec::new();
-                let mut horizon = SimTime::ZERO;
-                for (at, env) in turn_events(&ops) {
-                    coord.send(at, env);
-                    log.extend(coord.advance(at));
-                    horizon = at;
-                }
-                log.extend(drive(&mut coord, horizon + SimDuration::from_secs(60)));
-                (coord, log)
-            });
-            let [(inline, log_0), (one, log_1), (four, log_4)] = worlds;
-            proptest::prop_assert_eq!(format!("{log_0:?}"), format!("{log_1:?}"));
-            proptest::prop_assert_eq!(format!("{log_0:?}"), format!("{log_4:?}"));
-            proptest::prop_assert_eq!(
-                inline.db().pending_in_order(),
-                one.db().pending_in_order()
-            );
-            proptest::prop_assert_eq!(
-                inline.db().pending_in_order(),
-                four.db().pending_in_order()
-            );
-            proptest::prop_assert_eq!(inline.stats().live_jobs, one.stats().live_jobs);
-            proptest::prop_assert_eq!(inline.stats().live_jobs, four.stats().live_jobs);
-            let uids = |c: &Coordinator| -> Vec<NodeUid> {
-                c.directory().iter().map(|e| e.uid).collect()
-            };
-            proptest::prop_assert_eq!(uids(&inline), uids(&one));
-            proptest::prop_assert_eq!(uids(&inline), uids(&four));
         }
 
         /// On a quiescent trace where EVERY live node holds a standing,

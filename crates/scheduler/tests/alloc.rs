@@ -12,8 +12,8 @@
 //! allocator): the libtest harness's main thread lazily initializes
 //! channel state while it blocks waiting for a test, and a process-global
 //! counter intermittently catches that bookkeeping inside a measured
-//! window. The directory here runs its shard actors inline (`with_shards`
-//! is `workers = 0`), so the calling thread's count is the whole story.
+//! window. The directory runs on the calling thread, so its count is the
+//! whole story.
 
 use gpunion_des::SimTime;
 use gpunion_gpu::GpuModel;

@@ -18,6 +18,8 @@
 //! The crate is deliberately passive (no event scheduling): the embedding
 //! event loop polls [`Network::next_event_at`] / [`Network::poll`].
 
+#![forbid(unsafe_code)]
+
 pub mod accounting;
 pub mod bandwidth;
 pub mod flow;

@@ -13,6 +13,8 @@
 //!   are more interruption-sensitive).
 //! * [`datastore`] — capacity-bounded per-node object stores.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod datastore;
 pub mod repository;

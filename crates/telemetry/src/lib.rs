@@ -7,6 +7,8 @@
 //! expose a registry; the coordinator scrapes, parses, and stores — the
 //! pipeline is exercised end-to-end in the integration tests.
 
+#![forbid(unsafe_code)]
+
 pub mod expo;
 pub mod metrics;
 pub mod tsdb;

@@ -12,6 +12,8 @@
 //!   and the baselines replay identical traces.
 //! * [`provider`] — churn models for the three interruption classes of §4.
 
+#![forbid(unsafe_code)]
+
 pub mod job;
 pub mod provider;
 pub mod trace;

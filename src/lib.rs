@@ -24,6 +24,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every figure and table.
 
+#![forbid(unsafe_code)]
+
 pub use gpunion_agent as agent;
 pub use gpunion_baselines as baselines;
 pub use gpunion_container as container;
