@@ -14,10 +14,7 @@
 //! latency, not allocator teardown.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpunion_bench::{
-    bench_spec, loaded_coordinator, loaded_coordinator_sharded, saturated_coordinator,
-    SATURATED_JOBS,
-};
+use gpunion_bench::{bench_spec, loaded_coordinator, saturated_coordinator, SATURATED_JOBS};
 use gpunion_db::{DbActor, DbActorConfig, WriteIntent};
 use gpunion_des::SimTime;
 use gpunion_protocol::NodeUid;
@@ -27,10 +24,11 @@ const PENDING_JOBS: usize = 20;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduling_pass");
-    // 10–400 matches the paper's §5.2 sweep; 2 000 and 10 000 prove the
+    // 10–400 matches the paper's §5.2 sweep; 2 000 and up prove the
     // indexed path stays flat far beyond the paper's knee (a pass must
-    // finish in well under 1 ms at 10 000 nodes).
-    for n in [10usize, 50, 200, 400, 2_000, 10_000] {
+    // finish in well under 1 ms at 10 000 nodes, and grow sub-linearly
+    // to 10⁵ — gated via bench_gate's in-run scale check).
+    for n in [10usize, 50, 200, 400, 2_000, 10_000, 50_000, 100_000] {
         g.bench_with_input(BenchmarkId::new("nodes", n), &n, |b, &n| {
             b.iter_batched_ref(
                 || loaded_coordinator(n, PENDING_JOBS),
@@ -51,29 +49,6 @@ fn bench(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         );
     });
-    g.finish();
-
-    // The 10⁵-node fleet variants: the same turn over the sharded
-    // directory (per-shard capacity indexes, k-way-merged views). The
-    // unsharded 100k row is the contrast — sub-linear growth must hold
-    // with and without sharding, and the merge overhead at 16 shards
-    // must stay small (both gated via bench_gate's in-run scale check).
-    let mut g = c.benchmark_group("scheduling_pass_sharded");
-    for (n, shards) in [
-        (50_000usize, 1usize),
-        (50_000, 16),
-        (100_000, 1),
-        (100_000, 16),
-    ] {
-        let id = BenchmarkId::new(format!("nodes_{n}"), format!("shards_{shards}"));
-        g.bench_with_input(id, &(n, shards), |b, &(n, shards)| {
-            b.iter_batched_ref(
-                || loaded_coordinator_sharded(n, PENDING_JOBS, shards),
-                |coord| coord.advance(SimTime::from_secs(3700)),
-                criterion::BatchSize::SmallInput,
-            );
-        });
-    }
     g.finish();
 
     // The pre-refactor cost model: one full scan + sort per pending job.

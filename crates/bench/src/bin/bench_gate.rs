@@ -3,7 +3,7 @@
 //! Measures the scheduler's headline performance numbers — wall-clock
 //! latency of the actor turn that drains a 20-job scheduling pass at 400,
 //! 10 000, and 100 000 nodes (the quantities EXPERIMENTS.md §5.2 quotes;
-//! the 100k rows run the 16-way **sharded** directory, cold and warm),
+//! the 100k turn is timed cold and warm),
 //! the same turn on a **saturated** 400-node fleet (50 pending jobs of
 //! five shapes, every pick fails — `pass_ns_400_saturated`),
 //! plus the simulated database write-queue figures at 400 nodes, the
@@ -12,7 +12,7 @@
 //! 400 nodes on the typed-event wheel core, ≈24 M events) and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
 //! framed encode of the dominant heartbeat message) — writes
-//! them to `BENCH_scheduler.json` (schema 10), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 11), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -28,16 +28,13 @@
 //! **minima** — the least-noisy estimator on a shared runner — so a
 //! single cold-cache outlier cannot fail the gate):
 //!
-//! * **Sub-linear scale**: the cold sharded 100k-node turn must stay
-//!   within `BENCH_GATE_SCALE_FACTOR`× (default 3×) of the 10k-node
-//!   turn — a 10× fleet cannot cost 10× (the per-shard indexes stay
-//!   logarithmic and the k-way merge is O(shards) per pop).
-//! * **Warm turn beats the small fleet**: the steady-state 100k node
-//!   turn over the sharded directory — reads through the reusable
-//!   round-robin gather — must cost at most `BENCH_GATE_WARM_FACTOR`×
-//!   (default 1×) the **cold 10k single-shard** turn: a 10× fleet at
-//!   steady state is no slower than a small fleet from scratch, because
-//!   the per-pick shard-stream setup is amortized across the pass.
+//! * **Sub-linear scale**: the cold 100k-node turn must stay within
+//!   `BENCH_GATE_SCALE_FACTOR`× (default 3×) of the 10k-node turn — a
+//!   10× fleet cannot cost 10× (the capacity index is logarithmic).
+//! * **Warm turn beats the small fleet**: the steady-state 100k-node
+//!   turn must cost at most `BENCH_GATE_WARM_FACTOR`× (default 1×) the
+//!   **cold 10k** turn: a 10× fleet at steady state is no slower than a
+//!   small fleet from scratch.
 //! * **Critical-write backpressure**: at ρ > 1 every job submission is
 //!   deferred behind the database bound — visible as inbox sojourn — and
 //!   **none is shed**.
@@ -70,7 +67,7 @@
 
 use gpunion_bench::{
     admission_shed_run, check_baseline_schema, codec_cost_run, contention_knee_run,
-    loaded_coordinator_sharded, market_grant_run, saturated_coordinator, saturation_run,
+    loaded_coordinator, market_grant_run, saturated_coordinator, saturation_run,
     semester_sweep_heap, semester_sweep_profile, semester_sweep_run, warm_pass_ns, PassStats,
     BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
@@ -80,9 +77,6 @@ use std::time::Instant;
 
 const DEFAULT_BASELINE: &str = "crates/bench/baseline/BENCH_scheduler.json";
 const DEFAULT_OUT: &str = "BENCH_scheduler.json";
-/// Shard count of the gated 100k-node rows (the bench default; pick order
-/// is bit-identical at any count, so this only moves cost).
-const SCALE_SHARDS: usize = 16;
 
 /// Env-tunable factor with a default.
 fn env_factor(name: &str, default: f64) -> f64 {
@@ -93,13 +87,13 @@ fn env_factor(name: &str, default: f64) -> f64 {
 }
 
 /// Wall-clock statistics of the **cold** actor turn that applies the
-/// 20-job queue writes and drains one scheduling pass at `n` nodes over
-/// `shards` directory shards: the coordinator is rebuilt per sample
-/// (setup excluded, like the criterion harness).
-fn pass_ns(n: usize, shards: usize, iters: usize) -> PassStats {
+/// 20-job queue writes and drains one scheduling pass at `n` nodes: the
+/// coordinator is rebuilt per sample (setup excluded, like the criterion
+/// harness).
+fn pass_ns(n: usize, iters: usize) -> PassStats {
     let samples: Vec<u64> = (0..iters)
         .map(|_| {
-            let mut coord = loaded_coordinator_sharded(n, PASS_JOBS, shards);
+            let mut coord = loaded_coordinator(n, PASS_JOBS);
             let t0 = Instant::now();
             let actions = coord.advance(SimTime::from_secs(3700));
             let dt = t0.elapsed().as_nanos() as u64;
@@ -157,43 +151,42 @@ fn main() {
     let write_baseline = flag("--write-baseline");
     let profile = args.iter().any(|a| a == "--profile");
 
-    eprintln!("bench_gate: measuring scheduling pass (400 / 10k / 100k-sharded nodes)…");
-    let p400 = pass_ns(400, 1, 31);
+    eprintln!("bench_gate: measuring scheduling pass (400 / 10k / 100k nodes)…");
+    let p400 = pass_ns(400, 31);
     let p400_sat = saturated_pass_ns(400, 31);
-    let p10k = pass_ns(10_000, 1, 11);
-    let p100k = pass_ns(100_000, SCALE_SHARDS, 7);
-    eprintln!("bench_gate: measuring warm turn (100k nodes, {SCALE_SHARDS} shards)…");
-    let pwarm = warm_pass_ns(100_000, SCALE_SHARDS, 15);
+    let p10k = pass_ns(10_000, 11);
+    let p100k = pass_ns(100_000, 7);
+    eprintln!("bench_gate: measuring warm turn (100k nodes)…");
+    let pwarm = warm_pass_ns(100_000, 15);
     // Sub-linear scale invariant, measured in-run so it is independent of
     // runner hardware: a 10× fleet must cost nowhere near 10×.
     let scale_factor = env_factor("BENCH_GATE_SCALE_FACTOR", 3.0);
     let growth = p100k.min_ns as f64 / p10k.min_ns as f64;
     assert!(
         growth <= scale_factor,
-        "100k-node sharded turn grew {growth:.2}× over the 10k turn \
+        "100k-node turn grew {growth:.2}× over the 10k turn \
          (bound {scale_factor}×): {} ns vs {} ns (minima)",
         p100k.min_ns,
         p10k.min_ns
     );
     eprintln!(
-        "bench_gate: scale ok — 100k/{SCALE_SHARDS}-shard turn {} ns is {growth:.2}× \
+        "bench_gate: scale ok — 100k turn {} ns is {growth:.2}× \
          the 10k turn ({} ns), bound {scale_factor}× (minima)",
         p100k.min_ns, p10k.min_ns
     );
-    // Warm invariant: the steady-state 100k sharded turn is at or below
-    // the cold 10k single-shard turn — the gather buffer amortizes the
-    // per-pick shard-stream setup the cold 100k row still pays per pass.
+    // Warm invariant: the steady-state 100k turn is at or below the cold
+    // 10k turn.
     let warm_factor = env_factor("BENCH_GATE_WARM_FACTOR", 1.0);
     let warm_ratio = pwarm.min_ns as f64 / p10k.min_ns as f64;
     assert!(
         warm_ratio <= warm_factor,
-        "warm 100k-node turn is {warm_ratio:.2}× the cold 10k single-shard turn \
+        "warm 100k-node turn is {warm_ratio:.2}× the cold 10k turn \
          (bound {warm_factor}×): {} ns vs {} ns (minima)",
         pwarm.min_ns,
         p10k.min_ns
     );
     eprintln!(
-        "bench_gate: warm ok — warm 100k/{SCALE_SHARDS}-shard turn {} ns is {warm_ratio:.2}× \
+        "bench_gate: warm ok — warm 100k turn {} ns is {warm_ratio:.2}× \
          the cold 10k turn ({} ns), bound {warm_factor}× (minima)",
         pwarm.min_ns, p10k.min_ns
     );
@@ -323,8 +316,7 @@ fn main() {
     let json = format!(
         "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \
          \"pass_ns_400_saturated\": {},\n  \"pass_ns_10k\": {},\n  \
-         \"pass_ns_100k_sharded\": {},\n  \"pass_ns_100k_warm\": {},\n  \
-         \"scale_shards\": {SCALE_SHARDS},\n  \
+         \"pass_ns_100k\": {},\n  \"pass_ns_100k_warm\": {},\n  \
          \"grant_ns_1m_queue\": {},\n  \"admit_ns_1m_queue\": {},\n  \
          \"admission_batch_shed_60s\": {},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
@@ -376,7 +368,7 @@ fn main() {
         ("pass_ns_400", p400.median_ns as f64),
         ("pass_ns_400_saturated", p400_sat.median_ns as f64),
         ("pass_ns_10k", p10k.median_ns as f64),
-        ("pass_ns_100k_sharded", p100k.median_ns as f64),
+        ("pass_ns_100k", p100k.median_ns as f64),
         ("pass_ns_100k_warm", pwarm.median_ns as f64),
         ("grant_ns_1m_queue", market.grant_ns as f64),
         ("admit_ns_1m_queue", market.admit_ns as f64),

@@ -65,29 +65,15 @@ fn main() {
     println!("paper: sub-second at ≤50 nodes; heartbeat + DB contention beyond ~200.");
 
     // Beyond the paper's sweep: wall-clock cost of one 20-job scheduling
-    // turn on 10⁴–10⁵-node fleets, unsharded vs the sharded directory
-    // (per-shard capacity indexes, k-way-merged views — DESIGN.md §3b).
-    // The pending mix is trace-derived, regenerated per fleet size into
-    // one warm buffer (`generate_into`).
+    // turn on 10⁴–10⁵-node fleets. The pending mix is trace-derived,
+    // regenerated per fleet size into one warm buffer (`generate_into`).
     println!();
-    println!("== Directory sharding: 20-job scheduling-turn cost at scale ==");
-    println!(
-        "{:<9} {:>7} {:>7} {:>14}",
-        "nodes", "shards", "jobs", "turn (µs)"
-    );
-    let fleets = [
-        (10_000, 1),
-        (10_000, 16),
-        (50_000, 1),
-        (50_000, 16),
-        (100_000, 1),
-        (100_000, 16),
-    ];
-    for row in scale_pass_rows(&fleets, 20, 5) {
+    println!("== 20-job scheduling-turn cost at scale ==");
+    println!("{:<9} {:>7} {:>14}", "nodes", "jobs", "turn (µs)");
+    for row in scale_pass_rows(&[10_000, 50_000, 100_000], 20, 5) {
         println!(
-            "{:<9} {:>7} {:>7} {:>14.1}",
+            "{:<9} {:>7} {:>14.1}",
             row.nodes,
-            row.shards,
             row.jobs,
             row.pass_ns as f64 / 1e3
         );

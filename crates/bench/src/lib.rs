@@ -41,7 +41,7 @@ use std::time::Instant;
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 10;
+pub const BENCH_SCHEMA: u64 = 11;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -293,17 +293,8 @@ pub fn bench_spec() -> DispatchSpec {
 /// never-heartbeating bench fleet stale; placement behaviour is
 /// unaffected.
 pub fn bench_coordinator(n: usize) -> Coordinator {
-    bench_coordinator_sharded(n, 1)
-}
-
-/// [`bench_coordinator`] over a directory with `shards` shards — the
-/// 50k/100k-node fleet variants drive this; `shards = 1` reproduces the
-/// historical unsharded setup exactly (pick order is bit-identical at any
-/// shard count, so the only difference a bench can observe is cost).
-pub fn bench_coordinator_sharded(n: usize, shards: usize) -> Coordinator {
     let config = CoordinatorConfig {
         heartbeat_period: SimDuration::from_secs(24 * 3600),
-        shard_count: shards,
         ..Default::default()
     };
     let mut c = Coordinator::new(config, 1);
@@ -330,27 +321,17 @@ pub fn bench_coordinator_sharded(n: usize, shards: usize) -> Coordinator {
 /// ready for one timed [`Coordinator::advance`] at `t ≥ 3700 s`, whose
 /// turn applies the queue writes and drains the pass.
 pub fn loaded_coordinator(n: usize, jobs: usize) -> Coordinator {
-    loaded_coordinator_sharded(n, jobs, 1)
+    loaded_coordinator_with(n, &mut std::iter::repeat_with(bench_spec).take(jobs))
 }
 
-/// [`loaded_coordinator`] over `shards` directory shards.
-pub fn loaded_coordinator_sharded(n: usize, jobs: usize, shards: usize) -> Coordinator {
-    loaded_coordinator_with(
-        n,
-        shards,
-        &mut std::iter::repeat_with(bench_spec).take(jobs),
-    )
-}
-
-/// [`bench_coordinator_sharded`] loaded with an explicit pending-job mix
-/// (the trace-driven scale sweep feeds specs derived from generated
-/// campus demand; the gate rows feed the uniform [`bench_spec`]).
+/// [`bench_coordinator`] loaded with an explicit pending-job mix (the
+/// trace-driven scale sweep feeds specs derived from generated campus
+/// demand; the gate rows feed the uniform [`bench_spec`]).
 pub fn loaded_coordinator_with(
     n: usize,
-    shards: usize,
     specs: &mut dyn Iterator<Item = DispatchSpec>,
 ) -> Coordinator {
-    let mut c = bench_coordinator_sharded(n, shards);
+    let mut c = bench_coordinator(n);
     for spec in specs {
         let outcome = c.send(
             SimTime::from_secs(3601),
@@ -384,7 +365,7 @@ pub fn saturated_coordinator(n: usize, jobs: usize) -> Coordinator {
         gpu_mem_bytes: 22 << 30,
         ..bench_spec()
     };
-    let mut c = loaded_coordinator_with(n, 1, &mut std::iter::repeat_with(filler).take(n));
+    let mut c = loaded_coordinator_with(n, &mut std::iter::repeat_with(filler).take(n));
     // Place the fillers (the pass defers while the write queue is at its
     // bound, so this can take several turns), accept every offer — which
     // hands the reservation over to the node's next heartbeat, so send
@@ -550,10 +531,9 @@ impl PassStats {
     }
 }
 
-/// The **warm steady-state** 20-job scheduling turn over the sharded
-/// directory: one coordinator serves `rounds` submit → pass → cancel
-/// cycles, so the round-robin gather buffer, the shard indexes' caches,
-/// and the write queue are all hot — the per-turn cost a
+/// The **warm steady-state** 20-job scheduling turn: one coordinator
+/// serves `rounds` submit → pass → cancel cycles, so the capacity
+/// index's caches and the write queue are hot — the per-turn cost a
 /// long-lived deployment pays, as opposed to the cold `pass_ns` rows
 /// which rebuild the coordinator per sample.
 ///
@@ -563,8 +543,8 @@ impl PassStats {
 /// the turn that applies the queue writes and drains the pass — then
 /// cancel all 20 offers and drain the leftover no-op offer-timeout
 /// timers outside the timed window.
-pub fn warm_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassStats {
-    let mut coord = loaded_coordinator_sharded(nodes, PASS_JOBS, shards);
+pub fn warm_pass_ns(nodes: usize, rounds: usize) -> PassStats {
+    let mut coord = loaded_coordinator(nodes, PASS_JOBS);
     // Warm turn: drains the first pass untimed (grows every buffer).
     let _ = coord.advance(SimTime::from_secs(3700));
     let samples = (0..rounds.max(1) as u64)
@@ -612,14 +592,11 @@ pub const PASS_JOBS: usize = 20;
 
 /// One row of the large-fleet (50k/100k-node) pass-latency sweep: the
 /// wall-clock median of the actor turn that applies `jobs` queue writes
-/// and drains the scheduling pass, at a given fleet size and directory
-/// shard count.
+/// and drains the scheduling pass, at a given fleet size.
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleRow {
     /// Fleet size (registered nodes).
     pub nodes: usize,
-    /// Directory shard count.
-    pub shards: usize,
     /// Pending jobs drained by the timed pass.
     pub jobs: usize,
     /// Median wall-clock nanoseconds of the timed turn.
@@ -652,18 +629,18 @@ fn trace_dispatch_spec(t: &TrainingJobSpec) -> DispatchSpec {
     }
 }
 
-/// Run the multi-fleet pass-latency sweep over `(nodes, shards)` fleet
-/// variants: each fleet's pending mix comes from a freshly generated
+/// Run the multi-fleet pass-latency sweep over `fleets` (node counts):
+/// each fleet's pending mix comes from a freshly generated
 /// campus demand trace, regenerated **into one warm buffer** per fleet
 /// size ([`generate_into`] — zero allocations after the first fleet, the
 /// PR 4 regeneration path), filtered to requests the single-model bench
 /// fleet can host, and the timed quantity is one actor turn (apply the
 /// queue writes + drain the pass), median of `iters` samples.
-pub fn scale_pass_rows(fleets: &[(usize, usize)], jobs: usize, iters: usize) -> Vec<ScaleRow> {
+pub fn scale_pass_rows(fleets: &[usize], jobs: usize, iters: usize) -> Vec<ScaleRow> {
     let labs = paper_campus_labs();
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut rows = Vec::new();
-    for &(nodes, shards) in fleets {
+    for &nodes in fleets {
         // Regenerate this fleet's demand into the shared buffer; the seed
         // follows the fleet size so rows are independent but fixed.
         generate_into(
@@ -691,21 +668,17 @@ pub fn scale_pass_rows(fleets: &[(usize, usize)], jobs: usize, iters: usize) -> 
             .collect();
         let mut samples: Vec<u64> = (0..iters.max(1))
             .map(|_| {
-                let mut coord = loaded_coordinator_with(nodes, shards, &mut specs.iter().cloned());
+                let mut coord = loaded_coordinator_with(nodes, &mut specs.iter().cloned());
                 let t0 = Instant::now();
                 let actions = coord.advance(SimTime::from_secs(3700));
                 let dt = t0.elapsed().as_nanos() as u64;
-                assert!(
-                    !actions.is_empty(),
-                    "pass placed nothing at {nodes} nodes / {shards} shards"
-                );
+                assert!(!actions.is_empty(), "pass placed nothing at {nodes} nodes");
                 dt
             })
             .collect();
         samples.sort_unstable();
         rows.push(ScaleRow {
             nodes,
-            shards,
             jobs: specs.len(),
             pass_ns: samples[samples.len() / 2],
         });

@@ -222,29 +222,6 @@ pub fn run_fig3(days: u64, events_per_day: f64, seed: u64) -> Fig3Report {
         seed,
         ..Default::default()
     };
-    run_fig3_with(days, events_per_day, config)
-}
-
-/// [`run_fig3`] against a directory with `shard_count` shards. Sharding
-/// is pure mechanism, so the report must match [`run_fig3`] exactly — the
-/// end-to-end leg of the determinism proof chain (the directory- and
-/// coordinator-level proptests are the other two).
-pub fn run_fig3_sharded(
-    days: u64,
-    events_per_day: f64,
-    seed: u64,
-    shard_count: usize,
-) -> Fig3Report {
-    let mut config = PlatformConfig {
-        seed,
-        ..Default::default()
-    };
-    config.coordinator.shard_count = shard_count;
-    run_fig3_with(days, events_per_day, config)
-}
-
-fn run_fig3_with(days: u64, events_per_day: f64, config: PlatformConfig) -> Fig3Report {
-    let seed = config.seed;
     // 4 workstations: hosts 0,1 are the churning volunteers; 2,3 are the
     // stable backstop migration targets.
     let specs: Vec<ServerSpec> = (0..4)

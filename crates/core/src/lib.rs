@@ -13,8 +13,8 @@ pub mod platform;
 pub mod scenario;
 
 pub use case_study::{
-    attribute_displacements, campus_shape, run_fig2, run_fig3, run_fig3_sharded, run_table1,
-    Fig2Report, Fig3Report, MigrationClassStats,
+    attribute_displacements, campus_shape, run_fig2, run_fig3, run_table1, Fig2Report, Fig3Report,
+    MigrationClassStats,
 };
 pub use platform::{
     Displacement, Injection, Payload, Platform, PlatformConfig, PlatformEvent, PlatformSim,

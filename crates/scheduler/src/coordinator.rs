@@ -225,12 +225,6 @@ pub struct CoordinatorConfig {
     /// depth are shed (the next beat carries fresher data); critical
     /// envelopes are always accepted and counted if over the bound.
     pub inbox_capacity: usize,
-    /// Directory shards (by node uid). 1 — the default — reproduces the
-    /// unsharded directory exactly; larger counts keep each per-shard
-    /// index small as fleets grow past 10⁴ nodes, with the read views
-    /// k-way-merged so pick order is bit-identical at any count
-    /// (DESIGN.md §3b).
-    pub shard_count: usize,
     /// Database write-queue parameters (service time, inbox bound).
     pub db: DbActorConfig,
     /// Placement mode: coordinator-push (default) or worker-pull
@@ -251,7 +245,6 @@ impl Default for CoordinatorConfig {
             max_retries: 5,
             offer_timeout: SimDuration::from_secs(10),
             inbox_capacity: 4096,
-            shard_count: 1,
             db: DbActorConfig::default(),
             placement_mode: PlacementMode::Push,
             admission: None,
@@ -300,11 +293,6 @@ struct JobMeta {
     /// Cleared on displacement — a new epoch with a changed world.
     excluded: Vec<NodeUid>,
     preferred: Option<NodeUid>,
-    /// The preferred home node's directory-shard affinity, cached when the
-    /// preference is set (§3b: the migrate-back fast path reads job +
-    /// home-node state together, so phase-1 placements route through the
-    /// owning shard instead of re-hashing the uid).
-    preferred_shard: Option<u32>,
     /// Capacity held on the preferred home node while a migrate-back
     /// checkpoint round-trip is in flight: (node, held since).
     home_hold: Option<(NodeUid, SimTime)>,
@@ -464,7 +452,7 @@ impl Coordinator {
             .counter("nodes_lost_total", "node losses", labels([]))
             .ok();
         let db = DbActor::new(config.db, seed ^ 0xD8);
-        let dir = Directory::with_shards(config.shard_count);
+        let dir = Directory::new();
         let admission = config
             .admission
             .as_ref()
@@ -832,7 +820,6 @@ impl Coordinator {
                 offered_to: None,
                 excluded: Vec::new(),
                 preferred: None,
-                preferred_shard: None,
                 home_hold: None,
                 latest_checkpoint: None,
                 displaced_from: None,
@@ -916,7 +903,6 @@ impl Coordinator {
         self.drop_hold(job);
         if let Some(meta) = self.jobs.get_mut(&job) {
             meta.preferred = None;
-            meta.preferred_shard = None;
             meta.migrating_back = false;
         }
         self.arm_pass(now);
@@ -967,7 +953,9 @@ impl Coordinator {
                 gpus,
                 agent_version: _,
             } => {
-                let gpu_count = gpus.len() as u8;
+                // The inventory is outside input (up to MAX_COLLECTION_LEN
+                // entries off the wire): saturate, never wrap to 0.
+                let gpu_count = u8::try_from(gpus.len()).unwrap_or(u8::MAX);
                 let (uid, returning) = self.dir.register(&machine_id, &hostname, gpus, now);
                 let token = self.tokens.issue(uid, &mut self.rng);
                 let latency = self.db.submit(
@@ -1128,7 +1116,6 @@ impl Coordinator {
                     // later, unrelated displacement still route home and
                     // count as a migrate-back.
                     meta.preferred = None;
-                    meta.preferred_shard = None;
                     meta.migrating_back = false;
                     // Release the offer reservation: the agent has allocated
                     // real VRAM, which the next heartbeat reports. Keeping
@@ -1452,14 +1439,9 @@ impl Coordinator {
             })
             .map(|(j, _)| *j)
             .collect();
-        let shard = self.dir.shard_of(node);
         for job in candidates {
             let meta = self.jobs.get_mut(&job).expect("just listed");
             meta.preferred = Some(node);
-            // §3b affinity rule: cache the home node's owning shard with
-            // the preference, so the phase-1 fast path reads that shard
-            // directly (job meta + home-node state travel together).
-            meta.preferred_shard = Some(shard);
             // A rejection from a past epoch must not veto the return home.
             meta.excluded.retain(|u| *u != node);
             match meta.current_node {
@@ -1554,16 +1536,7 @@ impl Coordinator {
             let meta = self.jobs.get(&job).expect("present");
             // The job's own held home slot counts as free for its check
             // (read-only; a transient miss leaves the hold untouched).
-            // Routed through the home node's cached shard affinity: the
-            // fast path reads job meta and home-node state together
-            // without re-hashing the uid (§3b).
-            let shard = meta
-                .preferred_shard
-                .unwrap_or_else(|| self.dir.shard_of(pref));
-            if self
-                .dir
-                .is_candidate_for_holder_on(shard, pref, &meta.spec, job)
-            {
+            if self.dir.is_candidate_for_holder(pref, &meta.spec, job) {
                 // Swap the hold (if any) for the offer reservation, taken
                 // atomically within this pass by dispatch_offer.
                 self.drop_hold(job);

@@ -1,6 +1,5 @@
 //! Per-node directory state: liveness, reliability, GPU slots, and the
-//! reservation ledger — everything the directory knows about one node,
-//! independent of which shard owns it.
+//! reservation ledger — everything the directory knows about one node.
 
 use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
@@ -85,8 +84,8 @@ pub struct NodeEntry {
     pub machine_id: String,
     /// Hostname.
     pub hostname: String,
-    /// Liveness. Mutations go through [`super::ShardedDirectory::set_liveness`]
-    /// so the owning shard's capacity index stays consistent.
+    /// Liveness. Mutations go through [`super::Directory::set_liveness`]
+    /// so the capacity index stays consistent.
     pub(crate) liveness: NodeLiveness,
     /// Last heartbeat receive time.
     pub last_heartbeat: SimTime,

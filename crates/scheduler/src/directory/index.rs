@@ -1,11 +1,10 @@
-//! The incremental capacity index over one shard's nodes.
+//! The incremental capacity index over the directory's nodes.
 //!
-//! Every mutation of a shard repositions the affected node here in
-//! O(log n). The index keeps *ordered* views so a sharded directory can
-//! compose shards by k-way merge (see [`super::merge`]): each accessor
-//! that feeds a merge yields `(key, value)` pairs in ascending key order,
-//! with the key chosen so that merging per-shard streams reproduces the
-//! unsharded iteration order bit-for-bit.
+//! Every mutation of the directory repositions the affected node here in
+//! O(log n). The index keeps *ordered* views, so each read accessor
+//! yields uids straight off a set in the order a strategy picks in, with
+//! ties inside a sort dimension (equal free VRAM, equal TFLOPS) broken on
+//! the lower uid.
 
 use super::entry::{NodeEntry, NodeLiveness};
 use gpunion_des::SimTime;
@@ -92,7 +91,7 @@ struct IndexedAt {
     heartbeat: SimTime,
 }
 
-/// The incremental capacity index of one shard.
+/// The incremental capacity index.
 ///
 /// Maintains three ordered views over the *schedulable* (Active) nodes —
 /// by capacity class for eligibility pruning and round-robin (each class's
@@ -153,13 +152,12 @@ impl CapacityIndex {
     /// Reposition only the capacity-derived views (class bucket, total
     /// free) after a reservation change. Heartbeat recency and speed
     /// views are untouched — this is the scheduling pass's per-placement
-    /// index update. Returns whether the node moved *up* a free-VRAM
-    /// bucket, i.e. joined a class set it was not a member of before.
-    pub(crate) fn update_capacity(&mut self, entry: &NodeEntry) -> bool {
+    /// index update.
+    pub(crate) fn update_capacity(&mut self, entry: &NodeEntry) {
         let uid = entry.uid;
         let Some(at) = self.entries.get(&uid).copied() else {
             // Not schedulable (non-Active): capacity views don't track it.
-            return false;
+            return;
         };
         let class = ClassKey {
             bucket: vram_bucket(entry.max_slot_free()),
@@ -182,7 +180,6 @@ impl CapacityIndex {
         let slot = self.entries.get_mut(&uid).expect("present above");
         slot.class = class;
         slot.total_free = total_free;
-        class.bucket > at.class.bucket
     }
 
     /// Re-derive a node's index position from its current entry state.
@@ -212,14 +209,7 @@ impl CapacityIndex {
         self.entries.len()
     }
 
-    // ---- merge-ready ordered streams ---------------------------------
-    //
-    // Every stream yields `(key, ())` (or `(key, value)`) pairs in
-    // ascending key order, and every key EMBEDS the node uid: keys are
-    // therefore unique across shards, a k-way merge of per-shard streams
-    // has no ties to break, and ties *within* a sort dimension (equal
-    // free VRAM, equal TFLOPS) break on uid exactly like the unsharded
-    // reverse iteration did.
+    // ---- ordered read views -----------------------------------------
 
     /// The classes `floor` admits, ascending class order.
     fn classes_from(
@@ -236,43 +226,32 @@ impl CapacityIndex {
             .filter(move |(k, _)| floor.min_cc.is_none_or(|cc| k.cc >= cc))
     }
 
-    /// Members of the classes `floor` admits, keyed `(Reverse(class), uid)`
-    /// in ascending key order — i.e. largest-free classes first, uid
-    /// ascending within a class, exactly the unsharded candidate order.
-    /// Superset of the exact answer; callers verify per node.
-    pub(crate) fn class_stream(
-        &self,
-        floor: ClassFloor,
-    ) -> impl Iterator<Item = ((Reverse<ClassKey>, NodeUid), ())> + '_ {
+    /// Members of the classes `floor` admits: largest-free classes first,
+    /// uid ascending within a class — the candidate order. Superset of the
+    /// exact answer; callers verify per node.
+    pub(crate) fn class_stream(&self, floor: ClassFloor) -> impl Iterator<Item = NodeUid> + '_ {
         self.classes_from(floor)
             .rev()
-            .flat_map(|(k, set)| set.iter().map(move |&uid| ((Reverse(*k), uid), ())))
+            .flat_map(|(_, set)| set.iter().copied())
     }
 
-    /// Keyed `(Reverse(total free), uid)` ascending — most-free first,
-    /// uid ascending on ties (the unsharded least-loaded order).
-    pub(crate) fn free_stream(&self) -> impl Iterator<Item = ((Reverse<u64>, NodeUid), ())> + '_ {
-        self.by_free
-            .iter()
-            .rev()
-            .map(|&(free, Reverse(uid))| ((Reverse(free), uid), ()))
+    /// Most total free VRAM first, uid ascending on ties (the
+    /// least-loaded order).
+    pub(crate) fn free_stream(&self) -> impl Iterator<Item = NodeUid> + '_ {
+        self.by_free.iter().rev().map(|&(_, Reverse(uid))| uid)
     }
 
-    /// Keyed `(Reverse(tflops bits), uid)` ascending — fastest first,
-    /// uid ascending on ties (the unsharded fastest-device order).
-    pub(crate) fn speed_stream(&self) -> impl Iterator<Item = ((Reverse<u64>, NodeUid), ())> + '_ {
-        self.by_speed
-            .iter()
-            .rev()
-            .map(|&(bits, Reverse(uid))| ((Reverse(bits), uid), ()))
+    /// Fastest best device first, uid ascending on ties (the
+    /// fastest-device order).
+    pub(crate) fn speed_stream(&self) -> impl Iterator<Item = NodeUid> + '_ {
+        self.by_speed.iter().rev().map(|&(_, Reverse(uid))| uid)
     }
 
     /// Smallest uid in `range` among the members of the classes `floor`
     /// admits — one tree descent per admitted class, no iterator state, and
     /// `None` without touching a node when no class can serve the floor.
-    /// The round-robin gather's per-shard reply: each refill asks every
-    /// shard for its next candidate and merges the answers, re-asking only
-    /// the shard whose uid won (see `directory::merge::RrGather`).
+    /// One step of the round-robin walk
+    /// (`Directory::round_robin_candidates`).
     pub(crate) fn first_candidate_in(
         &self,
         floor: ClassFloor,
@@ -288,9 +267,7 @@ impl CapacityIndex {
     pub(crate) fn heartbeat_stream(
         &self,
         cutoff: SimTime,
-    ) -> impl Iterator<Item = ((SimTime, NodeUid), ())> + '_ {
-        self.by_heartbeat
-            .range(..(cutoff, NodeUid(u64::MAX)))
-            .map(|&key| (key, ()))
+    ) -> impl Iterator<Item = (SimTime, NodeUid)> + '_ {
+        self.by_heartbeat.range(..(cutoff, NodeUid(0))).copied()
     }
 }

@@ -8,37 +8,30 @@
 //! rejection.
 //!
 //! [`Selector::pick`] — the hot path the batched scheduling pass drains
-//! jobs through — pops from the directory's ordered views (each a lazy
-//! k-way merge of the per-shard capacity indexes, bit-identical to the
-//! unsharded order) and verifies each popped node exactly. What a pick
-//! costs depends on the strategy and on how full the fleet is:
+//! jobs through — pops from the directory's ordered index views and
+//! verifies each popped node exactly. What a pick costs depends on the
+//! strategy and on how full the fleet is:
 //!
 //! * **Round-robin** (the paper's default) walks uid order over the
 //!   members of the capacity classes that could serve the job's shape
 //!   (free-VRAM bucket and compute capability at or above the spec's
 //!   floor), not over every Active node. On a fleet where most nodes are
-//!   eligible a pick is O(shards + log n), amortized over a pass by the
-//!   gather buffer. On a **saturated** fleet — many pending jobs, no free
-//!   node, the regime a campus short of GPUs lives in — a pick that finds
-//!   nothing costs O(shards × classes) set lookups and verifies only the
-//!   nodes of the floor bucket itself, instead of walking the fleet once
-//!   per pending job.
+//!   eligible a pick is O(classes · log n) per candidate it examines. On
+//!   a **saturated** fleet — many pending jobs, no free node, the regime
+//!   a campus short of GPUs lives in — a pick that finds nothing costs
+//!   O(classes) set lookups and verifies only the nodes of the floor
+//!   bucket itself, instead of walking the fleet once per pending job.
 //! * **Least-loaded** and **fastest-device** pop free-capacity and
-//!   device-speed order over *all* Active nodes: near-O(shards) when the
-//!   front of the order is eligible, O(fleet) when nothing is.
+//!   device-speed order over *all* Active nodes: O(1) when the front of
+//!   the order is eligible, O(fleet) when nothing is.
 //! * **Reliability-aware** scores the index's pre-filtered candidate set.
 //!
 //! [`Selector::rank`] returns the full ordering (diagnostics, tests,
 //! embedding loops that want fallbacks) over the same pre-filtered set.
 
-use crate::directory::{ClassFloor, Directory, GatherPos, NodeEntry, RrGather};
+use crate::directory::{ClassFloor, Directory, NodeEntry};
 use gpunion_protocol::{DispatchSpec, NodeUid};
 use serde::{Deserialize, Serialize};
-
-/// Uids gathered per round-robin refill: enough for a whole scheduling
-/// pass's picks in one scatter–gather, small enough that a pass with a
-/// single placement doesn't over-fetch much.
-const RR_GATHER_CHUNK: usize = 32;
 
 /// Selectable allocation strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,10 +56,6 @@ pub struct Selector {
     strategy: Strategy,
     /// Round-robin resumes scanning at this uid.
     rr_cursor: NodeUid,
-    /// Reusable round-robin scatter–gather buffer: one refill serves many
-    /// picks, so a 20-job pass pays the per-shard stream setup once
-    /// instead of once per pick.
-    gather: RrGather,
 }
 
 impl Selector {
@@ -75,7 +64,6 @@ impl Selector {
         Selector {
             strategy,
             rr_cursor: NodeUid(0),
-            gather: RrGather::new(),
         }
     }
 
@@ -109,7 +97,12 @@ impl Selector {
         let ok = |uid: &NodeUid| !exclude.contains(uid) && dir.is_candidate(*uid, spec);
         match self.strategy {
             Strategy::RoundRobin => {
-                let hit = self.rr_pick(dir, ClassFloor::of(spec), ok)?;
+                // Exactly `dir.round_robin_from(cursor).find(ok)` (tested
+                // against it): the walk skips only nodes outside the
+                // classes that could host `spec`, which `ok` rejects.
+                let hit = dir
+                    .round_robin_candidates(ClassFloor::of(spec), self.rr_cursor)
+                    .find(ok)?;
                 self.rr_cursor = NodeUid(hit.0 + 1);
                 Some(hit)
             }
@@ -124,76 +117,6 @@ impl Selector {
                         .then(b.uid.cmp(&a.uid))
                 })
                 .map(|e| e.uid),
-        }
-    }
-
-    /// Round-robin pick through the scatter–gather buffer: exactly
-    /// equivalent to `dir.round_robin_from(cursor).find(ok)` (tested
-    /// against it) for any `ok` that only accepts nodes able to host a
-    /// spec with class floor `floor`, but it enumerates that floor's
-    /// candidates instead of every Active uid, and the per-shard stream
-    /// setup is paid once per refill, not once per pick.
-    ///
-    /// Exactness argument. The buffer holds, in circle order, a suffix of
-    /// `circle(origin)` = `[origin, ∞) ++ [0, origin)` restricted to the
-    /// members of the classes `floor` admits — a superset of the nodes
-    /// `ok` can accept, so skipping the rest skips only rejections. Reuse
-    /// is allowed only when (a) the directory's gather epoch is unchanged:
-    /// nothing since the fill can have *added* a node to those classes
-    /// (membership changes, and capacity growth that lifts a node into a
-    /// higher bucket, bump it; a capacity-shrinking reserve can only
-    /// remove members, and a removed member still in the buffer is
-    /// rejected by `ok`), (b) the buffer was
-    /// gathered for the same `floor`, and (c) the pick's cursor is exactly
-    /// where consumption stopped (`expected_cursor`). Under those
-    /// conditions the remaining enumeration visits every node a fresh
-    /// `circle(cursor)` scan could accept, in the same order — except the
-    /// part already consumed by earlier picks, which a fresh scan
-    /// re-checks (an earlier hit may still have room, and `ok` differs
-    /// between picks: another job's exclusions, byte count or GPU count).
-    /// So: if a hit occurs before the resumed enumeration runs dry, it is
-    /// the fresh scan's hit; if it completes with no hit, the full circle
-    /// is restarted at `cursor` — uids re-checked by the restart stay
-    /// ineligible because nothing mutates mid-pick — and only a restarted
-    /// (fresh-this-pick) scan that comes up dry may conclude `None`.
-    ///
-    /// Assumes the selector serves one directory for its lifetime (as
-    /// the coordinator's does): the epoch clock is per-directory.
-    fn rr_pick(
-        &mut self,
-        dir: &Directory,
-        floor: ClassFloor,
-        ok: impl Fn(&NodeUid) -> bool,
-    ) -> Option<NodeUid> {
-        let epoch = dir.gather_epoch();
-        let g = &mut self.gather;
-        let mut fresh =
-            g.epoch != epoch || g.floor != floor || g.expected_cursor != Some(self.rr_cursor);
-        if fresh {
-            g.reset(epoch, self.rr_cursor, floor);
-        }
-        loop {
-            while let Some(uid) = g.buf.pop_front() {
-                if ok(&uid) {
-                    g.expected_cursor = Some(NodeUid(uid.0 + 1));
-                    return Some(uid);
-                }
-            }
-            if g.pos == GatherPos::Done {
-                if !fresh {
-                    // The enumeration was partly consumed by earlier
-                    // picks, so this pick never saw the full circle.
-                    // Restart it at the cursor before concluding None.
-                    g.reset(epoch, self.rr_cursor, floor);
-                    fresh = true;
-                    continue;
-                }
-                // Whole circle scanned this pick, nothing eligible. The
-                // next pick must rescan (`ok` changes between picks).
-                g.expected_cursor = None;
-                return None;
-            }
-            dir.fill_round_robin(g, RR_GATHER_CHUNK);
         }
     }
 
@@ -394,8 +317,8 @@ mod tests {
     }
 
     /// `n` single-3090 nodes (24 GB each), uids `0..n`.
-    fn uniform_dir(n: usize, shards: usize) -> Directory {
-        let mut d = Directory::with_shards(shards);
+    fn uniform_dir(n: usize) -> Directory {
+        let mut d = Directory::new();
         for i in 0..n {
             let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
             d.register(&format!("m-{i}"), "h", gpus, t(0));
@@ -403,16 +326,15 @@ mod tests {
         d
     }
 
-    /// The requalify hazard of a class-filtered buffer: a release moves a
-    /// node into a qualifying class *ahead of* the buffer's position, so a
-    /// resumed enumeration would never see it.
+    /// A release between two picks moves a node into a qualifying class
+    /// just past the cursor: the next pick's walk must see it.
     #[test]
     fn released_node_inside_the_buffered_span_is_not_skipped() {
-        let mut d = uniform_dir(3, 1);
+        let mut d = uniform_dir(3);
         d.reserve(NodeUid(1), JobId(9), 1, 20 << 30, None);
         let mut sel = Selector::new(Strategy::RoundRobin);
         // Node 1 has 4 GB free: outside every class a 16 GB job can use,
-        // so the gather buffers [0, 2] and this pick consumes 0.
+        // so this pick's walk is [0, 2] and it takes 0.
         assert_eq!(sel.pick(&d, &spec(16), &[]), Some(NodeUid(0)));
         d.release(NodeUid(1), JobId(9));
         assert_eq!(
@@ -425,7 +347,7 @@ mod tests {
 
     #[test]
     fn failing_pick_leaves_cursor_and_next_pick_exact() {
-        let mut d = uniform_dir(8, 4);
+        let mut d = uniform_dir(8);
         let mut sel = Selector::new(Strategy::RoundRobin);
         for _ in 0..3 {
             sel.pick(&d, &spec(4), &[]).expect("idle fleet");
@@ -449,7 +371,7 @@ mod tests {
     /// the spec's floor bucket without fitting it.
     #[test]
     fn failing_pick_on_a_saturated_fleet_verifies_a_handful_of_nodes() {
-        let mut d = uniform_dir(400, 16);
+        let mut d = uniform_dir(400);
         for uid in 0..400u64 {
             // Five nodes keep 17 GB free (the 20 GB job's own bucket, yet
             // too small); the rest keep 4 GB.
@@ -457,25 +379,16 @@ mod tests {
             d.reserve(NodeUid(uid), JobId(uid), 1, held << 30, None);
         }
         let s = spec(20);
-        let mut sel = Selector::new(Strategy::RoundRobin);
-        let verified = std::cell::Cell::new(0usize);
-        let ok = |uid: &NodeUid| {
-            verified.set(verified.get() + 1);
-            d.is_candidate(*uid, &s)
-        };
-        assert_eq!(sel.rr_pick(&d, ClassFloor::of(&s), ok), None);
-        assert!(
-            verified.get() <= 8,
-            "a failing pick verified {} of 400 nodes",
-            verified.get()
-        );
-        assert_eq!(verified.get(), 5, "exactly the floor bucket's members");
+        assert_eq!(Selector::new(Strategy::RoundRobin).pick(&d, &s, &[]), None);
+        let walked = d
+            .round_robin_candidates(ClassFloor::of(&s), NodeUid(0))
+            .count();
+        assert_eq!(walked, 5, "exactly the floor bucket's members, of 400");
     }
 
     /// A pick-turn spec drawn from few class floors (3 byte counts in 3
     /// buckets × 2 compute capabilities) so consecutive picks often share
-    /// one and the gather buffer really is reused; GPU count varies inside
-    /// a floor.
+    /// one; GPU count varies inside a floor.
     fn floor_spec(b: u64) -> DispatchSpec {
         let mut s = spec([4, 12, 20][(b % 3) as usize]);
         s.min_cc = [None, Some((8, 6))][(b / 3 % 2) as usize];
@@ -484,31 +397,26 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The gather-buffered, class-filtered round-robin pick is
-        /// *exactly* the fresh enumeration
-        /// `round_robin_from(cursor).find(ok)` over every Active uid,
-        /// under any interleaving of picks with membership mutations
-        /// (register, liveness flips) and capacity mutations (reserve,
-        /// re-reserve, release) — the cases the epoch clock, the floor
-        /// and `expected_cursor` checks, and the Done-restart rule each
-        /// exist for — on an idle fleet and then on a saturated one
-        /// (everything reserved, every pick on one class floor so each
-        /// resumes the last one's buffer, mostly `None`, with staggered
-        /// releases and shrunk holds freeing nodes between them).
+        /// The class-filtered round-robin pick is *exactly* the fresh
+        /// enumeration `round_robin_from(cursor).find(ok)` over every
+        /// Active uid, under any interleaving of picks with membership
+        /// mutations (register, liveness flips) and capacity mutations
+        /// (reserve, re-reserve, release) — on an idle fleet and then on
+        /// a saturated one (everything reserved, every pick on one class
+        /// floor, mostly `None`, with staggered releases and shrunk holds
+        /// freeing nodes between them).
         #[test]
-        fn prop_gathered_pick_matches_fresh_enumeration(
+        fn prop_round_robin_pick_matches_fresh_enumeration(
             actions in proptest::collection::vec((0u8..10, 0u64..10, 0u64..32), 1..100),
             saturated in proptest::collection::vec((0u8..4, 0u64..10, 0u64..32), 0..80),
             sat_floor in 0u64..6,
-            shards in 1usize..9,
         ) {
-            let mut d = Directory::with_shards(shards);
+            let mut d = Directory::new();
             let mut sel = Selector::new(Strategy::RoundRobin);
             let mut cursor = NodeUid(0); // reference's mirror of rr_cursor
             let mut next_job = 10_000u64; // placements: never a re-reserve
             // One pick turn checked against the reference; `place` follows
-            // a hit with the pass's capacity-shrinking reserve, which must
-            // not invalidate the gather.
+            // a hit with the pass's capacity-shrinking reserve.
             let mut pick_turn = |d: &mut Directory, b: u64, place: bool| {
                 let s = floor_spec(b);
                 let want = d

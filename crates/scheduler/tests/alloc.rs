@@ -1,11 +1,10 @@
-//! Allocation discipline of the round-robin scatter–gather pick path.
+//! Allocation discipline of the round-robin pick path.
 //!
-//! The scheduling pass's round-robin pick reads a 16-shard directory
-//! through a reusable gather buffer (`RrGather`): one refill primes
-//! per-shard next-uid replies and k-way-merges them into a buffer many
-//! picks consume. These tests pin the warm path — refills, merges, buffer
-//! pops, per-uid candidacy verification, and the wrap-around restart on a
-//! fleet with room; the per-shard class walk that finds nothing on a
+//! The scheduling pass's round-robin pick walks the capacity index one
+//! `first_candidate_in` per uid it examines and keeps no state between
+//! picks. These tests pin that path — class lookups, per-uid candidacy
+//! verification, and the wrap-around on a fleet with room; the class walk
+//! that finds nothing on a
 //! saturated one — to ZERO heap allocations by counting real allocations
 //! with a counting global allocator. The counter is **per thread**
 //! (const-initialized TLS, so reading it never recurses into the
@@ -74,7 +73,7 @@ fn spec(mem_gb: u64, min_cc: Option<(u8, u8)>) -> DispatchSpec {
 
 #[test]
 fn warm_round_robin_gather_does_not_allocate() {
-    let mut dir = Directory::with_shards(16);
+    let mut dir = Directory::new();
     let models = GpuModel::ALL;
     for i in 0..64usize {
         let gpus: Vec<GpuInfo> = vec![models[i % models.len()].into()];
@@ -87,15 +86,13 @@ fn warm_round_robin_gather_does_not_allocate() {
     let s = spec(4, None);
     let mut sel = Selector::new(Strategy::RoundRobin);
 
-    // Warm up: grow the gather buffer and per-shard head vector to their
-    // steady-state capacity, covering at least one full wrap (and the
-    // fresh-restart rule it triggers) outside the measured window.
+    // Warm up over at least one full wrap, outside the measured window.
     for _ in 0..150 {
         assert!(sel.pick(&dir, &s, &[]).is_some());
     }
 
-    // Measured window: two more full circles of picks — buffer refills,
-    // k-way head merges, wrap-around restarts, candidacy checks.
+    // Measured window: two more full circles of picks — class lookups,
+    // wrap-arounds, candidacy checks.
     let before = allocations();
     let mut hits = 0usize;
     for _ in 0..130 {
@@ -107,14 +104,14 @@ fn warm_round_robin_gather_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "warm scatter–gather pick path allocated {} times over 130 picks",
+        "warm pick path allocated {} times over 130 picks",
         after - before
     );
 }
 
 #[test]
 fn warm_failing_picks_on_a_saturated_fleet_do_not_allocate() {
-    let mut dir = Directory::with_shards(16);
+    let mut dir = Directory::new();
     for i in 0..64u64 {
         let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
         dir.register(&format!("m-{i}"), "h", gpus, SimTime::from_secs(0));

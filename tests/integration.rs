@@ -295,31 +295,3 @@ fn migrate_back_tracks_paper_rate_under_temporary_unavailability() {
         report.temporary.displacements,
     );
 }
-
-/// End to end, directory sharding is invisible: the full fig3
-/// interruption pipeline — churn injection, heartbeat-loss detection,
-/// displacement, checkpoint restore, migrate-back — must report
-/// *identical* outcomes at shard_count=4 as at the single-shard default.
-/// (The unit-level proptests prove view and decision equivalence; this
-/// pins the whole platform stack, timers and network included.)
-#[test]
-fn fig3_outcomes_identical_under_sharded_directory() {
-    let reference = gpunion::core::run_fig3(2, 3.0, 7);
-    let sharded = gpunion::core::run_fig3_sharded(2, 3.0, 7, 4);
-    assert!(
-        reference.scheduled.displacements > 0 && reference.temporary.displacements > 0,
-        "the scenario must exercise displacement and migrate-back"
-    );
-    assert_eq!(
-        format!("{reference:?}"),
-        format!("{sharded:?}"),
-        "shard_count=4 diverged from the single-shard run"
-    );
-    assert_eq!(reference.scheduled.restored, sharded.scheduled.restored);
-    assert_eq!(reference.scheduled.resumed(), sharded.scheduled.resumed());
-    assert_eq!(
-        reference.temporary.migrated_back,
-        sharded.temporary.migrated_back
-    );
-    assert_eq!(reference.jobs_completed, sharded.jobs_completed);
-}
