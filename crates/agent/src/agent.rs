@@ -18,8 +18,8 @@ use gpunion_container::{ContainerConfigBuilder, ContainerId, ContainerRuntime, I
 use gpunion_des::{SimDuration, SimTime, TokenBucket};
 use gpunion_gpu::{ComputeCapability, GpuIndex, GpuServer, MemAllocId};
 use gpunion_protocol::{
-    AuthToken, Control, DepartureMode, DispatchSpec, ExecMode, FreeSlice, JobId, KillReason,
-    Message, NodeUid, Work, WorkloadState, WorkloadStatus,
+    AuthToken, Control, DepartureMode, DispatchSpec, ExecMode, JobId, KillReason, Message, NodeUid,
+    Work, WorkloadState, WorkloadStatus,
 };
 use gpunion_storage::CheckpointCostModel;
 use gpunion_telemetry::{labels, Registry};
@@ -139,8 +139,6 @@ enum Timer {
     CaptureDone(JobId),
     JobComplete(JobId),
     DepartureDeadline,
-    /// Pull mode: re-offer free capacity after a `GrantNack` backoff.
-    ReOffer,
 }
 
 /// The provider agent.
@@ -305,7 +303,6 @@ impl Agent {
             Timer::CaptureDone(job) => self.capture_done(now, job, actions),
             Timer::JobComplete(job) => self.job_complete(now, job, actions),
             Timer::DepartureDeadline => self.departure_deadline_hit(now, actions),
-            Timer::ReOffer => self.offer_capacity(actions),
         }
     }
 
@@ -411,8 +408,6 @@ impl Agent {
                 // First heartbeat immediately; then periodic.
                 actions.push(Action::Send(self.heartbeat(now)));
                 self.arm(now + self.config.heartbeat_period, Timer::Heartbeat);
-                // Pull mode: a freshly booted node is all free capacity.
-                self.offer_capacity(actions);
             }
             Control::HeartbeatAck { .. } => {}
             _ => {
@@ -436,22 +431,6 @@ impl Agent {
     ) {
         match msg {
             Work::Dispatch { spec } => self.dispatch(now, spec, registry, actions),
-            // A grant is a dispatch the agent asked for; admission is
-            // identical (the offer may have gone stale under the lease).
-            Work::WorkGrant { spec, .. } => self.dispatch(now, spec, registry, actions),
-            Work::GrantNack { retry_after_ms, .. } => {
-                // Nothing matched our offer. Honour the coordinator's
-                // backoff hint with a scheduled re-offer so a quiet node
-                // does not wait for its next capacity-freeing event;
-                // coalesce repeated nacks into a single pending timer.
-                if self.config.nack_backoff
-                    && self.config.pull_mode
-                    && !self.timers.values().any(|t| matches!(t, Timer::ReOffer))
-                {
-                    let delay = SimDuration::from_millis(retry_after_ms.max(1) as u64);
-                    self.arm(now + delay, Timer::ReOffer);
-                }
-            }
             Work::Kill { job, reason } => self.kill_workload(now, job, reason, actions),
             Work::CheckpointRequest { job } => {
                 if let Some(w) = self.workloads.get(&job) {
@@ -471,58 +450,6 @@ impl Agent {
                 ));
             }
         }
-    }
-
-    /// Pull-mode: advertise current free capacity to the coordinator.
-    /// No-op unless `pull_mode` is on, the agent is active, and at least one
-    /// GPU has free VRAM.
-    fn offer_capacity(&mut self, actions: &mut Vec<Action>) {
-        if !self.config.pull_mode || self.phase != AgentPhase::Active {
-            return;
-        }
-        let Some(uid) = self.uid else {
-            return;
-        };
-        let free_slices = self.free_slices();
-        if free_slices.is_empty() {
-            return;
-        }
-        actions.push(Action::Send(
-            Work::WorkRequest {
-                node: uid,
-                free_slices,
-                deadline_ms: self.config.offer_deadline_ms,
-            }
-            .into(),
-        ));
-    }
-
-    /// Free capacity grouped by (free VRAM, compute capability) shape, one
-    /// [`FreeSlice`] per distinct shape, deterministically ordered by GPU
-    /// index.
-    fn free_slices(&self) -> Vec<FreeSlice> {
-        let mut slices: Vec<FreeSlice> = Vec::new();
-        for (_, dev) in self.server.devices() {
-            let free = dev.free_bytes();
-            if free == 0 {
-                continue;
-            }
-            let spec = dev.spec();
-            let cc = spec.compute_capability;
-            match slices
-                .iter_mut()
-                .find(|s| s.mem_bytes == free && s.cc_major == cc.major && s.cc_minor == cc.minor)
-            {
-                Some(s) => s.count = s.count.saturating_add(1),
-                None => slices.push(FreeSlice {
-                    count: 1,
-                    mem_bytes: free,
-                    cc_major: cc.major,
-                    cc_minor: cc.minor,
-                }),
-            }
-        }
-        slices
     }
 
     fn disarm_checkpoint_timer(&mut self, job: JobId) {
@@ -683,7 +610,14 @@ impl Agent {
         registry: &ImageRegistry,
         actions: &mut Vec<Action>,
     ) {
-        let Some(w) = self.workloads.get(&job) else {
+        // A `Kill` during a pull leaves its flow in flight, so a completion
+        // can arrive for a job that is gone, or re-dispatched and already
+        // past its own pull: only a `Pulling` workload has a pull to finish.
+        let Some(w) = self
+            .workloads
+            .get(&job)
+            .filter(|w| w.phase == WorkPhase::Pulling)
+        else {
             return;
         };
         let image_ref = registry_lookup(registry, &w.spec);
@@ -973,8 +907,6 @@ impl Agent {
         ));
         self.disarm_job_timers(job);
         self.workloads.remove(&job);
-        // Pull mode: the completed job's VRAM is back on the market.
-        self.offer_capacity(actions);
     }
 
     fn release_gpus(&mut self, now: SimTime, job: JobId) {
@@ -1026,8 +958,6 @@ impl Agent {
         if self.workloads[&job].run.is_none() {
             self.workloads.remove(&job);
         }
-        // Pull mode: the kill freed GPUs; re-offer them.
-        self.offer_capacity(actions);
     }
 
     /// Discard a workload entry after the loop migrated its run, freeing
@@ -1067,8 +997,6 @@ impl Agent {
             }
             .into(),
         ));
-        // Pull mode: the failed job's GPUs are free again.
-        self.offer_capacity(actions);
     }
 
     // ---- flows ---------------------------------------------------------

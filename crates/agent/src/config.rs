@@ -21,17 +21,6 @@ pub struct AgentConfig {
     pub departure_grace: SimDuration,
     /// Agent software version.
     pub version: u32,
-    /// Pull-mode marketplace: emit `WorkRequest` offers on capacity-freeing
-    /// events instead of waiting for coordinator-pushed dispatches. Off by
-    /// default so push-mode traces stay byte-identical.
-    pub pull_mode: bool,
-    /// Validity window advertised on each `WorkRequest` offer.
-    pub offer_deadline_ms: u32,
-    /// Pull mode: honour `GrantNack::retry_after_ms` with a scheduled
-    /// re-offer instead of waiting for the next capacity-freeing event.
-    /// On by default — it only acts in pull mode, so the push-mode golden
-    /// traces are unaffected either way.
-    pub nack_backoff: bool,
     /// REST control-panel rate limit: bucket burst capacity. `0` disables
     /// limiting (the default — existing harnesses hammer `/status` freely).
     pub rest_burst: u64,
@@ -50,9 +39,6 @@ impl AgentConfig {
             heartbeat_period: SimDuration::from_secs(5),
             departure_grace: SimDuration::from_secs(120),
             version: 1_000_000, // 1.0.0
-            pull_mode: false,
-            offer_deadline_ms: 15_000,
-            nack_backoff: true,
             rest_burst: 0,
             rest_rate_per_sec: 0,
         }

@@ -546,76 +546,57 @@ mod tests {
         let _ = KillReason::ProviderKillSwitch;
     }
 
-    fn pull_agent(nack_backoff: bool) -> (Agent, gpunion_container::ImageRegistry) {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut config = AgentConfig::new("ws-1", &mut rng);
-        config.pull_mode = true;
-        config.nack_backoff = nack_backoff;
-        let server = GpuServer::new(ServerSpec::workstation("ws-1", GpuModel::Rtx3090));
-        let mut agent = Agent::new(config, server);
-        let (registry, _) = standard_catalogue();
-        agent.start_registration(t(0));
-        let ack = Control::RegisterAck {
-            node: NodeUid(7),
-            token: AuthToken([9; 16]),
-            heartbeat_period_ms: 5_000,
-        }
-        .into();
-        let actions = agent.handle_message(t(1), ack, &registry);
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, Action::Send(Message::Work(Work::WorkRequest { .. })))),
-            "pull-mode boot offers capacity"
-        );
-        (agent, registry)
-    }
-
-    fn count_offers(actions: &[Action]) -> usize {
-        actions
-            .iter()
-            .filter(|a| matches!(a, Action::Send(Message::Work(Work::WorkRequest { .. }))))
-            .count()
-    }
-
+    /// A `Kill` during a pull leaves the pull's flow in flight; when the
+    /// same job is dispatched here again, both completions arrive under the
+    /// same `ImagePull { job }` purpose. The second finds the workload past
+    /// `Pulling` and must be ignored.
     #[test]
-    fn grant_nack_backoff_schedules_single_reoffer() {
-        let (mut agent, registry) = pull_agent(true);
-        // Two nacks in quick succession coalesce into one pending re-offer.
-        for at in [10, 11] {
-            let actions = agent.handle_message(
-                t(at),
-                Work::GrantNack {
-                    node: NodeUid(7),
-                    retry_after_ms: 2_500,
-                }
-                .into(),
-                &registry,
-            );
-            assert_eq!(count_offers(&actions), 0, "the nack itself emits nothing");
-        }
-        // Nothing re-offers before the hint elapses (heartbeats still fire).
-        let actions = drive(&mut agent, &registry, t(12));
-        assert_eq!(count_offers(&actions), 0);
-        // At t = 10 + 2.5 s the scheduled re-offer fires, exactly once.
-        let actions = drive(&mut agent, &registry, t(13));
-        assert_eq!(count_offers(&actions), 1);
-    }
-
-    #[test]
-    fn grant_nack_ignored_when_backoff_disabled() {
-        let (mut agent, registry) = pull_agent(false);
+    fn stale_image_pull_completion_is_ignored() {
+        let (mut agent, registry, refs) = registered_agent();
+        let dispatch = || Work::Dispatch {
+            spec: dispatch_spec(&refs, 50),
+        };
+        agent.handle_message(t(2), dispatch().into(), &registry);
         agent.handle_message(
-            t(10),
-            Work::GrantNack {
-                node: NodeUid(7),
-                retry_after_ms: 2_500,
+            t(3),
+            Work::Kill {
+                job: JobId(50),
+                reason: KillReason::SchedulerPreempt,
             }
             .into(),
             &registry,
         );
-        let actions = drive(&mut agent, &registry, t(30));
-        assert_eq!(count_offers(&actions), 0, "no re-offer without backoff");
+        assert_eq!(agent.workload_count(), 0);
+        let actions = agent.handle_message(t(4), dispatch().into(), &registry);
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            Action::Send(Message::Work(Work::DispatchReply { accepted: true, .. }))
+        )));
+        agent.attach_run(
+            JobId(50),
+            TrainingRun::new(TrainingJobSpec::new(ModelClass::CnnSmall, 50_000)),
+        );
+        let purpose = FlowPurpose::ImagePull { job: JobId(50) };
+        assert!(agent
+            .on_flow_done(t(30), purpose, true, &registry)
+            .is_empty());
+        assert!(agent
+            .on_flow_done(t(31), purpose, true, &registry)
+            .is_empty());
+        // One verification, one start: the workload runs exactly once.
+        let actions = drive(&mut agent, &registry, t(90));
+        let running = actions
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Send(Message::Work(Work::WorkloadUpdate { status, .. }))
+                        if status.state == WorkloadState::Running
+                )
+            })
+            .count();
+        assert_eq!(running, 1);
+        assert_eq!(agent.workload_count(), 1);
     }
 
     #[test]

@@ -269,7 +269,7 @@ fn main() {
     eprintln!("bench_gate: filling the fair-share queue (10⁶ jobs, 10⁶ users)…");
     let market = market_grant_run(1_000_000, 1_000_000, 1_001);
     eprintln!(
-        "bench_gate: marketplace row — admit {} ns/job amortized, grant {} ns at \
+        "bench_gate: fair-share queue row — admit {} ns/job amortized, dequeue {} ns at \
          {}-deep queue over {} users",
         market.admit_ns, market.grant_ns, market.queued_jobs, market.users
     );

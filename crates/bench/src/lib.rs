@@ -892,7 +892,7 @@ pub fn semester_sweep_heap(nodes: u32, days: u64) -> SemesterRow {
     row
 }
 
-/// The marketplace-admission row: per-decision cost of the weighted
+/// The fair-share queue row: per-decision cost of the weighted
 /// fair-share pending queue at million scale (DESIGN.md §3c).
 #[derive(Debug, Clone, Copy)]
 pub struct MarketRow {
@@ -903,16 +903,16 @@ pub struct MarketRow {
     /// Amortized admission cost: fair-share tag + enqueue, ns/job (the
     /// whole 10⁶-job fill divided by its count — cold, allocation-heavy).
     pub admit_ns: u64,
-    /// Grant decision cost at full depth: peek + dequeue, ns/grant
-    /// (median over the sampled grants).
+    /// Dequeue decision cost at full depth: peek + take, ns/decision
+    /// (median over the sampled decisions).
     pub grant_ns: u64,
 }
 
 /// Fill a [`gpunion_db::SystemDb`] pending queue with `jobs` submissions from a
 /// heavy-tailed [`UserPopulation`] under weighted fair-share, then
-/// measure the grant decision (peek + take) at full depth. Pure store
-/// benchmark — no coordinator, no directory — so the row isolates the
-/// marketplace's admission/grant data structure from placement cost.
+/// measure the "who goes next" decision (peek + take) at full depth.
+/// Pure store benchmark — no coordinator, no directory — so the row
+/// isolates the fair-share pending queue from placement cost.
 pub fn market_grant_run(users: u64, jobs: usize, grants: usize) -> MarketRow {
     use gpunion_db::{QueueDiscipline, SystemDb};
     let pop = UserPopulation::new(11, users);
@@ -952,8 +952,8 @@ pub fn market_grant_run(users: u64, jobs: usize, grants: usize) -> MarketRow {
 
 /// Admission-control overload row: a token-bucket-gated coordinator at
 /// ρ > 1 on batch submissions, with interactive-priority (critical)
-/// submissions interleaved. The marketplace's shedding contract: batch
-/// overload is shed at the inbox, criticals NEVER are.
+/// submissions interleaved. The shedding contract: batch overload is
+/// shed at the inbox, criticals NEVER are.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionRow {
     /// Batch submissions offered.

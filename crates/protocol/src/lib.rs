@@ -28,9 +28,8 @@ pub use auth::TokenRegistry;
 pub use framing::{encode_frame, BufferPool, FrameDecoder, FrameError, MAX_FRAME_LEN};
 pub use http::{HttpError, HttpRequest, HttpResponse, Method};
 pub use message::{
-    AuthToken, Control, DepartureMode, DispatchSpec, Envelope, ExecMode, FreeSlice, GpuInfo,
-    GpuStat, JobId, KillReason, Message, NodeUid, UserId, Work, WorkloadState, WorkloadStatus,
-    PROTOCOL_VERSION,
+    AuthToken, Control, DepartureMode, DispatchSpec, Envelope, ExecMode, GpuInfo, GpuStat, JobId,
+    KillReason, Message, NodeUid, UserId, Work, WorkloadState, WorkloadStatus, PROTOCOL_VERSION,
 };
 pub use transport::{FramedTransport, TransportError};
 pub use wire::{CountingSink, WireError, WireReader, WireSink, WireWriter};
@@ -81,15 +80,6 @@ mod proptests {
                 temperature_c: temp,
                 power_w: power,
             })
-    }
-
-    fn arb_free_slice() -> impl Strategy<Value = FreeSlice> {
-        (0u8..16, any::<u64>(), 0u8..10, 0u8..10).prop_map(|(count, mem, maj, min)| FreeSlice {
-            count,
-            mem_bytes: mem,
-            cc_major: maj,
-            cc_minor: min,
-        })
     }
 
     fn arb_exec_mode() -> impl Strategy<Value = ExecMode> {
@@ -270,22 +260,6 @@ mod proptests {
                 }),
             (arb_status(), proptest::option::of(any::<i32>()))
                 .prop_map(|(status, exit_code)| { Work::WorkloadUpdate { status, exit_code } }),
-            (
-                any::<u64>(),
-                proptest::collection::vec(arb_free_slice(), 0..6),
-                any::<u32>()
-            )
-                .prop_map(|(n, free_slices, deadline_ms)| Work::WorkRequest {
-                    node: NodeUid(n),
-                    free_slices,
-                    deadline_ms,
-                }),
-            (arb_dispatch_spec(), any::<u32>())
-                .prop_map(|(spec, lease_ms)| Work::WorkGrant { spec, lease_ms }),
-            (any::<u64>(), any::<u32>()).prop_map(|(n, retry_after_ms)| Work::GrantNack {
-                node: NodeUid(n),
-                retry_after_ms,
-            }),
         ]
     }
 

@@ -184,21 +184,6 @@ pub struct DispatchSpec {
     pub user: UserId,
 }
 
-/// One class of free capacity in a [`Work::WorkRequest`] offer: `count`
-/// interchangeable GPUs, each with `mem_bytes` of free VRAM at the given
-/// compute capability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FreeSlice {
-    /// Number of free GPUs of this shape.
-    pub count: u8,
-    /// Free VRAM per GPU, in bytes.
-    pub mem_bytes: u64,
-    /// Compute capability major.
-    pub cc_major: u8,
-    /// Compute capability minor.
-    pub cc_minor: u8,
-}
-
 /// Node-membership and platform-status traffic: registration, liveness,
 /// departure, provider pausing, and protocol errors. Everything here is
 /// about *nodes joining/leaving/reporting*, never about a specific job.
@@ -267,17 +252,16 @@ pub enum Control {
     },
 }
 
-/// Job-placement and workload-lifecycle traffic: push-mode dispatch, the
-/// pull-mode request/grant marketplace, kills, checkpoints, and workload
-/// status. Everything here names a job or offers capacity to run one.
+/// Job-placement and workload-lifecycle traffic: dispatch, kills,
+/// checkpoints, and workload status. Everything here names a job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Work {
-    /// Coordinator → agent: place this job (push mode).
+    /// Coordinator → agent: place this job.
     Dispatch {
         /// Full job spec.
         spec: DispatchSpec,
     },
-    /// Agent → coordinator: dispatch/grant outcome.
+    /// Agent → coordinator: dispatch outcome.
     DispatchReply {
         /// Job.
         job: JobId,
@@ -316,42 +300,12 @@ pub enum Work {
         /// Exit code if terminal.
         exit_code: Option<i32>,
     },
-    /// Agent → coordinator (pull mode): "I have capacity — give me work."
-    /// Emitted on capacity-freeing events: boot, job end, interruption
-    /// recovery. The offer stands until `deadline_ms` elapses or the
-    /// coordinator answers with grants/nack.
-    WorkRequest {
-        /// Offering node.
-        node: NodeUid,
-        /// Free capacity, one entry per distinct GPU shape.
-        free_slices: Vec<FreeSlice>,
-        /// Offer validity window from receipt, in milliseconds.
-        deadline_ms: u32,
-    },
-    /// Coordinator → agent (pull mode): a job granted against the node's
-    /// standing offer. The agent answers with [`Work::DispatchReply`],
-    /// exactly like a push-mode dispatch.
-    WorkGrant {
-        /// Full job spec.
-        spec: DispatchSpec,
-        /// Lease: the grant lapses if the job has not started within this
-        /// many milliseconds (the coordinator's offer-timeout mirror).
-        lease_ms: u32,
-    },
-    /// Coordinator → agent (pull mode): nothing matched the node's offer.
-    GrantNack {
-        /// The node whose offer went unmatched.
-        node: NodeUid,
-        /// Hint: don't re-offer for this many milliseconds.
-        retry_after_ms: u32,
-    },
 }
 
 /// The control-plane message set, grouped by concern: [`Control`] carries
 /// node membership/status traffic, [`Work`] carries job placement and
-/// lifecycle traffic (including the pull-mode request/grant marketplace).
-/// Wire tags are flat across both groups, so the encoding of every
-/// pre-existing variant is unchanged by the grouping.
+/// lifecycle traffic. Wire tags are flat across both groups, so the
+/// encoding of every pre-existing variant is unchanged by the grouping.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// Node membership / platform status.
@@ -751,24 +705,6 @@ impl DispatchSpec {
     }
 }
 
-impl FreeSlice {
-    fn encode<S: WireSink>(&self, w: &mut S) {
-        w.put_u8(self.count);
-        w.put_u64(self.mem_bytes);
-        w.put_u8(self.cc_major);
-        w.put_u8(self.cc_minor);
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(FreeSlice {
-            count: r.get_u8()?,
-            mem_bytes: r.get_u64()?,
-            cc_major: r.get_u8()?,
-            cc_minor: r.get_u8()?,
-        })
-    }
-}
-
 impl Control {
     /// Encode the variant with its flat wire tag.
     fn encode<S: WireSink>(&self, w: &mut S) {
@@ -965,32 +901,6 @@ impl Work {
                     None => w.put_u8(0),
                 }
             }
-            Work::WorkRequest {
-                node,
-                free_slices,
-                deadline_ms,
-            } => {
-                w.put_u8(0x0E);
-                w.put_u64(node.0);
-                w.put_count(free_slices.len());
-                for s in free_slices {
-                    s.encode(w);
-                }
-                w.put_u32(*deadline_ms);
-            }
-            Work::WorkGrant { spec, lease_ms } => {
-                w.put_u8(0x0F);
-                spec.encode(w);
-                w.put_u32(*lease_ms);
-            }
-            Work::GrantNack {
-                node,
-                retry_after_ms,
-            } => {
-                w.put_u8(0x10);
-                w.put_u64(node.0);
-                w.put_u32(*retry_after_ms);
-            }
         }
     }
 
@@ -1042,27 +952,6 @@ impl Work {
                 };
                 Work::WorkloadUpdate { status, exit_code }
             }
-            0x0E => {
-                let node = NodeUid(r.get_u64()?);
-                let n = r.get_count()?;
-                let mut free_slices = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    free_slices.push(FreeSlice::decode(r)?);
-                }
-                Work::WorkRequest {
-                    node,
-                    free_slices,
-                    deadline_ms: r.get_u32()?,
-                }
-            }
-            0x0F => Work::WorkGrant {
-                spec: DispatchSpec::decode(r)?,
-                lease_ms: r.get_u32()?,
-            },
-            0x10 => Work::GrantNack {
-                node: NodeUid(r.get_u64()?),
-                retry_after_ms: r.get_u32()?,
-            },
             t => {
                 return Err(WireError::InvalidTag {
                     context: "Work",
@@ -1090,6 +979,8 @@ impl Message {
         let tag = r.get_u8()?;
         Ok(match tag {
             0x01..=0x05 | 0x0C | 0x0D => Message::Control(Control::decode_body(tag, r)?),
+            // 0x0E–0x10 are retired `Work` tags: still routed to their group
+            // so they stay reserved and fail there as unknown `Work` tags.
             0x06..=0x0B | 0x0E..=0x10 => Message::Work(Work::decode_body(tag, r)?),
             t => {
                 return Err(WireError::InvalidTag {
@@ -1227,64 +1118,37 @@ mod tests {
         assert_eq!(roundtrip(msg.clone()), msg);
     }
 
+    /// Tags `0x0E`–`0x10` carried the pull marketplace's `WorkRequest`,
+    /// `WorkGrant` and `GrantNack` until that protocol was deleted. A peer
+    /// that still sends one gets a decode error from the `Work` group; the
+    /// body behind the tag (here a node id and a hostile slice count) is
+    /// never read, so it can neither panic nor size an allocation.
     #[test]
-    fn pull_marketplace_roundtrips() {
-        let msgs: Vec<Message> = vec![
-            Work::WorkRequest {
-                node: NodeUid(42),
-                free_slices: vec![
-                    FreeSlice {
-                        count: 2,
-                        mem_bytes: 24 << 30,
-                        cc_major: 8,
-                        cc_minor: 6,
-                    },
-                    FreeSlice {
-                        count: 1,
-                        mem_bytes: 80 << 30,
-                        cc_major: 9,
-                        cc_minor: 0,
-                    },
-                ],
-                deadline_ms: 15_000,
+    fn retired_work_tags_are_decode_errors() {
+        let kill = Envelope::new(
+            AuthToken([7; 16]),
+            Work::Kill {
+                job: JobId(4),
+                reason: KillReason::UserCancel,
             }
             .into(),
-            Work::WorkRequest {
-                node: NodeUid(7),
-                free_slices: vec![],
-                deadline_ms: 0,
-            }
-            .into(),
-            Work::WorkGrant {
-                spec: DispatchSpec {
-                    job: JobId(9001),
-                    image_repo: "pytorch/pytorch".into(),
-                    image_tag: "2.3-cuda12".into(),
-                    image_digest: [0x5C; 32],
-                    gpus: 1,
-                    gpu_mem_bytes: 16 << 30,
-                    min_cc: None,
-                    mode: ExecMode::Batch {
-                        entrypoint: vec!["python".into(), "train.py".into()],
-                    },
-                    checkpoint_interval_secs: 600,
-                    storage_nodes: vec![NodeUid(3)],
-                    state_bytes_hint: 1 << 30,
-                    restore_from_seq: None,
-                    priority: 1,
-                    user: UserId(17),
-                },
-                lease_ms: 10_000,
-            }
-            .into(),
-            Work::GrantNack {
-                node: NodeUid(42),
-                retry_after_ms: 2_500,
-            }
-            .into(),
-        ];
-        for msg in msgs {
-            assert_eq!(roundtrip(msg.clone()), msg);
+        );
+        for tag in [0x0E, 0x0F, 0x10] {
+            // Header (1 version + 8 sender + 16 token), the tag, the body.
+            let mut bytes = kill.to_bytes()[..25].to_vec();
+            bytes.push(tag);
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            let retired = Err(WireError::InvalidTag {
+                context: "Work",
+                tag,
+            });
+            assert_eq!(Envelope::from_bytes(&bytes), retired);
+
+            let mut decoder = crate::FrameDecoder::new();
+            decoder.extend(&crate::encode_frame(&bytes));
+            let frame = decoder.next_frame().unwrap().expect("one whole frame");
+            assert_eq!(Envelope::from_bytes(&frame), retired);
         }
     }
 

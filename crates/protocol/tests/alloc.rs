@@ -14,8 +14,8 @@
 //! claim — the hot path itself, on the thread running it, never allocates.
 
 use gpunion_protocol::{
-    AuthToken, BufferPool, Control, Envelope, FramedTransport, GpuStat, JobId, Message, NodeUid,
-    Work, WorkloadState, WorkloadStatus,
+    AuthToken, BufferPool, Control, Envelope, FramedTransport, GpuStat, JobId, KillReason, Message,
+    NodeUid, Work, WorkloadState, WorkloadStatus,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,9 +88,9 @@ fn wire_size_is_allocation_free() {
         heartbeat(8, 4),
         Envelope::new(
             AuthToken::UNAUTHENTICATED,
-            Message::Work(Work::GrantNack {
-                node: NodeUid(4),
-                retry_after_ms: 5_000,
+            Message::Work(Work::Kill {
+                job: JobId(4),
+                reason: KillReason::UserCancel,
             }),
         ),
         Envelope::new(

@@ -49,8 +49,8 @@ use crate::strategy::{Selector, Strategy};
 use gpunion_db::{DbActor, DbActorConfig, JobState, NodeRecord, NodeState, SystemDb, WriteIntent};
 use gpunion_des::{Online, SimDuration, SimTime, TokenBucket};
 use gpunion_protocol::{
-    AuthToken, Control, DispatchSpec, Envelope, FreeSlice, JobId, KillReason, Message, NodeUid,
-    TokenRegistry, UserId, Work, WorkloadState,
+    AuthToken, Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry,
+    UserId, Work, WorkloadState,
 };
 use gpunion_telemetry::{labels, Counter, MetricHistogram, Registry};
 use rand::rngs::SmallRng;
@@ -159,31 +159,9 @@ pub enum JobEvent {
     },
 }
 
-/// How placements reach nodes (DESIGN.md §3c).
-///
-/// * `Push` — the coordinator's scheduling pass drains the pending queue
-///   against the capacity index and *pushes* [`Work::Dispatch`] offers at
-///   nodes of its choosing. The pre-marketplace behaviour; the default, and
-///   bit-identical to it.
-/// * `Pull` — agents advertise free capacity with [`Work::WorkRequest`]
-///   offers; the pass drains pending jobs against *offered* capacity and
-///   answers with [`Work::WorkGrant`] leases, falling back to the capacity
-///   index (a plain `Dispatch`) for jobs no live offer can satisfy. On a
-///   quiescent trace where every free node holds a live offer, pull reaches
-///   the same allocation fixpoint as push (property-tested).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementMode {
-    /// Coordinator-chosen placements pushed at nodes (the default).
-    #[default]
-    Push,
-    /// Worker-pull marketplace: request/grant against standing offers.
-    Pull,
-}
-
 /// Token-bucket admission control on job submissions (the coordinator's
 /// front door). `None` in [`CoordinatorConfig::admission`] — the default —
-/// admits everything, preserving the pre-marketplace invariant that job
-/// submissions are never shed.
+/// admits everything: job submissions are never shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Burst: submissions admitted instantly from a full bucket.
@@ -227,9 +205,6 @@ pub struct CoordinatorConfig {
     pub inbox_capacity: usize,
     /// Database write-queue parameters (service time, inbox bound).
     pub db: DbActorConfig,
-    /// Placement mode: coordinator-push (default) or worker-pull
-    /// marketplace (DESIGN.md §3c).
-    pub placement_mode: PlacementMode,
     /// Token-bucket admission control on job submissions. `None` (default)
     /// admits everything — job submissions are never shed.
     pub admission: Option<AdmissionConfig>,
@@ -246,40 +221,8 @@ impl Default for CoordinatorConfig {
             offer_timeout: SimDuration::from_secs(10),
             inbox_capacity: 4096,
             db: DbActorConfig::default(),
-            placement_mode: PlacementMode::Push,
             admission: None,
         }
-    }
-}
-
-/// A node's standing capacity offer (pull mode): what it advertised and
-/// until when the advertisement is trusted.
-#[derive(Debug, Clone)]
-struct Offer {
-    /// Free capacity by GPU shape, as the agent reported it. Advisory —
-    /// the directory's reservation bookkeeping stays authoritative; the
-    /// slices pre-filter grants so a stale offer can't draw a grant its
-    /// shape can no longer cover.
-    slices: Vec<FreeSlice>,
-    /// When the offer lapses (receipt + the agent's deadline).
-    expires: SimTime,
-}
-
-impl Offer {
-    /// Whether the advertised slices could host `spec`: enough GPUs among
-    /// shapes with sufficient VRAM and compute capability.
-    fn matches(&self, spec: &DispatchSpec) -> bool {
-        let mut covered: u32 = 0;
-        for s in &self.slices {
-            let cc_ok = spec
-                .min_cc
-                .map(|(maj, min)| (s.cc_major, s.cc_minor) >= (maj, min))
-                .unwrap_or(true);
-            if cc_ok && s.mem_bytes >= spec.gpu_mem_bytes {
-                covered += s.count as u32;
-            }
-        }
-        covered >= spec.gpus as u32
     }
 }
 
@@ -301,11 +244,6 @@ struct JobMeta {
     migrating_back: bool,
     retries: u32,
     submitted_at: SimTime,
-    /// Absolute expiry of the pull-mode [`Work::WorkGrant`] lease this job
-    /// runs under, renewed by every heartbeat from the hosting node that
-    /// reports the workload. `None` for push-mode placements (no lease).
-    /// The heartbeat sweep revokes grants whose lease lapsed.
-    lease: Option<SimTime>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,15 +303,6 @@ pub struct CoordinatorStats {
     pub db_over_bound_writes: u64,
     /// Database write sojourn statistics (submit → apply, seconds).
     pub db_sojourn: Online,
-    /// Standing pull-mode capacity offers currently live.
-    pub live_offers: usize,
-    /// Pull-mode [`Work::WorkGrant`]s sent against standing offers.
-    pub grants_sent: u64,
-    /// Pull-mode [`Work::GrantNack`]s sent for offers that lapsed unmatched.
-    pub nacks_sent: u64,
-    /// Pull-mode grants revoked because their lease expired unrenewed
-    /// (no heartbeat from the hosting node reported the workload).
-    pub lease_revocations: u64,
 }
 
 /// The coordinator actor.
@@ -389,9 +318,6 @@ pub struct Coordinator {
     /// is at bound: the actor is waiting for a write completion before
     /// taking its next turn (critical-write backpressure).
     stalled: bool,
-    /// Standing capacity offers by node (pull mode), ordered by uid so
-    /// grant matching is deterministic. Empty in push mode.
-    offers: BTreeMap<NodeUid, Offer>,
     /// Admission token bucket, built from [`CoordinatorConfig::admission`].
     admission: Option<TokenBucket>,
     /// Ordered by job id so displacement/migrate-back sweeps are
@@ -420,12 +346,6 @@ pub struct Coordinator {
     deferred_turns: u64,
     /// Job submissions shed by admission control (non-critical only).
     admission_shed: u64,
-    /// Pull-mode grants sent against standing offers.
-    grants_sent: u64,
-    /// Pull-mode nacks sent for offers that expired unmatched.
-    nacks_sent: u64,
-    /// Pull-mode grants revoked at lease expiry.
-    lease_revocations: u64,
     rng: SmallRng,
 }
 
@@ -465,7 +385,6 @@ impl Coordinator {
             selector,
             inbox: VecDeque::new(),
             stalled: false,
-            offers: BTreeMap::new(),
             admission,
             jobs: BTreeMap::new(),
             held_jobs: BTreeSet::new(),
@@ -485,9 +404,6 @@ impl Coordinator {
             over_bound_envelopes: 0,
             deferred_turns: 0,
             admission_shed: 0,
-            grants_sent: 0,
-            nacks_sent: 0,
-            lease_revocations: 0,
             rng: SmallRng::seed_from_u64(seed),
         };
         coord.arm(
@@ -500,8 +416,8 @@ impl Coordinator {
     // ---- snapshot accessors (read-only consumers) ----------------------
 
     /// One coherent snapshot of every observable counter — coordinator
-    /// inbox, scheduling, admission, marketplace, and database write-queue
-    /// telemetry together. This is THE read surface for benches, harnesses,
+    /// inbox, scheduling, admission, and database write-queue telemetry
+    /// together. This is THE read surface for benches, harnesses,
     /// and experiment bins.
     pub fn stats(&self) -> CoordinatorStats {
         CoordinatorStats {
@@ -520,10 +436,6 @@ impl Coordinator {
             db_shed_writes: self.db.shed_writes(),
             db_over_bound_writes: self.db.over_bound_writes(),
             db_sojourn: self.db.sojourn().clone(),
-            live_offers: self.offers.len(),
-            grants_sent: self.grants_sent,
-            nacks_sent: self.nacks_sent,
-            lease_revocations: self.lease_revocations,
         }
     }
 
@@ -734,9 +646,6 @@ impl Coordinator {
                 self.over_bound_envelopes = 0;
                 self.deferred_turns = 0;
                 self.admission_shed = 0;
-                self.grants_sent = 0;
-                self.nacks_sent = 0;
-                self.lease_revocations = 0;
             }
         }
     }
@@ -826,7 +735,6 @@ impl Coordinator {
                 migrating_back: false,
                 retries: 0,
                 submitted_at: now,
-                lease: None,
             },
         );
         actions.push(CoordAction::JobEvent {
@@ -1012,14 +920,8 @@ impl Coordinator {
                     self.provider_returned(now, node, actions);
                 }
                 // Progress bookkeeping from piggybacked workload status.
-                let lease_period = self.config.offer_timeout;
                 for ws in &workloads {
                     if let Some(meta) = self.jobs.get_mut(&ws.job) {
-                        // A heartbeat that reports the workload from its
-                        // hosting node renews the pull-mode grant lease.
-                        if meta.lease.is_some() && meta.current_node == Some(node) {
-                            meta.lease = Some(now + lease_period);
-                        }
                         if ws.checkpoint_seq > 0 {
                             // Only the seq can be news here; where the
                             // checkpoint is stored comes from CheckpointDone.
@@ -1084,8 +986,7 @@ impl Coordinator {
         }
     }
 
-    /// Job placement and lifecycle traffic — including the pull-mode
-    /// request/grant marketplace (DESIGN.md §3c).
+    /// Job placement and lifecycle traffic.
     fn handle_work(&mut self, now: SimTime, msg: Work, actions: &mut Vec<CoordAction>) {
         match msg {
             Work::DispatchReply {
@@ -1213,34 +1114,6 @@ impl Coordinator {
                     }
                 }
             }
-            Work::WorkRequest {
-                node,
-                free_slices,
-                deadline_ms,
-            } => {
-                // A standing offer replaces any earlier one from the same
-                // node (latest capacity picture wins). Offers from nodes
-                // the directory doesn't know — or can't place on — are
-                // dropped silently; the agent re-offers on its next
-                // capacity change.
-                let placeable = self
-                    .dir
-                    .get(node)
-                    .map(|e| e.liveness() == NodeLiveness::Active)
-                    .unwrap_or(false);
-                if !placeable || free_slices.is_empty() {
-                    return;
-                }
-                self.offers.insert(
-                    node,
-                    Offer {
-                        slices: free_slices,
-                        expires: now + SimDuration::from_millis(deadline_ms as u64),
-                    },
-                );
-                // Fresh capacity on the market: drain pending against it.
-                self.arm_pass(now);
-            }
             _ => {}
         }
     }
@@ -1256,33 +1129,6 @@ impl Coordinator {
         // capacity goes back to the pool and the preference lapses.
         let window = self.config.migrate_back_window;
         self.abandon_holds_where(now, |_, since| now.since(since) > window);
-        // Lapsed capacity offers are nacked here too, so an idle market
-        // (no passes running) still tells agents to re-offer.
-        self.expire_offers(now, actions);
-        // Enforce grant leases: a pull-mode placement whose lease lapsed
-        // unrenewed (no heartbeat reported the workload) loses its grant —
-        // the node is told to kill the run and the job requeues.
-        let expired: Vec<(JobId, NodeUid)> = self
-            .jobs
-            .iter()
-            .filter_map(|(job, m)| match (m.lease, m.current_node) {
-                (Some(exp), Some(node)) if exp <= now => Some((*job, node)),
-                _ => None,
-            })
-            .collect();
-        for (job, node) in expired {
-            self.lease_revocations += 1;
-            actions.push(CoordAction::Send {
-                to: node,
-                msg: Work::Kill {
-                    job,
-                    reason: KillReason::SchedulerPreempt,
-                }
-                .into(),
-                delay: SimDuration::ZERO,
-            });
-            self.displace_job(now, job, actions);
-        }
     }
 
     /// A node is gone (heartbeat loss or emergency departure): displace
@@ -1295,9 +1141,6 @@ impl Coordinator {
         }
         self.dir.set_liveness(node, NodeLiveness::Offline);
         self.dir.record_interruption(node, now);
-        // A dead node's standing offer dies with it (no nack: there is no
-        // one left to hear it).
-        self.offers.remove(&node);
         self.db
             .submit(now, WriteIntent::SetNodeState(node, NodeState::Unavailable));
         let displaced: Vec<JobId> = self
@@ -1333,7 +1176,6 @@ impl Coordinator {
         let restore_seq = meta.latest_checkpoint.as_ref().map(|(s, _)| *s);
         meta.spec.restore_from_seq = restore_seq;
         meta.migrating_back = false;
-        meta.lease = None;
         // New placement epoch: rejections collected while the job was last
         // being placed say nothing about the post-displacement world. In
         // particular the original node must be offerable again, or
@@ -1409,7 +1251,6 @@ impl Coordinator {
         let Some(meta) = self.jobs.get_mut(&job) else {
             return;
         };
-        meta.lease = None;
         meta.excluded.push(node);
         meta.retries += 1;
         if meta.preferred == Some(node) {
@@ -1499,16 +1340,8 @@ impl Coordinator {
     /// defers (see [`Coordinator::defer_pass`]) rather than over-filling.
     fn scheduling_pass(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
         let pending = self.db.state().pending_in_order();
-        // Retire offers that lapsed before this pass could use them, with
-        // a nack so the offering agent knows its request went unmatched.
-        self.expire_offers(now, actions);
 
-        // Phase 1: the preferred-node (migrate-back) fast path. In pull
-        // mode the home node's standing offer is pre-matched below — but a
-        // returning home is claimed with or without one: the hold taken in
-        // `provider_returned` is the offer, made on the provider's behalf
-        // the moment it registered (affinity must not wait for the agent's
-        // first WorkRequest to win the race against the general drain).
+        // Phase 1: the preferred-node (migrate-back) fast path.
         for &job in &pending {
             if self.db.would_block() {
                 self.defer_pass(now);
@@ -1540,31 +1373,11 @@ impl Coordinator {
                 // Swap the hold (if any) for the offer reservation, taken
                 // atomically within this pass by dispatch_offer.
                 self.drop_hold(job);
-                let via_offer = self.offers.contains_key(&pref);
-                self.dispatch_offer(now, job, pref, via_offer, actions);
+                self.dispatch_offer(now, job, pref, actions);
             }
         }
 
-        // Phase 2: drain the rest of the queue. Push mode picks against
-        // the full capacity index. Pull mode drains against *offered*
-        // capacity first — the selector runs with non-offering (and
-        // shape-mismatched) nodes masked out, so strategy order among
-        // offering nodes is identical to push — and falls back to the
-        // full index (a plain Dispatch) for jobs no live offer covers.
-        let pull = self.config.placement_mode == PlacementMode::Pull;
-        // Nodes with no live offer, masked out of the pull-first pick.
-        // Computed once per pass: the offer book only shrinks mid-pass
-        // (grants never add offers), and a node whose offer a grant
-        // consumed is still capacity-checked by its reservation.
-        let unoffered: Vec<NodeUid> = if pull {
-            self.dir
-                .iter()
-                .map(|e| e.uid)
-                .filter(|u| !self.offers.contains_key(u))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Phase 2: drain the rest of the queue against the capacity index.
         for &job in &pending {
             if self.db.would_block() {
                 self.defer_pass(now);
@@ -1586,25 +1399,10 @@ impl Coordinator {
                 // stale holds and re-opens general placement.
                 continue;
             }
-            let (target, via_offer) = if pull {
-                let spec = meta.spec.clone();
-                let excluded = meta.excluded.clone();
-                match self.pick_offered(&spec, &excluded, &unoffered) {
-                    Some(t) => (Some(t), true),
-                    // No live offer can host this job: fall back to the
-                    // capacity index, exactly as push mode would place it.
-                    None => (self.selector.pick(&self.dir, &spec, &excluded), false),
-                }
-            } else {
-                (
-                    self.selector.pick(&self.dir, &meta.spec, &meta.excluded),
-                    false,
-                )
-            };
-            let Some(target) = target else {
+            let Some(target) = self.selector.pick(&self.dir, &meta.spec, &meta.excluded) else {
                 continue; // nothing eligible; stays queued
             };
-            self.dispatch_offer(now, job, target, via_offer, actions);
+            self.dispatch_offer(now, job, target, actions);
         }
 
         // Writes that add pending jobs may still be in flight (submitted
@@ -1615,64 +1413,15 @@ impl Coordinator {
         }
     }
 
-    /// Pull-mode pick: run the configured strategy with every node that
-    /// has no live offer — or whose offered slices can't cover `spec` —
-    /// masked out. Among offering nodes the strategy order is exactly the
-    /// push-mode order, which is what makes pull reach the push fixpoint
-    /// when every free node is on the market.
-    fn pick_offered(
-        &mut self,
-        spec: &DispatchSpec,
-        excluded: &[NodeUid],
-        unoffered: &[NodeUid],
-    ) -> Option<NodeUid> {
-        let mut masked: Vec<NodeUid> = excluded.to_vec();
-        masked.extend_from_slice(unoffered);
-        for (&node, offer) in &self.offers {
-            if !offer.matches(spec) {
-                masked.push(node);
-            }
-        }
-        self.selector.pick(&self.dir, spec, &masked)
-    }
-
-    /// Drop every offer whose validity window has passed, nacking the
-    /// offering node so its agent knows to re-offer (deterministic: the
-    /// book iterates in uid order).
-    fn expire_offers(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
-        let expired: Vec<NodeUid> = self
-            .offers
-            .iter()
-            .filter(|(_, o)| o.expires <= now)
-            .map(|(&n, _)| n)
-            .collect();
-        for node in expired {
-            self.offers.remove(&node);
-            self.nacks_sent += 1;
-            actions.push(CoordAction::Send {
-                to: node,
-                msg: Work::GrantNack {
-                    node,
-                    retry_after_ms: self.config.heartbeat_period.as_millis() as u32,
-                }
-                .into(),
-                delay: SimDuration::ZERO,
-            });
-        }
-    }
-
     /// Reserve, dequeue, and send one offer. Bails out (leaving the job
     /// pending, no offer) if the reservation cannot be fully covered —
     /// callers verify candidacy first, so this is a consistency backstop,
-    /// not a placement strategy. `via_offer` placements answer a standing
-    /// [`Work::WorkRequest`] and go out as [`Work::WorkGrant`] leases; the
-    /// rest are push-style [`Work::Dispatch`]es.
+    /// not a placement strategy.
     fn dispatch_offer(
         &mut self,
         now: SimTime,
         job: JobId,
         target: NodeUid,
-        via_offer: bool,
         actions: &mut Vec<CoordAction>,
     ) {
         let spec = self.jobs.get(&job).expect("present").spec.clone();
@@ -1693,24 +1442,9 @@ impl Coordinator {
             now + latency + self.config.offer_timeout,
             CoordTimer::OfferTimeout(job),
         );
-        let msg = if via_offer {
-            self.grants_sent += 1;
-            // Start the grant's lease clock at the same instant as the
-            // OfferTimeout timer; the node's first heartbeat reporting the
-            // workload renews it, and the sweep revokes it if none does.
-            self.jobs.get_mut(&job).expect("present").lease =
-                Some(now + latency + self.config.offer_timeout);
-            Work::WorkGrant {
-                spec,
-                lease_ms: self.config.offer_timeout.as_millis() as u32,
-            }
-            .into()
-        } else {
-            Work::Dispatch { spec }.into()
-        };
         actions.push(CoordAction::Send {
             to: target,
-            msg,
+            msg: Work::Dispatch { spec }.into(),
             delay: latency,
         });
         actions.push(CoordAction::JobEvent {
@@ -1730,8 +1464,7 @@ fn message_source(msg: &Message) -> Option<NodeUid> {
             Control::Heartbeat { node, .. }
             | Control::DepartureNotice { node, .. }
             | Control::PauseScheduling { node, .. },
-        )
-        | Message::Work(Work::WorkRequest { node, .. }) => Some(*node),
+        ) => Some(*node),
         _ => None,
     }
 }

@@ -22,7 +22,7 @@ pub mod strategy;
 
 pub use coordinator::{
     AdmissionConfig, CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, CoordinatorStats,
-    JobEvent, PlacementMode, SendOutcome,
+    JobEvent, SendOutcome,
 };
 pub use directory::{Directory, NodeEntry, NodeLiveness, Reliability};
 pub use strategy::{Selector, Strategy};
@@ -114,6 +114,33 @@ mod tests {
         node: NodeUid,
         seq: u64,
     ) -> Vec<CoordAction> {
+        heartbeat_reporting(coord, now, node, seq, vec![])
+    }
+
+    /// A heartbeat whose workload report includes `job` running on `node`.
+    fn heartbeat_with_workload(
+        coord: &mut Coordinator,
+        now: SimTime,
+        node: NodeUid,
+        seq: u64,
+        job: JobId,
+    ) -> Vec<CoordAction> {
+        let running = WorkloadStatus {
+            job,
+            state: WorkloadState::Running,
+            progress: 0.1,
+            checkpoint_seq: 0,
+        };
+        heartbeat_reporting(coord, now, node, seq, vec![running])
+    }
+
+    fn heartbeat_reporting(
+        coord: &mut Coordinator,
+        now: SimTime,
+        node: NodeUid,
+        seq: u64,
+        workloads: Vec<WorkloadStatus>,
+    ) -> Vec<CoordAction> {
         let stats = vec![GpuStat {
             memory_used: 0,
             memory_total: 24 << 30,
@@ -129,7 +156,7 @@ mod tests {
                 seq,
                 accepting: true,
                 gpu_stats: stats,
-                workloads: vec![],
+                workloads,
             }
             .into(),
         )
@@ -661,39 +688,82 @@ mod tests {
         )));
     }
 
+    /// An unanswered `Dispatch` requeues through `OfferTimeout` onto the
+    /// other node, and an accepted one stays placed through three sweeps
+    /// while its node keeps reporting the workload — at the default 5 s
+    /// beat and at the paper's 30 s beat, which is longer than the 10 s
+    /// `offer_timeout`: a placement must never depend on a heartbeat
+    /// arriving inside the dispatch timeout.
     #[test]
     fn offer_timeout_excludes_silent_node() {
-        let mut coord = Coordinator::new(CoordinatorConfig::default(), 1);
-        let n1 = register(&mut coord, t(1), "m-1");
-        let n2 = register(&mut coord, t(1), "m-2");
-        // Both heartbeat continuously so neither is marked lost.
-        let (job, _) = submit(&mut coord, t(3), spec());
-        let mut first = None;
-        let mut second = None;
-        for s in 2..40u64 {
-            let hb = s - 1;
-            let mut actions = heartbeat(&mut coord, t(s), n1, hb);
-            actions.extend(heartbeat(&mut coord, t(s), n2, hb));
-            for a in actions {
-                if let CoordAction::Send {
-                    to,
-                    msg: Message::Work(Work::Dispatch { .. }),
-                    ..
-                } = a
-                {
-                    if first.is_none() {
-                        first = Some(to);
-                    } else if second.is_none() {
-                        second = Some(to);
+        for period in [5u64, 30] {
+            let cfg = CoordinatorConfig {
+                heartbeat_period: SimDuration::from_secs(period),
+                ..CoordinatorConfig::default()
+            };
+            let mut coord = Coordinator::new(cfg, 1);
+            let n1 = register(&mut coord, t(1), "m-1");
+            let n2 = register(&mut coord, t(1), "m-2");
+            heartbeat(&mut coord, t(2), n1, 1);
+            heartbeat(&mut coord, t(2), n2, 1);
+            let (job, _) = submit(&mut coord, t(3), spec());
+            let mut offered = Vec::new();
+            let mut accepted_at = None;
+            let mut all = Vec::new();
+            let mut seq = 1;
+            for s in 4..=(20 + 3 * period) {
+                let mut actions = drive(&mut coord, t(s));
+                // Both nodes beat every period, so neither is marked lost;
+                // the hosting node reports the workload.
+                if s % period == 0 {
+                    seq += 1;
+                    for n in [n1, n2] {
+                        actions.extend(if coord.job_node(job) == Some(n) {
+                            heartbeat_with_workload(&mut coord, t(s), n, seq, job)
+                        } else {
+                            heartbeat(&mut coord, t(s), n, seq)
+                        });
                     }
                 }
+                for (to, j) in all_dispatches(&actions) {
+                    assert_eq!(j, job);
+                    offered.push(to);
+                    // The first offer is never answered; the second is accepted.
+                    if offered.len() == 2 {
+                        accepted_at = Some(s);
+                        let reply = Work::DispatchReply {
+                            job,
+                            accepted: true,
+                            reason: String::new(),
+                        };
+                        actions.extend(msg(&mut coord, t(s), reply.into()));
+                    }
+                }
+                all.extend(actions);
             }
+            // First offer never answered → timeout (10 s) → second offer to
+            // the other node.
+            assert_eq!(offered.len(), 2, "period {period}: {offered:?}");
+            assert_ne!(offered[0], offered[1]);
+            let accepted_at = accepted_at.expect("second offer after timeout");
+            assert!(accepted_at < 16, "requeued by OfferTimeout, not by a sweep");
+            // The loop ran three more sweeps; the accepted placement stands.
+            assert_eq!(coord.job_node(job), Some(offered[1]), "period {period}");
+            assert_eq!(coord.stats().live_jobs, 1);
+            assert!(
+                !all.iter().any(|a| matches!(
+                    a,
+                    CoordAction::JobEvent {
+                        event: JobEvent::Requeued { .. },
+                        ..
+                    } | CoordAction::Send {
+                        msg: Message::Work(Work::Kill { .. }),
+                        ..
+                    }
+                )),
+                "period {period}: the placement is never displaced or killed"
+            );
         }
-        // First offer never answered → timeout (10 s) → second offer to the
-        // other node.
-        let (f, s) = (first.expect("first"), second.expect("second after timeout"));
-        assert_ne!(f, s);
-        let _ = job;
     }
 
     /// Write latency is emergent from queue depth: a registration storm
@@ -1140,261 +1210,6 @@ mod tests {
         );
     }
 
-    /// Placements (push `Dispatch` or pull `WorkGrant`) in an action
-    /// stream, normalized to `(node, job)` so the two modes compare.
-    fn all_placements(actions: &[CoordAction]) -> Vec<(NodeUid, JobId)> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                CoordAction::Send {
-                    to,
-                    msg: Message::Work(Work::Dispatch { spec } | Work::WorkGrant { spec, .. }),
-                    ..
-                } => Some((*to, spec.job)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Put a standing, generously-shaped offer on the book for `node`.
-    fn offer_all(coord: &mut Coordinator, now: SimTime, node: NodeUid) {
-        msg(
-            coord,
-            now,
-            Work::WorkRequest {
-                node,
-                free_slices: vec![gpunion_protocol::FreeSlice {
-                    count: 8,
-                    mem_bytes: 24 << 30,
-                    cc_major: 8,
-                    cc_minor: 6,
-                }],
-                deadline_ms: 1_000_000_000,
-            }
-            .into(),
-        );
-    }
-
-    #[test]
-    fn pull_mode_grants_offered_capacity_and_falls_back() {
-        let cfg = CoordinatorConfig {
-            placement_mode: PlacementMode::Pull,
-            ..CoordinatorConfig::default()
-        };
-        let mut coord = Coordinator::new(cfg, 1);
-        let node = register(&mut coord, t(1), "m-1");
-        heartbeat(&mut coord, t(2), node, 1);
-        // No offer on the book: pull mode falls back to the capacity
-        // index and sends a plain push-style Dispatch.
-        let (job_a, _) = submit(&mut coord, t(3), spec());
-        let actions = drive(&mut coord, t(4));
-        assert!(
-            actions.iter().any(|a| matches!(
-                a,
-                CoordAction::Send {
-                    msg: Message::Work(Work::Dispatch { .. }),
-                    ..
-                }
-            )),
-            "no live offer: fallback is a plain Dispatch"
-        );
-        msg(
-            &mut coord,
-            t(5),
-            Work::DispatchReply {
-                job: job_a,
-                accepted: true,
-                reason: String::new(),
-            }
-            .into(),
-        );
-        // With a live offer, the next placement is a WorkGrant lease.
-        offer_all(&mut coord, t(6), node);
-        let (job_b, _) = submit(&mut coord, t(7), spec());
-        let actions = drive(&mut coord, t(8));
-        let grant = actions.iter().find_map(|a| match a {
-            CoordAction::Send {
-                to,
-                msg: Message::Work(Work::WorkGrant { spec, lease_ms }),
-                ..
-            } => Some((*to, spec.job, *lease_ms)),
-            _ => None,
-        });
-        let (to, granted, lease_ms) = grant.expect("offer answered with a grant");
-        assert_eq!(to, node);
-        assert_eq!(granted, job_b);
-        assert!(lease_ms > 0, "lease carries a validity window");
-        assert_eq!(coord.stats().grants_sent, 1);
-        assert_eq!(coord.stats().live_offers, 1, "offers are standing");
-    }
-
-    #[test]
-    fn stale_offer_expires_with_a_nack() {
-        let cfg = CoordinatorConfig {
-            placement_mode: PlacementMode::Pull,
-            ..CoordinatorConfig::default()
-        };
-        let mut coord = Coordinator::new(cfg, 1);
-        let node = register(&mut coord, t(1), "m-1");
-        heartbeat(&mut coord, t(2), node, 1);
-        // A short-deadline offer, then silence past its validity window.
-        let actions = msg(
-            &mut coord,
-            t(3),
-            Work::WorkRequest {
-                node,
-                free_slices: vec![gpunion_protocol::FreeSlice {
-                    count: 1,
-                    mem_bytes: 24 << 30,
-                    cc_major: 8,
-                    cc_minor: 6,
-                }],
-                deadline_ms: 500,
-            }
-            .into(),
-        );
-        assert!(all_placements(&actions).is_empty());
-        assert_eq!(coord.stats().live_offers, 1);
-        let mut actions = heartbeat(&mut coord, t(6), node, 2); // keep the node alive
-        actions.extend(drive(&mut coord, t(12)));
-        let nack = actions.iter().find_map(|a| match a {
-            CoordAction::Send {
-                msg:
-                    Message::Work(Work::GrantNack {
-                        node,
-                        retry_after_ms,
-                    }),
-                ..
-            } => Some((*node, *retry_after_ms)),
-            _ => None,
-        });
-        let (nacked, retry_after_ms) = nack.expect("expired offer is nacked");
-        assert_eq!(nacked, node);
-        assert!(retry_after_ms > 0, "nack carries a retry hint");
-        assert_eq!(coord.stats().live_offers, 0);
-        assert_eq!(coord.stats().nacks_sent, 1);
-    }
-
-    /// A heartbeat whose workload report includes `job` running on `node`
-    /// — the renewal signal for a pull-mode grant lease.
-    fn heartbeat_with_workload(
-        coord: &mut Coordinator,
-        now: SimTime,
-        node: NodeUid,
-        seq: u64,
-        job: JobId,
-    ) -> Vec<CoordAction> {
-        let stats = vec![GpuStat {
-            memory_used: 8 << 30,
-            memory_total: 24 << 30,
-            utilization: 0.9,
-            temperature_c: 60.0,
-            power_w: 250.0,
-        }];
-        msg(
-            coord,
-            now,
-            Control::Heartbeat {
-                node,
-                seq,
-                accepting: true,
-                gpu_stats: stats,
-                workloads: vec![WorkloadStatus {
-                    job,
-                    state: WorkloadState::Running,
-                    progress: 0.1,
-                    checkpoint_seq: 0,
-                }],
-            }
-            .into(),
-        )
-    }
-
-    #[test]
-    fn grant_lease_expires_when_heartbeats_omit_the_workload() {
-        let cfg = CoordinatorConfig {
-            placement_mode: PlacementMode::Pull,
-            ..CoordinatorConfig::default()
-        };
-        let mut coord = Coordinator::new(cfg, 1);
-        let node = register(&mut coord, t(1), "m-1");
-        heartbeat(&mut coord, t(2), node, 1);
-        offer_all(&mut coord, t(2), node);
-        let (job, _) = submit(&mut coord, t(3), spec());
-        let actions = drive(&mut coord, t(4));
-        assert_eq!(all_placements(&actions), vec![(node, job)]);
-        msg(
-            &mut coord,
-            t(4),
-            Work::DispatchReply {
-                job,
-                accepted: true,
-                reason: String::new(),
-            }
-            .into(),
-        );
-        // The node stays alive but its heartbeats never report the
-        // workload (the run died silently): the lease lapses unrenewed
-        // and the first sweep past expiry revokes the grant.
-        let mut actions = heartbeat(&mut coord, t(6), node, 2);
-        actions.extend(heartbeat(&mut coord, t(11), node, 3));
-        actions.extend(drive(&mut coord, t(16)));
-        assert_eq!(coord.stats().lease_revocations, 1);
-        assert!(
-            actions.iter().any(|a| matches!(a,
-                CoordAction::Send {
-                    to,
-                    msg: Message::Work(Work::Kill {
-                        job: j,
-                        reason: gpunion_protocol::KillReason::SchedulerPreempt,
-                    }),
-                    ..
-                } if *to == node && *j == job)),
-            "revocation tells the node to kill the zombie run"
-        );
-        assert!(
-            actions.iter().any(|a| matches!(a,
-                CoordAction::JobEvent {
-                    job: j,
-                    event: JobEvent::Requeued { .. },
-                } if *j == job)),
-            "the revoked job requeues for another placement"
-        );
-    }
-
-    #[test]
-    fn workload_heartbeats_renew_the_grant_lease() {
-        let cfg = CoordinatorConfig {
-            placement_mode: PlacementMode::Pull,
-            ..CoordinatorConfig::default()
-        };
-        let mut coord = Coordinator::new(cfg, 1);
-        let node = register(&mut coord, t(1), "m-1");
-        heartbeat(&mut coord, t(2), node, 1);
-        offer_all(&mut coord, t(2), node);
-        let (job, _) = submit(&mut coord, t(3), spec());
-        let actions = drive(&mut coord, t(4));
-        assert_eq!(all_placements(&actions), vec![(node, job)]);
-        msg(
-            &mut coord,
-            t(4),
-            Work::DispatchReply {
-                job,
-                accepted: true,
-                reason: String::new(),
-            }
-            .into(),
-        );
-        // Heartbeats keep reporting the workload: every beat pushes the
-        // lease out past the next sweep, so the grant is never revoked.
-        heartbeat_with_workload(&mut coord, t(6), node, 2, job);
-        heartbeat_with_workload(&mut coord, t(11), node, 3, job);
-        heartbeat_with_workload(&mut coord, t(16), node, 4, job);
-        drive(&mut coord, t(18));
-        assert_eq!(coord.stats().lease_revocations, 0);
-        assert_eq!(coord.stats().live_jobs, 1, "the run is still placed");
-    }
-
     #[test]
     fn admission_sheds_non_critical_but_never_critical() {
         let cfg = CoordinatorConfig {
@@ -1571,82 +1386,6 @@ mod tests {
                 batched.db().pending_in_order()
             );
             proptest::prop_assert_eq!(one_by_one.stats().live_jobs, batched.stats().live_jobs);
-        }
-
-        /// On a quiescent trace where EVERY live node holds a standing,
-        /// generously-shaped offer, pull mode must reach the exact push
-        /// fixpoint: the same `(node, job)` placement stream (grants in
-        /// place of dispatches), the same job→node map, and the same
-        /// pending queue. This is the marketplace's safety argument
-        /// (DESIGN.md §3c): offers only mask nodes out of the selector,
-        /// so a fully-offered fleet degenerates to push.
-        #[test]
-        fn prop_pull_reaches_push_fixpoint_when_all_nodes_offer(
-            nodes in 1usize..6,
-            jobs in proptest::collection::vec(1u64..20, 1..25),
-        ) {
-            let mk = |mode: PlacementMode| {
-                let cfg = CoordinatorConfig {
-                    placement_mode: mode,
-                    // Long heartbeat period: nothing dies mid-trace.
-                    heartbeat_period: SimDuration::from_secs(10_000),
-                    ..CoordinatorConfig::default()
-                };
-                Coordinator::new(cfg, 1)
-            };
-            let mut push = mk(PlacementMode::Push);
-            let mut pull = mk(PlacementMode::Pull);
-            let mut uids = Vec::new();
-            for i in 0..nodes {
-                let a = register(&mut push, t(1), &format!("m-{i}"));
-                let b = register(&mut pull, t(1), &format!("m-{i}"));
-                proptest::prop_assert_eq!(a, b);
-                uids.push(a);
-            }
-            for &n in &uids {
-                heartbeat(&mut push, t(2), n, 1);
-                heartbeat(&mut pull, t(2), n, 1);
-                offer_all(&mut pull, t(2), n);
-            }
-            let mut ids = Vec::new();
-            for (i, &mem_gb) in jobs.iter().enumerate() {
-                let d = DispatchSpec { gpu_mem_bytes: mem_gb << 30, ..spec() };
-                let at = t(3 + i as u64 % 2);
-                let (ja, _) = submit(&mut push, at, d.clone());
-                let (jb, _) = submit(&mut pull, at, d);
-                proptest::prop_assert_eq!(ja, jb);
-                ids.push(ja);
-            }
-            // Settle both worlds in lockstep rounds: drain wakes, compare
-            // the normalized placement streams, accept every offer.
-            let mut now = 6u64;
-            for _round in 0..200 {
-                let pa = all_placements(&drive(&mut push, t(now)));
-                let pb = all_placements(&drive(&mut pull, t(now)));
-                proptest::prop_assert_eq!(&pa, &pb, "placement streams diverged");
-                if pa.is_empty() {
-                    break;
-                }
-                now += 1;
-                for &(_, job) in &pa {
-                    let reply = || Work::DispatchReply {
-                        job,
-                        accepted: true,
-                        reason: String::new(),
-                    };
-                    msg(&mut push, t(now), reply().into());
-                    msg(&mut pull, t(now), reply().into());
-                }
-                now += 1;
-            }
-            proptest::prop_assert_eq!(push.stats().live_jobs, pull.stats().live_jobs);
-            for &job in &ids {
-                proptest::prop_assert_eq!(push.job_node(job), pull.job_node(job));
-            }
-            proptest::prop_assert_eq!(
-                push.db().pending_in_order(),
-                pull.db().pending_in_order()
-            );
         }
     }
 }

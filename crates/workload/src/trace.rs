@@ -345,8 +345,8 @@ pub fn paper_campus_labs() -> Vec<LabProfile> {
 }
 
 /// A campus-federation-scale synthetic user population with heavy-tailed
-/// demand — the "million-user" workload behind the marketplace's
-/// fair-share admission (DESIGN.md §3c). Everything is a pure integer
+/// demand — the "million-user" workload behind fair-share admission
+/// (DESIGN.md §3c). Everything is a pure integer
 /// function of `(seed, index)`: no allocation, no floats, no RNG state,
 /// so a 10⁶-user population costs nothing to "hold" and two replays are
 /// bit-identical on any platform.
