@@ -22,9 +22,10 @@ use gpunion_protocol::{
     Work, WorkloadState, WorkloadStatus,
 };
 use gpunion_storage::CheckpointCostModel;
-use gpunion_telemetry::{labels, Registry};
+use gpunion_telemetry::{labels, Counter, Registry};
 use gpunion_workload::TrainingRun;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where a bulk transfer goes / comes from, as the agent sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +158,10 @@ pub struct Agent {
     timers: BTreeMap<(SimTime, u64), Timer>,
     timer_seq: u64,
     metrics: Registry,
+    /// `agent_heartbeats_total{node=…}`, resolved on the first beat (so
+    /// `/metrics` shows no such family before it) and kept: a registry
+    /// lookup builds a label map and walks two string-keyed trees.
+    heartbeats_total: Option<Arc<Counter>>,
     /// Set while a graceful departure is draining.
     departure_deadline: Option<SimTime>,
     /// Verifications that fired from a timer and await the image registry
@@ -185,6 +190,7 @@ impl Agent {
             timers: BTreeMap::new(),
             timer_seq: 0,
             metrics: Registry::new(),
+            heartbeats_total: None,
             departure_deadline: None,
             pending_verifications: Vec::new(),
             rest_bucket,
@@ -339,11 +345,17 @@ impl Agent {
             .map(Into::into)
             .collect();
         let workloads = self.workload_statuses(now);
-        if let Ok(c) = self.metrics.counter(
-            "agent_heartbeats_total",
-            "heartbeats sent",
-            labels([("node", self.config.hostname.as_str())]),
-        ) {
+        if self.heartbeats_total.is_none() {
+            self.heartbeats_total = self
+                .metrics
+                .counter(
+                    "agent_heartbeats_total",
+                    "heartbeats sent",
+                    labels([("node", self.config.hostname.as_str())]),
+                )
+                .ok();
+        }
+        if let Some(c) = &self.heartbeats_total {
             c.inc();
         }
         Control::Heartbeat {

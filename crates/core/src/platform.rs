@@ -118,7 +118,7 @@ impl TypedEvent<Platform> for PlatformEvent {
             PlatformEvent::Boot(addr) => {
                 let actions = w
                     .agents
-                    .get_mut(&addr)
+                    .get_mut(addr)
                     .expect("agent exists")
                     .start_registration(sim.now());
                 w.apply_agent_actions(sim.now(), addr, actions);
@@ -250,6 +250,44 @@ impl Default for PlatformConfig {
     }
 }
 
+/// One agent and the wake the platform's `wake_index` holds for it.
+struct AgentSlot {
+    agent: Agent,
+    /// The instant under which this agent sits in `wake_index`, `None`
+    /// when it is not in it: a refresh is a compare and at most one
+    /// remove/insert.
+    wake: Option<SimTime>,
+}
+
+/// The agents, in a table indexed by simnet address. `star_campus` hands
+/// out dense ids, so the switch and the coordinator are the only empty
+/// slots; the table is sized once at deploy, and walking it visits agents
+/// in ascending address order — the order boot staggering, uid assignment
+/// and the utilisation sums depend on.
+struct AgentTable(Vec<Option<AgentSlot>>);
+
+impl AgentTable {
+    fn slot_mut(&mut self, addr: NodeId) -> Option<&mut AgentSlot> {
+        self.0.get_mut(addr.0 as usize)?.as_mut()
+    }
+
+    fn get(&self, addr: NodeId) -> Option<&Agent> {
+        Some(&self.0.get(addr.0 as usize)?.as_ref()?.agent)
+    }
+
+    fn get_mut(&mut self, addr: NodeId) -> Option<&mut Agent> {
+        self.slot_mut(addr).map(|s| &mut s.agent)
+    }
+
+    /// `(address, slot)` of every agent, ascending address.
+    fn slots_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut AgentSlot)> {
+        self.0
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| Some((NodeId(i as u32), s.as_mut()?)))
+    }
+}
+
 /// The assembled platform (the simulation world).
 pub struct Platform {
     /// The campus network.
@@ -257,9 +295,8 @@ pub struct Platform {
     /// The central coordinator.
     pub coordinator: Coordinator,
     coordinator_addr: NodeId,
-    /// Ordered by address: boot staggering and the pump visit agents in a
-    /// deterministic order (uid assignment depends on it).
-    agents: BTreeMap<NodeId, Agent>,
+    /// One agent per GPU host, by address.
+    agents: AgentTable,
     addr_of_uid: HashMap<NodeUid, NodeId>,
     /// Machine id → simnet address, fixed at deploy time. Used to learn
     /// uid → address mappings when the coordinator acks a registration
@@ -281,9 +318,6 @@ pub struct Platform {
     /// Wake-ordered index over agents with a pending timer: the pump pops
     /// only the due prefix — O(due), not O(agents).
     wake_index: BTreeSet<(SimTime, NodeId)>,
-    /// The wake time currently recorded in the index per agent (so a
-    /// refresh is a cheap compare + at most one remove/insert).
-    wake_cache: HashMap<NodeId, SimTime>,
     /// Set when `agent_mut` hands out raw access (timers may have changed
     /// behind the index's back); the next pump resyncs from scratch.
     wake_dirty: bool,
@@ -309,14 +343,15 @@ impl Platform {
         let backbone_link = net.topology().link_between(coord_addr, switch);
         let coordinator = Coordinator::new(config.coordinator.clone(), config.seed ^ 0xC0);
         let (registry, image_refs) = gpunion_container::standard_catalogue();
-        let mut agents = BTreeMap::new();
-        let mut addr_of_machine = HashMap::new();
+        let mut agents = AgentTable(Vec::new());
+        agents.0.resize_with(net.topology().node_count(), || None);
+        let mut addr_of_machine = HashMap::with_capacity(gpu_specs.len());
         for (i, spec) in gpu_specs.iter().enumerate() {
             let mut rng = pool.stream_n("agent-id", i as u64);
             let agent_config = AgentConfig::new(spec.hostname.clone(), &mut rng);
             addr_of_machine.insert(agent_config.machine_id.clone(), hosts[i]);
             let agent = Agent::new(agent_config, GpuServer::new((*spec).clone()));
-            agents.insert(hosts[i], agent);
+            agents.0[hosts[i].0 as usize] = Some(AgentSlot { agent, wake: None });
         }
         let platform = Platform {
             net,
@@ -333,7 +368,6 @@ impl Platform {
             backbone_link,
             pump_armed: None,
             wake_index: BTreeSet::new(),
-            wake_cache: HashMap::new(),
             // Resync on the first pump: agents may carry deploy-time timers.
             wake_dirty: true,
             due_scratch: Vec::new(),
@@ -349,14 +383,14 @@ impl Platform {
 
     /// Agent access by address (tests/harnesses).
     pub fn agent(&self, addr: NodeId) -> Option<&Agent> {
-        self.agents.get(&addr)
+        self.agents.get(addr)
     }
 
     /// Mutable agent access. Marks the wake index dirty: the caller may
     /// arm or clear agent timers directly, so the next pump resyncs.
     pub fn agent_mut(&mut self, addr: NodeId) -> Option<&mut Agent> {
         self.wake_dirty = true;
-        self.agents.get_mut(&addr)
+        self.agents.get_mut(addr)
     }
 
     /// The coordinator's simnet address.
@@ -366,23 +400,21 @@ impl Platform {
 
     /// Mean GPU utilization per host address since boot.
     pub fn utilization_by_host(&mut self, now: SimTime) -> Vec<(NodeId, String, f64)> {
-        let mut out: Vec<(NodeId, String, f64)> = self
-            .agents
-            .iter_mut()
-            .map(|(addr, a)| {
-                let name = a.config().hostname.clone();
-                (*addr, name, a.server_mut().mean_utilization(now))
+        self.agents
+            .slots_mut()
+            .map(|(addr, s)| {
+                let name = s.agent.config().hostname.clone();
+                (addr, name, s.agent.server_mut().mean_utilization(now))
             })
-            .collect();
-        out.sort_by_key(|(a, _, _)| *a);
-        out
+            .collect()
     }
 
     /// Campus-wide GPU-weighted mean utilization.
     pub fn mean_utilization(&mut self, now: SimTime) -> f64 {
         let mut weighted = 0.0;
         let mut total = 0usize;
-        for a in self.agents.values_mut() {
+        for (_, slot) in self.agents.slots_mut() {
+            let a = &mut slot.agent;
             let n = a.server().gpu_count();
             weighted += a.server_mut().mean_utilization(now) * n as f64;
             total += n;
@@ -398,7 +430,7 @@ impl Platform {
 
     /// Kick everything off: agents register at slightly staggered times.
     pub fn boot(world: &mut Platform, sim: &mut PlatformSim) {
-        for (i, addr) in world.agents.keys().copied().enumerate() {
+        for (i, (addr, _)) in world.agents.slots_mut().enumerate() {
             sim.schedule_typed_at(
                 SimTime::from_millis(10 + i as u64 * 3),
                 PlatformEvent::Boot(addr),
@@ -493,7 +525,7 @@ impl Platform {
 
     /// Graceful (scheduled) departure of the host at `addr`.
     pub fn scheduled_departure(&mut self, now: SimTime, addr: NodeId) {
-        let Some(agent) = self.agents.get_mut(&addr) else {
+        let Some(agent) = self.agents.get_mut(addr) else {
             return;
         };
         let grace = agent.config().departure_grace;
@@ -518,7 +550,7 @@ impl Platform {
     /// The provider returns after an outage; the agent re-registers.
     pub fn provider_return(&mut self, now: SimTime, addr: NodeId) {
         let _ = self.net.set_node_up(now, addr, true);
-        if let Some(agent) = self.agents.get_mut(&addr) {
+        if let Some(agent) = self.agents.get_mut(addr) {
             let actions = agent.reconnect(now);
             self.apply_agent_actions(now, addr, actions);
         }
@@ -527,7 +559,7 @@ impl Platform {
     fn harvest_runs(&mut self, now: SimTime, addr: NodeId) {
         // Jobs currently hosted by this agent whose state we must preserve
         // (rolled back to the last captured checkpoint).
-        let Some(agent) = self.agents.get_mut(&addr) else {
+        let Some(agent) = self.agents.get_mut(addr) else {
             return;
         };
         let jobs: Vec<JobId> = self.stats.job_log.keys().copied().collect();
@@ -598,7 +630,7 @@ impl Platform {
                     // redispatch).
                     if let Message::Work(Work::WorkloadUpdate { status, .. }) = &msg {
                         if status.state == WorkloadState::Killed {
-                            if let Some(agent) = self.agents.get_mut(&addr) {
+                            if let Some(agent) = self.agents.get_mut(addr) {
                                 if let Some(run) = agent.take_run(status.job) {
                                     agent.forget_workload(now, status.job);
                                     self.displaced_runs.insert(status.job, run);
@@ -608,7 +640,7 @@ impl Platform {
                     }
                     let (token, uid) = self
                         .agents
-                        .get(&addr)
+                        .get(addr)
                         .map(|a| (a.token(), a.uid()))
                         .unwrap_or((gpunion_protocol::AuthToken::UNAUTHENTICATED, None));
                     let env = match uid {
@@ -661,7 +693,7 @@ impl Platform {
                         // Unreachable peer: fail the transfer immediately.
                         let actions = self
                             .agents
-                            .get_mut(&addr)
+                            .get_mut(addr)
                             .map(|a| a.on_flow_done(now, purpose, false, &self.registry))
                             .unwrap_or_default();
                         self.apply_agent_actions(now, addr, actions);
@@ -705,7 +737,7 @@ impl Platform {
                         let ok = outcome == FlowOutcome::Completed;
                         let actions = self
                             .agents
-                            .get_mut(&agent_addr)
+                            .get_mut(agent_addr)
                             .map(|a| a.on_flow_done(now, purpose, ok, &self.registry))
                             .unwrap_or_default();
                         self.apply_agent_actions(now, agent_addr, actions);
@@ -731,7 +763,7 @@ impl Platform {
             Message::Work(Work::Dispatch { spec }) => Some((spec.job, spec.restore_from_seq)),
             _ => None,
         };
-        let Some(agent) = self.agents.get_mut(&addr) else {
+        let Some(agent) = self.agents.get_mut(addr) else {
             return;
         };
         let actions = agent.handle_message(now, env.msg, &self.registry);
@@ -755,7 +787,7 @@ impl Platform {
                         .map(|spec| TrainingRun::new(spec.clone()))
                 });
                 if let Some(run) = run {
-                    if let Some(agent) = self.agents.get_mut(&addr) {
+                    if let Some(agent) = self.agents.get_mut(addr) {
                         agent.attach_run(job, run);
                     }
                 }
@@ -833,34 +865,30 @@ impl Platform {
 
     /// Re-index one agent's next wake after its timers may have changed.
     fn refresh_wake(&mut self, addr: NodeId) {
-        let wake = self.agents.get(&addr).and_then(Agent::next_wake);
-        let cached = self.wake_cache.get(&addr).copied();
-        if wake == cached {
+        let Some(slot) = self.agents.slot_mut(addr) else {
+            return;
+        };
+        let wake = slot.agent.next_wake();
+        if wake == slot.wake {
             return;
         }
-        if let Some(t) = cached {
+        if let Some(t) = slot.wake {
             self.wake_index.remove(&(t, addr));
         }
-        match wake {
-            Some(t) => {
-                self.wake_index.insert((t, addr));
-                self.wake_cache.insert(addr, t);
-            }
-            None => {
-                self.wake_cache.remove(&addr);
-            }
+        if let Some(t) = wake {
+            self.wake_index.insert((t, addr));
         }
+        slot.wake = wake;
     }
 
     /// Rebuild the wake index from every agent (after raw `agent_mut`
     /// access invalidated it).
     fn resync_wakes(&mut self) {
         self.wake_index.clear();
-        self.wake_cache.clear();
-        for (addr, agent) in &self.agents {
-            if let Some(t) = agent.next_wake() {
-                self.wake_index.insert((t, *addr));
-                self.wake_cache.insert(*addr, t);
+        for (addr, slot) in self.agents.slots_mut() {
+            slot.wake = slot.agent.next_wake();
+            if let Some(t) = slot.wake {
+                self.wake_index.insert((t, addr));
             }
         }
         self.wake_dirty = false;
@@ -903,7 +931,8 @@ impl Platform {
                     break;
                 }
                 self.wake_index.pop_first();
-                self.wake_cache.remove(&addr);
+                let slot = self.agents.slot_mut(addr).expect("indexed agents exist");
+                slot.wake = None;
                 due.push(addr);
             }
             // The index orders by (time, addr); the old scan woke due agents
@@ -912,7 +941,7 @@ impl Platform {
             if !due.is_empty() {
                 progressed = true;
                 for &addr in &due {
-                    let agent = self.agents.get_mut(&addr).expect("indexed agents exist");
+                    let agent = self.agents.get_mut(addr).expect("indexed agents exist");
                     let mut actions = agent.on_wake(now);
                     if agent.has_pending_verifications() {
                         actions.extend(agent.complete_verifications(now, &self.registry));
@@ -949,5 +978,86 @@ impl Platform {
         }
         let id = sim.schedule_typed_at(at, PlatformEvent::Pump);
         self.pump_armed = Some((at, id));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpunion_gpu::GpuModel;
+    use gpunion_protocol::DepartureMode;
+    use gpunion_workload::ModelClass;
+
+    /// Every slot's recorded wake is its agent's next wake, and the wake
+    /// index holds exactly those pairs.
+    fn assert_wakes_exact(w: &mut Platform) {
+        let mut expected = BTreeSet::new();
+        for (addr, slot) in w.agents.slots_mut() {
+            assert_eq!(slot.wake, slot.agent.next_wake(), "slot of {addr:?}");
+            expected.extend(slot.wake.map(|t| (t, addr)));
+        }
+        assert_eq!(w.wake_index, expected);
+    }
+
+    /// The wake bookkeeping lives in the agent table's slots: it stays
+    /// exact through boot, heartbeat periods, a running job, raw
+    /// `agent_mut` access that clears timers behind the index's back
+    /// (resynced by the next pump), an emergency departure and both
+    /// providers' return.
+    #[test]
+    fn slot_wakes_and_the_wake_index_stay_exact() {
+        let specs: Vec<ServerSpec> = (1..=3)
+            .map(|i| ServerSpec::workstation(format!("ws-{i}"), GpuModel::Rtx3090))
+            .collect();
+        let (mut w, hosts) = Platform::deploy(&PlatformConfig::default(), &specs);
+        let mut sim = PlatformSim::new();
+        Platform::boot(&mut w, &mut sim);
+        let at = |s: u64| SimTime::from_secs(s);
+        let inject = |sim: &mut PlatformSim, s: u64, inj: Injection| {
+            sim.schedule_typed_at(at(s), PlatformEvent::Inject(inj));
+        };
+        inject(
+            &mut sim,
+            5,
+            Injection::Training {
+                tag: 0,
+                spec: Box::new(TrainingJobSpec::new(ModelClass::CnnSmall, 40_000)),
+            },
+        );
+        sim.run_until(&mut w, at(200));
+        assert!(hosts.iter().all(|h| w.agent(*h).unwrap().uid().is_some()));
+        assert_wakes_exact(&mut w);
+
+        // Raw access: an idle agent departs gracefully, which clears its
+        // timers without the platform hearing of it.
+        let busy = |w: &Platform, h: NodeId| w.agent(h).unwrap().workload_count() > 0;
+        let idle = *hosts.iter().find(|h| !busy(&w, **h)).expect("one job");
+        let hosting = *hosts.iter().find(|h| busy(&w, **h)).expect("placed");
+        let mode = DepartureMode::Graceful { grace_secs: 60 };
+        let actions = w.agent_mut(idle).unwrap().depart(sim.now(), mode);
+        let slot = w.agents.slot_mut(idle).unwrap();
+        assert_ne!(slot.wake, slot.agent.next_wake(), "stale until resynced");
+        w.pump(&mut sim);
+        assert_wakes_exact(&mut w);
+        w.apply_agent_actions(sim.now(), idle, actions);
+        w.pump(&mut sim);
+        assert_wakes_exact(&mut w);
+
+        let kind = InterruptionKind::EmergencyDeparture;
+        inject(
+            &mut sim,
+            260,
+            Injection::Interrupt {
+                host: hosting,
+                kind,
+            },
+        );
+        inject(&mut sim, 320, Injection::ProviderReturn { host: hosting });
+        inject(&mut sim, 320, Injection::ProviderReturn { host: idle });
+        sim.run_until(&mut w, at(300));
+        assert_wakes_exact(&mut w);
+        sim.run_until(&mut w, at(400));
+        assert!(hosts.iter().all(|h| w.agent(*h).unwrap().uid().is_some()));
+        assert_wakes_exact(&mut w);
     }
 }

@@ -508,7 +508,9 @@ impl Coordinator {
     /// can track it).
     pub fn send(&mut self, now: SimTime, env: CoordEnvelope) -> SendOutcome {
         let mut env = env;
-        if self.envelope_sheddable(&env) && self.inbox.len() >= self.config.inbox_capacity {
+        // The length test first: under the bound (the common case) it spares
+        // the directory lookup `envelope_sheddable` makes per heartbeat.
+        if self.inbox.len() >= self.config.inbox_capacity && self.envelope_sheddable(&env) {
             self.shed_envelopes += 1;
             return SendOutcome::Shed;
         }
@@ -591,7 +593,7 @@ impl Coordinator {
             match (env_due, timer_due) {
                 (None, None) => break,
                 (Some(e), t) if t.is_none_or(|t| e < t) => {
-                    if self.head_turn_writes() && self.db.would_block() {
+                    if self.db.would_block() && self.head_turn_writes() {
                         // The head would over-fill the write queue: stall
                         // until a completion frees a slot. FIFO blocks the
                         // whole inbox so ordering is never violated.

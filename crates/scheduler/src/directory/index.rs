@@ -83,7 +83,7 @@ impl ClassFloor {
 }
 
 /// Where one node currently sits in the index (for in-place updates).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexedAt {
     class: ClassKey,
     total_free: u64,
@@ -99,6 +99,7 @@ struct IndexedAt {
 /// and by device speed for fastest-device picks — plus a heartbeat-recency
 /// view over all non-offline nodes for staleness sweeps.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct CapacityIndex {
     /// (bucket, cc, tier) → members.
     by_class: BTreeMap<ClassKey, BTreeSet<NodeUid>>,
@@ -149,42 +150,51 @@ impl CapacityIndex {
         }
     }
 
-    /// Reposition only the capacity-derived views (class bucket, total
-    /// free) after a reservation change. Heartbeat recency and speed
-    /// views are untouched — this is the scheduling pass's per-placement
-    /// index update.
-    pub(crate) fn update_capacity(&mut self, entry: &NodeEntry) {
-        let uid = entry.uid;
-        let Some(at) = self.entries.get(&uid).copied() else {
-            // Not schedulable (non-Active): capacity views don't track it.
-            return;
-        };
-        let class = ClassKey {
-            bucket: vram_bucket(entry.max_slot_free()),
-            ..at.class
-        };
-        let total_free = entry.total_free();
-        if class != at.class {
-            if let Some(set) = self.by_class.get_mut(&at.class) {
-                set.remove(&uid);
-                if set.is_empty() {
-                    self.by_class.remove(&at.class);
-                }
+    /// Move `uid` between class sets, dropping a set it leaves empty.
+    fn move_class(&mut self, uid: NodeUid, from: ClassKey, to: ClassKey) {
+        if let Some(set) = self.by_class.get_mut(&from) {
+            set.remove(&uid);
+            if set.is_empty() {
+                self.by_class.remove(&from);
             }
-            self.by_class.entry(class).or_default().insert(uid);
         }
-        if total_free != at.total_free {
-            self.by_free.remove(&(at.total_free, Reverse(uid)));
-            self.by_free.insert((total_free, Reverse(uid)));
-        }
-        let slot = self.entries.get_mut(&uid).expect("present above");
-        slot.class = class;
-        slot.total_free = total_free;
+        self.by_class.entry(to).or_default().insert(uid);
     }
 
     /// Re-derive a node's index position from its current entry state.
+    ///
+    /// A node that was indexed as Active and still is keeps its place in
+    /// every view whose key did not move — a plain heartbeat repositions
+    /// it in `by_heartbeat` alone; a reservation, a release or telemetry
+    /// that changes free VRAM moves `by_free` (and `by_class` when the
+    /// largest slot crosses a bucket); a re-registration with other
+    /// hardware moves whatever its inventory changed. Any other case —
+    /// first sight, or liveness entering or leaving Active — takes the
+    /// node out of every view and files it under its new liveness.
     pub(crate) fn refresh(&mut self, entry: &NodeEntry) {
         let uid = entry.uid;
+        if entry.liveness() == NodeLiveness::Active {
+            let now = Self::summarize(entry);
+            if let Some(slot) = self.entries.get_mut(&uid) {
+                let at = std::mem::replace(slot, now);
+                if now.class != at.class {
+                    self.move_class(uid, at.class, now.class);
+                }
+                if now.total_free != at.total_free {
+                    self.by_free.remove(&(at.total_free, Reverse(uid)));
+                    self.by_free.insert((now.total_free, Reverse(uid)));
+                }
+                if now.speed_bits != at.speed_bits {
+                    self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
+                    self.by_speed.insert((now.speed_bits, Reverse(uid)));
+                }
+                if now.heartbeat != at.heartbeat {
+                    self.by_heartbeat.remove(&(at.heartbeat, uid));
+                    self.by_heartbeat.insert((now.heartbeat, uid));
+                }
+                return;
+            }
+        }
         self.remove_scheduled(uid);
         self.remove_unscheduled(uid);
         match entry.liveness() {
@@ -202,6 +212,17 @@ impl CapacityIndex {
             }
             NodeLiveness::Offline => {}
         }
+    }
+
+    /// The index a directory holding exactly `entries` must have: every
+    /// entry filed from scratch. The oracle for the diffing `refresh`.
+    #[cfg(test)]
+    pub(crate) fn rebuilt<'a>(entries: impl Iterator<Item = &'a NodeEntry>) -> Self {
+        let mut index = Self::default();
+        for entry in entries {
+            index.refresh(entry);
+        }
+        index
     }
 
     /// Schedulable (Active) node count.

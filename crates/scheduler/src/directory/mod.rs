@@ -127,7 +127,7 @@ impl Directory {
             return false;
         };
         let complete = e.reserve(job, gpus, mem, min_cc);
-        self.index.update_capacity(e);
+        self.index.refresh(e);
         complete
     }
 
@@ -136,7 +136,7 @@ impl Directory {
     pub fn release(&mut self, uid: NodeUid, job: JobId) {
         if let Some(e) = self.nodes.get_mut(&uid) {
             e.release(job);
-            self.index.update_capacity(e);
+            self.index.refresh(e);
         }
     }
 
@@ -521,7 +521,8 @@ mod tests {
         let models = GpuModel::ALL;
         match op {
             0 => {
-                let m = models[(a % 5) as usize];
+                // A returning machine may come back with other hardware.
+                let m = models[((a + b / 4) % 5) as usize];
                 let n = 1 + (b % 4) as usize;
                 d.register(&format!("m-{}", a), "h", gpus(n, m), t(b));
             }
@@ -577,6 +578,23 @@ mod tests {
             }
             let s = spec(mem_gb << 30, want_gpus, cc_minor.map(|m| (8, m)));
             proptest::prop_assert_eq!(indexed(&d, &s), brute_force(&d, &s));
+        }
+
+        /// The index moves a node only in the views whose key changed;
+        /// after every step of any interleaving — registrations and
+        /// re-registrations with other hardware, heartbeats that pause,
+        /// resume and revive, reservations, releases, liveness flips — it
+        /// must equal the index filed from scratch from the entries: all
+        /// four views, the positions, and the unscheduled set.
+        #[test]
+        fn prop_diffed_index_equals_a_rebuild_after_every_step(
+            ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..120),
+        ) {
+            let mut d = Directory::new();
+            for (op, a, b) in ops {
+                apply_op(&mut d, op, a, b);
+                proptest::prop_assert_eq!(&d.index, &CapacityIndex::rebuilt(d.iter()));
+            }
         }
     }
 }

@@ -9,7 +9,6 @@
 use crate::topology::LinkId;
 use gpunion_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
 
 /// What a byte on the wire was moving for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -48,20 +47,69 @@ impl TrafficClass {
     }
 }
 
+/// Number of traffic classes (the width of every per-class array).
+const CLASSES: usize = TrafficClass::ALL.len();
+
+/// Value of a bucket nothing was recorded into. Negative zero is the
+/// additive identity of every recorded amount (`-0.0 + x == x` bit for
+/// bit, `+0.0` included), and no touched bucket can hold it — recorded
+/// amounts are never negative — so it marks "untouched" without a second
+/// array and without a branch in the add.
+const UNTOUCHED: f64 = -0.0;
+
+/// One byte series indexed by bucket number, grown on first touch.
+#[derive(Debug, Clone, Default)]
+struct Series(Vec<f64>);
+
+impl Series {
+    fn add(&mut self, bucket: u64, bytes: f64) {
+        let b = usize::try_from(bucket).expect("bucket index fits the address space");
+        if b >= self.0.len() {
+            self.0.resize(b + 1, UNTOUCHED);
+        }
+        self.0[b] += bytes;
+    }
+
+    /// The bytes of `bucket`, if anything was recorded into it.
+    fn get(&self, bucket: usize) -> Option<f64> {
+        self.0
+            .get(bucket)
+            .copied()
+            .filter(|v| v.to_bits() != UNTOUCHED.to_bits())
+    }
+
+    /// `(bucket, bytes)` of every touched bucket, ascending.
+    fn touched(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        (0..self.0.len()).filter_map(|b| self.get(b).map(|v| (b as u64, v)))
+    }
+}
+
+/// What one link carried: run totals and bucketed series, per class.
+#[derive(Debug, Clone, Default)]
+struct LinkTraffic {
+    totals: [f64; CLASSES],
+    buckets: [Series; CLASSES],
+}
+
 /// Traffic accountant: campus-wide per-class time buckets plus per-link
 /// totals and per-link time buckets.
+///
+/// Every table is an array indexed by its dense key — class, link id,
+/// bucket number — and grows when a key is first touched, so a record is a
+/// few indexed adds and a report reads one link's rows, not every link's.
+/// Sums run over buckets ascending and classes in declaration order, the
+/// order the ordered maps this replaces iterated in, so every accessor is
+/// bit-identical to theirs (pinned against that implementation in the
+/// tests below).
 #[derive(Debug, Clone)]
 pub struct Accounting {
     bucket: SimDuration,
-    /// (class, bucket index) → bytes, campus-wide.
-    class_buckets: BTreeMap<(TrafficClass, u64), f64>,
-    /// (link, class) → total bytes over the whole run.
-    link_class_totals: HashMap<(LinkId, TrafficClass), f64>,
-    /// (link, class, bucket index) → bytes: per-link per-class peaks, e.g.
-    /// "checkpoint share of the backbone link during its worst minute".
-    /// All-class link peaks are derived from this at report time (ordered
-    /// map so derived float sums are iteration-order deterministic).
-    link_class_buckets: BTreeMap<(LinkId, TrafficClass, u64), f64>,
+    /// Campus-wide series per class.
+    class_buckets: [Series; CLASSES],
+    /// Per-link totals and series, indexed by `LinkId`: per-link per-class
+    /// peaks, e.g. "checkpoint share of the backbone link during its worst
+    /// minute". All-class link peaks are derived at report time.
+    links: Vec<LinkTraffic>,
     total_bytes: f64,
 }
 
@@ -72,9 +120,8 @@ impl Accounting {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         Accounting {
             bucket,
-            class_buckets: BTreeMap::new(),
-            link_class_totals: HashMap::new(),
-            link_class_buckets: BTreeMap::new(),
+            class_buckets: Default::default(),
+            links: Vec::new(),
             total_bytes: 0.0,
         }
     }
@@ -84,8 +131,8 @@ impl Accounting {
         self.bucket
     }
 
-    fn bucket_index(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.bucket.as_nanos()
+    fn link(&self, link: LinkId) -> Option<&LinkTraffic> {
+        self.links.get(link.0 as usize)
     }
 
     /// Attribute `bytes` moved on `link` for `class` uniformly over the
@@ -102,30 +149,30 @@ impl Accounting {
             return;
         }
         self.total_bytes += bytes;
-        *self.link_class_totals.entry((link, class)).or_insert(0.0) += bytes;
+        let width = self.bucket.as_nanos();
+        let (l, c) = (link.0 as usize, class as usize);
+        if l >= self.links.len() {
+            self.links.resize_with(l + 1, LinkTraffic::default);
+        }
+        let on_link = &mut self.links[l];
+        on_link.totals[c] += bytes;
         let span = to.since(from);
         if span.is_zero() {
-            let b = self.bucket_index(from);
-            *self.class_buckets.entry((class, b)).or_insert(0.0) += bytes;
-            *self
-                .link_class_buckets
-                .entry((link, class, b))
-                .or_insert(0.0) += bytes;
+            let b = from.as_nanos() / width;
+            self.class_buckets[c].add(b, bytes);
+            on_link.buckets[c].add(b, bytes);
             return;
         }
         let total_secs = span.as_secs_f64();
         let mut cursor = from;
         while cursor < to {
-            let b = self.bucket_index(cursor);
-            let bucket_end = SimTime::from_nanos((b + 1) * self.bucket.as_nanos());
+            let b = cursor.as_nanos() / width;
+            let bucket_end = SimTime::from_nanos((b + 1) * width);
             let seg_end = bucket_end.min(to);
             let frac = seg_end.since(cursor).as_secs_f64() / total_secs;
             let part = bytes * frac;
-            *self.class_buckets.entry((class, b)).or_insert(0.0) += part;
-            *self
-                .link_class_buckets
-                .entry((link, class, b))
-                .or_insert(0.0) += part;
+            self.class_buckets[c].add(b, part);
+            on_link.buckets[c].add(b, part);
             cursor = seg_end;
         }
     }
@@ -142,34 +189,31 @@ impl Accounting {
 
     /// Total bytes for one class across all links and time.
     pub fn class_total(&self, class: TrafficClass) -> f64 {
-        self.class_buckets
-            .range((class, 0)..=(class, u64::MAX))
+        self.class_buckets[class as usize]
+            .touched()
             .map(|(_, v)| v)
             .sum()
     }
 
     /// Total bytes a link carried for a class.
     pub fn link_class_total(&self, link: LinkId, class: TrafficClass) -> f64 {
-        self.link_class_totals
-            .get(&(link, class))
-            .copied()
-            .unwrap_or(0.0)
+        self.link(link).map_or(0.0, |l| l.totals[class as usize])
     }
 
     /// Campus-wide per-bucket byte series for a class, as
     /// `(bucket_start_time, bytes)` pairs in time order.
     pub fn class_series(&self, class: TrafficClass) -> Vec<(SimTime, f64)> {
-        self.class_buckets
-            .range((class, 0)..=(class, u64::MAX))
-            .map(|((_, b), v)| (SimTime::from_nanos(b * self.bucket.as_nanos()), *v))
+        self.class_buckets[class as usize]
+            .touched()
+            .map(|(b, v)| (SimTime::from_nanos(b * self.bucket.as_nanos()), v))
             .collect()
     }
 
     /// Peak campus-wide throughput of a class in bytes/sec (max over buckets).
     pub fn class_peak_rate(&self, class: TrafficClass) -> f64 {
         let w = self.bucket.as_secs_f64();
-        self.class_buckets
-            .range((class, 0)..=(class, u64::MAX))
+        self.class_buckets[class as usize]
+            .touched()
             .map(|(_, v)| v / w)
             .fold(0.0, f64::max)
     }
@@ -188,11 +232,12 @@ impl Accounting {
     /// backbone during its worst minute".
     pub fn link_class_peak_rate(&self, link: LinkId, class: TrafficClass) -> f64 {
         let w = self.bucket.as_secs_f64();
-        self.link_class_buckets
-            .iter()
-            .filter(|((l, c, _), _)| *l == link && *c == class)
-            .map(|(_, v)| v / w)
-            .fold(0.0, f64::max)
+        self.link(link).map_or(0.0, |l| {
+            l.buckets[class as usize]
+                .touched()
+                .map(|(_, v)| v / w)
+                .fold(0.0, f64::max)
+        })
     }
 
     /// Mean throughput of one class on one link over `[0, end)`, bytes/sec.
@@ -208,19 +253,26 @@ impl Accounting {
     /// Derived from the per-class buckets at report time.
     pub fn link_peak_rate(&self, link: LinkId) -> f64 {
         let w = self.bucket.as_secs_f64();
-        let mut per_bucket: BTreeMap<u64, f64> = BTreeMap::new();
-        for ((l, _, b), v) in &self.link_class_buckets {
-            if *l == link {
-                *per_bucket.entry(*b).or_insert(0.0) += v;
-            }
-        }
-        per_bucket.values().map(|v| v / w).fold(0.0, f64::max)
+        let Some(l) = self.link(link) else {
+            return 0.0;
+        };
+        let len = l.buckets.iter().map(|s| s.0.len()).max().unwrap_or(0);
+        (0..len)
+            .map(|b| {
+                l.buckets
+                    .iter()
+                    .filter_map(|s| s.get(b))
+                    .fold(0.0, |a, v| a + v)
+                    / w
+            })
+            .fold(0.0, f64::max)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap};
 
     const L: LinkId = LinkId(0);
 
@@ -287,5 +339,194 @@ mod tests {
         a.record_instant(L, TrafficClass::User, SimTime::ZERO, 0.0);
         a.record_instant(L, TrafficClass::User, SimTime::ZERO, -5.0);
         assert_eq!(a.total_bytes(), 0.0);
+    }
+
+    /// The accountant this file replaced: one ordered map per table, kept
+    /// as the oracle the dense tables are compared against.
+    struct Reference {
+        bucket: SimDuration,
+        class_buckets: BTreeMap<(TrafficClass, u64), f64>,
+        link_class_totals: HashMap<(LinkId, TrafficClass), f64>,
+        link_class_buckets: BTreeMap<(LinkId, TrafficClass, u64), f64>,
+        total_bytes: f64,
+    }
+
+    impl Reference {
+        fn new(bucket: SimDuration) -> Self {
+            Reference {
+                bucket,
+                class_buckets: BTreeMap::new(),
+                link_class_totals: HashMap::new(),
+                link_class_buckets: BTreeMap::new(),
+                total_bytes: 0.0,
+            }
+        }
+
+        fn record_span(
+            &mut self,
+            link: LinkId,
+            class: TrafficClass,
+            from: SimTime,
+            to: SimTime,
+            bytes: f64,
+        ) {
+            if bytes <= 0.0 {
+                return;
+            }
+            self.total_bytes += bytes;
+            *self.link_class_totals.entry((link, class)).or_insert(0.0) += bytes;
+            let width = self.bucket.as_nanos();
+            let span = to.since(from);
+            if span.is_zero() {
+                let b = from.as_nanos() / width;
+                *self.class_buckets.entry((class, b)).or_insert(0.0) += bytes;
+                *self
+                    .link_class_buckets
+                    .entry((link, class, b))
+                    .or_insert(0.0) += bytes;
+                return;
+            }
+            let total_secs = span.as_secs_f64();
+            let mut cursor = from;
+            while cursor < to {
+                let b = cursor.as_nanos() / width;
+                let seg_end = SimTime::from_nanos((b + 1) * width).min(to);
+                let part = bytes * (seg_end.since(cursor).as_secs_f64() / total_secs);
+                *self.class_buckets.entry((class, b)).or_insert(0.0) += part;
+                *self
+                    .link_class_buckets
+                    .entry((link, class, b))
+                    .or_insert(0.0) += part;
+                cursor = seg_end;
+            }
+        }
+
+        fn class_range(&self, class: TrafficClass) -> impl Iterator<Item = (u64, f64)> + '_ {
+            self.class_buckets
+                .range((class, 0)..=(class, u64::MAX))
+                .map(|((_, b), v)| (*b, *v))
+        }
+
+        fn class_total(&self, class: TrafficClass) -> f64 {
+            self.class_range(class).map(|(_, v)| v).sum()
+        }
+
+        fn class_series(&self, class: TrafficClass) -> Vec<(SimTime, f64)> {
+            self.class_range(class)
+                .map(|(b, v)| (SimTime::from_nanos(b * self.bucket.as_nanos()), v))
+                .collect()
+        }
+
+        fn class_peak_rate(&self, class: TrafficClass) -> f64 {
+            let w = self.bucket.as_secs_f64();
+            self.class_range(class)
+                .map(|(_, v)| v / w)
+                .fold(0.0, f64::max)
+        }
+
+        fn link_class_total(&self, link: LinkId, class: TrafficClass) -> f64 {
+            self.link_class_totals
+                .get(&(link, class))
+                .copied()
+                .unwrap_or(0.0)
+        }
+
+        fn link_class_peak_rate(&self, link: LinkId, class: TrafficClass) -> f64 {
+            let w = self.bucket.as_secs_f64();
+            self.link_class_buckets
+                .iter()
+                .filter(|((l, c, _), _)| *l == link && *c == class)
+                .map(|(_, v)| v / w)
+                .fold(0.0, f64::max)
+        }
+
+        fn link_peak_rate(&self, link: LinkId) -> f64 {
+            let w = self.bucket.as_secs_f64();
+            let mut per_bucket: BTreeMap<u64, f64> = BTreeMap::new();
+            for ((l, _, b), v) in &self.link_class_buckets {
+                if *l == link {
+                    *per_bucket.entry(*b).or_insert(0.0) += v;
+                }
+            }
+            per_bucket.values().map(|v| v / w).fold(0.0, f64::max)
+        }
+    }
+
+    proptest::proptest! {
+        /// Any sequence of spans and instants — rejected amounts, amounts
+        /// small enough to underflow a split, links and buckets first
+        /// touched out of order — reads back from the dense accountant
+        /// exactly as from the three maps, every accessor, bit for bit.
+        #[test]
+        fn dense_tables_read_back_like_the_maps(
+            ops in proptest::collection::vec(
+                (
+                    0u32..6,
+                    0usize..CLASSES,
+                    0u64..10_800_000_000_000,
+                    proptest::prop_oneof![
+                        proptest::Just(0u64),
+                        1u64..1_000,
+                        1_000_000_000u64..900_000_000_000
+                    ],
+                    proptest::prop_oneof![
+                        -10.0f64..0.0,
+                        proptest::Just(0.0f64),
+                        proptest::Just(5e-324f64),
+                        1.0f64..2e9
+                    ],
+                ),
+                0..60,
+            ),
+        ) {
+            let width = SimDuration::from_secs(60);
+            let mut dense = Accounting::new(width);
+            let mut maps = Reference::new(width);
+            for (link, class, from, len, bytes) in ops {
+                let (link, class) = (LinkId(link), TrafficClass::ALL[class]);
+                let (from, to) = (SimTime::from_nanos(from), SimTime::from_nanos(from + len));
+                if len == 0 {
+                    dense.record_instant(link, class, from, bytes);
+                } else {
+                    dense.record_span(link, class, from, to, bytes);
+                }
+                maps.record_span(link, class, from, to, bytes);
+            }
+            proptest::prop_assert_eq!(dense.total_bytes().to_bits(), maps.total_bytes.to_bits());
+            for class in TrafficClass::ALL {
+                proptest::prop_assert_eq!(
+                    dense.class_total(class).to_bits(),
+                    maps.class_total(class).to_bits()
+                );
+                proptest::prop_assert_eq!(
+                    dense.class_peak_rate(class).to_bits(),
+                    maps.class_peak_rate(class).to_bits()
+                );
+                let bits = |series: Vec<(SimTime, f64)>| -> Vec<(SimTime, u64)> {
+                    series.into_iter().map(|(t, v)| (t, v.to_bits())).collect()
+                };
+                proptest::prop_assert_eq!(
+                    bits(dense.class_series(class)),
+                    bits(maps.class_series(class))
+                );
+            }
+            // One link past the last any op can touch: the empty answers agree too.
+            for link in (0..7).map(LinkId) {
+                proptest::prop_assert_eq!(
+                    dense.link_peak_rate(link).to_bits(),
+                    maps.link_peak_rate(link).to_bits()
+                );
+                for class in TrafficClass::ALL {
+                    proptest::prop_assert_eq!(
+                        dense.link_class_total(link, class).to_bits(),
+                        maps.link_class_total(link, class).to_bits()
+                    );
+                    proptest::prop_assert_eq!(
+                        dense.link_class_peak_rate(link, class).to_bits(),
+                        maps.link_class_peak_rate(link, class).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -393,7 +393,7 @@ mod tests {
         let c = b.add_node("c");
         b.add_link(a, c, Bandwidth::gbps(1.0), SimDuration::ZERO);
         let mut topo = b.build();
-        let path = topo.route(a, c).unwrap();
+        let path = topo.route(a, c).unwrap().to_vec();
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
         ft.add(path.clone(), 1_000_000_000, TrafficClass::Checkpoint);
@@ -421,8 +421,8 @@ mod tests {
         let mut topo = b.build();
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p0 = topo.route(h0, coord).unwrap();
-        let p1 = topo.route(h1, coord).unwrap();
+        let p0 = topo.route(h0, coord).unwrap().to_vec();
+        let p1 = topo.route(h1, coord).unwrap().to_vec();
         let f0 = ft.add(p0, u64::MAX / 4, TrafficClass::Checkpoint);
         let f1 = ft.add(p1, u64::MAX / 4, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
@@ -445,7 +445,7 @@ mod tests {
         let c = b.add_node("c");
         b.add_link(a, c, Bandwidth::bps(8e6), SimDuration::ZERO); // 1 MB/s
         let mut topo = b.build();
-        let path = topo.route(a, c).unwrap();
+        let path = topo.route(a, c).unwrap().to_vec();
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
         let mut ac = acct();
@@ -501,7 +501,7 @@ mod tests {
             SimDuration::ZERO,
         );
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p = topo.route(hosts[0], coord).unwrap();
+        let p = topo.route(hosts[0], coord).unwrap().to_vec();
         let f = ft.add(p, 1 << 30, TrafficClass::Migration);
         ft.reallocate(&topo);
         assert!(ft.next_completion().is_some());
@@ -520,8 +520,8 @@ mod tests {
             SimDuration::ZERO,
         );
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p0 = topo.route(hosts[0], coord).unwrap();
-        let p1 = topo.route(hosts[1], coord).unwrap();
+        let p0 = topo.route(hosts[0], coord).unwrap().to_vec();
+        let p1 = topo.route(hosts[1], coord).unwrap().to_vec();
         let f0 = ft.add(p0.clone(), 1 << 30, TrafficClass::Checkpoint);
         let _f1 = ft.add(p1, 1 << 30, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
@@ -548,7 +548,7 @@ mod tests {
         let c = b.add_node("c");
         b.add_link(a, c, Bandwidth::bps(8e6), SimDuration::ZERO); // 1 MB/s
         let mut topo = b.build();
-        let path = topo.route(a, c).unwrap();
+        let path = topo.route(a, c).unwrap().to_vec();
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
         let mut ac = acct();
         ft.add(path, 3_000_000, TrafficClass::Checkpoint);

@@ -62,7 +62,7 @@ mod proptests {
             if s == d {
                 continue;
             }
-            let path = topo.route(hosts[s], hosts[d]).unwrap();
+            let path = topo.route(hosts[s], hosts[d]).unwrap().to_vec();
             ft.add(path, 1 << 40, TrafficClass::User);
         }
         ft.reallocate(&topo);
@@ -303,7 +303,7 @@ mod proptests {
                     prop_assert!(r.is_none());
                 } else {
                     let path = r.unwrap();
-                    for ch in path {
+                    for ch in path.iter() {
                         prop_assert!(topo.node_up(ch.from) && topo.node_up(ch.to));
                         prop_assert!(topo.link_up(ch.link));
                     }

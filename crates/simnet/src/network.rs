@@ -194,7 +194,7 @@ impl<M> Network<M> {
         }
         let path = self.topo.route(from, to).ok_or(NetError::Unreachable)?;
         let mut at = now;
-        for ch in &path {
+        for ch in path.iter() {
             at += self.topo.link_latency(ch.link);
             at += SimDuration::from_secs_f64(
                 self.topo
@@ -237,7 +237,11 @@ impl<M> Network<M> {
         let path = if from == to {
             Vec::new()
         } else {
-            self.topo.route(from, to).ok_or(NetError::Unreachable)?
+            // Flows are rare and own their path: this is the one copy.
+            self.topo
+                .route(from, to)
+                .ok_or(NetError::Unreachable)?
+                .to_vec()
         };
         self.integrate_flows(now);
         let id = self.flows.add(path, bytes, class);

@@ -10,6 +10,7 @@ use crate::bandwidth::Bandwidth;
 use gpunion_des::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 
 /// A network endpoint (server, workstation, switch, or the coordinator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,7 +53,22 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     links: Vec<LinkInfo>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    route_cache: HashMap<(NodeId, NodeId), Option<Vec<Channel>>>,
+    /// Shared slices: a cached lookup hands out a reference count, not a
+    /// copy of the path.
+    route_cache: HashMap<(NodeId, NodeId), Option<Rc<[Channel]>>>,
+    search: SearchScratch,
+}
+
+/// Buffers of the route search, kept between searches: a node counts as
+/// discovered when its stamp equals the current search's round number, so
+/// starting a search is one increment instead of clearing (or allocating)
+/// two fleet-sized arrays.
+#[derive(Debug, Clone, Default)]
+struct SearchScratch {
+    round: u64,
+    stamp: Vec<u64>,
+    prev: Vec<(NodeId, LinkId)>,
+    queue: VecDeque<NodeId>,
 }
 
 /// Incremental builder for [`Topology`].
@@ -111,6 +127,7 @@ impl TopologyBuilder {
             links: self.links,
             adjacency,
             route_cache: HashMap::new(),
+            search: SearchScratch::default(),
         }
     }
 }
@@ -184,9 +201,9 @@ impl Topology {
     /// Shortest path (fewest hops) from `src` to `dst` as directed channels,
     /// skipping down nodes and links. `None` when unreachable. Cached until
     /// the next topology change.
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<Channel>> {
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Rc<[Channel]>> {
         if src == dst {
-            return Some(Vec::new());
+            return Some(Rc::from([]));
         }
         if let Some(cached) = self.route_cache.get(&(src, dst)) {
             return cached.clone();
@@ -196,45 +213,54 @@ impl Topology {
         computed
     }
 
-    fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Vec<Channel>> {
+    /// Breadth-first search that stops as soon as `dst` is *discovered*: a
+    /// node's predecessor is fixed at discovery, so the chain read back is
+    /// the one a search that runs until `dst` is popped would read — but a
+    /// host's route to the coordinator of a star ends at the switch's
+    /// second neighbour instead of after the whole fleet.
+    fn bfs(&mut self, src: NodeId, dst: NodeId) -> Option<Rc<[Channel]>> {
         if !self.node_up(src) || !self.node_up(dst) {
             return None;
         }
-        let n = self.nodes.len();
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut q = VecDeque::new();
-        visited[src.0 as usize] = true;
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            if u == dst {
-                break;
-            }
+        let mut s = std::mem::take(&mut self.search);
+        s.round += 1;
+        if s.stamp.len() < self.nodes.len() {
+            s.stamp.resize(self.nodes.len(), 0);
+            s.prev.resize(self.nodes.len(), (src, LinkId(0)));
+        }
+        s.queue.clear();
+        s.stamp[src.0 as usize] = s.round;
+        s.queue.push_back(src);
+        'search: while let Some(u) = s.queue.pop_front() {
             for &(v, l) in &self.adjacency[u.0 as usize] {
-                if visited[v.0 as usize] || !self.link_up(l) || !self.node_up(v) {
+                if s.stamp[v.0 as usize] == s.round || !self.link_up(l) || !self.node_up(v) {
                     continue;
                 }
-                visited[v.0 as usize] = true;
-                prev[v.0 as usize] = Some((u, l));
-                q.push_back(v);
+                s.stamp[v.0 as usize] = s.round;
+                s.prev[v.0 as usize] = (u, l);
+                if v == dst {
+                    break 'search;
+                }
+                s.queue.push_back(v);
             }
         }
-        if !visited[dst.0 as usize] {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let (p, l) = prev[cur.0 as usize].expect("visited implies predecessor");
-            path.push(Channel {
-                link: l,
-                from: p,
-                to: cur,
-            });
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
+        let path = (s.stamp[dst.0 as usize] == s.round).then(|| {
+            let mut path = Vec::new();
+            let mut cur = dst;
+            while cur != src {
+                let (p, l) = s.prev[cur.0 as usize];
+                path.push(Channel {
+                    link: l,
+                    from: p,
+                    to: cur,
+                });
+                cur = p;
+            }
+            path.reverse();
+            Rc::from(path)
+        });
+        self.search = s;
+        path
     }
 
     /// Sum of propagation latencies along a path.
@@ -311,7 +337,7 @@ mod tests {
     #[test]
     fn route_to_self_is_empty() {
         let (mut t, a, ..) = line3();
-        assert_eq!(t.route(a, a), Some(vec![]));
+        assert_eq!(t.route(a, a).as_deref(), Some(&[][..]));
     }
 
     #[test]
@@ -372,5 +398,95 @@ mod tests {
         let mut b = TopologyBuilder::new();
         let a = b.add_node("a");
         b.add_link(a, a, Bandwidth::gbps(1.0), SimDuration::ZERO);
+    }
+
+    /// The search this file replaced: fresh buffers per call, and it runs
+    /// until `dst` is popped. The oracle for the early exit.
+    fn bfs_exit_at_pop(t: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<Channel>> {
+        if !t.node_up(src) || !t.node_up(dst) {
+            return None;
+        }
+        let n = t.nodes.len();
+        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut visited = vec![false; n];
+        let mut q = VecDeque::new();
+        visited[src.0 as usize] = true;
+        q.push_back(src);
+        while let Some(u) = q.pop_front() {
+            if u == dst {
+                break;
+            }
+            for &(v, l) in &t.adjacency[u.0 as usize] {
+                if visited[v.0 as usize] || !t.link_up(l) || !t.node_up(v) {
+                    continue;
+                }
+                visited[v.0 as usize] = true;
+                prev[v.0 as usize] = Some((u, l));
+                q.push_back(v);
+            }
+        }
+        if !visited[dst.0 as usize] {
+            return None;
+        }
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (p, l) = prev[cur.0 as usize].expect("visited implies predecessor");
+            path.push(Channel {
+                link: l,
+                from: p,
+                to: cur,
+            });
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    proptest::proptest! {
+        /// On a random multigraph under random node and link flips, every
+        /// pair's route — computed by the early-exit search on reused
+        /// buffers, or served from the cache — is the path the exit-at-pop
+        /// search finds on the graph as it stands after each flip.
+        #[test]
+        fn routes_match_the_exit_at_pop_search_after_every_flip(
+            n in 2usize..9,
+            edges in proptest::collection::vec((0usize..9, 0usize..9), 1..24),
+            flips in proptest::collection::vec((proptest::any::<bool>(), 0usize..24), 0..12),
+        ) {
+            let mut b = TopologyBuilder::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
+            for (x, y) in edges {
+                let (x, y) = (nodes[x % n], nodes[y % n]);
+                if x != y {
+                    b.add_link(x, y, Bandwidth::gbps(1.0), SimDuration::ZERO);
+                }
+            }
+            let mut t = b.build();
+            let check = |t: &mut Topology| {
+                // Twice: the second round reads every pair from the cache.
+                for _ in 0..2 {
+                    for &src in &nodes {
+                        for &dst in &nodes {
+                            if src != dst {
+                                let fresh = bfs_exit_at_pop(t, src, dst);
+                                proptest::prop_assert_eq!(t.route(src, dst).as_deref(), fresh.as_deref());
+                            }
+                        }
+                    }
+                }
+            };
+            check(&mut t);
+            for (flip_node, i) in flips {
+                if flip_node || t.link_count() == 0 {
+                    let node = nodes[i % n];
+                    t.set_node_up(node, !t.node_up(node));
+                } else {
+                    let link = LinkId((i % t.link_count()) as u32);
+                    t.set_link_up(link, !t.link_up(link));
+                }
+                check(&mut t);
+            }
+        }
     }
 }
