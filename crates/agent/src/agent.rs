@@ -14,6 +14,7 @@
 //! simulated campus LAN and over real TCP in live mode.
 
 use crate::config::AgentConfig;
+use crate::timers::{Timer, Timers};
 use gpunion_container::{ContainerConfigBuilder, ContainerId, ContainerRuntime, ImageRegistry};
 use gpunion_des::{SimDuration, SimTime, TokenBucket};
 use gpunion_gpu::{ComputeCapability, GpuIndex, GpuServer, MemAllocId};
@@ -129,19 +130,6 @@ struct Workload {
     departing_checkpoint: bool,
 }
 
-/// Timer kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Timer {
-    Heartbeat,
-    VerifyDone(JobId),
-    StartDone(JobId),
-    RestoreDone(JobId),
-    CheckpointDue(JobId),
-    CaptureDone(JobId),
-    JobComplete(JobId),
-    DepartureDeadline,
-}
-
 /// The provider agent.
 pub struct Agent {
     config: AgentConfig,
@@ -155,8 +143,7 @@ pub struct Agent {
     /// Ordered by job id: heartbeat status vectors, kill-switch sweeps and
     /// departure checkpoints must iterate deterministically.
     workloads: BTreeMap<JobId, Workload>,
-    timers: BTreeMap<(SimTime, u64), Timer>,
-    timer_seq: u64,
+    timers: Timers,
     metrics: Registry,
     /// `agent_heartbeats_total{node=…}`, resolved on the first beat (so
     /// `/metrics` shows no such family before it) and kept: a registry
@@ -187,8 +174,7 @@ impl Agent {
             token: AuthToken::UNAUTHENTICATED,
             heartbeat_seq: 0,
             workloads: BTreeMap::new(),
-            timers: BTreeMap::new(),
-            timer_seq: 0,
+            timers: Timers::default(),
             metrics: Registry::new(),
             heartbeats_total: None,
             departure_deadline: None,
@@ -240,6 +226,11 @@ impl Agent {
         self.workloads.len()
     }
 
+    /// The jobs of the live workloads, ascending.
+    pub fn workload_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.workloads.keys().copied()
+    }
+
     /// The agent's Prometheus registry (scraped via `/metrics`).
     pub fn metrics(&self) -> &Registry {
         &self.metrics
@@ -258,13 +249,8 @@ impl Agent {
 
     // ---- timers -----------------------------------------------------
 
-    fn arm(&mut self, at: SimTime, t: Timer) {
-        self.timers.insert((at, self.timer_seq), t);
-        self.timer_seq += 1;
-    }
-
     fn disarm_job_timers(&mut self, job: JobId) {
-        self.timers.retain(|_, t| {
+        self.timers.retain(|t| {
             !matches!(t,
                 Timer::VerifyDone(j) | Timer::StartDone(j) | Timer::RestoreDone(j)
                 | Timer::CheckpointDue(j) | Timer::CaptureDone(j) | Timer::JobComplete(j)
@@ -275,20 +261,24 @@ impl Agent {
 
     /// The next instant the agent needs waking.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.timers.keys().next().map(|(t, _)| *t)
+        self.timers.next_wake()
     }
 
-    /// Fire all timers due at or before `now`.
+    /// Fire all timers due at or before `now` ([`Agent::on_wake_into`] with
+    /// a fresh buffer).
     pub fn on_wake(&mut self, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
-        while let Some((&(at, seq), _)) = self.timers.first_key_value() {
-            if at > now {
-                break;
-            }
-            let timer = self.timers.remove(&(at, seq)).expect("just observed");
-            self.fire(now, timer, &mut actions);
-        }
+        self.on_wake_into(now, &mut actions);
         actions
+    }
+
+    /// Fire all timers due at or before `now`, appending what they ask for
+    /// to `actions`. Most wakes are one heartbeat, so the embedding loop
+    /// hands in a buffer it keeps.
+    pub fn on_wake_into(&mut self, now: SimTime, actions: &mut Vec<Action>) {
+        while let Some(timer) = self.timers.pop_due(now) {
+            self.fire(now, timer, actions);
+        }
     }
 
     fn fire(&mut self, now: SimTime, timer: Timer, actions: &mut Vec<Action>) {
@@ -299,7 +289,8 @@ impl Agent {
                     AgentPhase::Active | AgentPhase::Paused | AgentPhase::Departing
                 ) {
                     actions.push(Action::Send(self.heartbeat(now)));
-                    self.arm(now + self.config.heartbeat_period, Timer::Heartbeat);
+                    self.timers
+                        .arm(now + self.config.heartbeat_period, Timer::Heartbeat);
                 }
             }
             Timer::VerifyDone(job) => self.verify_done(now, job, actions),
@@ -338,12 +329,7 @@ impl Agent {
     fn heartbeat(&mut self, now: SimTime) -> Message {
         self.heartbeat_seq += 1;
         let uid = self.uid.expect("heartbeat only after registration");
-        let gpu_stats = self
-            .server
-            .telemetry(now)
-            .into_iter()
-            .map(Into::into)
-            .collect();
+        let gpu_stats = self.server.telemetry_each(now).map(Into::into).collect();
         let workloads = self.workload_statuses(now);
         if self.heartbeats_total.is_none() {
             self.heartbeats_total = self
@@ -417,9 +403,12 @@ impl Agent {
                 self.token = token;
                 self.config.heartbeat_period = SimDuration::from_millis(heartbeat_period_ms as u64);
                 self.phase = AgentPhase::Active;
-                // First heartbeat immediately; then periodic.
+                // First heartbeat immediately; then periodic. Arming
+                // replaces a heartbeat timer an earlier ack armed, so a
+                // duplicated ack restarts the period and does not double it.
                 actions.push(Action::Send(self.heartbeat(now)));
-                self.arm(now + self.config.heartbeat_period, Timer::Heartbeat);
+                self.timers
+                    .arm(now + self.config.heartbeat_period, Timer::Heartbeat);
             }
             Control::HeartbeatAck { .. } => {}
             _ => {
@@ -466,7 +455,7 @@ impl Agent {
 
     fn disarm_checkpoint_timer(&mut self, job: JobId) {
         self.timers
-            .retain(|_, t| !matches!(t, Timer::CheckpointDue(j) if *j == job));
+            .retain(|t| !matches!(t, Timer::CheckpointDue(j) if *j == job));
     }
 
     fn dispatch(
@@ -644,7 +633,7 @@ impl Agent {
                 if let Some(w) = self.workloads.get_mut(&job) {
                     w.phase = WorkPhase::Verifying;
                 }
-                self.arm(now + vdur, Timer::VerifyDone(job));
+                self.timers.arm(now + vdur, Timer::VerifyDone(job));
             }
             None => self.fail_workload(now, job, "manifest disappeared", actions),
         }
@@ -725,13 +714,13 @@ impl Agent {
         // bursts) don't capture and upload in lockstep — synchronized
         // cycles were saturating the backbone in 1-minute bursts (§4).
         if interval_secs > 0 && has_run {
-            self.arm(
+            self.timers.arm(
                 now + checkpoint_stagger(job, interval_secs),
                 Timer::CheckpointDue(job),
             );
         }
         if let Some(eta) = self.eta_for(job) {
-            self.arm(now + eta, Timer::JobComplete(job));
+            self.timers.arm(now + eta, Timer::JobComplete(job));
         }
         let (progress, seq) = self.run_progress(job);
         actions.push(Action::Send(
@@ -827,10 +816,10 @@ impl Agent {
                 d.set_utilization(now, 0.25);
             }
         }
-        self.arm(now + capture, Timer::CaptureDone(job));
+        self.timers.arm(now + capture, Timer::CaptureDone(job));
         // Completion timer is stale now; it gets re-armed on resume.
         self.timers
-            .retain(|_, t| !matches!(t, Timer::JobComplete(j) if *j == job));
+            .retain(|t| !matches!(t, Timer::JobComplete(j) if *j == job));
     }
 
     fn capture_done(&mut self, now: SimTime, job: JobId, actions: &mut Vec<Action>) {
@@ -869,13 +858,13 @@ impl Agent {
             }
         }
         if interval_secs > 0 && !departing {
-            self.arm(
+            self.timers.arm(
                 now + SimDuration::from_secs(interval_secs as u64),
                 Timer::CheckpointDue(job),
             );
         }
         if let Some(eta) = self.eta_for(job) {
-            self.arm(now + eta, Timer::JobComplete(job));
+            self.timers.arm(now + eta, Timer::JobComplete(job));
         }
     }
 
@@ -890,7 +879,7 @@ impl Agent {
         if !done {
             // Clock skew from checkpoint stalls; re-arm at the new ETA.
             if let Some(eta) = self.eta_for(job) {
-                self.arm(
+                self.timers.arm(
                     now + eta.max(SimDuration::from_millis(100)),
                     Timer::JobComplete(job),
                 );
@@ -1063,7 +1052,7 @@ impl Agent {
                         .map(|w| w.spec.state_bytes_hint)
                         .unwrap_or(0);
                     let dur = self.cost.restore_time(bytes);
-                    self.arm(now + dur, Timer::RestoreDone(job));
+                    self.timers.arm(now + dur, Timer::RestoreDone(job));
                 } else {
                     self.fail_workload(now, job, "restore fetch aborted", &mut actions);
                 }
@@ -1126,7 +1115,7 @@ impl Agent {
                 self.phase = AgentPhase::Departing;
                 let deadline = now + SimDuration::from_secs(grace_secs as u64);
                 self.departure_deadline = Some(deadline);
-                self.arm(deadline, Timer::DepartureDeadline);
+                self.timers.arm(deadline, Timer::DepartureDeadline);
                 // Checkpoint every running stateful workload right now.
                 let jobs: Vec<JobId> = self
                     .workloads
@@ -1222,7 +1211,7 @@ impl Agent {
             match manifest {
                 Some(m) => match self.runtime.finish_verify(now, container, registry, &m) {
                     Ok(start_dur) => {
-                        self.arm(now + start_dur, Timer::StartDone(job));
+                        self.timers.arm(now + start_dur, Timer::StartDone(job));
                     }
                     Err(e) => {
                         let why = format!("verification failed: {e}");

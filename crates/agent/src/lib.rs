@@ -20,6 +20,7 @@
 pub mod agent;
 pub mod config;
 pub mod rest;
+mod timers;
 
 pub use agent::{Action, Agent, AgentPhase, FlowPeer, FlowPurpose};
 pub use config::{generate_machine_id, AgentConfig};
@@ -28,7 +29,7 @@ pub use config::{generate_machine_id, AgentConfig};
 mod tests {
     use super::*;
     use gpunion_container::standard_catalogue;
-    use gpunion_des::SimTime;
+    use gpunion_des::{SimDuration, SimTime};
     use gpunion_gpu::{GpuModel, GpuServer, ServerSpec};
     use gpunion_protocol::{
         AuthToken, Control, DepartureMode, DispatchSpec, ExecMode, HttpRequest, JobId, KillReason,
@@ -129,6 +130,38 @@ mod tests {
             .count();
         // Heartbeats at 6, 11, 16, 21, 26 (first was at ack time).
         assert_eq!(beats, 5);
+    }
+
+    /// A duplicated `RegisterAck` (a retransmission, an injected fault)
+    /// answers with a beat of its own and restarts the period; it must not
+    /// leave a second periodic timer behind, beating twice per period for
+    /// the rest of the agent's life.
+    #[test]
+    fn duplicate_register_ack_does_not_double_the_heartbeat_rate() {
+        let (mut agent, registry, _) = registered_agent();
+        let ack: Message = Control::RegisterAck {
+            node: NodeUid(7),
+            token: AuthToken([9; 16]),
+            heartbeat_period_ms: 5_000,
+        }
+        .into();
+        let again = t(1) + SimDuration::from_millis(1);
+        let actions = agent.handle_message(again, ack, &registry);
+        assert_eq!(actions.len(), 1, "the ack's own beat");
+        let ten_periods = again + SimDuration::from_secs(50);
+        let beats: Vec<u64> = drive(&mut agent, &registry, ten_periods)
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send(Message::Control(Control::Heartbeat { seq, .. })) => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        // Seqs 1 and 2 answered the two acks; one beat per period follows.
+        assert_eq!(beats, (3..=12).collect::<Vec<u64>>());
+        assert_eq!(
+            agent.next_wake(),
+            Some(ten_periods + SimDuration::from_secs(5))
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! later beat must be a bare `inc()`. A registry lookup is visible to a
 //! counting allocator (the family name, a label map and its two strings),
 //! so the pin is stated in allocations: a whole timer-driven beat costs
-//! less than one lookup of its own counter, so it cannot contain one.
+//! less than one lookup of its own counter, so it cannot contain one. In
+//! fact it costs exactly one allocation — the `gpu_stats` vector the
+//! message carries: the timer is a field re-armed in place, and the action
+//! lands in the caller's buffer.
 //! The counter is per thread (const-initialized TLS), as in
 //! `crates/scheduler/tests/alloc.rs`.
 
@@ -79,11 +82,14 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
     assert!(is_heartbeat(&first));
     assert!(agent.metrics().render().contains("agent_heartbeats_total"));
 
-    // The later beats come off the heartbeat timer.
+    // The later beats come off the heartbeat timer, into a buffer the
+    // embedding loop keeps (warm from the beat before).
+    let mut actions = first;
     let mut timer_beat = || {
         let at = agent.next_wake().expect("heartbeat timer armed");
+        actions.clear();
         let before = allocations();
-        let actions = agent.on_wake(at);
+        agent.on_wake_into(at, &mut actions);
         let spent = allocations() - before;
         assert!(is_heartbeat(&actions));
         spent
@@ -105,5 +111,6 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
         second_beat < lookup,
         "a beat allocated {second_beat} times, a registry lookup alone {lookup}"
     );
+    assert_eq!(second_beat, 1, "the `gpu_stats` vector and nothing else");
     assert_eq!(third_beat, second_beat, "every later beat costs the same");
 }

@@ -116,12 +116,12 @@ impl TypedEvent<Platform> for PlatformEvent {
                 w.pump(sim);
             }
             PlatformEvent::Boot(addr) => {
-                let actions = w
+                let mut actions = w
                     .agents
                     .get_mut(addr)
                     .expect("agent exists")
                     .start_registration(sim.now());
-                w.apply_agent_actions(sim.now(), addr, actions);
+                w.apply_agent_actions(sim.now(), addr, &mut actions);
                 w.pump(sim);
             }
             PlatformEvent::Inject(inj) => w.run_injection(sim, inj),
@@ -323,6 +323,14 @@ pub struct Platform {
     wake_dirty: bool,
     /// Reusable buffer for the due agents of one pump iteration.
     due_scratch: Vec<NodeId>,
+    /// What one pump phase produced, kept between iterations so the steady
+    /// heartbeat cycle allocates no buffer: `Network::poll_into` fills
+    /// `net_events` and `route_net_events` drains it, `advance_into` fills
+    /// `coord_actions` for `apply_coord_actions`, `on_wake_into` fills
+    /// `agent_actions` for `apply_agent_actions`.
+    net_events: Vec<NetEvent<Payload>>,
+    coord_actions: Vec<CoordAction>,
+    agent_actions: Vec<Action>,
 }
 
 impl Platform {
@@ -371,6 +379,9 @@ impl Platform {
             // Resync on the first pump: agents may carry deploy-time timers.
             wake_dirty: true,
             due_scratch: Vec::new(),
+            net_events: Vec::new(),
+            coord_actions: Vec::new(),
+            agent_actions: Vec::new(),
         };
         (platform, hosts)
     }
@@ -529,13 +540,13 @@ impl Platform {
             return;
         };
         let grace = agent.config().departure_grace;
-        let actions = agent.depart(
+        let mut actions = agent.depart(
             now,
             gpunion_protocol::DepartureMode::Graceful {
                 grace_secs: grace.as_secs() as u32,
             },
         );
-        self.apply_agent_actions(now, addr, actions);
+        self.apply_agent_actions(now, addr, &mut actions);
     }
 
     /// Emergency departure: the node vanishes without warning.
@@ -543,16 +554,16 @@ impl Platform {
         // Harvest rolled-back runs for every workload on the node before the
         // lights go out (the durable checkpoints they restore from).
         self.harvest_runs(now, addr);
-        let events = self.net.set_node_up(now, addr, false);
-        self.route_net_events(now, events);
+        let mut events = self.net.set_node_up(now, addr, false);
+        self.route_net_events(now, &mut events);
     }
 
     /// The provider returns after an outage; the agent re-registers.
     pub fn provider_return(&mut self, now: SimTime, addr: NodeId) {
         let _ = self.net.set_node_up(now, addr, true);
         if let Some(agent) = self.agents.get_mut(addr) {
-            let actions = agent.reconnect(now);
-            self.apply_agent_actions(now, addr, actions);
+            let mut actions = agent.reconnect(now);
+            self.apply_agent_actions(now, addr, &mut actions);
         }
     }
 
@@ -562,7 +573,7 @@ impl Platform {
         let Some(agent) = self.agents.get_mut(addr) else {
             return;
         };
-        let jobs: Vec<JobId> = self.stats.job_log.keys().copied().collect();
+        let jobs: Vec<JobId> = agent.workload_jobs().collect();
         for job in jobs {
             if let Some(mut run) = agent.take_run(job) {
                 run.rollback_to_checkpoint();
@@ -575,10 +586,10 @@ impl Platform {
 
     // ---- action routing -------------------------------------------------
 
-    /// Apply coordinator actions: sends become network messages after their
-    /// scheduling delay; job events are logged.
-    pub fn apply_coord_actions(&mut self, now: SimTime, actions: Vec<CoordAction>) {
-        for action in actions {
+    /// Apply coordinator actions, draining `actions`: sends become network
+    /// messages after their scheduling delay; job events are logged.
+    pub fn apply_coord_actions(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
+        for action in actions.drain(..) {
             match action {
                 CoordAction::Send { to, msg, .. } => {
                     // A RegisterAck is the first action naming a (possibly
@@ -620,9 +631,9 @@ impl Platform {
         }
     }
 
-    /// Apply agent actions.
-    pub fn apply_agent_actions(&mut self, now: SimTime, addr: NodeId, actions: Vec<Action>) {
-        for action in actions {
+    /// Apply agent actions, draining `actions`.
+    pub fn apply_agent_actions(&mut self, now: SimTime, addr: NodeId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send(msg) => {
                     // Harvest displaced runs on kill notifications before the
@@ -691,17 +702,17 @@ impl Platform {
                         .is_err()
                     {
                         // Unreachable peer: fail the transfer immediately.
-                        let actions = self
+                        let mut actions = self
                             .agents
                             .get_mut(addr)
                             .map(|a| a.on_flow_done(now, purpose, false, &self.registry))
                             .unwrap_or_default();
-                        self.apply_agent_actions(now, addr, actions);
+                        self.apply_agent_actions(now, addr, &mut actions);
                     }
                 }
                 Action::GoOffline => {
-                    let events = self.net.set_node_up(now, addr, false);
-                    self.route_net_events(now, events);
+                    let mut events = self.net.set_node_up(now, addr, false);
+                    self.route_net_events(now, &mut events);
                 }
             }
         }
@@ -711,8 +722,8 @@ impl Platform {
         self.refresh_wake(addr);
     }
 
-    fn route_net_events(&mut self, now: SimTime, events: Vec<NetEvent<Payload>>) {
-        for ev in events {
+    fn route_net_events(&mut self, now: SimTime, events: &mut Vec<NetEvent<Payload>>) {
+        for ev in events.drain(..) {
             match ev {
                 NetEvent::Delivered { to, payload, .. } => match payload {
                     Payload::Ctrl(env) => {
@@ -735,12 +746,12 @@ impl Platform {
                     } = tag
                     {
                         let ok = outcome == FlowOutcome::Completed;
-                        let actions = self
+                        let mut actions = self
                             .agents
                             .get_mut(agent_addr)
                             .map(|a| a.on_flow_done(now, purpose, ok, &self.registry))
                             .unwrap_or_default();
-                        self.apply_agent_actions(now, agent_addr, actions);
+                        self.apply_agent_actions(now, agent_addr, &mut actions);
                     }
                 }
             }
@@ -766,7 +777,7 @@ impl Platform {
         let Some(agent) = self.agents.get_mut(addr) else {
             return;
         };
-        let actions = agent.handle_message(now, env.msg, &self.registry);
+        let mut actions = agent.handle_message(now, env.msg, &self.registry);
         // Attach run on acceptance.
         if let Some((job, restore)) = dispatch_job {
             let accepted = actions.iter().any(|a| {
@@ -793,7 +804,7 @@ impl Platform {
                 }
             }
         }
-        self.apply_agent_actions(now, addr, actions);
+        self.apply_agent_actions(now, addr, &mut actions);
     }
 
     // ---- harness injections -------------------------------------------
@@ -896,6 +907,13 @@ impl Platform {
 
     /// Advance every passive component to `sim.now()` and re-arm the wake.
     ///
+    /// Each iteration asks the three components when they are next due —
+    /// the network, the coordinator, the wake index's head — once each, in
+    /// that order (a delivery may make the coordinator due, and either an
+    /// agent), and runs only the ones that are. The iteration in which none
+    /// was due changed nothing, so the three instants it read are still
+    /// true and the pump is armed from them.
+    ///
     /// Agent wakes come off the wake index: each iteration pops only the
     /// due prefix — O(due · log n) instead of the old full O(n) scan — and
     /// visits the due agents in ascending address order, exactly the order
@@ -907,72 +925,69 @@ impl Platform {
             self.resync_wakes();
         }
         let now = sim.now();
-        loop {
-            let mut progressed = false;
-            let events = self.net.poll(now);
-            if !events.is_empty() {
-                self.route_net_events(now, events);
-                progressed = true;
+        let due = |at: Option<SimTime>| at.is_some_and(|t| t <= now);
+        let next = loop {
+            let net_at = self.net.next_event_at();
+            if due(net_at) {
+                let mut events = std::mem::take(&mut self.net_events);
+                self.net.poll_into(now, &mut events);
+                self.route_net_events(now, &mut events);
+                self.net_events = events;
             }
-            if self
-                .coordinator
-                .next_wake()
-                .map(|t| t <= now)
-                .unwrap_or(false)
-            {
-                let actions = self.coordinator.advance(now);
-                self.apply_coord_actions(now, actions);
-                progressed = true;
+            let coord_at = self.coordinator.next_wake();
+            if due(coord_at) {
+                let mut actions = std::mem::take(&mut self.coord_actions);
+                self.coordinator.advance_into(now, &mut actions);
+                self.apply_coord_actions(now, &mut actions);
+                self.coord_actions = actions;
             }
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            while let Some(&(t, addr)) = self.wake_index.first() {
-                if t > now {
-                    break;
-                }
-                self.wake_index.pop_first();
-                let slot = self.agents.slot_mut(addr).expect("indexed agents exist");
-                slot.wake = None;
-                due.push(addr);
+            // The earliest agent wake is the index head — no per-agent scan.
+            let agents_at = self.wake_index.first().map(|&(t, _)| t);
+            if due(agents_at) {
+                self.wake_due_agents(now);
             }
-            // The index orders by (time, addr); the old scan woke due agents
-            // in pure address order. Restore that order.
-            due.sort_unstable();
-            if !due.is_empty() {
-                progressed = true;
-                for &addr in &due {
-                    let agent = self.agents.get_mut(addr).expect("indexed agents exist");
-                    let mut actions = agent.on_wake(now);
-                    if agent.has_pending_verifications() {
-                        actions.extend(agent.complete_verifications(now, &self.registry));
-                    }
-                    self.apply_agent_actions(now, addr, actions);
-                }
+            if !(due(net_at) || due(coord_at) || due(agents_at)) {
+                break [net_at, coord_at, agents_at].into_iter().flatten().min();
             }
-            self.due_scratch = due;
-            if !progressed {
-                break;
-            }
+        };
+        if let Some(at) = next {
+            self.arm_pump(sim, at);
         }
-        self.arm_pump(sim);
     }
 
-    fn arm_pump(&mut self, sim: &mut PlatformSim) {
-        let mut next = self.net.next_event_at();
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                next = Some(next.map_or(t, |n: SimTime| n.min(t)));
+    /// Pop the due prefix of the wake index and wake those agents.
+    fn wake_due_agents(&mut self, now: SimTime) {
+        let mut due = std::mem::take(&mut self.due_scratch);
+        let mut actions = std::mem::take(&mut self.agent_actions);
+        while let Some(&(t, addr)) = self.wake_index.first() {
+            if t > now {
+                break;
             }
-        };
-        fold(self.coordinator.next_wake());
-        // The earliest agent wake is the index head — no per-agent scan.
-        fold(self.wake_index.first().map(|&(t, _)| t));
-        let Some(at) = next else {
-            return;
-        };
+            self.wake_index.pop_first();
+            let slot = self.agents.slot_mut(addr).expect("indexed agents exist");
+            slot.wake = None;
+            due.push(addr);
+        }
+        // The index orders by (time, addr); the old scan woke due agents
+        // in pure address order. Restore that order.
+        due.sort_unstable();
+        for addr in due.drain(..) {
+            let agent = self.agents.get_mut(addr).expect("indexed agents exist");
+            agent.on_wake_into(now, &mut actions);
+            if agent.has_pending_verifications() {
+                actions.extend(agent.complete_verifications(now, &self.registry));
+            }
+            self.apply_agent_actions(now, addr, &mut actions);
+        }
+        self.due_scratch = due;
+        self.agent_actions = actions;
+    }
+
+    /// Arm the pump for `at`, unless an earlier or equal wake is pending.
+    fn arm_pump(&mut self, sim: &mut PlatformSim, at: SimTime) {
         if let Some((armed_at, id)) = self.pump_armed {
             if armed_at <= at {
-                return; // an earlier or equal wake is already pending
+                return;
             }
             sim.cancel(id);
         }
@@ -1034,12 +1049,12 @@ mod tests {
         let idle = *hosts.iter().find(|h| !busy(&w, **h)).expect("one job");
         let hosting = *hosts.iter().find(|h| busy(&w, **h)).expect("placed");
         let mode = DepartureMode::Graceful { grace_secs: 60 };
-        let actions = w.agent_mut(idle).unwrap().depart(sim.now(), mode);
+        let mut actions = w.agent_mut(idle).unwrap().depart(sim.now(), mode);
         let slot = w.agents.slot_mut(idle).unwrap();
         assert_ne!(slot.wake, slot.agent.next_wake(), "stale until resynced");
         w.pump(&mut sim);
         assert_wakes_exact(&mut w);
-        w.apply_agent_actions(sim.now(), idle, actions);
+        w.apply_agent_actions(sim.now(), idle, &mut actions);
         w.pump(&mut sim);
         assert_wakes_exact(&mut w);
 

@@ -148,7 +148,16 @@ impl GpuServer {
 
     /// Telemetry for all devices at `now` — what one heartbeat carries.
     pub fn telemetry(&mut self, now: SimTime) -> Vec<GpuTelemetry> {
-        self.devices.iter_mut().map(|d| d.telemetry(now)).collect()
+        self.telemetry_each(now).collect()
+    }
+
+    /// [`GpuServer::telemetry`] device by device, for a caller that
+    /// converts each sample as it goes instead of holding the vector.
+    pub fn telemetry_each(
+        &mut self,
+        now: SimTime,
+    ) -> impl ExactSizeIterator<Item = GpuTelemetry> + '_ {
+        self.devices.iter_mut().map(move |d| d.telemetry(now))
     }
 
     /// Server-level mean utilization across devices (Fig. 2's per-server

@@ -7,12 +7,17 @@
 
 use crate::message::{AuthToken, NodeUid};
 use rand::RngCore;
-use std::collections::HashMap;
 
 /// Issues and validates node tokens (lives in the coordinator).
+///
+/// A table indexed by uid: the coordinator's directory hands uids out from
+/// a counter, so the table is as long as the highest uid ever issued a
+/// token and validating a heartbeat is one indexed read.
 #[derive(Debug, Default)]
 pub struct TokenRegistry {
-    tokens: HashMap<NodeUid, AuthToken>,
+    tokens: Vec<Option<AuthToken>>,
+    /// Occupied slots, so `len` is not a scan.
+    active: usize,
 }
 
 impl TokenRegistry {
@@ -22,36 +27,50 @@ impl TokenRegistry {
     }
 
     /// Issue a fresh token for a node, replacing any previous one
-    /// (re-registration invalidates old credentials).
+    /// (re-registration invalidates old credentials). `node` must be a uid
+    /// the directory issued: the table grows to it.
     pub fn issue(&mut self, node: NodeUid, rng: &mut impl RngCore) -> AuthToken {
         let mut bytes = [0u8; 16];
         rng.fill_bytes(&mut bytes);
         let token = AuthToken(bytes);
-        self.tokens.insert(node, token);
+        let slot = node.slot();
+        assert!(slot < usize::MAX, "uids are table positions");
+        if slot >= self.tokens.len() {
+            self.tokens.resize(slot + 1, None);
+        }
+        if self.tokens[slot].replace(token).is_none() {
+            self.active += 1;
+        }
         token
     }
 
     /// Constant-time validation of a presented token.
     pub fn validate(&self, node: NodeUid, presented: &AuthToken) -> bool {
-        match self.tokens.get(&node) {
-            Some(expected) => constant_time_eq(&expected.0, &presented.0),
-            None => false,
+        match self.tokens.get(node.slot()) {
+            Some(Some(expected)) => constant_time_eq(&expected.0, &presented.0),
+            _ => false,
         }
     }
 
     /// Revoke a node's token (departure / eviction).
     pub fn revoke(&mut self, node: NodeUid) -> bool {
-        self.tokens.remove(&node).is_some()
+        let revoked = self
+            .tokens
+            .get_mut(node.slot())
+            .and_then(Option::take)
+            .is_some();
+        self.active -= usize::from(revoked);
+        revoked
     }
 
     /// Number of active credentials.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.active
     }
 
     /// True when no credentials are active.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.active == 0
     }
 }
 
@@ -102,6 +121,40 @@ mod tests {
         let t2 = reg.issue(NodeUid(2), &mut rng);
         assert_ne!(t1, t2);
         assert_eq!(reg.len(), 2);
+    }
+
+    /// The table against the map it replaced, under random issue / revoke
+    /// / re-issue: same answers from `validate` (out-of-range uids
+    /// included), same `revoke` results, and `len` stays exact.
+    #[test]
+    fn table_matches_the_map_it_replaced() {
+        use rand::Rng;
+        use std::collections::HashMap;
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut reg = TokenRegistry::new();
+        let mut map: HashMap<NodeUid, AuthToken> = HashMap::new();
+        assert!(
+            !reg.validate(NodeUid(0), &AuthToken([0; 16])),
+            "empty table"
+        );
+        for _ in 0..2_000 {
+            let node = NodeUid(rng.gen_range(0..24));
+            if rng.gen_bool(0.6) {
+                let token = reg.issue(node, &mut rng);
+                map.insert(node, token);
+            } else {
+                assert_eq!(reg.revoke(node), map.remove(&node).is_some());
+            }
+            assert_eq!(reg.len(), map.len());
+            assert_eq!(reg.is_empty(), map.is_empty());
+            for uid in (0..26).chain([u64::MAX]) {
+                let uid = NodeUid(uid);
+                let held = map.get(&uid);
+                assert_eq!(held.is_some_and(|t| reg.validate(uid, t)), held.is_some());
+                assert!(!reg.validate(uid, &AuthToken([0xA5; 16])));
+            }
+        }
+        assert!(!reg.revoke(NodeUid(u64::MAX)), "never issued");
     }
 
     #[test]

@@ -21,6 +21,16 @@ pub const PROTOCOL_VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeUid(pub u64);
 
+impl NodeUid {
+    /// Position of this uid in a table indexed by uid (the coordinator
+    /// issues uids from a counter, so its per-node tables are dense).
+    /// A uid wider than the platform's index type — never one the
+    /// coordinator issued — maps past the end of any table.
+    pub fn slot(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
 /// Platform-wide job identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);

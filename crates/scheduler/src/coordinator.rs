@@ -558,6 +558,14 @@ impl Coordinator {
             .min()
     }
 
+    /// Run the actor up to `now` ([`Coordinator::advance_into`] with a
+    /// fresh buffer).
+    pub fn advance(&mut self, now: SimTime) -> Vec<CoordAction> {
+        let mut actions = Vec::new();
+        self.advance_into(now, &mut actions);
+        actions
+    }
+
     /// Run the actor up to `now`: apply due database writes first (so
     /// every turn reads a database that reflects all writes whose service
     /// completed), then take turns — inbox envelopes and due timers merged
@@ -570,8 +578,10 @@ impl Coordinator {
     /// stays at the inbox head (FIFO order preserved) or the timer is
     /// re-armed at the next write completion — rather than over-filling
     /// the queue. Deferred work retries as completions free slots.
-    pub fn advance(&mut self, now: SimTime) -> Vec<CoordAction> {
-        let mut actions = Vec::new();
+    ///
+    /// The actions are appended to `actions`, a buffer the embedding loop
+    /// keeps: a turn is usually one heartbeat and its ack.
+    pub fn advance_into(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
         loop {
             // Re-applied every turn: a turn may submit writes whose service
             // lands within this same instant, and deferral target times
@@ -604,7 +614,7 @@ impl Coordinator {
                     let q = self.inbox.pop_front().expect("just peeked");
                     self.inbox_sojourn
                         .record(now.since(q.enqueued).as_secs_f64());
-                    self.process_envelope(now, q.env, &mut actions);
+                    self.process_envelope(now, q.env, actions);
                 }
                 _ => {
                     let (&key, _) = self
@@ -621,11 +631,10 @@ impl Coordinator {
                         self.arm(retry.max(now), timer);
                         continue;
                     }
-                    self.fire_timer(now, timer, &mut actions);
+                    self.fire_timer(now, timer, actions);
                 }
             }
         }
-        actions
     }
 
     fn process_envelope(

@@ -23,7 +23,7 @@ use gpunion_des::{SimDuration, SimTime};
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
 use index::CapacityIndex;
 pub(crate) use index::ClassFloor;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Bound;
 
 /// The node directory.
@@ -33,24 +33,19 @@ use std::ops::Bound;
 /// paper's migrate-back depends on.
 #[derive(Debug, Default)]
 pub struct Directory {
-    /// Ordered by uid so iteration is deterministic.
-    nodes: BTreeMap<NodeUid, NodeEntry>,
+    /// Indexed by uid: `register` hands uids out from a counter and never
+    /// frees one, so entry `i` is node `NodeUid(i)` and iteration is in uid
+    /// order.
+    nodes: Vec<NodeEntry>,
     /// The incremental index over those nodes.
     index: CapacityIndex,
     by_machine: HashMap<String, NodeUid>,
-    next_uid: u64,
 }
 
 impl Directory {
     /// Empty directory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Insert (or replace) an entry and index it.
-    fn insert(&mut self, entry: NodeEntry) {
-        self.index.refresh(&entry);
-        self.nodes.insert(entry.uid, entry);
     }
 
     /// Register (or re-register) a machine. A known machine id keeps its
@@ -63,35 +58,29 @@ impl Directory {
         gpus: Vec<GpuInfo>,
         now: SimTime,
     ) -> (NodeUid, bool) {
-        if let Some(&uid) = self.by_machine.get(machine_id) {
+        let known = self.by_machine.get(machine_id).copied();
+        let uid = known.unwrap_or(NodeUid(self.nodes.len() as u64));
+        let mut entry =
+            NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
+        self.index.refresh(&entry);
+        match known {
             // Returning provider: refresh inventory, preserve reliability.
-            let reliability = self
-                .nodes
-                .get(&uid)
-                .map(|e| e.reliability.clone())
-                .unwrap_or(Reliability::new(now));
-            let mut entry =
-                NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
-            entry.reliability = reliability;
-            self.insert(entry);
-            return (uid, true);
+            Some(_) => {
+                let old = &mut self.nodes[uid.slot()];
+                entry.reliability = old.reliability.clone();
+                *old = entry;
+            }
+            None => {
+                self.by_machine.insert(machine_id.to_string(), uid);
+                self.nodes.push(entry);
+            }
         }
-        let uid = NodeUid(self.next_uid);
-        self.next_uid += 1;
-        self.by_machine.insert(machine_id.to_string(), uid);
-        self.insert(NodeEntry::new(
-            uid,
-            machine_id.to_string(),
-            hostname.to_string(),
-            gpus,
-            now,
-        ));
-        (uid, false)
+        (uid, known.is_some())
     }
 
     /// Entry by uid.
     pub fn get(&self, uid: NodeUid) -> Option<&NodeEntry> {
-        self.nodes.get(&uid)
+        self.nodes.get(uid.slot())
     }
 
     /// Apply a heartbeat's telemetry. Returns false for unknown nodes.
@@ -103,7 +92,7 @@ impl Directory {
         accepting: bool,
         stats: &[GpuStat],
     ) -> bool {
-        let Some(e) = self.nodes.get_mut(&uid) else {
+        let Some(e) = self.nodes.get_mut(uid.slot()) else {
             return false;
         };
         e.apply_heartbeat(now, seq, accepting, stats);
@@ -123,7 +112,7 @@ impl Directory {
         mem: u64,
         min_cc: Option<(u8, u8)>,
     ) -> bool {
-        let Some(e) = self.nodes.get_mut(&uid) else {
+        let Some(e) = self.nodes.get_mut(uid.slot()) else {
             return false;
         };
         let complete = e.reserve(job, gpus, mem, min_cc);
@@ -134,7 +123,7 @@ impl Directory {
     /// Release a job's reservation (offer rejected, job finished, node
     /// lost). No-op when none exists.
     pub fn release(&mut self, uid: NodeUid, job: JobId) {
-        if let Some(e) = self.nodes.get_mut(&uid) {
+        if let Some(e) = self.nodes.get_mut(uid.slot()) {
             e.release(job);
             self.index.refresh(e);
         }
@@ -142,7 +131,7 @@ impl Directory {
 
     /// Transition a node's liveness. Returns the previous liveness.
     pub fn set_liveness(&mut self, uid: NodeUid, liveness: NodeLiveness) -> Option<NodeLiveness> {
-        let e = self.nodes.get_mut(&uid)?;
+        let e = self.nodes.get_mut(uid.slot())?;
         let prev = e.liveness;
         e.liveness = liveness;
         self.index.refresh(e);
@@ -151,14 +140,14 @@ impl Directory {
 
     /// Record a provider interruption against a node's reliability stats.
     pub fn record_interruption(&mut self, uid: NodeUid, now: SimTime) {
-        if let Some(e) = self.nodes.get_mut(&uid) {
+        if let Some(e) = self.nodes.get_mut(uid.slot()) {
             e.reliability.record_interruption(now);
         }
     }
 
     /// All entries, uid order.
     pub fn iter(&self) -> impl Iterator<Item = &NodeEntry> {
-        self.nodes.values()
+        self.nodes.iter()
     }
 
     /// Registered node count.
@@ -187,7 +176,7 @@ impl Directory {
     ) -> impl Iterator<Item = &'a NodeEntry> + 'a {
         self.index
             .class_stream(ClassFloor::of(spec))
-            .filter_map(|uid| self.nodes.get(&uid))
+            .filter_map(|uid| self.get(uid))
             .filter(move |e| e.eligible_for(spec))
     }
 
@@ -241,11 +230,11 @@ impl Directory {
     /// equivalent to; the equivalence tests walk it directly.
     #[cfg(test)]
     pub(crate) fn round_robin_from(&self, cursor: NodeUid) -> impl Iterator<Item = NodeUid> + '_ {
-        self.nodes
-            .range(cursor..)
-            .chain(self.nodes.range(..cursor))
-            .filter(|(_, e)| e.liveness() == NodeLiveness::Active)
-            .map(|(&uid, _)| uid)
+        let (before, from) = self.nodes.split_at(cursor.slot().min(self.nodes.len()));
+        from.iter()
+            .chain(before)
+            .filter(|e| e.liveness() == NodeLiveness::Active)
+            .map(|e| e.uid)
     }
 
     /// The round-robin walk: members of the classes `floor` admits, in uid
@@ -585,15 +574,39 @@ mod tests {
         /// re-registrations with other hardware, heartbeats that pause,
         /// resume and revive, reservations, releases, liveness flips — it
         /// must equal the index filed from scratch from the entries: all
-        /// four views, the positions, and the unscheduled set.
+        /// four views, the positions, and the unscheduled set. And the
+        /// uid-indexed node table must stay the map it replaced.
         #[test]
         fn prop_diffed_index_equals_a_rebuild_after_every_step(
             ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..120),
         ) {
             let mut d = Directory::new();
             for (op, a, b) in ops {
+                // What a registration (op 0) of this machine must preserve.
+                let known = d.by_machine.get(&format!("m-{a}")).copied().filter(|_| op == 0);
+                let history = known.map(|uid| d.get(uid).unwrap().reliability.interruptions);
+                let len = d.len();
                 apply_op(&mut d, op, a, b);
                 proptest::prop_assert_eq!(&d.index, &CapacityIndex::rebuilt(d.iter()));
+                // The table: a known machine comes back to its own slot
+                // with its history, a new one takes the next uid, slot `i`
+                // holds uid `i`, and a uid never issued has no entry.
+                if let Some(uid) = known {
+                    proptest::prop_assert_eq!(d.len(), len);
+                    let e = d.get(uid).unwrap();
+                    proptest::prop_assert_eq!(&e.machine_id, &format!("m-{a}"));
+                    proptest::prop_assert_eq!(Some(e.reliability.interruptions), history);
+                    proptest::prop_assert_eq!(e.last_heartbeat, t(b));
+                } else {
+                    proptest::prop_assert_eq!(d.len(), len + usize::from(op == 0));
+                }
+                for (i, e) in d.iter().enumerate() {
+                    proptest::prop_assert_eq!(e.uid, NodeUid(i as u64));
+                    proptest::prop_assert_eq!(d.by_machine.get(&e.machine_id), Some(&e.uid));
+                }
+                proptest::prop_assert!(d.get(NodeUid(d.len() as u64)).is_none());
+                proptest::prop_assert!(d.get(NodeUid(u64::MAX)).is_none());
+                proptest::prop_assert!(!d.apply_heartbeat(NodeUid(u64::MAX), t(b), b, true, &[]));
             }
         }
     }

@@ -32,7 +32,7 @@ pub use bandwidth::Bandwidth;
 pub use flow::{FlowEnd, FlowId, FlowOutcome, FlowTable};
 pub use message::{Delivery, MessageQueue};
 pub use network::{NetError, NetEvent, Network};
-pub use topology::{star_campus, Channel, LinkId, NodeId, Topology, TopologyBuilder};
+pub use topology::{star_campus, Channel, LinkId, NodeId, Route, Topology, TopologyBuilder};
 
 #[cfg(test)]
 mod proptests {

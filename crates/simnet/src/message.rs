@@ -9,7 +9,8 @@
 
 use crate::topology::NodeId;
 use gpunion_des::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A message awaiting delivery.
 #[derive(Debug, Clone)]
@@ -24,10 +25,53 @@ pub struct Delivery<M> {
     pub size_bytes: u32,
 }
 
-/// Time-ordered pending message queue.
+/// A queued delivery under its key: due time, then enqueue order.
+#[derive(Debug)]
+struct Pending<M> {
+    at: SimTime,
+    seq: u64,
+    delivery: Delivery<M>,
+}
+
+impl<M> Pending<M> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+// Reversed, so the max-heap's top is the smallest key. Keys are unique
+// (`seq` never repeats), so the order is total and the payload never
+// compared.
+impl<M> Ord for Pending<M> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl<M> PartialOrd for Pending<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> PartialEq for Pending<M> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<M> Eq for Pending<M> {}
+
+/// Time-ordered pending message queue: a binary heap on `(due, enqueue
+/// sequence)`. A heap is not stable, but it never has to be — the sequence
+/// number is part of the key, so two messages due at one instant are
+/// distinct keys and leave in enqueue order, exactly as they left the
+/// ordered map this replaces (pinned against it below). What the heap
+/// drops is the map's node per handful of messages: its storage is one
+/// vector that stops growing once the in-flight peak has been seen.
 #[derive(Debug)]
 pub struct MessageQueue<M> {
-    pending: BTreeMap<(SimTime, u64), Delivery<M>>,
+    pending: BinaryHeap<Pending<M>>,
     seq: u64,
 }
 
@@ -41,7 +85,7 @@ impl<M> MessageQueue<M> {
     /// Empty queue.
     pub fn new() -> Self {
         MessageQueue {
-            pending: BTreeMap::new(),
+            pending: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -59,34 +103,32 @@ impl<M> MessageQueue<M> {
     /// Enqueue a message for delivery at `at`. Messages enqueued for the
     /// same instant are delivered in enqueue order.
     pub fn enqueue(&mut self, at: SimTime, delivery: Delivery<M>) {
-        let key = (at, self.seq);
+        let seq = self.seq;
         self.seq += 1;
-        self.pending.insert(key, delivery);
+        self.pending.push(Pending { at, seq, delivery });
     }
 
     /// The earliest pending delivery time.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.pending.keys().next().map(|(t, _)| *t)
+        self.pending.peek().map(|p| p.at)
     }
 
-    /// Remove and return all messages due at or before `now`, in time order.
-    pub fn drain_due(&mut self, now: SimTime) -> Vec<Delivery<M>> {
-        let mut due = Vec::new();
-        while let Some((&(t, s), _)) = self.pending.first_key_value() {
-            if t > now {
-                break;
-            }
-            let d = self.pending.remove(&(t, s)).expect("just observed");
-            due.push(d);
+    /// Remove and return the next message due at or before `now`: calling
+    /// until `None` yields the due messages in time order, enqueue order
+    /// within an instant.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<Delivery<M>> {
+        if self.pending.peek()?.at > now {
+            return None;
         }
-        due
+        self.pending.pop().map(|p| p.delivery)
     }
 
     /// Drop every in-flight message to or from `node` (the node went down
     /// while packets were in the air). Returns how many were lost.
     pub fn drop_involving(&mut self, node: NodeId) -> usize {
         let before = self.pending.len();
-        self.pending.retain(|_, d| d.from != node && d.to != node);
+        self.pending
+            .retain(|p| p.delivery.from != node && p.delivery.to != node);
         before - self.pending.len()
     }
 }
@@ -94,6 +136,7 @@ impl<M> MessageQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn d(from: u32, to: u32, tag: &'static str) -> Delivery<&'static str> {
         Delivery {
@@ -113,7 +156,7 @@ mod tests {
         q.enqueue(SimTime::from_secs(3), d(0, 1, "c"));
         assert_eq!(q.next_at(), Some(SimTime::from_secs(1)));
 
-        let due = q.drain_due(SimTime::from_secs(2));
+        let due: Vec<_> = std::iter::from_fn(|| q.pop_due(SimTime::from_secs(2))).collect();
         assert_eq!(
             due.iter().map(|m| m.payload).collect::<Vec<_>>(),
             vec!["a", "a2", "b"]
@@ -125,7 +168,7 @@ mod tests {
     #[test]
     fn drain_when_empty() {
         let mut q: MessageQueue<()> = MessageQueue::new();
-        assert!(q.drain_due(SimTime::MAX).is_empty());
+        assert!(q.pop_due(SimTime::MAX).is_none());
         assert_eq!(q.next_at(), None);
     }
 
@@ -138,6 +181,76 @@ mod tests {
         let dropped = q.drop_involving(NodeId(1));
         assert_eq!(dropped, 2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.drain_due(SimTime::MAX)[0].payload, "keep");
+        assert_eq!(q.pop_due(SimTime::MAX).unwrap().payload, "keep");
+    }
+
+    /// The ordered map the heap replaced: the oracle for delivery order.
+    #[derive(Default)]
+    struct MapQueue {
+        pending: BTreeMap<(SimTime, u64), Delivery<u32>>,
+        seq: u64,
+    }
+
+    impl MapQueue {
+        fn enqueue(&mut self, at: SimTime, delivery: Delivery<u32>) {
+            self.pending.insert((at, self.seq), delivery);
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<Delivery<u32>> {
+            let first = self.pending.first_entry()?;
+            (first.key().0 <= now).then(|| first.remove())
+        }
+
+        fn drop_involving(&mut self, node: NodeId) -> usize {
+            let before = self.pending.len();
+            self.pending.retain(|_, d| d.from != node && d.to != node);
+            before - self.pending.len()
+        }
+    }
+
+    proptest::proptest! {
+        /// Under random enqueues (few distinct instants, so most share one
+        /// — the ack batches depend on FIFO within an instant), drains up
+        /// to a random time and node losses, the heap hands out exactly
+        /// the deliveries the ordered map does, in the same order, and
+        /// agrees on `next_at` and `len` after every step.
+        #[test]
+        fn heap_delivers_like_the_ordered_map(
+            ops in proptest::collection::vec((0u8..8, 0u64..6, 0u32..5, 0u32..5), 1..200),
+        ) {
+            let mut heap = MessageQueue::new();
+            let mut map = MapQueue::default();
+            let mut tag = 0u32;
+            for (op, t, a, b) in ops {
+                let at = SimTime::from_secs(t);
+                match op {
+                    0 => {
+                        loop {
+                            let (h, m) = (heap.pop_due(at), map.pop_due(at));
+                            proptest::prop_assert_eq!(
+                                h.as_ref().map(|d| d.payload),
+                                m.as_ref().map(|d| d.payload)
+                            );
+                            if h.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                    1 => proptest::prop_assert_eq!(
+                        heap.drop_involving(NodeId(a)),
+                        map.drop_involving(NodeId(a))
+                    ),
+                    _ => {
+                        let d = Delivery { from: NodeId(a), to: NodeId(b), payload: tag, size_bytes: 1 };
+                        tag += 1;
+                        heap.enqueue(at, d.clone());
+                        map.enqueue(at, d);
+                    }
+                }
+                proptest::prop_assert_eq!(heap.len(), map.pending.len());
+                proptest::prop_assert_eq!(heap.next_at(), map.pending.keys().next().map(|k| k.0));
+            }
+        }
     }
 }

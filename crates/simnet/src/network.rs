@@ -320,19 +320,27 @@ impl<M> Network<M> {
             .min()
     }
 
-    /// Advance internal state to `now` and return everything that happened:
-    /// flow completions (in `FlowId` order within one settle), then message
-    /// deliveries to still-up nodes. Flows are touched only if a completion
-    /// is due.
+    /// Advance internal state to `now` and return everything that happened
+    /// ([`Network::poll_into`] with a fresh buffer).
     pub fn poll(&mut self, now: SimTime) -> Vec<NetEvent<M>> {
         let mut events = Vec::new();
+        self.poll_into(now, &mut events);
+        events
+    }
+
+    /// Advance internal state to `now` and append everything that happened
+    /// to `events`: flow completions (in `FlowId` order within one settle),
+    /// then message deliveries to still-up nodes. Flows are touched only if
+    /// a completion is due. The event loop polls on every iteration, so it
+    /// hands in a buffer it keeps.
+    pub fn poll_into(&mut self, now: SimTime, events: &mut Vec<NetEvent<M>>) {
         if self.flows.next_completion().is_some_and(|due| due <= now) {
             self.settle(now);
         }
         for end in std::mem::take(&mut self.ended) {
             events.push(self.flow_end_event(end));
         }
-        for d in self.msgs.drain_due(now) {
+        while let Some(d) = self.msgs.pop_due(now) {
             if self.topo.node_up(d.to) {
                 events.push(NetEvent::Delivered {
                     from: d.from,
@@ -343,7 +351,6 @@ impl<M> Network<M> {
                 self.messages_dropped += 1;
             }
         }
-        events
     }
 }
 

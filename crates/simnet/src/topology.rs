@@ -10,6 +10,8 @@ use crate::bandwidth::Bandwidth;
 use gpunion_des::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// A network endpoint (server, workstation, switch, or the coordinator).
@@ -29,6 +31,99 @@ pub struct Channel {
     pub from: NodeId,
     /// Destination endpoint of this direction.
     pub to: NodeId,
+}
+
+/// A route as [`Topology::route`] hands it out. Routes of at most
+/// [`Route::INLINE_HOPS`] hops — every route of a [`star_campus`] — are held
+/// in place, so a cached lookup copies two channels out of the cache entry
+/// instead of following a pointer and touching a reference count; longer
+/// ones share one slice. Reads as the `[Channel]` it stands for.
+#[derive(Debug, Clone)]
+pub enum Route {
+    /// The first `len` of `hops`.
+    Inline {
+        /// Hops in use.
+        len: u8,
+        /// The hops, in order; entries past `len` are filler.
+        hops: [Channel; Route::INLINE_HOPS],
+    },
+    /// A longer path, shared between the cache and its readers.
+    Shared(Rc<[Channel]>),
+}
+
+impl Route {
+    /// The longest route held in place.
+    pub const INLINE_HOPS: usize = 2;
+
+    const FILLER: [Channel; Route::INLINE_HOPS] = [Channel {
+        link: LinkId(0),
+        from: NodeId(0),
+        to: NodeId(0),
+    }; Route::INLINE_HOPS];
+
+    /// The route from a node to itself.
+    const EMPTY: Route = Route::Inline {
+        len: 0,
+        hops: Route::FILLER,
+    };
+}
+
+impl From<&[Channel]> for Route {
+    fn from(path: &[Channel]) -> Self {
+        if path.len() > Route::INLINE_HOPS {
+            return Route::Shared(Rc::from(path));
+        }
+        let mut hops = Route::FILLER;
+        hops[..path.len()].copy_from_slice(path);
+        Route::Inline {
+            len: path.len() as u8,
+            hops,
+        }
+    }
+}
+
+impl Deref for Route {
+    type Target = [Channel];
+
+    fn deref(&self) -> &[Channel] {
+        match self {
+            Route::Inline { len, hops } => &hops[..*len as usize],
+            Route::Shared(path) => path,
+        }
+    }
+}
+
+impl PartialEq for Route {
+    fn eq(&self, other: &Route) -> bool {
+        **self == **other
+    }
+}
+
+/// Hasher of the route cache's packed `(src, dst)` keys: one multiply, then
+/// the high half folded onto the low one — the table indexes by the low
+/// bits, and of the product alone those depend only on `dst`, which every
+/// host-to-coordinator pair shares. The keys are node ids this program
+/// assigned, never outside input, and nothing iterates the map, so neither
+/// SipHash's flood resistance nor its per-process seed buys anything here.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("route-cache keys are hashed as one u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+fn pair_key(src: NodeId, dst: NodeId) -> u64 {
+    (src.0 as u64) << 32 | dst.0 as u64
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,9 +148,8 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     links: Vec<LinkInfo>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    /// Shared slices: a cached lookup hands out a reference count, not a
-    /// copy of the path.
-    route_cache: HashMap<(NodeId, NodeId), Option<Rc<[Channel]>>>,
+    /// By [`pair_key`]. Only ever `get`, `insert` and `clear`.
+    route_cache: HashMap<u64, Option<Route>, BuildHasherDefault<PairHasher>>,
     search: SearchScratch,
 }
 
@@ -126,7 +220,7 @@ impl TopologyBuilder {
             nodes: self.nodes,
             links: self.links,
             adjacency,
-            route_cache: HashMap::new(),
+            route_cache: HashMap::default(),
             search: SearchScratch::default(),
         }
     }
@@ -201,15 +295,16 @@ impl Topology {
     /// Shortest path (fewest hops) from `src` to `dst` as directed channels,
     /// skipping down nodes and links. `None` when unreachable. Cached until
     /// the next topology change.
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Rc<[Channel]>> {
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
         if src == dst {
-            return Some(Rc::from([]));
+            return Some(Route::EMPTY);
         }
-        if let Some(cached) = self.route_cache.get(&(src, dst)) {
+        let key = pair_key(src, dst);
+        if let Some(cached) = self.route_cache.get(&key) {
             return cached.clone();
         }
         let computed = self.bfs(src, dst);
-        self.route_cache.insert((src, dst), computed.clone());
+        self.route_cache.insert(key, computed.clone());
         computed
     }
 
@@ -217,8 +312,10 @@ impl Topology {
     /// node's predecessor is fixed at discovery, so the chain read back is
     /// the one a search that runs until `dst` is popped would read — but a
     /// host's route to the coordinator of a star ends at the switch's
-    /// second neighbour instead of after the whole fleet.
-    fn bfs(&mut self, src: NodeId, dst: NodeId) -> Option<Rc<[Channel]>> {
+    /// second neighbour instead of after the whole fleet, and the
+    /// coordinator's route to a host at the host's only link instead of
+    /// after every host before it.
+    fn bfs(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
         if !self.node_up(src) || !self.node_up(dst) {
             return None;
         }
@@ -232,6 +329,24 @@ impl Topology {
         s.stamp[src.0 as usize] = s.round;
         s.queue.push_back(src);
         'search: while let Some(u) = s.queue.pop_front() {
+            // `dst` is discovered from `u` over the first up link to it in
+            // `u`'s list. Lists are in link order (`build` files links
+            // ascending), so that is the lowest up link between the two —
+            // which `dst`'s list names as well, and on a star `dst`'s list
+            // is one entry long where the switch's is the whole fleet.
+            let around_dst = &self.adjacency[dst.0 as usize];
+            if around_dst.len() < self.adjacency[u.0 as usize].len() {
+                let direct = around_dst
+                    .iter()
+                    .filter(|&&(w, l)| w == u && self.link_up(l))
+                    .map(|&(_, l)| l)
+                    .min();
+                if let Some(l) = direct {
+                    s.stamp[dst.0 as usize] = s.round;
+                    s.prev[dst.0 as usize] = (u, l);
+                    break 'search;
+                }
+            }
             for &(v, l) in &self.adjacency[u.0 as usize] {
                 if s.stamp[v.0 as usize] == s.round || !self.link_up(l) || !self.node_up(v) {
                     continue;
@@ -257,7 +372,7 @@ impl Topology {
                 cur = p;
             }
             path.reverse();
-            Rc::from(path)
+            Route::from(&path[..])
         });
         self.search = s;
         path
@@ -390,6 +505,54 @@ mod tests {
         b.add_link(a, d, Bandwidth::mbps(10.0), SimDuration::ZERO);
         let mut t = b.build();
         assert_eq!(t.route(a, d).unwrap().len(), 1);
+    }
+
+    /// Short routes sit in the cache entry, longer ones behind one shared
+    /// slice; both read back as the path they were built from.
+    #[test]
+    fn routes_up_to_two_hops_are_held_in_place() {
+        let mut b = TopologyBuilder::new();
+        let nodes: Vec<NodeId> = (0..5).map(|i| b.add_node(format!("n{i}"))).collect();
+        for pair in nodes.windows(2) {
+            b.add_link(pair[0], pair[1], Bandwidth::gbps(1.0), SimDuration::ZERO);
+        }
+        let mut t = b.build();
+        for (dst, hops) in nodes.iter().zip(0..) {
+            let route = t.route(nodes[0], *dst).unwrap();
+            assert_eq!(route.len(), hops);
+            assert_eq!(
+                matches!(route, Route::Inline { .. }),
+                hops <= Route::INLINE_HOPS
+            );
+            assert_eq!(route.last().map(|c| c.to), (hops > 0).then_some(*dst));
+            assert_eq!(t.route(nodes[0], *dst), Some(route), "cached copy");
+        }
+    }
+
+    /// The packed keys of a 10 000-host star — every pair shares one end —
+    /// spread over the low bits the table indexes by and over the top
+    /// seven it tags entries with.
+    #[test]
+    fn pair_hasher_spreads_a_stars_keys() {
+        let coord = NodeId(1);
+        let hash = |src, dst| {
+            let mut h = PairHasher::default();
+            h.write_u64(pair_key(src, dst));
+            h.finish()
+        };
+        let hosts = (2..10_002).map(NodeId);
+        let hashes: Vec<u64> = hosts
+            .flat_map(|h| [hash(h, coord), hash(coord, h)])
+            .collect();
+        let distinct = |f: fn(u64) -> u64| {
+            let mut seen: Vec<u64> = hashes.iter().map(|h| f(*h)).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        // 20 000 keys thrown at 32 768 slots fill ≈ 15 000 of them.
+        assert!(distinct(|h| h & 0x7FFF) > 12_000, "low bits collide");
+        assert_eq!(distinct(|h| h >> 57), 128, "tag bits collapse");
     }
 
     #[test]

@@ -145,13 +145,13 @@ fn kill_switch_via_rest_displaces_to_other_node() {
         for h in hosts {
             if w.agent(h).map(|a| a.workload_count()).unwrap_or(0) > 0 {
                 let agent = w.agent_mut(h).unwrap();
-                let (resp, actions) = gpunion::agent::rest::handle(
+                let (resp, mut actions) = gpunion::agent::rest::handle(
                     agent,
                     now,
                     &HttpRequest::new(Method::Post, "/kill-switch"),
                 );
                 assert_eq!(resp.status, 200);
-                w.apply_agent_actions(now, h, actions);
+                w.apply_agent_actions(now, h, &mut actions);
                 break;
             }
         }
