@@ -8,9 +8,11 @@
 //! off the network. A single self-rearming "pump" event advances all
 //! passive components.
 
+mod wake_index;
+
 use gpunion_agent::{Action, Agent, AgentConfig, FlowPeer, FlowPurpose};
 use gpunion_container::ImageRegistry;
-use gpunion_des::{RngPool, Sim, SimDuration, SimTime, TypedEvent};
+use gpunion_des::{earliest, RngPool, Sim, SimDuration, SimTime, TypedEvent};
 use gpunion_gpu::{GpuServer, ServerSpec};
 use gpunion_protocol::{
     Control, DispatchSpec, Envelope, ExecMode, JobId, Message, NodeUid, UserId, Work, WorkloadState,
@@ -22,7 +24,8 @@ use gpunion_simnet::{
     star_campus, Bandwidth, FlowOutcome, NetEvent, Network, NodeId, TrafficClass,
 };
 use gpunion_workload::{InteractiveSpec, InterruptionKind, TrainingJobSpec, TrainingRun};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use wake_index::WakeIndex;
 
 /// The platform simulator: a [`Sim`] whose hot recurring events — pump
 /// wakes, boot registrations, harness injections — are typed
@@ -253,9 +256,10 @@ impl Default for PlatformConfig {
 /// One agent and the wake the platform's `wake_index` holds for it.
 struct AgentSlot {
     agent: Agent,
-    /// The instant under which this agent sits in `wake_index`, `None`
-    /// when it is not in it: a refresh is a compare and at most one
-    /// remove/insert.
+    /// The instant under which this agent is due in `wake_index`, `None`
+    /// when it is not: a refresh is a compare and at most one append. The
+    /// index removes lazily, so this — not the index — is the truth every
+    /// entry is validated against.
     wake: Option<SimTime>,
 }
 
@@ -279,6 +283,24 @@ impl AgentTable {
         self.slot_mut(addr).map(|s| &mut s.agent)
     }
 
+    /// Is `addr`'s wake `at`? (A wake-index entry is live.)
+    fn wakes_at(&self, addr: NodeId, at: SimTime) -> bool {
+        self.0[addr.0 as usize]
+            .as_ref()
+            .is_some_and(|s| s.wake == Some(at))
+    }
+
+    /// [`Self::wakes_at`], clearing the wake when it is: the pump popped
+    /// the agent.
+    fn take_wake(&mut self, addr: NodeId, at: SimTime) -> bool {
+        let slot = self.slot_mut(addr).expect("indexed agents exist");
+        let live = slot.wake == Some(at);
+        if live {
+            slot.wake = None;
+        }
+        live
+    }
+
     /// `(address, slot)` of every agent, ascending address.
     fn slots_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut AgentSlot)> {
         self.0
@@ -297,7 +319,9 @@ pub struct Platform {
     coordinator_addr: NodeId,
     /// One agent per GPU host, by address.
     agents: AgentTable,
-    addr_of_uid: HashMap<NodeUid, NodeId>,
+    /// Uid → simnet address, indexed by `NodeUid::slot` (the coordinator
+    /// issues uids densely); `None` until the uid's `RegisterAck` is routed.
+    addr_of_uid: Vec<Option<NodeId>>,
     /// Machine id → simnet address, fixed at deploy time. Used to learn
     /// uid → address mappings when the coordinator acks a registration
     /// (the ack is the first action naming the new uid).
@@ -317,7 +341,7 @@ pub struct Platform {
     pump_armed: Option<(SimTime, gpunion_des::EventId)>,
     /// Wake-ordered index over agents with a pending timer: the pump pops
     /// only the due prefix — O(due), not O(agents).
-    wake_index: BTreeSet<(SimTime, NodeId)>,
+    wake_index: WakeIndex,
     /// Set when `agent_mut` hands out raw access (timers may have changed
     /// behind the index's back); the next pump resyncs from scratch.
     wake_dirty: bool,
@@ -366,7 +390,7 @@ impl Platform {
             coordinator,
             coordinator_addr: coord_addr,
             agents,
-            addr_of_uid: HashMap::new(),
+            addr_of_uid: Vec::new(),
             addr_of_machine,
             registry,
             image_refs,
@@ -375,7 +399,7 @@ impl Platform {
             stats: PlatformStats::default(),
             backbone_link,
             pump_armed: None,
-            wake_index: BTreeSet::new(),
+            wake_index: WakeIndex::default(),
             // Resync on the first pump: agents may carry deploy-time timers.
             wake_dirty: true,
             due_scratch: Vec::new(),
@@ -586,6 +610,11 @@ impl Platform {
 
     // ---- action routing -------------------------------------------------
 
+    /// The address a uid's `RegisterAck` was routed to, if any.
+    fn addr_of(&self, uid: NodeUid) -> Option<NodeId> {
+        self.addr_of_uid.get(uid.slot()).copied().flatten()
+    }
+
     /// Apply coordinator actions, draining `actions`: sends become network
     /// messages after their scheduling delay; job events are logged.
     pub fn apply_coord_actions(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
@@ -596,16 +625,20 @@ impl Platform {
                     // fresh) uid: learn its address from the directory's
                     // machine id before routing.
                     if let Message::Control(Control::RegisterAck { node, .. }) = &msg {
-                        if let Some(addr) = self
+                        if let Some(&addr) = self
                             .coordinator
                             .directory()
                             .get(*node)
                             .and_then(|e| self.addr_of_machine.get(&e.machine_id))
                         {
-                            self.addr_of_uid.insert(*node, *addr);
+                            let slot = node.slot();
+                            if slot >= self.addr_of_uid.len() {
+                                self.addr_of_uid.resize(slot + 1, None);
+                            }
+                            self.addr_of_uid[slot] = Some(addr);
                         }
                     }
-                    let Some(&addr) = self.addr_of_uid.get(&to) else {
+                    let Some(addr) = self.addr_of(to) else {
                         // Destination not yet mapped (registration in
                         // flight); RegisterAck handles its own mapping below.
                         continue;
@@ -676,11 +709,7 @@ impl Platform {
                 } => {
                     let peer_addr = match peer {
                         FlowPeer::Coordinator => self.coordinator_addr,
-                        FlowPeer::Node(uid) => self
-                            .addr_of_uid
-                            .get(&uid)
-                            .copied()
-                            .unwrap_or(self.coordinator_addr),
+                        FlowPeer::Node(uid) => self.addr_of(uid).unwrap_or(self.coordinator_addr),
                     };
                     let (from, to) = if inbound {
                         (peer_addr, addr)
@@ -883,13 +912,12 @@ impl Platform {
         if wake == slot.wake {
             return;
         }
-        if let Some(t) = slot.wake {
-            self.wake_index.remove(&(t, addr));
-        }
-        if let Some(t) = wake {
-            self.wake_index.insert((t, addr));
-        }
+        // The old entry, if any, goes stale: the index validates every
+        // entry against `slot.wake` on the way out.
         slot.wake = wake;
+        if let Some(t) = wake {
+            self.wake_index.file(t, addr);
+        }
     }
 
     /// Rebuild the wake index from every agent (after raw `agent_mut`
@@ -899,7 +927,7 @@ impl Platform {
         for (addr, slot) in self.agents.slots_mut() {
             slot.wake = slot.agent.next_wake();
             if let Some(t) = slot.wake {
-                self.wake_index.insert((t, addr));
+                self.wake_index.file(t, addr);
             }
         }
         self.wake_dirty = false;
@@ -915,11 +943,12 @@ impl Platform {
     /// true and the pump is armed from them.
     ///
     /// Agent wakes come off the wake index: each iteration pops only the
-    /// due prefix — O(due · log n) instead of the old full O(n) scan — and
-    /// visits the due agents in ascending address order, exactly the order
-    /// the old scan produced. Agents woken *by* this iteration's processing
-    /// (a delivery arming a timer at or before `now`) re-enter the index
-    /// via `refresh_wake` and are caught by the next iteration, as before.
+    /// due prefix — amortised O(1) an entry for the append run that holds
+    /// nearly every wake, O(log n) for the rest — and visits the due agents
+    /// in ascending address order, exactly the order the old full scan
+    /// produced. Agents woken *by* this iteration's processing (a delivery
+    /// arming a timer at or before `now`) re-enter the index via
+    /// `refresh_wake` and are caught by the next iteration, as before.
     pub fn pump(&mut self, sim: &mut PlatformSim) {
         if self.wake_dirty {
             self.resync_wakes();
@@ -942,12 +971,13 @@ impl Platform {
                 self.coord_actions = actions;
             }
             // The earliest agent wake is the index head — no per-agent scan.
-            let agents_at = self.wake_index.first().map(|&(t, _)| t);
+            let agents = &self.agents;
+            let agents_at = self.wake_index.head(|t, addr| agents.wakes_at(addr, t));
             if due(agents_at) {
                 self.wake_due_agents(now);
             }
             if !(due(net_at) || due(coord_at) || due(agents_at)) {
-                break [net_at, coord_at, agents_at].into_iter().flatten().min();
+                break earliest(earliest(net_at, coord_at), agents_at);
             }
         };
         if let Some(at) = next {
@@ -959,17 +989,11 @@ impl Platform {
     fn wake_due_agents(&mut self, now: SimTime) {
         let mut due = std::mem::take(&mut self.due_scratch);
         let mut actions = std::mem::take(&mut self.agent_actions);
-        while let Some(&(t, addr)) = self.wake_index.first() {
-            if t > now {
-                break;
-            }
-            self.wake_index.pop_first();
-            let slot = self.agents.slot_mut(addr).expect("indexed agents exist");
-            slot.wake = None;
-            due.push(addr);
-        }
-        // The index orders by (time, addr); the old scan woke due agents
-        // in pure address order. Restore that order.
+        let agents = &mut self.agents;
+        self.wake_index
+            .pop_due(now, |t, addr| agents.take_wake(addr, t), &mut due);
+        // The index yields by time; the old scan woke due agents in pure
+        // address order. Restore that order.
         due.sort_unstable();
         for addr in due.drain(..) {
             let agent = self.agents.get_mut(addr).expect("indexed agents exist");
@@ -1004,14 +1028,45 @@ mod tests {
     use gpunion_workload::ModelClass;
 
     /// Every slot's recorded wake is its agent's next wake, and the wake
-    /// index holds exactly those pairs.
+    /// index's live entries are exactly those pairs (its stale ones are
+    /// dropped on the way out).
     fn assert_wakes_exact(w: &mut Platform) {
-        let mut expected = BTreeSet::new();
+        let mut expected = std::collections::BTreeSet::new();
         for (addr, slot) in w.agents.slots_mut() {
             assert_eq!(slot.wake, slot.agent.next_wake(), "slot of {addr:?}");
             expected.extend(slot.wake.map(|t| (t, addr)));
         }
-        assert_eq!(w.wake_index, expected);
+        let agents = &w.agents;
+        let live = w
+            .wake_index
+            .live_entries(|t, addr| agents.wakes_at(addr, t));
+        assert_eq!(live, expected);
+    }
+
+    /// A coordinator send to a uid no `RegisterAck` has mapped — one the
+    /// coordinator never issued, or one past every table — is dropped, as
+    /// it was when the map answered: nothing is sent, nothing panics.
+    #[test]
+    fn a_send_to_an_unmapped_uid_is_dropped() {
+        let specs = [ServerSpec::workstation("ws-1", GpuModel::Rtx3090)];
+        let (mut w, hosts) = Platform::deploy(&PlatformConfig::default(), &specs);
+        let mut sim = PlatformSim::new();
+        Platform::boot(&mut w, &mut sim);
+        sim.run_until(&mut w, SimTime::from_secs(1));
+        assert_eq!(w.addr_of(NodeUid(0)), Some(hosts[0]), "the one issued uid");
+        let sent = w.net.messages_sent();
+        for uid in [NodeUid(7), NodeUid(u64::MAX)] {
+            let ack = Control::HeartbeatAck { node: uid, seq: 1 };
+            let mut actions = vec![CoordAction::Send {
+                to: uid,
+                msg: ack.into(),
+                delay: SimDuration::ZERO,
+            }];
+            w.apply_coord_actions(sim.now(), &mut actions);
+            assert!(actions.is_empty(), "drained");
+        }
+        assert_eq!(w.net.messages_sent(), sent);
+        assert_eq!(w.addr_of_uid.len(), 1, "lookups grow nothing");
     }
 
     /// The wake bookkeeping lives in the agent table's slots: it stays

@@ -33,7 +33,7 @@ pub use reference::{HeapEventId, HeapSim};
 pub use rng::{chance, exponential, log_normal, RngPool};
 pub use sim::Sim;
 pub use stats::{Histogram, Online, TimeWeighted};
-pub use time::{SimDuration, SimTime};
+pub use time::{earliest, SimDuration, SimTime};
 
 #[cfg(test)]
 mod proptests {

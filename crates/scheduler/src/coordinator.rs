@@ -47,7 +47,7 @@
 use crate::directory::{Directory, NodeLiveness};
 use crate::strategy::{Selector, Strategy};
 use gpunion_db::{DbActor, DbActorConfig, JobState, NodeRecord, NodeState, SystemDb, WriteIntent};
-use gpunion_des::{Online, SimDuration, SimTime, TokenBucket};
+use gpunion_des::{earliest, Online, SimDuration, SimTime, TokenBucket};
 use gpunion_protocol::{
     AuthToken, Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry,
     UserId, Work, WorkloadState,
@@ -546,16 +546,13 @@ impl Coordinator {
     /// database write completion. While stalled, the next write completion
     /// *is* the wake — a slot frees and the turn retries.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let timer = self.timers.keys().next().map(|&(t, _)| t);
+        let timer = self.timers.first_key_value().map(|(&(t, _), _)| t);
         let inbox = if self.stalled {
             None
         } else {
             self.inbox.front().map(|q| q.enqueued)
         };
-        [timer, inbox, self.db.next_wake()]
-            .into_iter()
-            .flatten()
-            .min()
+        earliest(earliest(timer, inbox), self.db.next_wake())
     }
 
     /// Run the actor up to `now` ([`Coordinator::advance_into`] with a
@@ -912,11 +909,7 @@ impl Coordinator {
                 gpu_stats,
                 workloads,
             } => {
-                let was_offline = self
-                    .dir
-                    .get(node)
-                    .map(|e| e.liveness() == NodeLiveness::Offline)
-                    .unwrap_or(false);
+                let was_offline = self.heartbeat_revives(node);
                 self.dir
                     .apply_heartbeat(node, now, seq, accepting, &gpu_stats);
                 // Every heartbeat is one status write through the same
@@ -967,7 +960,7 @@ impl Coordinator {
                 }
             }
             Control::PauseScheduling { node, paused } => {
-                let liveness = self.dir.get(node).map(|e| e.liveness());
+                let liveness = self.dir.liveness(node);
                 if liveness.is_some() && liveness != Some(NodeLiveness::Offline) {
                     self.dir.set_liveness(
                         node,
@@ -1145,10 +1138,8 @@ impl Coordinator {
     /// A node is gone (heartbeat loss or emergency departure): displace
     /// everything it was running.
     fn node_lost(&mut self, now: SimTime, node: NodeUid, actions: &mut Vec<CoordAction>) {
-        match self.dir.get(node) {
-            None => return,
-            Some(e) if e.liveness() == NodeLiveness::Offline => return,
-            Some(_) => {}
+        if matches!(self.dir.liveness(node), None | Some(NodeLiveness::Offline)) {
+            return;
         }
         self.dir.set_liveness(node, NodeLiveness::Offline);
         self.dir.record_interruption(node, now);
@@ -1524,9 +1515,6 @@ impl Coordinator {
     }
 
     fn heartbeat_revives(&self, node: NodeUid) -> bool {
-        self.dir
-            .get(node)
-            .map(|e| e.liveness() == NodeLiveness::Offline)
-            .unwrap_or(false)
+        self.dir.liveness(node) == Some(NodeLiveness::Offline)
     }
 }

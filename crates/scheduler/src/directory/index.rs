@@ -10,7 +10,7 @@ use super::entry::{NodeEntry, NodeLiveness};
 use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, NodeUid};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Free-VRAM bucket: floor(log2(bytes)), so bucket `b` holds nodes whose
 /// largest free slot is in `[2^b, 2^(b+1))`. A job needing `mem` bytes can
@@ -91,6 +91,18 @@ struct IndexedAt {
     heartbeat: SimTime,
 }
 
+/// How one node is filed.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+enum Filed {
+    /// Never seen, or Offline: in no view.
+    #[default]
+    Nowhere,
+    /// Active: in every view, at these keys.
+    Scheduled(IndexedAt),
+    /// Paused or Departing: in `by_heartbeat` only, at this heartbeat.
+    Unscheduled(SimTime),
+}
+
 /// The incremental capacity index.
 ///
 /// Maintains three ordered views over the *schedulable* (Active) nodes —
@@ -99,7 +111,6 @@ struct IndexedAt {
 /// and by device speed for fastest-device picks — plus a heartbeat-recency
 /// view over all non-offline nodes for staleness sweeps.
 #[derive(Debug, Default)]
-#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct CapacityIndex {
     /// (bucket, cc, tier) → members.
     by_class: BTreeMap<ClassKey, BTreeSet<NodeUid>>,
@@ -110,10 +121,30 @@ pub(crate) struct CapacityIndex {
     by_speed: BTreeSet<(u64, Reverse<NodeUid>)>,
     /// (last heartbeat, uid) over non-offline nodes (staleness sweeps).
     by_heartbeat: BTreeSet<(SimTime, NodeUid)>,
-    /// Current position of every tracked node.
-    entries: HashMap<NodeUid, IndexedAt>,
-    /// Nodes tracked only for heartbeat staleness (Paused/Departing).
-    unscheduled: HashMap<NodeUid, SimTime>,
+    /// How every node is filed, indexed by uid (`NodeUid::slot`; uids are
+    /// dense, so this is a table, not a hash per refresh). Grown on first
+    /// sight; a slot past the end is `Nowhere`.
+    filed: Vec<Filed>,
+    /// How many slots are `Scheduled`.
+    scheduled: usize,
+}
+
+/// Equal views and an equal filing of every node: `filed` may end in
+/// `Nowhere` slots a rebuilt index never grew.
+#[cfg(test)]
+impl PartialEq for CapacityIndex {
+    fn eq(&self, other: &Self) -> bool {
+        fn trimmed(f: &[Filed]) -> &[Filed] {
+            let len = f.iter().rposition(|s| *s != Filed::Nowhere);
+            &f[..len.map_or(0, |i| i + 1)]
+        }
+        self.by_class == other.by_class
+            && self.by_free == other.by_free
+            && self.by_speed == other.by_speed
+            && self.by_heartbeat == other.by_heartbeat
+            && trimmed(&self.filed) == trimmed(&other.filed)
+            && self.scheduled == other.scheduled
+    }
 }
 
 impl CapacityIndex {
@@ -130,23 +161,28 @@ impl CapacityIndex {
         }
     }
 
-    fn remove_scheduled(&mut self, uid: NodeUid) {
-        if let Some(at) = self.entries.remove(&uid) {
-            if let Some(set) = self.by_class.get_mut(&at.class) {
-                set.remove(&uid);
-                if set.is_empty() {
-                    self.by_class.remove(&at.class);
+    /// Take `uid` out of every view it is filed in.
+    fn unfile(&mut self, uid: NodeUid) {
+        let Some(filed) = self.filed.get_mut(uid.slot()) else {
+            return;
+        };
+        match std::mem::take(filed) {
+            Filed::Nowhere => {}
+            Filed::Scheduled(at) => {
+                self.scheduled -= 1;
+                if let Some(set) = self.by_class.get_mut(&at.class) {
+                    set.remove(&uid);
+                    if set.is_empty() {
+                        self.by_class.remove(&at.class);
+                    }
                 }
+                self.by_free.remove(&(at.total_free, Reverse(uid)));
+                self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
+                self.by_heartbeat.remove(&(at.heartbeat, uid));
             }
-            self.by_free.remove(&(at.total_free, Reverse(uid)));
-            self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
-            self.by_heartbeat.remove(&(at.heartbeat, uid));
-        }
-    }
-
-    fn remove_unscheduled(&mut self, uid: NodeUid) {
-        if let Some(hb) = self.unscheduled.remove(&uid) {
-            self.by_heartbeat.remove(&(hb, uid));
+            Filed::Unscheduled(hb) => {
+                self.by_heartbeat.remove(&(hb, uid));
+            }
         }
     }
 
@@ -175,7 +211,7 @@ impl CapacityIndex {
         let uid = entry.uid;
         if entry.liveness() == NodeLiveness::Active {
             let now = Self::summarize(entry);
-            if let Some(slot) = self.entries.get_mut(&uid) {
+            if let Some(Filed::Scheduled(slot)) = self.filed.get_mut(uid.slot()) {
                 let at = std::mem::replace(slot, now);
                 if now.class != at.class {
                     self.move_class(uid, at.class, now.class);
@@ -195,23 +231,28 @@ impl CapacityIndex {
                 return;
             }
         }
-        self.remove_scheduled(uid);
-        self.remove_unscheduled(uid);
-        match entry.liveness() {
+        self.unfile(uid);
+        let filed = match entry.liveness() {
             NodeLiveness::Active => {
                 let at = Self::summarize(entry);
                 self.by_class.entry(at.class).or_default().insert(uid);
                 self.by_free.insert((at.total_free, Reverse(uid)));
                 self.by_speed.insert((at.speed_bits, Reverse(uid)));
                 self.by_heartbeat.insert((at.heartbeat, uid));
-                self.entries.insert(uid, at);
+                self.scheduled += 1;
+                Filed::Scheduled(at)
             }
             NodeLiveness::Paused | NodeLiveness::Departing => {
                 self.by_heartbeat.insert((entry.last_heartbeat, uid));
-                self.unscheduled.insert(uid, entry.last_heartbeat);
+                Filed::Unscheduled(entry.last_heartbeat)
             }
-            NodeLiveness::Offline => {}
+            NodeLiveness::Offline => return,
+        };
+        let slot = uid.slot();
+        if slot >= self.filed.len() {
+            self.filed.resize(slot + 1, Filed::Nowhere);
         }
+        self.filed[slot] = filed;
     }
 
     /// The index a directory holding exactly `entries` must have: every
@@ -227,7 +268,7 @@ impl CapacityIndex {
 
     /// Schedulable (Active) node count.
     pub(crate) fn schedulable(&self) -> usize {
-        self.entries.len()
+        self.scheduled
     }
 
     // ---- ordered read views -----------------------------------------

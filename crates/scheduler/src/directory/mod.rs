@@ -37,6 +37,12 @@ pub struct Directory {
     /// frees one, so entry `i` is node `NodeUid(i)` and iteration is in uid
     /// order.
     nodes: Vec<NodeEntry>,
+    /// `nodes[i].liveness`, one byte a node: the inbox's shed test reads a
+    /// heartbeat's liveness before it takes a turn — most of them are then
+    /// shed — and this is a read of a 10 kB table where the entry is a
+    /// 176-byte record. Written wherever liveness changes: `register`,
+    /// `apply_heartbeat`, `set_liveness`.
+    liveness: Vec<NodeLiveness>,
     /// The incremental index over those nodes.
     index: CapacityIndex,
     by_machine: HashMap<String, NodeUid>,
@@ -69,10 +75,12 @@ impl Directory {
                 let old = &mut self.nodes[uid.slot()];
                 entry.reliability = old.reliability.clone();
                 *old = entry;
+                self.liveness[uid.slot()] = NodeLiveness::Active;
             }
             None => {
                 self.by_machine.insert(machine_id.to_string(), uid);
                 self.nodes.push(entry);
+                self.liveness.push(NodeLiveness::Active);
             }
         }
         (uid, known.is_some())
@@ -81,6 +89,12 @@ impl Directory {
     /// Entry by uid.
     pub fn get(&self, uid: NodeUid) -> Option<&NodeEntry> {
         self.nodes.get(uid.slot())
+    }
+
+    /// A node's liveness — `get(uid).map(NodeEntry::liveness)` without
+    /// touching the entry.
+    pub fn liveness(&self, uid: NodeUid) -> Option<NodeLiveness> {
+        self.liveness.get(uid.slot()).copied()
     }
 
     /// Apply a heartbeat's telemetry. Returns false for unknown nodes.
@@ -96,6 +110,7 @@ impl Directory {
             return false;
         };
         e.apply_heartbeat(now, seq, accepting, stats);
+        self.liveness[uid.slot()] = e.liveness;
         self.index.refresh(e);
         true
     }
@@ -134,6 +149,7 @@ impl Directory {
         let e = self.nodes.get_mut(uid.slot())?;
         let prev = e.liveness;
         e.liveness = liveness;
+        self.liveness[uid.slot()] = liveness;
         self.index.refresh(e);
         Some(prev)
     }
@@ -574,8 +590,10 @@ mod tests {
         /// re-registrations with other hardware, heartbeats that pause,
         /// resume and revive, reservations, releases, liveness flips — it
         /// must equal the index filed from scratch from the entries: all
-        /// four views, the positions, and the unscheduled set. And the
-        /// uid-indexed node table must stay the map it replaced.
+        /// four views and how each node is filed (the uid table compared
+        /// up to trailing empty slots — the rebuild never grew them). And
+        /// the uid-indexed node table must stay the map it replaced, and
+        /// the liveness table the entries' liveness.
         #[test]
         fn prop_diffed_index_equals_a_rebuild_after_every_step(
             ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..120),
@@ -603,7 +621,11 @@ mod tests {
                 for (i, e) in d.iter().enumerate() {
                     proptest::prop_assert_eq!(e.uid, NodeUid(i as u64));
                     proptest::prop_assert_eq!(d.by_machine.get(&e.machine_id), Some(&e.uid));
+                    // The liveness table is the entries' liveness.
+                    proptest::prop_assert_eq!(d.liveness(e.uid), Some(e.liveness()));
                 }
+                proptest::prop_assert!(d.liveness(NodeUid(d.len() as u64)).is_none());
+                proptest::prop_assert!(d.liveness(NodeUid(u64::MAX)).is_none());
                 proptest::prop_assert!(d.get(NodeUid(d.len() as u64)).is_none());
                 proptest::prop_assert!(d.get(NodeUid(u64::MAX)).is_none());
                 proptest::prop_assert!(!d.apply_heartbeat(NodeUid(u64::MAX), t(b), b, true, &[]));

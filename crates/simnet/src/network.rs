@@ -18,7 +18,7 @@ use crate::bandwidth::Bandwidth;
 use crate::flow::{FlowEnd, FlowId, FlowOutcome, FlowTable};
 use crate::message::{Delivery, MessageQueue};
 use crate::topology::{LinkId, NodeId, Topology};
-use gpunion_des::{SimDuration, SimTime};
+use gpunion_des::{earliest, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -314,10 +314,10 @@ impl<M> Network<M> {
     /// already past, while completions found by a mutator wait for a `poll`.
     pub fn next_event_at(&self) -> Option<SimTime> {
         let waiting = (!self.ended.is_empty()).then_some(self.ended_at);
-        [self.msgs.next_at(), self.flows.next_completion(), waiting]
-            .into_iter()
-            .flatten()
-            .min()
+        earliest(
+            earliest(self.msgs.next_at(), self.flows.next_completion()),
+            waiting,
+        )
     }
 
     /// Advance internal state to `now` and return everything that happened
