@@ -23,10 +23,9 @@ use gpunion_protocol::{
     Work, WorkloadState, WorkloadStatus,
 };
 use gpunion_storage::CheckpointCostModel;
-use gpunion_telemetry::{labels, Counter, Registry};
+use gpunion_telemetry::{labels, Registry};
 use gpunion_workload::TrainingRun;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Where a bulk transfer goes / comes from, as the agent sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,10 +144,10 @@ pub struct Agent {
     workloads: BTreeMap<JobId, Workload>,
     timers: Timers,
     metrics: Registry,
-    /// `agent_heartbeats_total{node=…}`, resolved on the first beat (so
-    /// `/metrics` shows no such family before it) and kept: a registry
-    /// lookup builds a label map and walks two string-keyed trees.
-    heartbeats_total: Option<Arc<Counter>>,
+    /// Heartbeats sent over the agent's life (a reconnect restarts
+    /// `heartbeat_seq`, not this). `agent_heartbeats_total` is read from
+    /// it at scrape: a beat is one add to a field the beat touches anyway.
+    heartbeats_sent: u64,
     /// Set while a graceful departure is draining.
     departure_deadline: Option<SimTime>,
     /// Verifications that fired from a timer and await the image registry
@@ -176,7 +175,7 @@ impl Agent {
             workloads: BTreeMap::new(),
             timers: Timers::default(),
             metrics: Registry::new(),
-            heartbeats_total: None,
+            heartbeats_sent: 0,
             departure_deadline: None,
             pending_verifications: Vec::new(),
             rest_bucket,
@@ -231,8 +230,21 @@ impl Agent {
         self.workloads.keys().copied()
     }
 
-    /// The agent's Prometheus registry (scraped via `/metrics`).
+    /// The agent's Prometheus registry (scraped via `/metrics`), with
+    /// `agent_heartbeats_total{node=…}` brought up to date. The family is
+    /// registered on the first read after the first beat, so a scrape
+    /// before it shows none; every read then sets the counter to the beats
+    /// sent.
     pub fn metrics(&self) -> &Registry {
+        if self.heartbeats_sent > 0 {
+            let node = labels([("node", self.config.hostname.as_str())]);
+            if let Ok(c) = self
+                .metrics
+                .counter("agent_heartbeats_total", "heartbeats sent", node)
+            {
+                c.add(self.heartbeats_sent as f64 - c.get());
+            }
+        }
         &self.metrics
     }
 
@@ -331,19 +343,7 @@ impl Agent {
         let uid = self.uid.expect("heartbeat only after registration");
         let gpu_stats = self.server.telemetry_each(now).map(Into::into).collect();
         let workloads = self.workload_statuses(now);
-        if self.heartbeats_total.is_none() {
-            self.heartbeats_total = self
-                .metrics
-                .counter(
-                    "agent_heartbeats_total",
-                    "heartbeats sent",
-                    labels([("node", self.config.hostname.as_str())]),
-                )
-                .ok();
-        }
-        if let Some(c) = &self.heartbeats_total {
-            c.inc();
-        }
+        self.heartbeats_sent += 1;
         Control::Heartbeat {
             node: uid,
             seq: self.heartbeat_seq,

@@ -400,20 +400,56 @@ mod tests {
         assert_eq!(agent.phase(), AgentPhase::Departed);
     }
 
+    /// `/status` reports the phase; `/metrics` has no heartbeat family
+    /// before the first beat, then counts every beat sent — across a
+    /// reconnect, which restarts the beats' sequence numbers but not the
+    /// count.
     #[test]
     fn rest_status_and_metrics() {
-        let (mut agent, _, _) = registered_agent();
-        let (resp, _) = rest::handle(&mut agent, t(10), &HttpRequest::new(Method::Get, "/status"));
+        let scrape = |agent: &mut Agent, at| {
+            let get = HttpRequest::new(Method::Get, "/metrics");
+            let (resp, _) = rest::handle(agent, at, &get);
+            assert_eq!(resp.status, 200);
+            let body = String::from_utf8(resp.body).unwrap();
+            let series = "agent_heartbeats_total{node=\"ws-1\"} ";
+            let line = body.lines().find_map(|l| l.strip_prefix(series));
+            line.map(|v| v.parse::<u64>().unwrap())
+        };
+        let (registry, _) = standard_catalogue();
+        let mut agent = new_agent();
+        agent.start_registration(t(0));
+        assert_eq!(scrape(&mut agent, t(0)), None, "no family before a beat");
+        let ack = || -> Message {
+            Control::RegisterAck {
+                node: NodeUid(7),
+                token: AuthToken([9; 16]),
+                heartbeat_period_ms: 5_000,
+            }
+            .into()
+        };
+        let beats = |actions: &[Action]| -> Vec<u64> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send(Message::Control(Control::Heartbeat { seq, .. })) => Some(*seq),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut seqs = beats(&agent.handle_message(t(1), ack(), &registry));
+        seqs.extend(beats(&drive(&mut agent, &registry, t(26))));
+        assert_eq!(seqs, [1, 2, 3, 4, 5, 6]);
+        let (resp, _) = rest::handle(&mut agent, t(26), &HttpRequest::new(Method::Get, "/status"));
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"phase\":\"Active\""), "{body}");
-        let (resp, _) = rest::handle(
-            &mut agent,
-            t(10),
-            &HttpRequest::new(Method::Get, "/metrics"),
-        );
-        let body = String::from_utf8(resp.body).unwrap();
-        assert!(body.contains("agent_heartbeats_total"), "{body}");
+        assert_eq!(scrape(&mut agent, t(26)), Some(6));
+        assert_eq!(scrape(&mut agent, t(26)), Some(6), "a read changes nothing");
+
+        agent.reconnect(t(30));
+        let after = beats(&agent.handle_message(t(31), ack(), &registry));
+        assert_eq!(after, [1], "the sequence restarts");
+        assert_eq!(scrape(&mut agent, t(31)), Some(7), "the count does not");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Allocation discipline of the agent's heartbeat.
 //!
 //! An agent beats once per period for as long as it lives, so whatever a
-//! beat allocates is paid fleet × beats times. The metric handle behind
-//! `agent_heartbeats_total` is resolved once, on the first beat; every
-//! later beat must be a bare `inc()`. A registry lookup is visible to a
-//! counting allocator (the family name, a label map and its two strings),
-//! so the pin is stated in allocations: a whole timer-driven beat costs
-//! less than one lookup of its own counter, so it cannot contain one. In
-//! fact it costs exactly one allocation — the `gpu_stats` vector the
-//! message carries: the timer is a field re-armed in place, and the action
-//! lands in the caller's buffer.
+//! beat allocates is paid fleet × beats times. `agent_heartbeats_total` is
+//! a plain count on the agent, read into the registry at scrape; a beat
+//! touches no registry. A registry lookup is visible to a counting
+//! allocator (the family name, a label map and its two strings), so the
+//! pin is stated in allocations: a whole timer-driven beat costs less than
+//! one lookup of its own counter, so it cannot contain one. In fact it
+//! costs exactly one allocation — the `gpu_stats` vector the message
+//! carries: the timer is a field re-armed in place, and the action lands
+//! in the caller's buffer.
 //! The counter is per thread (const-initialized TLS), as in
 //! `crates/scheduler/tests/alloc.rs`.
 
@@ -75,8 +75,8 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
     }
     .into();
 
-    // The handle is created lazily: `/metrics` shows no heartbeat family
-    // until the first beat (sent on the ack) has gone out.
+    // `/metrics` shows no heartbeat family until the first beat (sent on
+    // the ack) has gone out.
     assert!(!agent.metrics().render().contains("agent_heartbeats_total"));
     let first = agent.handle_message(SimTime::from_secs(1), ack, &images);
     assert!(is_heartbeat(&first));
@@ -97,7 +97,7 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
     let second_beat = timer_beat();
     let third_beat = timer_beat();
 
-    // What looking the (by now existing) series up costs.
+    // What looking the series up costs (the scrape above registered it).
     let before = allocations();
     let handle = agent.metrics().counter(
         "agent_heartbeats_total",

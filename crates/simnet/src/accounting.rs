@@ -84,44 +84,136 @@ impl Series {
     }
 }
 
-/// What one link carried: run totals and bucketed series, per class.
+/// What every link carried for one class: run totals, and bucket-major
+/// blocks of per-minute cells.
 #[derive(Debug, Clone, Default)]
-struct LinkTraffic {
-    totals: [f64; CLASSES],
-    buckets: [Series; CLASSES],
+struct LinkCells {
+    /// Run total per link, indexed by `LinkId`; empty until the class is
+    /// first recorded, then one entry per link of the stride.
+    totals: Vec<f64>,
+    /// Bucket `b`'s cell of link `l` is
+    /// `blocks[b / BUCKETS_PER_BLOCK][(b % BUCKETS_PER_BLOCK) * stride + l]`:
+    /// one bucket's cells for every link are contiguous. A block reserves
+    /// its whole capacity when first written and grows a row at a time
+    /// inside it, so a new minute allocates only at a block boundary,
+    /// nothing large is ever copied, and a block no record reached stays
+    /// an empty `Vec`.
+    blocks: Vec<Vec<f64>>,
+}
+
+impl LinkCells {
+    fn add(&mut self, stride: usize, bucket: u64, link: usize, bytes: f64) {
+        let b = usize::try_from(bucket).expect("bucket index fits the address space");
+        let (block, row) = (
+            b / Accounting::BUCKETS_PER_BLOCK,
+            b % Accounting::BUCKETS_PER_BLOCK,
+        );
+        let i = row * stride + link;
+        match self
+            .blocks
+            .get_mut(block)
+            .and_then(|cells| cells.get_mut(i))
+        {
+            Some(cell) => *cell += bytes,
+            None => self.add_to_new_row(stride, block, row, i, bytes),
+        }
+    }
+
+    /// [`Self::add`] into a row not laid out yet — once per class a minute:
+    /// lay the row out (reserving its block on the block's first row), then
+    /// add. Kept out of line so the per-hop add stays a few instructions.
+    #[cold]
+    #[inline(never)]
+    fn add_to_new_row(&mut self, stride: usize, block: usize, row: usize, i: usize, bytes: f64) {
+        if block >= self.blocks.len() {
+            self.blocks.resize_with(block + 1, Vec::new);
+        }
+        let cells = &mut self.blocks[block];
+        if cells.is_empty() {
+            cells.reserve_exact(Accounting::BUCKETS_PER_BLOCK * stride);
+        }
+        cells.resize((row + 1) * stride, UNTOUCHED);
+        cells[i] += bytes;
+    }
+
+    /// Bucket `bucket`'s cell of `link`, if anything was recorded into it.
+    fn get(&self, stride: usize, bucket: usize, link: usize) -> Option<f64> {
+        let block = self.blocks.get(bucket / Accounting::BUCKETS_PER_BLOCK)?;
+        block
+            .get((bucket % Accounting::BUCKETS_PER_BLOCK) * stride + link)
+            .copied()
+            .filter(|v| v.to_bits() != UNTOUCHED.to_bits())
+    }
+
+    /// One past the last bucket any block has a row for.
+    fn rows(&self, stride: usize) -> usize {
+        self.blocks.last().map_or(0, |last| {
+            (self.blocks.len() - 1) * Accounting::BUCKETS_PER_BLOCK + last.len() / stride
+        })
+    }
+
+    /// Re-lay every block from rows `old` links wide to rows `new` wide.
+    fn widen(&mut self, old: usize, new: usize) {
+        self.totals.resize(new, 0.0);
+        for block in self.blocks.iter_mut().filter(|b| !b.is_empty()) {
+            let mut wide = Vec::with_capacity(Accounting::BUCKETS_PER_BLOCK * new);
+            for row in block.chunks_exact(old) {
+                wide.extend_from_slice(row);
+                wide.resize(wide.len() + new - old, UNTOUCHED);
+            }
+            *block = wide;
+        }
+    }
 }
 
 /// Traffic accountant: campus-wide per-class time buckets plus per-link
 /// totals and per-link time buckets.
 ///
-/// Every table is an array indexed by its dense key — class, link id,
-/// bucket number — and grows when a key is first touched, so a record is a
-/// few indexed adds and a report reads one link's rows, not every link's.
-/// Sums run over buckets ascending and classes in declaration order, the
-/// order the ordered maps this replaces iterated in, so every accessor is
-/// bit-identical to theirs (pinned against that implementation in the
-/// tests below).
+/// Every table is an array indexed by its dense keys — class, bucket
+/// number, link id — and grows when a key is first touched, so a record is
+/// a few indexed adds and a report reads one link's column, not every
+/// link's. Per class, one bucket's cells of all links sit side by side
+/// (bucket-major), so the current minute — where every message lands — is
+/// one contiguous row. Sums run over buckets ascending and classes in
+/// declaration order, the order the ordered maps this replaces iterated
+/// in, so every accessor is bit-identical to theirs (pinned against that
+/// implementation in the tests below).
 #[derive(Debug, Clone)]
 pub struct Accounting {
     bucket: SimDuration,
     /// Campus-wide series per class.
     class_buckets: [Series; CLASSES],
-    /// Per-link totals and series, indexed by `LinkId`: per-link per-class
-    /// peaks, e.g. "checkpoint share of the backbone link during its worst
+    /// Links per bucket row of every class's matrix.
+    stride: usize,
+    /// Per-class, per-link totals and buckets: per-link per-class peaks,
+    /// e.g. "checkpoint share of the backbone link during its worst
     /// minute". All-class link peaks are derived at report time.
-    links: Vec<LinkTraffic>,
+    links: [LinkCells; CLASSES],
     total_bytes: f64,
 }
 
 impl Accounting {
+    /// Buckets per block of the per-link tables: a record that reaches a
+    /// new block allocates it (one allocation per class and
+    /// `BUCKETS_PER_BLOCK` buckets); every other new bucket writes a row
+    /// into space already reserved.
+    pub const BUCKETS_PER_BLOCK: usize = 64;
+
     /// New accountant with the given bucket width (1 minute is the default
     /// used by all experiment harnesses).
     pub fn new(bucket: SimDuration) -> Self {
+        Self::for_links(bucket, 0)
+    }
+
+    /// [`Accounting::new`] with rows `links` wide from the start, so a
+    /// topology's links never re-stride the matrices.
+    pub(crate) fn for_links(bucket: SimDuration, links: usize) -> Self {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         Accounting {
             bucket,
             class_buckets: Default::default(),
-            links: Vec::new(),
+            stride: links,
+            links: Default::default(),
             total_bytes: 0.0,
         }
     }
@@ -131,8 +223,24 @@ impl Accounting {
         self.bucket
     }
 
-    fn link(&self, link: LinkId) -> Option<&LinkTraffic> {
-        self.links.get(link.0 as usize)
+    /// Widen every row to hold link `link` (at least doubling, so links
+    /// first seen one by one re-lay the tables O(log links) times).
+    fn widen(&mut self, link: usize) {
+        let (old, new) = (self.stride, (link + 1).max(2 * self.stride));
+        for class in self.links.iter_mut().filter(|c| !c.totals.is_empty()) {
+            class.widen(old, new);
+        }
+        self.stride = new;
+    }
+
+    /// Bucket `b`'s cell of `link` for `class`, if anything was recorded.
+    fn cell(&self, class: usize, bucket: usize, link: usize) -> Option<f64> {
+        self.links[class].get(self.stride, bucket, link)
+    }
+
+    /// How many bucket rows `class`'s tables have.
+    fn rows(&self, class: usize) -> usize {
+        self.links[class].rows(self.stride)
     }
 
     /// Attribute `bytes` moved on `link` for `class` uniformly over the
@@ -151,16 +259,20 @@ impl Accounting {
         self.total_bytes += bytes;
         let width = self.bucket.as_nanos();
         let (l, c) = (link.0 as usize, class as usize);
-        if l >= self.links.len() {
-            self.links.resize_with(l + 1, LinkTraffic::default);
+        if l >= self.stride {
+            self.widen(l);
         }
-        let on_link = &mut self.links[l];
-        on_link.totals[c] += bytes;
+        let stride = self.stride;
+        let on_links = &mut self.links[c];
+        if on_links.totals.is_empty() {
+            on_links.totals.resize(stride, 0.0);
+        }
+        on_links.totals[l] += bytes;
         let span = to.since(from);
         if span.is_zero() {
             let b = from.as_nanos() / width;
             self.class_buckets[c].add(b, bytes);
-            on_link.buckets[c].add(b, bytes);
+            on_links.add(stride, b, l, bytes);
             return;
         }
         let total_secs = span.as_secs_f64();
@@ -172,7 +284,7 @@ impl Accounting {
             let frac = seg_end.since(cursor).as_secs_f64() / total_secs;
             let part = bytes * frac;
             self.class_buckets[c].add(b, part);
-            on_link.buckets[c].add(b, part);
+            on_links.add(stride, b, l, part);
             cursor = seg_end;
         }
     }
@@ -197,7 +309,8 @@ impl Accounting {
 
     /// Total bytes a link carried for a class.
     pub fn link_class_total(&self, link: LinkId, class: TrafficClass) -> f64 {
-        self.link(link).map_or(0.0, |l| l.totals[class as usize])
+        let totals = &self.links[class as usize].totals;
+        totals.get(link.0 as usize).copied().unwrap_or(0.0)
     }
 
     /// Campus-wide per-bucket byte series for a class, as
@@ -231,13 +344,14 @@ impl Accounting {
     /// the quantity behind "checkpoint traffic stays under X% of the
     /// backbone during its worst minute".
     pub fn link_class_peak_rate(&self, link: LinkId, class: TrafficClass) -> f64 {
-        let w = self.bucket.as_secs_f64();
-        self.link(link).map_or(0.0, |l| {
-            l.buckets[class as usize]
-                .touched()
-                .map(|(_, v)| v / w)
-                .fold(0.0, f64::max)
-        })
+        let (w, l, c) = (self.bucket.as_secs_f64(), link.0 as usize, class as usize);
+        if l >= self.stride {
+            return 0.0;
+        }
+        (0..self.rows(c))
+            .filter_map(|b| self.cell(c, b, l))
+            .map(|v| v / w)
+            .fold(0.0, f64::max)
     }
 
     /// Mean throughput of one class on one link over `[0, end)`, bytes/sec.
@@ -252,16 +366,15 @@ impl Accounting {
     /// Peak per-bucket throughput on one link, all classes, bytes/sec.
     /// Derived from the per-class buckets at report time.
     pub fn link_peak_rate(&self, link: LinkId) -> f64 {
-        let w = self.bucket.as_secs_f64();
-        let Some(l) = self.link(link) else {
+        let (w, l) = (self.bucket.as_secs_f64(), link.0 as usize);
+        if l >= self.stride {
             return 0.0;
-        };
-        let len = l.buckets.iter().map(|s| s.0.len()).max().unwrap_or(0);
-        (0..len)
+        }
+        let rows = (0..CLASSES).map(|c| self.rows(c)).max().unwrap_or(0);
+        (0..rows)
             .map(|b| {
-                l.buckets
-                    .iter()
-                    .filter_map(|s| s.get(b))
+                (0..CLASSES)
+                    .filter_map(|c| self.cell(c, b, l))
                     .fold(0.0, |a, v| a + v)
                     / w
             })
@@ -455,10 +568,12 @@ mod tests {
     proptest::proptest! {
         /// Any sequence of spans and instants — rejected amounts, amounts
         /// small enough to underflow a split, links and buckets first
-        /// touched out of order — reads back from the dense accountant
-        /// exactly as from the three maps, every accessor, bit for bit.
+        /// touched out of order, rows sized up front or widened as links
+        /// appear — reads back from the dense accountant exactly as from
+        /// the three maps, every accessor, bit for bit.
         #[test]
         fn dense_tables_read_back_like_the_maps(
+            presized in 0usize..8,
             ops in proptest::collection::vec(
                 (
                     0u32..6,
@@ -480,7 +595,7 @@ mod tests {
             ),
         ) {
             let width = SimDuration::from_secs(60);
-            let mut dense = Accounting::new(width);
+            let mut dense = Accounting::for_links(width, presized);
             let mut maps = Reference::new(width);
             for (link, class, from, len, bytes) in ops {
                 let (link, class) = (LinkId(link), TrafficClass::ALL[class]);

@@ -10,7 +10,7 @@
 use crate::topology::NodeId;
 use gpunion_des::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A message awaiting delivery.
 #[derive(Debug, Clone)]
@@ -62,16 +62,20 @@ impl<M> PartialEq for Pending<M> {
 
 impl<M> Eq for Pending<M> {}
 
-/// Time-ordered pending message queue: a binary heap on `(due, enqueue
-/// sequence)`. A heap is not stable, but it never has to be — the sequence
-/// number is part of the key, so two messages due at one instant are
-/// distinct keys and leave in enqueue order, exactly as they left the
-/// ordered map this replaces (pinned against it below). What the heap
-/// drops is the map's node per handful of messages: its storage is one
-/// vector that stops growing once the in-flight peak has been seen.
+/// Time-ordered pending message queue on `(due, enqueue sequence)`, in two
+/// parts. An **append run** — a ring in key order — takes every message
+/// due at or after the last one it holds, which is nearly all of them:
+/// control latencies are alike, so a message sent later is due later. A
+/// binary heap takes the rest. The next message is the smaller of the two
+/// fronts; the sequence number is part of the key, so no two messages
+/// compare equal and the queue hands them out in exactly the order of the
+/// ordered map it replaced (pinned against it below): time order, enqueue
+/// order within an instant. Both parts are vectors that stop growing once
+/// the in-flight peak has been seen.
 #[derive(Debug)]
 pub struct MessageQueue<M> {
-    pending: BinaryHeap<Pending<M>>,
+    run: VecDeque<Pending<M>>,
+    heap: BinaryHeap<Pending<M>>,
     seq: u64,
 }
 
@@ -85,19 +89,20 @@ impl<M> MessageQueue<M> {
     /// Empty queue.
     pub fn new() -> Self {
         MessageQueue {
-            pending: BinaryHeap::new(),
+            run: VecDeque::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
     /// Number of undelivered messages.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when nothing is in flight.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Enqueue a message for delivery at `at`. Messages enqueued for the
@@ -105,31 +110,54 @@ impl<M> MessageQueue<M> {
     pub fn enqueue(&mut self, at: SimTime, delivery: Delivery<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.pending.push(Pending { at, seq, delivery });
+        let pending = Pending { at, seq, delivery };
+        if self.run.back().is_none_or(|last| last.at <= at) {
+            self.run.push_back(pending);
+        } else {
+            self.heap.push(pending);
+        }
     }
 
     /// The earliest pending delivery time.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.pending.peek().map(|p| p.at)
+        let run = self.run.front().map(|p| p.at);
+        match self.heap.peek() {
+            None => run,
+            Some(h) => gpunion_des::earliest(run, Some(h.at)),
+        }
     }
 
     /// Remove and return the next message due at or before `now`: calling
     /// until `None` yields the due messages in time order, enqueue order
-    /// within an instant.
+    /// within an instant. The heap is nearly always empty, and then the
+    /// run's front is the only candidate.
     pub fn pop_due(&mut self, now: SimTime) -> Option<Delivery<M>> {
-        if self.pending.peek()?.at > now {
-            return None;
-        }
-        self.pending.pop().map(|p| p.delivery)
+        let from_run = match (self.run.front(), self.heap.peek()) {
+            (Some(r), h) if h.is_none_or(|h| r.key() < h.key()) => {
+                if r.at > now {
+                    return None;
+                }
+                true
+            }
+            (_, Some(h)) if h.at <= now => false,
+            _ => return None,
+        };
+        let next = if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        next.map(|p| p.delivery)
     }
 
     /// Drop every in-flight message to or from `node` (the node went down
     /// while packets were in the air). Returns how many were lost.
     pub fn drop_involving(&mut self, node: NodeId) -> usize {
-        let before = self.pending.len();
-        self.pending
-            .retain(|p| p.delivery.from != node && p.delivery.to != node);
-        before - self.pending.len()
+        let before = self.len();
+        let keep = |p: &Pending<M>| p.delivery.from != node && p.delivery.to != node;
+        self.run.retain(keep);
+        self.heap.retain(keep);
+        before - self.len()
     }
 }
 
@@ -184,7 +212,27 @@ mod tests {
         assert_eq!(q.pop_due(SimTime::MAX).unwrap().payload, "keep");
     }
 
-    /// The ordered map the heap replaced: the oracle for delivery order.
+    /// A message due before the run's last goes to the heap; the two parts
+    /// then interleave by key, and a node loss reaches into both.
+    #[test]
+    fn earlier_enqueues_go_to_the_heap_and_both_parts_drain_in_order() {
+        let mut q = MessageQueue::new();
+        q.enqueue(SimTime::from_secs(2), d(0, 1, "run-2"));
+        q.enqueue(SimTime::from_secs(4), d(2, 1, "run-4"));
+        q.enqueue(SimTime::from_secs(3), d(0, 1, "heap-3"));
+        q.enqueue(SimTime::from_secs(1), d(2, 1, "heap-1"));
+        q.enqueue(SimTime::from_secs(4), d(0, 1, "run-4b"));
+        assert_eq!((q.run.len(), q.heap.len()), (3, 2));
+        assert_eq!(q.next_at(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.drop_involving(NodeId(2)), 2, "one from each part");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_due(SimTime::MAX))
+            .map(|m| m.payload)
+            .collect();
+        assert_eq!(order, ["run-2", "heap-3", "run-4b"]);
+        assert!(q.is_empty());
+    }
+
+    /// The ordered map the queue replaced: the oracle for delivery order.
     #[derive(Default)]
     struct MapQueue {
         pending: BTreeMap<(SimTime, u64), Delivery<u32>>,
@@ -211,15 +259,17 @@ mod tests {
 
     proptest::proptest! {
         /// Under random enqueues (few distinct instants, so most share one
-        /// — the ack batches depend on FIFO within an instant), drains up
-        /// to a random time and node losses, the heap hands out exactly
-        /// the deliveries the ordered map does, in the same order, and
-        /// agrees on `next_at` and `len` after every step.
+        /// — the ack batches depend on FIFO within an instant — and about
+        /// half earlier than the last, so the heap fills beside the run),
+        /// drains up to a random time and node losses reaching both parts,
+        /// the queue hands out exactly the deliveries the ordered map does,
+        /// in the same order, and agrees on `next_at` and `len` after every
+        /// step; the run stays in key order.
         #[test]
-        fn heap_delivers_like_the_ordered_map(
+        fn run_and_heap_deliver_like_the_ordered_map(
             ops in proptest::collection::vec((0u8..8, 0u64..6, 0u32..5, 0u32..5), 1..200),
         ) {
-            let mut heap = MessageQueue::new();
+            let mut queue = MessageQueue::new();
             let mut map = MapQueue::default();
             let mut tag = 0u32;
             for (op, t, a, b) in ops {
@@ -227,7 +277,7 @@ mod tests {
                 match op {
                     0 => {
                         loop {
-                            let (h, m) = (heap.pop_due(at), map.pop_due(at));
+                            let (h, m) = (queue.pop_due(at), map.pop_due(at));
                             proptest::prop_assert_eq!(
                                 h.as_ref().map(|d| d.payload),
                                 m.as_ref().map(|d| d.payload)
@@ -238,18 +288,20 @@ mod tests {
                         }
                     }
                     1 => proptest::prop_assert_eq!(
-                        heap.drop_involving(NodeId(a)),
+                        queue.drop_involving(NodeId(a)),
                         map.drop_involving(NodeId(a))
                     ),
                     _ => {
                         let d = Delivery { from: NodeId(a), to: NodeId(b), payload: tag, size_bytes: 1 };
                         tag += 1;
-                        heap.enqueue(at, d.clone());
+                        queue.enqueue(at, d.clone());
                         map.enqueue(at, d);
                     }
                 }
-                proptest::prop_assert_eq!(heap.len(), map.pending.len());
-                proptest::prop_assert_eq!(heap.next_at(), map.pending.keys().next().map(|k| k.0));
+                proptest::prop_assert_eq!(queue.len(), map.pending.len());
+                proptest::prop_assert_eq!(queue.next_at(), map.pending.keys().next().map(|k| k.0));
+                let keys: Vec<_> = queue.run.iter().map(Pending::key).collect();
+                proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }

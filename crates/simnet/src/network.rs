@@ -94,11 +94,12 @@ impl<M> Network<M> {
     /// Wrap a topology. `local_rate` bounds same-node copies (disk speed);
     /// `seed` drives loss-injection randomness.
     pub fn new(topo: Topology, local_rate: Bandwidth, seed: u64) -> Self {
+        let accounting = Accounting::for_links(SimDuration::from_secs(60), topo.link_count());
         Network {
             topo,
             flows: FlowTable::new(local_rate),
             msgs: MessageQueue::new(),
-            accounting: Accounting::new(SimDuration::from_secs(60)),
+            accounting,
             tags: HashMap::new(),
             ended: Vec::new(),
             ended_at: SimTime::ZERO,
@@ -179,8 +180,8 @@ impl<M> Network<M> {
         if !self.topo.node_up(from) || !self.topo.node_up(to) {
             return Err(NetError::Unreachable);
         }
-        self.messages_sent += 1;
         if from == to {
+            self.messages_sent += 1;
             self.msgs.enqueue(
                 now + LOOPBACK_LATENCY,
                 Delivery {
@@ -193,6 +194,7 @@ impl<M> Network<M> {
             return Ok(());
         }
         let path = self.topo.route(from, to).ok_or(NetError::Unreachable)?;
+        self.messages_sent += 1;
         let mut at = now;
         for ch in path.iter() {
             at += self.topo.link_latency(ch.link);
@@ -440,6 +442,32 @@ mod tests {
                 "y"
             )
             .is_ok());
+    }
+
+    /// Both ends up but no path — the backbone is down — is a refused
+    /// send: an error, and not counted as sent.
+    #[test]
+    fn a_send_with_no_path_is_refused_and_not_counted() {
+        let (mut net, hosts, coord) = campus(2);
+        let switch = NodeId(0); // `star_campus` adds it first
+        let backbone = net.topology().link_between(coord, switch).unwrap();
+        net.set_link_up(SimTime::ZERO, backbone, false);
+        let send = |net: &mut Network<&'static str>| {
+            net.send(
+                SimTime::ZERO,
+                hosts[0],
+                coord,
+                64,
+                TrafficClass::Control,
+                "hb",
+            )
+        };
+        assert_eq!(send(&mut net), Err(NetError::Unreachable));
+        assert_eq!(net.messages_sent(), 0);
+        assert_eq!(net.next_event_at(), None, "nothing queued");
+        net.set_link_up(SimTime::ZERO, backbone, true);
+        assert_eq!(send(&mut net), Ok(()));
+        assert_eq!(net.messages_sent(), 1);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use crate::bandwidth::Bandwidth;
 use gpunion_des::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -99,57 +98,58 @@ impl PartialEq for Route {
     }
 }
 
-/// Hasher of the route cache's packed `(src, dst)` keys: one multiply, then
-/// the high half folded onto the low one — the table indexes by the low
-/// bits, and of the product alone those depend only on `dst`, which every
-/// host-to-coordinator pair shares. The keys are node ids this program
-/// assigned, never outside input, and nothing iterates the map, so neither
-/// SipHash's flood resistance nor its per-process seed buys anything here.
-#[derive(Debug, Clone, Copy, Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("route-cache keys are hashed as one u64")
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-fn pair_key(src: NodeId, dst: NodeId) -> u64 {
-    (src.0 as u64) << 32 | dst.0 as u64
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct NodeInfo {
-    pub name: String,
-    pub up: bool,
-}
-
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct LinkInfo {
-    pub a: NodeId,
-    pub b: NodeId,
     pub capacity: Bandwidth,
     pub latency: SimDuration,
-    pub up: bool,
+}
+
+/// The route cache's entry for one pair: the slot of the pair's larger
+/// node id holds both directions to one peer, the smaller id. Each
+/// direction is its own search (ties may break differently each way), so
+/// each is `None` until asked for, then the search's answer.
+#[derive(Debug, Clone)]
+struct RouteSlot {
+    /// The topology's epoch when the slot was filled; an older stamp means
+    /// a node or link has flipped since, and the slot is empty.
+    epoch: u64,
+    /// The smaller node id of the pair.
+    peer: NodeId,
+    /// `peer` → the slot's node.
+    up: Option<Option<Route>>,
+    /// The slot's node → `peer`.
+    down: Option<Option<Route>>,
+}
+
+impl RouteSlot {
+    /// Older than every epoch: empty.
+    const EMPTY: RouteSlot = RouteSlot {
+        epoch: 0,
+        peer: NodeId(0),
+        up: None,
+        down: None,
+    };
 }
 
 /// The campus graph. Built once via [`TopologyBuilder`], then queried for
 /// routes. Routes are recomputed lazily after link/node state changes.
+///
+/// Per-node and per-link state sits in one dense array per field, so the
+/// reads a send makes — both ends up, each hop's latency and capacity —
+/// touch only what they need.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    nodes: Vec<NodeInfo>,
+    names: Vec<String>,
+    node_up: Vec<bool>,
+    /// What a send reads per hop, by `LinkId`.
     links: Vec<LinkInfo>,
+    ends: Vec<(NodeId, NodeId)>,
+    link_up: Vec<bool>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    /// By [`pair_key`]. Only ever `get`, `insert` and `clear`.
-    route_cache: HashMap<u64, Option<Route>, BuildHasherDefault<PairHasher>>,
+    /// Bumped by every node or link flip: it empties every route slot at once.
+    epoch: u64,
+    /// The route cache, one [`RouteSlot`] per node id.
+    routes: Vec<RouteSlot>,
     search: SearchScratch,
 }
 
@@ -163,13 +163,15 @@ struct SearchScratch {
     stamp: Vec<u64>,
     prev: Vec<(NodeId, LinkId)>,
     queue: VecDeque<NodeId>,
+    path: Vec<Channel>,
 }
 
 /// Incremental builder for [`Topology`].
 #[derive(Debug, Default)]
 pub struct TopologyBuilder {
-    nodes: Vec<NodeInfo>,
+    names: Vec<String>,
     links: Vec<LinkInfo>,
+    ends: Vec<(NodeId, NodeId)>,
 }
 
 impl TopologyBuilder {
@@ -180,11 +182,8 @@ impl TopologyBuilder {
 
     /// Add a named node; the name is for reports and debugging only.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeInfo {
-            name: name.into(),
-            up: true,
-        });
+        let id = NodeId(self.names.len() as u32);
+        self.names.push(name.into());
         id
     }
 
@@ -197,30 +196,30 @@ impl TopologyBuilder {
         latency: SimDuration,
     ) -> LinkId {
         assert!(a != b, "self-links are not allowed");
-        assert!((a.0 as usize) < self.nodes.len() && (b.0 as usize) < self.nodes.len());
+        assert!((a.0 as usize) < self.names.len() && (b.0 as usize) < self.names.len());
         let id = LinkId(self.links.len() as u32);
-        self.links.push(LinkInfo {
-            a,
-            b,
-            capacity,
-            latency,
-            up: true,
-        });
+        self.links.push(LinkInfo { capacity, latency });
+        self.ends.push((a, b));
         id
     }
 
     /// Finalize into a queryable topology.
     pub fn build(self) -> Topology {
-        let mut adjacency = vec![Vec::new(); self.nodes.len()];
-        for (i, l) in self.links.iter().enumerate() {
-            adjacency[l.a.0 as usize].push((l.b, LinkId(i as u32)));
-            adjacency[l.b.0 as usize].push((l.a, LinkId(i as u32)));
+        let nodes = self.names.len();
+        let mut adjacency = vec![Vec::new(); nodes];
+        for (i, &(a, b)) in self.ends.iter().enumerate() {
+            adjacency[a.0 as usize].push((b, LinkId(i as u32)));
+            adjacency[b.0 as usize].push((a, LinkId(i as u32)));
         }
         Topology {
-            nodes: self.nodes,
+            names: self.names,
+            node_up: vec![true; nodes],
+            link_up: vec![true; self.links.len()],
             links: self.links,
+            ends: self.ends,
             adjacency,
-            route_cache: HashMap::default(),
+            epoch: 1,
+            routes: vec![RouteSlot::EMPTY; nodes],
             search: SearchScratch::default(),
         }
     }
@@ -229,7 +228,7 @@ impl TopologyBuilder {
 impl Topology {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.names.len()
     }
 
     /// Number of undirected links.
@@ -239,17 +238,17 @@ impl Topology {
 
     /// Node name given at build time.
     pub fn node_name(&self, n: NodeId) -> &str {
-        &self.nodes[n.0 as usize].name
+        &self.names[n.0 as usize]
     }
 
     /// Is the node currently up?
     pub fn node_up(&self, n: NodeId) -> bool {
-        self.nodes[n.0 as usize].up
+        self.node_up[n.0 as usize]
     }
 
     /// Is the link currently up?
     pub fn link_up(&self, l: LinkId) -> bool {
-        self.links[l.0 as usize].up
+        self.link_up[l.0 as usize]
     }
 
     /// Capacity of one direction of the link.
@@ -264,8 +263,7 @@ impl Topology {
 
     /// The two endpoints of a link.
     pub fn link_endpoints(&self, l: LinkId) -> (NodeId, NodeId) {
-        let li = &self.links[l.0 as usize];
-        (li.a, li.b)
+        self.ends[l.0 as usize]
     }
 
     /// The link directly connecting two nodes, if one exists.
@@ -278,33 +276,61 @@ impl Topology {
 
     /// Mark a node up or down. Invalidates the route cache.
     pub fn set_node_up(&mut self, n: NodeId, up: bool) {
-        if self.nodes[n.0 as usize].up != up {
-            self.nodes[n.0 as usize].up = up;
-            self.route_cache.clear();
+        if self.node_up[n.0 as usize] != up {
+            self.node_up[n.0 as usize] = up;
+            self.epoch += 1;
         }
     }
 
     /// Mark a link up or down. Invalidates the route cache.
     pub fn set_link_up(&mut self, l: LinkId, up: bool) {
-        if self.links[l.0 as usize].up != up {
-            self.links[l.0 as usize].up = up;
-            self.route_cache.clear();
+        if self.link_up[l.0 as usize] != up {
+            self.link_up[l.0 as usize] = up;
+            self.epoch += 1;
         }
     }
 
     /// Shortest path (fewest hops) from `src` to `dst` as directed channels,
     /// skipping down nodes and links. `None` when unreachable. Cached until
-    /// the next topology change.
+    /// the next topology change, or until the pair's slot goes to another
+    /// pair.
     pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
         if src == dst {
             return Some(Route::EMPTY);
         }
-        let key = pair_key(src, dst);
-        if let Some(cached) = self.route_cache.get(&key) {
-            return cached.clone();
+        let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
+        let slot = &self.routes[hi.0 as usize];
+        if slot.epoch == self.epoch && slot.peer == lo {
+            if let Some(route) = if src == lo { &slot.up } else { &slot.down } {
+                return route.clone();
+            }
+        }
+        self.route_miss(src, dst, lo, hi)
+    }
+
+    /// [`Self::route`] when the slot has no answer: take the slot over if it
+    /// is stale or another pair's, search, and file the answer. Out of line
+    /// so the hit path stays short.
+    #[cold]
+    #[inline(never)]
+    fn route_miss(&mut self, src: NodeId, dst: NodeId, lo: NodeId, hi: NodeId) -> Option<Route> {
+        let slot = &mut self.routes[hi.0 as usize];
+        if slot.epoch != self.epoch || slot.peer != lo {
+            *slot = RouteSlot {
+                epoch: self.epoch,
+                peer: lo,
+                up: None,
+                down: None,
+            };
         }
         let computed = self.bfs(src, dst);
-        self.route_cache.insert(key, computed.clone());
+        let slot = &mut self.routes[hi.0 as usize];
+        let entry = if src == lo {
+            &mut slot.up
+        } else {
+            &mut slot.down
+        };
+        *entry = Some(computed.clone());
         computed
     }
 
@@ -321,9 +347,9 @@ impl Topology {
         }
         let mut s = std::mem::take(&mut self.search);
         s.round += 1;
-        if s.stamp.len() < self.nodes.len() {
-            s.stamp.resize(self.nodes.len(), 0);
-            s.prev.resize(self.nodes.len(), (src, LinkId(0)));
+        if s.stamp.len() < self.node_count() {
+            s.stamp.resize(self.node_count(), 0);
+            s.prev.resize(self.node_count(), (src, LinkId(0)));
         }
         s.queue.clear();
         s.stamp[src.0 as usize] = s.round;
@@ -360,19 +386,19 @@ impl Topology {
             }
         }
         let path = (s.stamp[dst.0 as usize] == s.round).then(|| {
-            let mut path = Vec::new();
+            s.path.clear();
             let mut cur = dst;
             while cur != src {
                 let (p, l) = s.prev[cur.0 as usize];
-                path.push(Channel {
+                s.path.push(Channel {
                     link: l,
                     from: p,
                     to: cur,
                 });
                 cur = p;
             }
-            path.reverse();
-            Route::from(&path[..])
+            s.path.reverse();
+            Route::from(&s.path[..])
         });
         self.search = s;
         path
@@ -393,7 +419,7 @@ impl Topology {
 
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 }
 
@@ -529,30 +555,33 @@ mod tests {
         }
     }
 
-    /// The packed keys of a 10 000-host star — every pair shares one end —
-    /// spread over the low bits the table indexes by and over the top
-    /// seven it tags entries with.
+    /// A slot holds one peer, both directions: asking the other direction
+    /// fills the second half, a third node's pair takes the slot over, and a
+    /// flip empties every slot at once.
     #[test]
-    fn pair_hasher_spreads_a_stars_keys() {
-        let coord = NodeId(1);
-        let hash = |src, dst| {
-            let mut h = PairHasher::default();
-            h.write_u64(pair_key(src, dst));
-            h.finish()
+    fn a_slot_holds_one_pair_in_both_directions() {
+        let (mut t, hosts, coord, switch) = star_campus(
+            3,
+            Bandwidth::gbps(1.0),
+            Bandwidth::gbps(10.0),
+            SimDuration::from_micros(50),
+        );
+        let h = hosts[2];
+        let slot = |t: &Topology| {
+            let s = &t.routes[h.0 as usize];
+            (s.epoch == t.epoch, s.peer, s.up.is_some(), s.down.is_some())
         };
-        let hosts = (2..10_002).map(NodeId);
-        let hashes: Vec<u64> = hosts
-            .flat_map(|h| [hash(h, coord), hash(coord, h)])
-            .collect();
-        let distinct = |f: fn(u64) -> u64| {
-            let mut seen: Vec<u64> = hashes.iter().map(|h| f(*h)).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            seen.len()
-        };
-        // 20 000 keys thrown at 32 768 slots fill ≈ 15 000 of them.
-        assert!(distinct(|h| h & 0x7FFF) > 12_000, "low bits collide");
-        assert_eq!(distinct(|h| h >> 57), 128, "tag bits collapse");
+        assert_eq!(t.route(h, coord).unwrap().len(), 2);
+        assert_eq!(slot(&t), (true, coord, false, true));
+        assert_eq!(t.route(coord, h).unwrap()[0].from, coord);
+        assert_eq!(slot(&t), (true, coord, true, true));
+        assert_eq!(t.route(hosts[0], h).unwrap().len(), 2);
+        assert_eq!(slot(&t), (true, hosts[0], true, false), "evicted");
+        t.set_node_up(switch, false);
+        assert!(!slot(&t).0, "a flip empties the slot");
+        assert_eq!(t.route(h, coord), None);
+        t.set_node_up(switch, true);
+        assert_eq!(t.route(h, coord).unwrap().len(), 2);
     }
 
     #[test]
@@ -569,7 +598,7 @@ mod tests {
         if !t.node_up(src) || !t.node_up(dst) {
             return None;
         }
-        let n = t.nodes.len();
+        let n = t.node_count();
         let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
         let mut visited = vec![false; n];
         let mut q = VecDeque::new();
@@ -649,6 +678,56 @@ mod tests {
                     t.set_link_up(link, !t.link_up(link));
                 }
                 check(&mut t);
+            }
+        }
+
+        /// One node asks several peers in turn, in both directions, while
+        /// nodes and links flip: every answer — from the slot, or from a
+        /// search after an eviction or an epoch bump — is the path a fresh
+        /// uncached search finds on the graph as it stands.
+        #[test]
+        fn slot_routes_match_an_uncached_search(
+            n in 2usize..9,
+            edges in proptest::collection::vec((0usize..9, 0usize..9), 1..24),
+            ops in proptest::collection::vec((0u8..8, 0usize..9, 0usize..24), 1..80),
+        ) {
+            let mut b = TopologyBuilder::new();
+            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
+            for (x, y) in edges {
+                let (x, y) = (nodes[x % n], nodes[y % n]);
+                if x != y {
+                    b.add_link(x, y, Bandwidth::gbps(1.0), SimDuration::ZERO);
+                }
+            }
+            let mut t = b.build();
+            let hub = nodes[n - 1];
+            for (op, i, j) in ops {
+                let (x, y) = (nodes[i % n], nodes[j % n]);
+                let (src, dst) = match op {
+                    0..=2 => (hub, x),
+                    3 | 4 => (x, hub),
+                    5 => (x, y),
+                    6 => {
+                        t.set_node_up(x, !t.node_up(x));
+                        continue;
+                    }
+                    _ => {
+                        if t.link_count() > 0 {
+                            let link = LinkId((j % t.link_count()) as u32);
+                            t.set_link_up(link, !t.link_up(link));
+                        }
+                        continue;
+                    }
+                };
+                let fresh = t.clone().bfs(src, dst);
+                let oracle = bfs_exit_at_pop(&t, src, dst);
+                let cached = t.route(src, dst);
+                if src == dst {
+                    proptest::prop_assert_eq!(cached.as_deref(), Some(&[][..]));
+                } else {
+                    proptest::prop_assert_eq!(cached.as_deref(), fresh.as_deref());
+                    proptest::prop_assert_eq!(cached.as_deref(), oracle.as_deref());
+                }
             }
         }
     }

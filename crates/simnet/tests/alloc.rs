@@ -5,9 +5,11 @@
 //! up and accounts its bytes on every hop. These tests pin what that path
 //! may allocate once it is warm — the accountant and the route lookup
 //! nothing at all, a send only the payload the caller boxed (the message
-//! queue is a heap in one vector that has seen its peak) — by counting real
-//! allocations with a counting global allocator. The counter is per thread (const-initialized TLS), as
-//! in `crates/scheduler/tests/alloc.rs`.
+//! queue is a run and a heap, two vectors that have seen their peak), a new
+//! minute one block of the accountant's per-link cells every
+//! `Accounting::BUCKETS_PER_BLOCK` minutes — by counting real allocations
+//! with a counting global allocator. The counter is per thread
+//! (const-initialized TLS), as in `crates/scheduler/tests/alloc.rs`.
 
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_simnet::{
@@ -79,6 +81,38 @@ fn recording_into_a_touched_bucket_does_not_allocate() {
 }
 
 #[test]
+fn a_new_minute_allocates_only_at_a_block_boundary() {
+    let mut acct = Accounting::new(SimDuration::from_secs(60));
+    let minute = |m: u64| SimTime::from_secs(60 * m);
+    let blocks = 3;
+    let minutes = (blocks * Accounting::BUCKETS_PER_BLOCK) as u64;
+    // Fix the row width and stretch the campus-wide series (and the block
+    // list) past the window, so only the per-link cells are left to grow.
+    for link in 0..8 {
+        acct.record_instant(LinkId(link), TrafficClass::Control, minute(1_000), 200.0);
+    }
+
+    let mut allocating = Vec::new();
+    for m in 0..minutes {
+        let before = allocations();
+        for link in 0..8 {
+            acct.record_instant(LinkId(link), TrafficClass::Control, minute(m), 200.0);
+        }
+        if allocations() != before {
+            allocating.push((m, allocations() - before));
+        }
+    }
+
+    let boundaries: Vec<(u64, usize)> = (0..blocks)
+        .map(|b| ((b * Accounting::BUCKETS_PER_BLOCK) as u64, 1))
+        .collect();
+    assert_eq!(
+        allocating, boundaries,
+        "one allocation per block, at its first minute"
+    );
+}
+
+#[test]
 fn looking_a_cached_route_up_does_not_allocate() {
     let (mut topo, hosts, coord) = star();
     for h in &hosts {
@@ -122,7 +156,7 @@ fn a_steady_state_send_allocates_only_its_payload_and_queue_nodes() {
     let spent = allocations() - before;
 
     // One box per message is the caller's. The queue has no nodes to
-    // allocate: it is a heap in one vector, grown by the first round.
+    // allocate: its run and heap are vectors grown by the first round.
     assert_eq!(spent, HOSTS, "allocations over {HOSTS} warm sends");
     assert_eq!(net.poll(SimTime::from_secs(7)).len(), HOSTS);
 }
