@@ -153,8 +153,7 @@ pub struct Agent {
     /// Verifications that fired from a timer and await the image registry
     /// (drained by [`Agent::complete_verifications`]).
     pending_verifications: Vec<(SimTime, JobId, ContainerId)>,
-    /// REST control-panel rate limiter (same [`TokenBucket`] the
-    /// coordinator's admission gate uses). `None` when `rest_burst == 0`.
+    /// REST control-panel rate limiter. `None` when `rest_burst == 0`.
     rest_bucket: Option<TokenBucket>,
 }
 

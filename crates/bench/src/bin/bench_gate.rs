@@ -12,7 +12,7 @@
 //! 400 nodes on the typed-event wheel core, ≈24 M events) and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
 //! framed encode of the dominant heartbeat message) — writes
-//! them to `BENCH_scheduler.json` (schema 11), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 12), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -43,9 +43,6 @@
 //!   `BENCH_GATE_DES_FACTOR`× (default 1×) the per-event cost of the
 //!   same fleet on the frozen boxed-closure `HeapSim` reference — the
 //!   tentpole's reason to exist, measured like-for-like in-run.
-//! * **Criticals never shed**: with token-bucket admission on and batch
-//!   submissions at ρ > 1, some batch load is shed at the inbox and
-//!   every interactive-priority (critical) submission is admitted.
 //! * **Semester in single-digit seconds**: the 6-week 400-node row must
 //!   finish within `BENCH_GATE_SEMESTER_SECS` (default 10) wall-clock
 //!   seconds — the absolute bound EXPERIMENTS.md §5.3 quotes.
@@ -66,10 +63,9 @@
 //! ```
 
 use gpunion_bench::{
-    admission_shed_run, check_baseline_schema, codec_cost_run, contention_knee_run,
-    loaded_coordinator, market_grant_run, saturated_coordinator, saturation_run,
-    semester_sweep_heap, semester_sweep_profile, semester_sweep_run, warm_pass_ns, PassStats,
-    BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
+    check_baseline_schema, codec_cost_run, contention_knee_run, loaded_coordinator,
+    saturated_coordinator, saturation_run, semester_sweep_heap, semester_sweep_profile,
+    semester_sweep_run, warm_pass_ns, PassStats, BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
@@ -266,33 +262,6 @@ fn main() {
         sat.inbox_sojourn_ms_max,
         sat.db_shed_status_writes
     );
-    eprintln!("bench_gate: filling the fair-share queue (10⁶ jobs, 10⁶ users)…");
-    let market = market_grant_run(1_000_000, 1_000_000, 1_001);
-    eprintln!(
-        "bench_gate: fair-share queue row — admit {} ns/job amortized, dequeue {} ns at \
-         {}-deep queue over {} users",
-        market.admit_ns, market.grant_ns, market.queued_jobs, market.users
-    );
-    // Admission-shedding invariant (deterministic, ρ > 1): batch overload
-    // is shed at the inbox; critical submissions NEVER are.
-    eprintln!("bench_gate: driving token-bucket admission at rho > 1…");
-    let adm = admission_shed_run(60);
-    assert!(
-        adm.batch_shed > 0,
-        "rho > 1 shed no batch submissions: {adm:?}"
-    );
-    assert_eq!(
-        adm.critical_admitted, adm.critical_offered,
-        "critical submissions were shed: {adm:?}"
-    );
-    eprintln!(
-        "bench_gate: admission ok — {}/{} batch admitted ({} shed), {}/{} criticals admitted",
-        adm.batch_admitted,
-        adm.batch_offered,
-        adm.batch_shed,
-        adm.critical_admitted,
-        adm.critical_offered
-    );
     eprintln!("bench_gate: measuring codec hot path (8-GPU heartbeat, counting walk vs encode)…");
     let codec = codec_cost_run(15, 10_000);
     // Counting-walk invariant, in-run so it is hardware-independent: sizing
@@ -317,8 +286,6 @@ fn main() {
         "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \
          \"pass_ns_400_saturated\": {},\n  \"pass_ns_10k\": {},\n  \
          \"pass_ns_100k\": {},\n  \"pass_ns_100k_warm\": {},\n  \
-         \"grant_ns_1m_queue\": {},\n  \"admit_ns_1m_queue\": {},\n  \
-         \"admission_batch_shed_60s\": {},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
          \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {},\n  \
@@ -328,9 +295,6 @@ fn main() {
         p10k.median_ns,
         p100k.median_ns,
         pwarm.median_ns,
-        market.grant_ns,
-        market.admit_ns,
-        adm.batch_shed,
         codec.wire_size.median_ns,
         codec.encode_pooled.median_ns,
         knee.measured_latency_ms,
@@ -370,8 +334,6 @@ fn main() {
         ("pass_ns_10k", p10k.median_ns as f64),
         ("pass_ns_100k", p100k.median_ns as f64),
         ("pass_ns_100k_warm", pwarm.median_ns as f64),
-        ("grant_ns_1m_queue", market.grant_ns as f64),
-        ("admit_ns_1m_queue", market.admit_ns as f64),
         ("wire_size_ns", codec.wire_size.median_ns as f64),
         ("encode_ns_pooled", codec.encode_pooled.median_ns as f64),
         ("semester_wall_ms_400", sem.wall_ms),
@@ -402,7 +364,6 @@ fn main() {
     for (key, measured) in [
         ("inbox_sojourn_ms_sat500", sat.inbox_sojourn_ms_mean),
         ("deferred_turns_sat500", sat.deferred_turns as f64),
-        ("admission_batch_shed_60s", adm.batch_shed as f64),
         ("semester_events_400", sem.events as f64),
     ] {
         let Some(base) = json_f64(&baseline, key) else {

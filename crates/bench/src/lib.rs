@@ -34,14 +34,13 @@ use gpunion_protocol::{
 use gpunion_scheduler::{CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, SendOutcome};
 use gpunion_workload::{
     generate, generate_into, paper_campus_labs, Request, TraceConfig, TraceEvent, TrainingJobSpec,
-    UserPopulation,
 };
 use std::time::Instant;
 
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 11;
+pub const BENCH_SCHEMA: u64 = 12;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -889,131 +888,6 @@ pub fn semester_sweep_heap(nodes: u32, days: u64) -> SemesterRow {
         "heap semester sweep executed a different event count"
     );
     assert_eq!(w.beats + w.audits, row.events, "every event counted once");
-    row
-}
-
-/// The fair-share queue row: per-decision cost of the weighted
-/// fair-share pending queue at million scale (DESIGN.md §3c).
-#[derive(Debug, Clone, Copy)]
-pub struct MarketRow {
-    /// Queued jobs at measurement time.
-    pub queued_jobs: usize,
-    /// Distinct submitting users in the heavy-tailed population.
-    pub users: u64,
-    /// Amortized admission cost: fair-share tag + enqueue, ns/job (the
-    /// whole 10⁶-job fill divided by its count — cold, allocation-heavy).
-    pub admit_ns: u64,
-    /// Dequeue decision cost at full depth: peek + take, ns/decision
-    /// (median over the sampled decisions).
-    pub grant_ns: u64,
-}
-
-/// Fill a [`gpunion_db::SystemDb`] pending queue with `jobs` submissions from a
-/// heavy-tailed [`UserPopulation`] under weighted fair-share, then
-/// measure the "who goes next" decision (peek + take) at full depth.
-/// Pure store benchmark — no coordinator, no directory — so the row
-/// isolates the fair-share pending queue from placement cost.
-pub fn market_grant_run(users: u64, jobs: usize, grants: usize) -> MarketRow {
-    use gpunion_db::{QueueDiscipline, SystemDb};
-    let pop = UserPopulation::new(11, users);
-    let mut db = SystemDb::with_discipline(QueueDiscipline::WeightedFairShare);
-    let t0 = Instant::now();
-    for k in 0..jobs as u64 {
-        let user = UserId(pop.submitter(k));
-        // Weights are set lazily on first sight: one write per distinct
-        // user, exactly the coordinator's SetUserWeight intent pattern.
-        db.set_user_weight(user, pop.weight(user.0));
-        db.submit_job_for(
-            JobId(k + 1),
-            SimTime::from_secs(k / 1000),
-            (k % 4) as u8,
-            user,
-            pop.demand_bytes(k),
-        );
-    }
-    let admit_ns = (t0.elapsed().as_nanos() as u64) / jobs as u64;
-    assert_eq!(db.pending_count(), jobs, "every submission queued");
-    let mut samples: Vec<u64> = Vec::with_capacity(grants);
-    for _ in 0..grants {
-        let t0 = Instant::now();
-        let job = db.peek_pending().expect("queue is deep");
-        let taken = db.take_pending(job);
-        samples.push(t0.elapsed().as_nanos() as u64);
-        assert!(taken, "peeked job dequeues");
-    }
-    samples.sort_unstable();
-    MarketRow {
-        queued_jobs: jobs,
-        users,
-        admit_ns,
-        grant_ns: samples[samples.len() / 2],
-    }
-}
-
-/// Admission-control overload row: a token-bucket-gated coordinator at
-/// ρ > 1 on batch submissions, with interactive-priority (critical)
-/// submissions interleaved. The shedding contract: batch overload is
-/// shed at the inbox, criticals NEVER are.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionRow {
-    /// Batch submissions offered.
-    pub batch_offered: usize,
-    /// Batch submissions admitted through the bucket.
-    pub batch_admitted: usize,
-    /// Batch submissions shed (must be > 0 at ρ > 1).
-    pub batch_shed: usize,
-    /// Critical submissions offered — all must admit.
-    pub critical_offered: usize,
-    /// Critical submissions admitted (== offered, the gate invariant).
-    pub critical_admitted: usize,
-}
-
-/// Drive an admission-gated coordinator at ρ > 1: `seconds` of a
-/// 4-jobs/s batch flood plus 1 critical/s against a 2-job/s bucket.
-/// Deterministic (no wall clock, no RNG).
-pub fn admission_shed_run(seconds: u64) -> AdmissionRow {
-    use gpunion_scheduler::AdmissionConfig;
-    let config = CoordinatorConfig {
-        admission: Some(AdmissionConfig {
-            burst: 8,
-            rate_per_sec: 2,
-            critical_priority: 3,
-        }),
-        ..CoordinatorConfig::default()
-    };
-    let mut coord = Coordinator::new(config, 1);
-    let mut row = AdmissionRow {
-        batch_offered: 0,
-        batch_admitted: 0,
-        batch_shed: 0,
-        critical_offered: 0,
-        critical_admitted: 0,
-    };
-    for s in 0..seconds {
-        let now = SimTime::from_secs(1 + s);
-        for _ in 0..4 {
-            row.batch_offered += 1;
-            match coord.send(now, CoordEnvelope::SubmitJob(Box::new(bench_spec()))) {
-                SendOutcome::Enqueued { .. } => row.batch_admitted += 1,
-                SendOutcome::Shed => row.batch_shed += 1,
-            }
-        }
-        row.critical_offered += 1;
-        let critical = DispatchSpec {
-            priority: 3,
-            ..bench_spec()
-        };
-        match coord.send(now, CoordEnvelope::SubmitJob(Box::new(critical))) {
-            SendOutcome::Enqueued { .. } => row.critical_admitted += 1,
-            other => panic!("critical submission not admitted: {other:?}"),
-        }
-        coord.advance(now);
-    }
-    assert_eq!(
-        row.batch_shed as u64,
-        coord.stats().admission_shed_jobs,
-        "telemetry counts every shed"
-    );
     row
 }
 

@@ -18,7 +18,7 @@
 //! exactly as it does for the coordinator's timers, so intents complete as
 //! ordinary DES events and no new scheduling machinery is needed.
 
-use crate::store::{JobState, NodeRecord, NodeState, QueueDiscipline, SystemDb};
+use crate::store::{JobState, NodeRecord, NodeState, SystemDb};
 use gpunion_des::{exponential, Online, SimDuration, SimTime};
 use gpunion_protocol::{JobId, NodeUid, UserId};
 use rand::rngs::SmallRng;
@@ -47,19 +47,8 @@ pub enum WriteIntent {
         submitted_at: SimTime,
         /// Dispatch priority.
         priority: u8,
-        /// Submitting user (fair-share accounting key).
+        /// Submitting user.
         user: UserId,
-        /// Requested demand (VRAM bytes × GPUs) charged to the user's
-        /// fair-share tag under [`crate::QueueDiscipline::WeightedFairShare`].
-        demand: u64,
-    },
-    /// Set a user's fair-share weight (weighted max-min currency; only
-    /// observable under [`crate::QueueDiscipline::WeightedFairShare`]).
-    SetUserWeight {
-        /// The user.
-        user: UserId,
-        /// Relative weight (0 is clamped to 1).
-        weight: u64,
     },
     /// Update a job's lifecycle state.
     SetJobState(JobId, JobState),
@@ -95,9 +84,6 @@ pub struct DbActorConfig {
     /// inbox is at bound — the DES analogue of a blocking database client
     /// (admissions past the bound are counted, never shed).
     pub inbox_capacity: usize,
-    /// Pending-queue ordering discipline. `Fifo` (default) reproduces the
-    /// pre-fair-share order bit-exactly.
-    pub discipline: QueueDiscipline,
 }
 
 impl Default for DbActorConfig {
@@ -106,7 +92,6 @@ impl Default for DbActorConfig {
             // 12 ms per write: row update + WAL fsync on commodity SSD.
             mean_service_time: SimDuration::from_millis(12),
             inbox_capacity: 1024,
-            discipline: QueueDiscipline::Fifo,
         }
     }
 }
@@ -152,7 +137,7 @@ impl DbActor {
     /// service-time draws (deterministic given submission order).
     pub fn new(config: DbActorConfig, seed: u64) -> Self {
         DbActor {
-            db: SystemDb::with_discipline(config.discipline),
+            db: SystemDb::new(),
             config,
             rng: SmallRng::seed_from_u64(seed),
             inbox: VecDeque::new(),
@@ -330,11 +315,7 @@ impl DbActor {
                 submitted_at,
                 priority,
                 user,
-                demand,
-            } => db.submit_job_for(job, submitted_at, priority, user, demand),
-            WriteIntent::SetUserWeight { user, weight } => {
-                db.set_user_weight(user, weight);
-            }
+            } => db.submit_job(job, submitted_at, priority, user),
             WriteIntent::SetJobState(job, state) => {
                 db.set_job_state(job, state);
             }
@@ -376,7 +357,6 @@ mod tests {
                 submitted_at: t(1),
                 priority: 1,
                 user: UserId::SYSTEM,
-                demand: 0,
             },
         );
         let l2 = a.submit(
@@ -386,7 +366,6 @@ mod tests {
                 submitted_at: t(1),
                 priority: 1,
                 user: UserId::SYSTEM,
-                demand: 0,
             },
         );
         assert!(l2 > l1, "second write queues behind the first");
@@ -438,7 +417,6 @@ mod tests {
                 submitted_at: t(1),
                 priority: 1,
                 user: UserId::SYSTEM,
-                demand: 0,
             },
         );
         assert_eq!(a.depth(), 3);
@@ -494,7 +472,6 @@ mod tests {
                     submitted_at: t(1),
                     priority: 1,
                     user: UserId::SYSTEM,
-                    demand: 0,
                 },
             )
         };

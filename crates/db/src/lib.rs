@@ -22,7 +22,5 @@ pub mod wal;
 
 pub use actor::{DbActor, DbActorConfig, WriteIntent};
 pub use contention::ContentionModel;
-pub use store::{
-    AllocationRecord, JobRecord, JobState, NodeRecord, NodeState, QueueDiscipline, SystemDb,
-};
+pub use store::{AllocationRecord, JobRecord, JobState, NodeRecord, NodeState, SystemDb};
 pub use wal::{crc32, Lsn, Recovery, Wal};

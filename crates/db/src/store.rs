@@ -54,39 +54,11 @@ pub struct JobRecord {
     pub submitted_at: SimTime,
     /// Priority (higher first).
     pub priority: u8,
-    /// Submitting user (fair-share accounting key).
+    /// Submitting user.
     pub user: UserId,
-    /// Resource demand proxy charged against the user's share (requested
-    /// VRAM bytes × GPUs; the weighted max-min currency).
-    pub demand: u64,
     /// Wire-state of the job.
     pub state: JobState,
 }
-
-/// Ordering policy of the pending queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueDiscipline {
-    /// Priority DESC, then FIFO — the seed behavior, bit-identical goldens.
-    #[default]
-    Fifo,
-    /// Priority DESC, then weighted max-min fair share across users
-    /// (start-time fair queuing over the demand proxy), then FIFO.
-    WeightedFairShare,
-}
-
-/// Per-user fair-share ledger.
-#[derive(Debug, Clone)]
-struct UserShare {
-    /// Relative weight (max-min shares are proportional to this).
-    weight: u64,
-    /// Virtual start tag handed to this user's next submission: cumulative
-    /// charged demand scaled by `TAG_SCALE / weight`.
-    vnext: u128,
-}
-
-/// Fixed-point scale for virtual-time tags (precision of the
-/// demand/weight division).
-const TAG_SCALE: u128 = 1_000_000;
 
 /// Job lifecycle as the database sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,17 +95,12 @@ pub struct SystemDb {
     jobs: BTreeMap<JobId, JobRecord>,
     allocations: BTreeMap<JobId, AllocationRecord>,
     /// Dispatch order is the natural set order: priority DESC (via
-    /// `Reverse`), then the fair-share virtual start tag (always 0 under
-    /// [`QueueDiscipline::Fifo`], so Fifo order is exactly priority DESC +
-    /// FIFO sequence ASC), then FIFO sequence ASC.
-    pending: BTreeSet<(Reverse<u8>, u128, u64, JobId)>,
+    /// `Reverse`), then FIFO sequence ASC.
+    pending: BTreeSet<(Reverse<u8>, u64, JobId)>,
     /// Each pending job's key, so removal is O(log n) instead of a scan
     /// (the batched scheduling pass dequeues and requeues in bulk).
-    pending_pos: HashMap<JobId, (Reverse<u8>, u128, u64)>,
+    pending_pos: HashMap<JobId, (Reverse<u8>, u64)>,
     pending_seq: u64,
-    discipline: QueueDiscipline,
-    /// Per-user weights + virtual-time ledger (fair-share mode only).
-    users: HashMap<UserId, UserShare>,
     wal: Wal,
     /// Write operations performed (contention-model input).
     writes: u64,
@@ -143,31 +110,6 @@ impl SystemDb {
     /// Empty database.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty database with an explicit pending-queue discipline.
-    pub fn with_discipline(discipline: QueueDiscipline) -> Self {
-        SystemDb {
-            discipline,
-            ..Self::default()
-        }
-    }
-
-    /// The active pending-queue discipline.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
-    }
-
-    /// Set a user's fair-share weight (default 1). A weight of 0 is clamped
-    /// to 1. Takes effect for subsequent submissions; already-queued jobs
-    /// keep their tags.
-    pub fn set_user_weight(&mut self, user: UserId, weight: u64) {
-        let weight = weight.max(1);
-        self.users
-            .entry(user)
-            .and_modify(|s| s.weight = weight)
-            .or_insert(UserShare { weight, vnext: 0 });
-        self.writes += 1;
     }
 
     /// Total write operations (inserts/updates) performed.
@@ -239,24 +181,9 @@ impl SystemDb {
 
     // ---- jobs + pending queue ----
 
-    /// Insert a job and enqueue it as pending, attributed to the system
-    /// user with zero demand (internal submissions; order is FIFO within
-    /// the priority class under either discipline).
-    pub fn submit_job(&mut self, job: JobId, submitted_at: SimTime, priority: u8) {
-        self.submit_job_for(job, submitted_at, priority, UserId::SYSTEM, 0);
-    }
-
-    /// Insert a job and enqueue it as pending, charged to `user`'s share.
-    /// `demand` is the max-min currency (requested VRAM bytes × GPUs);
-    /// ignored under [`QueueDiscipline::Fifo`].
-    pub fn submit_job_for(
-        &mut self,
-        job: JobId,
-        submitted_at: SimTime,
-        priority: u8,
-        user: UserId,
-        demand: u64,
-    ) {
+    /// Insert a job and enqueue it as pending, at the back of its priority
+    /// class.
+    pub fn submit_job(&mut self, job: JobId, submitted_at: SimTime, priority: u8, user: UserId) {
         self.log("job", job.0);
         self.jobs.insert(
             job,
@@ -265,43 +192,25 @@ impl SystemDb {
                 submitted_at,
                 priority,
                 user,
-                demand,
                 state: JobState::Pending,
             },
         );
-        self.enqueue(job, priority, user, demand);
+        self.enqueue(job, priority);
     }
 
-    /// The fair-share virtual start tag for this submission: the user's
-    /// cumulative charged demand over weight. Tags are fixed at enqueue
-    /// (start-time fair queuing), so queue keys never need rebalancing.
-    fn charge_tag(&mut self, user: UserId, demand: u64) -> u128 {
-        if self.discipline == QueueDiscipline::Fifo {
-            return 0;
-        }
-        let share = self.users.entry(user).or_insert(UserShare {
-            weight: 1,
-            vnext: 0,
-        });
-        let tag = share.vnext;
-        share.vnext += demand as u128 * TAG_SCALE / share.weight as u128;
-        tag
-    }
-
-    fn enqueue(&mut self, job: JobId, priority: u8, user: UserId, demand: u64) {
+    fn enqueue(&mut self, job: JobId, priority: u8) {
         // A job can be pending at most once.
         self.dequeue(job);
-        let tag = self.charge_tag(user, demand);
-        let key = (Reverse(priority), tag, self.pending_seq);
+        let key = (Reverse(priority), self.pending_seq);
         self.pending_seq += 1;
-        self.pending.insert((key.0, key.1, key.2, job));
+        self.pending.insert((key.0, key.1, job));
         self.pending_pos.insert(job, key);
     }
 
     fn dequeue(&mut self, job: JobId) -> bool {
         match self.pending_pos.remove(&job) {
-            Some((p, tag, seq)) => {
-                self.pending.remove(&(p, tag, seq, job));
+            Some((p, seq)) => {
+                self.pending.remove(&(p, seq, job));
                 true
             }
             None => false,
@@ -318,17 +227,15 @@ impl SystemDb {
         self.pending.len()
     }
 
-    /// Peek the next pending job: highest priority first, then fair-share
-    /// tag (Fifo: always 0), then FIFO.
+    /// Peek the next pending job: highest priority first, then FIFO.
     pub fn peek_pending(&self) -> Option<JobId> {
-        self.pending.first().map(|(_, _, _, j)| *j)
+        self.pending.first().map(|&(_, _, j)| j)
     }
 
-    /// Pending jobs in dispatch order (highest priority, then fair-share
-    /// tag, then FIFO). The queue's natural order — one in-order walk, no
-    /// sorting.
+    /// Pending jobs in dispatch order (highest priority, then FIFO). The
+    /// queue's natural order — one in-order walk, no sorting.
     pub fn pending_in_order(&self) -> Vec<JobId> {
-        self.pending.iter().map(|(_, _, _, j)| *j).collect()
+        self.pending.iter().map(|&(_, _, j)| j).collect()
     }
 
     /// Remove a job from the pending queue (it was allocated or cancelled).
@@ -342,18 +249,15 @@ impl SystemDb {
     }
 
     /// Re-enqueue a job (migration after node loss, or an index miss in a
-    /// batched pass). Keeps its priority but goes to the back of its class
-    /// — under fair share it takes a fresh tag at the user's current
-    /// virtual time, so a migrating user is charged again for the re-run
-    /// (migration consumes real capacity twice).
+    /// batched pass). Keeps its priority but goes to the back of its class.
     pub fn requeue_job(&mut self, job: JobId) -> bool {
         let Some(rec) = self.jobs.get_mut(&job) else {
             return false;
         };
         rec.state = JobState::Pending;
-        let (priority, user, demand) = (rec.priority, rec.user, rec.demand);
+        let priority = rec.priority;
         self.allocations.remove(&job);
-        self.enqueue(job, priority, user, demand);
+        self.enqueue(job, priority);
         self.log("requeue", job.0);
         true
     }
@@ -416,6 +320,7 @@ impl SystemDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -430,6 +335,11 @@ mod tests {
             last_seen: t(0),
             state: NodeState::Active,
         }
+    }
+
+    /// Submit as the system user, the only submitter `Platform` has.
+    fn submit(db: &mut SystemDb, job: u64, at: u64, priority: u8) {
+        db.submit_job(JobId(job), t(at), priority, UserId::SYSTEM);
     }
 
     #[test]
@@ -461,10 +371,10 @@ mod tests {
     #[test]
     fn pending_queue_priority_then_fifo() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
-        db.submit_job(JobId(2), t(1), 5);
-        db.submit_job(JobId(3), t(2), 1);
-        db.submit_job(JobId(4), t(3), 5);
+        submit(&mut db, 1, 0, 1);
+        submit(&mut db, 2, 1, 5);
+        submit(&mut db, 3, 2, 1);
+        submit(&mut db, 4, 3, 5);
         assert_eq!(
             db.pending_in_order(),
             vec![JobId(2), JobId(4), JobId(1), JobId(3)]
@@ -475,7 +385,7 @@ mod tests {
     #[test]
     fn allocate_removes_from_pending() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
+        submit(&mut db, 1, 0, 1);
         assert_eq!(db.pending_count(), 1);
         db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
         assert_eq!(db.pending_count(), 0);
@@ -491,7 +401,7 @@ mod tests {
     #[test]
     fn requeue_after_node_loss() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 3);
+        submit(&mut db, 1, 0, 3);
         db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
         assert!(db.requeue_job(JobId(1)));
         assert_eq!(db.pending_count(), 1);
@@ -504,8 +414,8 @@ mod tests {
     #[test]
     fn requeue_goes_behind_same_priority_peers() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
-        db.submit_job(JobId(2), t(1), 1);
+        submit(&mut db, 1, 0, 1);
+        submit(&mut db, 2, 1, 1);
         db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
         db.requeue_job(JobId(1));
         assert_eq!(db.pending_in_order(), vec![JobId(2), JobId(1)]);
@@ -524,7 +434,7 @@ mod tests {
     #[test]
     fn unknown_job_operations_leave_no_trace() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
+        submit(&mut db, 1, 0, 1);
         let w0 = db.write_count();
         let wal0 = db.wal_bytes();
         assert!(!db.take_pending(JobId(404)));
@@ -542,7 +452,7 @@ mod tests {
     #[test]
     fn wal_accounts_deallocate_once() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
+        submit(&mut db, 1, 0, 1);
         db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
         let after_alloc = db.wal_bytes();
         assert!(db.deallocate(JobId(1)));
@@ -559,8 +469,8 @@ mod tests {
     #[test]
     fn requeue_while_pending_does_not_duplicate() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 1);
-        db.submit_job(JobId(2), t(1), 1);
+        submit(&mut db, 1, 0, 1);
+        submit(&mut db, 2, 1, 1);
         assert!(db.requeue_job(JobId(1)), "requeue of a pending job");
         assert_eq!(db.pending_count(), 2, "no duplicate entry");
         // It moved behind its peer.
@@ -573,7 +483,7 @@ mod tests {
     fn bulk_drain_preserves_dispatch_order() {
         let mut db = SystemDb::new();
         for i in 0..100u64 {
-            db.submit_job(JobId(i), t(i), (i % 3) as u8);
+            submit(&mut db, i, i, (i % 3) as u8);
         }
         let order = db.pending_in_order();
         assert_eq!(order.len(), 100);
@@ -596,176 +506,54 @@ mod tests {
         let mut db = SystemDb::new();
         let w0 = db.write_count();
         db.upsert_node(node(1));
-        db.submit_job(JobId(1), t(0), 1);
+        submit(&mut db, 1, 0, 1);
         db.allocate(JobId(1), NodeUid(1), vec![0], t(1));
         assert!(db.write_count() > w0);
         assert!(db.wal_bytes() > 0);
     }
 
-    #[test]
-    fn fair_share_interleaves_users() {
-        let mut db = SystemDb::with_discipline(QueueDiscipline::WeightedFairShare);
-        // User 1 floods 4 jobs, then user 2 submits 2. Equal weights and
-        // demands: the drain must interleave instead of draining user 1
-        // first.
-        for i in 0..4u64 {
-            db.submit_job_for(JobId(i), t(i), 1, UserId(1), 100);
-        }
-        for i in 4..6u64 {
-            db.submit_job_for(JobId(i), t(i), 1, UserId(2), 100);
-        }
-        let order = db.pending_in_order();
-        // Tags: u1 jobs at 0,100,200,300; u2 at 0,100. Merge by (tag, seq):
-        // j0(u1,0) j4(u2,0) j1(u1,100) j5(u2,100) j2(u1,200) j3(u1,300).
-        assert_eq!(
-            order,
-            vec![JobId(0), JobId(4), JobId(1), JobId(5), JobId(2), JobId(3)]
-        );
-    }
-
-    #[test]
-    fn fair_share_respects_weights() {
-        let mut db = SystemDb::with_discipline(QueueDiscipline::WeightedFairShare);
-        db.set_user_weight(UserId(1), 2);
-        db.set_user_weight(UserId(2), 1);
-        for i in 0..4u64 {
-            db.submit_job_for(JobId(i), t(i), 1, UserId(1), 100);
-        }
-        for i in 4..8u64 {
-            db.submit_job_for(JobId(i), t(i), 1, UserId(2), 100);
-        }
-        // u1 tags: 0,50,100,150; u2 tags: 0,100,200,300. Weight-2 user gets
-        // 2 grants per weight-1 grant while both are backlogged.
-        assert_eq!(
-            db.pending_in_order(),
-            vec![
-                JobId(0),
-                JobId(4),
-                JobId(1),
-                JobId(2),
-                JobId(5),
-                JobId(3),
-                JobId(6),
-                JobId(7)
-            ]
-        );
-    }
-
-    #[test]
-    fn fair_share_priority_still_dominates() {
-        let mut db = SystemDb::with_discipline(QueueDiscipline::WeightedFairShare);
-        db.submit_job_for(JobId(1), t(0), 0, UserId(1), 1);
-        db.submit_job_for(JobId(2), t(1), 5, UserId(1), 1_000_000);
-        assert_eq!(db.pending_in_order(), vec![JobId(2), JobId(1)]);
-    }
-
-    #[test]
-    fn fifo_mode_ignores_users_and_demand() {
-        let mut db = SystemDb::new();
-        db.submit_job_for(JobId(1), t(0), 1, UserId(9), 1 << 40);
-        db.submit_job_for(JobId(2), t(1), 1, UserId(1), 1);
-        db.submit_job(JobId(3), t(2), 1);
-        assert_eq!(db.pending_in_order(), vec![JobId(1), JobId(2), JobId(3)]);
-    }
-}
-
-#[cfg(test)]
-mod fair_share_oracle {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Brute-force weighted max-min: repeatedly grant the head-of-line job
-    /// of the user with the smallest charged-demand/weight virtual time
-    /// (ties: earliest submitted head-of-line job first — the queue's FIFO
-    /// sequence), then charge the job's demand to that user. Charging uses
-    /// the queue's exact fixed-point step (`demand * TAG_SCALE / weight`
-    /// per job) so the comparison is arithmetic-identical, not just
-    /// approximately fair. This is the definitional schedule the queue's
-    /// start-time tags must reproduce.
-    fn oracle_order(jobs: &[(u64, JobId, u64)], weights: &HashMap<UserId, u64>) -> Vec<JobId> {
-        // jobs: (user, job, demand), submitted in slice order (so a job's
-        // index is its FIFO sequence); per-user FIFO is slice order too.
-        let mut heads: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut vtime: BTreeMap<u64, u128> = BTreeMap::new();
-        for (user, _, _) in jobs {
-            heads.entry(*user).or_insert(0);
-            vtime.entry(*user).or_insert(0);
-        }
-        let user_jobs = |user: u64| -> Vec<(usize, JobId, u64)> {
-            jobs.iter()
-                .enumerate()
-                .filter(|(_, (u, _, _))| *u == user)
-                .map(|(seq, (_, j, d))| (seq, *j, *d))
-                .collect()
-        };
-        let mut out = Vec::with_capacity(jobs.len());
-        while out.len() < jobs.len() {
-            // (vtime, head seq, user, head job, head demand) of the best
-            // candidate.
-            let mut best: Option<(u128, usize, u64, JobId, u64)> = None;
-            for (&user, &head) in &heads {
-                let Some(&(seq, job, demand)) = user_jobs(user).get(head) else {
-                    continue; // user drained
-                };
-                let v = vtime[&user];
-                if best.is_none() || (v, seq) < (best.unwrap().0, best.unwrap().1) {
-                    best = Some((v, seq, user, job, demand));
-                }
-            }
-            let (_, _, user, job, demand) = best.expect("some job remains");
-            out.push(job);
-            *heads.get_mut(&user).unwrap() += 1;
-            let w = *weights.get(&UserId(user)).unwrap_or(&1) as u128;
-            *vtime.get_mut(&user).unwrap() += demand as u128 * TAG_SCALE / w;
-        }
-        out
-    }
-
     proptest! {
-        /// The fair-share queue's drain order equals the brute-force
-        /// weighted max-min oracle for random (user, weight, demand)
-        /// populations — including the single-user degenerate case (the
-        /// user range collapses) and all-equal-weight populations.
+        /// Random submissions, takes, requeues of pending jobs and
+        /// requeues of taken ones (a requeue goes to the back of its
+        /// class) drain like a stable sort by priority DESC of the jobs in
+        /// the order they last entered the queue.
         #[test]
-        fn prop_fair_share_matches_max_min_oracle(
-            jobs in proptest::collection::vec((0u64..6, 1u64..1_000), 1..40),
-            weights in proptest::collection::vec(1u64..8, 6),
-            equal_weights in any::<bool>(),
-            single_user in any::<bool>(),
-        ) {
-            let mut db = SystemDb::with_discipline(QueueDiscipline::WeightedFairShare);
-            let mut wmap = HashMap::new();
-            for (i, w) in weights.iter().enumerate() {
-                let w = if equal_weights { 1 } else { *w };
-                db.set_user_weight(UserId(i as u64), w);
-                wmap.insert(UserId(i as u64), w);
-            }
-            let spec: Vec<(u64, JobId, u64)> = jobs
-                .iter()
-                .enumerate()
-                .map(|(i, (user, demand))| {
-                    let user = if single_user { 0 } else { *user };
-                    (user, JobId(i as u64), *demand)
-                })
-                .collect();
-            for (user, job, demand) in &spec {
-                db.submit_job_for(*job, SimTime::from_secs(job.0), 1, UserId(*user), *demand);
-            }
-            let expected = oracle_order(&spec, &wmap);
-            prop_assert_eq!(db.pending_in_order(), expected);
-        }
-
-        /// Under Fifo discipline the same populations drain in pure
-        /// submission order regardless of users, weights, or demand.
-        #[test]
-        fn prop_fifo_ignores_fair_share_inputs(
-            jobs in proptest::collection::vec((0u64..6, 1u64..1_000), 1..40),
+        fn prop_pending_drains_by_priority_then_fifo(
+            ops in proptest::collection::vec((0u8..4, 0u8..4, 0usize..64), 1..80),
         ) {
             let mut db = SystemDb::new();
-            for (i, (user, demand)) in jobs.iter().enumerate() {
-                db.submit_job_for(JobId(i as u64), SimTime::from_secs(i as u64), 1, UserId(*user), *demand);
+            // (priority, job) in the order each last entered the queue.
+            let mut queued: Vec<(u8, JobId)> = Vec::new();
+            let mut taken: Vec<(u8, JobId)> = Vec::new();
+            let mut next = 0u64;
+            for (op, priority, pick) in ops {
+                match op {
+                    0 => {
+                        db.submit_job(JobId(next), t(next), priority, UserId::SYSTEM);
+                        queued.push((priority, JobId(next)));
+                        next += 1;
+                    }
+                    1 if !queued.is_empty() => {
+                        let entry = queued.remove(pick % queued.len());
+                        prop_assert!(db.take_pending(entry.1));
+                        taken.push(entry);
+                    }
+                    2 if !queued.is_empty() => {
+                        let entry = queued.remove(pick % queued.len());
+                        prop_assert!(db.requeue_job(entry.1));
+                        queued.push(entry);
+                    }
+                    3 if !taken.is_empty() => {
+                        let entry = taken.remove(pick % taken.len());
+                        prop_assert!(db.requeue_job(entry.1));
+                        queued.push(entry);
+                    }
+                    _ => {}
+                }
             }
-            let expected: Vec<JobId> = (0..jobs.len() as u64).map(JobId).collect();
+            queued.sort_by_key(|&(priority, _)| Reverse(priority));
+            let expected: Vec<JobId> = queued.iter().map(|&(_, job)| job).collect();
+            prop_assert_eq!(db.peek_pending(), expected.first().copied());
             prop_assert_eq!(db.pending_in_order(), expected);
         }
     }

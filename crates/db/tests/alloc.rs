@@ -9,7 +9,7 @@
 
 use gpunion_db::{JobState, NodeRecord, NodeState, SystemDb};
 use gpunion_des::SimTime;
-use gpunion_protocol::{JobId, NodeUid};
+use gpunion_protocol::{JobId, NodeUid, UserId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -52,7 +52,7 @@ fn state_and_node_queries_do_not_allocate() {
         });
     }
     for job in 0..64u64 {
-        db.submit_job(JobId(job), SimTime::ZERO, 1);
+        db.submit_job(JobId(job), SimTime::ZERO, 1, UserId::SYSTEM);
         db.allocate(JobId(job), NodeUid(job % 8), vec![0], SimTime::ZERO);
     }
     // Warm up any lazy statics outside the measured window.

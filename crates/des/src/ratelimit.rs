@@ -1,10 +1,8 @@
 //! Token-bucket rate limiting over simulation time.
 //!
-//! One shared limiter type for every admission front door: the agent's REST
-//! surface throttles provider-facing requests with it, and the coordinator's
-//! DES admission path sheds non-critical job submissions with the identical
-//! arithmetic. Refill is computed lazily from elapsed [`SimTime`], so the
-//! bucket costs nothing while idle and never needs a timer.
+//! The agent's REST surface throttles provider-facing requests with it (429
+//! with a retry hint). Refill is computed lazily from elapsed [`SimTime`],
+//! so the bucket costs nothing while idle and never needs a timer.
 
 use crate::time::{SimDuration, SimTime};
 

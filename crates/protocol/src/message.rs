@@ -35,10 +35,10 @@ impl NodeUid {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct JobId(pub u64);
 
-/// Platform-wide submitting-user identifier. The fair-share admission
-/// front door keys pending-queue order and quota accounting by
-/// `(user, priority)`; at million-user scale this is the unit the
-/// weighted max-min share is computed over.
+/// Platform-wide submitting-user identifier. It rides every
+/// [`DispatchSpec`] and is stored in the coordinator's job row; nothing
+/// orders or admits by it (every submission is admitted, and the pending
+/// queue is priority then FIFO).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct UserId(pub u64);
 
@@ -190,7 +190,7 @@ pub struct DispatchSpec {
     pub restore_from_seq: Option<u64>,
     /// Priority class (higher = more urgent).
     pub priority: u8,
-    /// Submitting user (fair-share admission accounting).
+    /// Submitting user.
     pub user: UserId,
 }
 

@@ -47,10 +47,10 @@
 use crate::directory::{Directory, NodeLiveness};
 use crate::strategy::{Selector, Strategy};
 use gpunion_db::{DbActor, DbActorConfig, JobState, NodeRecord, NodeState, SystemDb, WriteIntent};
-use gpunion_des::{earliest, Online, SimDuration, SimTime, TokenBucket};
+use gpunion_des::{earliest, Online, SimDuration, SimTime};
 use gpunion_protocol::{
     AuthToken, Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry,
-    UserId, Work, WorkloadState,
+    Work, WorkloadState,
 };
 use gpunion_telemetry::{labels, Counter, MetricHistogram, Registry};
 use rand::rngs::SmallRng;
@@ -159,30 +159,6 @@ pub enum JobEvent {
     },
 }
 
-/// Token-bucket admission control on job submissions (the coordinator's
-/// front door). `None` in [`CoordinatorConfig::admission`] — the default —
-/// admits everything: job submissions are never shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Burst: submissions admitted instantly from a full bucket.
-    pub burst: u64,
-    /// Sustained admission rate, submissions per second.
-    pub rate_per_sec: u64,
-    /// Submissions at or above this priority bypass the bucket entirely —
-    /// critical jobs are never shed, even at overload (ρ > 1).
-    pub critical_priority: u8,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            burst: 64,
-            rate_per_sec: 16,
-            critical_priority: 3,
-        }
-    }
-}
-
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -205,9 +181,6 @@ pub struct CoordinatorConfig {
     pub inbox_capacity: usize,
     /// Database write-queue parameters (service time, inbox bound).
     pub db: DbActorConfig,
-    /// Token-bucket admission control on job submissions. `None` (default)
-    /// admits everything — job submissions are never shed.
-    pub admission: Option<AdmissionConfig>,
 }
 
 impl Default for CoordinatorConfig {
@@ -221,7 +194,6 @@ impl Default for CoordinatorConfig {
             offer_timeout: SimDuration::from_secs(10),
             inbox_capacity: 4096,
             db: DbActorConfig::default(),
-            admission: None,
         }
     }
 }
@@ -285,9 +257,8 @@ pub struct CoordinatorStats {
     /// Turns deferred on database write-queue backpressure (envelope
     /// stalls, timer re-arms, and mid-pass stops all count).
     pub deferred_turns: u64,
-    /// Job submissions shed by token-bucket admission control. Criticals
-    /// (priority ≥ [`AdmissionConfig::critical_priority`]) never count
-    /// here — they bypass the bucket.
+    /// Always 0: every job submission is admitted. Kept only because the
+    /// repo benchmark still reads it.
     pub admission_shed_jobs: u64,
     /// Scheduling decision latency statistics (the §5.2 quantity).
     pub decision_latency: Online,
@@ -318,8 +289,6 @@ pub struct Coordinator {
     /// is at bound: the actor is waiting for a write completion before
     /// taking its next turn (critical-write backpressure).
     stalled: bool,
-    /// Admission token bucket, built from [`CoordinatorConfig::admission`].
-    admission: Option<TokenBucket>,
     /// Ordered by job id so displacement/migrate-back sweeps are
     /// deterministic (golden-output experiments depend on it).
     jobs: BTreeMap<JobId, JobMeta>,
@@ -344,8 +313,6 @@ pub struct Coordinator {
     shed_envelopes: u64,
     over_bound_envelopes: u64,
     deferred_turns: u64,
-    /// Job submissions shed by admission control (non-critical only).
-    admission_shed: u64,
     rng: SmallRng,
 }
 
@@ -373,10 +340,6 @@ impl Coordinator {
             .ok();
         let db = DbActor::new(config.db, seed ^ 0xD8);
         let dir = Directory::new();
-        let admission = config
-            .admission
-            .as_ref()
-            .map(|a| TokenBucket::new(a.burst, a.rate_per_sec, SimTime::ZERO));
         let mut coord = Coordinator {
             config,
             db,
@@ -385,7 +348,6 @@ impl Coordinator {
             selector,
             inbox: VecDeque::new(),
             stalled: false,
-            admission,
             jobs: BTreeMap::new(),
             held_jobs: BTreeSet::new(),
             next_job: 1,
@@ -403,7 +365,6 @@ impl Coordinator {
             shed_envelopes: 0,
             over_bound_envelopes: 0,
             deferred_turns: 0,
-            admission_shed: 0,
             rng: SmallRng::seed_from_u64(seed),
         };
         coord.arm(
@@ -416,7 +377,7 @@ impl Coordinator {
     // ---- snapshot accessors (read-only consumers) ----------------------
 
     /// One coherent snapshot of every observable counter — coordinator
-    /// inbox, scheduling, admission, and database write-queue telemetry
+    /// inbox, scheduling, and database write-queue telemetry
     /// together. This is THE read surface for benches, harnesses,
     /// and experiment bins.
     pub fn stats(&self) -> CoordinatorStats {
@@ -428,7 +389,7 @@ impl Coordinator {
             shed_envelopes: self.shed_envelopes,
             over_bound_envelopes: self.over_bound_envelopes,
             deferred_turns: self.deferred_turns,
-            admission_shed_jobs: self.admission_shed,
+            admission_shed_jobs: 0,
             decision_latency: self.decision_latency.clone(),
             db_depth: self.db.depth(),
             db_depth_peak: self.db.depth_peak(),
@@ -459,15 +420,6 @@ impl Coordinator {
     /// Coordinator metrics registry.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
-    }
-
-    /// Route a user's fair-share weight to the database (one critical
-    /// write through the same bounded queue as every other mutation).
-    /// Weights only matter under
-    /// [`gpunion_db::QueueDiscipline::WeightedFairShare`].
-    pub fn set_user_weight(&mut self, now: SimTime, user: UserId, weight: u64) {
-        self.db
-            .submit(now, WriteIntent::SetUserWeight { user, weight });
     }
 
     /// The emergent database write latency right now: residual write-queue
@@ -503,9 +455,9 @@ impl Coordinator {
     /// Enqueue an envelope for the actor's next turn. This is the ONLY
     /// entry point for mutating traffic: nothing is processed here — the
     /// turn runs inside [`Coordinator::advance`]. Heartbeats are shed at
-    /// the inbox bound; every other envelope is always accepted (and a
-    /// [`CoordEnvelope::SubmitJob`] gets its job id assigned so the caller
-    /// can track it).
+    /// the inbox bound; every other envelope is always accepted. A
+    /// [`CoordEnvelope::SubmitJob`] is never shed: it gets its job id
+    /// assigned here so the caller can track it.
     pub fn send(&mut self, now: SimTime, env: CoordEnvelope) -> SendOutcome {
         let mut env = env;
         // The length test first: under the bound (the common case) it spares
@@ -513,17 +465,6 @@ impl Coordinator {
         if self.inbox.len() >= self.config.inbox_capacity && self.envelope_sheddable(&env) {
             self.shed_envelopes += 1;
             return SendOutcome::Shed;
-        }
-        // Token-bucket admission on submissions (off by default). Critical
-        // jobs bypass the bucket entirely — they are never shed, even at
-        // sustained overload; everything else takes a token or bounces.
-        if let (CoordEnvelope::SubmitJob(spec), Some(bucket), Some(cfg)) =
-            (&env, &mut self.admission, &self.config.admission)
-        {
-            if spec.priority < cfg.critical_priority && !bucket.try_take(now) {
-                self.admission_shed += 1;
-                return SendOutcome::Shed;
-            }
         }
         let job = if let CoordEnvelope::SubmitJob(spec) = &mut env {
             let id = JobId(self.next_job);
@@ -653,7 +594,6 @@ impl Coordinator {
                 self.shed_envelopes = 0;
                 self.over_bound_envelopes = 0;
                 self.deferred_turns = 0;
-                self.admission_shed = 0;
             }
         }
     }
@@ -725,8 +665,6 @@ impl Coordinator {
                 submitted_at: now,
                 priority,
                 user: spec.user,
-                // The weighted max-min currency: requested VRAM × GPUs.
-                demand: spec.gpu_mem_bytes.saturating_mul(spec.gpus as u64),
             },
         );
         self.jobs.insert(

@@ -21,8 +21,8 @@ pub mod directory;
 pub mod strategy;
 
 pub use coordinator::{
-    AdmissionConfig, CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, CoordinatorStats,
-    JobEvent, SendOutcome,
+    CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, CoordinatorStats, JobEvent,
+    SendOutcome,
 };
 pub use directory::{Directory, NodeEntry, NodeLiveness, Reliability};
 pub use strategy::{Selector, Strategy};
@@ -1208,59 +1208,6 @@ mod tests {
             coord.directory().get(node).map(|e| e.liveness()),
             Some(NodeLiveness::Active)
         );
-    }
-
-    #[test]
-    fn admission_sheds_non_critical_but_never_critical() {
-        let cfg = CoordinatorConfig {
-            admission: Some(AdmissionConfig {
-                burst: 2,
-                rate_per_sec: 1,
-                critical_priority: 3,
-            }),
-            ..CoordinatorConfig::default()
-        };
-        let mut coord = Coordinator::new(cfg, 1);
-        let node = register(&mut coord, t(1), "m-1");
-        heartbeat(&mut coord, t(2), node, 1);
-        // ρ > 1: five batch submissions in one instant against a bucket
-        // that holds two.
-        let mut admitted = 0;
-        let mut shed = 0;
-        for _ in 0..5 {
-            match coord.send(t(3), CoordEnvelope::SubmitJob(Box::new(spec()))) {
-                SendOutcome::Enqueued { job: Some(_) } => admitted += 1,
-                SendOutcome::Shed => shed += 1,
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
-        assert_eq!(admitted, 2, "burst capacity admits exactly two");
-        assert_eq!(shed, 3, "the overload past the burst is shed");
-        // Critical (interactive-priority) submissions bypass the bucket
-        // even though it is empty: criticals are never dropped.
-        for _ in 0..4 {
-            let outcome = coord.send(
-                t(3),
-                CoordEnvelope::SubmitJob(Box::new(DispatchSpec {
-                    priority: 3,
-                    ..spec()
-                })),
-            );
-            assert!(
-                matches!(outcome, SendOutcome::Enqueued { job: Some(_) }),
-                "critical submissions are never shed: {outcome:?}"
-            );
-        }
-        assert_eq!(coord.stats().admission_shed_jobs, 3);
-        // A second later one token has refilled: one more batch job fits.
-        assert!(matches!(
-            coord.send(t(4), CoordEnvelope::SubmitJob(Box::new(spec()))),
-            SendOutcome::Enqueued { job: Some(_) }
-        ));
-        assert!(matches!(
-            coord.send(t(4), CoordEnvelope::SubmitJob(Box::new(spec()))),
-            SendOutcome::Shed
-        ));
     }
 
     /// Build the op stream for the drive-equivalence proptest: a mixed

@@ -22,8 +22,8 @@ pub mod training;
 pub use job::{iter_secs, InteractiveSpec, ModelClass, ModelProfile, TrainingJobSpec, MFU};
 pub use provider::{ChurnModel, InterruptionEvent, InterruptionKind};
 pub use trace::{
-    diurnal_multiplier, generate, generate_into, paper_campus_labs, splitmix64, weekly_multiplier,
-    LabId, LabProfile, Request, TraceConfig, TraceEvent, UserPopulation,
+    diurnal_multiplier, generate, generate_into, paper_campus_labs, weekly_multiplier, LabId,
+    LabProfile, Request, TraceConfig, TraceEvent,
 };
 pub use training::{
     fig3_job_set, InterruptionLedger, InterruptionRecord, RunProgress, TrainingRun,

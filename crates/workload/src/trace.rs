@@ -344,76 +344,6 @@ pub fn paper_campus_labs() -> Vec<LabProfile> {
     labs
 }
 
-/// A campus-federation-scale synthetic user population with heavy-tailed
-/// demand — the "million-user" workload behind fair-share admission
-/// (DESIGN.md §3c). Everything is a pure integer
-/// function of `(seed, index)`: no allocation, no floats, no RNG state,
-/// so a 10⁶-user population costs nothing to "hold" and two replays are
-/// bit-identical on any platform.
-///
-/// The heavy tails use an octave trick instead of `powf`: pick an octave
-/// `[N/2^(o+1), N/2^o)` uniformly, then a point inside it uniformly.
-/// Each octave carries equal mass, so density falls off as `1/x` — a
-/// discrete Zipf/Pareto(α≈1) shape, matching the few-heavy-labs /
-/// many-light-users imbalance the paper describes, with none of the
-/// cross-libm reproducibility risk of floating-point inverse CDFs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UserPopulation {
-    /// Population seed: distinct seeds give independent populations.
-    pub seed: u64,
-    /// Number of users (ids `0..users`).
-    pub users: u64,
-}
-
-/// splitmix64: the standard 64-bit finalizer over a golden-ratio step.
-/// Public because the bench harness reuses it for derived streams.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl UserPopulation {
-    /// Fair-share weight ceiling (a funded lab vs. a single student).
-    pub const MAX_WEIGHT: u64 = 10_000;
-    /// Largest per-job VRAM demand, in GiB.
-    pub const MAX_DEMAND_GB: u64 = 48;
-
-    /// A population of `users` ids with weights/demands derived from `seed`.
-    pub fn new(seed: u64, users: u64) -> Self {
-        assert!(users > 0, "population needs at least one user");
-        UserPopulation { seed, users }
-    }
-
-    /// Fair-share weight of `user`, in `1..=MAX_WEIGHT`, discrete
-    /// Pareto-tailed: P(weight ≥ w) ≈ 1/w. Most users sit at weight 1;
-    /// a vanishing fraction hold lab-scale shares.
-    pub fn weight(&self, user: u64) -> u64 {
-        let h = splitmix64(self.seed ^ user.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        Self::MAX_WEIGHT / (1 + h % Self::MAX_WEIGHT)
-    }
-
-    /// Submitting user of the `k`-th job: Zipf-ish rank frequency via the
-    /// octave trick (low ids submit ~1/rank as often as rank grows).
-    pub fn submitter(&self, k: u64) -> u64 {
-        let h = splitmix64(self.seed ^ splitmix64(k));
-        let octaves = 64 - self.users.leading_zeros() as u64; // ≥ 1
-        let oct = h % octaves;
-        let hi = self.users >> oct; // ≥ 1 (oct < bit-length)
-        let lo = self.users >> (oct + 1);
-        lo + splitmix64(h) % (hi - lo).max(1)
-    }
-
-    /// VRAM demand of the `k`-th job, in bytes: heavy-tailed over
-    /// `1..=MAX_DEMAND_GB` GiB (most jobs are small; a few want the
-    /// whole card).
-    pub fn demand_bytes(&self, k: u64) -> u64 {
-        let h = splitmix64(self.seed ^ splitmix64(k ^ 0x5bf0_3635));
-        (Self::MAX_DEMAND_GB / (1 + h % Self::MAX_DEMAND_GB)) << 30
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,52 +470,5 @@ mod tests {
             .filter(|e| matches!(e.request, Request::Interactive(_)))
             .count();
         assert!(n > 50, "expected many sessions/week, got {n}");
-    }
-
-    #[test]
-    fn user_population_is_deterministic_and_bounded() {
-        let p = UserPopulation::new(42, 1 << 16);
-        let q = UserPopulation::new(42, 1 << 16);
-        for k in 0..1000u64 {
-            assert_eq!(p.weight(k), q.weight(k));
-            assert_eq!(p.submitter(k), q.submitter(k));
-            assert_eq!(p.demand_bytes(k), q.demand_bytes(k));
-            assert!((1..=UserPopulation::MAX_WEIGHT).contains(&p.weight(k)));
-            assert!(p.submitter(k) < p.users);
-            let gb = p.demand_bytes(k) >> 30;
-            assert!((1..=UserPopulation::MAX_DEMAND_GB).contains(&gb));
-        }
-        assert_ne!(
-            (0..100)
-                .map(|k| UserPopulation::new(7, 1 << 16).submitter(k))
-                .collect::<Vec<_>>(),
-            (0..100)
-                .map(|k| UserPopulation::new(8, 1 << 16).submitter(k))
-                .collect::<Vec<_>>(),
-            "distinct seeds give distinct populations"
-        );
-    }
-
-    #[test]
-    fn user_population_is_heavy_tailed() {
-        let p = UserPopulation::new(1, 1 << 16);
-        // Weights: the top 1% of users hold a disproportionate share.
-        let mut weights: Vec<u64> = (0..p.users).map(|u| p.weight(u)).collect();
-        weights.sort_unstable_by(|a, b| b.cmp(a));
-        let total: u64 = weights.iter().sum();
-        let top1: u64 = weights[..weights.len() / 100].iter().sum();
-        assert!(
-            top1 * 5 > total,
-            "top 1% holds {top1} of {total} — not heavy-tailed"
-        );
-        // Submissions: low-id users dominate (Zipf rank frequency).
-        let jobs = 100_000u64;
-        let low_half = (0..jobs)
-            .filter(|&k| p.submitter(k) < p.users / 256)
-            .count();
-        assert!(
-            low_half * 3 > jobs as usize,
-            "the 1/256 head got {low_half}/{jobs} submissions — not Zipfian"
-        );
     }
 }
