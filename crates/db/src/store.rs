@@ -501,6 +501,21 @@ mod tests {
         assert_eq!(db.pending_count(), 0);
     }
 
+    /// The queue has no fair-share ordering: priority dominates whoever
+    /// submitted, however much that user already has queued.
+    #[test]
+    fn fair_share_priority_still_dominates() {
+        let mut db = SystemDb::new();
+        db.submit_job(JobId(1), t(0), 0, UserId(1));
+        db.submit_job(JobId(2), t(1), 5, UserId(1));
+        db.submit_job(JobId(3), t(2), 5, UserId(1));
+        db.submit_job(JobId(4), t(3), 0, UserId(2));
+        assert_eq!(
+            db.pending_in_order(),
+            vec![JobId(2), JobId(3), JobId(1), JobId(4)]
+        );
+    }
+
     #[test]
     fn writes_counted_and_wal_grows() {
         let mut db = SystemDb::new();
@@ -554,6 +569,29 @@ mod tests {
             queued.sort_by_key(|&(priority, _)| Reverse(priority));
             let expected: Vec<JobId> = queued.iter().map(|&(_, job)| job).collect();
             prop_assert_eq!(db.peek_pending(), expected.first().copied());
+            prop_assert_eq!(db.pending_in_order(), expected);
+        }
+    }
+}
+
+#[cfg(test)]
+mod fair_share_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The submitting user is stored on the job but plays no part in
+        /// ordering: same-priority jobs from any mix of users drain in
+        /// pure submission order.
+        #[test]
+        fn prop_fifo_ignores_fair_share_inputs(
+            users in proptest::collection::vec(0u64..6, 1..40),
+        ) {
+            let mut db = SystemDb::new();
+            for (i, user) in users.iter().enumerate() {
+                db.submit_job(JobId(i as u64), SimTime::from_secs(i as u64), 1, UserId(*user));
+            }
+            let expected: Vec<JobId> = (0..users.len() as u64).map(JobId).collect();
             prop_assert_eq!(db.pending_in_order(), expected);
         }
     }
