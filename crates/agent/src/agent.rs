@@ -16,7 +16,7 @@
 use crate::config::AgentConfig;
 use crate::timers::{Timer, Timers};
 use gpunion_container::{ContainerConfigBuilder, ContainerId, ContainerRuntime, ImageRegistry};
-use gpunion_des::{SimDuration, SimTime, TokenBucket};
+use gpunion_des::{SimDuration, SimTime};
 use gpunion_gpu::{ComputeCapability, GpuIndex, GpuServer, MemAllocId};
 use gpunion_protocol::{
     AuthToken, Control, DepartureMode, DispatchSpec, ExecMode, JobId, KillReason, Message, NodeUid,
@@ -143,7 +143,6 @@ pub struct Agent {
     /// departure checkpoints must iterate deterministically.
     workloads: BTreeMap<JobId, Workload>,
     timers: Timers,
-    metrics: Registry,
     /// Heartbeats sent over the agent's life (a reconnect restarts
     /// `heartbeat_seq`, not this). `agent_heartbeats_total` is read from
     /// it at scrape: a beat is one add to a field the beat touches anyway.
@@ -153,15 +152,11 @@ pub struct Agent {
     /// Verifications that fired from a timer and await the image registry
     /// (drained by [`Agent::complete_verifications`]).
     pending_verifications: Vec<(SimTime, JobId, ContainerId)>,
-    /// REST control-panel rate limiter. `None` when `rest_burst == 0`.
-    rest_bucket: Option<TokenBucket>,
 }
 
 impl Agent {
     /// A new, unregistered agent on the given hardware.
     pub fn new(config: AgentConfig, server: GpuServer) -> Self {
-        let rest_bucket = (config.rest_burst > 0)
-            .then(|| TokenBucket::new(config.rest_burst, config.rest_rate_per_sec, SimTime::ZERO));
         Agent {
             config,
             server,
@@ -173,25 +168,10 @@ impl Agent {
             heartbeat_seq: 0,
             workloads: BTreeMap::new(),
             timers: Timers::default(),
-            metrics: Registry::new(),
             heartbeats_sent: 0,
             departure_deadline: None,
             pending_verifications: Vec::new(),
-            rest_bucket,
         }
-    }
-
-    /// REST admission: take one token from the control-panel bucket.
-    /// Returns `Err(retry_after_ms)` when the limiter is dry.
-    pub fn rest_admit(&mut self, now: SimTime) -> Result<(), u64> {
-        let Some(bucket) = &mut self.rest_bucket else {
-            return Ok(());
-        };
-        if bucket.try_take(now) {
-            return Ok(());
-        }
-        let wait = bucket.time_to_next(now).map(|d| d.as_millis()).unwrap_or(0);
-        Err(wait.max(1))
     }
 
     /// Current phase.
@@ -229,22 +209,23 @@ impl Agent {
         self.workloads.keys().copied()
     }
 
-    /// The agent's Prometheus registry (scraped via `/metrics`), with
-    /// `agent_heartbeats_total{node=…}` brought up to date. The family is
-    /// registered on the first read after the first beat, so a scrape
-    /// before it shows none; every read then sets the counter to the beats
-    /// sent.
-    pub fn metrics(&self) -> &Registry {
+    /// What a `/metrics` scrape returns, built from the agent's fields at
+    /// the call: `agent_heartbeats_total{node=…}` is the beats sent, and
+    /// absent until the first beat.
+    pub fn metrics(&self) -> Registry {
+        let mut registry = Registry::new();
         if self.heartbeats_sent > 0 {
             let node = labels([("node", self.config.hostname.as_str())]);
-            if let Ok(c) = self
-                .metrics
-                .counter("agent_heartbeats_total", "heartbeats sent", node)
-            {
-                c.add(self.heartbeats_sent as f64 - c.get());
-            }
+            registry
+                .counter(
+                    "agent_heartbeats_total",
+                    "heartbeats sent",
+                    node,
+                    self.heartbeats_sent as f64,
+                )
+                .expect("one family per name");
         }
-        &self.metrics
+        registry
     }
 
     /// The agent's config.

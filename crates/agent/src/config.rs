@@ -21,11 +21,6 @@ pub struct AgentConfig {
     pub departure_grace: SimDuration,
     /// Agent software version.
     pub version: u32,
-    /// REST control-panel rate limit: bucket burst capacity. `0` disables
-    /// limiting (the default — existing harnesses hammer `/status` freely).
-    pub rest_burst: u64,
-    /// REST control-panel rate limit: sustained requests per second.
-    pub rest_rate_per_sec: u64,
 }
 
 impl AgentConfig {
@@ -39,8 +34,6 @@ impl AgentConfig {
             heartbeat_period: SimDuration::from_secs(5),
             departure_grace: SimDuration::from_secs(120),
             version: 1_000_000, // 1.0.0
-            rest_burst: 0,
-            rest_rate_per_sec: 0,
         }
     }
 }

@@ -400,25 +400,29 @@ mod tests {
         assert_eq!(agent.phase(), AgentPhase::Departed);
     }
 
-    /// `/status` reports the phase; `/metrics` has no heartbeat family
-    /// before the first beat, then counts every beat sent — across a
-    /// reconnect, which restarts the beats' sequence numbers but not the
-    /// count.
+    /// `/status` reports the phase; `/metrics` is empty before the first
+    /// beat, then counts every beat sent — across a reconnect, which
+    /// restarts the beats' sequence numbers but not the count.
     #[test]
     fn rest_status_and_metrics() {
         let scrape = |agent: &mut Agent, at| {
             let get = HttpRequest::new(Method::Get, "/metrics");
             let (resp, _) = rest::handle(agent, at, &get);
             assert_eq!(resp.status, 200);
-            let body = String::from_utf8(resp.body).unwrap();
-            let series = "agent_heartbeats_total{node=\"ws-1\"} ";
-            let line = body.lines().find_map(|l| l.strip_prefix(series));
-            line.map(|v| v.parse::<u64>().unwrap())
+            assert_eq!(resp.content_type, "text/plain; version=0.0.4");
+            String::from_utf8(resp.body).unwrap()
+        };
+        let exposition = |beats: u64| {
+            format!(
+                "# HELP agent_heartbeats_total heartbeats sent\n\
+                 # TYPE agent_heartbeats_total counter\n\
+                 agent_heartbeats_total{{node=\"ws-1\"}} {beats}\n"
+            )
         };
         let (registry, _) = standard_catalogue();
         let mut agent = new_agent();
         agent.start_registration(t(0));
-        assert_eq!(scrape(&mut agent, t(0)), None, "no family before a beat");
+        assert_eq!(scrape(&mut agent, t(0)), "", "no family before a beat");
         let ack = || -> Message {
             Control::RegisterAck {
                 node: NodeUid(7),
@@ -443,13 +447,21 @@ mod tests {
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"phase\":\"Active\""), "{body}");
-        assert_eq!(scrape(&mut agent, t(26)), Some(6));
-        assert_eq!(scrape(&mut agent, t(26)), Some(6), "a read changes nothing");
+        assert_eq!(scrape(&mut agent, t(26)), exposition(6));
+        assert_eq!(
+            scrape(&mut agent, t(26)),
+            exposition(6),
+            "a read changes nothing"
+        );
 
         agent.reconnect(t(30));
         let after = beats(&agent.handle_message(t(31), ack(), &registry));
         assert_eq!(after, [1], "the sequence restarts");
-        assert_eq!(scrape(&mut agent, t(31)), Some(7), "the count does not");
+        assert_eq!(
+            scrape(&mut agent, t(31)),
+            exposition(7),
+            "the count does not"
+        );
     }
 
     #[test]
@@ -472,32 +484,19 @@ mod tests {
     }
 
     #[test]
-    fn rest_rate_limit_429_with_retry_hint() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut config = AgentConfig::new("ws-1", &mut rng);
-        config.rest_burst = 2;
-        config.rest_rate_per_sec = 1;
-        let server = GpuServer::new(ServerSpec::workstation("ws-1", GpuModel::Rtx3090));
-        let mut agent = Agent::new(config, server);
-        let status = HttpRequest::new(Method::Get, "/status");
-        // Burst of 2 admitted; the third in the same instant is shed.
-        assert_eq!(rest::handle(&mut agent, t(10), &status).0.status, 200);
-        assert_eq!(rest::handle(&mut agent, t(10), &status).0.status, 200);
-        let (resp, actions) = rest::handle(&mut agent, t(10), &status);
-        assert_eq!(resp.status, 429);
-        assert!(actions.is_empty(), "a shed request triggers nothing");
-        let body = String::from_utf8(resp.body).unwrap();
-        assert!(body.contains("\"retry_after_ms\":1000"), "{body}");
-        // One second later the bucket has refilled one token.
-        assert_eq!(rest::handle(&mut agent, t(11), &status).0.status, 200);
-        assert_eq!(rest::handle(&mut agent, t(11), &status).0.status, 429);
-    }
-
-    #[test]
     fn rest_unknown_route_404() {
         let (mut agent, _, _) = registered_agent();
         let (resp, _) = rest::handle(&mut agent, t(5), &HttpRequest::new(Method::Get, "/nope"));
         assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn rest_kill_unhosted_workload_404() {
+        let (mut agent, _, _) = registered_agent();
+        let delete = HttpRequest::new(Method::Delete, "/workloads/30");
+        let (resp, actions) = rest::handle(&mut agent, t(5), &delete);
+        assert_eq!(resp.status, 404);
+        assert!(actions.is_empty(), "nothing to kill, nothing sent");
     }
 
     #[test]

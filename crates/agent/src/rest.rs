@@ -14,7 +14,7 @@
 //! | POST   | `/pause`           | Stop accepting new allocations            |
 //! | POST   | `/resume`          | Resume accepting                          |
 //! | POST   | `/depart?mode=graceful\|emergency` | Leave the platform        |
-//! | DELETE | `/workloads/{id}`  | Kill one workload                         |
+//! | DELETE | `/workloads/{id}`  | Kill one workload (404 if not hosted)     |
 
 use crate::agent::{Action, Agent, AgentPhase};
 use gpunion_des::SimTime;
@@ -23,11 +23,6 @@ use gpunion_protocol::{DepartureMode, HttpRequest, HttpResponse, JobId, KillReas
 /// Dispatch an HTTP request against the agent. Returns the response plus
 /// any platform actions the provider's command triggered.
 pub fn handle(agent: &mut Agent, now: SimTime, req: &HttpRequest) -> (HttpResponse, Vec<Action>) {
-    // Control-panel rate limit (429 with a retry hint when the provider's
-    // tooling hammers the API). Configured off by default.
-    if let Err(retry_after_ms) = agent.rest_admit(now) {
-        return (HttpResponse::too_many_requests(retry_after_ms), Vec::new());
-    }
     match (req.method, req.path.as_str()) {
         (Method::Get, "/status") => (status_response(agent, now), Vec::new()),
         (Method::Get, "/metrics") => (
@@ -88,7 +83,7 @@ pub fn handle(agent: &mut Agent, now: SimTime, req: &HttpRequest) -> (HttpRespon
         }
         (Method::Delete, path) if path.starts_with("/workloads/") => {
             match path["/workloads/".len()..].parse::<u64>() {
-                Ok(id) => {
+                Ok(id) if agent.workload_jobs().any(|j| j == JobId(id)) => {
                     let mut actions = Vec::new();
                     agent.kill_workload(
                         now,
@@ -98,6 +93,7 @@ pub fn handle(agent: &mut Agent, now: SimTime, req: &HttpRequest) -> (HttpRespon
                     );
                     (HttpResponse::ok_json("{\"killed\":true}"), actions)
                 }
+                Ok(_) => (HttpResponse::not_found(), Vec::new()),
                 Err(_) => (HttpResponse::bad_request("bad workload id"), Vec::new()),
             }
         }

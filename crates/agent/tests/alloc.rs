@@ -2,14 +2,11 @@
 //!
 //! An agent beats once per period for as long as it lives, so whatever a
 //! beat allocates is paid fleet × beats times. `agent_heartbeats_total` is
-//! a plain count on the agent, read into the registry at scrape; a beat
-//! touches no registry. A registry lookup is visible to a counting
-//! allocator (the family name, a label map and its two strings), so the
-//! pin is stated in allocations: a whole timer-driven beat costs less than
-//! one lookup of its own counter, so it cannot contain one. In fact it
-//! costs exactly one allocation — the `gpu_stats` vector the message
-//! carries: the timer is a field re-armed in place, and the action lands
-//! in the caller's buffer.
+//! a plain count on the agent, read into a registry built at scrape; a
+//! beat touches no registry. The pin is stated in allocations: a whole
+//! timer-driven beat costs exactly one — the `gpu_stats` vector the
+//! message carries: the timer is a field re-armed in place, and the action
+//! lands in the caller's buffer.
 //! The counter is per thread (const-initialized TLS), as in
 //! `crates/scheduler/tests/alloc.rs`.
 
@@ -18,7 +15,6 @@ use gpunion_container::standard_catalogue;
 use gpunion_des::SimTime;
 use gpunion_gpu::{GpuModel, GpuServer, ServerSpec};
 use gpunion_protocol::{AuthToken, Control, Message, NodeUid};
-use gpunion_telemetry::labels;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,21 +92,11 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
     };
     let second_beat = timer_beat();
     let third_beat = timer_beat();
+    assert!(agent
+        .metrics()
+        .render()
+        .contains("agent_heartbeats_total{node=\"ws-1\"} 3\n"));
 
-    // What looking the series up costs (the scrape above registered it).
-    let before = allocations();
-    let handle = agent.metrics().counter(
-        "agent_heartbeats_total",
-        "heartbeats sent",
-        labels([("node", "ws-1")]),
-    );
-    let lookup = allocations() - before;
-    assert_eq!(handle.expect("a counter family").get(), 3.0);
-
-    assert!(
-        second_beat < lookup,
-        "a beat allocated {second_beat} times, a registry lookup alone {lookup}"
-    );
     assert_eq!(second_beat, 1, "the `gpu_stats` vector and nothing else");
     assert_eq!(third_beat, second_beat, "every later beat costs the same");
 }

@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod ratelimit;
 pub mod reference;
 pub mod rng;
 pub mod sim;
@@ -28,7 +27,6 @@ pub mod time;
 mod wheel;
 
 pub use event::{EventId, Never, TypedEvent};
-pub use ratelimit::TokenBucket;
 pub use reference::{HeapEventId, HeapSim};
 pub use rng::{chance, exponential, log_normal, RngPool};
 pub use sim::Sim;

@@ -261,16 +261,6 @@ impl HttpResponse {
         }
     }
 
-    /// 429 Too Many Requests (control-panel rate limit tripped).
-    pub fn too_many_requests(retry_after_ms: u64) -> Self {
-        HttpResponse {
-            status: 429,
-            reason: "Too Many Requests",
-            body: format!("{{\"retry_after_ms\":{retry_after_ms}}}").into_bytes(),
-            content_type: "application/json",
-        }
-    }
-
     /// 409 Conflict (e.g. operation invalid in the current state).
     pub fn conflict(msg: &str) -> Self {
         HttpResponse {

@@ -18,7 +18,7 @@
 //! invariant *is* an actor turn. The embedding loop drives the actor
 //! exactly like the [`DbActor`]: [`Coordinator::next_wake`] /
 //! [`Coordinator::advance`], with [`CoordAction`]s coming out. Read-only
-//! consumers (metrics scrape, harness inspection) use snapshot accessors,
+//! consumers (harness inspection, `CoordinatorStats`) use snapshot accessors,
 //! never references into actor state held across a turn.
 //!
 //! Every mutation of the system database travels as a fire-and-forget
@@ -52,11 +52,9 @@ use gpunion_protocol::{
     AuthToken, Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry,
     Work, WorkloadState,
 };
-use gpunion_telemetry::{labels, Counter, MetricHistogram, Registry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// A typed envelope bound for the coordinator actor's inbox.
 ///
@@ -299,13 +297,6 @@ pub struct Coordinator {
     timers: BTreeMap<(SimTime, u64), CoordTimer>,
     timer_seq: u64,
     pass_armed: bool,
-    metrics: Registry,
-    // Cached handles: registry lookups take a lock + label hashing, which
-    // the per-dispatch hot path must not pay.
-    sched_latency: Option<Arc<MetricHistogram>>,
-    jobs_submitted: Option<Arc<Counter>>,
-    jobs_displaced: Option<Arc<Counter>>,
-    nodes_lost: Option<Arc<Counter>>,
     decision_latency: Online,
     // Inbox telemetry (enqueue → turn).
     inbox_sojourn: Online,
@@ -321,23 +312,6 @@ impl Coordinator {
     /// Periodic duties (the heartbeat sweep) are armed from `SimTime::ZERO`.
     pub fn new(config: CoordinatorConfig, seed: u64) -> Self {
         let selector = Selector::new(config.strategy);
-        let metrics = Registry::new();
-        let sched_latency = metrics
-            .histogram(
-                "scheduling_latency_seconds",
-                "per-decision scheduling latency",
-                labels([]),
-            )
-            .ok();
-        let jobs_submitted = metrics
-            .counter("jobs_submitted_total", "jobs submitted", labels([]))
-            .ok();
-        let jobs_displaced = metrics
-            .counter("jobs_displaced_total", "displacements", labels([]))
-            .ok();
-        let nodes_lost = metrics
-            .counter("nodes_lost_total", "node losses", labels([]))
-            .ok();
         let db = DbActor::new(config.db, seed ^ 0xD8);
         let dir = Directory::new();
         let mut coord = Coordinator {
@@ -354,11 +328,6 @@ impl Coordinator {
             timers: BTreeMap::new(),
             timer_seq: 0,
             pass_armed: false,
-            metrics,
-            sched_latency,
-            jobs_submitted,
-            jobs_displaced,
-            nodes_lost,
             decision_latency: Online::new(),
             inbox_sojourn: Online::new(),
             inbox_depth_peak: 0,
@@ -415,11 +384,6 @@ impl Coordinator {
     /// The database write-queue actor (queue-depth / latency telemetry).
     pub fn db_actor(&self) -> &DbActor {
         &self.db
-    }
-
-    /// Coordinator metrics registry.
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
     }
 
     /// The emergent database write latency right now: residual write-queue
@@ -688,9 +652,6 @@ impl Coordinator {
             event: JobEvent::Queued,
         });
         self.arm_pass(now);
-        if let Some(c) = &self.jobs_submitted {
-            c.inc();
-        }
     }
 
     /// Cancel a job (the [`CoordEnvelope::CancelJob`] turn).
@@ -1094,9 +1055,6 @@ impl Coordinator {
         }
         // Migrate-back holds on the dead node are gone with it.
         self.abandon_holds_where(now, |n, _| n == node);
-        if let Some(c) = &self.nodes_lost {
-            c.inc();
-        }
     }
 
     /// Requeue a displaced job for migration, restoring from its latest
@@ -1127,9 +1085,6 @@ impl Coordinator {
             event: JobEvent::Requeued { restore_seq },
         });
         self.arm_pass(now);
-        if let Some(c) = &self.jobs_displaced {
-            c.inc();
-        }
     }
 
     fn finish_job(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
@@ -1391,9 +1346,6 @@ impl Coordinator {
             job,
             event: JobEvent::Dispatched { node: target },
         });
-        if let Some(h) = &self.sched_latency {
-            h.observe(latency.as_secs_f64());
-        }
     }
 }
 

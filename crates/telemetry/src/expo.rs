@@ -89,19 +89,37 @@ fn parse_line(line: &str) -> Result<Sample, &'static str> {
     })
 }
 
+/// Parse a label set body (`a="x",b="y"`), undoing the value escapes
+/// `\\`, `\"` and `\n`. A value may hold `,`, `=` or `}`.
 fn parse_labels(body: &str) -> Result<Labels, &'static str> {
     let mut labels = Labels::new();
-    if body.is_empty() {
-        return Ok(labels);
-    }
-    for pair in body.split(',') {
-        let (k, v) = pair.split_once('=').ok_or("label without '='")?;
-        let v = v.strip_prefix('"').ok_or("unquoted label value")?;
-        let v = v.strip_suffix('"').ok_or("unquoted label value")?;
+    let mut rest = body;
+    while !rest.is_empty() {
+        let (k, after) = rest.split_once('=').ok_or("label without '='")?;
         if k.is_empty() {
             return Err("empty label name");
         }
-        labels.insert(k.to_string(), v.to_string());
+        let quoted = after.strip_prefix('"').ok_or("unquoted label value")?;
+        let mut chars = quoted.char_indices();
+        let mut v = String::new();
+        let close = loop {
+            match chars.next().ok_or("unquoted label value")? {
+                (i, '"') => break i,
+                (_, '\\') => v.push(match chars.next() {
+                    Some((_, 'n')) => '\n',
+                    Some((_, c @ ('\\' | '"'))) => c,
+                    _ => return Err("bad escape in label value"),
+                }),
+                (_, c) => v.push(c),
+            }
+        };
+        let tail = &quoted[close + 1..];
+        rest = match tail.strip_prefix(',') {
+            Some(next) => next,
+            None if tail.is_empty() => tail,
+            None => return Err("expected ',' after label value"),
+        };
+        labels.insert(k.to_string(), v);
     }
     Ok(labels)
 }
@@ -148,24 +166,57 @@ mod tests {
 
     #[test]
     fn render_parse_roundtrip() {
-        let r = Registry::new();
-        r.gauge("gpu_util", "u", labels([("node", "ws-1"), ("gpu", "0")]))
-            .unwrap()
-            .set(0.5);
-        r.counter("beats_total", "b", Labels::new())
-            .unwrap()
-            .add(7.0);
-        let h = r.histogram("lat_seconds", "l", Labels::new()).unwrap();
-        h.observe(0.02);
+        let mut r = Registry::new();
+        r.gauge(
+            "gpu_util",
+            "u",
+            labels([("node", "ws-1"), ("gpu", "0")]),
+            0.5,
+        )
+        .unwrap();
+        r.counter("beats_total", "b", Labels::new(), 7.0).unwrap();
 
         let samples = parse(&r.render()).unwrap();
         let find = |name: &str| samples.iter().find(|s| s.name == name).unwrap();
         assert_eq!(find("gpu_util").value, 0.5);
         assert_eq!(find("gpu_util").labels["node"], "ws-1");
         assert_eq!(find("beats_total").value, 7.0);
-        assert_eq!(find("lat_seconds_count").value, 1.0);
+
+        // Histogram series from other exporters parse too.
+        let text = "# TYPE lat_seconds histogram\n\
+                    lat_seconds_bucket{le=\"0.025\"} 1\n\
+                    lat_seconds_bucket{le=\"+Inf\"} 1\n\
+                    lat_seconds_sum 0.02\nlat_seconds_count 1\n";
+        let samples = parse(text).unwrap();
+        assert_eq!(samples.len(), 4);
         assert!(samples
             .iter()
             .any(|s| s.name == "lat_seconds_bucket" && s.labels["le"] == "+Inf" && s.value == 1.0));
+        assert_eq!(samples[3].name, "lat_seconds_count");
+    }
+
+    #[test]
+    fn escaped_label_values_roundtrip() {
+        let value = "lab-a,rack-2 \"B\" C:\\tmp\nnext";
+        let mut r = Registry::new();
+        r.counter(
+            "beats_total",
+            "b",
+            labels([("node", value), ("z", "=}")]),
+            1.0,
+        )
+        .unwrap();
+        let text = r.render();
+        assert!(
+            text.contains("node=\"lab-a,rack-2 \\\"B\\\" C:\\\\tmp\\nnext\""),
+            "{text}"
+        );
+        let samples = parse(&text).unwrap();
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].labels["node"], value);
+        assert_eq!(samples[0].labels["z"], "=}");
+        assert_eq!(samples[0].value, 1.0);
+        assert!(parse("x{a=\"\\q\"} 1\n").is_err(), "unknown escape");
+        assert!(parse("x{a=\"v\"b=\"w\"} 1\n").is_err(), "missing comma");
     }
 }

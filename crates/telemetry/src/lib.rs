@@ -1,11 +1,12 @@
 //! # gpunion-telemetry — Prometheus-style monitoring
 //!
 //! The paper's "Distributed State Management and Monitoring" subsystem:
-//! metric registries with counters/gauges/histograms ([`metrics`]), the text
-//! exposition format renderer and parser ([`expo`]), and a bounded
-//! time-series store with PromQL-like window queries ([`tsdb`]). Agents
-//! expose a registry; the coordinator scrapes, parses, and stores — the
-//! pipeline is exercised end-to-end in the integration tests.
+//! a registry of counter and gauge values that an exporter fills at scrape
+//! time and renders once ([`metrics`]), the text exposition format parser
+//! ([`expo`]), and a bounded time-series store with PromQL-like window
+//! queries ([`tsdb`]). The one exporter is the agent's `/metrics`; the
+//! scrape → parse → store pipeline runs in the integration tests only —
+//! no part of `Platform` scrapes.
 
 #![forbid(unsafe_code)]
 
@@ -14,7 +15,5 @@ pub mod metrics;
 pub mod tsdb;
 
 pub use expo::{parse, ParseError, Sample};
-pub use metrics::{
-    labels, Counter, Gauge, Labels, MetricError, MetricHistogram, MetricKind, Registry,
-};
+pub use metrics::{labels, Labels, MetricError, MetricKind, Registry};
 pub use tsdb::{Point, SeriesKey, TimeSeriesStore};

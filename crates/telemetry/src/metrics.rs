@@ -1,18 +1,15 @@
-//! Metric primitives: counters, gauges, histograms, and the registry.
+//! The exporter library: a registry of labelled metric values.
 //!
 //! The paper's monitoring system collects "both hardware metrics (GPU
 //! utilization, memory usage, temperature, etc.) and application metrics
 //! (container lifecycle events, resource allocation history, etc.)" through
-//! Prometheus exporters. This module is that exporter library: a registry of
-//! labelled metric families that renders the Prometheus text exposition
-//! format. Handles are cheap to clone and thread-safe (live mode shares them
-//! across agent threads).
+//! Prometheus exporters. Here an exporter keeps its numbers in its own
+//! fields; a scrape builds a [`Registry`] from them, sets each series once
+//! and renders the Prometheus text exposition format.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::fmt::Write;
 
 /// A label set: ordered (name, value) pairs.
 pub type Labels = BTreeMap<String, String>;
@@ -25,144 +22,6 @@ pub fn labels<const N: usize>(pairs: [(&str, &str); N]) -> Labels {
         .collect()
 }
 
-/// Monotonically increasing counter (f64 stored as bits).
-#[derive(Debug, Default)]
-pub struct Counter {
-    bits: AtomicU64,
-}
-
-impl Counter {
-    /// Increment by 1.
-    pub fn inc(&self) {
-        self.add(1.0);
-    }
-
-    /// Increment by `v` (must be non-negative; negative deltas are ignored,
-    /// preserving monotonicity).
-    pub fn add(&self, v: f64) {
-        if v <= 0.0 {
-            return;
-        }
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self
-                .bits
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Instantaneous value.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the value.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Read the value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Prometheus-style cumulative-bucket histogram.
-#[derive(Debug)]
-pub struct MetricHistogram {
-    bounds: Vec<f64>,
-    inner: Mutex<HistogramInner>,
-}
-
-#[derive(Debug, Default)]
-struct HistogramInner {
-    counts: Vec<u64>,
-    sum: f64,
-    count: u64,
-}
-
-impl MetricHistogram {
-    /// With explicit upper bounds (must be sorted ascending).
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let n = bounds.len();
-        MetricHistogram {
-            bounds,
-            inner: Mutex::new(HistogramInner {
-                counts: vec![0; n + 1], // +1 for +Inf
-                sum: 0.0,
-                count: 0,
-            }),
-        }
-    }
-
-    /// Default latency buckets: 1 ms … 60 s, roughly ×2.5 spaced.
-    pub fn latency() -> Self {
-        Self::with_bounds(vec![
-            0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
-            60.0,
-        ])
-    }
-
-    /// Observe one sample.
-    pub fn observe(&self, v: f64) {
-        let mut inner = self.inner.lock();
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
-        inner.counts[idx] += 1;
-        inner.sum += v;
-        inner.count += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.inner.lock().count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.inner.lock().sum
-    }
-
-    /// Cumulative counts per bound (plus +Inf last).
-    pub fn cumulative(&self) -> Vec<(f64, u64)> {
-        let inner = self.inner.lock();
-        let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.bounds.len() + 1);
-        for (i, b) in self.bounds.iter().enumerate() {
-            acc += inner.counts[i];
-            out.push((*b, acc));
-        }
-        acc += inner.counts[self.bounds.len()];
-        out.push((f64::INFINITY, acc));
-        out
-    }
-}
-
-/// A value any metric kind can expose.
-#[derive(Debug, Clone)]
-enum MetricValue {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<MetricHistogram>),
-}
-
 /// Metric kind tag for TYPE lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
@@ -170,8 +29,6 @@ pub enum MetricKind {
     Counter,
     /// Instantaneous gauge.
     Gauge,
-    /// Histogram.
-    Histogram,
 }
 
 impl MetricKind {
@@ -179,21 +36,21 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
 
+#[derive(Debug)]
 struct Family {
     help: String,
     kind: MetricKind,
-    series: BTreeMap<Labels, MetricValue>,
+    series: BTreeMap<Labels, f64>,
 }
 
-/// A registry of metric families — one per exporter (agent, scheduler).
-#[derive(Clone, Default)]
+/// The values one scrape of an exporter returns, by family and label set.
+#[derive(Debug, Default)]
 pub struct Registry {
-    families: Arc<Mutex<BTreeMap<String, Family>>>,
+    families: BTreeMap<String, Family>,
 }
 
 /// Registry errors.
@@ -224,140 +81,80 @@ impl Registry {
         Self::default()
     }
 
-    /// Get or create a counter with labels.
+    /// Set a counter series to `value`.
     pub fn counter(
-        &self,
+        &mut self,
         name: &str,
         help: &str,
         labels: Labels,
-    ) -> Result<Arc<Counter>, MetricError> {
-        let mut fams = self.families.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: MetricKind::Counter,
-            series: BTreeMap::new(),
-        });
-        if fam.kind != MetricKind::Counter {
-            return Err(MetricError::KindMismatch {
-                name: name.to_string(),
-            });
-        }
-        let v = fam
-            .series
-            .entry(labels)
-            .or_insert_with(|| MetricValue::Counter(Arc::new(Counter::default())));
-        match v {
-            MetricValue::Counter(c) => Ok(c.clone()),
-            _ => unreachable!("kind checked above"),
-        }
+        value: f64,
+    ) -> Result<(), MetricError> {
+        self.set(MetricKind::Counter, name, help, labels, value)
     }
 
-    /// Get or create a gauge with labels.
-    pub fn gauge(&self, name: &str, help: &str, labels: Labels) -> Result<Arc<Gauge>, MetricError> {
-        let mut fams = self.families.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: MetricKind::Gauge,
-            series: BTreeMap::new(),
-        });
-        if fam.kind != MetricKind::Gauge {
-            return Err(MetricError::KindMismatch {
-                name: name.to_string(),
-            });
-        }
-        let v = fam
-            .series
-            .entry(labels)
-            .or_insert_with(|| MetricValue::Gauge(Arc::new(Gauge::default())));
-        match v {
-            MetricValue::Gauge(g) => Ok(g.clone()),
-            _ => unreachable!("kind checked above"),
-        }
-    }
-
-    /// Get or create a histogram with labels (latency buckets by default).
-    pub fn histogram(
-        &self,
+    /// Set a gauge series to `value`.
+    pub fn gauge(
+        &mut self,
         name: &str,
         help: &str,
         labels: Labels,
-    ) -> Result<Arc<MetricHistogram>, MetricError> {
-        let mut fams = self.families.lock();
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind: MetricKind::Histogram,
-            series: BTreeMap::new(),
-        });
-        if fam.kind != MetricKind::Histogram {
+        value: f64,
+    ) -> Result<(), MetricError> {
+        self.set(MetricKind::Gauge, name, help, labels, value)
+    }
+
+    fn set(
+        &mut self,
+        kind: MetricKind,
+        name: &str,
+        help: &str,
+        labels: Labels,
+        value: f64,
+    ) -> Result<(), MetricError> {
+        let fam = self
+            .families
+            .entry(name.to_string())
+            .or_insert_with(|| Family {
+                help: help.to_string(),
+                kind,
+                series: BTreeMap::new(),
+            });
+        if fam.kind != kind {
             return Err(MetricError::KindMismatch {
                 name: name.to_string(),
             });
         }
-        let v = fam
-            .series
-            .entry(labels)
-            .or_insert_with(|| MetricValue::Histogram(Arc::new(MetricHistogram::latency())));
-        match v {
-            MetricValue::Histogram(h) => Ok(h.clone()),
-            _ => unreachable!("kind checked above"),
-        }
+        fam.series.insert(labels, value);
+        Ok(())
     }
 
-    /// Render the Prometheus text exposition format.
+    /// Render the Prometheus text exposition format. Label values are
+    /// escaped (`\` → `\\`, `"` → `\"`, newline → `\n`).
     pub fn render(&self) -> String {
-        fn fmt_labels(labels: &Labels, extra: Option<(&str, String)>) -> String {
-            let mut parts: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-            if let Some((k, v)) = extra {
-                parts.push(format!("{k}=\"{v}\""));
-            }
-            if parts.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", parts.join(","))
-            }
-        }
-        fn fmt_bound(b: f64) -> String {
-            if b.is_infinite() {
-                "+Inf".to_string()
-            } else {
-                format!("{b}")
-            }
-        }
-
-        let fams = self.families.lock();
         let mut out = String::new();
-        for (name, fam) in fams.iter() {
-            out.push_str(&format!("# HELP {name} {}\n", fam.help));
-            out.push_str(&format!("# TYPE {name} {}\n", fam.kind.as_str()));
+        for (name, fam) in &self.families {
+            let _ = writeln!(out, "# HELP {name} {}", fam.help);
+            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.as_str());
             for (labels, value) in &fam.series {
-                match value {
-                    MetricValue::Counter(c) => {
-                        out.push_str(&format!("{name}{} {}\n", fmt_labels(labels, None), c.get()));
-                    }
-                    MetricValue::Gauge(g) => {
-                        out.push_str(&format!("{name}{} {}\n", fmt_labels(labels, None), g.get()));
-                    }
-                    MetricValue::Histogram(h) => {
-                        for (bound, cum) in h.cumulative() {
-                            out.push_str(&format!(
-                                "{name}_bucket{} {}\n",
-                                fmt_labels(labels, Some(("le", fmt_bound(bound)))),
-                                cum
-                            ));
+                out.push_str(name);
+                for (i, (k, v)) in labels.iter().enumerate() {
+                    out.push(if i == 0 { '{' } else { ',' });
+                    out.push_str(k);
+                    out.push_str("=\"");
+                    for c in v.chars() {
+                        match c {
+                            '\\' => out.push_str("\\\\"),
+                            '"' => out.push_str("\\\""),
+                            '\n' => out.push_str("\\n"),
+                            c => out.push(c),
                         }
-                        out.push_str(&format!(
-                            "{name}_sum{} {}\n",
-                            fmt_labels(labels, None),
-                            h.sum()
-                        ));
-                        out.push_str(&format!(
-                            "{name}_count{} {}\n",
-                            fmt_labels(labels, None),
-                            h.count()
-                        ));
                     }
+                    out.push('"');
                 }
+                if !labels.is_empty() {
+                    out.push('}');
+                }
+                let _ = writeln!(out, " {value}");
             }
         }
         out
@@ -369,107 +166,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_monotone() {
-        let c = Counter::default();
-        c.inc();
-        c.add(2.5);
-        c.add(-10.0); // ignored
-        assert_eq!(c.get(), 3.5);
-    }
-
-    #[test]
-    fn gauge_set_get() {
-        let g = Gauge::default();
-        g.set(0.73);
-        assert_eq!(g.get(), 0.73);
-        g.set(-2.0);
-        assert_eq!(g.get(), -2.0);
-    }
-
-    #[test]
-    fn histogram_buckets_cumulative() {
-        let h = MetricHistogram::with_bounds(vec![1.0, 5.0, 10.0]);
-        for v in [0.5, 0.7, 3.0, 7.0, 100.0] {
-            h.observe(v);
-        }
-        let cum = h.cumulative();
-        assert_eq!(cum, vec![(1.0, 2), (5.0, 3), (10.0, 4), (f64::INFINITY, 5)]);
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 111.2).abs() < 1e-9);
-    }
-
-    #[test]
     fn registry_same_series_shares_handle() {
-        let r = Registry::new();
-        let a = r
-            .counter("jobs_total", "jobs", labels([("node", "ws-1")]))
+        let mut r = Registry::new();
+        let ws1 = || labels([("node", "ws-1")]);
+        r.counter("jobs_total", "jobs", ws1(), 1.0).unwrap();
+        r.counter("jobs_total", "jobs", ws1(), 2.0).unwrap();
+        r.counter("jobs_total", "jobs", labels([("node", "ws-2")]), 5.0)
             .unwrap();
-        let b = r
-            .counter("jobs_total", "jobs", labels([("node", "ws-1")]))
-            .unwrap();
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2.0);
+        assert_eq!(
+            r.render(),
+            "# HELP jobs_total jobs\n# TYPE jobs_total counter\n\
+             jobs_total{node=\"ws-1\"} 2\njobs_total{node=\"ws-2\"} 5\n"
+        );
     }
 
     #[test]
     fn registry_kind_mismatch_rejected() {
-        let r = Registry::new();
-        r.counter("x_total", "x", Labels::new()).unwrap();
+        let mut r = Registry::new();
+        r.counter("x_total", "x", Labels::new(), 1.0).unwrap();
         assert!(matches!(
-            r.gauge("x_total", "x", Labels::new()),
+            r.gauge("x_total", "x", Labels::new(), 1.0),
             Err(MetricError::KindMismatch { .. })
         ));
     }
 
     #[test]
     fn render_text_format() {
-        let r = Registry::new();
+        let mut r = Registry::new();
         r.gauge(
             "gpu_utilization",
             "SM utilization",
             labels([("node", "ws-1"), ("gpu", "0")]),
+            0.93,
         )
-        .unwrap()
-        .set(0.93);
-        r.counter("heartbeats_total", "heartbeats", Labels::new())
-            .unwrap()
-            .add(42.0);
+        .unwrap();
+        r.counter("heartbeats_total", "heartbeats", Labels::new(), 42.0)
+            .unwrap();
         let text = r.render();
         assert!(text.contains("# TYPE gpu_utilization gauge"));
         assert!(text.contains("gpu_utilization{gpu=\"0\",node=\"ws-1\"} 0.93"));
         assert!(text.contains("heartbeats_total 42"));
-    }
-
-    #[test]
-    fn render_histogram_format() {
-        let r = Registry::new();
-        let h = r
-            .histogram("sched_latency_seconds", "scheduling latency", Labels::new())
-            .unwrap();
-        h.observe(0.004);
-        h.observe(0.3);
-        let text = r.render();
-        assert!(text.contains("sched_latency_seconds_bucket{le=\"0.005\"} 1"));
-        assert!(text.contains("sched_latency_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("sched_latency_seconds_count 2"));
-    }
-
-    #[test]
-    fn concurrent_counter_updates() {
-        let c = Arc::new(Counter::default());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 8000.0);
     }
 }
