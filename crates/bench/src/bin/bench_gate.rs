@@ -8,20 +8,18 @@
 //! five shapes, every pick fails — `pass_ns_400_saturated`),
 //! plus the simulated database write-queue figures at 400 nodes, the
 //! coordinator-inbox saturation figures at 500 nodes (ρ = 1.2), and the
-//! semester-scale DES row (6 weeks of 60 s heartbeats + weekly audits at
-//! 400 nodes on the typed-event wheel core, ≈24 M events) and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
 //! framed encode of the dominant heartbeat message) — writes
-//! them to `BENCH_scheduler.json` (schema 12), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 13), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
 //! against renamed numbers. Wall-clock rows get
 //! `BENCH_GATE_FACTOR`× headroom (default 2×, absorbing runner-to-runner
-//! hardware variance); the simulated saturation and semester event-count
-//! rows are deterministic, so they must match the baseline to a 1%
-//! epsilon — any drift, in either direction, is a behavioural change
-//! that must be re-recorded deliberately.
+//! hardware variance); the simulated saturation rows are deterministic,
+//! so they must match the baseline to a 1% epsilon — any drift, in either
+//! direction, is a behavioural change that must be re-recorded
+//! deliberately.
 //!
 //! Cross-row invariants are asserted in-run (same machine, same
 //! build, so the ratios are hardware-independent; they compare sample
@@ -38,14 +36,6 @@
 //! * **Critical-write backpressure**: at ρ > 1 every job submission is
 //!   deferred behind the database bound — visible as inbox sojourn — and
 //!   **none is shed**.
-//! * **Typed core beats the boxed heap**: the semester fleet's per-event
-//!   cost on the typed wheel core must stay at or below
-//!   `BENCH_GATE_DES_FACTOR`× (default 1×) the per-event cost of the
-//!   same fleet on the frozen boxed-closure `HeapSim` reference — the
-//!   tentpole's reason to exist, measured like-for-like in-run.
-//! * **Semester in single-digit seconds**: the 6-week 400-node row must
-//!   finish within `BENCH_GATE_SEMESTER_SECS` (default 10) wall-clock
-//!   seconds — the absolute bound EXPERIMENTS.md §5.3 quotes.
 //! * **Counting walk beats encode-and-drop**: `wire_size()` — the pure
 //!   arithmetic `CountingSink` walk both Platform delivery paths run per
 //!   simulated message — must cost at most `BENCH_GATE_WIRE_SIZE_FACTOR`×
@@ -58,14 +48,12 @@
 //! bench_gate                          # gate against the default baseline
 //! bench_gate --write-baseline <path>  # re-record the baseline (no gate)
 //! bench_gate --baseline <p> --out <p> # explicit paths
-//! bench_gate --profile                # also print the per-event-kind
-//!                                     # breakdown of the semester sweep
 //! ```
 
 use gpunion_bench::{
     check_baseline_schema, codec_cost_run, contention_knee_run, loaded_coordinator,
-    saturated_coordinator, saturation_run, semester_sweep_heap, semester_sweep_profile,
-    semester_sweep_run, warm_pass_ns, PassStats, BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
+    saturated_coordinator, saturation_run, warm_pass_ns, PassStats, BENCH_SCHEMA, PASS_JOBS,
+    SATURATED_JOBS,
 };
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
@@ -145,7 +133,6 @@ fn main() {
     let baseline_path = flag("--baseline").unwrap_or_else(|| DEFAULT_BASELINE.into());
     let out_path = flag("--out").unwrap_or_else(|| DEFAULT_OUT.into());
     let write_baseline = flag("--write-baseline");
-    let profile = args.iter().any(|a| a == "--profile");
 
     eprintln!("bench_gate: measuring scheduling pass (400 / 10k / 100k nodes)…");
     let p400 = pass_ns(400, 31);
@@ -186,55 +173,6 @@ fn main() {
          the cold 10k turn ({} ns), bound {warm_factor}× (minima)",
         pwarm.min_ns, p10k.min_ns
     );
-    eprintln!("bench_gate: running semester DES sweep (6 weeks, 400 nodes, typed wheel core)…");
-    let sem = semester_sweep_run(400, 42);
-    eprintln!(
-        "bench_gate: semester row — {} events in {:.0} ms ({:.0} ns/event)",
-        sem.events,
-        sem.wall_ms,
-        sem.ns_per_event()
-    );
-    // Absolute bound: a semester at campus scale stays single-digit
-    // seconds (the EXPERIMENTS.md §5.3 claim).
-    let semester_secs = env_factor("BENCH_GATE_SEMESTER_SECS", 10.0);
-    assert!(
-        sem.wall_ms <= semester_secs * 1e3,
-        "semester sweep took {:.1} s (bound {semester_secs} s)",
-        sem.wall_ms / 1e3
-    );
-    // Typed-vs-heap invariant, in-run so it is hardware-independent: the
-    // per-event cost of the typed wheel core must not exceed the boxed
-    // binary-heap reference on the same fleet (one week is enough signal
-    // — per-event cost is horizon-independent for this workload).
-    eprintln!("bench_gate: running heap-reference week (boxed closures, 400 nodes)…");
-    let sem_heap = semester_sweep_heap(400, 7);
-    let des_factor = env_factor("BENCH_GATE_DES_FACTOR", 1.0);
-    let des_ratio = sem.ns_per_event() / sem_heap.ns_per_event();
-    assert!(
-        des_ratio <= des_factor,
-        "typed core per-event cost is {des_ratio:.2}× the boxed-heap reference \
-         (bound {des_factor}×): {:.0} ns vs {:.0} ns per event",
-        sem.ns_per_event(),
-        sem_heap.ns_per_event()
-    );
-    eprintln!(
-        "bench_gate: des core ok — typed {:.0} ns/event is {des_ratio:.2}× the boxed-heap \
-         reference ({:.0} ns/event), bound {des_factor}×",
-        sem.ns_per_event(),
-        sem_heap.ns_per_event()
-    );
-    if profile {
-        eprintln!("bench_gate: profiling semester sweep by event kind…");
-        let (prow, fired) = semester_sweep_profile(400, 42);
-        println!(
-            "semester profile ({} events, {:.0} ms):",
-            prow.events, prow.wall_ms
-        );
-        for (kind, count) in &fired {
-            let share = *count as f64 / prow.events as f64 * 100.0;
-            println!("  {kind:>8}: {count:>12} fired ({share:5.1}%)");
-        }
-    }
     eprintln!("bench_gate: measuring db write queue at 400 nodes…");
     let knee = contention_knee_run(400, 7);
     eprintln!("bench_gate: measuring inbox sojourn under saturation (500 nodes, rho = 1.2)…");
@@ -288,8 +226,7 @@ fn main() {
          \"pass_ns_100k\": {},\n  \"pass_ns_100k_warm\": {},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
-         \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {},\n  \
-         \"semester_events_400\": {},\n  \"semester_wall_ms_400\": {:.3}\n}}\n",
+         \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {}\n}}\n",
         p400.median_ns,
         p400_sat.median_ns,
         p10k.median_ns,
@@ -300,9 +237,7 @@ fn main() {
         knee.measured_latency_ms,
         knee.peak_queue_depth,
         sat.inbox_sojourn_ms_mean,
-        sat.deferred_turns,
-        sem.events,
-        sem.wall_ms
+        sat.deferred_turns
     );
     let target = write_baseline.clone().unwrap_or_else(|| out_path.clone());
     std::fs::write(&target, &json).unwrap_or_else(|e| panic!("write {target}: {e}"));
@@ -336,7 +271,6 @@ fn main() {
         ("pass_ns_100k_warm", pwarm.median_ns as f64),
         ("wire_size_ns", codec.wire_size.median_ns as f64),
         ("encode_ns_pooled", codec.encode_pooled.median_ns as f64),
-        ("semester_wall_ms_400", sem.wall_ms),
     ] {
         let Some(base) = json_f64(&baseline, key) else {
             eprintln!("bench_gate: baseline missing {key}; failing");
@@ -364,7 +298,6 @@ fn main() {
     for (key, measured) in [
         ("inbox_sojourn_ms_sat500", sat.inbox_sojourn_ms_mean),
         ("deferred_turns_sat500", sat.deferred_turns as f64),
-        ("semester_events_400", sem.events as f64),
     ] {
         let Some(base) = json_f64(&baseline, key) else {
             eprintln!("bench_gate: baseline missing {key}; failing");

@@ -9,23 +9,17 @@
 //! the emergent end-to-end latency of draining a 100-job backlog, where
 //! each decision's dequeue transaction waits behind every earlier write.
 //!
-//! The closing table is the semester-scale DES sweep (§5.3): wall-clock
-//! cost of driving 6 weeks of per-node 60 s heartbeats + weekly audits
-//! through the typed-event wheel core, at the paper's 400-node campus
-//! and at 10 000 nodes. Pass `--semester-10k` to include the 10k row
-//! (≈605 M events — minutes of wall clock, off by default so the
-//! default invocation stays CI-sized).
-//!
-//! Usage: `scalability [seed] [--semester-10k]`
+//! Usage: `scalability [seed]`
 
-use gpunion_bench::{contention_knee_run, loaded_coordinator, scale_pass_rows, semester_sweep_run};
+use gpunion_bench::{contention_knee_run, loaded_coordinator, scale_pass_rows};
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = args.iter().find_map(|s| s.parse().ok()).unwrap_or(7u64);
-    let semester_10k = args.iter().any(|a| a == "--semester-10k");
+    let seed = std::env::args()
+        .skip(1)
+        .find_map(|s| s.parse().ok())
+        .unwrap_or(7u64);
     println!("== Scalability: emergent DB write latency vs node count ==");
     println!(
         "{:<8} {:>9} {:>13} {:>13} {:>11} {:>7} {:>18}",
@@ -77,32 +71,5 @@ fn main() {
             row.jobs,
             row.pass_ns as f64 / 1e3
         );
-    }
-
-    // Semester-scale DES sweep (§5.3): the typed-event wheel core driving
-    // 6 weeks of fleet heartbeats + weekly audits in one process.
-    println!();
-    println!("== Semester sweep: 6 weeks of fleet timers on the DES core ==");
-    println!(
-        "{:<9} {:>6} {:>14} {:>12} {:>12}",
-        "nodes", "weeks", "events", "wall (s)", "ns/event"
-    );
-    let mut semester_fleets = vec![400u32];
-    if semester_10k {
-        semester_fleets.push(10_000);
-    }
-    for nodes in semester_fleets {
-        let row = semester_sweep_run(nodes, 42);
-        println!(
-            "{:<9} {:>6} {:>14} {:>12.2} {:>12.0}",
-            row.nodes,
-            row.days / 7,
-            row.events,
-            row.wall_ms / 1e3,
-            row.ns_per_event()
-        );
-    }
-    if !semester_10k {
-        println!("(10 000-node row ≈605 M events; rerun with --semester-10k to include it)");
     }
 }

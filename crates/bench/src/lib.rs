@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use gpunion_core::{PlatformConfig, Scenario};
-use gpunion_des::{HeapSim, RngPool, Sim, SimDuration, SimTime, TypedEvent};
+use gpunion_des::{RngPool, SimDuration, SimTime};
 use gpunion_gpu::{paper_testbed, GpuModel};
 use gpunion_protocol::{
     Control, DispatchSpec, ExecMode, GpuStat, JobId, Message, NodeUid, UserId, Work,
@@ -40,7 +40,7 @@ use std::time::Instant;
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 12;
+pub const BENCH_SCHEMA: u64 = 13;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -685,212 +685,6 @@ pub fn scale_pass_rows(fleets: &[usize], jobs: usize, iters: usize) -> Vec<Scale
     rows
 }
 
-/// One row of the semester-scale DES sweep: a synthetic fleet of
-/// per-node 60 s heartbeats plus weekly audit timers, driven for `days`
-/// of simulated time. The audits always land a week out — far beyond the
-/// timer wheel's near-term span — so every run exercises the overflow
-/// heap and its promotion path, not just the hot wheels.
-#[derive(Debug, Clone, Copy)]
-pub struct SemesterRow {
-    /// Fleet size (heartbeating nodes).
-    pub nodes: u32,
-    /// Simulated horizon in days (a semester row is 42 = 6 weeks).
-    pub days: u64,
-    /// Events executed over the horizon (deterministic in `nodes, days`).
-    pub events: u64,
-    /// Wall-clock milliseconds of the `run_until` call.
-    pub wall_ms: f64,
-}
-
-impl SemesterRow {
-    /// Mean wall-clock nanoseconds per executed event.
-    pub fn ns_per_event(&self) -> f64 {
-        self.wall_ms * 1e6 / self.events as f64
-    }
-}
-
-/// World state of the semester fleet: pure counters, so the sweep
-/// measures event-core cost (schedule, queue, dispatch) and nothing else.
-#[derive(Default)]
-struct FleetWorld {
-    beats: u64,
-    audits: u64,
-}
-
-/// The fleet's recurring per-node event kinds — typed, so the hot path
-/// re-arms without boxing.
-#[derive(Debug)]
-enum FleetEvent {
-    /// Node heartbeat, every 60 s (the near-wheel workhorse).
-    Beat(u32),
-    /// Node audit, every week — beyond the wheel span, so it enters
-    /// through the overflow heap and promotes as its week approaches.
-    Audit(u32),
-}
-
-impl TypedEvent<FleetWorld> for FleetEvent {
-    fn fire(self, w: &mut FleetWorld, sim: &mut Sim<FleetWorld, FleetEvent>) {
-        match self {
-            FleetEvent::Beat(id) => {
-                w.beats += 1;
-                sim.schedule_typed_in(SimDuration::from_secs(60), FleetEvent::Beat(id));
-            }
-            FleetEvent::Audit(id) => {
-                w.audits += 1;
-                sim.schedule_typed_in(SimDuration::from_days(7), FleetEvent::Audit(id));
-            }
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            FleetEvent::Beat(_) => "beat",
-            FleetEvent::Audit(_) => "audit",
-        }
-    }
-}
-
-/// The exact event count a semester run executes — asserted by both the
-/// typed and the heap variant, so the sweep doubles as a determinism
-/// check: beats per node are `days · 1440` (the horizon is a multiple of
-/// the 60 s period and the stagger is under one period), audits per node
-/// are the whole weeks that fit strictly inside the horizon.
-fn semester_expected_events(nodes: u32, days: u64) -> u64 {
-    let audits = if days % 7 == 0 {
-        (days / 7).saturating_sub(1)
-    } else {
-        days / 7
-    };
-    u64::from(nodes) * (days * 1_440 + audits)
-}
-
-/// Per-node phase stagger: spreads first beats across the first seconds
-/// so slots are populated realistically rather than firing in lockstep.
-fn semester_stagger(i: u32) -> SimTime {
-    SimTime::from_millis(1 + u64::from(i))
-}
-
-/// Run the semester fleet on the typed-event wheel core and return the
-/// measured row. Panics if the executed-event count drifts from the
-/// closed form — the row is deterministic, only its wall clock varies.
-pub fn semester_sweep_run(nodes: u32, days: u64) -> SemesterRow {
-    assert!(nodes < 60_000, "stagger must stay under one beat period");
-    let mut w = FleetWorld::default();
-    let mut sim: Sim<FleetWorld, FleetEvent> = Sim::new();
-    for i in 0..nodes {
-        sim.schedule_typed_at(semester_stagger(i), FleetEvent::Beat(i));
-        sim.schedule_typed_at(
-            semester_stagger(i) + SimDuration::from_days(7),
-            FleetEvent::Audit(i),
-        );
-    }
-    let horizon = SimTime::from_secs(days * 86_400);
-    let t0 = Instant::now();
-    sim.run_until(&mut w, horizon);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let row = SemesterRow {
-        nodes,
-        days,
-        events: sim.events_executed(),
-        wall_ms,
-    };
-    assert_eq!(
-        row.events,
-        semester_expected_events(nodes, days),
-        "typed semester sweep executed a different event count"
-    );
-    assert_eq!(w.beats + w.audits, row.events, "every event counted once");
-    row
-}
-
-/// [`semester_sweep_run`] with per-event-kind profiling switched on:
-/// returns the measured row plus the fired-counter breakdown
-/// (`beat`/`audit`, see [`TypedEvent::kind`]). Kept separate from the
-/// gated row because snapshotting adds a map update per event — profile
-/// wall-clock is indicative, not comparable to the gate's.
-pub fn semester_sweep_profile(nodes: u32, days: u64) -> (SemesterRow, Vec<(&'static str, u64)>) {
-    assert!(nodes < 60_000, "stagger must stay under one beat period");
-    let mut w = FleetWorld::default();
-    let mut sim: Sim<FleetWorld, FleetEvent> = Sim::new();
-    sim.profile_events();
-    for i in 0..nodes {
-        sim.schedule_typed_at(semester_stagger(i), FleetEvent::Beat(i));
-        sim.schedule_typed_at(
-            semester_stagger(i) + SimDuration::from_days(7),
-            FleetEvent::Audit(i),
-        );
-    }
-    let horizon = SimTime::from_secs(days * 86_400);
-    let t0 = Instant::now();
-    sim.run_until(&mut w, horizon);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let row = SemesterRow {
-        nodes,
-        days,
-        events: sim.events_executed(),
-        wall_ms,
-    };
-    assert_eq!(
-        row.events,
-        semester_expected_events(nodes, days),
-        "profiled semester sweep executed a different event count"
-    );
-    let fired = sim.fired_by_kind();
-    assert_eq!(
-        fired.iter().map(|(_, n)| n).sum::<u64>(),
-        row.events,
-        "per-kind counters must account for every executed event"
-    );
-    (row, fired)
-}
-
-/// The pre-tentpole cost model: the same fleet on the boxed-closure
-/// [`HeapSim`], where every re-arm allocates a fresh `Box<dyn FnOnce>`
-/// and every pop goes through the global binary heap. Kept as the
-/// like-for-like baseline the typed core is gated against.
-pub fn semester_sweep_heap(nodes: u32, days: u64) -> SemesterRow {
-    type HeapAction = Box<dyn FnOnce(&mut FleetWorld, &mut HeapSim<FleetWorld>)>;
-    // The per-node id is captured purely so each box carries the same
-    // payload the typed `FleetEvent` does — the comparison stays
-    // like-for-like even though only the recursion reads it.
-    fn beat(_id: u32) -> HeapAction {
-        Box::new(move |w, sim| {
-            w.beats += 1;
-            sim.schedule_in(SimDuration::from_secs(60), beat(_id));
-        })
-    }
-    fn audit(_id: u32) -> HeapAction {
-        Box::new(move |w, sim| {
-            w.audits += 1;
-            sim.schedule_in(SimDuration::from_days(7), audit(_id));
-        })
-    }
-    assert!(nodes < 60_000, "stagger must stay under one beat period");
-    let mut w = FleetWorld::default();
-    let mut sim: HeapSim<FleetWorld> = HeapSim::new();
-    for i in 0..nodes {
-        sim.schedule_at(semester_stagger(i), beat(i));
-        sim.schedule_at(semester_stagger(i) + SimDuration::from_days(7), audit(i));
-    }
-    let horizon = SimTime::from_secs(days * 86_400);
-    let t0 = Instant::now();
-    sim.run_until(&mut w, horizon);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let row = SemesterRow {
-        nodes,
-        days,
-        events: sim.events_executed(),
-        wall_ms,
-    };
-    assert_eq!(
-        row.events,
-        semester_expected_events(nodes, days),
-        "heap semester sweep executed a different event count"
-    );
-    assert_eq!(w.beats + w.audits, row.events, "every event counted once");
-    row
-}
-
 /// One row of the codec micro-measurement behind the schema-7 gate: the
 /// per-message cost of sizing and encoding the dominant control message (an
 /// 8-GPU, 4-workload heartbeat) three ways.
@@ -1149,40 +943,6 @@ mod golden {
             sat.db_over_bound_writes <= sat.deferred_turns * 2,
             "write queue over-filled past per-turn slack: {sat:?}"
         );
-    }
-
-    /// The semester sweep's two implementations — typed wheel core and
-    /// boxed-closure heap reference — must execute the same deterministic
-    /// event count (each already asserts the closed form internally; this
-    /// pins the cross-implementation equality at a CI-sized horizon that
-    /// still crosses a week boundary, so overflow promotion is on-path).
-    #[test]
-    fn semester_sweep_typed_matches_heap_reference() {
-        let typed = super::semester_sweep_run(16, 8);
-        let heap = super::semester_sweep_heap(16, 8);
-        assert_eq!(typed.events, heap.events, "implementations diverged");
-        // 8 days of 60 s beats plus the one audit that fits: 11 521/node.
-        assert_eq!(typed.events, 16 * (8 * 1_440 + 1));
-        assert!(typed.ns_per_event() > 0.0);
-    }
-
-    /// The `--profile` breakdown accounts for every executed event and
-    /// splits exactly as the closed form predicts: beats dominate, audits
-    /// are one per node per started week.
-    #[test]
-    fn semester_profile_splits_beats_from_audits() {
-        let (row, fired) = super::semester_sweep_profile(16, 8);
-        assert_eq!(row.events, 16 * (8 * 1_440 + 1));
-        let count = |kind: &str| {
-            fired
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, n)| *n)
-                .unwrap_or(0)
-        };
-        assert_eq!(count("beat"), 16 * 8 * 1_440, "one beat per node-minute");
-        assert_eq!(count("audit"), 16, "one audit per node in week one");
-        assert_eq!(fired.len(), 2, "no other event kinds fired: {fired:?}");
     }
 
     /// The gate must refuse to compare against a baseline recorded at a

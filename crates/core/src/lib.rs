@@ -75,10 +75,8 @@ mod tests {
             .map(|a| a.workload_count())
             .unwrap_or(0);
         let victim = if hosting > 0 { hosts[0] } else { hosts[1] };
-        let now = s.now();
-        s.schedule(now + SimDuration::from_secs(1), move |w, t| {
-            w.emergency_departure(t, victim);
-        });
+        s.run_until(SimTime::from_secs(1_201));
+        s.act(|w, t| w.emergency_departure(t, victim));
         s.run_until(SimTime::from_secs(3 * 3600));
         // The job must have been displaced with a checkpoint and finished.
         assert_eq!(s.world.stats.jobs_completed, 1, "job finishes elsewhere");
@@ -107,10 +105,8 @@ mod tests {
             .map(|a| a.workload_count())
             .unwrap_or(0);
         let victim = if hosting > 0 { hosts[0] } else { hosts[1] };
-        let now = s.now();
-        s.schedule(now + SimDuration::from_secs(1), move |w, t| {
-            w.scheduled_departure(t, victim);
-        });
+        s.run_until(SimTime::from_secs(901));
+        s.act(|w, t| w.scheduled_departure(t, victim));
         s.run_until(SimTime::from_secs(4 * 3600));
         let job = s.job_of(0).unwrap();
         let d = s

@@ -27,10 +27,11 @@ use gpunion_workload::{InteractiveSpec, InterruptionKind, TrainingJobSpec, Train
 use std::collections::{BTreeMap, HashMap};
 use wake_index::WakeIndex;
 
-/// The platform simulator: a [`Sim`] whose hot recurring events — pump
-/// wakes, boot registrations, harness injections — are typed
-/// [`PlatformEvent`] values (allocation-free on the warm path), with boxed
-/// closures still available for ad-hoc scenario actions.
+/// The platform simulator: a [`Sim`] whose events — pump wakes, boot
+/// registrations, harness injections — are all typed [`PlatformEvent`]
+/// values (allocation-free on the warm path). Ad-hoc scenario actions are
+/// not events; they run between `run_until` calls via
+/// [`Scenario::act`](crate::Scenario::act).
 pub type PlatformSim = Sim<Platform, PlatformEvent>;
 
 /// Typed top-level simulation events.

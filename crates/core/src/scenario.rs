@@ -1,8 +1,9 @@
 //! Scenario driver: a [`PlatformSim`] plus injection helpers.
 //!
 //! Harnesses describe *what happens when* (job arrivals, session arrivals,
-//! provider interruptions); the scenario schedules it all and runs the
-//! event loop.
+//! provider interruptions) as typed events; the scenario schedules them and
+//! runs the event loop. Ad-hoc actions run between `run_until` calls via
+//! [`Scenario::act`].
 
 use crate::platform::{Injection, Platform, PlatformConfig, PlatformEvent, PlatformSim};
 use gpunion_des::SimTime;
@@ -63,14 +64,13 @@ impl Scenario {
         self.sim.run_until(&mut self.world, t);
     }
 
-    /// Schedule an arbitrary action against the platform (the boxed-closure
-    /// fallback; harness-trace injections go through the typed path below).
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut Platform, SimTime) + 'static) {
-        self.sim
-            .schedule_at(at, move |w: &mut Platform, sim: &mut PlatformSim| {
-                f(w, sim.now());
-                w.pump(sim);
-            });
+    /// Run `f` against the platform at the current instant, then pump so
+    /// its effects propagate. Not a DES event: a harness that wants an
+    /// action at `t` calls `run_until(t)` first. Trace injections go
+    /// through the typed events below.
+    pub fn act(&mut self, f: impl FnOnce(&mut Platform, SimTime)) {
+        f(&mut self.world, self.sim.now());
+        self.world.pump(&mut self.sim);
     }
 
     /// Submit a training job at `at`, tagged with the caller's index.

@@ -1,27 +1,16 @@
 //! Typed events and the generation-stamped event slab.
 //!
-//! Every scheduled event lives in a slot of an `EventSlab`; the timer
-//! wheel holds only small copyable `(time, seq, slot, gen)` records. An
-//! [`EventId`] is a `(slot, generation)` pair: cancelling is an O(1) slot
-//! invalidation (bump the generation, free the slot), and a stale wheel
-//! record is detected by a generation mismatch when it surfaces — no
-//! side-table, no leak, and `pending()` is exact.
-//!
-//! The payload distinguishes the hot recurring kinds from one-off scenario
-//! actions:
-//!
-//! * [`TypedEvent`] values (`Payload::Typed`) are plain enum data fired by
-//!   value — the warm schedule→fire path for pump wakes, periodic timers,
-//!   and harness injections performs **zero heap allocations** (pinned by
-//!   `tests/alloc.rs`).
-//! * `Payload::Once` is the boxed-closure fallback, API-compatible with the
-//!   old simulator.
-//! * `Payload::Every` holds a periodic `FnMut` action plus its period; each
-//!   firing re-schedules the *same* box, so periodic timers no longer rebox
-//!   per tick.
+//! Every scheduled event is a [`TypedEvent`] value — plain enum data fired
+//! by value — living in a slot of an `EventSlab`; the timer wheel holds
+//! only small copyable `(time, seq, slot, gen)` records. An [`EventId`] is
+//! a `(slot, generation)` pair: cancelling is an O(1) slot invalidation
+//! (bump the generation, free the slot), and a stale wheel record is
+//! detected by a generation mismatch when it surfaces — no side-table, no
+//! leak, and `pending()` is exact. Slots are recycled, so the warm
+//! schedule→fire path performs **zero heap allocations** (pinned by
+//! `tests/alloc.rs`).
 
 use crate::sim::Sim;
-use crate::time::SimDuration;
 
 /// Identifier for a scheduled event, used to cancel pending timers.
 ///
@@ -36,69 +25,38 @@ pub struct EventId {
 
 /// A typed simulation event: plain data fired by value.
 ///
-/// Implement this on an enum of your world's hot recurring event kinds and
-/// schedule values with [`Sim::schedule_typed_at`]; the warm path allocates
-/// nothing. Worlds that only use the boxed-closure API leave the parameter
-/// at its default, the uninhabited [`Never`].
+/// Implement this on an enum of your world's event kinds and schedule
+/// values with [`Sim::schedule_typed_at`]; the warm path allocates nothing.
 pub trait TypedEvent<W>: Sized {
     /// Consume the event, mutating the world and/or scheduling follow-ups.
     fn fire(self, world: &mut W, sim: &mut Sim<W, Self>);
 
     /// Static label for per-kind fired counters
     /// ([`Sim::profile_events`](crate::Sim::profile_events)). The default
-    /// lumps every typed event under one bucket; worlds with hot event
-    /// enums override it per variant so profiles show where the event
-    /// budget goes.
+    /// lumps every event under one bucket; worlds with hot event enums
+    /// override it per variant so profiles show where the event budget
+    /// goes.
     fn kind(&self) -> &'static str {
         "typed"
     }
 }
 
-/// The uninhabited default event type: `Sim<W>` (no second parameter) is a
-/// purely closure-driven simulator, exactly like the old heap-backed one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Never {}
-
-impl<W> TypedEvent<W> for Never {
-    fn fire(self, _world: &mut W, _sim: &mut Sim<W, Self>) {
-        match self {}
-    }
-}
-
-/// A one-off boxed event closure.
-pub(crate) type OnceAction<W, E> = Box<dyn FnOnce(&mut W, &mut Sim<W, E>)>;
-/// A periodic boxed event action; re-armed while it returns `true`.
-pub(crate) type EveryAction<W, E> = Box<dyn FnMut(&mut W, &mut Sim<W, E>) -> bool>;
-
-/// What a slab slot holds while its event is pending.
-pub(crate) enum Payload<W, E> {
-    /// A typed event value — the allocation-free hot path.
-    Typed(E),
-    /// One-off boxed closure (the compatibility fallback).
-    Once(OnceAction<W, E>),
-    /// Periodic action; re-armed with the same box while it returns `true`.
-    Every {
-        action: EveryAction<W, E>,
-        period: SimDuration,
-    },
-}
-
-struct Slot<W, E> {
+struct Slot<E> {
     /// Advances every time the slot is freed (fire or cancel); an id or
     /// wheel record whose stamp disagrees is stale.
     gen: u32,
-    payload: Option<Payload<W, E>>,
+    event: Option<E>,
 }
 
-/// Slab of pending-event payloads with a free list; slots are reused, so
-/// the steady-state schedule→fire cycle touches no allocator.
-pub(crate) struct EventSlab<W, E> {
-    slots: Vec<Slot<W, E>>,
+/// Slab of pending events with a free list; slots are reused, so the
+/// steady-state schedule→fire cycle touches no allocator.
+pub(crate) struct EventSlab<E> {
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
     live: usize,
 }
 
-impl<W, E> EventSlab<W, E> {
+impl<E> EventSlab<E> {
     pub(crate) fn new() -> Self {
         EventSlab {
             slots: Vec::new(),
@@ -112,19 +70,19 @@ impl<W, E> EventSlab<W, E> {
         self.live
     }
 
-    /// Store a payload, returning its `(slot, generation)` id.
-    pub(crate) fn insert(&mut self, payload: Payload<W, E>) -> EventId {
+    /// Store an event, returning its `(slot, generation)` id.
+    pub(crate) fn insert(&mut self, event: E) -> EventId {
         self.live += 1;
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
-            debug_assert!(s.payload.is_none());
-            s.payload = Some(payload);
+            debug_assert!(s.event.is_none());
+            s.event = Some(event);
             EventId { slot, gen: s.gen }
         } else {
             let slot = self.slots.len() as u32;
             self.slots.push(Slot {
                 gen: 0,
-                payload: Some(payload),
+                event: Some(event),
             });
             EventId { slot, gen: 0 }
         }
@@ -135,17 +93,17 @@ impl<W, E> EventSlab<W, E> {
         self.slots[slot as usize].gen == gen
     }
 
-    /// Take the payload out and retire the slot (generation bump + free
+    /// Take the event out and retire the slot (generation bump + free
     /// list). Returns `None` if the stamp is stale.
-    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Option<Payload<W, E>> {
+    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Option<E> {
         let s = &mut self.slots[slot as usize];
         if s.gen != gen {
             return None;
         }
-        let payload = s.payload.take().expect("live slot has a payload");
+        let event = s.event.take().expect("live slot has an event");
         s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
         self.live -= 1;
-        Some(payload)
+        Some(event)
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! Everything above this crate — the campus network, GPU servers, container
 //! runtime, provider agents, and the central scheduler — advances by
-//! scheduling closures on a [`Sim`].
+//! scheduling [`TypedEvent`] values on a [`Sim`]: plain data that can be
+//! recorded and replayed, fired by value from a recycled slab slot.
 //!
 //! ## Determinism contract
 //!
@@ -19,23 +20,24 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{EventId, Never, TypedEvent};
-pub use reference::{HeapEventId, HeapSim};
+pub use event::{EventId, TypedEvent};
 pub use rng::{chance, exponential, log_normal, RngPool};
 pub use sim::Sim;
-pub use stats::{Histogram, Online, TimeWeighted};
+pub use stats::{Online, TimeWeighted};
 pub use time::{earliest, SimDuration, SimTime};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::reference::{HeapEventId, HeapSim};
     use proptest::prelude::*;
 
     /// One step of the equivalence workload driven against both queues.
@@ -81,9 +83,26 @@ mod proptests {
     /// Labels ≥ this mark chained children (scheduled mid-fire).
     const CHILD: u64 = 1 << 32;
 
-    fn recorder_new(label: u64) -> impl FnOnce(&mut Log, &mut Sim<Log>) {
-        move |w, s| w.push((label, s.now().as_nanos()))
+    /// The wheel side's event: log `(label, now)`; a chain parent then
+    /// schedules one child `child` later.
+    enum Rec {
+        Leaf(u64),
+        Chain { label: u64, child: SimDuration },
     }
+
+    impl TypedEvent<Log> for Rec {
+        fn fire(self, w: &mut Log, s: &mut Sim<Log, Rec>) {
+            match self {
+                Rec::Leaf(label) => w.push((label, s.now().as_nanos())),
+                Rec::Chain { label, child } => {
+                    w.push((label, s.now().as_nanos()));
+                    s.schedule_typed_in(child, Rec::Leaf(label + CHILD));
+                }
+            }
+        }
+    }
+
+    /// The oracle side's equivalent of `Rec::Leaf`.
     fn recorder_ref(label: u64) -> impl FnOnce(&mut Log, &mut HeapSim<Log>) {
         move |w, s| w.push((label, s.now().as_nanos()))
     }
@@ -99,7 +118,7 @@ mod proptests {
         /// `pending()` must equal the exact live count throughout.
         #[test]
         fn wheel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-            let mut sim: Sim<Log> = Sim::new();
+            let mut sim: Sim<Log, Rec> = Sim::new();
             let mut oracle: HeapSim<Log> = HeapSim::new();
             let (mut wn, mut wo): (Log, Log) = (Vec::new(), Vec::new());
             // Parallel id tables: (label, new id, oracle id, is chain parent).
@@ -113,7 +132,7 @@ mod proptests {
                         let l = label;
                         label += 1;
                         let at = sim.now() + SimDuration::from_nanos(dt);
-                        let a = sim.schedule_at(at, recorder_new(l));
+                        let a = sim.schedule_typed_at(at, Rec::Leaf(l));
                         let b = oracle.schedule_at(at, recorder_ref(l));
                         ids.push((l, a, b, false));
                     }
@@ -122,10 +141,7 @@ mod proptests {
                         label += 1;
                         let at = sim.now() + SimDuration::from_nanos(dt);
                         let d = SimDuration::from_nanos(child_dt);
-                        let a = sim.schedule_at(at, move |w: &mut Log, s: &mut Sim<Log>| {
-                            w.push((l, s.now().as_nanos()));
-                            s.schedule_in(d, recorder_new(l + CHILD));
-                        });
+                        let a = sim.schedule_typed_at(at, Rec::Chain { label: l, child: d });
                         let b = oracle.schedule_at(at, move |w: &mut Log, s: &mut HeapSim<Log>| {
                             w.push((l, s.now().as_nanos()));
                             s.schedule_in(d, recorder_ref(l + CHILD));
@@ -190,20 +206,20 @@ mod proptests {
 
     proptest! {
         /// Events always execute in non-decreasing time order, regardless of
-        /// the order they were scheduled in.
+        /// the order they were scheduled in, and events at one instant in
+        /// the order they were scheduled.
         #[test]
         fn event_order_is_monotone(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-            let mut sim: Sim<Vec<u64>> = Sim::new();
-            let mut world: Vec<u64> = Vec::new();
-            for t in &times {
-                sim.schedule_at(SimTime::from_nanos(*t), |w: &mut Vec<u64>, s: &mut Sim<Vec<u64>>| {
-                    w.push(s.now().as_nanos());
-                });
+            let mut sim: Sim<Log, Rec> = Sim::new();
+            let mut world: Log = Vec::new();
+            for (label, t) in times.iter().enumerate() {
+                sim.schedule_typed_at(SimTime::from_nanos(*t), Rec::Leaf(label as u64));
             }
             sim.run(&mut world);
             prop_assert_eq!(world.len(), times.len());
             for pair in world.windows(2) {
-                prop_assert!(pair[0] <= pair[1]);
+                prop_assert!(pair[0].1 <= pair[1].1);
+                prop_assert!(pair[0].1 < pair[1].1 || pair[0].0 < pair[1].0);
             }
         }
 
@@ -211,15 +227,16 @@ mod proptests {
         /// remain, and executes exactly the events at or before it.
         #[test]
         fn run_until_deadline_boundary(times in proptest::collection::vec(0u64..1_000, 1..100), cut in 0u64..1_000) {
-            let mut sim: Sim<u32> = Sim::new();
-            let mut world: u32 = 0;
+            let mut sim: Sim<Log, Rec> = Sim::new();
+            let mut world: Log = Vec::new();
             for t in &times {
-                sim.schedule_at(SimTime::from_nanos(*t), |w: &mut u32, _: &mut Sim<u32>| *w += 1);
+                sim.schedule_typed_at(SimTime::from_nanos(*t), Rec::Leaf(0));
             }
             let deadline = SimTime::from_nanos(cut);
             let executed = sim.run_until(&mut world, deadline);
             let expected = times.iter().filter(|t| **t <= cut).count() as u64;
             prop_assert_eq!(executed, expected);
+            prop_assert_eq!(world.len() as u64, expected);
             prop_assert!(sim.now() <= deadline);
         }
 
@@ -234,20 +251,6 @@ mod proptests {
             let mean = tw.mean().unwrap();
             prop_assert!(mean >= tw.min().unwrap() - 1e-9);
             prop_assert!(mean <= tw.max().unwrap() + 1e-9);
-        }
-
-        /// Histogram quantiles are monotone in q.
-        #[test]
-        fn histogram_quantiles_monotone(samples in proptest::collection::vec(1e-6f64..1e3, 1..300)) {
-            let mut h = Histogram::for_latency();
-            for s in &samples {
-                h.record(*s);
-            }
-            let qs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
-            let vals: Vec<f64> = qs.iter().map(|q| h.quantile(*q).unwrap()).collect();
-            for pair in vals.windows(2) {
-                prop_assert!(pair[0] <= pair[1] + 1e-12);
-            }
         }
 
         /// RNG streams are reproducible: same pool+name ⇒ same sequence.

@@ -1,14 +1,11 @@
-//! The original heap-backed event queue, kept as a reference oracle.
+//! The original heap-backed event queue, kept as a test-only oracle.
 //!
-//! [`HeapSim`] is the pre-wheel implementation of the simulator verbatim:
+//! `HeapSim` is the pre-wheel implementation of the simulator verbatim:
 //! a `BinaryHeap` of boxed `FnOnce` closures ordered by `(time, seq)` with
-//! a `HashSet` cancellation side-table. It exists for two jobs only:
-//!
-//! * the equivalence proptest in this crate runs it side-by-side with the
-//!   slab + timer-wheel [`Sim`](crate::Sim) under random schedule / cancel /
-//!   `run_until` interleavings and asserts identical fire logs and clocks;
-//! * the `des_core` criterion group and `bench_gate` use it as the
-//!   boxed-heap cost baseline the typed-event path must beat.
+//! a `HashSet` cancellation side-table. Its one job is the equivalence
+//! proptest in this crate, which runs it side-by-side with the slab +
+//! timer-wheel `Sim` under random schedule / cancel / `run_until`
+//! interleavings and asserts identical fire logs and clocks.
 //!
 //! It deliberately preserves the old `cancel` wart — cancelling an
 //! already-fired id returns `true` and leaks a `cancelled` entry — because
@@ -50,20 +47,13 @@ impl<W> Ord for Scheduled<W> {
     }
 }
 
-/// The frozen heap-backed simulator (see module docs). API mirrors
-/// [`Sim`](crate::Sim) minus typed events.
+/// The frozen heap-backed simulator (see module docs).
 pub struct HeapSim<W> {
     now: SimTime,
     heap: BinaryHeap<Scheduled<W>>,
     next_seq: u64,
     cancelled: HashSet<u64>,
     executed: u64,
-}
-
-impl<W> Default for HeapSim<W> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<W> HeapSim<W> {
@@ -86,12 +76,6 @@ impl<W> HeapSim<W> {
     /// Number of events executed so far.
     pub fn events_executed(&self) -> u64 {
         self.executed
-    }
-
-    /// Approximate pending count (the documented old wart: cancelled-after-
-    /// fire entries make this undercount).
-    pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
     }
 
     /// Schedule `action` at absolute time `at`, clamping past times to now.

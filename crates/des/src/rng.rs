@@ -56,11 +56,6 @@ impl RngPool {
         let seed = splitmix64(self.master ^ splitmix64(fnv1a(name).wrapping_add(splitmix64(n))));
         SmallRng::seed_from_u64(seed)
     }
-
-    /// The master seed this pool was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
 }
 
 /// Draw from an exponential distribution with the given rate (events per

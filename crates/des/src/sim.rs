@@ -2,49 +2,51 @@
 //!
 //! A [`Sim<W, E>`] owns the virtual clock, a generation-stamped event slab
 //! ([`crate::event`]), and a hierarchical timer wheel (`wheel` module).
-//! Events come in two flavours:
-//!
-//! * **Typed events** — values of a world-specific enum `E` implementing
-//!   [`TypedEvent`], scheduled with [`Sim::schedule_typed_at`]. These are
-//!   plain data in slab slots: the warm schedule→fire cycle allocates
-//!   nothing and `cancel` is an O(1) generation bump. The hot recurring
-//!   kinds (pump wakes, heartbeats, harness injections) use this path.
-//! * **Boxed closures** — `FnOnce(&mut W, &mut Sim<W, E>)` via
-//!   [`Sim::schedule_at`], the compatibility fallback for one-off scenario
-//!   actions. Worlds that only need closures use `Sim<W>`: the event
-//!   parameter defaults to the uninhabited [`Never`].
+//! Every event is a value of a world-specific enum `E` implementing
+//! [`TypedEvent`], scheduled with [`Sim::schedule_typed_at`]: plain data in
+//! a slab slot, so the warm schedule→fire cycle allocates nothing and
+//! `cancel` is an O(1) generation bump.
 //!
 //! Determinism: events at the same instant fire in the order they were
 //! scheduled (a monotonically increasing sequence number breaks ties), so a
 //! simulation with a fixed seed is exactly reproducible. The timer wheel
 //! preserves the `(time, seq)` FIFO contract bit-identically with the old
-//! heap-backed queue — proven by a proptest in this crate that runs
-//! [`HeapSim`](crate::reference::HeapSim) as a reference oracle.
+//! heap-backed queue — proven by a proptest in this crate that runs the
+//! frozen heap implementation as a reference oracle.
 
-use crate::event::{EventId, EventSlab, Never, Payload, TypedEvent};
+use crate::event::{EventId, EventSlab, TypedEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerWheel, WheelEntry};
+use std::marker::PhantomData;
 
 /// Discrete-event simulator over a world state `W` and a typed-event enum
-/// `E` (defaulting to the uninhabited [`Never`] for closure-only worlds).
+/// `E`.
 ///
 /// ```
-/// use gpunion_des::{Sim, SimDuration, SimTime};
+/// use gpunion_des::{Sim, SimDuration, SimTime, TypedEvent};
 ///
 /// #[derive(Default)]
 /// struct World { pings: u32 }
 ///
-/// let mut sim: Sim<World> = Sim::new();
+/// struct Ping;
+///
+/// impl TypedEvent<World> for Ping {
+///     fn fire(self, w: &mut World, _: &mut Sim<World, Ping>) {
+///         w.pings += 1;
+///     }
+/// }
+///
+/// let mut sim: Sim<World, Ping> = Sim::new();
 /// let mut world = World::default();
-/// sim.schedule_in(SimDuration::from_secs(1), |w: &mut World, _| w.pings += 1);
-/// sim.schedule_in(SimDuration::from_secs(2), |w: &mut World, _| w.pings += 1);
+/// sim.schedule_typed_in(SimDuration::from_secs(1), Ping);
+/// sim.schedule_typed_in(SimDuration::from_secs(2), Ping);
 /// sim.run(&mut world);
 /// assert_eq!(world.pings, 2);
 /// assert_eq!(sim.now(), SimTime::from_secs(2));
 /// ```
-pub struct Sim<W, E = Never> {
+pub struct Sim<W, E> {
     now: SimTime,
-    slab: EventSlab<W, E>,
+    slab: EventSlab<E>,
     wheel: TimerWheel,
     next_seq: u64,
     executed: u64,
@@ -52,6 +54,8 @@ pub struct Sim<W, E = Never> {
     /// off — the hot fire path then pays a single branch and no
     /// bookkeeping.
     fired: Option<std::collections::BTreeMap<&'static str, u64>>,
+    /// The world is passed to each firing, never stored.
+    world: PhantomData<fn(&mut W)>,
 }
 
 impl<W, E: TypedEvent<W>> Default for Sim<W, E> {
@@ -70,11 +74,11 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
             next_seq: 0,
             executed: 0,
             fired: None,
+            world: PhantomData,
         }
     }
 
-    /// Start counting fired events by [`TypedEvent::kind`] (plus the
-    /// `"closure"` / `"periodic"` fallback buckets for boxed events).
+    /// Start counting fired events by [`TypedEvent::kind`].
     /// Costs one branch per fire when off; a map bump when on.
     pub fn profile_events(&mut self) {
         self.fired.get_or_insert_with(Default::default);
@@ -106,14 +110,16 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         self.slab.live()
     }
 
-    /// Slab-insert + wheel-file with the next sequence number; the single
-    /// path every schedule variant funnels through, so the `(time, seq)`
-    /// allocation order is identical to the old heap push order.
-    fn schedule_payload(&mut self, at: SimTime, payload: Payload<W, E>) -> EventId {
+    /// Schedule a typed event at absolute time `at`. Scheduling in the past
+    /// fires the event at the current instant instead (never rewinds the
+    /// clock). No allocation on the warm path: the value lives in a
+    /// recycled slab slot, and the `(time, seq)` order is the heap push
+    /// order of the old queue.
+    pub fn schedule_typed_at(&mut self, at: SimTime, event: E) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = self.slab.insert(payload);
+        let id = self.slab.insert(event);
         self.wheel.insert(WheelEntry {
             at: at.as_nanos(),
             seq,
@@ -121,41 +127,6 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
             gen: id.gen,
         });
         id
-    }
-
-    /// Schedule `action` at absolute time `at`. Scheduling in the past fires
-    /// the event at the current instant instead (never rewinds the clock).
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut W, &mut Sim<W, E>) + 'static,
-    ) -> EventId {
-        self.schedule_payload(at, Payload::Once(Box::new(action)))
-    }
-
-    /// Schedule `action` after a relative delay.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut W, &mut Sim<W, E>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, action)
-    }
-
-    /// Schedule `action` at the current instant, after already-queued events
-    /// for this instant.
-    pub fn schedule_now(
-        &mut self,
-        action: impl FnOnce(&mut W, &mut Sim<W, E>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now, action)
-    }
-
-    /// Schedule a typed event at absolute time `at` (clamped to now, like
-    /// [`Sim::schedule_at`]). No allocation on the warm path: the value
-    /// lives in a recycled slab slot.
-    pub fn schedule_typed_at(&mut self, at: SimTime, event: E) -> EventId {
-        self.schedule_payload(at, Payload::Typed(event))
     }
 
     /// Schedule a typed event after a relative delay.
@@ -168,33 +139,9 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     /// went stale the moment it retired, so this is O(1) with no growing
     /// side-table, and ids of fired events are correctly refused.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Dropping the payload frees the slot; the wheel entry is discarded
+        // Dropping the event frees the slot; the wheel entry is discarded
         // lazily when it surfaces (its generation stamp no longer matches).
         self.slab.take(id.slot, id.gen).is_some()
-    }
-
-    /// Schedule a repeating event with a fixed period. The action runs first
-    /// after one full `period`, then repeatedly until it returns `false` or
-    /// is cancelled via the returned id's *current* incarnation.
-    ///
-    /// Note: because each firing re-arms itself, the returned [`EventId`]
-    /// only cancels the *first* pending occurrence. For cancellable periodic
-    /// timers, have the closure consult world state and return `false`.
-    ///
-    /// The action is boxed once; every re-arm reuses the same box (the old
-    /// implementation re-boxed a fresh closure per tick).
-    pub fn schedule_every(
-        &mut self,
-        period: SimDuration,
-        action: impl FnMut(&mut W, &mut Sim<W, E>) -> bool + 'static,
-    ) -> EventId {
-        self.schedule_payload(
-            self.now + period,
-            Payload::Every {
-                action: Box::new(action),
-                period,
-            },
-        )
     }
 
     /// Run until the queue drains. Returns the number of events executed.
@@ -245,60 +192,92 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         }
     }
 
-    /// Advance the clock to `ev.at` and dispatch its (live) payload.
+    /// Advance the clock to `ev.at` and fire its (live) event.
     fn fire(&mut self, world: &mut W, ev: WheelEntry) {
         debug_assert!(ev.at >= self.now.as_nanos(), "event queue must be monotone");
         self.wheel.advance_to(ev.at);
         self.now = SimTime::from_nanos(ev.at);
         self.executed += 1;
-        let payload = self
+        let event = self
             .slab
             .take(ev.slot, ev.gen)
             .expect("liveness checked before firing");
         if let Some(counts) = &mut self.fired {
-            let kind = match &payload {
-                Payload::Typed(event) => event.kind(),
-                Payload::Once(_) => "closure",
-                Payload::Every { .. } => "periodic",
-            };
-            *counts.entry(kind).or_insert(0) += 1;
+            *counts.entry(event.kind()).or_insert(0) += 1;
         }
-        match payload {
-            Payload::Typed(event) => event.fire(world, self),
-            Payload::Once(action) => action(world, self),
-            Payload::Every { mut action, period } => {
-                if action(world, self) {
-                    // Re-arm with the same box — the only allocation a
-                    // periodic timer ever pays is its initial one.
-                    self.schedule_payload(self.now + period, Payload::Every { action, period });
-                }
-            }
-        }
+        event.fire(world, self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[derive(Default)]
     struct W {
         log: Vec<(u64, &'static str)>,
     }
 
-    fn record(tag: &'static str) -> impl FnOnce(&mut W, &mut Sim<W>) {
-        move |w, sim| w.log.push((sim.now().as_nanos(), tag))
+    /// The test world's event kinds: a plain record, a record that
+    /// schedules a follow-up at an absolute time, and a self-re-arming
+    /// chain.
+    enum Ev {
+        /// Log the tag at the firing instant.
+        Rec(&'static str),
+        /// Log `tag`, then schedule `Rec(child)` at absolute time `at`.
+        Spawn {
+            tag: &'static str,
+            at: SimTime,
+            child: &'static str,
+        },
+        /// Log, then re-schedule itself `step` later while hops remain.
+        Chain { hops: u32, step: SimDuration },
+    }
+
+    impl TypedEvent<W> for Ev {
+        fn kind(&self) -> &'static str {
+            match self {
+                Ev::Rec(_) => "rec",
+                Ev::Spawn { .. } => "spawn",
+                Ev::Chain { .. } => "chain",
+            }
+        }
+
+        fn fire(self, w: &mut W, sim: &mut Sim<W, Ev>) {
+            let now = sim.now().as_nanos();
+            match self {
+                Ev::Rec(tag) => w.log.push((now, tag)),
+                Ev::Spawn { tag, at, child } => {
+                    w.log.push((now, tag));
+                    sim.schedule_typed_at(at, Ev::Rec(child));
+                }
+                Ev::Chain { hops, step } => {
+                    w.log.push((now, "chain"));
+                    if hops > 0 {
+                        sim.schedule_typed_in(
+                            step,
+                            Ev::Chain {
+                                hops: hops - 1,
+                                step,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
     }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_nanos(30), record("c"));
-        sim.schedule_at(SimTime::from_nanos(10), record("a"));
-        sim.schedule_at(SimTime::from_nanos(20), record("b"));
+        sim.schedule_typed_at(at(30), Ev::Rec("c"));
+        sim.schedule_typed_at(at(10), Ev::Rec("a"));
+        sim.schedule_typed_at(at(20), Ev::Rec("b"));
         sim.run(&mut w);
         assert_eq!(w.log, vec![(10, "a"), (20, "b"), (30, "c")]);
     }
@@ -307,14 +286,15 @@ mod tests {
     fn ties_fire_in_schedule_order() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let t = SimTime::from_nanos(5);
-        sim.schedule_at(t, record("first"));
-        sim.schedule_at(t, record("second"));
-        sim.schedule_at(t, record("third"));
+        sim.schedule_typed_at(at(5), Ev::Rec("first"));
+        sim.schedule_typed_at(at(5), Ev::Rec("second"));
+        // An earlier instant scheduled later still fires first.
+        sim.schedule_typed_at(at(1), Ev::Rec("early"));
+        sim.schedule_typed_at(at(5), Ev::Rec("third"));
         sim.run(&mut w);
         assert_eq!(
-            w.log.iter().map(|(_, s)| *s).collect::<Vec<_>>(),
-            vec!["first", "second", "third"]
+            w.log,
+            vec![(1, "early"), (5, "first"), (5, "second"), (5, "third")]
         );
     }
 
@@ -322,11 +302,15 @@ mod tests {
     fn scheduling_in_past_clamps_to_now() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_nanos(100), |w: &mut W, sim: &mut Sim<W>| {
-            // Try to schedule 50ns in the past; must fire at t=100, not 50.
-            sim.schedule_at(SimTime::from_nanos(50), record("late"));
-            w.log.push((sim.now().as_nanos(), "outer"));
-        });
+        // At t=100, try to schedule 50ns in the past: must fire at t=100.
+        sim.schedule_typed_at(
+            at(100),
+            Ev::Spawn {
+                tag: "outer",
+                at: at(50),
+                child: "late",
+            },
+        );
         sim.run(&mut w);
         assert_eq!(w.log, vec![(100, "outer"), (100, "late")]);
     }
@@ -335,23 +319,23 @@ mod tests {
     fn cancel_prevents_execution() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let id = sim.schedule_at(SimTime::from_nanos(10), record("dropped"));
-        sim.schedule_at(SimTime::from_nanos(20), record("kept"));
+        let id = sim.schedule_typed_at(at(10), Ev::Rec("dropped"));
+        sim.schedule_typed_at(at(20), Ev::Rec("kept"));
         assert!(sim.cancel(id));
         assert!(!sim.cancel(id), "double-cancel is a no-op");
         sim.run(&mut w);
         assert_eq!(w.log, vec![(20, "kept")]);
     }
 
-    /// Regression (satellite): the old implementation let `cancel` of an
-    /// already-fired id insert into the cancellation side-table forever —
+    /// Regression: the old heap-backed queue let `cancel` of an
+    /// already-fired id insert into its cancellation side-table forever —
     /// `pending()` undercounted and the set grew unbounded. Fired ids must
     /// be refused.
     #[test]
     fn cancel_after_fire_returns_false_and_keeps_pending_exact() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let fired = sim.schedule_at(SimTime::from_nanos(1), record("fired"));
+        let fired = sim.schedule_typed_at(at(1), Ev::Rec("fired"));
         sim.run(&mut w);
         assert_eq!(w.log, vec![(1, "fired")]);
         assert!(!sim.cancel(fired), "fired ids must not be cancellable");
@@ -360,13 +344,13 @@ mod tests {
         // pending() stays exact through an interleaving of fires and
         // cancels (the old estimate would now undercount by one per
         // cancel-after-fire above).
-        let a = sim.schedule_at(SimTime::from_nanos(10), record("a"));
-        let b = sim.schedule_at(SimTime::from_nanos(20), record("b"));
-        sim.schedule_at(SimTime::from_nanos(30), record("c"));
+        let a = sim.schedule_typed_at(at(10), Ev::Rec("a"));
+        let b = sim.schedule_typed_at(at(20), Ev::Rec("b"));
+        sim.schedule_typed_at(at(30), Ev::Rec("c"));
         assert_eq!(sim.pending(), 3);
         assert!(sim.cancel(b));
         assert_eq!(sim.pending(), 2);
-        sim.run_until(&mut w, SimTime::from_nanos(15));
+        sim.run_until(&mut w, at(15));
         assert_eq!(sim.pending(), 1, "a fired, b cancelled, c remains");
         assert!(!sim.cancel(a), "fired after cancel of a sibling");
         assert_eq!(sim.pending(), 1);
@@ -378,11 +362,12 @@ mod tests {
     fn event_id_slots_are_generation_stamped_across_reuse() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let first = sim.schedule_at(SimTime::from_nanos(1), record("one"));
-        sim.run_until(&mut w, SimTime::from_nanos(5));
+        let first = sim.schedule_typed_at(at(1), Ev::Rec("one"));
+        sim.run_until(&mut w, at(5));
         // The freed slot is reused; the stale id must not cancel the new
         // tenant.
-        let second = sim.schedule_at(SimTime::from_nanos(10), record("two"));
+        let second = sim.schedule_typed_at(at(10), Ev::Rec("two"));
+        assert_eq!(second.slot, first.slot, "the slot is recycled");
         assert!(!sim.cancel(first));
         sim.run(&mut w);
         assert_eq!(w.log, vec![(1, "one"), (10, "two")]);
@@ -393,8 +378,8 @@ mod tests {
     fn run_until_respects_deadline_and_resumes() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_secs(1), record("one"));
-        sim.schedule_at(SimTime::from_secs(3), record("three"));
+        sim.schedule_typed_at(SimTime::from_secs(1), Ev::Rec("one"));
+        sim.schedule_typed_at(SimTime::from_secs(3), Ev::Rec("three"));
         let n = sim.run_until(&mut w, SimTime::from_secs(2));
         assert_eq!(n, 1);
         assert_eq!(sim.now(), SimTime::from_secs(2));
@@ -409,123 +394,57 @@ mod tests {
     }
 
     #[test]
-    fn periodic_event_stops_when_action_returns_false() {
-        let mut sim: Sim<W> = Sim::new();
-        let counter = Rc::new(RefCell::new(0));
-        let c = counter.clone();
-        let mut w = W::default();
-        sim.schedule_every(SimDuration::from_secs(1), move |_w, _sim| {
-            *c.borrow_mut() += 1;
-            *c.borrow() < 5
-        });
-        sim.run(&mut w);
-        assert_eq!(*counter.borrow(), 5);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
     fn step_executes_single_event() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_nanos(1), record("a"));
-        sim.schedule_at(SimTime::from_nanos(2), record("b"));
-        assert_eq!(sim.step(&mut w), Some(SimTime::from_nanos(1)));
-        assert_eq!(w.log.len(), 1);
-        assert_eq!(sim.step(&mut w), Some(SimTime::from_nanos(2)));
+        let dropped = sim.schedule_typed_at(at(1), Ev::Rec("dropped"));
+        sim.schedule_typed_at(at(2), Ev::Rec("a"));
+        sim.schedule_typed_at(at(3), Ev::Rec("b"));
+        assert!(sim.cancel(dropped));
+        // A cancelled head is skipped, not fired.
+        assert_eq!(sim.step(&mut w), Some(at(2)));
+        assert_eq!(w.log, vec![(2, "a")]);
+        assert_eq!(sim.step(&mut w), Some(at(3)));
         assert_eq!(sim.step(&mut w), None);
+        assert_eq!(sim.events_executed(), 2);
     }
 
     #[test]
     fn nested_scheduling_from_handlers() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::from_nanos(10), |_: &mut W, sim: &mut Sim<W>| {
-            sim.schedule_in(SimDuration::from_nanos(5), record("nested"));
-        });
+        sim.schedule_typed_at(
+            at(10),
+            Ev::Spawn {
+                tag: "parent",
+                at: at(15),
+                child: "nested",
+            },
+        );
         sim.run(&mut w);
-        assert_eq!(w.log, vec![(15, "nested")]);
+        assert_eq!(w.log, vec![(10, "parent"), (15, "nested")]);
     }
 
     #[test]
     fn pending_count_tracks_cancellations() {
-        let mut sim: Sim<W> = Sim::new();
-        let a = sim.schedule_at(SimTime::from_nanos(1), record("a"));
-        sim.schedule_at(SimTime::from_nanos(2), record("b"));
+        let mut sim: Sim<W, Ev> = Sim::new();
+        let a = sim.schedule_typed_at(at(1), Ev::Rec("a"));
+        sim.schedule_typed_at(at(2), Ev::Rec("b"));
         assert_eq!(sim.pending(), 2);
         sim.cancel(a);
         assert_eq!(sim.pending(), 1);
     }
 
-    // ----- typed-event and wheel-horizon coverage -----
-
-    enum Tick {
-        Beat,
-        Chain { hops: u32, step: SimDuration },
-    }
-
-    #[derive(Default)]
-    struct TickWorld {
-        beats: u64,
-        last: SimTime,
-    }
-
-    impl TypedEvent<TickWorld> for Tick {
-        fn kind(&self) -> &'static str {
-            match self {
-                Tick::Beat => "beat",
-                Tick::Chain { .. } => "chain",
-            }
-        }
-
-        fn fire(self, w: &mut TickWorld, sim: &mut Sim<TickWorld, Tick>) {
-            match self {
-                Tick::Beat => {
-                    w.beats += 1;
-                    w.last = sim.now();
-                }
-                Tick::Chain { hops, step } => {
-                    w.beats += 1;
-                    w.last = sim.now();
-                    if hops > 0 {
-                        sim.schedule_typed_in(
-                            step,
-                            Tick::Chain {
-                                hops: hops - 1,
-                                step,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn typed_events_fire_and_interleave_with_closures() {
-        let mut sim: Sim<TickWorld, Tick> = Sim::new();
-        let mut w = TickWorld::default();
-        sim.schedule_typed_at(SimTime::from_nanos(10), Tick::Beat);
-        sim.schedule_at(SimTime::from_nanos(10), |w: &mut TickWorld, _| {
-            w.beats += 100
-        });
-        sim.schedule_typed_at(SimTime::from_nanos(5), Tick::Beat);
-        sim.run(&mut w);
-        // t=5 beat, then at t=10 the typed beat (scheduled first) precedes
-        // the closure.
-        assert_eq!(w.beats, 102);
-        assert_eq!(w.last, SimTime::from_nanos(10));
-    }
-
     #[test]
     fn typed_event_cancel_is_exact() {
-        let mut sim: Sim<TickWorld, Tick> = Sim::new();
-        let mut w = TickWorld::default();
-        let id = sim.schedule_typed_at(SimTime::from_nanos(10), Tick::Beat);
+        let mut sim: Sim<W, Ev> = Sim::new();
+        let mut w = W::default();
+        let id = sim.schedule_typed_at(at(10), Ev::Rec("beat"));
         assert_eq!(sim.pending(), 1);
         assert!(sim.cancel(id));
         assert_eq!(sim.pending(), 0);
         sim.run(&mut w);
-        assert_eq!(w.beats, 0);
+        assert!(w.log.is_empty());
         assert!(!sim.cancel(id));
     }
 
@@ -534,47 +453,51 @@ mod tests {
     #[test]
     fn typed_chain_crosses_wheel_levels_exactly() {
         let step = SimDuration::from_nanos((1 << 20) + 17);
-        let mut sim: Sim<TickWorld, Tick> = Sim::new();
-        let mut w = TickWorld::default();
-        sim.schedule_typed_at(SimTime::ZERO + step, Tick::Chain { hops: 9, step });
+        let mut sim: Sim<W, Ev> = Sim::new();
+        let mut w = W::default();
+        sim.schedule_typed_at(SimTime::ZERO + step, Ev::Chain { hops: 9, step });
         sim.run(&mut w);
-        assert_eq!(w.beats, 10);
-        assert_eq!(w.last.as_nanos(), ((1u64 << 20) + 17) * 10);
+        assert_eq!(w.log.len(), 10);
+        assert_eq!(w.log.last().unwrap().0, ((1u64 << 20) + 17) * 10);
     }
 
     /// Per-kind fired counters: off by default (empty snapshot), and once
-    /// enabled they bucket typed events by `kind()` and boxed events
-    /// under the closure/periodic fallbacks.
+    /// enabled they bucket events by `kind()` and account for every event
+    /// executed from then on.
     #[test]
     fn fired_counters_bucket_by_kind() {
-        let mut sim: Sim<TickWorld, Tick> = Sim::new();
-        let mut w = TickWorld::default();
-        sim.schedule_typed_at(SimTime::from_nanos(1), Tick::Beat);
+        let mut sim: Sim<W, Ev> = Sim::new();
+        let mut w = W::default();
+        sim.schedule_typed_at(at(1), Ev::Rec("unprofiled"));
         sim.run(&mut w);
         assert!(sim.fired_by_kind().is_empty(), "profiling starts off");
 
         sim.profile_events();
-        sim.schedule_typed_in(SimDuration::from_nanos(1), Tick::Beat);
-        sim.schedule_typed_in(SimDuration::from_nanos(2), Tick::Beat);
+        let before = sim.events_executed();
+        sim.schedule_typed_in(SimDuration::from_nanos(1), Ev::Rec("a"));
+        sim.schedule_typed_in(SimDuration::from_nanos(2), Ev::Rec("b"));
         sim.schedule_typed_in(
             SimDuration::from_nanos(3),
-            Tick::Chain {
+            Ev::Chain {
                 hops: 2,
                 step: SimDuration::from_nanos(1),
             },
         );
-        sim.schedule_in(SimDuration::from_nanos(4), |_: &mut TickWorld, _| {});
-        sim.schedule_every(SimDuration::from_nanos(5), {
-            let mut left = 2u32;
-            move |_: &mut TickWorld, _| {
-                left -= 1;
-                left > 0
-            }
-        });
+        sim.schedule_typed_in(
+            SimDuration::from_nanos(4),
+            Ev::Spawn {
+                tag: "s",
+                at: at(9),
+                child: "c",
+            },
+        );
         sim.run(&mut w);
+        let fired = sim.fired_by_kind();
+        assert_eq!(fired, vec![("chain", 3), ("rec", 3), ("spawn", 1)]);
         assert_eq!(
-            sim.fired_by_kind(),
-            vec![("beat", 2), ("chain", 3), ("closure", 1), ("periodic", 2)]
+            fired.iter().map(|(_, n)| n).sum::<u64>(),
+            sim.events_executed() - before,
+            "per-kind counts sum to the events executed while profiling"
         );
     }
 
@@ -584,8 +507,8 @@ mod tests {
     fn event_at_time_max_fires_last() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(SimTime::MAX, record("horizon"));
-        sim.schedule_at(SimTime::from_secs(1), record("near"));
+        sim.schedule_typed_at(SimTime::MAX, Ev::Rec("horizon"));
+        sim.schedule_typed_at(SimTime::from_secs(1), Ev::Rec("near"));
         sim.run(&mut w);
         assert_eq!(w.log, vec![(1_000_000_000, "near"), (u64::MAX, "horizon")]);
         assert_eq!(sim.now(), SimTime::MAX);
@@ -599,26 +522,17 @@ mod tests {
         const EPOCH: u64 = 1 << 42; // first time beyond the wheel horizon
         let mut sim = Sim::new();
         let mut w = W::default();
-        sim.schedule_at(
-            SimTime::from_nanos(EPOCH + 1),
-            |w: &mut W, sim: &mut Sim<W>| {
-                w.log.push((sim.now().as_nanos(), "m"));
-                // Later than the still-overflowed (EPOCH + 10) event: the wheel
-                // must promote that one ahead of this same-epoch insert.
-                sim.schedule_at(
-                    SimTime::from_nanos(EPOCH + 50),
-                    |w: &mut W, sim: &mut Sim<W>| {
-                        w.log.push((sim.now().as_nanos(), "w"));
-                    },
-                );
+        // Later than the still-overflowed (EPOCH + 10) event: the wheel
+        // must promote that one ahead of this same-epoch insert.
+        sim.schedule_typed_at(
+            at(EPOCH + 1),
+            Ev::Spawn {
+                tag: "m",
+                at: at(EPOCH + 50),
+                child: "w",
             },
         );
-        sim.schedule_at(
-            SimTime::from_nanos(EPOCH + 10),
-            |w: &mut W, sim: &mut Sim<W>| {
-                w.log.push((sim.now().as_nanos(), "f"));
-            },
-        );
+        sim.schedule_typed_at(at(EPOCH + 10), Ev::Rec("f"));
         sim.run(&mut w);
         assert_eq!(
             w.log,

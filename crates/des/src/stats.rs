@@ -1,15 +1,14 @@
 //! Statistics collectors used throughout the simulation.
 //!
-//! Three collectors cover the paper's reporting needs:
+//! Two collectors cover the paper's reporting needs:
 //!
 //! - [`TimeWeighted`] — utilization-style metrics where the *duration* a value
 //!   was held matters (GPU utilization averaged over six weeks is the
 //!   integral of instantaneous utilization over time, not a sample mean).
-//! - [`Online`] — Welford running mean/variance for sampled quantities
+//! - [`Online`] — running mean / sum / extrema for sampled quantities
 //!   (migration downtime, scheduling latency).
-//! - [`Histogram`] — log-bucketed percentile estimation (p50/p95/p99 latency).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Time-weighted average of a piecewise-constant signal.
@@ -87,35 +86,38 @@ impl TimeWeighted {
         self.started.then_some(self.max)
     }
 
-    /// Total integrated time in seconds.
-    pub fn observed_secs(&self) -> f64 {
-        self.total_time
-    }
-
     /// The most recently set value.
     pub fn current(&self) -> Option<f64> {
         self.started.then_some(self.last_value)
     }
 }
 
-/// Welford online mean / variance / extrema for sampled values.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Online (Welford-style incremental) mean / sum / extrema for sampled
+/// values.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Online {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     sum: f64,
+}
+
+impl Default for Online {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Online {
     /// New empty collector.
     pub fn new() -> Self {
         Online {
+            n: 0,
+            mean: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            ..Default::default()
+            sum: 0.0,
         }
     }
 
@@ -123,16 +125,9 @@ impl Online {
     pub fn record(&mut self, x: f64) {
         self.n += 1;
         self.sum += x;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Record a duration sample in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of samples.
@@ -150,11 +145,6 @@ impl Online {
         self.sum
     }
 
-    /// Unbiased sample standard deviation (None with fewer than 2 samples).
-    pub fn stddev(&self) -> Option<f64> {
-        (self.n >= 2).then(|| (self.m2 / (self.n - 1) as f64).sqrt())
-    }
-
     /// Minimum sample.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -163,118 +153,6 @@ impl Online {
     /// Maximum sample.
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another collector into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Online) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Log-bucketed histogram for non-negative samples spanning many decades
-/// (nanoseconds to hours). 16 buckets per decade over a configurable range.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    buckets_per_decade: usize,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram covering `[lo, lo * 10^decades)`.
-    pub fn new(lo: f64, decades: usize) -> Self {
-        assert!(lo > 0.0 && decades > 0);
-        let buckets_per_decade = 16;
-        Histogram {
-            lo,
-            buckets_per_decade,
-            counts: vec![0; buckets_per_decade * decades],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// A histogram suited to latencies: 1 µs .. 1000 s (9 decades), in seconds.
-    pub fn for_latency() -> Self {
-        Histogram::new(1e-6, 9)
-    }
-
-    fn index(&self, x: f64) -> Option<usize> {
-        if x < self.lo {
-            return None;
-        }
-        let pos = (x / self.lo).log10() * self.buckets_per_decade as f64;
-        let i = pos as usize;
-        (i < self.counts.len()).then_some(i)
-    }
-
-    /// Record one sample. Values outside the range land in under/overflow.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else {
-            match self.index(x) {
-                Some(i) => self.counts[i] += 1,
-                None => self.overflow += 1,
-            }
-        }
-    }
-
-    /// Record a duration in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile (0.0–1.0). Returns the lower edge of the bucket
-    /// containing the quantile. None when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(0.0);
-        }
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo * 10f64.powf(i as f64 / self.buckets_per_decade as f64));
-            }
-        }
-        Some(self.lo * 10f64.powi((self.counts.len() / self.buckets_per_decade) as i32))
-    }
-
-    /// p50 shorthand.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
     }
 }
 
@@ -294,7 +172,6 @@ mod tests {
         assert!((tw.mean().unwrap() - 0.625).abs() < 1e-12);
         assert_eq!(tw.min(), Some(0.0));
         assert_eq!(tw.max(), Some(1.0));
-        assert_eq!(tw.observed_secs(), 40.0);
     }
 
     #[test]
@@ -312,54 +189,30 @@ mod tests {
             o.record(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((o.mean().unwrap() - mean).abs() < 1e-12);
-        assert!((o.stddev().unwrap() - var.sqrt()).abs() < 1e-12);
+        assert_eq!(o.sum(), xs.iter().sum::<f64>());
+        assert_eq!(o.count(), xs.len() as u64);
         assert_eq!(o.min(), Some(1.0));
         assert_eq!(o.max(), Some(9.0));
     }
 
+    /// A default-built collector is an empty one: its extrema start at
+    /// ±∞, so the first sample sets both (a derived `Default` started
+    /// them at 0.0 and reported `min() == Some(0.0)` after positive
+    /// samples).
     #[test]
-    fn online_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Online::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Online::new();
-        let mut b = Online::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((a.stddev().unwrap() - whole.stddev().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone_and_bracketing() {
-        let mut h = Histogram::for_latency();
-        for i in 1..=1000 {
-            h.record(i as f64 / 1000.0); // 1ms .. 1s uniform
-        }
-        let p50 = h.median().unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 < p99);
-        assert!(p50 > 0.3 && p50 < 0.7, "p50 {p50}");
-        assert!(p99 > 0.8, "p99 {p99}");
-    }
-
-    #[test]
-    fn histogram_under_overflow() {
-        let mut h = Histogram::new(1.0, 2); // [1, 100)
-        h.record(0.5);
-        h.record(1_000.0);
-        h.record(10.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.quantile(0.0), Some(0.0)); // underflow bucket
+    fn online_default_equals_new() {
+        let mut o = Online::default();
+        assert_eq!(
+            (o.count(), o.mean(), o.min(), o.max()),
+            (0, None, None, None)
+        );
+        o.record(5.0);
+        o.record(7.0);
+        assert_eq!(o.min(), Some(5.0));
+        assert_eq!(o.max(), Some(7.0));
+        let mut neg = Online::default();
+        neg.record(-2.0);
+        assert_eq!(neg.max(), Some(-2.0));
     }
 }

@@ -172,12 +172,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
-    /// Multiply by a non-negative float (used for scaling transfer times by
-    /// bandwidth share). Non-finite or negative factors yield zero.
-    pub fn mul_f64(self, f: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * f)
-    }
-
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
@@ -369,13 +363,5 @@ mod tests {
             SimDuration::MAX
         );
         assert_eq!(SimTime::ZERO.checked_sub(SimDuration::from_nanos(1)), None);
-    }
-
-    #[test]
-    fn mul_f64_scaling() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
     }
 }

@@ -76,7 +76,8 @@ fn displaced_jobs_restore_from_checkpoints_not_scratch() {
     // Interrupt well after several checkpoint cycles.
     let victim = s.hosts()[0];
     let backup = [s.hosts()[1], s.hosts()[2]];
-    s.schedule(SimTime::from_secs(2_000), move |w, now| {
+    s.run_until(SimTime::from_secs(2_000));
+    s.act(|w, now| {
         // Kill whichever node actually hosts something.
         let mut target = victim;
         for h in [victim, backup[0], backup[1]] {
@@ -141,7 +142,8 @@ fn kill_switch_via_rest_displaces_to_other_node() {
     s.run_until(SimTime::from_secs(1_000));
     // Find the hosting node and hit its kill-switch over the REST API.
     let hosts = s.hosts().to_vec();
-    s.schedule(SimTime::from_secs(1_001), move |w, now| {
+    s.run_until(SimTime::from_secs(1_001));
+    s.act(|w, now| {
         for h in hosts {
             if w.agent(h).map(|a| a.workload_count()).unwrap_or(0) > 0 {
                 let agent = w.agent_mut(h).unwrap();
