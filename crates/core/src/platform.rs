@@ -229,7 +229,7 @@ impl PlatformStats {
 pub struct PlatformConfig {
     /// Master seed for every stochastic stream.
     pub seed: u64,
-    /// Coordinator settings (heartbeat period, strategy, …).
+    /// Coordinator settings (heartbeat period, retries, database queue, …).
     pub coordinator: CoordinatorConfig,
     /// Access link speed.
     pub access: Bandwidth,

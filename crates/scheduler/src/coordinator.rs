@@ -45,12 +45,12 @@
 //! migrate-back can't lose its home slot to an earlier queue position.
 
 use crate::directory::{Directory, NodeLiveness};
-use crate::strategy::{Selector, Strategy};
+use crate::strategy::Selector;
 use gpunion_db::{DbActor, DbActorConfig, JobState, NodeRecord, NodeState, SystemDb, WriteIntent};
 use gpunion_des::{earliest, Online, SimDuration, SimTime};
 use gpunion_protocol::{
-    AuthToken, Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry,
-    Work, WorkloadState,
+    Control, DispatchSpec, Envelope, JobId, KillReason, Message, NodeUid, TokenRegistry, Work,
+    WorkloadState,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -164,8 +164,6 @@ pub struct CoordinatorConfig {
     pub heartbeat_period: SimDuration,
     /// Heartbeats missed before a node is marked unavailable (paper: 3).
     pub missed_beats: u32,
-    /// Allocation strategy.
-    pub strategy: Strategy,
     /// How long after displacement a returning provider can reclaim its
     /// jobs (migrate-back window).
     pub migrate_back_window: SimDuration,
@@ -186,7 +184,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             heartbeat_period: SimDuration::from_secs(5),
             missed_beats: 3,
-            strategy: Strategy::RoundRobin,
             migrate_back_window: SimDuration::from_mins(30),
             max_retries: 5,
             offer_timeout: SimDuration::from_secs(10),
@@ -213,7 +210,6 @@ struct JobMeta {
     displaced_from: Option<(NodeUid, SimTime)>,
     migrating_back: bool,
     retries: u32,
-    submitted_at: SimTime,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,7 +307,6 @@ impl Coordinator {
     /// A coordinator with the given config; `seed` drives token issuance.
     /// Periodic duties (the heartbeat sweep) are armed from `SimTime::ZERO`.
     pub fn new(config: CoordinatorConfig, seed: u64) -> Self {
-        let selector = Selector::new(config.strategy);
         let db = DbActor::new(config.db, seed ^ 0xD8);
         let dir = Directory::new();
         let mut coord = Coordinator {
@@ -319,7 +314,7 @@ impl Coordinator {
             db,
             dir,
             tokens: TokenRegistry::new(),
-            selector,
+            selector: Selector::default(),
             inbox: VecDeque::new(),
             stalled: false,
             jobs: BTreeMap::new(),
@@ -392,11 +387,6 @@ impl Coordinator {
         self.db.write_latency_estimate(now)
     }
 
-    /// Time a job has been waiting (diagnostics).
-    pub fn job_wait(&self, job: JobId, now: SimTime) -> Option<SimDuration> {
-        self.jobs.get(&job).map(|m| now.since(m.submitted_at))
-    }
-
     /// The node currently hosting a job.
     pub fn job_node(&self, job: JobId) -> Option<NodeUid> {
         self.jobs.get(&job).and_then(|m| m.current_node)
@@ -407,11 +397,6 @@ impl Coordinator {
         self.jobs
             .get(&job)
             .and_then(|m| m.latest_checkpoint.clone())
-    }
-
-    /// Validate a token for a node (live-mode helper).
-    pub fn validate_token(&self, node: NodeUid, token: &AuthToken) -> bool {
-        self.tokens.validate(node, token)
     }
 
     // ---- the inbox ------------------------------------------------------
@@ -644,7 +629,6 @@ impl Coordinator {
                 displaced_from: None,
                 migrating_back: false,
                 retries: 0,
-                submitted_at: now,
             },
         );
         actions.push(CoordAction::JobEvent {
@@ -844,7 +828,6 @@ impl Coordinator {
                 });
             }
             Control::DepartureNotice { node, mode } if self.dir.get(node).is_some() => {
-                self.dir.record_interruption(node, now);
                 match mode {
                     gpunion_protocol::DepartureMode::Graceful { .. } => {
                         self.dir.set_liveness(node, NodeLiveness::Departing);
@@ -1041,7 +1024,6 @@ impl Coordinator {
             return;
         }
         self.dir.set_liveness(node, NodeLiveness::Offline);
-        self.dir.record_interruption(node, now);
         self.db
             .submit(now, WriteIntent::SetNodeState(node, NodeState::Unavailable));
         let displaced: Vec<JobId> = self
@@ -1225,7 +1207,7 @@ impl Coordinator {
     /// re-ranking anything.
     ///
     /// Runs in two phases: migrate-back candidates claim their preferred
-    /// (returning) node first, then the general drain picks per strategy.
+    /// (returning) node first, then the general drain picks round-robin.
     ///
     /// Each placement submits its dequeue transaction to the write-queue
     /// actor and pays that write's *emergent* sojourn time as its decision
@@ -1311,7 +1293,7 @@ impl Coordinator {
     /// Reserve, dequeue, and send one offer. Bails out (leaving the job
     /// pending, no offer) if the reservation cannot be fully covered —
     /// callers verify candidacy first, so this is a consistency backstop,
-    /// not a placement strategy.
+    /// not a placement policy.
     fn dispatch_offer(
         &mut self,
         now: SimTime,

@@ -1,5 +1,5 @@
-//! Per-node directory state: liveness, reliability, GPU slots, and the
-//! reservation ledger — everything the directory knows about one node.
+//! Per-node directory state: liveness, GPU slots, and the reservation
+//! ledger — everything the directory knows about one node.
 
 use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
@@ -16,46 +16,6 @@ pub enum NodeLiveness {
     Departing,
     /// Heartbeats lost or departure completed.
     Offline,
-}
-
-/// Per-provider reliability statistics (EWMA of interruption rate).
-#[derive(Debug, Clone)]
-pub struct Reliability {
-    /// Exponentially-weighted interruptions per day.
-    pub ewma_per_day: f64,
-    /// Total interruptions observed.
-    pub interruptions: u64,
-    /// When the node first registered (for rate normalization).
-    pub first_seen: SimTime,
-}
-
-impl Reliability {
-    const ALPHA: f64 = 0.3;
-
-    pub(crate) fn new(now: SimTime) -> Self {
-        Reliability {
-            ewma_per_day: 0.0,
-            interruptions: 0,
-            first_seen: now,
-        }
-    }
-
-    /// Record one interruption at `now`.
-    pub fn record_interruption(&mut self, now: SimTime) {
-        self.interruptions += 1;
-        let days = now.since(self.first_seen).as_secs_f64() / 86_400.0;
-        let observed_rate = if days > 0.01 {
-            self.interruptions as f64 / days
-        } else {
-            1.0
-        };
-        self.ewma_per_day = Self::ALPHA * observed_rate + (1.0 - Self::ALPHA) * self.ewma_per_day;
-    }
-
-    /// Score in (0, 1]: 1 = never interrupts.
-    pub fn score(&self) -> f64 {
-        1.0 / (1.0 + self.ewma_per_day)
-    }
 }
 
 /// One GPU slot as the directory models it: capacity plus reservations.
@@ -91,8 +51,6 @@ pub struct NodeEntry {
     pub last_heartbeat: SimTime,
     /// Last heartbeat sequence.
     pub last_seq: u64,
-    /// Reliability statistics.
-    pub reliability: Reliability,
     slots: Vec<GpuSlot>,
     /// Reservations per job: bytes per GPU plus the exact slot indices
     /// debited, so release undoes precisely what reserve did even when a
@@ -124,7 +82,6 @@ impl NodeEntry {
             liveness: NodeLiveness::Active,
             last_heartbeat: now,
             last_seq: 0,
-            reliability: Reliability::new(now),
             slots,
             reservations: HashMap::new(),
         }
@@ -205,11 +162,6 @@ impl NodeEntry {
         eligible >= spec.gpus as usize
     }
 
-    /// Total effective free VRAM (for load-based ranking).
-    pub fn total_free(&self) -> u64 {
-        self.slots.iter().map(|s| s.effective_free()).sum()
-    }
-
     /// Largest single-slot effective free VRAM (the index bucket input).
     pub fn max_slot_free(&self) -> u64 {
         self.slots
@@ -217,14 +169,6 @@ impl NodeEntry {
             .map(|s| s.effective_free())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Fastest eligible device's TFLOPS (speed-aware ranking).
-    pub fn best_tflops(&self) -> f64 {
-        self.slots
-            .iter()
-            .map(|s| s.info.fp32_tflops)
-            .fold(0.0, f64::max)
     }
 
     /// Highest compute capability present on the node.
@@ -279,11 +223,6 @@ impl NodeEntry {
                 }
             }
         }
-    }
-
-    /// Jobs with live reservations on this node.
-    pub fn reserved_jobs(&self) -> Vec<JobId> {
-        self.reservations.keys().copied().collect()
     }
 
     /// Does `job` hold a reservation here?

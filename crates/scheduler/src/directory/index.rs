@@ -1,15 +1,13 @@
 //! The incremental capacity index over the directory's nodes.
 //!
 //! Every mutation of the directory repositions the affected node here in
-//! O(log n). The index keeps *ordered* views, so each read accessor
-//! yields uids straight off a set in the order a strategy picks in, with
-//! ties inside a sort dimension (equal free VRAM, equal TFLOPS) broken on
-//! the lower uid.
+//! O(log n). The index keeps two *ordered* views: capacity classes whose
+//! members sit in uid order (the round-robin walk), and heartbeat recency
+//! (staleness sweeps).
 
 use super::entry::{NodeEntry, NodeLiveness};
 use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, NodeUid};
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Free-VRAM bucket: floor(log2(bytes)), so bucket `b` holds nodes whose
@@ -23,33 +21,16 @@ pub(crate) fn vram_bucket(bytes: u64) -> u8 {
     }
 }
 
-/// GPU speed tier from peak FP32 TFLOPS. Monotone in TFLOPS, so tier order
-/// agrees with speed order across tiers; ties inside a tier are resolved by
-/// the exact value at ranking time.
-pub(crate) fn speed_tier(tflops: f64) -> u8 {
-    if tflops < 25.0 {
-        0
-    } else if tflops < 50.0 {
-        1
-    } else if tflops < 100.0 {
-        2
-    } else {
-        3
-    }
-}
-
-/// Index class of a node: (free-VRAM bucket, compute capability, speed tier).
+/// Index class of a node: (free-VRAM bucket, compute capability).
 ///
-/// Ordered by bucket first so `candidates` can range-scan "every class with
-/// at least this much free per-slot VRAM". The tier keeps same-speed-class
-/// nodes co-located for tier-constrained queries; it is static per node
-/// (TFLOPS come from the registration inventory), so it never causes
-/// reclassification churn — only `bucket` moves as capacity changes.
+/// Ordered by bucket first so a walk can range-scan "every class with at
+/// least this much free per-slot VRAM". The compute capability is static
+/// per node (it comes from the registration inventory); only `bucket`
+/// moves as capacity changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct ClassKey {
     bucket: u8,
     cc: (u8, u8),
-    tier: u8,
 }
 
 /// The weakest class that could host a spec: a node eligible for it has a
@@ -86,8 +67,6 @@ impl ClassFloor {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexedAt {
     class: ClassKey,
-    total_free: u64,
-    speed_bits: u64,
     heartbeat: SimTime,
 }
 
@@ -105,28 +84,20 @@ enum Filed {
 
 /// The incremental capacity index.
 ///
-/// Maintains three ordered views over the *schedulable* (Active) nodes —
-/// by capacity class for eligibility pruning and round-robin (each class's
-/// members sit in uid order), by total free VRAM for least-loaded picks,
-/// and by device speed for fastest-device picks — plus a heartbeat-recency
-/// view over all non-offline nodes for staleness sweeps.
+/// Maintains a capacity-class view over the *schedulable* (Active) nodes
+/// for eligibility pruning and round-robin (each class's members sit in uid
+/// order), plus a heartbeat-recency view over all non-offline nodes for
+/// staleness sweeps.
 #[derive(Debug, Default)]
 pub(crate) struct CapacityIndex {
-    /// (bucket, cc, tier) → members.
+    /// (bucket, cc) → members.
     by_class: BTreeMap<ClassKey, BTreeSet<NodeUid>>,
-    /// (total effective free, uid): iterate in reverse for least-loaded.
-    /// `Reverse<NodeUid>` makes the reverse iteration tie-break on low uid.
-    by_free: BTreeSet<(u64, Reverse<NodeUid>)>,
-    /// (tflops bits, uid): iterate in reverse for fastest-device.
-    by_speed: BTreeSet<(u64, Reverse<NodeUid>)>,
     /// (last heartbeat, uid) over non-offline nodes (staleness sweeps).
     by_heartbeat: BTreeSet<(SimTime, NodeUid)>,
     /// How every node is filed, indexed by uid (`NodeUid::slot`; uids are
     /// dense, so this is a table, not a hash per refresh). Grown on first
     /// sight; a slot past the end is `Nowhere`.
     filed: Vec<Filed>,
-    /// How many slots are `Scheduled`.
-    scheduled: usize,
 }
 
 /// Equal views and an equal filing of every node: `filed` may end in
@@ -139,11 +110,8 @@ impl PartialEq for CapacityIndex {
             &f[..len.map_or(0, |i| i + 1)]
         }
         self.by_class == other.by_class
-            && self.by_free == other.by_free
-            && self.by_speed == other.by_speed
             && self.by_heartbeat == other.by_heartbeat
             && trimmed(&self.filed) == trimmed(&other.filed)
-            && self.scheduled == other.scheduled
     }
 }
 
@@ -153,10 +121,7 @@ impl CapacityIndex {
             class: ClassKey {
                 bucket: vram_bucket(entry.max_slot_free()),
                 cc: entry.max_cc(),
-                tier: speed_tier(entry.best_tflops()),
             },
-            total_free: entry.total_free(),
-            speed_bits: entry.best_tflops().to_bits(),
             heartbeat: entry.last_heartbeat,
         }
     }
@@ -169,15 +134,12 @@ impl CapacityIndex {
         match std::mem::take(filed) {
             Filed::Nowhere => {}
             Filed::Scheduled(at) => {
-                self.scheduled -= 1;
                 if let Some(set) = self.by_class.get_mut(&at.class) {
                     set.remove(&uid);
                     if set.is_empty() {
                         self.by_class.remove(&at.class);
                     }
                 }
-                self.by_free.remove(&(at.total_free, Reverse(uid)));
-                self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
                 self.by_heartbeat.remove(&(at.heartbeat, uid));
             }
             Filed::Unscheduled(hb) => {
@@ -200,11 +162,11 @@ impl CapacityIndex {
     /// Re-derive a node's index position from its current entry state.
     ///
     /// A node that was indexed as Active and still is keeps its place in
-    /// every view whose key did not move — a plain heartbeat repositions
-    /// it in `by_heartbeat` alone; a reservation, a release or telemetry
-    /// that changes free VRAM moves `by_free` (and `by_class` when the
-    /// largest slot crosses a bucket); a re-registration with other
-    /// hardware moves whatever its inventory changed. Any other case —
+    /// every view whose key did not move — a heartbeat repositions it in
+    /// `by_heartbeat`; a reservation, a release, telemetry or a
+    /// re-registration with other hardware moves it in `by_class` only
+    /// when its largest free slot crosses a bucket or its compute
+    /// capability changes. Any other case —
     /// first sight, or liveness entering or leaving Active — takes the
     /// node out of every view and files it under its new liveness.
     pub(crate) fn refresh(&mut self, entry: &NodeEntry) {
@@ -215,14 +177,6 @@ impl CapacityIndex {
                 let at = std::mem::replace(slot, now);
                 if now.class != at.class {
                     self.move_class(uid, at.class, now.class);
-                }
-                if now.total_free != at.total_free {
-                    self.by_free.remove(&(at.total_free, Reverse(uid)));
-                    self.by_free.insert((now.total_free, Reverse(uid)));
-                }
-                if now.speed_bits != at.speed_bits {
-                    self.by_speed.remove(&(at.speed_bits, Reverse(uid)));
-                    self.by_speed.insert((now.speed_bits, Reverse(uid)));
                 }
                 if now.heartbeat != at.heartbeat {
                     self.by_heartbeat.remove(&(at.heartbeat, uid));
@@ -236,10 +190,7 @@ impl CapacityIndex {
             NodeLiveness::Active => {
                 let at = Self::summarize(entry);
                 self.by_class.entry(at.class).or_default().insert(uid);
-                self.by_free.insert((at.total_free, Reverse(uid)));
-                self.by_speed.insert((at.speed_bits, Reverse(uid)));
                 self.by_heartbeat.insert((at.heartbeat, uid));
-                self.scheduled += 1;
                 Filed::Scheduled(at)
             }
             NodeLiveness::Paused | NodeLiveness::Departing => {
@@ -266,47 +217,18 @@ impl CapacityIndex {
         index
     }
 
-    /// Schedulable (Active) node count.
-    pub(crate) fn schedulable(&self) -> usize {
-        self.scheduled
-    }
-
     // ---- ordered read views -----------------------------------------
 
     /// The classes `floor` admits, ascending class order.
-    fn classes_from(
-        &self,
-        floor: ClassFloor,
-    ) -> impl DoubleEndedIterator<Item = (&ClassKey, &BTreeSet<NodeUid>)> + '_ {
+    fn classes_from(&self, floor: ClassFloor) -> impl Iterator<Item = &BTreeSet<NodeUid>> + '_ {
         let lowest = ClassKey {
             bucket: floor.bucket,
             cc: (0, 0),
-            tier: 0,
         };
         self.by_class
             .range(lowest..)
             .filter(move |(k, _)| floor.min_cc.is_none_or(|cc| k.cc >= cc))
-    }
-
-    /// Members of the classes `floor` admits: largest-free classes first,
-    /// uid ascending within a class — the candidate order. Superset of the
-    /// exact answer; callers verify per node.
-    pub(crate) fn class_stream(&self, floor: ClassFloor) -> impl Iterator<Item = NodeUid> + '_ {
-        self.classes_from(floor)
-            .rev()
-            .flat_map(|(_, set)| set.iter().copied())
-    }
-
-    /// Most total free VRAM first, uid ascending on ties (the
-    /// least-loaded order).
-    pub(crate) fn free_stream(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        self.by_free.iter().rev().map(|&(_, Reverse(uid))| uid)
-    }
-
-    /// Fastest best device first, uid ascending on ties (the
-    /// fastest-device order).
-    pub(crate) fn speed_stream(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        self.by_speed.iter().rev().map(|&(_, Reverse(uid))| uid)
+            .map(|(_, set)| set)
     }
 
     /// Smallest uid in `range` among the members of the classes `floor`
@@ -320,7 +242,7 @@ impl CapacityIndex {
         range: (std::ops::Bound<NodeUid>, std::ops::Bound<NodeUid>),
     ) -> Option<NodeUid> {
         self.classes_from(floor)
-            .filter_map(|(_, set)| set.range(range).next().copied())
+            .filter_map(|set| set.range(range).next().copied())
             .min()
     }
 

@@ -2,22 +2,22 @@
 //! one incrementally maintained capacity index.
 //!
 //! Built from registration inventories and refreshed by heartbeats, the
-//! directory answers the placement questions ("which nodes could run this
-//! job right now?") and tracks per-provider reliability — the paper's
-//! "provider reliability predictions and degradation mechanisms".
+//! directory answers the placement question ("which node could run this
+//! job right now?") and the failure detector's ("whose heartbeat is
+//! stale?").
 //!
 //! Placement never rescans the world: every mutation (registration,
 //! heartbeat, reservation, release, liveness change) updates the
-//! `CapacityIndex` in place, and the read surface walks its ordered views
-//! (by candidate class, by free VRAM, by device speed, by heartbeat
-//! recency). The index prunes by free-VRAM bucket / compute capability /
-//! GPU speed tier and verifies each surviving node exactly, so its answers
-//! are identical to a brute-force scan at a fraction of the cost.
+//! `CapacityIndex` in place, and the read surface walks its two ordered
+//! views (by capacity class, by heartbeat recency). The round-robin walk
+//! prunes by free-VRAM bucket and compute capability and its caller
+//! verifies each surviving node exactly, so its answers are identical to a
+//! brute-force scan at a fraction of the cost.
 
 mod entry;
 mod index;
 
-pub use entry::{NodeEntry, NodeLiveness, Reliability};
+pub use entry::{NodeEntry, NodeLiveness};
 
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
@@ -66,15 +66,12 @@ impl Directory {
     ) -> (NodeUid, bool) {
         let known = self.by_machine.get(machine_id).copied();
         let uid = known.unwrap_or(NodeUid(self.nodes.len() as u64));
-        let mut entry =
-            NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
+        let entry = NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
         self.index.refresh(&entry);
         match known {
-            // Returning provider: refresh inventory, preserve reliability.
+            // Returning provider: a fresh entry with the new inventory.
             Some(_) => {
-                let old = &mut self.nodes[uid.slot()];
-                entry.reliability = old.reliability.clone();
-                *old = entry;
+                self.nodes[uid.slot()] = entry;
                 self.liveness[uid.slot()] = NodeLiveness::Active;
             }
             None => {
@@ -154,13 +151,6 @@ impl Directory {
         Some(prev)
     }
 
-    /// Record a provider interruption against a node's reliability stats.
-    pub fn record_interruption(&mut self, uid: NodeUid, now: SimTime) {
-        if let Some(e) = self.nodes.get_mut(uid.slot()) {
-            e.reliability.record_interruption(now);
-        }
-    }
-
     /// All entries, uid order.
     pub fn iter(&self) -> impl Iterator<Item = &NodeEntry> {
         self.nodes.iter()
@@ -174,26 +164,6 @@ impl Directory {
     /// Is the directory empty?
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Schedulable (Active) node count, from the index.
-    pub fn schedulable(&self) -> usize {
-        self.index.schedulable()
-    }
-
-    /// Nodes eligible to host `spec` right now: the index prunes by
-    /// (free-VRAM bucket, compute capability) class — largest-free classes
-    /// first, uid ascending within a class — and every surviving node is
-    /// verified exactly. Agrees with a brute-force scan over all Active
-    /// entries.
-    pub fn candidates<'a>(
-        &'a self,
-        spec: &'a DispatchSpec,
-    ) -> impl Iterator<Item = &'a NodeEntry> + 'a {
-        self.index
-            .class_stream(ClassFloor::of(spec))
-            .filter_map(|uid| self.get(uid))
-            .filter(move |e| e.eligible_for(spec))
     }
 
     /// Is `uid` Active and able to host `spec`? (Preferred-node fast path.)
@@ -225,19 +195,7 @@ impl Directory {
             .collect()
     }
 
-    // ---- ordered views (strategy-internal fast paths) ------------------
-
-    /// Active uids by total effective free VRAM, most-free first (uid
-    /// ascending on ties) — the least-loaded pick order.
-    pub(crate) fn by_free_desc(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        self.index.free_stream()
-    }
-
-    /// Active uids by best-device TFLOPS, fastest first (uid ascending on
-    /// ties) — the fastest-device pick order.
-    pub(crate) fn by_speed_desc(&self) -> impl Iterator<Item = NodeUid> + '_ {
-        self.index.speed_stream()
-    }
+    // ---- the round-robin walk ------------------------------------------
 
     /// Active uids starting at `cursor`, wrapping around once — the
     /// round-robin scan order, read off the node map without the index.
@@ -313,7 +271,7 @@ mod tests {
         }
     }
 
-    /// The ground truth `candidates` must match.
+    /// The ground truth the index must match.
     fn brute_force(d: &Directory, s: &DispatchSpec) -> Vec<NodeUid> {
         let mut v: Vec<NodeUid> = d
             .iter()
@@ -325,10 +283,12 @@ mod tests {
         v
     }
 
+    /// Every node the round-robin walk finds for `s`, verified as a pick
+    /// verifies it, in uid order (the walk from uid 0 yields uid order).
     fn indexed(d: &Directory, s: &DispatchSpec) -> Vec<NodeUid> {
-        let mut v: Vec<NodeUid> = d.candidates(s).map(|e| e.uid).collect();
-        v.sort();
-        v
+        d.round_robin_candidates(ClassFloor::of(s), NodeUid(0))
+            .filter(|uid| d.is_candidate(*uid, s))
+            .collect()
     }
 
     #[test]
@@ -343,18 +303,6 @@ mod tests {
         assert_eq!(a, a2);
         assert!(ret);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.schedulable(), 2);
-    }
-
-    #[test]
-    fn returning_node_keeps_reliability_history() {
-        let mut d = Directory::new();
-        let (uid, _) = d.register("m-1", "ws-1", gpus(1, GpuModel::Rtx3090), t(0));
-        d.record_interruption(uid, t(3600));
-        let before = d.get(uid).unwrap().reliability.interruptions;
-        let (_, ret) = d.register("m-1", "ws-1", gpus(1, GpuModel::Rtx3090), t(7200));
-        assert!(ret);
-        assert_eq!(d.get(uid).unwrap().reliability.interruptions, before);
     }
 
     #[test]
@@ -427,10 +375,10 @@ mod tests {
         );
         d.release(uid, JobId(2));
         // Job 1's hold still stands: only 8 GB effectively free.
-        assert_eq!(d.get(uid).unwrap().total_free(), 8 << 30);
+        assert_eq!(d.get(uid).unwrap().max_slot_free(), 8 << 30);
         assert!(indexed(&d, &spec(16 << 30, 1, None)).is_empty());
         d.release(uid, JobId(1));
-        assert_eq!(d.get(uid).unwrap().total_free(), 24 << 30);
+        assert_eq!(d.get(uid).unwrap().max_slot_free(), 24 << 30);
     }
 
     #[test]
@@ -441,7 +389,7 @@ mod tests {
         d.reserve(uid, JobId(1), 1, 8 << 30, None);
         // One release restores everything: no double-counted slot bytes.
         d.release(uid, JobId(1));
-        assert_eq!(d.get(uid).unwrap().total_free(), 24 << 30);
+        assert_eq!(d.get(uid).unwrap().max_slot_free(), 24 << 30);
     }
 
     #[test]
@@ -472,21 +420,8 @@ mod tests {
         );
         assert!(!d.is_candidate(uid, &s));
         assert!(indexed(&d, &s).is_empty());
-        assert_eq!(d.schedulable(), 0);
         d.set_liveness(uid, NodeLiveness::Active);
         assert_eq!(indexed(&d, &s), vec![uid]);
-    }
-
-    #[test]
-    fn reliability_score_decays_with_interruptions() {
-        let mut r = Reliability::new(t(0));
-        assert_eq!(r.score(), 1.0);
-        r.record_interruption(t(86_400)); // 1/day
-        let s1 = r.score();
-        r.record_interruption(t(86_400 + 3_600));
-        let s2 = r.score();
-        assert!(s1 < 1.0);
-        assert!(s2 < s1);
     }
 
     #[test]
@@ -553,7 +488,7 @@ mod tests {
                 );
             }
             3 => d.release(NodeUid(a), JobId(b)),
-            4 => {
+            _ => {
                 let l = match b % 4 {
                     0 => NodeLiveness::Active,
                     1 => NodeLiveness::Paused,
@@ -562,17 +497,16 @@ mod tests {
                 };
                 d.set_liveness(NodeUid(a), l);
             }
-            _ => d.record_interruption(NodeUid(a), t(b)),
         }
     }
 
     proptest::proptest! {
-        /// `candidates` must agree with the brute-force full scan after any
-        /// interleaving of registrations, heartbeats, reservations,
-        /// releases, and liveness flips.
+        /// The round-robin walk, verified per node, must agree with the
+        /// brute-force full scan after any interleaving of registrations,
+        /// heartbeats, reservations, releases, and liveness flips.
         #[test]
         fn prop_candidates_agree_with_full_scan(
-            ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..120),
+            ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..48), 1..120),
             mem_gb in 0u64..80,
             want_gpus in 1u8..4,
             cc_minor in proptest::option::of(0u8..10),
@@ -589,31 +523,29 @@ mod tests {
         /// after every step of any interleaving — registrations and
         /// re-registrations with other hardware, heartbeats that pause,
         /// resume and revive, reservations, releases, liveness flips — it
-        /// must equal the index filed from scratch from the entries: all
-        /// four views and how each node is filed (the uid table compared
+        /// must equal the index filed from scratch from the entries: both
+        /// views and how each node is filed (the uid table compared
         /// up to trailing empty slots — the rebuild never grew them). And
         /// the uid-indexed node table must stay the map it replaced, and
         /// the liveness table the entries' liveness.
         #[test]
         fn prop_diffed_index_equals_a_rebuild_after_every_step(
-            ops in proptest::collection::vec((0u8..6, 0u64..12, 0u64..48), 1..120),
+            ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..48), 1..120),
         ) {
             let mut d = Directory::new();
             for (op, a, b) in ops {
                 // What a registration (op 0) of this machine must preserve.
                 let known = d.by_machine.get(&format!("m-{a}")).copied().filter(|_| op == 0);
-                let history = known.map(|uid| d.get(uid).unwrap().reliability.interruptions);
                 let len = d.len();
                 apply_op(&mut d, op, a, b);
                 proptest::prop_assert_eq!(&d.index, &CapacityIndex::rebuilt(d.iter()));
-                // The table: a known machine comes back to its own slot
-                // with its history, a new one takes the next uid, slot `i`
+                // The table: a known machine comes back to its own slot,
+                // a new one takes the next uid, slot `i`
                 // holds uid `i`, and a uid never issued has no entry.
                 if let Some(uid) = known {
                     proptest::prop_assert_eq!(d.len(), len);
                     let e = d.get(uid).unwrap();
                     proptest::prop_assert_eq!(&e.machine_id, &format!("m-{a}"));
-                    proptest::prop_assert_eq!(Some(e.reliability.interruptions), history);
                     proptest::prop_assert_eq!(e.last_heartbeat, t(b));
                 } else {
                     proptest::prop_assert_eq!(d.len(), len + usize::from(op == 0));

@@ -1,8 +1,9 @@
 //! # gpunion-scheduler — the central coordinator
 //!
 //! The coordination hub of §3.2 as a single-owner actor: node
-//! [`directory::Directory`] fed by registrations and heartbeats, allocation
-//! [`strategy::Strategy`]s over the database-resident pending queue,
+//! [`directory::Directory`] fed by registrations and heartbeats, round-robin
+//! placement ([`strategy::Selector`]) over the database-resident pending
+//! queue,
 //! heartbeat-loss failure detection (three missed beats), displacement +
 //! checkpoint-restore migration, and migrate-back when providers return.
 //! All mutating traffic enters through the coordinator's bounded inbox of
@@ -24,8 +25,8 @@ pub use coordinator::{
     CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, CoordinatorStats, JobEvent,
     SendOutcome,
 };
-pub use directory::{Directory, NodeEntry, NodeLiveness, Reliability};
-pub use strategy::{Selector, Strategy};
+pub use directory::{Directory, NodeEntry, NodeLiveness};
+pub use strategy::Selector;
 
 #[cfg(test)]
 mod tests {

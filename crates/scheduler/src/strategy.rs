@@ -1,171 +1,55 @@
-//! Allocation strategies over the capacity index.
+//! Round-robin placement over the capacity index.
 //!
-//! §3.2: "The scheduler implements multiple allocation strategies, including
-//! distribution for fairness and assignment based on priority for
-//! time-sensitive workloads", with "provider reliability predictions" folded
-//! into placement (§3.5). Each strategy ranks the eligible nodes for one
-//! job; the coordinator dispatches to the first and falls through on
-//! rejection.
+//! §3.5: the allocator is "a round-robin scheduler which processes pending
+//! resource requests from a priority queue". [`Selector::pick`] — the hot
+//! path the batched scheduling pass drains jobs through — walks uid order
+//! from a cursor over the members of the capacity classes that could serve
+//! the job's shape (free-VRAM bucket and compute capability at or above the
+//! spec's floor), not over every Active node, and verifies each walked node
+//! exactly.
 //!
-//! [`Selector::pick`] — the hot path the batched scheduling pass drains
-//! jobs through — pops from the directory's ordered index views and
-//! verifies each popped node exactly. What a pick costs depends on the
-//! strategy and on how full the fleet is:
-//!
-//! * **Round-robin** (the paper's default) walks uid order over the
-//!   members of the capacity classes that could serve the job's shape
-//!   (free-VRAM bucket and compute capability at or above the spec's
-//!   floor), not over every Active node. On a fleet where most nodes are
-//!   eligible a pick is O(classes · log n) per candidate it examines. On
-//!   a **saturated** fleet — many pending jobs, no free node, the regime
-//!   a campus short of GPUs lives in — a pick that finds nothing costs
-//!   O(classes) set lookups and verifies only the nodes of the floor
-//!   bucket itself, instead of walking the fleet once per pending job.
-//! * **Least-loaded** and **fastest-device** pop free-capacity and
-//!   device-speed order over *all* Active nodes: O(1) when the front of
-//!   the order is eligible, O(fleet) when nothing is.
-//! * **Reliability-aware** scores the index's pre-filtered candidate set.
-//!
-//! [`Selector::rank`] returns the full ordering (diagnostics, tests,
-//! embedding loops that want fallbacks) over the same pre-filtered set.
+//! On a fleet where most nodes are eligible a pick is O(classes · log n)
+//! per candidate it examines. On a **saturated** fleet — many pending jobs,
+//! no free node, the regime a campus short of GPUs lives in — a pick that
+//! finds nothing costs O(classes) set lookups and verifies only the nodes
+//! of the floor bucket itself, instead of walking the fleet once per
+//! pending job.
 
-use crate::directory::{ClassFloor, Directory, NodeEntry};
+use crate::directory::{ClassFloor, Directory};
 use gpunion_protocol::{DispatchSpec, NodeUid};
-use serde::{Deserialize, Serialize};
 
-/// Selectable allocation strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Strategy {
-    /// Rotate through eligible nodes — the paper's default ("a round-robin
-    /// scheduler which processes pending resource requests from a priority
-    /// queue").
-    RoundRobin,
-    /// Most free VRAM first (spreads load, helps interactive latency).
-    LeastLoaded,
-    /// Weight free capacity by the provider's reliability score — long jobs
-    /// avoid flaky volunteers.
-    ReliabilityAware,
-    /// Fastest eligible device first (minimizes training makespan on
-    /// heterogeneous fleets).
-    FastestDevice,
-}
-
-/// Stateful selector (round-robin needs a cursor).
+/// The round-robin selector: a cursor the next walk starts at.
 #[derive(Debug)]
 pub struct Selector {
-    strategy: Strategy,
     /// Round-robin resumes scanning at this uid.
     rr_cursor: NodeUid,
 }
 
-impl Selector {
-    /// New selector.
-    pub fn new(strategy: Strategy) -> Self {
+impl Default for Selector {
+    fn default() -> Self {
         Selector {
-            strategy,
             rr_cursor: NodeUid(0),
         }
     }
+}
 
-    /// Which strategy this selector implements.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    fn eligible<'a>(
-        dir: &'a Directory,
-        spec: &'a DispatchSpec,
-        exclude: &'a [NodeUid],
-    ) -> impl Iterator<Item = &'a NodeEntry> + 'a {
-        dir.candidates(spec).filter(|e| !exclude.contains(&e.uid))
-    }
-
-    fn reliability_score(e: &NodeEntry) -> f64 {
-        e.total_free() as f64 * e.reliability.score()
-    }
-
-    /// The single best node for `spec`, advancing round-robin state. This
-    /// is the scheduling pass's fast path: ordered index views are popped
-    /// and verified until one eligible node survives (costs per strategy
-    /// in the module docs).
+impl Selector {
+    /// The next node in round-robin order that can host `spec` and is not
+    /// in `exclude`; a hit advances the cursor past it, a miss leaves it.
     pub fn pick(
         &mut self,
         dir: &Directory,
         spec: &DispatchSpec,
         exclude: &[NodeUid],
     ) -> Option<NodeUid> {
-        let ok = |uid: &NodeUid| !exclude.contains(uid) && dir.is_candidate(*uid, spec);
-        match self.strategy {
-            Strategy::RoundRobin => {
-                // Exactly `dir.round_robin_from(cursor).find(ok)` (tested
-                // against it): the walk skips only nodes outside the
-                // classes that could host `spec`, which `ok` rejects.
-                let hit = dir
-                    .round_robin_candidates(ClassFloor::of(spec), self.rr_cursor)
-                    .find(ok)?;
-                self.rr_cursor = NodeUid(hit.0 + 1);
-                Some(hit)
-            }
-            Strategy::LeastLoaded => dir.by_free_desc().find(ok),
-            Strategy::FastestDevice => dir.by_speed_desc().find(ok),
-            Strategy::ReliabilityAware => Self::eligible(dir, spec, exclude)
-                .max_by(|a, b| {
-                    Self::reliability_score(a)
-                        .partial_cmp(&Self::reliability_score(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        // On equal score prefer the lower uid (rank order).
-                        .then(b.uid.cmp(&a.uid))
-                })
-                .map(|e| e.uid),
-        }
-    }
-
-    /// Rank eligible nodes for `spec`, best first. `exclude` lists nodes
-    /// that already rejected this job (or just failed). Orders the index's
-    /// candidate set without touching ineligible nodes. Like [`Self::pick`]
-    /// this counts as a placement turn: under round-robin it advances the
-    /// shared cursor, so don't interleave it with `pick` on one selector
-    /// expecting the rotation to be unaffected.
-    pub fn rank(
-        &mut self,
-        dir: &Directory,
-        spec: &DispatchSpec,
-        exclude: &[NodeUid],
-    ) -> Vec<NodeUid> {
-        let mut nodes: Vec<&NodeEntry> = Self::eligible(dir, spec, exclude).collect();
-        match self.strategy {
-            Strategy::RoundRobin => {
-                // Uid order, starting from the cursor (wrapping).
-                nodes.sort_by_key(|e| e.uid);
-                let k = nodes.partition_point(|e| e.uid < self.rr_cursor);
-                if k < nodes.len() {
-                    nodes.rotate_left(k);
-                }
-                if let Some(front) = nodes.first() {
-                    self.rr_cursor = NodeUid(front.uid.0 + 1);
-                }
-            }
-            Strategy::LeastLoaded => {
-                nodes.sort_by(|a, b| b.total_free().cmp(&a.total_free()).then(a.uid.cmp(&b.uid)));
-            }
-            Strategy::ReliabilityAware => {
-                nodes.sort_by(|a, b| {
-                    Self::reliability_score(b)
-                        .partial_cmp(&Self::reliability_score(a))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.uid.cmp(&b.uid))
-                });
-            }
-            Strategy::FastestDevice => {
-                nodes.sort_by(|a, b| {
-                    b.best_tflops()
-                        .partial_cmp(&a.best_tflops())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.uid.cmp(&b.uid))
-                });
-            }
-        }
-        nodes.into_iter().map(|e| e.uid).collect()
+        // Exactly `dir.round_robin_from(cursor).find(ok)` (tested against
+        // it): the walk skips only nodes outside the classes that could
+        // host `spec`, which `ok` rejects.
+        let hit = dir
+            .round_robin_candidates(ClassFloor::of(spec), self.rr_cursor)
+            .find(|uid| !exclude.contains(uid) && dir.is_candidate(*uid, spec))?;
+        self.rr_cursor = NodeUid(hit.0 + 1);
+        Some(hit)
     }
 }
 
@@ -216,86 +100,32 @@ mod tests {
         (d, uids)
     }
 
+    /// The rotation skips a node that cannot host the job, and a node that
+    /// frees up rejoins it at its place in uid order.
     #[test]
     fn round_robin_rotates() {
-        let (d, uids) = three_node_dir();
-        let mut sel = Selector::new(Strategy::RoundRobin);
-        let first: Vec<NodeUid> = (0..3).map(|_| sel.rank(&d, &spec(4), &[])[0]).collect();
-        assert_eq!(first, uids, "each pass starts at the next node");
-        // The cursor wraps back around.
-        assert_eq!(sel.rank(&d, &spec(4), &[])[0], uids[0]);
-    }
-
-    #[test]
-    fn pick_matches_rank_front_for_every_strategy() {
-        for strategy in [
-            Strategy::RoundRobin,
-            Strategy::LeastLoaded,
-            Strategy::ReliabilityAware,
-            Strategy::FastestDevice,
-        ] {
-            let (mut d, uids) = three_node_dir();
-            d.reserve(uids[2], JobId(9), 1, 40 << 30, None);
-            d.record_interruption(uids[1], t(9_000));
-            // Two independent selectors must agree pick == rank[0].
-            let mut a = Selector::new(strategy);
-            let mut b = Selector::new(strategy);
-            for round in 0..4 {
-                let ranked = a.rank(&d, &spec(4), &[]);
-                let picked = b.pick(&d, &spec(4), &[]);
-                assert_eq!(
-                    picked,
-                    ranked.first().copied(),
-                    "{strategy:?} round {round}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn least_loaded_prefers_free_vram() {
         let (mut d, uids) = three_node_dir();
-        // Reserve most of node 2 (A6000, 48 GB): big but busy.
-        d.reserve(uids[2], JobId(9), 1, 40 << 30, None);
-        let mut sel = Selector::new(Strategy::LeastLoaded);
-        let ranked = sel.rank(&d, &spec(4), &[]);
-        // 3090/4090 both 24 GB free > A6000's 8 GB remaining.
-        assert_eq!(*ranked.last().unwrap(), uids[2]);
-    }
-
-    #[test]
-    fn reliability_aware_penalizes_flaky() {
-        let (mut d, uids) = three_node_dir();
-        // Node 1 (4090) interrupts constantly.
-        for day in 1..6 {
-            d.record_interruption(uids[1], t(day * 10_000));
-        }
-        let mut sel = Selector::new(Strategy::ReliabilityAware);
-        let ranked = sel.rank(&d, &spec(4), &[]);
-        assert_eq!(*ranked.last().unwrap(), uids[1], "flaky node ranked last");
-    }
-
-    #[test]
-    fn fastest_device_prefers_4090() {
-        let (d, uids) = three_node_dir();
-        let mut sel = Selector::new(Strategy::FastestDevice);
-        let ranked = sel.rank(&d, &spec(4), &[]);
-        assert_eq!(ranked[0], uids[1], "RTX 4090 has the highest TFLOPS");
-        let mut sel = Selector::new(Strategy::FastestDevice);
+        // 2 GB left on the 4090: too little for a 4 GB job.
+        d.reserve(uids[1], JobId(9), 1, 22 << 30, None);
+        let mut sel = Selector::default();
+        let picks: Vec<_> = (0..3).map(|_| sel.pick(&d, &spec(4), &[])).collect();
+        assert_eq!(picks, [Some(uids[0]), Some(uids[2]), Some(uids[0])]);
+        d.release(uids[1], JobId(9));
         assert_eq!(sel.pick(&d, &spec(4), &[]), Some(uids[1]));
     }
 
     #[test]
     fn exclusion_and_capacity_filters() {
         let (d, uids) = three_node_dir();
-        let mut sel = Selector::new(Strategy::LeastLoaded);
-        // 30 GB only fits the A6000.
-        let ranked = sel.rank(&d, &spec(30), &[]);
-        assert_eq!(ranked, vec![uids[2]]);
+        let mut sel = Selector::default();
+        // 30 GB only fits the A6000, wherever the cursor stands.
+        for _ in 0..3 {
+            assert_eq!(sel.pick(&d, &spec(30), &[]), Some(uids[2]));
+        }
         // Excluding it leaves nothing.
-        let ranked = sel.rank(&d, &spec(30), &[uids[2]]);
-        assert!(ranked.is_empty());
         assert_eq!(sel.pick(&d, &spec(30), &[uids[2]]), None);
+        // An excluded node is passed over, not the end of the walk.
+        assert_eq!(sel.pick(&d, &spec(4), &[uids[0]]), Some(uids[1]));
     }
 
     #[test]
@@ -303,15 +133,16 @@ mod tests {
         let (mut d, uids) = three_node_dir();
         d.set_liveness(uids[0], NodeLiveness::Paused);
         d.set_liveness(uids[1], NodeLiveness::Offline);
-        let mut sel = Selector::new(Strategy::RoundRobin);
-        let ranked = sel.rank(&d, &spec(4), &[]);
-        assert_eq!(ranked, vec![uids[2]]);
+        let mut sel = Selector::default();
+        for _ in 0..2 {
+            assert_eq!(sel.pick(&d, &spec(4), &[]), Some(uids[2]));
+        }
     }
 
     #[test]
     fn round_robin_pick_spreads_across_the_fleet() {
         let (d, uids) = three_node_dir();
-        let mut sel = Selector::new(Strategy::RoundRobin);
+        let mut sel = Selector::default();
         let picks: Vec<NodeUid> = (0..6).filter_map(|_| sel.pick(&d, &spec(4), &[])).collect();
         assert_eq!(picks, [&uids[..], &uids[..]].concat(), "wraps twice");
     }
@@ -332,7 +163,7 @@ mod tests {
     fn released_node_inside_the_buffered_span_is_not_skipped() {
         let mut d = uniform_dir(3);
         d.reserve(NodeUid(1), JobId(9), 1, 20 << 30, None);
-        let mut sel = Selector::new(Strategy::RoundRobin);
+        let mut sel = Selector::default();
         // Node 1 has 4 GB free: outside every class a 16 GB job can use,
         // so this pick's walk is [0, 2] and it takes 0.
         assert_eq!(sel.pick(&d, &spec(16), &[]), Some(NodeUid(0)));
@@ -348,7 +179,7 @@ mod tests {
     #[test]
     fn failing_pick_leaves_cursor_and_next_pick_exact() {
         let mut d = uniform_dir(8);
-        let mut sel = Selector::new(Strategy::RoundRobin);
+        let mut sel = Selector::default();
         for _ in 0..3 {
             sel.pick(&d, &spec(4), &[]).expect("idle fleet");
         }
@@ -379,7 +210,7 @@ mod tests {
             d.reserve(NodeUid(uid), JobId(uid), 1, held << 30, None);
         }
         let s = spec(20);
-        assert_eq!(Selector::new(Strategy::RoundRobin).pick(&d, &s, &[]), None);
+        assert_eq!(Selector::default().pick(&d, &s, &[]), None);
         let walked = d
             .round_robin_candidates(ClassFloor::of(&s), NodeUid(0))
             .count();
@@ -412,7 +243,7 @@ mod tests {
             sat_floor in 0u64..6,
         ) {
             let mut d = Directory::new();
-            let mut sel = Selector::new(Strategy::RoundRobin);
+            let mut sel = Selector::default();
             let mut cursor = NodeUid(0); // reference's mirror of rr_cursor
             let mut next_job = 10_000u64; // placements: never a re-reserve
             // One pick turn checked against the reference; `place` follows

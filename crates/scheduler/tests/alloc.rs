@@ -17,7 +17,7 @@
 use gpunion_des::SimTime;
 use gpunion_gpu::GpuModel;
 use gpunion_protocol::{DispatchSpec, ExecMode, GpuInfo, JobId, UserId};
-use gpunion_scheduler::{Directory, Selector, Strategy};
+use gpunion_scheduler::{Directory, Selector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -84,7 +84,7 @@ fn warm_round_robin_gather_does_not_allocate() {
         dir.reserve(gpunion_protocol::NodeUid(i), JobId(i), 1, 8 << 30, None);
     }
     let s = spec(4, None);
-    let mut sel = Selector::new(Strategy::RoundRobin);
+    let mut sel = Selector::default();
 
     // Warm up over at least one full wrap, outside the measured window.
     for _ in 0..150 {
@@ -122,7 +122,7 @@ fn warm_failing_picks_on_a_saturated_fleet_do_not_allocate() {
     }
     // Three shapes, three class floors (the last above any 3090's bucket).
     let shapes = [spec(20, None), spec(18, Some((8, 6))), spec(40, None)];
-    let mut sel = Selector::new(Strategy::RoundRobin);
+    let mut sel = Selector::default();
     for s in &shapes {
         assert!(sel.pick(&dir, s, &[]).is_none(), "warm-up pick");
     }
