@@ -22,9 +22,8 @@ use gpunion_protocol::{
     AuthToken, Control, DepartureMode, DispatchSpec, ExecMode, JobId, KillReason, Message, NodeUid,
     Work, WorkloadState, WorkloadStatus,
 };
-use gpunion_storage::CheckpointCostModel;
 use gpunion_telemetry::{labels, Registry};
-use gpunion_workload::TrainingRun;
+use gpunion_workload::{CheckpointCostModel, TrainingRun};
 use std::collections::BTreeMap;
 
 /// Where a bulk transfer goes / comes from, as the agent sees it.
@@ -49,7 +48,7 @@ pub enum FlowPurpose {
     CheckpointUpload {
         /// Owning job.
         job: JobId,
-        /// Snapshot sequence.
+        /// Checkpoint sequence.
         seq: u64,
     },
     /// Fetching a checkpoint chain to restore a migrated job.
@@ -809,7 +808,7 @@ impl Agent {
         let Some(run) = &mut w.run else {
             return;
         };
-        let (_snapshot, transfer) = run.capture_checkpoint();
+        let transfer = run.capture_checkpoint();
         let seq = run.checkpoint_seq();
         w.pending_upload = Some((seq, transfer));
         let container = w.container;

@@ -6,8 +6,7 @@
 
 use gpunion_core::run_fig3;
 use gpunion_des::SimDuration;
-use gpunion_storage::CheckpointCostModel;
-use gpunion_workload::ModelClass;
+use gpunion_workload::{CheckpointCostModel, ModelClass};
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -12,7 +12,7 @@
 //! | `table1_comparison`  | Table 1 quantitative proxies        |
 //!
 //! Criterion benches measure the real data-structure costs: scheduling
-//! pass, protocol codec, checkpoint deltas, and max-min reallocation.
+//! pass, protocol codec, and max-min reallocation.
 //!
 //! Scenario construction shared between a figure binary and its golden
 //! test lives here (e.g. [`net_traffic_run`]) so the test pins the same
@@ -848,12 +848,18 @@ mod golden {
             .backbone_link()
             .expect("star campus has a backbone");
         let acct = run.scenario.world.net.accounting();
-        let total_gb = acct.class_total(TrafficClass::Checkpoint) / 1e9;
+        let total = acct.class_total(TrafficClass::Checkpoint);
         let sustained = acct.link_class_mean_rate(backbone, TrafficClass::Checkpoint, run.end)
             / run.backbone_bps;
         let burst =
             acct.link_class_peak_rate(backbone, TrafficClass::Checkpoint) / run.backbone_bps;
-        close(total_gb, 2551.8, 2.0, "checkpoint total GB");
+        // 2551.7 GB, pinned to the bit: every checkpoint's transfer size
+        // feeds this sum.
+        assert_eq!(
+            total.to_bits(),
+            0x4282_90fa_26a0_c600,
+            "checkpoint total {total} bytes"
+        );
         close(sustained, 0.0118, 5e-4, "sustained backbone share");
         close(burst, 0.115, 5e-3, "1-minute burst share");
         assert!(

@@ -219,8 +219,8 @@ impl ImageRegistry {
     }
 }
 
-/// Deterministic synthetic content for test/bench images.
-pub fn synthetic_content(seed: u64, len: usize) -> Vec<u8> {
+/// Deterministic synthetic layer content for the standard catalogue and tests.
+fn synthetic_content(seed: u64, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     for _ in 0..len {

@@ -185,21 +185,6 @@ impl Lifecycle {
         self.history.push(LifecycleEvent { at: now, state: to });
         Ok(())
     }
-
-    /// Total time spent in a given state across the whole history, up to
-    /// `now` for the current state.
-    pub fn time_in(&self, state: ContainerState, now: SimTime) -> gpunion_des::SimDuration {
-        let mut total = gpunion_des::SimDuration::ZERO;
-        for pair in self.history.windows(2) {
-            if pair[0].state == state {
-                total += pair[1].at.since(pair[0].at);
-            }
-        }
-        if self.state == state {
-            total += now.since(self.since());
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -284,22 +269,6 @@ mod tests {
         assert!(lc.transition(t(1), ContainerState::Running).is_err());
         // Created → Stopping is meaningless.
         assert!(lc.transition(t(1), ContainerState::Stopping).is_err());
-    }
-
-    #[test]
-    fn time_in_state_accumulates() {
-        let mut lc = Lifecycle::new(t(0));
-        lc.transition(t(1), ContainerState::Pulling).unwrap();
-        lc.transition(t(2), ContainerState::Verifying).unwrap();
-        lc.transition(t(3), ContainerState::Starting).unwrap();
-        lc.transition(t(4), ContainerState::Running).unwrap();
-        lc.transition(t(10), ContainerState::Checkpointing).unwrap();
-        lc.transition(t(12), ContainerState::Running).unwrap();
-        // Running: [4,10) = 6s plus [12, now=20) = 8s.
-        let d = lc.time_in(ContainerState::Running, t(20));
-        assert_eq!(d.as_secs(), 14);
-        let c = lc.time_in(ContainerState::Checkpointing, t(20));
-        assert_eq!(c.as_secs(), 2);
     }
 
     #[test]

@@ -83,18 +83,6 @@ pub struct Container {
     pub effective_env: BTreeMap<String, String>,
 }
 
-impl Container {
-    /// URL of the Jupyter server for interactive containers, once running.
-    pub fn jupyter_url(&self, hostname: &str) -> Option<String> {
-        match (&self.config.mode, self.lifecycle.state()) {
-            (ExecutionMode::Interactive { jupyter_port }, ContainerState::Running) => Some(
-                format!("http://{hostname}:{jupyter_port}/lab?token=gpunion"),
-            ),
-            _ => None,
-        }
-    }
-}
-
 /// Aggregate runtime counters (application metrics for the monitoring
 /// system: container lifecycle events).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,11 +153,6 @@ impl ContainerRuntime {
     /// True when the runtime manages no containers.
     pub fn is_empty(&self) -> bool {
         self.containers.is_empty()
-    }
-
-    /// Is the image already local?
-    pub fn image_cached(&self, digest: &Digest) -> bool {
-        self.image_cache.contains(digest)
     }
 
     /// Admit a new container in `Created`.
@@ -334,16 +317,6 @@ impl ContainerRuntime {
         self.counters.failed += 1;
         Ok(std::mem::take(&mut c.bound_gpus))
     }
-
-    /// Drop terminal containers older than `keep`, returning how many were
-    /// reaped (the runtime's garbage collection).
-    pub fn reap(&mut self, now: SimTime, keep: SimDuration) -> usize {
-        let before = self.containers.len();
-        self.containers.retain(|_, c| {
-            !(c.lifecycle.state().is_terminal() && now.since(c.lifecycle.since()) > keep)
-        });
-        before - self.containers.len()
-    }
 }
 
 impl ContainerConfig {
@@ -432,8 +405,13 @@ mod tests {
             ContainerState::Failed
         );
         assert_eq!(rt.counters().failed, 1);
+        // The corrupt image was not cached: a second container pulls again.
+        let config = ContainerConfigBuilder::new(manifest.image_ref())
+            .build()
+            .unwrap();
+        let id2 = rt.create(t(4), config);
         assert!(
-            !rt.image_cached(&manifest.digest()),
+            rt.begin_pull(t(5), id2).unwrap() > 0,
             "corrupt image not cached"
         );
     }
@@ -474,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn interactive_gets_jupyter_url_and_provision_delay() {
+    fn interactive_gets_provision_delay() {
         let (reg, refs) = standard_catalogue();
         let manifest = reg.manifest(&refs[1]).unwrap().clone();
         let config = ContainerConfigBuilder::new(refs[1].clone())
@@ -488,17 +466,10 @@ mod tests {
         let d = rt.finish_verify(t(3), id, &reg, &manifest).unwrap();
         assert_eq!(d, START_OVERHEAD + JUPYTER_PROVISION);
         rt.started(t(15), id, vec![GpuIndex(0)]).unwrap();
-        let url = rt.get(id).unwrap().jupyter_url("ws-3").unwrap();
-        assert!(url.contains("ws-3:8888"));
-    }
-
-    #[test]
-    fn reap_removes_old_terminal_containers() {
-        let (mut rt, _, _, id) = setup();
-        rt.fail(t(1), id).unwrap();
-        assert_eq!(rt.reap(t(10), SimDuration::from_secs(60)), 0, "too fresh");
-        assert_eq!(rt.reap(t(100), SimDuration::from_secs(60)), 1);
-        assert!(rt.is_empty());
+        assert_eq!(
+            rt.get(id).unwrap().config.mode,
+            ExecutionMode::Interactive { jupyter_port: 8888 }
+        );
     }
 
     #[test]

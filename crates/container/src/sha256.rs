@@ -42,20 +42,6 @@ impl Digest {
         }
         s
     }
-
-    /// Parse a 64-char hex string.
-    pub fn from_hex(hex: &str) -> Option<Digest> {
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Digest(out))
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -258,16 +244,6 @@ mod tests {
             s.update(&data[split..]);
             assert_eq!(s.finalize(), oneshot, "split at {split}");
         }
-    }
-
-    #[test]
-    fn hex_roundtrip() {
-        let d = Sha256::digest(b"roundtrip");
-        let hex = d.to_hex();
-        assert_eq!(Digest::from_hex(&hex), Some(d));
-        assert_eq!(Digest::from_hex("zz"), None);
-        assert_eq!(Digest::from_hex(&hex[..63]), None);
-        assert!(Digest::from_hex(&"g".repeat(64)).is_none());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Public API of the reproduction: deploy a campus ([`Platform`]), drive
 //! scenarios ([`Scenario`]), and regenerate the paper's case studies
-//! ([`case_study`]). Everything below (network, GPUs, containers, storage,
-//! protocol, telemetry, scheduler, agents) is re-exported through the
-//! corresponding crates.
+//! ([`case_study`]). Everything below (network, GPUs, containers,
+//! workloads and their checkpoints, protocol, telemetry, scheduler,
+//! agents) is re-exported through the corresponding crates.
 
 #![forbid(unsafe_code)]
 

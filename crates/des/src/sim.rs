@@ -84,7 +84,7 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         self.fired.get_or_insert_with(Default::default);
     }
 
-    /// Snapshot of the per-kind fired counts, sorted by kind. Empty
+    /// A copy of the per-kind fired counts, sorted by kind. Empty
     /// unless [`Sim::profile_events`] was called.
     pub fn fired_by_kind(&self) -> Vec<(&'static str, u64)> {
         self.fired

@@ -296,7 +296,7 @@ pub enum Work {
     CheckpointDone {
         /// Job.
         job: JobId,
-        /// Snapshot sequence.
+        /// Checkpoint sequence.
         seq: u64,
         /// Bytes moved (incremental delta or full).
         transfer_bytes: u64,

@@ -369,7 +369,7 @@ impl Coordinator {
         &self.dir
     }
 
-    /// Snapshot of the system-database tables (read access for harnesses).
+    /// The system-database tables (read access for harnesses).
     /// Valid only within the current turn — in-flight writes apply on the
     /// next [`Coordinator::advance`].
     pub fn db(&self) -> &SystemDb {

@@ -299,12 +299,13 @@ impl Accounting {
         self.total_bytes
     }
 
-    /// Total bytes for one class across all links and time.
+    /// Total bytes for one class across all links and time. Folds from
+    /// `+0.0`: an empty `f64` sum is `-0.0` on newer toolchains, and a
+    /// class that carried nothing must print as `0.00` on every one.
     pub fn class_total(&self, class: TrafficClass) -> f64 {
         self.class_buckets[class as usize]
             .touched()
-            .map(|(_, v)| v)
-            .sum()
+            .fold(0.0, |total, (_, v)| total + v)
     }
 
     /// Total bytes a link carried for a class.
@@ -521,7 +522,8 @@ mod tests {
         }
 
         fn class_total(&self, class: TrafficClass) -> f64 {
-            self.class_range(class).map(|(_, v)| v).sum()
+            // From `+0.0`, as the accountant: an empty class totals `+0.0`.
+            self.class_range(class).fold(0.0, |total, (_, v)| total + v)
         }
 
         fn class_series(&self, class: TrafficClass) -> Vec<(SimTime, f64)> {

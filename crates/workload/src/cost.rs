@@ -43,8 +43,7 @@ impl CheckpointCostModel {
     }
 
     /// Time to load `state_bytes` from local disk and resume training
-    /// (excludes the network fetch, which the migration planner adds from
-    /// the restore plan's transfer bytes).
+    /// (excludes the network fetch of the checkpoint, a separate flow).
     pub fn restore_time(&self, state_bytes: u64) -> SimDuration {
         self.restore_overhead
             + SimDuration::from_secs_f64(state_bytes as f64 / self.restore_bytes_per_sec)

@@ -36,6 +36,5 @@ pub use gpunion_gpu as gpu;
 pub use gpunion_protocol as protocol;
 pub use gpunion_scheduler as scheduler;
 pub use gpunion_simnet as simnet;
-pub use gpunion_storage as storage;
 pub use gpunion_telemetry as telemetry;
 pub use gpunion_workload as workload;
