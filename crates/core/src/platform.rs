@@ -341,7 +341,7 @@ pub struct Platform {
     /// Collected statistics.
     pub stats: PlatformStats,
     /// The coordinator–switch backbone link (traffic-share reporting).
-    backbone_link: Option<gpunion_simnet::LinkId>,
+    backbone_link: gpunion_simnet::LinkId,
     pump_armed: Option<(SimTime, gpunion_des::EventId)>,
     /// Wake-ordered index over agents with a pending timer: the pump pops
     /// only the due prefix — O(due), not O(agents).
@@ -368,7 +368,7 @@ impl Platform {
     /// spec order.
     pub fn deploy(config: &PlatformConfig, specs: &[ServerSpec]) -> (Platform, Vec<NodeId>) {
         let gpu_specs: Vec<&ServerSpec> = specs.iter().filter(|s| !s.gpus.is_empty()).collect();
-        let (topo, hosts, coord_addr, switch) = star_campus(
+        let (topo, hosts, coord_addr, _) = star_campus(
             gpu_specs.len(),
             config.access,
             config.backbone,
@@ -376,7 +376,7 @@ impl Platform {
         );
         let pool = RngPool::new(config.seed);
         let net = Network::new(topo, config.local_disk, config.seed ^ 0x5151);
-        let backbone_link = net.topology().link_between(coord_addr, switch);
+        let backbone_link = net.topology().link_of(coord_addr);
         let coordinator = Coordinator::new(config.coordinator.clone(), config.seed ^ 0xC0);
         let (registry, image_refs) = gpunion_container::standard_catalogue();
         let mut agents = AgentTable(Vec::new());
@@ -418,7 +418,7 @@ impl Platform {
     /// The campus backbone link (coordinator uplink), for traffic-share
     /// reporting against the backbone's capacity.
     pub fn backbone_link(&self) -> Option<gpunion_simnet::LinkId> {
-        self.backbone_link
+        Some(self.backbone_link)
     }
 
     /// Agent access by address (tests/harnesses).

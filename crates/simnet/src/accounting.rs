@@ -89,7 +89,7 @@ impl Series {
 #[derive(Debug, Clone, Default)]
 struct LinkCells {
     /// Run total per link, indexed by `LinkId`; empty until the class is
-    /// first recorded, then one entry per link of the stride.
+    /// first recorded, then one entry per link.
     totals: Vec<f64>,
     /// Bucket `b`'s cell of link `l` is
     /// `blocks[b / BUCKETS_PER_BLOCK][(b % BUCKETS_PER_BLOCK) * stride + l]`:
@@ -151,19 +151,6 @@ impl LinkCells {
             (self.blocks.len() - 1) * Accounting::BUCKETS_PER_BLOCK + last.len() / stride
         })
     }
-
-    /// Re-lay every block from rows `old` links wide to rows `new` wide.
-    fn widen(&mut self, old: usize, new: usize) {
-        self.totals.resize(new, 0.0);
-        for block in self.blocks.iter_mut().filter(|b| !b.is_empty()) {
-            let mut wide = Vec::with_capacity(Accounting::BUCKETS_PER_BLOCK * new);
-            for row in block.chunks_exact(old) {
-                wide.extend_from_slice(row);
-                wide.resize(wide.len() + new - old, UNTOUCHED);
-            }
-            *block = wide;
-        }
-    }
 }
 
 /// Traffic accountant: campus-wide per-class time buckets plus per-link
@@ -181,13 +168,14 @@ impl LinkCells {
 #[derive(Debug, Clone)]
 pub struct Accounting {
     bucket: SimDuration,
-    /// Campus-wide series per class.
+    /// Campus-wide series per class: a class total sums its buckets, in
+    /// the order the maps this replaces summed them.
     class_buckets: [Series; CLASSES],
-    /// Links per bucket row of every class's matrix.
+    /// Links per bucket row of every class's matrix: the topology's links.
     stride: usize,
     /// Per-class, per-link totals and buckets: per-link per-class peaks,
     /// e.g. "checkpoint share of the backbone link during its worst
-    /// minute". All-class link peaks are derived at report time.
+    /// minute".
     links: [LinkCells; CLASSES],
     total_bytes: f64,
 }
@@ -199,15 +187,10 @@ impl Accounting {
     /// into space already reserved.
     pub const BUCKETS_PER_BLOCK: usize = 64;
 
-    /// New accountant with the given bucket width (1 minute is the default
-    /// used by all experiment harnesses).
-    pub fn new(bucket: SimDuration) -> Self {
-        Self::for_links(bucket, 0)
-    }
-
-    /// [`Accounting::new`] with rows `links` wide from the start, so a
-    /// topology's links never re-stride the matrices.
-    pub(crate) fn for_links(bucket: SimDuration, links: usize) -> Self {
+    /// New accountant for `links` links (`LinkId(0)` to `LinkId(links - 1)`)
+    /// with the given bucket width (1 minute is the default used by all
+    /// experiment harnesses).
+    pub fn new(bucket: SimDuration, links: usize) -> Self {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         Accounting {
             bucket,
@@ -216,21 +199,6 @@ impl Accounting {
             links: Default::default(),
             total_bytes: 0.0,
         }
-    }
-
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
-
-    /// Widen every row to hold link `link` (at least doubling, so links
-    /// first seen one by one re-lay the tables O(log links) times).
-    fn widen(&mut self, link: usize) {
-        let (old, new) = (self.stride, (link + 1).max(2 * self.stride));
-        for class in self.links.iter_mut().filter(|c| !c.totals.is_empty()) {
-            class.widen(old, new);
-        }
-        self.stride = new;
     }
 
     /// Bucket `b`'s cell of `link` for `class`, if anything was recorded.
@@ -244,7 +212,8 @@ impl Accounting {
     }
 
     /// Attribute `bytes` moved on `link` for `class` uniformly over the
-    /// interval `[from, to)`, splitting across bucket boundaries.
+    /// interval `[from, to)`, splitting across bucket boundaries. Panics
+    /// on a link past the accountant's.
     pub fn record_span(
         &mut self,
         link: LinkId,
@@ -258,15 +227,13 @@ impl Accounting {
         }
         self.total_bytes += bytes;
         let width = self.bucket.as_nanos();
-        let (l, c) = (link.0 as usize, class as usize);
-        if l >= self.stride {
-            self.widen(l);
-        }
-        let stride = self.stride;
+        let (l, c, stride) = (link.0 as usize, class as usize, self.stride);
         let on_links = &mut self.links[c];
         if on_links.totals.is_empty() {
             on_links.totals.resize(stride, 0.0);
         }
+        // Indexed before any cell: a link past the stride stops here
+        // rather than landing in the next link's cell.
         on_links.totals[l] += bytes;
         let span = to.since(from);
         if span.is_zero() {
@@ -314,24 +281,6 @@ impl Accounting {
         totals.get(link.0 as usize).copied().unwrap_or(0.0)
     }
 
-    /// Campus-wide per-bucket byte series for a class, as
-    /// `(bucket_start_time, bytes)` pairs in time order.
-    pub fn class_series(&self, class: TrafficClass) -> Vec<(SimTime, f64)> {
-        self.class_buckets[class as usize]
-            .touched()
-            .map(|(b, v)| (SimTime::from_nanos(b * self.bucket.as_nanos()), v))
-            .collect()
-    }
-
-    /// Peak campus-wide throughput of a class in bytes/sec (max over buckets).
-    pub fn class_peak_rate(&self, class: TrafficClass) -> f64 {
-        let w = self.bucket.as_secs_f64();
-        self.class_buckets[class as usize]
-            .touched()
-            .map(|(_, v)| v / w)
-            .fold(0.0, f64::max)
-    }
-
     /// Mean campus-wide throughput of a class over `[0, end)` in bytes/sec.
     pub fn class_mean_rate(&self, class: TrafficClass, end: SimTime) -> f64 {
         let secs = end.as_secs_f64();
@@ -363,24 +312,6 @@ impl Accounting {
         }
         self.link_class_total(link, class) / secs
     }
-
-    /// Peak per-bucket throughput on one link, all classes, bytes/sec.
-    /// Derived from the per-class buckets at report time.
-    pub fn link_peak_rate(&self, link: LinkId) -> f64 {
-        let (w, l) = (self.bucket.as_secs_f64(), link.0 as usize);
-        if l >= self.stride {
-            return 0.0;
-        }
-        let rows = (0..CLASSES).map(|c| self.rows(c)).max().unwrap_or(0);
-        (0..rows)
-            .map(|b| {
-                (0..CLASSES)
-                    .filter_map(|c| self.cell(c, b, l))
-                    .fold(0.0, |a, v| a + v)
-                    / w
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -390,9 +321,14 @@ mod tests {
 
     const L: LinkId = LinkId(0);
 
+    /// The campus-wide `(bucket, bytes)` series of a class.
+    fn series(a: &Accounting, class: TrafficClass) -> Vec<(u64, f64)> {
+        a.class_buckets[class as usize].touched().collect()
+    }
+
     #[test]
     fn span_splits_across_buckets() {
-        let mut a = Accounting::new(SimDuration::from_secs(60));
+        let mut a = Accounting::new(SimDuration::from_secs(60), 1);
         // 120 MB uniformly over [30s, 150s) — 2 minutes spanning 3 buckets:
         // bucket0 gets 30s worth, bucket1 60s, bucket2 30s.
         a.record_span(
@@ -402,7 +338,7 @@ mod tests {
             SimTime::from_secs(150),
             120e6,
         );
-        let series = a.class_series(TrafficClass::Checkpoint);
+        let series = series(&a, TrafficClass::Checkpoint);
         assert_eq!(series.len(), 3);
         assert!((series[0].1 - 30e6).abs() < 1.0);
         assert!((series[1].1 - 60e6).abs() < 1.0);
@@ -412,16 +348,14 @@ mod tests {
 
     #[test]
     fn instant_record_lands_in_one_bucket() {
-        let mut a = Accounting::new(SimDuration::from_secs(60));
+        let mut a = Accounting::new(SimDuration::from_secs(60), 1);
         a.record_instant(L, TrafficClass::Control, SimTime::from_secs(61), 100.0);
-        let series = a.class_series(TrafficClass::Control);
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].0, SimTime::from_secs(60));
+        assert_eq!(series(&a, TrafficClass::Control), [(1, 100.0)]);
     }
 
     #[test]
     fn peak_rate_vs_mean_rate() {
-        let mut a = Accounting::new(SimDuration::from_secs(60));
+        let mut a = Accounting::new(SimDuration::from_secs(60), 1);
         // burst: 600 MB in one minute, then nothing for 9 minutes
         a.record_span(
             L,
@@ -430,7 +364,7 @@ mod tests {
             SimTime::from_secs(60),
             600e6,
         );
-        let peak = a.class_peak_rate(TrafficClass::Checkpoint);
+        let peak = a.link_class_peak_rate(L, TrafficClass::Checkpoint);
         let mean = a.class_mean_rate(TrafficClass::Checkpoint, SimTime::from_secs(600));
         assert!((peak - 10e6).abs() < 1.0, "peak {peak}");
         assert!((mean - 1e6).abs() < 1.0, "mean {mean}");
@@ -438,7 +372,7 @@ mod tests {
 
     #[test]
     fn per_link_totals_are_independent() {
-        let mut a = Accounting::new(SimDuration::from_secs(60));
+        let mut a = Accounting::new(SimDuration::from_secs(60), 3);
         a.record_instant(LinkId(1), TrafficClass::User, SimTime::ZERO, 10.0);
         a.record_instant(LinkId(2), TrafficClass::User, SimTime::ZERO, 20.0);
         assert_eq!(a.link_class_total(LinkId(1), TrafficClass::User), 10.0);
@@ -447,9 +381,18 @@ mod tests {
         assert_eq!(a.total_bytes(), 30.0);
     }
 
+    /// The accountant is sized once: a link past it is refused, not
+    /// written into another link's cell.
+    #[test]
+    #[should_panic]
+    fn a_link_past_the_accountant_is_refused() {
+        let mut a = Accounting::new(SimDuration::from_secs(60), 2);
+        a.record_instant(LinkId(2), TrafficClass::User, SimTime::ZERO, 1.0);
+    }
+
     #[test]
     fn zero_and_negative_bytes_ignored() {
-        let mut a = Accounting::new(SimDuration::from_secs(60));
+        let mut a = Accounting::new(SimDuration::from_secs(60), 1);
         a.record_instant(L, TrafficClass::User, SimTime::ZERO, 0.0);
         a.record_instant(L, TrafficClass::User, SimTime::ZERO, -5.0);
         assert_eq!(a.total_bytes(), 0.0);
@@ -526,19 +469,6 @@ mod tests {
             self.class_range(class).fold(0.0, |total, (_, v)| total + v)
         }
 
-        fn class_series(&self, class: TrafficClass) -> Vec<(SimTime, f64)> {
-            self.class_range(class)
-                .map(|(b, v)| (SimTime::from_nanos(b * self.bucket.as_nanos()), v))
-                .collect()
-        }
-
-        fn class_peak_rate(&self, class: TrafficClass) -> f64 {
-            let w = self.bucket.as_secs_f64();
-            self.class_range(class)
-                .map(|(_, v)| v / w)
-                .fold(0.0, f64::max)
-        }
-
         fn link_class_total(&self, link: LinkId, class: TrafficClass) -> f64 {
             self.link_class_totals
                 .get(&(link, class))
@@ -554,28 +484,17 @@ mod tests {
                 .map(|(_, v)| v / w)
                 .fold(0.0, f64::max)
         }
-
-        fn link_peak_rate(&self, link: LinkId) -> f64 {
-            let w = self.bucket.as_secs_f64();
-            let mut per_bucket: BTreeMap<u64, f64> = BTreeMap::new();
-            for ((l, _, b), v) in &self.link_class_buckets {
-                if *l == link {
-                    *per_bucket.entry(*b).or_insert(0.0) += v;
-                }
-            }
-            per_bucket.values().map(|v| v / w).fold(0.0, f64::max)
-        }
     }
 
     proptest::proptest! {
         /// Any sequence of spans and instants — rejected amounts, amounts
         /// small enough to underflow a split, links and buckets first
-        /// touched out of order, rows sized up front or widened as links
-        /// appear — reads back from the dense accountant exactly as from
-        /// the three maps, every accessor, bit for bit.
+        /// touched out of order, rows of any width that holds them — reads
+        /// back from the dense accountant exactly as from the three maps,
+        /// every accessor, bit for bit.
         #[test]
         fn dense_tables_read_back_like_the_maps(
-            presized in 0usize..8,
+            links in 6usize..9,
             ops in proptest::collection::vec(
                 (
                     0u32..6,
@@ -597,7 +516,7 @@ mod tests {
             ),
         ) {
             let width = SimDuration::from_secs(60);
-            let mut dense = Accounting::for_links(width, presized);
+            let mut dense = Accounting::new(width, links);
             let mut maps = Reference::new(width);
             for (link, class, from, len, bytes) in ops {
                 let (link, class) = (LinkId(link), TrafficClass::ALL[class]);
@@ -615,24 +534,10 @@ mod tests {
                     dense.class_total(class).to_bits(),
                     maps.class_total(class).to_bits()
                 );
-                proptest::prop_assert_eq!(
-                    dense.class_peak_rate(class).to_bits(),
-                    maps.class_peak_rate(class).to_bits()
-                );
-                let bits = |series: Vec<(SimTime, f64)>| -> Vec<(SimTime, u64)> {
-                    series.into_iter().map(|(t, v)| (t, v.to_bits())).collect()
-                };
-                proptest::prop_assert_eq!(
-                    bits(dense.class_series(class)),
-                    bits(maps.class_series(class))
-                );
             }
-            // One link past the last any op can touch: the empty answers agree too.
-            for link in (0..7).map(LinkId) {
-                proptest::prop_assert_eq!(
-                    dense.link_peak_rate(link).to_bits(),
-                    maps.link_peak_rate(link).to_bits()
-                );
+            // Links no op can touch, up to one past the accountant's: the
+            // empty answers agree too.
+            for link in (0..=links as u32).map(LinkId) {
                 for class in TrafficClass::ALL {
                     proptest::prop_assert_eq!(
                         dense.link_class_total(link, class).to_bits(),

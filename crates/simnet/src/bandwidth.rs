@@ -35,6 +35,7 @@ impl Bandwidth {
     }
 
     /// Raw bits per second.
+    #[cfg(test)]
     pub fn as_bps(self) -> f64 {
         self.0
     }
@@ -51,16 +52,6 @@ impl Bandwidth {
         } else {
             bytes as f64 / self.bytes_per_sec()
         }
-    }
-
-    /// True when no capacity remains (≤ ~1 bit/s guard band against float dust).
-    pub fn is_exhausted(self) -> bool {
-        self.0 <= 1.0
-    }
-
-    /// Clamp to non-negative (protects subtraction chains from float error).
-    pub fn clamp_non_negative(self) -> Bandwidth {
-        Bandwidth(self.0.max(0.0))
     }
 }
 

@@ -27,7 +27,7 @@
 
 use crate::accounting::{Accounting, TrafficClass};
 use crate::bandwidth::Bandwidth;
-use crate::topology::{Channel, Topology};
+use crate::topology::{Channel, Route, Topology};
 use gpunion_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -50,7 +50,7 @@ pub enum FlowOutcome {
 struct Flow {
     id: FlowId,
     class: TrafficClass,
-    path: Vec<Channel>,
+    path: Route,
     total_bytes: f64,
     /// Bytes left as of the table's epoch.
     remaining: f64,
@@ -147,7 +147,7 @@ impl FlowTable {
     /// Begin a flow of `bytes` along `path` (empty path = local copy).
     /// Call [`FlowTable::settle`] to `now` *before* adding, then
     /// [`FlowTable::reallocate`] after.
-    pub fn add(&mut self, path: Vec<Channel>, bytes: u64, class: TrafficClass) -> FlowId {
+    pub fn add(&mut self, path: Route, bytes: u64, class: TrafficClass) -> FlowId {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.push(Flow {
@@ -211,7 +211,7 @@ impl FlowTable {
             let moved = (f.rate * dt).min(f.remaining);
             f.remaining -= moved;
             // Local copies never touch a link but still take time.
-            for ch in &f.path {
+            for ch in f.path.iter() {
                 accounting.record_span(ch.link, f.class, from, now, moved);
             }
             let finished = f.remaining <= EPSILON_BYTES;
@@ -294,7 +294,7 @@ impl FlowTable {
             }
             f.rate = 0.0;
             unfixed.push(at);
-            for ch in &f.path {
+            for ch in f.path.iter() {
                 let c = channel_index(ch);
                 if users[c] == 0 {
                     cap[c] = topo.link_capacity(ch.link).bytes_per_sec();
@@ -324,7 +324,7 @@ impl FlowTable {
                     return true;
                 }
                 f.rate = rate;
-                for ch in &f.path {
+                for ch in f.path.iter() {
                     let c = channel_index(ch);
                     cap[c] = (cap[c] - rate).max(0.0);
                     users[c] -= 1;
@@ -365,7 +365,8 @@ impl FlowTable {
         self.flows.iter().map(|f| (f.id, f.class))
     }
 
-    /// Sum of allocated rates crossing a channel (test/diagnostic hook).
+    /// Sum of allocated rates crossing a channel.
+    #[cfg(test)]
     pub fn channel_load(&self, ch: Channel) -> f64 {
         self.flows
             .iter()
@@ -378,25 +379,28 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{star_campus, TopologyBuilder};
+    use crate::topology::star_campus;
     use gpunion_des::SimDuration;
 
-    fn acct() -> Accounting {
-        Accounting::new(SimDuration::from_secs(60))
+    fn acct(links: usize) -> Accounting {
+        Accounting::new(SimDuration::from_secs(60), links)
+    }
+
+    /// A star of one leaf on a link of `capacity`, and the leaf's route to
+    /// the switch.
+    fn one_link(capacity: Bandwidth) -> (Topology, Route) {
+        let topo = Topology::star([(capacity, SimDuration::ZERO)]);
+        let path = topo.route(Topology::leaf(0), Topology::SWITCH).unwrap();
+        (topo, path)
     }
 
     /// Two flows sharing one 1 Gb/s channel each get 62.5 MB/s.
     #[test]
     fn equal_share_on_shared_link() {
-        let mut b = TopologyBuilder::new();
-        let a = b.add_node("a");
-        let c = b.add_node("c");
-        b.add_link(a, c, Bandwidth::gbps(1.0), SimDuration::ZERO);
-        let mut topo = b.build();
-        let path = topo.route(a, c).unwrap().to_vec();
+        let (topo, path) = one_link(Bandwidth::gbps(1.0));
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        ft.add(path.clone(), 1_000_000_000, TrafficClass::Checkpoint);
+        ft.add(path, 1_000_000_000, TrafficClass::Checkpoint);
         ft.add(path, 1_000_000_000, TrafficClass::Migration);
         ft.reallocate(&topo);
 
@@ -410,19 +414,16 @@ mod tests {
     #[test]
     fn bottleneck_respected_max_min() {
         // h0 --100Mb-- sw --10Gb-- coord ; h1 --1Gb-- sw
-        let mut b = TopologyBuilder::new();
-        let sw = b.add_node("sw");
-        let coord = b.add_node("coord");
-        let h0 = b.add_node("h0");
-        let h1 = b.add_node("h1");
-        b.add_link(coord, sw, Bandwidth::gbps(10.0), SimDuration::ZERO);
-        b.add_link(h0, sw, Bandwidth::mbps(100.0), SimDuration::ZERO);
-        b.add_link(h1, sw, Bandwidth::gbps(1.0), SimDuration::ZERO);
-        let mut topo = b.build();
+        let topo = Topology::star([
+            (Bandwidth::gbps(10.0), SimDuration::ZERO),
+            (Bandwidth::mbps(100.0), SimDuration::ZERO),
+            (Bandwidth::gbps(1.0), SimDuration::ZERO),
+        ]);
+        let (coord, h0, h1) = (Topology::leaf(0), Topology::leaf(1), Topology::leaf(2));
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p0 = topo.route(h0, coord).unwrap().to_vec();
-        let p1 = topo.route(h1, coord).unwrap().to_vec();
+        let p0 = topo.route(h0, coord).unwrap();
+        let p1 = topo.route(h1, coord).unwrap();
         let f0 = ft.add(p0, u64::MAX / 4, TrafficClass::Checkpoint);
         let f1 = ft.add(p1, u64::MAX / 4, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
@@ -440,16 +441,11 @@ mod tests {
     /// speeds up the survivor.
     #[test]
     fn completion_and_rate_rebalance() {
-        let mut b = TopologyBuilder::new();
-        let a = b.add_node("a");
-        let c = b.add_node("c");
-        b.add_link(a, c, Bandwidth::bps(8e6), SimDuration::ZERO); // 1 MB/s
-        let mut topo = b.build();
-        let path = topo.route(a, c).unwrap().to_vec();
+        let (topo, path) = one_link(Bandwidth::bps(8e6)); // 1 MB/s
 
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let mut ac = acct();
-        let small = ft.add(path.clone(), 1_000_000, TrafficClass::Checkpoint); // 1 MB
+        let mut ac = acct(1);
+        let small = ft.add(path, 1_000_000, TrafficClass::Checkpoint); // 1 MB
         let big = ft.add(path, 10_000_000, TrafficClass::Migration); // 10 MB
         ft.reallocate(&topo);
 
@@ -474,14 +470,11 @@ mod tests {
 
     #[test]
     fn local_flows_use_disk_rate() {
-        let topo = {
-            let mut b = TopologyBuilder::new();
-            b.add_node("solo");
-            b.build()
-        };
+        // The switch alone.
+        let topo = Topology::star([]);
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0)); // 2 GB/s
-        let mut ac = acct();
-        let f = ft.add(Vec::new(), 2_000_000_000, TrafficClass::Checkpoint);
+        let mut ac = acct(0);
+        let f = ft.add(Route::EMPTY, 2_000_000_000, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
         assert!((ft.rate(f).unwrap() - 2e9).abs() < 1.0);
         let next = ft.next_completion().unwrap();
@@ -494,14 +487,14 @@ mod tests {
 
     #[test]
     fn cancelled_flow_disappears() {
-        let (mut topo, hosts, coord, _) = star_campus(
+        let (topo, hosts, coord, _) = star_campus(
             2,
             Bandwidth::gbps(1.0),
             Bandwidth::gbps(10.0),
             SimDuration::ZERO,
         );
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p = topo.route(hosts[0], coord).unwrap().to_vec();
+        let p = topo.route(hosts[0], coord).unwrap();
         let f = ft.add(p, 1 << 30, TrafficClass::Migration);
         ft.reallocate(&topo);
         assert!(ft.next_completion().is_some());
@@ -520,9 +513,9 @@ mod tests {
             SimDuration::ZERO,
         );
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let p0 = topo.route(hosts[0], coord).unwrap().to_vec();
-        let p1 = topo.route(hosts[1], coord).unwrap().to_vec();
-        let f0 = ft.add(p0.clone(), 1 << 30, TrafficClass::Checkpoint);
+        let p0 = topo.route(hosts[0], coord).unwrap();
+        let p1 = topo.route(hosts[1], coord).unwrap();
+        let f0 = ft.add(p0, 1 << 30, TrafficClass::Checkpoint);
         let _f1 = ft.add(p1, 1 << 30, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
 
@@ -543,14 +536,9 @@ mod tests {
 
     #[test]
     fn accounting_receives_moved_bytes() {
-        let mut b = TopologyBuilder::new();
-        let a = b.add_node("a");
-        let c = b.add_node("c");
-        b.add_link(a, c, Bandwidth::bps(8e6), SimDuration::ZERO); // 1 MB/s
-        let mut topo = b.build();
-        let path = topo.route(a, c).unwrap().to_vec();
+        let (topo, path) = one_link(Bandwidth::bps(8e6)); // 1 MB/s
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
-        let mut ac = acct();
+        let mut ac = acct(1);
         ft.add(path, 3_000_000, TrafficClass::Checkpoint);
         ft.reallocate(&topo);
         ft.settle(SimTime::from_secs(3), &mut ac);

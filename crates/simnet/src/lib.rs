@@ -5,7 +5,8 @@
 //! backbone. This crate reproduces that substrate as a flow-level network
 //! model:
 //!
-//! * [`Topology`] — nodes, full-duplex links, BFS routing, link/node churn.
+//! * [`Topology`] — the campus star: leaves on full-duplex links around one
+//!   switch, closed-form routes, nodes and links that go down and return.
 //! * [`Network::send`] — control-plane messages with propagation +
 //!   store-and-forward latency and optional loss injection.
 //! * [`Network::start_flow`] — bulk transfers (checkpoints, migrations,
@@ -32,7 +33,7 @@ pub use bandwidth::Bandwidth;
 pub use flow::{FlowEnd, FlowId, FlowOutcome, FlowTable};
 pub use message::{Delivery, MessageQueue};
 pub use network::{NetError, NetEvent, Network};
-pub use topology::{star_campus, Channel, LinkId, NodeId, Route, Topology, TopologyBuilder};
+pub use topology::{star_campus, Channel, LinkId, NodeId, Route, Topology};
 
 #[cfg(test)]
 mod proptests {
@@ -43,26 +44,22 @@ mod proptests {
     /// Build a random star topology and a random flow set; check the
     /// max-min allocation invariants.
     fn star_with_flows(
-        n_hosts: usize,
-        access_mbps: Vec<f64>,
+        access_mbps: &[f64],
         flow_pairs: Vec<(usize, usize)>,
     ) -> (Topology, FlowTable) {
-        let mut b = TopologyBuilder::new();
-        let sw = b.add_node("sw");
-        let mut hosts = Vec::new();
-        for (i, m) in access_mbps.iter().enumerate().take(n_hosts) {
-            let h = b.add_node(format!("h{i}"));
-            b.add_link(h, sw, Bandwidth::mbps(*m), SimDuration::ZERO);
-            hosts.push(h);
-        }
-        let mut topo = b.build();
+        let topo = Topology::star(
+            access_mbps
+                .iter()
+                .map(|m| (Bandwidth::mbps(*m), SimDuration::ZERO)),
+        );
+        let n = access_mbps.len();
         let mut ft = FlowTable::new(Bandwidth::gbps(16.0));
         for (s, d) in flow_pairs {
-            let (s, d) = (s % hosts.len(), d % hosts.len());
+            let (s, d) = (s % n, d % n);
             if s == d {
                 continue;
             }
-            let path = topo.route(hosts[s], hosts[d]).unwrap().to_vec();
+            let path = topo.route(Topology::leaf(s), Topology::leaf(d)).unwrap();
             ft.add(path, 1 << 40, TrafficClass::User);
         }
         ft.reallocate(&topo);
@@ -89,17 +86,12 @@ mod proptests {
     /// coordinator), polling at every `next_event_at()` and additionally at
     /// every instant of `extra_polls`.
     fn run_script(access: &[f64], ops: &[ScriptOp], extra_polls: &[u64]) -> ScriptResult {
-        let mut b = TopologyBuilder::new();
-        let sw = b.add_node("sw");
-        let coord = b.add_node("coord");
-        b.add_link(coord, sw, Bandwidth::gbps(1.0), SimDuration::ZERO);
-        let mut nodes = vec![coord];
-        for (i, m) in access.iter().enumerate() {
-            let h = b.add_node(format!("h{i}"));
-            b.add_link(h, sw, Bandwidth::mbps(*m), SimDuration::ZERO);
-            nodes.push(h);
-        }
-        let topo = b.build();
+        let topo = Topology::star(
+            std::iter::once(Bandwidth::gbps(1.0))
+                .chain(access.iter().map(|m| Bandwidth::mbps(*m)))
+                .map(|capacity| (capacity, SimDuration::ZERO)),
+        );
+        let nodes: Vec<NodeId> = (0..topo.link_count()).map(Topology::leaf).collect();
         let links = topo.link_count();
         let mut net: Network<u32> = Network::new(topo, Bandwidth::gbps(16.0), 1);
 
@@ -206,8 +198,7 @@ mod proptests {
             access in proptest::collection::vec(10.0f64..1000.0, 2..8),
             pairs in proptest::collection::vec((0usize..8, 0usize..8), 1..20),
         ) {
-            let n = access.len();
-            let (topo, ft) = star_with_flows(n, access.clone(), pairs);
+            let (topo, ft) = star_with_flows(&access, pairs);
             // Check every directed channel of every link.
             for l in 0..topo.link_count() {
                 let link = LinkId(l as u32);
@@ -228,8 +219,7 @@ mod proptests {
             access in proptest::collection::vec(10.0f64..1000.0, 2..8),
             pairs in proptest::collection::vec((0usize..8, 0usize..8), 1..20),
         ) {
-            let n = access.len();
-            let (_topo, ft) = star_with_flows(n, access, pairs);
+            let (_topo, ft) = star_with_flows(&access, pairs);
             for (id, _) in ft.active() {
                 prop_assert!(ft.rate(id).unwrap() > 0.0, "flow {id:?} starved");
             }

@@ -150,11 +150,12 @@ impl<M> MessageQueue<M> {
         next.map(|p| p.delivery)
     }
 
-    /// Drop every in-flight message to or from `node` (the node went down
-    /// while packets were in the air). Returns how many were lost.
-    pub fn drop_involving(&mut self, node: NodeId) -> usize {
+    /// Drop every in-flight message `lost` picks (a node or link on its
+    /// route went down while it was in the air). Returns how many were
+    /// lost.
+    pub fn drop_where(&mut self, lost: impl Fn(&Delivery<M>) -> bool) -> usize {
         let before = self.len();
-        let keep = |p: &Pending<M>| p.delivery.from != node && p.delivery.to != node;
+        let keep = |p: &Pending<M>| !lost(&p.delivery);
         self.run.retain(keep);
         self.heap.retain(keep);
         before - self.len()
@@ -165,6 +166,11 @@ impl<M> MessageQueue<M> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+
+    /// Messages to or from `node`.
+    fn involving<M>(node: NodeId) -> impl Fn(&Delivery<M>) -> bool {
+        move |d| d.from == node || d.to == node
+    }
 
     fn d(from: u32, to: u32, tag: &'static str) -> Delivery<&'static str> {
         Delivery {
@@ -206,7 +212,7 @@ mod tests {
         q.enqueue(SimTime::from_secs(1), d(0, 1, "keep? no, from 0"));
         q.enqueue(SimTime::from_secs(1), d(1, 2, "involves 1"));
         q.enqueue(SimTime::from_secs(1), d(2, 3, "keep"));
-        let dropped = q.drop_involving(NodeId(1));
+        let dropped = q.drop_where(involving(NodeId(1)));
         assert_eq!(dropped, 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop_due(SimTime::MAX).unwrap().payload, "keep");
@@ -224,7 +230,7 @@ mod tests {
         q.enqueue(SimTime::from_secs(4), d(0, 1, "run-4b"));
         assert_eq!((q.run.len(), q.heap.len()), (3, 2));
         assert_eq!(q.next_at(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.drop_involving(NodeId(2)), 2, "one from each part");
+        assert_eq!(q.drop_where(involving(NodeId(2))), 2, "one from each part");
         let order: Vec<_> = std::iter::from_fn(|| q.pop_due(SimTime::MAX))
             .map(|m| m.payload)
             .collect();
@@ -288,7 +294,7 @@ mod tests {
                         }
                     }
                     1 => proptest::prop_assert_eq!(
-                        queue.drop_involving(NodeId(a)),
+                        queue.drop_where(involving(NodeId(a))),
                         map.drop_involving(NodeId(a))
                     ),
                     _ => {

@@ -94,7 +94,7 @@ impl<M> Network<M> {
     /// Wrap a topology. `local_rate` bounds same-node copies (disk speed);
     /// `seed` drives loss-injection randomness.
     pub fn new(topo: Topology, local_rate: Bandwidth, seed: u64) -> Self {
-        let accounting = Accounting::for_links(SimDuration::from_secs(60), topo.link_count());
+        let accounting = Accounting::new(SimDuration::from_secs(60), topo.link_count());
         Network {
             topo,
             flows: FlowTable::new(local_rate),
@@ -145,7 +145,8 @@ impl<M> Network<M> {
         self.messages_sent
     }
 
-    /// Messages lost to fault injection or dead destinations.
+    /// Messages lost to fault injection, or to a node or link on their
+    /// route going down.
     pub fn messages_dropped(&self) -> u64 {
         self.messages_dropped
     }
@@ -177,25 +178,12 @@ impl<M> Network<M> {
         class: TrafficClass,
         payload: M,
     ) -> Result<(), NetError> {
-        if !self.topo.node_up(from) || !self.topo.node_up(to) {
-            return Err(NetError::Unreachable);
-        }
-        if from == to {
-            self.messages_sent += 1;
-            self.msgs.enqueue(
-                now + LOOPBACK_LATENCY,
-                Delivery {
-                    from,
-                    to,
-                    payload,
-                    size_bytes,
-                },
-            );
-            return Ok(());
-        }
         let path = self.topo.route(from, to).ok_or(NetError::Unreachable)?;
         self.messages_sent += 1;
         let mut at = now;
+        if from == to {
+            at += LOOPBACK_LATENCY;
+        }
         for ch in path.iter() {
             at += self.topo.link_latency(ch.link);
             at += SimDuration::from_secs_f64(
@@ -233,18 +221,7 @@ impl<M> Network<M> {
         class: TrafficClass,
         tag: M,
     ) -> Result<FlowId, NetError> {
-        if !self.topo.node_up(from) || !self.topo.node_up(to) {
-            return Err(NetError::Unreachable);
-        }
-        let path = if from == to {
-            Vec::new()
-        } else {
-            // Flows are rare and own their path: this is the one copy.
-            self.topo
-                .route(from, to)
-                .ok_or(NetError::Unreachable)?
-                .to_vec()
-        };
+        let path = self.topo.route(from, to).ok_or(NetError::Unreachable)?;
         self.integrate_flows(now);
         let id = self.flows.add(path, bytes, class);
         self.flows.reallocate(&self.topo);
@@ -268,29 +245,34 @@ impl<M> Network<M> {
         self.flows.progress(now, id)
     }
 
-    /// Bring a node up or down. Downing a node kills in-flight messages and
-    /// flows involving it; the lost flows are returned as events (so the
-    /// caller can fail the associated transfers immediately).
+    /// Bring a node up or down. Downing a node kills the in-flight
+    /// messages and flows whose route crosses it — those to or from it, or
+    /// every one between two nodes when it is the switch; the lost flows
+    /// are returned as events (so the caller can fail the associated
+    /// transfers immediately).
     pub fn set_node_up(&mut self, now: SimTime, node: NodeId, up: bool) -> Vec<NetEvent<M>> {
         self.integrate_flows(now);
         self.topo.set_node_up(node, up);
-        let mut events = Vec::new();
-        if !up {
-            self.messages_dropped += self.msgs.drop_involving(node) as u64;
-            for end in self.flows.fail_broken_paths(&self.topo) {
-                events.push(self.flow_end_event(end));
-            }
-        }
-        self.flows.reallocate(&self.topo);
-        events
+        self.after_flip(up)
     }
 
-    /// Bring a link up or down; flows crossing a downed link are lost.
+    /// Bring a link up or down; the messages and flows crossing a downed
+    /// link are lost, as for [`Network::set_node_up`].
     pub fn set_link_up(&mut self, now: SimTime, link: LinkId, up: bool) -> Vec<NetEvent<M>> {
         self.integrate_flows(now);
         self.topo.set_link_up(link, up);
+        self.after_flip(up)
+    }
+
+    /// After a node or link went `up` (or down): drop what crossed it — a
+    /// message or flow is lost when its route no longer exists — and
+    /// reallocate the flows.
+    fn after_flip(&mut self, up: bool) -> Vec<NetEvent<M>> {
         let mut events = Vec::new();
         if !up {
+            let topo = &self.topo;
+            let lost = self.msgs.drop_where(|d| topo.route(d.from, d.to).is_none());
+            self.messages_dropped += lost as u64;
             for end in self.flows.fail_broken_paths(&self.topo) {
                 events.push(self.flow_end_event(end));
             }
@@ -449,8 +431,7 @@ mod tests {
     #[test]
     fn a_send_with_no_path_is_refused_and_not_counted() {
         let (mut net, hosts, coord) = campus(2);
-        let switch = NodeId(0); // `star_campus` adds it first
-        let backbone = net.topology().link_between(coord, switch).unwrap();
+        let backbone = net.topology().link_of(coord);
         net.set_link_up(SimTime::ZERO, backbone, false);
         let send = |net: &mut Network<&'static str>| {
             net.send(
@@ -487,6 +468,61 @@ mod tests {
         let evs = net.poll(SimTime::from_secs(1));
         assert!(evs.is_empty());
         assert_eq!(net.messages_dropped(), 1);
+    }
+
+    /// Sends a message each way between `host` and the coordinator, one
+    /// from `other` to the coordinator, and a loopback at `host`.
+    fn four_in_flight(net: &mut Network<&'static str>, host: NodeId, other: NodeId, coord: NodeId) {
+        for (from, to, tag) in [
+            (coord, host, "down"),
+            (host, coord, "up"),
+            (other, coord, "other"),
+            (host, host, "loop"),
+        ] {
+            net.send(SimTime::ZERO, from, to, 64, TrafficClass::Control, tag)
+                .unwrap();
+        }
+    }
+
+    fn delivered(net: &mut Network<&'static str>) -> Vec<&'static str> {
+        net.poll(SimTime::from_secs(1))
+            .into_iter()
+            .map(|ev| match ev {
+                NetEvent::Delivered { payload, .. } => payload,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A link that goes down loses the messages crossing it — both ways
+    /// between its leaf and the switch — and no other.
+    #[test]
+    fn a_downed_link_loses_the_messages_crossing_it() {
+        let (mut net, hosts, coord) = campus(2);
+        four_in_flight(&mut net, hosts[0], hosts[1], coord);
+        let access = net.topology().link_of(hosts[0]);
+        assert!(net
+            .set_link_up(SimTime::from_nanos(1), access, false)
+            .is_empty());
+        assert_eq!(net.messages_dropped(), 2);
+        net.set_link_up(SimTime::from_nanos(2), access, true);
+        assert_eq!(delivered(&mut net), ["loop", "other"]);
+        assert_eq!(net.messages_dropped(), 2);
+    }
+
+    /// A switch that goes down loses every message between two nodes; a
+    /// loopback never reaches it.
+    #[test]
+    fn a_downed_switch_loses_every_message_but_loopbacks() {
+        let (mut net, hosts, coord) = campus(2);
+        four_in_flight(&mut net, hosts[0], hosts[1], coord);
+        assert!(net
+            .set_node_up(SimTime::from_nanos(1), Topology::SWITCH, false)
+            .is_empty());
+        assert_eq!(net.messages_dropped(), 3);
+        net.set_node_up(SimTime::from_nanos(2), Topology::SWITCH, true);
+        assert_eq!(delivered(&mut net), ["loop"]);
+        assert_eq!(net.messages_dropped(), 3);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn star() -> (Topology, Vec<NodeId>, NodeId) {
 
 #[test]
 fn recording_into_a_touched_bucket_does_not_allocate() {
-    let mut acct = Accounting::new(SimDuration::from_secs(60));
+    let mut acct = Accounting::new(SimDuration::from_secs(60), 8);
     let at = |s: u64| SimTime::from_secs(s);
     // First touches grow the link table and the two series.
     for link in 0..8 {
@@ -82,7 +82,7 @@ fn recording_into_a_touched_bucket_does_not_allocate() {
 
 #[test]
 fn a_new_minute_allocates_only_at_a_block_boundary() {
-    let mut acct = Accounting::new(SimDuration::from_secs(60));
+    let mut acct = Accounting::new(SimDuration::from_secs(60), 8);
     let minute = |m: u64| SimTime::from_secs(60 * m);
     let blocks = 3;
     let minutes = (blocks * Accounting::BUCKETS_PER_BLOCK) as u64;
@@ -114,7 +114,7 @@ fn a_new_minute_allocates_only_at_a_block_boundary() {
 
 #[test]
 fn looking_a_cached_route_up_does_not_allocate() {
-    let (mut topo, hosts, coord) = star();
+    let (topo, hosts, coord) = star();
     for h in &hosts {
         assert_eq!(topo.route(*h, coord).expect("star is connected").len(), 2);
     }
@@ -127,7 +127,7 @@ fn looking_a_cached_route_up_does_not_allocate() {
     let spent = allocations() - before;
 
     assert_eq!(hops, 2 * HOSTS);
-    assert_eq!(spent, 0, "{spent} allocations over {HOSTS} cached lookups");
+    assert_eq!(spent, 0, "{spent} allocations over {HOSTS} warm lookups");
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn a_steady_state_send_allocates_only_its_payload_and_queue_nodes() {
             .expect("star is connected");
         }
     };
-    // One round warms every route and every link's bucket of this minute.
+    // One round warms every link's bucket of this minute and the queue.
     beat(&mut net, SimTime::from_secs(1));
     assert_eq!(net.poll(SimTime::from_secs(2)).len(), HOSTS);
 
