@@ -5,12 +5,14 @@
 //! 10 000, and 100 000 nodes (the quantities EXPERIMENTS.md §5.2 quotes;
 //! the 100k turn is timed cold and warm),
 //! the same turn on a **saturated** 400-node fleet (50 pending jobs of
-//! five shapes, every pick fails — `pass_ns_400_saturated`),
+//! five shapes, every pick fails — `pass_ns_400_saturated`), the same
+//! turn on a full 400-node fleet behind a 2 000-job backlog of the lab
+//! shapes with exclusion lists (`pass_ns_400_backlog`),
 //! plus the simulated database write-queue figures at 400 nodes, the
 //! coordinator-inbox saturation figures at 500 nodes (ρ = 1.2), and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
 //! framed encode of the dominant heartbeat message) — writes
-//! them to `BENCH_scheduler.json` (schema 13), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 14), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -51,9 +53,9 @@
 //! ```
 
 use gpunion_bench::{
-    check_baseline_schema, codec_cost_run, contention_knee_run, loaded_coordinator,
-    saturated_coordinator, saturation_run, warm_pass_ns, PassStats, BENCH_SCHEMA, PASS_JOBS,
-    SATURATED_JOBS,
+    backlog_coordinator, check_baseline_schema, codec_cost_run, contention_knee_run,
+    loaded_coordinator, saturated_coordinator, saturation_run, warm_pass_ns, PassStats,
+    BACKLOG_JOBS, BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
@@ -111,6 +113,27 @@ fn saturated_pass_ns(n: usize, iters: usize) -> PassStats {
     PassStats::from_samples(samples)
 }
 
+/// The same cold turn on a full fleet behind a [`BACKLOG_JOBS`]-job
+/// backlog of the lab shapes with exclusion lists: one pass over the whole
+/// backlog, where every job whose shape dominates one already proved
+/// unplaceable costs no walk of the index.
+fn backlog_pass_ns(n: usize, iters: usize) -> PassStats {
+    let samples: Vec<u64> = (0..iters)
+        .map(|_| {
+            let (mut coord, at) = backlog_coordinator(n, BACKLOG_JOBS);
+            let t0 = Instant::now();
+            coord.advance(at);
+            let dt = t0.elapsed().as_nanos() as u64;
+            assert!(
+                coord.db().pending_count() >= BACKLOG_JOBS,
+                "the backlog stays a backlog at {n} nodes"
+            );
+            dt
+        })
+        .collect();
+    PassStats::from_samples(samples)
+}
+
 /// Minimal extractor for the flat JSON this binary writes.
 fn json_f64(s: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
@@ -137,6 +160,7 @@ fn main() {
     eprintln!("bench_gate: measuring scheduling pass (400 / 10k / 100k nodes)…");
     let p400 = pass_ns(400, 31);
     let p400_sat = saturated_pass_ns(400, 31);
+    let p400_backlog = backlog_pass_ns(400, 11);
     let p10k = pass_ns(10_000, 11);
     let p100k = pass_ns(100_000, 7);
     eprintln!("bench_gate: measuring warm turn (100k nodes)…");
@@ -222,13 +246,15 @@ fn main() {
 
     let json = format!(
         "{{\n  \"schema\": {BENCH_SCHEMA},\n  \"pass_ns_400\": {},\n  \
-         \"pass_ns_400_saturated\": {},\n  \"pass_ns_10k\": {},\n  \
+         \"pass_ns_400_saturated\": {},\n  \"pass_ns_400_backlog\": {},\n  \
+         \"pass_ns_10k\": {},\n  \
          \"pass_ns_100k\": {},\n  \"pass_ns_100k_warm\": {},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
          \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {}\n}}\n",
         p400.median_ns,
         p400_sat.median_ns,
+        p400_backlog.median_ns,
         p10k.median_ns,
         p100k.median_ns,
         pwarm.median_ns,
@@ -266,6 +292,7 @@ fn main() {
     for (key, measured) in [
         ("pass_ns_400", p400.median_ns as f64),
         ("pass_ns_400_saturated", p400_sat.median_ns as f64),
+        ("pass_ns_400_backlog", p400_backlog.median_ns as f64),
         ("pass_ns_10k", p10k.median_ns as f64),
         ("pass_ns_100k", p100k.median_ns as f64),
         ("pass_ns_100k_warm", pwarm.median_ns as f64),

@@ -33,14 +33,15 @@ use gpunion_protocol::{
 };
 use gpunion_scheduler::{CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, SendOutcome};
 use gpunion_workload::{
-    generate, generate_into, paper_campus_labs, Request, TraceConfig, TraceEvent, TrainingJobSpec,
+    generate, generate_into, paper_campus_labs, InteractiveSpec, ModelClass, Request, TraceConfig,
+    TraceEvent, TrainingJobSpec,
 };
 use std::time::Instant;
 
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 13;
+pub const BENCH_SCHEMA: u64 = 14;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -428,6 +429,110 @@ pub fn saturated_coordinator(n: usize, jobs: usize) -> Coordinator {
     }
     c.advance(SimTime::from_secs(3801));
     c
+}
+
+/// Pending jobs of the backlog pass row (gate row `pass_ns_400_backlog`).
+pub const BACKLOG_JOBS: usize = 2_000;
+
+/// A **full fleet behind a standing backlog** — the regime closing the
+/// accept-to-heartbeat double booking leaves `fleet400_day` in: `n`
+/// single-3090 nodes filled by accepted jobs of the lab shapes, and at
+/// least `jobs` pending jobs of those shapes with exclusion lists. The
+/// shapes are the five model classes (6–38 GB, compute floors none, 7.0
+/// and 8.0), the 8 GB interactive session, and two-GPU variants of the two
+/// smallest classes. Each job's first offer is refused (so its exclusion
+/// list names a node that had room for it, and may still have), every
+/// later offer is accepted, and the node reports the VRAM it took in its
+/// next heartbeat. The world is run until no pass places anything, topped
+/// up and run again until `jobs` stay pending, then a provider's unpause
+/// arms one pass. Returns the coordinator and the instant at which one
+/// [`Coordinator::advance`] runs that pass over the whole backlog.
+pub fn backlog_coordinator(n: usize, jobs: usize) -> (Coordinator, SimTime) {
+    let shape = |gpus: u8, mem: u64, min_cc| DispatchSpec {
+        gpus,
+        gpu_mem_bytes: mem,
+        min_cc,
+        ..bench_spec()
+    };
+    let mut shapes: Vec<DispatchSpec> = ModelClass::ALL
+        .iter()
+        .map(|m| {
+            let p = m.profile();
+            shape(1, p.gpu_mem_bytes, p.min_cc.map(|cc| (cc.major, cc.minor)))
+        })
+        .collect();
+    shapes.push(shape(1, InteractiveSpec::typical().gpu_mem_bytes, None));
+    for m in &ModelClass::ALL[..2] {
+        shapes.push(shape(2, m.profile().gpu_mem_bytes, None));
+    }
+    let mut specs = shapes.iter().cycle().cloned();
+    let mut c = bench_coordinator(n);
+    let mut used = vec![0u64; n];
+    let mut refused = std::collections::BTreeSet::new();
+    let mut at = SimTime::from_secs(3601);
+    for round in 0.. {
+        let pending = c.db().pending_count();
+        if pending >= jobs {
+            break;
+        }
+        assert!(round < 8, "the backlog does not build up");
+        for spec in specs.by_ref().take(jobs - pending) {
+            let outcome = c.send(at, CoordEnvelope::SubmitJob(Box::new(spec)));
+            assert!(
+                matches!(outcome, SendOutcome::Enqueued { job: Some(_) }),
+                "submissions are never shed"
+            );
+        }
+        // Run until no pass places anything (the sweep, a day out, never
+        // fires): refuse each job's first offer, accept the rest.
+        let quiet = at + SimDuration::from_secs(4000);
+        while let Some(wake) = c.next_wake().filter(|&t| t < quiet) {
+            for action in c.advance(wake) {
+                let CoordAction::Send {
+                    to,
+                    msg: Message::Work(Work::Dispatch { spec }),
+                    ..
+                } = action
+                else {
+                    continue;
+                };
+                let refuse = refused.insert(spec.job);
+                let reply = Work::DispatchReply {
+                    job: spec.job,
+                    accepted: !refuse,
+                    reason: String::new(),
+                };
+                c.send(wake, CoordEnvelope::Msg(Box::new(reply.into())));
+                if refuse {
+                    continue;
+                }
+                used[to.slot()] += spec.gpu_mem_bytes;
+                let beat = Control::Heartbeat {
+                    node: to,
+                    seq: 1,
+                    accepting: true,
+                    gpu_stats: vec![GpuStat {
+                        memory_used: used[to.slot()],
+                        memory_total: GpuModel::Rtx3090.vram_bytes(),
+                        utilization: 1.0,
+                        temperature_c: 70.0,
+                        power_w: 300.0,
+                    }],
+                    workloads: vec![],
+                };
+                c.send(wake, CoordEnvelope::Msg(Box::new(beat.into())));
+            }
+        }
+        c.advance(quiet);
+        at = quiet + SimDuration::from_secs(1);
+    }
+    let unpause = Control::PauseScheduling {
+        node: NodeUid(0),
+        paused: false,
+    };
+    c.send(at, CoordEnvelope::Msg(Box::new(unpause.into())));
+    c.advance(at);
+    (c, at + SimDuration::from_secs(100))
 }
 
 /// One row of the coordinator-inbox saturation experiment (the scale-out

@@ -84,8 +84,9 @@ fn a_warm_heartbeat_round_trip_allocates_only_what_travels() {
     );
     assert_eq!(
         sim.events_executed() - events,
-        4 * trips as u64 + 20,
-        "wake, beat in, its status write applied, ack in; one sweep a period"
+        3 * trips as u64 + 20,
+        "wake, beat in, ack in; one sweep a period (a beat's status write \
+         applies at the next coordinator turn, not at a wake of its own)"
     );
     // The parent allocated 4 206 times here: 3 × 1 280 + 2 × 183, its wake
     // index a B-tree churning like `by_heartbeat`.

@@ -118,7 +118,8 @@ impl SystemDb {
     }
 
     /// WAL size in bytes.
-    pub fn wal_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn wal_bytes(&self) -> usize {
         self.wal.len_bytes()
     }
 
@@ -168,9 +169,9 @@ impl SystemDb {
         true
     }
 
-    /// All nodes in a given state, in uid order. Returns an iterator —
-    /// this sits on monitoring paths that must not allocate per call.
-    pub fn nodes_in_state(&self, state: NodeState) -> impl Iterator<Item = &NodeRecord> + '_ {
+    /// All nodes in a given state, in uid order.
+    #[cfg(test)]
+    fn nodes_in_state(&self, state: NodeState) -> impl Iterator<Item = &NodeRecord> + '_ {
         self.nodes.values().filter(move |n| n.state == state)
     }
 
@@ -228,14 +229,16 @@ impl SystemDb {
     }
 
     /// Peek the next pending job: highest priority first, then FIFO.
-    pub fn peek_pending(&self) -> Option<JobId> {
+    #[cfg(test)]
+    fn peek_pending(&self) -> Option<JobId> {
         self.pending.first().map(|&(_, _, j)| j)
     }
 
     /// Pending jobs in dispatch order (highest priority, then FIFO). The
-    /// queue's natural order — one in-order walk, no sorting.
-    pub fn pending_in_order(&self) -> Vec<JobId> {
-        self.pending.iter().map(|&(_, _, j)| j).collect()
+    /// queue's natural order — one in-order walk, no sorting, and no
+    /// allocation: the scheduling pass copies it into a buffer it keeps.
+    pub fn pending_in_order(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.pending.iter().map(|&(_, _, j)| j)
     }
 
     /// Remove a job from the pending queue (it was allocated or cancelled).
@@ -376,7 +379,7 @@ mod tests {
         submit(&mut db, 3, 2, 1);
         submit(&mut db, 4, 3, 5);
         assert_eq!(
-            db.pending_in_order(),
+            db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(4), JobId(1), JobId(3)]
         );
         assert_eq!(db.peek_pending(), Some(JobId(2)));
@@ -418,7 +421,10 @@ mod tests {
         submit(&mut db, 2, 1, 1);
         db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
         db.requeue_job(JobId(1));
-        assert_eq!(db.pending_in_order(), vec![JobId(2), JobId(1)]);
+        assert_eq!(
+            db.pending_in_order().collect::<Vec<_>>(),
+            vec![JobId(2), JobId(1)]
+        );
     }
 
     #[test]
@@ -474,7 +480,10 @@ mod tests {
         assert!(db.requeue_job(JobId(1)), "requeue of a pending job");
         assert_eq!(db.pending_count(), 2, "no duplicate entry");
         // It moved behind its peer.
-        assert_eq!(db.pending_in_order(), vec![JobId(2), JobId(1)]);
+        assert_eq!(
+            db.pending_in_order().collect::<Vec<_>>(),
+            vec![JobId(2), JobId(1)]
+        );
         assert!(db.take_pending(JobId(1)));
         assert!(!db.take_pending(JobId(1)), "single entry to take");
     }
@@ -485,7 +494,7 @@ mod tests {
         for i in 0..100u64 {
             submit(&mut db, i, i, (i % 3) as u8);
         }
-        let order = db.pending_in_order();
+        let order = db.pending_in_order().collect::<Vec<_>>();
         assert_eq!(order.len(), 100);
         // Priority classes descend; FIFO inside each class.
         let prio = |j: &JobId| db.job(*j).unwrap().priority;
@@ -511,7 +520,7 @@ mod tests {
         db.submit_job(JobId(3), t(2), 5, UserId(1));
         db.submit_job(JobId(4), t(3), 0, UserId(2));
         assert_eq!(
-            db.pending_in_order(),
+            db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(3), JobId(1), JobId(4)]
         );
     }
@@ -569,7 +578,7 @@ mod tests {
             queued.sort_by_key(|&(priority, _)| Reverse(priority));
             let expected: Vec<JobId> = queued.iter().map(|&(_, job)| job).collect();
             prop_assert_eq!(db.peek_pending(), expected.first().copied());
-            prop_assert_eq!(db.pending_in_order(), expected);
+            prop_assert_eq!(db.pending_in_order().collect::<Vec<_>>(), expected);
         }
     }
 }
@@ -592,7 +601,7 @@ mod fair_share_oracle {
                 db.submit_job(JobId(i as u64), SimTime::from_secs(i as u64), 1, UserId(*user));
             }
             let expected: Vec<JobId> = (0..users.len() as u64).map(JobId).collect();
-            prop_assert_eq!(db.pending_in_order(), expected);
+            prop_assert_eq!(db.pending_in_order().collect::<Vec<_>>(), expected);
         }
     }
 }

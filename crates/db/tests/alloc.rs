@@ -1,11 +1,11 @@
 //! Allocation discipline of the hot-path queries.
 //!
-//! `nodes_in_state` and `jobs_on_node` sit on the coordinator's sweep and
-//! node-loss paths; they used to build a `Vec` per call. This test pins
-//! the fix — both return lazy iterators — by counting real heap
-//! allocations around the calls with a counting global allocator. It
-//! lives alone in its own test binary so no concurrent test can perturb
-//! the counter.
+//! `pending_in_order` is the walk every scheduling pass copies into the
+//! buffer it keeps, and `jobs_on_node` answers "what runs here"; both used
+//! to build a `Vec` per call. This test pins the fix — both return lazy
+//! iterators — by counting real heap allocations around the calls with a
+//! counting global allocator. It lives alone in its own test binary so no
+//! concurrent test can perturb the counter.
 
 use gpunion_db::{JobState, NodeRecord, NodeState, SystemDb};
 use gpunion_des::SimTime;
@@ -55,8 +55,12 @@ fn state_and_node_queries_do_not_allocate() {
         db.submit_job(JobId(job), SimTime::ZERO, 1, UserId::SYSTEM);
         db.allocate(JobId(job), NodeUid(job % 8), vec![0], SimTime::ZERO);
     }
+    // A backlog of 32 still pending.
+    for job in 64..96u64 {
+        db.submit_job(JobId(job), SimTime::ZERO, 1, UserId::SYSTEM);
+    }
     // Warm up any lazy statics outside the measured window.
-    assert_eq!(db.nodes_in_state(NodeState::Active).count(), 32);
+    assert_eq!(db.pending_in_order().count(), 32);
     assert_eq!(db.jobs_on_node(NodeUid(3)).count(), 8);
     assert_eq!(
         db.jobs_on_node(NodeUid(3)).fold(0u64, |acc, j| acc + j.0),
@@ -64,12 +68,12 @@ fn state_and_node_queries_do_not_allocate() {
     );
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let active = db.nodes_in_state(NodeState::Active).count();
+    let pending = db.pending_in_order().count();
     let on_node = db.jobs_on_node(NodeUid(3)).count();
     let sum: u64 = db.jobs_on_node(NodeUid(5)).map(|j| j.0).sum();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
 
-    assert_eq!(active, 32);
+    assert_eq!(pending, 32);
     assert_eq!(on_node, 8);
     assert!(sum > 0);
     assert_eq!(

@@ -40,7 +40,8 @@
 //! A scheduling pass is batched: it drains the pending queue once against
 //! the directory's capacity index, reserving capacity as it places so later
 //! jobs in the same pass see the updated state — no per-job rescans, no
-//! re-ranking between placements. Displaced jobs whose provider returned
+//! re-ranking between placements, and no pick for a job whose shape the
+//! pass has already proved unplaceable. Displaced jobs whose provider returned
 //! take a preferred-node fast path that runs before the general drain, so
 //! migrate-back can't lose its home slot to an earlier queue position.
 
@@ -54,7 +55,8 @@ use gpunion_protocol::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A typed envelope bound for the coordinator actor's inbox.
 ///
@@ -219,6 +221,9 @@ enum CoordTimer {
     OfferTimeout(JobId),
 }
 
+/// Where an armed timer sits in the timer map: due time, then arming order.
+type TimerKey = (SimTime, u64);
+
 /// An inbox entry: accepted at `enqueued`, processed at its turn.
 #[derive(Debug)]
 struct QueuedEnvelope {
@@ -283,15 +288,33 @@ pub struct Coordinator {
     /// is at bound: the actor is waiting for a write completion before
     /// taking its next turn (critical-write backpressure).
     stalled: bool,
-    /// Ordered by job id so displacement/migrate-back sweeps are
-    /// deterministic (golden-output experiments depend on it).
-    jobs: BTreeMap<JobId, JobMeta>,
+    /// Every job not yet terminal. Unordered: the walks that must visit
+    /// jobs in id order (node loss, provider return) read the per-node
+    /// indexes below, so this is looked up, never iterated.
+    jobs: JobMap,
     /// Jobs currently holding a migrate-back home slot — the sweep and
     /// node-loss scans walk this (holds are rare) instead of every job.
     held_jobs: BTreeSet<JobId>,
+    /// Node → jobs running or offered there (what node loss displaces).
+    placed_index: NodeJobs,
+    /// Node → jobs last displaced from it (what a returning provider may
+    /// take back home).
+    displaced_index: NodeJobs,
     next_job: u64,
-    timers: BTreeMap<(SimTime, u64), CoordTimer>,
+    timers: BTreeMap<TimerKey, CoordTimer>,
+    /// Every armed offer timeout, by job — a reply disarms its job's
+    /// timeouts without walking the timer map. A job can hold more than
+    /// one (an offer displaced in flight leaves its timeout armed) and can
+    /// outlive its bookkeeping, so this is not a [`JobMeta`] field.
+    offer_timeouts: BTreeSet<(JobId, TimerKey)>,
     timer_seq: u64,
+    /// The pass's walk over the pending queue, kept between passes so a
+    /// pass allocates nothing once warm.
+    pass_queue: Vec<JobId>,
+    /// Shapes proved unplaceable in the current pass (see [`MissMemo`]).
+    misses: MissMemo,
+    /// Scratch list of jobs for the node-loss and provider-return walks.
+    job_scratch: Vec<JobId>,
     pass_armed: bool,
     decision_latency: Online,
     // Inbox telemetry (enqueue → turn).
@@ -317,11 +340,17 @@ impl Coordinator {
             selector: Selector::default(),
             inbox: VecDeque::new(),
             stalled: false,
-            jobs: BTreeMap::new(),
+            jobs: JobMap::default(),
             held_jobs: BTreeSet::new(),
+            placed_index: NodeJobs::default(),
+            displaced_index: NodeJobs::default(),
             next_job: 1,
             timers: BTreeMap::new(),
+            offer_timeouts: BTreeSet::new(),
             timer_seq: 0,
+            pass_queue: Vec::new(),
+            misses: MissMemo::default(),
+            job_scratch: Vec::new(),
             pass_armed: false,
             decision_latency: Online::new(),
             inbox_sojourn: Online::new(),
@@ -369,14 +398,18 @@ impl Coordinator {
         &self.dir
     }
 
-    /// The system-database tables (read access for harnesses).
-    /// Valid only within the current turn — in-flight writes apply on the
-    /// next [`Coordinator::advance`].
+    /// The system-database tables (read access for harnesses), as of the
+    /// last turn: a write whose service completed since then applies at
+    /// the next [`Coordinator::advance`], not at its completion (see
+    /// [`Coordinator::next_wake`]). Call `advance(now)` first to read the
+    /// tables as of `now`.
     pub fn db(&self) -> &SystemDb {
         self.db.state()
     }
 
-    /// The database write-queue actor (queue-depth / latency telemetry).
+    /// The database write-queue actor (queue-depth / latency telemetry),
+    /// as of the last turn, like [`Coordinator::db`]: a write completed
+    /// since then still counts in its depth, not yet in its applied count.
     pub fn db_actor(&self) -> &DbActor {
         &self.db
     }
@@ -431,18 +464,26 @@ impl Coordinator {
         SendOutcome::Enqueued { job }
     }
 
-    /// Next wake time: the earliest of the inbox head (unless the actor is
-    /// stalled on database backpressure), the earliest timer, and the next
-    /// database write completion. While stalled, the next write completion
-    /// *is* the wake — a slot frees and the turn retries.
+    /// Next wake time: the earliest of the timers and the inbox head.
+    ///
+    /// A database write completion is not a wake of its own: nothing in the
+    /// actor reads the tables between turns, and every turn applies the
+    /// writes due by its instant first, so a write applies at the first
+    /// turn at or after its completion and each turn reads the same
+    /// database it would have had the completion woken the actor. The
+    /// exception is a stall on database backpressure: then the inbox head
+    /// waits for a free slot, and the next write completion *is* the wake —
+    /// a slot frees and the turn retries. Out-of-turn readers
+    /// ([`Coordinator::db`], [`Coordinator::db_actor`], the `db_*` fields
+    /// of [`Coordinator::stats`]) therefore see the database as of the
+    /// last turn.
     pub fn next_wake(&self) -> Option<SimTime> {
         let timer = self.timers.first_key_value().map(|(&(t, _), _)| t);
-        let inbox = if self.stalled {
-            None
+        if self.stalled {
+            earliest(timer, self.db.next_wake())
         } else {
-            self.inbox.front().map(|q| q.enqueued)
-        };
-        earliest(earliest(timer, inbox), self.db.next_wake())
+            earliest(timer, self.inbox.front().map(|q| q.enqueued))
+        }
     }
 
     /// Run the actor up to `now` ([`Coordinator::advance_into`] with a
@@ -509,6 +550,9 @@ impl Coordinator {
                         .first_key_value()
                         .expect("non-envelope turn implies a due timer");
                     let timer = self.timers.remove(&key).expect("just observed");
+                    if let CoordTimer::OfferTimeout(job) = timer {
+                        self.offer_timeouts.remove(&(job, key));
+                    }
                     if self.db.would_block() {
                         // Every timer's duty submits critical writes
                         // (requeues, state flips, dequeues): re-arm it at
@@ -521,6 +565,8 @@ impl Coordinator {
                     self.fire_timer(now, timer, actions);
                 }
             }
+            #[cfg(test)]
+            self.assert_job_index_matches_scan();
         }
     }
 
@@ -567,8 +613,27 @@ impl Coordinator {
     }
 
     fn arm(&mut self, at: SimTime, t: CoordTimer) {
-        self.timers.insert((at, self.timer_seq), t);
+        let key = (at, self.timer_seq);
+        self.timers.insert(key, t);
         self.timer_seq += 1;
+        if let CoordTimer::OfferTimeout(job) = t {
+            self.offer_timeouts.insert((job, key));
+        }
+    }
+
+    /// Cancel every armed offer timeout of `job`.
+    fn disarm_offer_timeouts(&mut self, job: JobId) {
+        while let Some(&(j, key)) = self
+            .offer_timeouts
+            .range((job, (SimTime::ZERO, 0))..)
+            .next()
+        {
+            if j != job {
+                break;
+            }
+            self.offer_timeouts.remove(&(j, key));
+            self.timers.remove(&key);
+        }
     }
 
     fn arm_pass(&mut self, now: SimTime) {
@@ -641,7 +706,7 @@ impl Coordinator {
     /// Cancel a job (the [`CoordEnvelope::CancelJob`] turn).
     fn cancel_job(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
         self.drop_hold(job);
-        let Some(meta) = self.jobs.remove(&job) else {
+        let Some(meta) = self.remove_job(job) else {
             return;
         };
         self.db.submit(now, WriteIntent::TakePending(job));
@@ -705,6 +770,48 @@ impl Coordinator {
             meta.migrating_back = false;
         }
         self.arm_pass(now);
+    }
+
+    // ---- job bookkeeping ------------------------------------------------
+
+    /// Mutate a job's bookkeeping, keeping the per-node indexes in step with
+    /// its `current_node`, `offered_to` and `displaced_from`. Every change to
+    /// those three fields goes through here (or [`Coordinator::remove_job`]).
+    fn update_job<R>(&mut self, job: JobId, f: impl FnOnce(&mut JobMeta) -> R) -> Option<R> {
+        let meta = self.jobs.get_mut(&job)?;
+        let before = Placement::of(meta);
+        let out = f(meta);
+        let after = Placement::of(meta);
+        for node in before.placed() {
+            if !after.placed().any(|n| n == node) {
+                self.placed_index.remove(node, job);
+            }
+        }
+        for node in after.placed() {
+            self.placed_index.insert(node, job);
+        }
+        if before.displaced != after.displaced {
+            if let Some(node) = before.displaced {
+                self.displaced_index.remove(node, job);
+            }
+            if let Some(node) = after.displaced {
+                self.displaced_index.insert(node, job);
+            }
+        }
+        Some(out)
+    }
+
+    /// Stop tracking a job, dropping it from the per-node indexes.
+    fn remove_job(&mut self, job: JobId) -> Option<JobMeta> {
+        let meta = self.jobs.remove(&job)?;
+        let placement = Placement::of(&meta);
+        for node in placement.placed() {
+            self.placed_index.remove(node, job);
+        }
+        if let Some(node) = placement.displaced {
+            self.displaced_index.remove(node, job);
+        }
+        Some(meta)
     }
 
     // ---- message handling --------------------------------------------
@@ -880,30 +987,33 @@ impl Coordinator {
                 accepted,
                 reason: _,
             } => {
-                self.timers
-                    .retain(|_, t| !matches!(t, CoordTimer::OfferTimeout(j) if *j == job));
-                let Some(meta) = self.jobs.get_mut(&job) else {
-                    return;
-                };
-                let node = meta.offered_to.take();
-                let Some(node) = node else {
+                self.disarm_offer_timeouts(job);
+                let reply = self.update_job(job, |meta| {
+                    let node = meta.offered_to.take()?;
+                    let mut migrated_back = false;
+                    if accepted {
+                        meta.current_node = Some(node);
+                        // `preferred` is only ever set to a returning
+                        // provider's node, so landing there means the
+                        // migrate-back worked.
+                        migrated_back = meta.preferred == Some(node);
+                        if migrated_back {
+                            meta.displaced_from = None;
+                        }
+                        // Either way the preference is spent: it belongs to
+                        // the placement epoch in which the provider returned.
+                        // Left in place, a placement on another node would
+                        // let a much later, unrelated displacement still
+                        // route home and count as a migrate-back.
+                        meta.preferred = None;
+                        meta.migrating_back = false;
+                    }
+                    Some((node, migrated_back))
+                });
+                let Some(Some((node, migrated_back))) = reply else {
                     return;
                 };
                 if accepted {
-                    meta.current_node = Some(node);
-                    // `preferred` is only ever set to a returning provider's
-                    // node, so landing there means the migrate-back worked.
-                    let migrated_back = meta.preferred == Some(node);
-                    if migrated_back {
-                        meta.displaced_from = None;
-                    }
-                    // Either way the preference is spent: it belongs to the
-                    // placement epoch in which the provider returned. Left
-                    // in place, a placement on another node would let a much
-                    // later, unrelated displacement still route home and
-                    // count as a migrate-back.
-                    meta.preferred = None;
-                    meta.migrating_back = false;
                     // Release the offer reservation: the agent has allocated
                     // real VRAM, which the next heartbeat reports. Keeping
                     // the reservation would double-count the job's memory.
@@ -1026,15 +1136,13 @@ impl Coordinator {
         self.dir.set_liveness(node, NodeLiveness::Offline);
         self.db
             .submit(now, WriteIntent::SetNodeState(node, NodeState::Unavailable));
-        let displaced: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, m)| m.current_node == Some(node) || m.offered_to == Some(node))
-            .map(|(j, _)| *j)
-            .collect();
-        for job in displaced {
+        let mut displaced = std::mem::take(&mut self.job_scratch);
+        displaced.clear();
+        displaced.extend(self.placed_index.jobs(node));
+        for &job in &displaced {
             self.displace_job(now, job, actions);
         }
+        self.job_scratch = displaced;
         // Migrate-back holds on the dead node are gone with it.
         self.abandon_holds_where(now, |n, _| n == node);
     }
@@ -1042,17 +1150,19 @@ impl Coordinator {
     /// Requeue a displaced job for migration, restoring from its latest
     /// durable checkpoint when one exists.
     fn displace_job(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
-        let Some(meta) = self.jobs.get_mut(&job) else {
+        let Some(from) = self.update_job(job, |meta| {
+            let from = meta.current_node.take().or(meta.offered_to.take());
+            if let Some(n) = from {
+                meta.displaced_from = Some((n, now));
+            }
+            from
+        }) else {
             return;
         };
-        let from = meta.current_node.take().or(meta.offered_to.take());
         if let Some(n) = from {
             self.dir.release(n, job);
         }
         let meta = self.jobs.get_mut(&job).expect("still present");
-        if let Some(n) = from {
-            meta.displaced_from = Some((n, now));
-        }
         let restore_seq = meta.latest_checkpoint.as_ref().map(|(s, _)| *s);
         meta.spec.restore_from_seq = restore_seq;
         meta.migrating_back = false;
@@ -1071,7 +1181,7 @@ impl Coordinator {
 
     fn finish_job(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
         self.drop_hold(job);
-        if let Some(meta) = self.jobs.remove(&job) {
+        if let Some(meta) = self.remove_job(job) {
             if let Some(node) = meta.current_node {
                 self.dir.release(node, job);
             }
@@ -1088,7 +1198,7 @@ impl Coordinator {
 
     fn fail_job(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
         self.drop_hold(job);
-        if let Some(meta) = self.jobs.remove(&job) {
+        if let Some(meta) = self.remove_job(job) {
             if let Some(node) = meta.current_node.or(meta.offered_to) {
                 self.dir.release(node, job);
             }
@@ -1103,10 +1213,7 @@ impl Coordinator {
     }
 
     fn offer_timed_out(&mut self, now: SimTime, job: JobId, actions: &mut Vec<CoordAction>) {
-        let Some(meta) = self.jobs.get_mut(&job) else {
-            return;
-        };
-        let Some(node) = meta.offered_to.take() else {
+        let Some(Some(node)) = self.update_job(job, |meta| meta.offered_to.take()) else {
             return;
         };
         self.offer_failed(now, job, node, actions);
@@ -1147,17 +1254,14 @@ impl Coordinator {
     /// A displaced provider came back: try to move its jobs home.
     fn provider_returned(&mut self, now: SimTime, node: NodeUid, actions: &mut Vec<CoordAction>) {
         let window = self.config.migrate_back_window;
-        let candidates: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, m)| {
-                m.displaced_from
-                    .map(|(n, at)| n == node && now.since(at) <= window)
-                    .unwrap_or(false)
-            })
-            .map(|(j, _)| *j)
-            .collect();
-        for job in candidates {
+        let mut candidates = std::mem::take(&mut self.job_scratch);
+        candidates.clear();
+        candidates.extend(self.displaced_index.jobs(node).filter(|j| {
+            self.jobs[j]
+                .displaced_from
+                .is_some_and(|(_, at)| now.since(at) <= window)
+        }));
+        for &job in &candidates {
             let meta = self.jobs.get_mut(&job).expect("just listed");
             meta.preferred = Some(node);
             // A rejection from a past epoch must not veto the return home.
@@ -1197,6 +1301,7 @@ impl Coordinator {
                 _ => {}
             }
         }
+        self.job_scratch = candidates;
     }
 
     // ---- the scheduling pass -------------------------------------------
@@ -1207,7 +1312,10 @@ impl Coordinator {
     /// re-ranking anything.
     ///
     /// Runs in two phases: migrate-back candidates claim their preferred
-    /// (returning) node first, then the general drain picks round-robin.
+    /// (returning) node first, then the general drain picks round-robin,
+    /// skipping every pick the pass has already proved would miss
+    /// ([`MissMemo`]). The queue is walked through a buffer the coordinator
+    /// keeps, so a warm pass allocates nothing for it.
     ///
     /// Each placement submits its dequeue transaction to the write-queue
     /// actor and pays that write's *emergent* sojourn time as its decision
@@ -1216,13 +1324,33 @@ impl Coordinator {
     /// to simulate. If the write queue hits its bound mid-drain, the pass
     /// defers (see [`Coordinator::defer_pass`]) rather than over-filling.
     fn scheduling_pass(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
-        let pending = self.db.state().pending_in_order();
+        let mut pending = std::mem::take(&mut self.pass_queue);
+        pending.clear();
+        pending.extend(self.db.state().pending_in_order());
+        let drained = self.drain_pending(now, &pending, actions);
+        self.pass_queue = pending;
 
+        // Writes that add pending jobs may still be in flight (submitted
+        // after this pass was armed): they were invisible to the drain
+        // above, so run another pass once the queue has drained them.
+        if drained && self.db.pending_enqueues() > 0 {
+            self.arm_pass(now);
+        }
+    }
+
+    /// The two phases of [`Coordinator::scheduling_pass`] over `pending`.
+    /// Returns false when database backpressure deferred the pass.
+    fn drain_pending(
+        &mut self,
+        now: SimTime,
+        pending: &[JobId],
+        actions: &mut Vec<CoordAction>,
+    ) -> bool {
         // Phase 1: the preferred-node (migrate-back) fast path.
-        for &job in &pending {
+        for &job in pending {
             if self.db.would_block() {
                 self.defer_pass(now);
-                return;
+                return false;
             }
             let Some(meta) = self.jobs.get(&job) else {
                 continue;
@@ -1255,10 +1383,14 @@ impl Coordinator {
         }
 
         // Phase 2: drain the rest of the queue against the capacity index.
-        for &job in &pending {
+        // From here on capacity only shrinks and a missed pick leaves the
+        // round-robin cursor where it was, so a pick the memo proves would
+        // miss is skipped without walking the index (see `MissMemo`).
+        self.misses.clear();
+        for &job in pending {
             if self.db.would_block() {
                 self.defer_pass(now);
-                return;
+                return false;
             }
             let Some(meta) = self.jobs.get(&job) else {
                 // Job no longer tracked (cancelled/failed elsewhere):
@@ -1276,18 +1408,20 @@ impl Coordinator {
                 // stale holds and re-opens general placement.
                 continue;
             }
+            if self
+                .misses
+                .proves_miss(&self.dir, &meta.spec, &meta.excluded)
+            {
+                continue;
+            }
             let Some(target) = self.selector.pick(&self.dir, &meta.spec, &meta.excluded) else {
-                continue; // nothing eligible; stays queued
+                // Nothing eligible; stays queued.
+                self.misses.record(&self.dir, &meta.spec, &meta.excluded);
+                continue;
             };
             self.dispatch_offer(now, job, target, actions);
         }
-
-        // Writes that add pending jobs may still be in flight (submitted
-        // after this pass was armed): they were invisible to the drain
-        // above, so run another pass once the queue has drained them.
-        if self.db.pending_enqueues() > 0 {
-            self.arm_pass(now);
-        }
+        true
     }
 
     /// Reserve, dequeue, and send one offer. Bails out (leaving the job
@@ -1309,7 +1443,7 @@ impl Coordinator {
             self.dir.release(target, job);
             return;
         }
-        self.jobs.get_mut(&job).expect("present").offered_to = Some(target);
+        self.update_job(job, |meta| meta.offered_to = Some(target));
         // The decision's latency is its dequeue transaction's emergent
         // sojourn: queue wait behind every earlier write (including this
         // pass's previous decisions) plus service.
@@ -1328,6 +1462,160 @@ impl Coordinator {
             job,
             event: JobEvent::Dispatched { node: target },
         });
+    }
+}
+
+/// The coordinator's job table.
+type JobMap = HashMap<JobId, JobMeta, BuildHasherDefault<JobIdHasher>>;
+
+/// One multiply per `JobId`: ids come from a counter, and an odd multiplier
+/// keeps sequential ids apart in the table's low bits while mixing its high
+/// ones. The same in every run, unlike the default hasher, and cheaper.
+/// Only ids this coordinator issued are ever inserted, so no outside input
+/// can choose colliding keys.
+#[derive(Default)]
+struct JobIdHasher(u64);
+
+impl Hasher for JobIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The node keys a job is indexed under.
+#[derive(Clone, Copy)]
+struct Placement {
+    current: Option<NodeUid>,
+    offered: Option<NodeUid>,
+    displaced: Option<NodeUid>,
+}
+
+impl Placement {
+    fn of(meta: &JobMeta) -> Self {
+        Placement {
+            current: meta.current_node,
+            offered: meta.offered_to,
+            displaced: meta.displaced_from.map(|(n, _)| n),
+        }
+    }
+
+    /// The nodes the job runs or is offered on.
+    fn placed(self) -> impl Iterator<Item = NodeUid> {
+        self.current.into_iter().chain(self.offered)
+    }
+}
+
+/// Node → jobs, each node's jobs in `JobId` order: the order in which a
+/// scan over every tracked job would visit them.
+#[derive(Debug, Default, PartialEq)]
+struct NodeJobs(BTreeSet<(NodeUid, JobId)>);
+
+impl NodeJobs {
+    fn jobs(&self, node: NodeUid) -> impl Iterator<Item = JobId> + '_ {
+        self.0
+            .range((node, JobId(0))..=(node, JobId(u64::MAX)))
+            .map(|&(_, job)| job)
+    }
+
+    fn insert(&mut self, node: NodeUid, job: JobId) {
+        self.0.insert((node, job));
+    }
+
+    fn remove(&mut self, node: NodeUid, job: JobId) {
+        self.0.remove(&(node, job));
+    }
+}
+
+/// What a job needs of a node: the inputs of [`Directory::is_candidate`].
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    gpus: u8,
+    mem: u64,
+    min_cc: Option<(u8, u8)>,
+}
+
+impl Shape {
+    fn of(spec: &DispatchSpec) -> Self {
+        Shape {
+            gpus: spec.gpus,
+            mem: spec.gpu_mem_bytes,
+            min_cc: spec.min_cc,
+        }
+    }
+
+    /// Whether every node that can host `self` can host `other`: no fewer
+    /// GPUs, no less memory, and a compute floor at least as strict.
+    fn dominates(self, other: Shape) -> bool {
+        self.gpus >= other.gpus
+            && self.mem >= other.mem
+            && match (other.min_cc, self.min_cc) {
+                (None, _) => true,
+                (Some(floor), Some(own)) => own >= floor,
+                (Some(_), None) => false,
+            }
+    }
+}
+
+/// The shapes whose pick missed in the current pass's general drain, each
+/// with the nodes that could still host it when it missed.
+///
+/// Within the drain, capacity only shrinks (offers reserve, nothing is
+/// released) and liveness does not change, so the nodes that can host a
+/// shape only shrink too. A miss for job J of shape S means every node
+/// that could host S was on J's exclusion list, so those nodes were
+/// exactly F = {n ∈ J.excluded : n can host S}. A later job J′ whose shape
+/// dominates S can then land only on a node of F that J′ does not exclude;
+/// when none of those can host J′, its pick would miss and is skipped.
+/// F is not empty in general — a node that refused J may still show room —
+/// which is why a miss does not, by itself, doom every dominating shape.
+/// A shape is recorded only when its own pick missed, and a job whose
+/// shape dominates a recorded one either skips or hits, so each shape
+/// misses a real pick at most once per pass.
+#[derive(Debug, Default)]
+struct MissMemo {
+    /// Each missed shape with its F, a range of `nodes`.
+    shapes: Vec<(Shape, usize, usize)>,
+    nodes: Vec<NodeUid>,
+}
+
+impl MissMemo {
+    fn clear(&mut self) {
+        self.shapes.clear();
+        self.nodes.clear();
+    }
+
+    /// Whether `Selector::pick` for `spec` excluding `excluded` is certain
+    /// to miss.
+    fn proves_miss(&self, dir: &Directory, spec: &DispatchSpec, excluded: &[NodeUid]) -> bool {
+        let shape = Shape::of(spec);
+        self.shapes.iter().any(|&(missed, lo, hi)| {
+            shape.dominates(missed)
+                && self.nodes[lo..hi]
+                    .iter()
+                    .all(|n| excluded.contains(n) || !dir.is_candidate(*n, spec))
+        })
+    }
+
+    /// Record that the pick for `spec` excluding `excluded` missed.
+    fn record(&mut self, dir: &Directory, spec: &DispatchSpec, excluded: &[NodeUid]) {
+        let lo = self.nodes.len();
+        self.nodes.extend(
+            excluded
+                .iter()
+                .copied()
+                .filter(|&n| dir.is_candidate(n, spec)),
+        );
+        self.shapes.push((Shape::of(spec), lo, self.nodes.len()));
     }
 }
 
@@ -1388,5 +1676,433 @@ impl Coordinator {
 
     fn heartbeat_revives(&self, node: NodeUid) -> bool {
         self.dir.liveness(node) == Some(NodeLiveness::Offline)
+    }
+
+    /// The per-node indexes hold exactly what a scan of `jobs` finds.
+    #[cfg(test)]
+    fn assert_job_index_matches_scan(&self) {
+        let mut placed = NodeJobs::default();
+        let mut displaced = NodeJobs::default();
+        for (&job, meta) in &self.jobs {
+            let placement = Placement::of(meta);
+            for node in placement.placed() {
+                placed.insert(node, job);
+            }
+            if let Some(node) = placement.displaced {
+                displaced.insert(node, job);
+            }
+        }
+        assert_eq!(
+            self.placed_index, placed,
+            "jobs running or offered, by node"
+        );
+        assert_eq!(self.displaced_index, displaced, "jobs displaced, by node");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpunion_gpu::GpuModel;
+    use gpunion_protocol::{ExecMode, GpuInfo, GpuStat, UserId};
+    use rand::Rng;
+
+    impl Coordinator {
+        /// The scheduling pass as it was before the miss memo and the kept
+        /// queue buffer: a fresh snapshot of the queue and one real pick
+        /// per job in phase 2. The oracle of
+        /// `prop_memoised_pass_equals_the_pick_per_job_pass`.
+        fn scheduling_pass_reference(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
+            let pending: Vec<JobId> = self.db.state().pending_in_order().collect();
+            for &job in &pending {
+                if self.db.would_block() {
+                    self.defer_pass(now);
+                    return;
+                }
+                let Some(meta) = self.jobs.get(&job) else {
+                    continue;
+                };
+                if meta.offered_to.is_some() {
+                    continue;
+                }
+                let Some(pref) = meta.preferred else {
+                    continue;
+                };
+                if meta.excluded.contains(&pref) {
+                    continue;
+                }
+                if meta.home_hold.is_some_and(|(n, _)| n != pref) {
+                    self.drop_hold(job);
+                }
+                let meta = self.jobs.get(&job).expect("present");
+                if self.dir.is_candidate_for_holder(pref, &meta.spec, job) {
+                    self.drop_hold(job);
+                    self.dispatch_offer(now, job, pref, actions);
+                }
+            }
+            for &job in &pending {
+                if self.db.would_block() {
+                    self.defer_pass(now);
+                    return;
+                }
+                let Some(meta) = self.jobs.get(&job) else {
+                    self.db.submit(now, WriteIntent::TakePending(job));
+                    continue;
+                };
+                if meta.offered_to.is_some() {
+                    continue;
+                }
+                if meta.home_hold.is_some() {
+                    continue;
+                }
+                let Some(target) = self.selector.pick(&self.dir, &meta.spec, &meta.excluded) else {
+                    continue;
+                };
+                self.dispatch_offer(now, job, target, actions);
+            }
+            if self.db.pending_enqueues() > 0 {
+                self.arm_pass(now);
+            }
+        }
+    }
+
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn spec(job: JobId, gpus: u8, mem_gb: u64, min_cc: Option<(u8, u8)>) -> DispatchSpec {
+        DispatchSpec {
+            job,
+            image_repo: "r".into(),
+            image_tag: "t".into(),
+            image_digest: [0; 32],
+            gpus,
+            gpu_mem_bytes: mem_gb << 30,
+            min_cc,
+            mode: ExecMode::Batch {
+                entrypoint: vec!["x".into()],
+            },
+            checkpoint_interval_secs: 600,
+            storage_nodes: vec![],
+            state_bytes_hint: 0,
+            restore_from_seq: None,
+            priority: 1,
+            user: UserId::SYSTEM,
+        }
+    }
+
+    fn stat(info: &GpuInfo, used_gb: u64) -> GpuStat {
+        GpuStat {
+            memory_used: (used_gb << 30).min(info.vram_bytes),
+            memory_total: info.vram_bytes,
+            utilization: 0.5,
+            temperature_c: 50.0,
+            power_w: 200.0,
+        }
+    }
+
+    /// Track `job` as a pending job that nothing holds yet.
+    fn track(c: &mut Coordinator, spec: DispatchSpec, excluded: Vec<NodeUid>) {
+        c.jobs.insert(
+            spec.job,
+            JobMeta {
+                spec,
+                current_node: None,
+                offered_to: None,
+                excluded,
+                preferred: None,
+                home_hold: None,
+                latest_checkpoint: None,
+                displaced_from: None,
+                migrating_back: false,
+                retries: 0,
+            },
+        );
+    }
+
+    /// Apply every queued database write, whenever it completes.
+    fn settle_db(c: &mut Coordinator) {
+        while let Some(at) = c.db.next_wake() {
+            c.db.advance(at);
+        }
+    }
+
+    /// A coordinator in mid-life, drawn from `seed`: one to eight nodes of
+    /// one or two GPUs at random fill, some paused or offline; up to forty
+    /// queued jobs of 1–2 GPUs, 4–20 GB and four compute floors, each with
+    /// a random exclusion list (so it often excludes nodes that could still
+    /// host it), some already offered, some holding a migrate-back home
+    /// slot, some preferring a returned node, and some orphaned (queued but
+    /// no longer tracked); a database write queue a few slots short of its
+    /// bound, with job requeues among the writes in flight; and the
+    /// round-robin cursor somewhere in the fleet. Returns the world and
+    /// the instant its pass runs.
+    fn random_world(seed: u64) -> (Coordinator, SimTime) {
+        const MODELS: [GpuModel; 4] = [
+            GpuModel::Rtx3090,
+            GpuModel::Rtx4090,
+            GpuModel::A100_40,
+            GpuModel::A6000,
+        ];
+        const FLOORS: [Option<(u8, u8)>; 4] = [None, Some((8, 0)), Some((8, 6)), Some((8, 9))];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let in_flight = rng.gen_range(0..12usize);
+        let mut config = CoordinatorConfig::default();
+        config.db.inbox_capacity = in_flight + rng.gen_range(1..30usize);
+        let mut c = Coordinator::new(config, seed);
+        let (t0, now) = (t(1), t(10));
+
+        for i in 0..rng.gen_range(1..9) {
+            let gpus: Vec<GpuInfo> = (0..rng.gen_range(1..3))
+                .map(|_| MODELS[rng.gen_range(0..MODELS.len())].into())
+                .collect();
+            let (uid, _) = c
+                .dir
+                .register(&format!("m-{i}"), &format!("h-{i}"), gpus.clone(), t0);
+            let stats: Vec<GpuStat> = gpus
+                .iter()
+                .map(|g| stat(g, rng.gen_range(0..(g.vram_bytes >> 30) + 1)))
+                .collect();
+            c.dir
+                .apply_heartbeat(uid, t0, 1, rng.gen_bool(0.85), &stats);
+            if rng.gen_bool(0.1) {
+                c.dir.set_liveness(uid, NodeLiveness::Offline);
+            }
+        }
+        let nodes: Vec<NodeUid> = c.dir.iter().map(|e| e.uid).collect();
+
+        let jobs = rng.gen_range(1..41u64);
+        for k in 1..=jobs {
+            let job = JobId(k);
+            let s = spec(
+                job,
+                rng.gen_range(1..3),
+                4 * rng.gen_range(1..6u64),
+                FLOORS[rng.gen_range(0..FLOORS.len())],
+            );
+            c.db.submit(
+                t0,
+                WriteIntent::SubmitJob {
+                    job,
+                    submitted_at: t0,
+                    priority: rng.gen_range(0..3),
+                    user: UserId::SYSTEM,
+                },
+            );
+            if rng.gen_bool(0.1) {
+                continue; // an orphan queue entry
+            }
+            let excluded = nodes
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.3))
+                .collect();
+            let (gpus, mem, cc) = (s.gpus, s.gpu_mem_bytes, s.min_cc);
+            track(&mut c, s, excluded);
+            let node = nodes[rng.gen_range(0..nodes.len())];
+            match rng.gen_range(0..10) {
+                0 => {
+                    if c.dir.reserve(node, job, gpus, mem, cc) {
+                        c.update_job(job, |m| m.offered_to = Some(node));
+                    } else {
+                        c.dir.release(node, job);
+                    }
+                }
+                1 => {
+                    if c.dir.reserve(node, job, gpus, mem, cc) {
+                        let pref = if rng.gen_bool(0.7) {
+                            node
+                        } else {
+                            nodes[rng.gen_range(0..nodes.len())]
+                        };
+                        let meta = c.jobs.get_mut(&job).expect("tracked");
+                        meta.home_hold = Some((node, t0));
+                        meta.preferred = Some(pref);
+                        meta.migrating_back = true;
+                        c.held_jobs.insert(job);
+                    } else {
+                        c.dir.release(node, job);
+                    }
+                }
+                2 => c.jobs.get_mut(&job).expect("tracked").preferred = Some(node),
+                _ => {}
+            }
+        }
+        settle_db(&mut c);
+
+        // Writes in flight at the pass, requeues among them.
+        for _ in 0..in_flight {
+            let intent = if rng.gen_bool(0.3) {
+                WriteIntent::RequeueJob(JobId(rng.gen_range(1..jobs + 1)))
+            } else {
+                WriteIntent::NodeSeen(nodes[rng.gen_range(0..nodes.len())])
+            };
+            c.db.submit(now, intent);
+        }
+        // Move the round-robin cursor: each hit steps it past a node.
+        let any = spec(JobId(0), 1, 0, None);
+        for _ in 0..rng.gen_range(0..nodes.len() + 1) {
+            c.selector.pick(&c.dir, &any, &[]);
+        }
+        (c, now)
+    }
+
+    /// Everything a pass can change, as text: the cursor, job and hold
+    /// bookkeeping, timers, counters, every reservation, the write queue
+    /// and — once every write has applied — the tables.
+    fn observe(c: &mut Coordinator, now: SimTime) -> String {
+        let mut jobs: Vec<_> = c.jobs.iter().collect();
+        jobs.sort_unstable_by_key(|(job, _)| **job);
+        let mut out = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{} {} {:?}\n",
+            c.selector,
+            jobs,
+            c.held_jobs,
+            c.timers,
+            c.offer_timeouts,
+            c.pass_armed,
+            c.deferred_turns,
+            c.decision_latency,
+        );
+        for e in c.dir.iter() {
+            let held: Vec<JobId> = jobs
+                .iter()
+                .map(|(job, _)| **job)
+                .filter(|j| e.has_reservation(*j))
+                .collect();
+            out += &format!("{:?} {} {:?}\n", e.uid, e.max_slot_free(), held);
+        }
+        out += &format!(
+            "db {} {} {:?} {:?} {}\n",
+            c.db.depth(),
+            c.db.pending_enqueues(),
+            c.db.next_wake(),
+            c.db.write_latency_estimate(now),
+            c.db.over_bound_writes(),
+        );
+        settle_db(c);
+        let db = c.db.state();
+        out += &format!(
+            "{:?} {} {}\n",
+            db.pending_in_order().collect::<Vec<_>>(),
+            db.write_count(),
+            c.db.applied_writes()
+        );
+        out
+    }
+
+    proptest::proptest! {
+        /// The memoised pass decides exactly what one real pick per job
+        /// decides: the same offers in the same order, the same cursor,
+        /// reservations, timers and database writes.
+        #[test]
+        fn prop_memoised_pass_equals_the_pick_per_job_pass(seed in 0u64..u64::MAX) {
+            let (mut memoised, now) = random_world(seed);
+            let (mut reference, _) = random_world(seed);
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            memoised.scheduling_pass(now, &mut a);
+            reference.scheduling_pass_reference(now, &mut b);
+            proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            proptest::prop_assert_eq!(observe(&mut memoised, now), observe(&mut reference, now));
+        }
+    }
+
+    /// A miss recorded behind an exclusion list dooms only the jobs that
+    /// exclude the same nodes: the second job of the same shape is offered
+    /// the node the first one refused to consider.
+    #[test]
+    fn a_miss_behind_an_exclusion_list_does_not_doom_the_shape() {
+        let mut c = Coordinator::new(CoordinatorConfig::default(), 1);
+        let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
+        let (node, _) = c.dir.register("m", "h", gpus.clone(), t(1));
+        c.dir
+            .apply_heartbeat(node, t(1), 1, true, &[stat(&gpus[0], 0)]);
+        for (job, excluded) in [(JobId(1), vec![node]), (JobId(2), vec![])] {
+            c.db.submit(
+                t(1),
+                WriteIntent::SubmitJob {
+                    job,
+                    submitted_at: t(1),
+                    priority: 1,
+                    user: UserId::SYSTEM,
+                },
+            );
+            track(&mut c, spec(job, 1, 8, None), excluded);
+        }
+        settle_db(&mut c);
+        let mut actions = Vec::new();
+        c.scheduling_pass(t(2), &mut actions);
+        assert_eq!(c.job_node(JobId(1)), None);
+        assert_eq!(c.jobs[&JobId(2)].offered_to, Some(node));
+    }
+
+    /// A heartbeat's status write does not wake the actor: after the beat's
+    /// turn the next wake is the next timer, and the write applies at the
+    /// turn taken then.
+    #[test]
+    fn a_status_write_is_applied_at_the_next_turn_not_at_its_own_wake() {
+        let mut c = Coordinator::new(CoordinatorConfig::default(), 1);
+        let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
+        let register = Control::Register {
+            machine_id: "m".into(),
+            hostname: "h".into(),
+            gpus: gpus.clone(),
+            agent_version: 1,
+        };
+        c.send(t(1), CoordEnvelope::Msg(Box::new(register.into())));
+        c.advance(t(1));
+        c.advance(t(2));
+        let node = c.dir.iter().next().expect("registered").uid;
+        let beat = Control::Heartbeat {
+            node,
+            seq: 1,
+            accepting: true,
+            gpu_stats: vec![stat(&gpus[0], 0)],
+            workloads: vec![],
+        };
+        c.send(t(3), CoordEnvelope::Msg(Box::new(beat.into())));
+        c.advance(t(3));
+        let completion = c.db.next_wake().expect("the status write is in flight");
+        let timer = c.timers.first_key_value().map(|(&(at, _), _)| at);
+        assert!(completion < timer.expect("the sweep is armed"));
+        assert_eq!(c.next_wake(), timer, "the completion is not a wake");
+        assert_eq!(
+            c.db().node(node).expect("row").last_seen,
+            t(1),
+            "not yet applied"
+        );
+        c.advance(timer.expect("armed"));
+        assert_eq!(c.db().node(node).expect("row").last_seen, t(3));
+    }
+
+    /// A stalled actor waits for a free slot in the write queue, so while
+    /// stalled the next write completion is its wake, and the turn at that
+    /// wake clears the stall and runs the inbox head.
+    #[test]
+    fn a_stalled_actor_wakes_at_the_write_completion_and_clears_its_stall() {
+        let mut config = CoordinatorConfig::default();
+        config.db.inbox_capacity = 1;
+        let mut c = Coordinator::new(config, 1);
+        let register = Control::Register {
+            machine_id: "m".into(),
+            hostname: "h".into(),
+            gpus: vec![GpuModel::Rtx3090.into()],
+            agent_version: 1,
+        };
+        c.send(t(1), CoordEnvelope::Msg(Box::new(register.into())));
+        c.send(
+            t(1),
+            CoordEnvelope::SubmitJob(Box::new(spec(JobId(0), 1, 8, None))),
+        );
+        c.advance(t(1));
+        assert!(c.stalled, "the registration write fills the 1-deep queue");
+        assert_eq!(c.stats().inbox_depth, 1);
+        let completion = c.db.next_wake().expect("the registration write");
+        assert_eq!(c.next_wake(), Some(completion));
+        c.advance(completion);
+        assert!(!c.stalled);
+        assert_eq!(c.stats().inbox_depth, 0);
+        assert_eq!(c.stats().live_jobs, 1);
     }
 }

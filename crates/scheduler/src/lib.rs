@@ -163,7 +163,10 @@ mod tests {
         )
     }
 
-    /// Drain all coordinator wakes up to `until`.
+    /// Drain all coordinator wakes up to `until`, then take the turn at
+    /// `until` itself, so the database reads as of `until` (a write that
+    /// completes between wakes applies at the next turn, not at its own
+    /// wake).
     fn drive(coord: &mut Coordinator, until: SimTime) -> Vec<CoordAction> {
         let mut out = Vec::new();
         while let Some(at) = coord.next_wake() {
@@ -172,6 +175,7 @@ mod tests {
             }
             out.extend(coord.advance(at));
         }
+        out.extend(coord.advance(until));
         out
     }
 
@@ -936,7 +940,7 @@ mod tests {
         // pass places nothing).
         drive(&mut coord, t(13));
         assert_eq!(
-            coord.db().pending_in_order(),
+            coord.db().pending_in_order().collect::<Vec<_>>(),
             vec![backlog, job_a],
             "displaced job re-queues behind the backlog"
         );
@@ -1330,8 +1334,8 @@ mod tests {
 
             proptest::prop_assert_eq!(format!("{log_a:?}"), format!("{log_b:?}"));
             proptest::prop_assert_eq!(
-                one_by_one.db().pending_in_order(),
-                batched.db().pending_in_order()
+                one_by_one.db().pending_in_order().collect::<Vec<_>>(),
+                batched.db().pending_in_order().collect::<Vec<_>>()
             );
             proptest::prop_assert_eq!(one_by_one.stats().live_jobs, batched.stats().live_jobs);
         }
