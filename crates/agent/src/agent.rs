@@ -6,6 +6,10 @@
 //! [`crate::rest`]), the **coordinator** (dispatch/kill/checkpoint messages),
 //! and the **workloads** (training runs executing in containers).
 //!
+//! Each workload's phase is its one lifecycle: pull → verify → start
+//! (→ restore) → run ⇄ checkpoint, until it completes, fails or is killed.
+//! The container runtime only caches verified images and times the steps.
+//!
 //! The embedding event loop drives it through four entry points —
 //! [`Agent::handle_message`], [`Agent::on_wake`], [`Agent::on_flow_done`],
 //! and the REST layer — and executes the returned [`Action`]s (send a
@@ -15,7 +19,10 @@
 
 use crate::config::AgentConfig;
 use crate::timers::{Timer, Timers};
-use gpunion_container::{ContainerConfigBuilder, ContainerId, ContainerRuntime, ImageRegistry};
+use gpunion_container::{
+    ContainerConfig, ContainerConfigBuilder, ContainerRuntime, Digest, ImageError, ImageRef,
+    ImageRegistry,
+};
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_gpu::{ComputeCapability, GpuIndex, GpuServer, MemAllocId};
 use gpunion_protocol::{
@@ -96,13 +103,14 @@ pub enum AgentPhase {
     Departed,
 }
 
-/// Per-workload execution phase inside the agent.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-workload execution phase: the workload's one lifecycle.
+#[derive(Debug)]
 enum WorkPhase {
     /// Image pull in progress.
     Pulling,
-    /// SHA256 verification timer running.
-    Verifying,
+    /// SHA256 verification timer running. The admission verdict was decided
+    /// when the pull finished; it is acted on when the timer fires.
+    Verifying { admitted: Result<(), ImageError> },
     /// Container start timer running.
     Starting,
     /// Restore fetch / deserialize in progress.
@@ -111,14 +119,16 @@ enum WorkPhase {
     Running { since: SimTime },
     /// ALC capture blocking the training loop.
     Checkpointing,
-    /// Waiting for the stop timer after a completion.
-    Finished,
+    /// Killed, and kept only until the embedding collects its rolled-back
+    /// run: no late completion captures, pulls, restores or starts it.
+    Killed,
 }
 
 /// One workload under agent management.
 struct Workload {
     spec: DispatchSpec,
-    container: ContainerId,
+    /// The container config dispatch built and validated from `spec`.
+    config: ContainerConfig,
     phase: WorkPhase,
     run: Option<TrainingRun>,
     gpus: Vec<(GpuIndex, MemAllocId)>,
@@ -148,9 +158,6 @@ pub struct Agent {
     heartbeats_sent: u64,
     /// Set while a graceful departure is draining.
     departure_deadline: Option<SimTime>,
-    /// Verifications that fired from a timer and await the image registry
-    /// (drained by [`Agent::complete_verifications`]).
-    pending_verifications: Vec<(SimTime, JobId, ContainerId)>,
 }
 
 impl Agent {
@@ -169,7 +176,6 @@ impl Agent {
             timers: Timers::default(),
             heartbeats_sent: 0,
             departure_deadline: None,
-            pending_verifications: Vec::new(),
         }
     }
 
@@ -341,12 +347,12 @@ impl Agent {
                 job: *job,
                 state: match w.phase {
                     WorkPhase::Pulling
-                    | WorkPhase::Verifying
+                    | WorkPhase::Verifying { .. }
                     | WorkPhase::Starting
                     | WorkPhase::Restoring => WorkloadState::Provisioning,
                     WorkPhase::Running { .. } => WorkloadState::Running,
                     WorkPhase::Checkpointing => WorkloadState::Checkpointing,
-                    WorkPhase::Finished => WorkloadState::Completed,
+                    WorkPhase::Killed => WorkloadState::Killed,
                 },
                 progress: w.run.as_ref().map(|r| r.progress()).unwrap_or(0.0),
                 checkpoint_seq: w.run.as_ref().map(|r| r.checkpoint_seq()).unwrap_or(0),
@@ -475,21 +481,23 @@ impl Agent {
             return;
         }
         // Build + validate the container config from the wire spec.
-        let image_ref = match registry_lookup(registry, &spec) {
-            Some(r) => r,
-            None => {
-                actions.push(Action::Send(
-                    Work::DispatchReply {
-                        job,
-                        accepted: false,
-                        reason: "image not in registry".into(),
-                    }
-                    .into(),
-                ));
-                return;
-            }
+        let image = ImageRef {
+            repository: spec.image_repo.clone(),
+            tag: spec.image_tag.clone(),
+            digest: Digest(spec.image_digest),
         };
-        let builder = ContainerConfigBuilder::new(image_ref).gpus(spec.gpus);
+        let Some(manifest) = registry.manifest(&image) else {
+            actions.push(Action::Send(
+                Work::DispatchReply {
+                    job,
+                    accepted: false,
+                    reason: "image not in registry".into(),
+                }
+                .into(),
+            ));
+            return;
+        };
+        let builder = ContainerConfigBuilder::new(image).gpus(spec.gpus);
         let builder = match &spec.mode {
             ExecMode::Batch { entrypoint } => builder.entrypoint(entrypoint.clone()),
             ExecMode::Interactive { port } => builder.interactive(*port),
@@ -531,16 +539,7 @@ impl Agent {
                 }
             }
         }
-        let container = self.runtime.create(now, config);
-        let pull_bytes = self
-            .runtime
-            .begin_pull(now, container)
-            .expect("fresh container can pull");
-        // Real pull size comes from the manifest.
-        let manifest_bytes = registry
-            .manifest(&registry_lookup(registry, &spec).expect("checked"))
-            .map(|m| m.transfer_bytes())
-            .unwrap_or(pull_bytes);
+        let pull_bytes = self.runtime.pull_bytes(&config.image, manifest);
         actions.push(Action::Send(
             Work::DispatchReply {
                 job,
@@ -553,7 +552,7 @@ impl Agent {
             job,
             Workload {
                 spec,
-                container,
+                config,
                 phase: WorkPhase::Pulling,
                 run: None,
                 gpus,
@@ -568,7 +567,7 @@ impl Agent {
             actions.push(Action::StartFlow {
                 peer: FlowPeer::Coordinator,
                 inbound: true,
-                bytes: manifest_bytes,
+                bytes: pull_bytes,
                 purpose: FlowPurpose::ImagePull { job },
             });
         }
@@ -591,65 +590,55 @@ impl Agent {
         actions: &mut Vec<Action>,
     ) {
         // A `Kill` during a pull leaves its flow in flight, so a completion
-        // can arrive for a job that is gone, or re-dispatched and already
-        // past its own pull: only a `Pulling` workload has a pull to finish.
+        // can arrive for a job that is gone, killed and not yet collected,
+        // or re-dispatched and already past its own pull: only a `Pulling`
+        // workload has a pull to finish.
         let Some(w) = self
             .workloads
-            .get(&job)
-            .filter(|w| w.phase == WorkPhase::Pulling)
+            .get_mut(&job)
+            .filter(|w| matches!(w.phase, WorkPhase::Pulling))
         else {
             return;
         };
-        let image_ref = registry_lookup(registry, &w.spec);
-        let manifest = image_ref.and_then(|r| registry.manifest(&r)).cloned();
-        let container = w.container;
-        match manifest {
+        // Admission is decided here, where the registry is in hand; the
+        // verification timer models the SHA256 pass and acts on the verdict.
+        match registry.manifest(&w.config.image) {
             Some(m) => {
-                let vdur = self
-                    .runtime
-                    .finish_pull(now, container, &m)
-                    .expect("pulling container");
-                if let Some(w) = self.workloads.get_mut(&job) {
-                    w.phase = WorkPhase::Verifying;
-                }
-                self.timers.arm(now + vdur, Timer::VerifyDone(job));
+                let (verify, admitted) = ContainerRuntime::verify(registry, &w.config.image, m);
+                w.phase = WorkPhase::Verifying { admitted };
+                self.timers.arm(now + verify, Timer::VerifyDone(job));
             }
             None => self.fail_workload(now, job, "manifest disappeared", actions),
         }
     }
 
     fn verify_done(&mut self, now: SimTime, job: JobId, actions: &mut Vec<Action>) {
-        // Registry is needed again; the embedding loop passes it to
-        // handle_message/on_flow_done, but timers fire without it. The
-        // verification result was computed at finish_pull time in the real
-        // system; here we re-run admission inside `finish_verify` via the
-        // stored manifest — the runtime keeps what it needs, so this step
-        // only needs the registry snapshot taken at dispatch. To keep the
-        // state machine honest we stash the verification in `pull_finished`
-        // and treat this timer as "verification compute done".
         let Some(w) = self.workloads.get_mut(&job) else {
             return;
         };
-        let container = w.container;
-        w.phase = WorkPhase::Starting;
-        // finish_verify needs the registry; the embedding loop provides it
-        // via `complete_verification`. Agents in the simulator call it
-        // directly from on_wake through the stored pending list.
-        self.pending_verifications.push((now, job, container));
-        let _ = actions;
+        match &w.phase {
+            WorkPhase::Verifying { admitted: Ok(()) } => {
+                self.runtime.cache(w.config.image.digest);
+                let start = ContainerRuntime::start_time(&w.config.mode);
+                w.phase = WorkPhase::Starting;
+                self.timers.arm(now + start, Timer::StartDone(job));
+            }
+            WorkPhase::Verifying { admitted: Err(e) } => {
+                let why = format!("verification failed: image admission failed: {e}");
+                self.fail_workload(now, job, &why, actions);
+            }
+            _ => {}
+        }
     }
 
     fn start_done(&mut self, now: SimTime, job: JobId, actions: &mut Vec<Action>) {
-        let Some(w) = self.workloads.get_mut(&job) else {
+        let Some(w) = self
+            .workloads
+            .get_mut(&job)
+            .filter(|w| matches!(w.phase, WorkPhase::Starting))
+        else {
             return;
         };
-        let gpu_indices: Vec<GpuIndex> = w.gpus.iter().map(|(i, _)| *i).collect();
-        let container = w.container;
-        if self.runtime.started(now, container, gpu_indices).is_err() {
-            self.fail_workload(now, job, "container start failed", actions);
-            return;
-        }
-        let w = self.workloads.get_mut(&job).expect("checked");
         if w.spec.restore_from_seq.is_some() {
             // Restored jobs must fetch + deserialize state first.
             w.phase = WorkPhase::Restoring;
@@ -672,7 +661,13 @@ impl Agent {
     }
 
     fn restore_done(&mut self, now: SimTime, job: JobId, actions: &mut Vec<Action>) {
-        self.begin_running(now, job, actions);
+        if self
+            .workloads
+            .get(&job)
+            .is_some_and(|w| matches!(w.phase, WorkPhase::Restoring))
+        {
+            self.begin_running(now, job, actions);
+        }
     }
 
     fn begin_running(&mut self, now: SimTime, job: JobId, actions: &mut Vec<Action>) {
@@ -783,9 +778,6 @@ impl Agent {
             return;
         };
         let state_bytes = run.spec().model.profile().state_bytes;
-        if self.runtime.begin_checkpoint(now, w.container).is_err() {
-            return;
-        }
         w.phase = WorkPhase::Checkpointing;
         // GPUs stall while torch.save serializes.
         let indices: Vec<GpuIndex> = w.gpus.iter().map(|(i, _)| *i).collect();
@@ -811,8 +803,6 @@ impl Agent {
         let transfer = run.capture_checkpoint();
         let seq = run.checkpoint_seq();
         w.pending_upload = Some((seq, transfer));
-        let container = w.container;
-        let _ = self.runtime.finish_checkpoint(now, container);
         // Upload in the background; training resumes immediately.
         let peer = w
             .spec
@@ -866,12 +856,6 @@ impl Agent {
             return;
         }
         let (_, ckpt_seq) = self.run_progress(job);
-        let container = {
-            let w = self.workloads.get_mut(&job).expect("checked above");
-            w.phase = WorkPhase::Finished;
-            w.container
-        };
-        let _ = self.runtime.exited(now, container, 0);
         self.release_gpus(now, job);
         actions.push(Action::Send(
             Work::WorkloadUpdate {
@@ -909,14 +893,13 @@ impl Agent {
         actions: &mut Vec<Action>,
     ) {
         self.advance_runs(now);
-        let Some(w) = self.workloads.get_mut(&job) else {
+        if !self.workloads.contains_key(&job) {
             return;
-        };
-        let container = w.container;
-        let _ = self.runtime.kill(now, container);
+        }
         self.release_gpus(now, job);
         self.disarm_job_timers(job);
         let w = self.workloads.get_mut(&job).expect("checked");
+        w.phase = WorkPhase::Killed;
         if let Some(run) = &mut w.run {
             run.rollback_to_checkpoint();
         }
@@ -951,10 +934,6 @@ impl Agent {
     }
 
     fn fail_workload(&mut self, now: SimTime, job: JobId, why: &str, actions: &mut Vec<Action>) {
-        if let Some(w) = self.workloads.get(&job) {
-            let container = w.container;
-            let _ = self.runtime.fail(now, container);
-        }
         self.release_gpus(now, job);
         self.disarm_job_timers(job);
         self.workloads.remove(&job);
@@ -1164,43 +1143,7 @@ impl Agent {
             self.release_gpus(now, job);
         }
         self.workloads.clear();
-        self.pending_verifications.clear();
         self.start_registration(now)
-    }
-
-    /// Are any verifications waiting for [`Agent::complete_verifications`]?
-    pub fn has_pending_verifications(&self) -> bool {
-        !self.pending_verifications.is_empty()
-    }
-    /// Complete deferred verifications (requires the image registry).
-    /// Returns follow-up actions.
-    pub fn complete_verifications(
-        &mut self,
-        now: SimTime,
-        registry: &ImageRegistry,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let pending = std::mem::take(&mut self.pending_verifications);
-        for (_, job, container) in pending {
-            let Some(w) = self.workloads.get(&job) else {
-                continue;
-            };
-            let image_ref = registry_lookup(registry, &w.spec);
-            let manifest = image_ref.and_then(|r| registry.manifest(&r)).cloned();
-            match manifest {
-                Some(m) => match self.runtime.finish_verify(now, container, registry, &m) {
-                    Ok(start_dur) => {
-                        self.timers.arm(now + start_dur, Timer::StartDone(job));
-                    }
-                    Err(e) => {
-                        let why = format!("verification failed: {e}");
-                        self.fail_workload(now, job, &why, &mut actions);
-                    }
-                },
-                None => self.fail_workload(now, job, "manifest disappeared", &mut actions),
-            }
-        }
-        actions
     }
 }
 
@@ -1215,18 +1158,4 @@ fn checkpoint_stagger(job: JobId, interval_secs: u32) -> SimDuration {
     let mixed = job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
     let phase = mixed % interval.max(1);
     SimDuration::from_secs(interval / 2 + phase)
-}
-
-/// Resolve the wire image reference against the registry by digest.
-fn registry_lookup(
-    registry: &ImageRegistry,
-    spec: &DispatchSpec,
-) -> Option<gpunion_container::ImageRef> {
-    let digest = gpunion_container::Digest(spec.image_digest);
-    let r = gpunion_container::ImageRef {
-        repository: spec.image_repo.clone(),
-        tag: spec.image_tag.clone(),
-        digest,
-    };
-    registry.manifest(&r).map(|_| r)
 }

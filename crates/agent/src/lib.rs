@@ -96,19 +96,15 @@ mod tests {
     }
 
     /// Run an agent forward through its timers until `until`, collecting
-    /// actions; completes pending verifications after each wake.
-    fn drive(
-        agent: &mut Agent,
-        registry: &gpunion_container::ImageRegistry,
-        until: SimTime,
-    ) -> Vec<Action> {
+    /// actions: each wake fires every timer due by then, as the embedding
+    /// loop's does.
+    fn drive(agent: &mut Agent, until: SimTime) -> Vec<Action> {
         let mut all = Vec::new();
         while let Some(at) = agent.next_wake() {
             if at > until {
                 break;
             }
             all.extend(agent.on_wake(at));
-            all.extend(agent.complete_verifications(at, registry));
         }
         all
     }
@@ -122,8 +118,8 @@ mod tests {
 
     #[test]
     fn heartbeats_fire_periodically() {
-        let (mut agent, registry, _) = registered_agent();
-        let actions = drive(&mut agent, &registry, t(26));
+        let (mut agent, _, _) = registered_agent();
+        let actions = drive(&mut agent, t(26));
         let beats = actions
             .iter()
             .filter(|a| matches!(a, Action::Send(Message::Control(Control::Heartbeat { .. }))))
@@ -149,7 +145,7 @@ mod tests {
         let actions = agent.handle_message(again, ack, &registry);
         assert_eq!(actions.len(), 1, "the ack's own beat");
         let ten_periods = again + SimDuration::from_secs(50);
-        let beats: Vec<u64> = drive(&mut agent, &registry, ten_periods)
+        let beats: Vec<u64> = drive(&mut agent, ten_periods)
             .iter()
             .filter_map(|a| match a {
                 Action::Send(Message::Control(Control::Heartbeat { seq, .. })) => Some(*seq),
@@ -196,7 +192,7 @@ mod tests {
         let actions = agent.on_flow_done(t(60), purpose, true, &registry);
         assert!(actions.is_empty(), "verify timer armed instead");
         // Verification + container start.
-        let actions = drive(&mut agent, &registry, t(90));
+        let actions = drive(&mut agent, t(90));
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Send(Message::Work(Work::WorkloadUpdate {
@@ -267,7 +263,7 @@ mod tests {
         );
         let purpose = FlowPurpose::ImagePull { job: JobId(5) };
         agent.on_flow_done(t(60), purpose, true, &registry);
-        drive(&mut agent, &registry, t(90));
+        drive(&mut agent, t(90));
 
         let req = HttpRequest::new(Method::Post, "/kill-switch");
         let (resp, actions) = rest::handle(&mut agent, t(100), &req);
@@ -314,7 +310,7 @@ mod tests {
             true,
             &registry,
         );
-        drive(&mut agent, &registry, t(90));
+        drive(&mut agent, t(90));
 
         let req = HttpRequest::new(Method::Post, "/depart?mode=graceful");
         let (resp, actions) = rest::handle(&mut agent, t(100), &req);
@@ -329,7 +325,7 @@ mod tests {
         assert_eq!(agent.phase(), AgentPhase::Departing);
 
         // Capture completes (CNN-small: ~1.5 s overhead + serialize).
-        let actions = drive(&mut agent, &registry, t(110));
+        let actions = drive(&mut agent, t(110));
         let upload = actions.iter().find_map(|a| match a {
             Action::StartFlow {
                 purpose: FlowPurpose::CheckpointUpload { job, seq },
@@ -384,7 +380,7 @@ mod tests {
             true,
             &registry,
         );
-        drive(&mut agent, &registry, t(120));
+        drive(&mut agent, t(120));
 
         // Depart with a 1-second grace — far too short for a 14 GB capture.
         let actions = agent.depart(t(130), DepartureMode::Graceful { grace_secs: 1 });
@@ -392,7 +388,7 @@ mod tests {
             a,
             Action::Send(Message::Control(Control::DepartureNotice { .. }))
         )));
-        let actions = drive(&mut agent, &registry, t(140));
+        let actions = drive(&mut agent, t(140));
         assert!(
             actions.iter().any(|a| matches!(a, Action::GoOffline)),
             "deadline forces departure"
@@ -441,7 +437,7 @@ mod tests {
                 .collect()
         };
         let mut seqs = beats(&agent.handle_message(t(1), ack(), &registry));
-        seqs.extend(beats(&drive(&mut agent, &registry, t(26))));
+        seqs.extend(beats(&drive(&mut agent, t(26))));
         assert_eq!(seqs, [1, 2, 3, 4, 5, 6]);
         let (resp, _) = rest::handle(&mut agent, t(26), &HttpRequest::new(Method::Get, "/status"));
         assert_eq!(resp.status, 200);
@@ -522,9 +518,9 @@ mod tests {
             true,
             &registry,
         );
-        drive(&mut agent, &registry, t(40));
+        drive(&mut agent, t(40));
         // Two checkpoint intervals later there should be ≥ 2 uploads.
-        let actions = drive(&mut agent, &registry, t(40 + 150));
+        let actions = drive(&mut agent, t(40 + 150));
         let uploads: Vec<u64> = actions
             .iter()
             .filter_map(|a| match a {
@@ -556,7 +552,7 @@ mod tests {
             true,
             &registry,
         );
-        let actions = drive(&mut agent, &registry, t(600));
+        let actions = drive(&mut agent, t(600));
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::Send(Message::Work(Work::WorkloadUpdate {
@@ -599,7 +595,7 @@ mod tests {
             true,
             &registry,
         );
-        drive(&mut agent, &registry, t(60));
+        drive(&mut agent, t(60));
         let (resp, actions) = rest::handle(
             &mut agent,
             t(70),
@@ -652,7 +648,7 @@ mod tests {
             .on_flow_done(t(31), purpose, true, &registry)
             .is_empty());
         // One verification, one start: the workload runs exactly once.
-        let actions = drive(&mut agent, &registry, t(90));
+        let actions = drive(&mut agent, t(90));
         let running = actions
             .iter()
             .filter(|a| {
@@ -665,6 +661,136 @@ mod tests {
             .count();
         assert_eq!(running, 1);
         assert_eq!(agent.workload_count(), 1);
+    }
+
+    /// A workload killed mid-pull is kept while its run waits for the
+    /// embedding to collect it, and its pull's flow is still in flight. The
+    /// pull's completion must not verify it, and a checkpoint request must
+    /// not capture it: a killed workload goes nowhere.
+    #[test]
+    fn kill_mid_pull_then_pull_completion_is_ignored() {
+        let (mut agent, registry, refs) = registered_agent();
+        agent.handle_message(
+            t(2),
+            Work::Dispatch {
+                spec: dispatch_spec(&refs, 60),
+            }
+            .into(),
+            &registry,
+        );
+        agent.attach_run(
+            JobId(60),
+            TrainingRun::new(TrainingJobSpec::new(ModelClass::CnnSmall, 50_000)),
+        );
+        let mut actions = Vec::new();
+        agent.kill_workload(t(3), JobId(60), KillReason::SchedulerPreempt, &mut actions);
+        assert_eq!(agent.workload_count(), 1, "kept until its run is collected");
+        let heartbeat_only = agent.next_wake();
+
+        let purpose = FlowPurpose::ImagePull { job: JobId(60) };
+        assert!(agent
+            .on_flow_done(t(30), purpose, true, &registry)
+            .is_empty());
+        assert_eq!(agent.next_wake(), heartbeat_only, "no verification armed");
+
+        let request = Work::CheckpointRequest { job: JobId(60) };
+        assert!(agent
+            .handle_message(t(31), request.into(), &registry)
+            .is_empty());
+        assert_eq!(agent.next_wake(), heartbeat_only, "no capture armed");
+        let later = drive(&mut agent, t(120));
+        assert!(later
+            .iter()
+            .all(|a| matches!(a, Action::Send(Message::Control(Control::Heartbeat { .. })))));
+        let states: Vec<WorkloadState> = later
+            .iter()
+            .flat_map(|a| match a {
+                Action::Send(Message::Control(Control::Heartbeat { workloads, .. })) => {
+                    workloads.iter().map(|w| w.state).collect()
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        assert!(!states.is_empty());
+        assert!(states.iter().all(|s| *s == WorkloadState::Killed));
+        assert!(agent.take_run(JobId(60)).is_some());
+    }
+
+    /// Admission is decided when the pull finishes and acted on when the
+    /// verification timer fires: a published image whose repository is not
+    /// on the allow list is accepted at dispatch, fails exactly at
+    /// verification's end, and is never cached.
+    #[test]
+    fn unlisted_repository_fails_at_verification_and_is_not_cached() {
+        let (catalogue, refs) = standard_catalogue();
+        let manifest = catalogue.manifest(&refs[0]).unwrap().clone();
+        let bytes = manifest.transfer_bytes();
+        let mut registry = gpunion_container::ImageRegistry::new();
+        registry.publish(manifest);
+        let (mut agent, _, _) = registered_agent();
+        let pull_bytes = |actions: &[Action]| {
+            actions.iter().find_map(|a| match a {
+                Action::StartFlow {
+                    bytes,
+                    purpose: FlowPurpose::ImagePull { .. },
+                    ..
+                } => Some(*bytes),
+                _ => None,
+            })
+        };
+        let failed = |actions: &[Action]| {
+            actions.iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Send(Message::Work(Work::WorkloadUpdate { status, .. }))
+                        if status.state == WorkloadState::Failed
+                )
+            })
+        };
+
+        let dispatch = |job| Work::Dispatch {
+            spec: dispatch_spec(&refs, job),
+        };
+        let actions = agent.handle_message(t(2), dispatch(42).into(), &registry);
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            Action::Send(Message::Work(Work::DispatchReply { accepted: true, .. }))
+        )));
+        assert_eq!(pull_bytes(&actions), Some(bytes));
+        let purpose = FlowPurpose::ImagePull { job: JobId(42) };
+        assert!(agent
+            .on_flow_done(t(60), purpose, true, &registry)
+            .is_empty());
+
+        let verified_at = t(60) + SimDuration::from_secs_f64(bytes as f64 / 1.8e9);
+        let before = verified_at - SimDuration::from_nanos(1);
+        assert!(!failed(&drive(&mut agent, before)));
+        assert_eq!(agent.workload_count(), 1);
+        let actions = drive(&mut agent, verified_at);
+        assert!(failed(&actions));
+        let detail = actions.iter().find_map(|a| match a {
+            Action::Send(Message::Control(Control::Error { detail, .. })) => Some(detail.as_str()),
+            _ => None,
+        });
+        assert_eq!(
+            detail,
+            Some(
+                "job 42: verification failed: image admission failed: \
+                 repository 'pytorch/pytorch' is not on the trusted allow list"
+            )
+        );
+        assert_eq!(agent.workload_count(), 0);
+        assert_eq!(
+            agent
+                .server()
+                .device(gpunion_gpu::GpuIndex(0))
+                .unwrap()
+                .used_bytes(),
+            0
+        );
+
+        let actions = agent.handle_message(verified_at, dispatch(43).into(), &registry);
+        assert_eq!(pull_bytes(&actions), Some(bytes), "nothing was cached");
     }
 
     #[test]
@@ -700,9 +826,9 @@ mod tests {
             true,
             &registry,
         );
-        drive(&mut agent, &registry, t(60));
+        drive(&mut agent, t(60));
         // Run for a while, checkpoint once.
-        let _ = drive(&mut agent, &registry, t(60 + 700));
+        let _ = drive(&mut agent, t(60 + 700));
         let mut kill_actions = Vec::new();
         agent.kill_workload(
             t(800),

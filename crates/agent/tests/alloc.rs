@@ -9,12 +9,19 @@
 //! lands in the caller's buffer.
 //! The counter is per thread (const-initialized TLS), as in
 //! `crates/scheduler/tests/alloc.rs`.
+//!
+//! The same allocator keeps a per-thread count of live heap bytes, which
+//! pins that a finished job leaves nothing behind on its agent.
 
-use gpunion_agent::{Action, Agent, AgentConfig};
+use gpunion_agent::{Action, Agent, AgentConfig, FlowPurpose};
 use gpunion_container::standard_catalogue;
-use gpunion_des::SimTime;
+use gpunion_des::{SimDuration, SimTime};
 use gpunion_gpu::{GpuModel, GpuServer, ServerSpec};
-use gpunion_protocol::{AuthToken, Control, Message, NodeUid};
+use gpunion_protocol::{
+    AuthToken, Control, DispatchSpec, ExecMode, JobId, Message, NodeUid, UserId, Work,
+    WorkloadState,
+};
+use gpunion_workload::{ModelClass, TrainingJobSpec, TrainingRun};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -24,6 +31,7 @@ struct CountingAlloc;
 
 thread_local! {
     static LOCAL_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LOCAL_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Allocations charged to the calling thread so far.
@@ -31,17 +39,30 @@ fn allocations() -> usize {
     LOCAL_ALLOCATIONS.with(Cell::get)
 }
 
+/// Heap bytes the calling thread allocated and has not freed.
+fn live_bytes() -> isize {
+    LOCAL_LIVE_BYTES.with(Cell::get)
+}
+
+/// Charge `bytes` (negative: a free) to the calling thread's live count.
+/// `try_with` so allocations during TLS teardown are not a panic.
+fn charge_live(bytes: isize) {
+    let _ = LOCAL_LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with` so allocations during TLS teardown are not a panic.
         let _ = LOCAL_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        charge_live(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        charge_live(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = LOCAL_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        charge_live(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,20 +77,29 @@ fn is_heartbeat(actions: &[Action]) -> bool {
     )
 }
 
-#[test]
-fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
-    let (images, _) = standard_catalogue();
+fn new_agent() -> Agent {
     let mut rng = SmallRng::seed_from_u64(1);
     let config = AgentConfig::new("ws-1", &mut rng);
     let server = GpuServer::new(ServerSpec::workstation("ws-1", GpuModel::Rtx3090));
     let mut agent = Agent::new(config, server);
     agent.start_registration(SimTime::ZERO);
-    let ack: Message = Control::RegisterAck {
+    agent
+}
+
+fn register_ack() -> Message {
+    Control::RegisterAck {
         node: NodeUid(7),
         token: AuthToken([9; 16]),
         heartbeat_period_ms: 5_000,
     }
-    .into();
+    .into()
+}
+
+#[test]
+fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
+    let (images, _) = standard_catalogue();
+    let mut agent = new_agent();
+    let ack = register_ack();
 
     // `/metrics` shows no heartbeat family until the first beat (sent on
     // the ack) has gone out.
@@ -99,4 +129,92 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
 
     assert_eq!(second_beat, 1, "the `gpu_stats` vector and nothing else");
     assert_eq!(third_beat, second_beat, "every later beat costs the same");
+}
+
+/// A job that has run to completion leaves nothing behind on its agent:
+/// after one warm-up job (which also caches the image), a hundred more
+/// dispatch → run → complete cycles hold the agent's live heap bytes within
+/// a bound that does not grow with the number of cycles.
+#[test]
+fn finished_jobs_leave_nothing_behind() {
+    let (images, refs) = standard_catalogue();
+    let mut agent = new_agent();
+    let mut now = SimTime::from_secs(1);
+    agent.handle_message(now, register_ack(), &images);
+
+    let cycle = |agent: &mut Agent, now: &mut SimTime, job: u64| {
+        let spec = DispatchSpec {
+            job: JobId(job),
+            image_repo: refs[0].repository.clone(),
+            image_tag: refs[0].tag.clone(),
+            image_digest: refs[0].digest.0,
+            gpus: 1,
+            gpu_mem_bytes: 6 << 30,
+            min_cc: None,
+            mode: ExecMode::Batch {
+                entrypoint: vec!["python".into(), "train.py".into()],
+            },
+            checkpoint_interval_secs: 60,
+            storage_nodes: vec![],
+            state_bytes_hint: 100 << 20,
+            restore_from_seq: None,
+            priority: 1,
+            user: UserId::SYSTEM,
+        };
+        let mut actions = agent.handle_message(*now, Work::Dispatch { spec }.into(), &images);
+        agent.attach_run(
+            JobId(job),
+            TrainingRun::new(TrainingJobSpec::new(ModelClass::CnnSmall, 2_000)),
+        );
+        let pull = actions.iter().find_map(|a| match a {
+            Action::StartFlow {
+                purpose: purpose @ FlowPurpose::ImagePull { .. },
+                ..
+            } => Some(*purpose),
+            _ => None,
+        });
+        if let Some(purpose) = pull {
+            *now += SimDuration::from_secs(30);
+            actions.extend(agent.on_flow_done(*now, purpose, true, &images));
+        }
+        let completed = |actions: &[Action]| {
+            actions.iter().any(|a| {
+                matches!(
+                    a,
+                    Action::Send(Message::Work(Work::WorkloadUpdate { status, .. }))
+                        if status.state == WorkloadState::Completed
+                )
+            })
+        };
+        let mut wakes = 0;
+        while !completed(&actions) {
+            wakes += 1;
+            assert!(wakes < 1_000, "job {job} did not complete");
+            *now = agent.next_wake().expect("a timer is armed");
+            actions = agent.on_wake(*now);
+            // Checkpoint uploads finish at once.
+            let uploads: Vec<FlowPurpose> = actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::StartFlow { purpose, .. } => Some(*purpose),
+                    _ => None,
+                })
+                .collect();
+            for purpose in uploads {
+                agent.on_flow_done(*now, purpose, true, &images);
+            }
+        }
+        assert_eq!(agent.workload_count(), 0);
+    };
+
+    cycle(&mut agent, &mut now, 1);
+    let warm = live_bytes();
+    for job in 2..=101 {
+        cycle(&mut agent, &mut now, job);
+    }
+    let grown = live_bytes() - warm;
+    assert!(
+        grown < 4096,
+        "100 finished jobs left {grown} live bytes behind"
+    );
 }

@@ -8,7 +8,6 @@
 //! violate host-guest isolation (the provider-trust foundation).
 
 use crate::image::ImageRef;
-use gpunion_gpu::GpuIndex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -153,7 +152,8 @@ pub struct ContainerConfig {
     /// Syscall filter.
     pub seccomp: SeccompProfile,
     /// Environment (sorted for determinism). `NVIDIA_VISIBLE_DEVICES` is
-    /// managed by the runtime at GPU-bind time, not by the submitter.
+    /// the NVIDIA Container Toolkit's to set at GPU-bind time, not the
+    /// submitter's.
     pub env: BTreeMap<String, String>,
     /// Bind mounts.
     pub mounts: Vec<Mount>,
@@ -209,7 +209,7 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Variables the runtime injects itself at GPU-bind time.
+/// Variables the NVIDIA Container Toolkit sets itself at GPU-bind time.
 const RESERVED_ENV: &[&str] = &["NVIDIA_VISIBLE_DEVICES", "CUDA_VISIBLE_DEVICES"];
 
 /// Builder enforcing GPUnion's isolation policy at construction time.
@@ -334,20 +334,6 @@ impl ContainerConfigBuilder {
     }
 }
 
-/// The environment the runtime injects when binding concrete GPUs, mirroring
-/// the NVIDIA Container Toolkit contract.
-pub fn gpu_binding_env(gpus: &[GpuIndex]) -> BTreeMap<String, String> {
-    let list = gpus
-        .iter()
-        .map(|g| g.0.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut env = BTreeMap::new();
-    env.insert("NVIDIA_VISIBLE_DEVICES".to_string(), list.clone());
-    env.insert("CUDA_VISIBLE_DEVICES".to_string(), list);
-    env
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,13 +445,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.mode, ExecutionMode::Interactive { jupyter_port: 8888 });
-    }
-
-    #[test]
-    fn gpu_binding_env_format() {
-        let env = gpu_binding_env(&[GpuIndex(0), GpuIndex(2), GpuIndex(3)]);
-        assert_eq!(env["NVIDIA_VISIBLE_DEVICES"], "0,2,3");
-        assert_eq!(env["CUDA_VISIBLE_DEVICES"], "0,2,3");
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //!   and the trusted-base-image allow list.
 //! * [`config`] — namespaces / cgroups / seccomp / mounts / env validation
 //!   enforcing host-guest isolation; interactive (Jupyter) and batch modes.
-//! * [`lifecycle`] — the validated container state machine.
-//! * [`runtime`] — the per-node runtime gluing those together, driven by the
-//!   provider agent.
+//! * [`runtime`] — the per-node runtime: the verified-image cache, the
+//!   admission check and the verify and start timings. The provider agent
+//!   walks each workload through its lifecycle; nothing here is kept per
+//!   container.
 
 #![forbid(unsafe_code)]
 
 pub mod config;
 pub mod image;
-pub mod lifecycle;
 pub mod runtime;
 pub mod sha256;
 
@@ -26,8 +26,5 @@ pub use config::{
     Namespaces, SeccompProfile,
 };
 pub use image::{standard_catalogue, ImageError, ImageManifest, ImageRef, ImageRegistry, Layer};
-pub use lifecycle::{ContainerId, ContainerState, Lifecycle, LifecycleEvent, TransitionError};
-pub use runtime::{
-    Container, ContainerRuntime, RuntimeCounters, RuntimeError, JUPYTER_PROVISION, START_OVERHEAD,
-};
+pub use runtime::{ContainerRuntime, JUPYTER_PROVISION, START_OVERHEAD};
 pub use sha256::{Digest, Sha256};

@@ -1003,9 +1003,6 @@ impl Platform {
         for addr in due.drain(..) {
             let agent = self.agents.get_mut(addr).expect("indexed agents exist");
             agent.on_wake_into(now, &mut actions);
-            if agent.has_pending_verifications() {
-                actions.extend(agent.complete_verifications(now, &self.registry));
-            }
             self.apply_agent_actions(now, addr, &mut actions);
         }
         self.due_scratch = due;
