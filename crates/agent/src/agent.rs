@@ -395,7 +395,6 @@ impl Agent {
                 self.timers
                     .arm(now + self.config.heartbeat_period, Timer::Heartbeat);
             }
-            Control::HeartbeatAck { .. } => {}
             _ => {
                 actions.push(Action::Send(
                     Control::Error {

@@ -29,7 +29,8 @@ use gpunion_core::{PlatformConfig, Scenario};
 use gpunion_des::{RngPool, SimDuration, SimTime};
 use gpunion_gpu::{paper_testbed, GpuModel};
 use gpunion_protocol::{
-    Control, DispatchSpec, ExecMode, GpuStat, JobId, Message, NodeUid, UserId, Work,
+    Control, DispatchSpec, ExecMode, GpuStat, JobId, Message, NodeUid, UserId, Work, WorkloadState,
+    WorkloadStatus,
 };
 use gpunion_scheduler::{CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, SendOutcome};
 use gpunion_workload::{
@@ -352,6 +353,16 @@ pub fn loaded_coordinator_with(
 /// `scheduling_pass/saturated_400`, gate row `pass_ns_400_saturated`).
 pub const SATURATED_JOBS: usize = 50;
 
+/// The status a heartbeat reports for `job` running on its node.
+fn running_status(job: JobId) -> WorkloadStatus {
+    WorkloadStatus {
+        job,
+        state: WorkloadState::Running,
+        progress: 0.0,
+        checkpoint_seq: 0,
+    }
+}
+
 /// A **saturated** fleet with a backlog — the regime a campus short of
 /// GPUs lives in, and the one `fleet400_day` spends its afternoon in: `n`
 /// single-3090 nodes each running one accepted 22 GB job (2 GB left), plus
@@ -367,9 +378,9 @@ pub fn saturated_coordinator(n: usize, jobs: usize) -> Coordinator {
     };
     let mut c = loaded_coordinator_with(n, &mut std::iter::repeat_with(filler).take(n));
     // Place the fillers (the pass defers while the write queue is at its
-    // bound, so this can take several turns), accept every offer — which
-    // hands the reservation over to the node's next heartbeat, so send
-    // that too — all before the caller's window.
+    // bound, so this can take several turns), accept every offer — whose
+    // reservation stands until a heartbeat lists the job, so send that
+    // too — all before the caller's window.
     let mut running = 0;
     while let Some(at) = c.next_wake().filter(|&at| at <= SimTime::from_secs(3800)) {
         for action in c.advance(at) {
@@ -395,7 +406,7 @@ pub fn saturated_coordinator(n: usize, jobs: usize) -> Coordinator {
                         temperature_c: 70.0,
                         power_w: 300.0,
                     }],
-                    workloads: vec![],
+                    workloads: vec![running_status(spec.job)],
                 };
                 c.send(at, CoordEnvelope::Msg(Box::new(reply.into())));
                 c.send(at, CoordEnvelope::Msg(Box::new(beat.into())));
@@ -518,7 +529,7 @@ pub fn backlog_coordinator(n: usize, jobs: usize) -> (Coordinator, SimTime) {
                         temperature_c: 70.0,
                         power_w: 300.0,
                     }],
-                    workloads: vec![],
+                    workloads: vec![running_status(spec.job)],
                 };
                 c.send(wake, CoordEnvelope::Msg(Box::new(beat.into())));
             }
@@ -810,9 +821,7 @@ pub struct CodecRow {
 /// back-to-back operations on the same heartbeat envelope (amortizing the
 /// clock reads), reduced per-operation through [`PassStats`].
 pub fn codec_cost_run(passes: usize, iters: usize) -> CodecRow {
-    use gpunion_protocol::{
-        AuthToken, BufferPool, Envelope, GpuStat, WorkloadState, WorkloadStatus,
-    };
+    use gpunion_protocol::{AuthToken, BufferPool, Envelope};
     let env = Envelope::from_node(
         NodeUid(3),
         AuthToken([7; 16]),
@@ -962,7 +971,7 @@ mod golden {
         // feeds this sum.
         assert_eq!(
             total.to_bits(),
-            0x4282_90fa_26a0_c600,
+            0x4282_90f6_26a0_4400,
             "checkpoint total {total} bytes"
         );
         close(sustained, 0.0118, 5e-4, "sustained backbone share");

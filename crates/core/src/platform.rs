@@ -1026,7 +1026,7 @@ impl Platform {
 mod tests {
     use super::*;
     use gpunion_gpu::GpuModel;
-    use gpunion_protocol::DepartureMode;
+    use gpunion_protocol::{DepartureMode, KillReason};
     use gpunion_workload::ModelClass;
 
     /// Every slot's recorded wake is its agent's next wake, and the wake
@@ -1058,10 +1058,13 @@ mod tests {
         assert_eq!(w.addr_of(NodeUid(0)), Some(hosts[0]), "the one issued uid");
         let sent = w.net.messages_sent();
         for uid in [NodeUid(7), NodeUid(u64::MAX)] {
-            let ack = Control::HeartbeatAck { node: uid, seq: 1 };
+            let kill = Work::Kill {
+                job: JobId(1),
+                reason: KillReason::UserCancel,
+            };
             let mut actions = vec![CoordAction::Send {
                 to: uid,
-                msg: ack.into(),
+                msg: kill.into(),
                 delay: SimDuration::ZERO,
             }];
             w.apply_coord_actions(sim.now(), &mut actions);

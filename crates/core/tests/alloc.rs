@@ -1,16 +1,15 @@
 //! Allocation discipline of the platform's steady cycle.
 //!
 //! On a campus of idle providers the platform's whole load is the
-//! heartbeat round trip: an agent's timer fires, the beat crosses the
-//! network, takes a coordinator turn on arrival, and the ack comes back.
-//! Every buffer on that path is one the platform, the network or the
-//! coordinator keeps, and the wake index appends to a ring it reuses, so
-//! what a warm round trip may still allocate is what travels: the beat's
-//! `gpu_stats` vector and one boxed envelope each way — on a campus large
-//! enough (64 hosts) that an ordered set under the beat's churn splits
-//! leaves, over twenty periods. Counted with a counting global allocator; the
-//! counter is per thread (const-initialized TLS), as in
-//! `crates/scheduler/tests/alloc.rs`.
+//! heartbeat: an agent's timer fires, the beat crosses the network and
+//! takes a coordinator turn on arrival. Nothing answers it. Every buffer on
+//! that path is one the platform, the network or the coordinator keeps, and
+//! the wake index appends to a ring it reuses, so what a warm beat may
+//! still allocate is what travels: its `gpu_stats` vector and one boxed
+//! envelope — on a campus large enough (64 hosts) that an ordered set under
+//! the beat's churn splits leaves, over twenty periods. Counted with a
+//! counting global allocator; the counter is per thread (const-initialized
+//! TLS), as in `crates/scheduler/tests/alloc.rs`.
 
 use gpunion_core::{Platform, PlatformConfig, PlatformSim};
 use gpunion_des::{SimDuration, SimTime};
@@ -76,23 +75,23 @@ fn a_warm_heartbeat_round_trip_allocates_only_what_travels() {
     sim.run_until(&mut w, SimTime::from_secs(300) + period * 20);
     let spent = allocations() - before;
 
-    let trips = hosts.len() * 20;
+    let beats = hosts.len() * 20;
     assert_eq!(
         w.net.messages_sent() - sent,
-        2 * trips as u64,
-        "beats and acks only"
+        beats as u64,
+        "beats only: the coordinator answers none"
     );
     assert_eq!(
         sim.events_executed() - events,
-        3 * trips as u64 + 20,
-        "wake, beat in, ack in; one sweep a period (a beat's status write \
-         applies at the next coordinator turn, not at a wake of its own)"
+        2 * beats as u64 + 20,
+        "wake, beat in; one sweep a period (a beat's status write applies \
+         at the next coordinator turn, not at a wake of its own)"
     );
-    // The parent allocated 4 206 times here: 3 × 1 280 + 2 × 183, its wake
-    // index a B-tree churning like `by_heartbeat`.
+    // The parent allocated 3 × 1 280 + 183 times here: it answered every
+    // beat with an ack, a second boxed envelope.
     assert_eq!(
         spent - BY_HEARTBEAT_LEAF_SPLITS,
-        3 * trips,
-        "per round trip, the `gpu_stats` vector and two boxed envelopes, nothing else"
+        2 * beats,
+        "per beat, the `gpu_stats` vector and one boxed envelope, nothing else"
     );
 }

@@ -229,10 +229,15 @@ pub enum Control {
         accepting: bool,
         /// Per-GPU telemetry.
         gpu_stats: Vec<GpuStat>,
-        /// Status of all live workloads on the node.
+        /// Status of all live workloads on the node. The first beat that
+        /// lists a job retires the job's offer reservation there: its
+        /// `gpu_stats` count the job's VRAM.
         workloads: Vec<WorkloadStatus>,
     },
-    /// Coordinator → agent: heartbeat acknowledgement.
+    /// Coordinator → agent: heartbeat acknowledgement. Nothing sends it:
+    /// a heartbeat is one-way, and an agent answers an unexpected ack
+    /// with `Control::Error`. The variant and its wire tag stay only
+    /// because the repo benchmark's codec probe still builds one.
     HeartbeatAck {
         /// Receiver echo.
         node: NodeUid,

@@ -259,6 +259,11 @@ pub struct CoordinatorStats {
     /// Always 0: every job submission is admitted. Kept only because the
     /// repo benchmark still reads it.
     pub admission_shed_jobs: u64,
+    /// Offers sent to agents (`Work::Dispatch`).
+    pub offers_made: u64,
+    /// Offers an agent refused (`DispatchReply` with `accepted: false`);
+    /// a timed-out offer is not counted here.
+    pub offers_rejected: u64,
     /// Scheduling decision latency statistics (the §5.2 quantity).
     pub decision_latency: Online,
     /// Database writes queued but not yet applied.
@@ -316,6 +321,8 @@ pub struct Coordinator {
     /// Scratch list of jobs for the node-loss and provider-return walks.
     job_scratch: Vec<JobId>,
     pass_armed: bool,
+    offers_made: u64,
+    offers_rejected: u64,
     decision_latency: Online,
     // Inbox telemetry (enqueue → turn).
     inbox_sojourn: Online,
@@ -352,6 +359,8 @@ impl Coordinator {
             misses: MissMemo::default(),
             job_scratch: Vec::new(),
             pass_armed: false,
+            offers_made: 0,
+            offers_rejected: 0,
             decision_latency: Online::new(),
             inbox_sojourn: Online::new(),
             inbox_depth_peak: 0,
@@ -383,6 +392,8 @@ impl Coordinator {
             over_bound_envelopes: self.over_bound_envelopes,
             deferred_turns: self.deferred_turns,
             admission_shed_jobs: 0,
+            offers_made: self.offers_made,
+            offers_rejected: self.offers_rejected,
             decision_latency: self.decision_latency.clone(),
             db_depth: self.db.depth(),
             db_depth_peak: self.db.depth_peak(),
@@ -900,6 +911,14 @@ impl Coordinator {
                 workloads,
             } => {
                 let was_offline = self.heartbeat_revives(node);
+                // A beat that lists a job reports the VRAM the job holds on
+                // this node, so the job's offer reservation has done its
+                // work. Released any earlier (at the accept), the directory
+                // would show that VRAM free until this beat and offer it
+                // again.
+                for ws in &workloads {
+                    self.dir.release(node, ws.job);
+                }
                 self.dir
                     .apply_heartbeat(node, now, seq, accepting, &gpu_stats);
                 // Every heartbeat is one status write through the same
@@ -928,11 +947,6 @@ impl Coordinator {
                         }
                     }
                 }
-                actions.push(CoordAction::Send {
-                    to: node,
-                    msg: Control::HeartbeatAck { node, seq }.into(),
-                    delay: SimDuration::ZERO,
-                });
             }
             Control::DepartureNotice { node, mode } if self.dir.get(node).is_some() => {
                 match mode {
@@ -1014,10 +1028,8 @@ impl Coordinator {
                     return;
                 };
                 if accepted {
-                    // Release the offer reservation: the agent has allocated
-                    // real VRAM, which the next heartbeat reports. Keeping
-                    // the reservation would double-count the job's memory.
-                    self.dir.release(node, job);
+                    // The offer reservation stands until a heartbeat lists
+                    // the job: only then does the reported VRAM include it.
                     self.drop_hold(job);
                     self.db.submit(
                         now,
@@ -1035,6 +1047,7 @@ impl Coordinator {
                         });
                     }
                 } else {
+                    self.offers_rejected += 1;
                     self.offer_failed(now, job, node, actions);
                 }
             }
@@ -1443,6 +1456,7 @@ impl Coordinator {
             self.dir.release(target, job);
             return;
         }
+        self.offers_made += 1;
         self.update_job(job, |meta| meta.offered_to = Some(target));
         // The decision's latency is its dequeue transaction's emergent
         // sojourn: queue wait behind every earlier write (including this
@@ -2035,6 +2049,38 @@ mod tests {
         c.scheduling_pass(t(2), &mut actions);
         assert_eq!(c.job_node(JobId(1)), None);
         assert_eq!(c.jobs[&JobId(2)].offered_to, Some(node));
+    }
+
+    /// A heartbeat is one-way: its turn sends nothing back to the agent.
+    #[test]
+    fn a_heartbeat_turn_sends_nothing() {
+        let mut c = Coordinator::new(CoordinatorConfig::default(), 1);
+        let gpus: Vec<GpuInfo> = vec![GpuModel::Rtx3090.into()];
+        let register = Control::Register {
+            machine_id: "m".into(),
+            hostname: "h".into(),
+            gpus: gpus.clone(),
+            agent_version: 1,
+        };
+        c.send(t(1), CoordEnvelope::Msg(Box::new(register.into())));
+        c.advance(t(1));
+        let node = c.dir.iter().next().expect("registered").uid;
+        let beat = Control::Heartbeat {
+            node,
+            seq: 1,
+            accepting: true,
+            gpu_stats: vec![stat(&gpus[0], 0)],
+            workloads: vec![],
+        };
+        c.send(t(2), CoordEnvelope::Msg(Box::new(beat.into())));
+        let actions = c.advance(t(2));
+        assert_eq!(c.dir.get(node).expect("entry").last_seq, 1, "beat taken");
+        assert!(
+            !actions
+                .iter()
+                .any(|a| matches!(a, CoordAction::Send { .. })),
+            "{actions:?}"
+        );
     }
 
     /// A heartbeat's status write does not wake the actor: after the beat's

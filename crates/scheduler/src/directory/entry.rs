@@ -214,15 +214,18 @@ impl NodeEntry {
     }
 
     /// Undo a reservation: credits back exactly the slots reserve debited,
-    /// so one job's release can never strip bytes from another's.
-    pub(crate) fn release(&mut self, job: JobId) {
-        if let Some((mem, taken)) = self.reservations.remove(&job) {
-            for i in taken {
-                if let Some(slot) = self.slots.get_mut(i) {
-                    slot.reserved = slot.reserved.saturating_sub(mem);
-                }
+    /// so one job's release can never strip bytes from another's. Returns
+    /// whether `job` held one.
+    pub(crate) fn release(&mut self, job: JobId) -> bool {
+        let Some((mem, taken)) = self.reservations.remove(&job) else {
+            return false;
+        };
+        for i in taken {
+            if let Some(slot) = self.slots.get_mut(i) {
+                slot.reserved = slot.reserved.saturating_sub(mem);
             }
         }
+        true
     }
 
     /// Does `job` hold a reservation here?

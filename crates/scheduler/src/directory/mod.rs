@@ -133,11 +133,12 @@ impl Directory {
     }
 
     /// Release a job's reservation (offer rejected, job finished, node
-    /// lost). No-op when none exists.
+    /// lost, or a heartbeat listed the job). No-op when none exists.
     pub fn release(&mut self, uid: NodeUid, job: JobId) {
         if let Some(e) = self.nodes.get_mut(uid.slot()) {
-            e.release(job);
-            self.index.refresh(e);
+            if e.release(job) {
+                self.index.refresh(e);
+            }
         }
     }
 

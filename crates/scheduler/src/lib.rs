@@ -239,6 +239,71 @@ mod tests {
         assert!(coord.db().allocation(job).is_some());
     }
 
+    /// The accept does not free the offer's VRAM: until a heartbeat lists
+    /// the job, the directory keeps it reserved, so a second pass cannot
+    /// offer the same bytes to another job. The beat that lists the job
+    /// reports that VRAM as used and retires the reservation, so it is not
+    /// counted twice either.
+    #[test]
+    fn an_accepted_offer_holds_its_vram_until_a_heartbeat_lists_the_job() {
+        let mut coord = Coordinator::new(CoordinatorConfig::default(), 1);
+        let node = register(&mut coord, t(1), "m-1");
+        heartbeat(&mut coord, t(2), node, 1);
+        let big = |mem_gb: u64| DispatchSpec {
+            gpu_mem_bytes: mem_gb << 30,
+            ..spec()
+        };
+        let (first, _) = submit(&mut coord, t(3), big(16));
+        let (to, _) = find_dispatch(&drive(&mut coord, t(4))).expect("offered");
+        assert_eq!(to, node);
+        msg(
+            &mut coord,
+            t(5),
+            Work::DispatchReply {
+                job: first,
+                accepted: true,
+                reason: String::new(),
+            }
+            .into(),
+        );
+        // No beat yet: 16 of the 3090's 24 GB are still spoken for.
+        submit(&mut coord, t(6), big(16));
+        assert_eq!(
+            find_dispatch(&drive(&mut coord, t(7))),
+            None,
+            "the accepted job's VRAM is offered twice"
+        );
+        assert!(coord.directory().get(node).unwrap().has_reservation(first));
+        // The beat that lists the first job reports its 16 GB in use.
+        let beat = Control::Heartbeat {
+            node,
+            seq: 2,
+            accepting: true,
+            gpu_stats: vec![GpuStat {
+                memory_used: 16 << 30,
+                memory_total: 24 << 30,
+                utilization: 0.9,
+                temperature_c: 60.0,
+                power_w: 300.0,
+            }],
+            workloads: vec![WorkloadStatus {
+                job: first,
+                state: WorkloadState::Provisioning,
+                progress: 0.0,
+                checkpoint_seq: 0,
+            }],
+        };
+        msg(&mut coord, t(8), beat.into());
+        assert!(!coord.directory().get(node).unwrap().has_reservation(first));
+        assert_eq!(find_dispatch(&drive(&mut coord, t(9))), None, "8 GB left");
+        // The 8 GB left are free once, not zero times.
+        let (third, _) = submit(&mut coord, t(10), big(8));
+        let offered = all_dispatches(&drive(&mut coord, t(11)));
+        assert_eq!(offered, vec![(node, third)]);
+        let stats = coord.stats();
+        assert_eq!((stats.offers_made, stats.offers_rejected), (2, 0));
+    }
+
     #[test]
     fn rejection_retries_on_other_node() {
         let mut coord = Coordinator::new(CoordinatorConfig::default(), 1);
@@ -266,6 +331,8 @@ mod tests {
         let actions = drive(&mut coord, t(6));
         let (second, _) = find_dispatch(&actions).expect("second dispatch");
         assert_ne!(first, second, "rejected node excluded");
+        let stats = coord.stats();
+        assert_eq!((stats.offers_made, stats.offers_rejected), (2, 1));
         let _ = (n1, n2);
     }
 

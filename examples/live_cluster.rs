@@ -2,13 +2,14 @@
 //!
 //! Runs a coordinator thread and three agent threads exchanging real
 //! framed envelopes — registration with token issuance and authenticated
-//! heartbeats — demonstrating that the control plane is an actual network
-//! protocol, not a simulation artifact.
+//! one-way heartbeats — demonstrating that the control plane is an actual
+//! network protocol, not a simulation artifact.
 //!
 //!     cargo run --release --example live_cluster
 
 use gpunion_protocol::{
     AuthToken, Control, Envelope, FramedTransport, GpuInfo, Message, NodeUid, TokenRegistry,
+    TransportError,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,8 +25,9 @@ fn main() {
     let served = Arc::new(AtomicU64::new(0));
     let served_c = served.clone();
 
-    // Coordinator: accept 3 agents, register them, answer authenticated
-    // heartbeats until each connection closes.
+    // Coordinator: accept 3 agents, register them, then count their
+    // authenticated heartbeats until each connection closes. A beat is
+    // one-way: nothing answers it.
     let coordinator = std::thread::spawn(move || {
         let mut tokens = TokenRegistry::new();
         let mut rng = SmallRng::seed_from_u64(7);
@@ -54,18 +56,24 @@ fn main() {
                     }),
                 ))
                 .unwrap();
-                while let Ok(env) = t.recv() {
+                let mut beats = 0u64;
+                loop {
+                    let env = match t.recv() {
+                        Ok(env) => env,
+                        Err(TransportError::ConnectionClosed) => break,
+                        Err(e) => panic!("heartbeat stream: {e}"),
+                    };
                     assert_eq!(env.sender, node, "sender principal");
                     assert_eq!(env.token, token, "bearer token");
-                    if let Message::Control(Control::Heartbeat { node, seq, .. }) = env.msg {
-                        served.fetch_add(1, Ordering::Relaxed);
-                        t.send(&Envelope::new(
-                            AuthToken::UNAUTHENTICATED,
-                            Message::Control(Control::HeartbeatAck { node, seq }),
-                        ))
-                        .unwrap();
-                    }
+                    let Message::Control(Control::Heartbeat { seq, .. }) = env.msg else {
+                        panic!("expected Heartbeat, got {:?}", env.msg);
+                    };
+                    beats += 1;
+                    assert_eq!(seq, beats, "beats arrive in order");
                 }
+                assert_eq!(beats, 5, "every beat arrived before EOF");
+                println!("[coord] {hostname}: {beats} heartbeats, then EOF");
+                served.fetch_add(beats, Ordering::Relaxed);
             }));
         }
         for h in handles {
@@ -73,7 +81,7 @@ fn main() {
         }
     });
 
-    // Three agents: register, heartbeat five times, disconnect.
+    // Three agents: register, heartbeat five times, close the socket.
     let mut agents = Vec::new();
     for i in 0..3 {
         agents.push(std::thread::spawn(move || {
@@ -113,12 +121,8 @@ fn main() {
                     }),
                 ))
                 .unwrap();
-                let ack = t.recv().expect("hb ack");
-                assert!(matches!(
-                    ack.msg,
-                    Message::Control(Control::HeartbeatAck { .. })
-                ));
             }
+            drop(t);
             println!("[agent live-{i}] done");
         }));
     }
