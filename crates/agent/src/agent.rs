@@ -138,6 +138,20 @@ struct Workload {
     departing_checkpoint: bool,
 }
 
+/// The TFLOPS a run integrates at when its job is bound to no GPU the
+/// server knows.
+const DEFAULT_TFLOPS: f64 = 35.6;
+
+impl Workload {
+    /// Peak FP32 TFLOPS of the first GPU the job is bound to.
+    fn tflops(&self, server: &GpuServer) -> f64 {
+        self.gpus
+            .first()
+            .and_then(|(i, _)| server.device(*i))
+            .map_or(DEFAULT_TFLOPS, |d| d.spec().fp32_tflops)
+    }
+}
+
 /// The provider agent.
 pub struct Agent {
     config: AgentConfig,
@@ -714,10 +728,7 @@ impl Agent {
     fn job_tflops(&self, job: JobId) -> f64 {
         self.workloads
             .get(&job)
-            .and_then(|w| w.gpus.first())
-            .and_then(|(i, _)| self.server.device(*i))
-            .map(|d| d.spec().fp32_tflops)
-            .unwrap_or(35.6)
+            .map_or(DEFAULT_TFLOPS, |w| w.tflops(&self.server))
     }
 
     /// Remaining wall-clock for a job's run, if it has one.
@@ -739,21 +750,21 @@ impl Agent {
             .unwrap_or((0.0, 0))
     }
 
-    /// Integrate all running training jobs up to `now`.
+    /// Integrate all running training jobs up to `now`: one walk of the
+    /// workload map, with the server read beside it.
     fn advance_runs(&mut self, now: SimTime) {
-        let jobs: Vec<JobId> = self.workloads.keys().copied().collect();
-        for job in jobs {
-            let tflops = self.job_tflops(job);
-            if let Some(w) = self.workloads.get_mut(&job) {
-                if let WorkPhase::Running { since } = w.phase {
-                    if let Some(run) = &mut w.run {
-                        let dt = now.since(since);
-                        if !dt.is_zero() {
-                            let _ = run.advance(dt, tflops);
-                            w.phase = WorkPhase::Running { since: now };
-                        }
-                    }
-                }
+        for w in self.workloads.values_mut() {
+            let WorkPhase::Running { since } = w.phase else {
+                continue;
+            };
+            let dt = now.since(since);
+            if dt.is_zero() {
+                continue;
+            }
+            let tflops = w.tflops(&self.server);
+            if let Some(run) = &mut w.run {
+                let _ = run.advance(dt, tflops);
+                w.phase = WorkPhase::Running { since: now };
             }
         }
     }

@@ -14,7 +14,7 @@
 //! pins that a finished job leaves nothing behind on its agent.
 
 use gpunion_agent::{Action, Agent, AgentConfig, FlowPurpose};
-use gpunion_container::standard_catalogue;
+use gpunion_container::{standard_catalogue, ImageRef};
 use gpunion_des::{SimDuration, SimTime};
 use gpunion_gpu::{GpuModel, GpuServer, ServerSpec};
 use gpunion_protocol::{
@@ -131,6 +131,97 @@ fn a_timer_driven_heartbeat_performs_no_registry_lookup() {
     assert_eq!(third_beat, second_beat, "every later beat costs the same");
 }
 
+/// A batch job on one GPU, 6 GB of it, checkpointing every `checkpoint_secs`.
+fn batch_spec(job: u64, image: &ImageRef, checkpoint_secs: u32) -> DispatchSpec {
+    DispatchSpec {
+        job: JobId(job),
+        image_repo: image.repository.clone(),
+        image_tag: image.tag.clone(),
+        image_digest: image.digest.0,
+        gpus: 1,
+        gpu_mem_bytes: 6 << 30,
+        min_cc: None,
+        mode: ExecMode::Batch {
+            entrypoint: vec!["python".into(), "train.py".into()],
+        },
+        checkpoint_interval_secs: checkpoint_secs,
+        storage_nodes: vec![],
+        state_bytes_hint: 100 << 20,
+        restore_from_seq: None,
+        priority: 1,
+        user: UserId::SYSTEM,
+    }
+}
+
+/// A beat from an agent running several training jobs integrates every run
+/// in one walk of its workload map: it allocates the two vectors the
+/// message carries — `gpu_stats` and `workloads` — and nothing else (no
+/// list of job ids to walk).
+#[test]
+fn a_warm_heartbeat_with_running_jobs_allocates_only_what_it_sends() {
+    let (images, refs) = standard_catalogue();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let config = AgentConfig::new("ws-4", &mut rng);
+    let server = GpuServer::new(ServerSpec::multi_gpu("ws-4", GpuModel::Rtx3090, 4));
+    let mut agent = Agent::new(config, server);
+    agent.start_registration(SimTime::ZERO);
+    let mut now = SimTime::from_secs(1);
+    agent.handle_message(now, register_ack(), &images);
+
+    const JOBS: u64 = 3;
+    let mut pulls = Vec::new();
+    for job in 1..=JOBS {
+        let spec = batch_spec(job, &refs[0], 3_600);
+        let actions = agent.handle_message(now, Work::Dispatch { spec }.into(), &images);
+        agent.attach_run(
+            JobId(job),
+            TrainingRun::new(TrainingJobSpec::new(ModelClass::CnnSmall, 10_000_000)),
+        );
+        pulls.extend(actions.iter().filter_map(|a| match a {
+            Action::StartFlow {
+                purpose: purpose @ FlowPurpose::ImagePull { .. },
+                ..
+            } => Some(*purpose),
+            _ => None,
+        }));
+    }
+    now += SimDuration::from_secs(30);
+    for purpose in pulls {
+        agent.on_flow_done(now, purpose, true, &images);
+    }
+
+    // Wake until a beat reports every job Running, then time the next
+    // beats into a buffer kept warm from the ones before.
+    let running = |actions: &[Action]| match actions {
+        [Action::Send(Message::Control(Control::Heartbeat { workloads, .. }))] => workloads
+            .iter()
+            .filter(|w| w.state == WorkloadState::Running)
+            .count(),
+        _ => 0,
+    };
+    let mut actions = Vec::new();
+    let mut wakes = 0;
+    while running(&actions) < JOBS as usize {
+        wakes += 1;
+        assert!(wakes < 100, "the jobs never all ran");
+        now = agent.next_wake().expect("a timer is armed");
+        actions.clear();
+        agent.on_wake_into(now, &mut actions);
+    }
+    for _ in 0..3 {
+        now = agent.next_wake().expect("heartbeat timer armed");
+        actions.clear();
+        let before = allocations();
+        agent.on_wake_into(now, &mut actions);
+        let spent = allocations() - before;
+        assert_eq!(running(&actions), JOBS as usize, "a beat listing every job");
+        assert_eq!(
+            spent, 2,
+            "the `gpu_stats` and `workloads` vectors, nothing else"
+        );
+    }
+}
+
 /// A job that has run to completion leaves nothing behind on its agent:
 /// after one warm-up job (which also caches the image), a hundred more
 /// dispatch → run → complete cycles hold the agent's live heap bytes within
@@ -143,24 +234,7 @@ fn finished_jobs_leave_nothing_behind() {
     agent.handle_message(now, register_ack(), &images);
 
     let cycle = |agent: &mut Agent, now: &mut SimTime, job: u64| {
-        let spec = DispatchSpec {
-            job: JobId(job),
-            image_repo: refs[0].repository.clone(),
-            image_tag: refs[0].tag.clone(),
-            image_digest: refs[0].digest.0,
-            gpus: 1,
-            gpu_mem_bytes: 6 << 30,
-            min_cc: None,
-            mode: ExecMode::Batch {
-                entrypoint: vec!["python".into(), "train.py".into()],
-            },
-            checkpoint_interval_secs: 60,
-            storage_nodes: vec![],
-            state_bytes_hint: 100 << 20,
-            restore_from_seq: None,
-            priority: 1,
-            user: UserId::SYSTEM,
-        };
+        let spec = batch_spec(job, &refs[0], 60);
         let mut actions = agent.handle_message(*now, Work::Dispatch { spec }.into(), &images);
         agent.attach_run(
             JobId(job),

@@ -7,12 +7,15 @@
 //! the same turn on a **saturated** 400-node fleet (50 pending jobs of
 //! five shapes, every pick fails — `pass_ns_400_saturated`), the same
 //! turn on a full 400-node fleet behind a 2 000-job backlog of the lab
-//! shapes with exclusion lists (`pass_ns_400_backlog`),
+//! shapes with exclusion lists (`pass_ns_400_backlog`), one heartbeat
+//! period of the failure detector on a 100 000-node directory (every
+//! node's beat applied, then one staleness sweep —
+//! `heartbeat_period_us_100k`),
 //! plus the simulated database write-queue figures at 400 nodes, the
 //! coordinator-inbox saturation figures at 500 nodes (ρ = 1.2), and the
 //! codec hot-path rows (allocation-free `wire_size()` walk and pooled
 //! framed encode of the dominant heartbeat message) — writes
-//! them to `BENCH_scheduler.json` (schema 14), and fails (exit 1) on
+//! them to `BENCH_scheduler.json` (schema 15), and fails (exit 1) on
 //! regression over the checked-in baseline. The baseline's `schema` key
 //! must match this binary's [`BENCH_SCHEMA`] exactly — a mismatched or
 //! missing version is a hard failure, not a silent row-by-row gate
@@ -35,6 +38,12 @@
 //!   turn must cost at most `BENCH_GATE_WARM_FACTOR`× (default 1×) the
 //!   **cold 10k** turn: a 10× fleet at steady state is no slower than a
 //!   small fleet from scratch.
+//! * **The sweep is a small share of its period**: the one staleness
+//!   sweep of a 100k-node heartbeat period (a scan of the directory's
+//!   dense heartbeat column) must cost at most [`SWEEP_SHARE_BOUND`] of
+//!   the period's 100 000 beat applications: the detector scans a dense
+//!   column once a period instead of keeping nodes sorted by beat, which
+//!   pays only while that scan stays small beside the beats.
 //! * **Critical-write backpressure**: at ρ > 1 every job submission is
 //!   deferred behind the database bound — visible as inbox sojourn — and
 //!   **none is shed**.
@@ -54,8 +63,8 @@
 
 use gpunion_bench::{
     backlog_coordinator, check_baseline_schema, codec_cost_run, contention_knee_run,
-    loaded_coordinator, saturated_coordinator, saturation_run, warm_pass_ns, PassStats,
-    BACKLOG_JOBS, BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
+    heartbeat_period_run, loaded_coordinator, saturated_coordinator, saturation_run, warm_pass_ns,
+    PassStats, BACKLOG_JOBS, BENCH_SCHEMA, PASS_JOBS, SATURATED_JOBS,
 };
 use gpunion_des::SimTime;
 use gpunion_scheduler::CoordAction;
@@ -63,6 +72,10 @@ use std::time::Instant;
 
 const DEFAULT_BASELINE: &str = "crates/bench/baseline/BENCH_scheduler.json";
 const DEFAULT_OUT: &str = "BENCH_scheduler.json";
+
+/// The most a 100k-node period's staleness sweep may cost, as a share of
+/// that period's beat applications (sample minima).
+const SWEEP_SHARE_BOUND: f64 = 0.1;
 
 /// Env-tunable factor with a default.
 fn env_factor(name: &str, default: f64) -> f64 {
@@ -197,6 +210,21 @@ fn main() {
          the cold 10k turn ({} ns), bound {warm_factor}× (minima)",
         pwarm.min_ns, p10k.min_ns
     );
+    eprintln!("bench_gate: measuring one heartbeat period (100k nodes)…");
+    let hb = heartbeat_period_run(100_000, 15);
+    let sweep_share = hb.sweep.min_ns as f64 / hb.beats.min_ns as f64;
+    assert!(
+        sweep_share <= SWEEP_SHARE_BOUND,
+        "100k-node staleness sweep is {sweep_share:.3}× the period's beats \
+         (bound {SWEEP_SHARE_BOUND}×): {} ns vs {} ns (minima)",
+        hb.sweep.min_ns,
+        hb.beats.min_ns
+    );
+    eprintln!(
+        "bench_gate: sweep ok — 100k-node sweep {} ns is {sweep_share:.3}× \
+         the period's beats ({} ns), bound {SWEEP_SHARE_BOUND}× (minima)",
+        hb.sweep.min_ns, hb.beats.min_ns
+    );
     eprintln!("bench_gate: measuring db write queue at 400 nodes…");
     let knee = contention_knee_run(400, 7);
     eprintln!("bench_gate: measuring inbox sojourn under saturation (500 nodes, rho = 1.2)…");
@@ -249,6 +277,7 @@ fn main() {
          \"pass_ns_400_saturated\": {},\n  \"pass_ns_400_backlog\": {},\n  \
          \"pass_ns_10k\": {},\n  \
          \"pass_ns_100k\": {},\n  \"pass_ns_100k_warm\": {},\n  \
+         \"heartbeat_period_us_100k\": {:.1},\n  \
          \"wire_size_ns\": {},\n  \"encode_ns_pooled\": {},\n  \
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
          \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {}\n}}\n",
@@ -258,6 +287,7 @@ fn main() {
         p10k.median_ns,
         p100k.median_ns,
         pwarm.median_ns,
+        hb.period.median_ns as f64 / 1e3,
         codec.wire_size.median_ns,
         codec.encode_pooled.median_ns,
         knee.measured_latency_ms,
@@ -296,6 +326,7 @@ fn main() {
         ("pass_ns_10k", p10k.median_ns as f64),
         ("pass_ns_100k", p100k.median_ns as f64),
         ("pass_ns_100k_warm", pwarm.median_ns as f64),
+        ("heartbeat_period_us_100k", hb.period.median_ns as f64 / 1e3),
         ("wire_size_ns", codec.wire_size.median_ns as f64),
         ("encode_ns_pooled", codec.encode_pooled.median_ns as f64),
     ] {

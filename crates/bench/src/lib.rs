@@ -32,7 +32,9 @@ use gpunion_protocol::{
     Control, DispatchSpec, ExecMode, GpuStat, JobId, Message, NodeUid, UserId, Work, WorkloadState,
     WorkloadStatus,
 };
-use gpunion_scheduler::{CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, SendOutcome};
+use gpunion_scheduler::{
+    CoordAction, CoordEnvelope, Coordinator, CoordinatorConfig, Directory, SendOutcome,
+};
 use gpunion_workload::{
     generate, generate_into, paper_campus_labs, InteractiveSpec, ModelClass, Request, TraceConfig,
     TraceEvent, TrainingJobSpec,
@@ -42,7 +44,7 @@ use std::time::Instant;
 /// Schema version of `BENCH_scheduler.json`. Bumped whenever the gate's
 /// row set changes shape; `bench_gate` refuses to compare against a
 /// baseline recorded at any other version (see [`check_baseline_schema`]).
-pub const BENCH_SCHEMA: u64 = 14;
+pub const BENCH_SCHEMA: u64 = 15;
 
 /// Hard schema check for a bench baseline: the baseline JSON must carry a
 /// `"schema"` key equal to `expected`, else the gate comparison is
@@ -704,6 +706,63 @@ pub fn warm_pass_ns(nodes: usize, rounds: usize) -> PassStats {
 /// Jobs per measured scheduling turn (the paper-scale pending batch the
 /// §5.2 rows quote).
 pub const PASS_JOBS: usize = 20;
+
+/// Wall-clock statistics of one heartbeat period of the failure detector
+/// on a large directory ([`heartbeat_period_run`]).
+#[derive(Debug, Clone, Copy)]
+pub struct HeartbeatPeriodRow {
+    /// The whole period: every node's beat applied, then one sweep.
+    pub period: PassStats,
+    /// The beat applications alone.
+    pub beats: PassStats,
+    /// The staleness sweep alone.
+    pub sweep: PassStats,
+}
+
+/// One heartbeat period on a `nodes`-node [`Directory`], `periods` times:
+/// one `apply_heartbeat` per node (one GPU each, every beat at the same
+/// instant), then the one `stale_nodes` sweep the coordinator runs a
+/// period. Every node has just beaten, so the sweep finds none stale:
+/// what it costs is the scan. The trade this times is a beat that writes a
+/// dense column against a sweep that reads it whole.
+pub fn heartbeat_period_run(nodes: usize, periods: usize) -> HeartbeatPeriodRow {
+    let mut dir = Directory::new();
+    let uids: Vec<NodeUid> = (0..nodes)
+        .map(|i| {
+            let gpus = vec![GpuModel::Rtx3090.into()];
+            dir.register(&format!("m-{i}"), "h", gpus, SimTime::ZERO).0
+        })
+        .collect();
+    let stats = [GpuStat {
+        memory_used: 2 << 30,
+        memory_total: 24 << 30,
+        utilization: 0.0,
+        temperature_c: 35.0,
+        power_w: 30.0,
+    }];
+    let timeout = SimDuration::from_secs(15);
+    let (mut period, mut beats, mut sweep) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 1..=periods.max(1) as u64 {
+        // Past the first timeout, so every sweep has a cutoff to scan to.
+        let now = SimTime::ZERO + timeout + SimDuration::from_secs(5 * k);
+        let t0 = Instant::now();
+        for &uid in &uids {
+            dir.apply_heartbeat(uid, now, k, true, &stats);
+        }
+        let t1 = Instant::now();
+        let stale = dir.stale_nodes(now, timeout);
+        let t2 = Instant::now();
+        assert!(stale.is_empty(), "a node that just beat swept as stale");
+        beats.push((t1 - t0).as_nanos() as u64);
+        sweep.push((t2 - t1).as_nanos() as u64);
+        period.push((t2 - t0).as_nanos() as u64);
+    }
+    HeartbeatPeriodRow {
+        period: PassStats::from_samples(period),
+        beats: PassStats::from_samples(beats),
+        sweep: PassStats::from_samples(sweep),
+    }
+}
 
 /// One row of the large-fleet (50k/100k-node) pass-latency sweep: the
 /// wall-clock median of the actor turn that applies `jobs` queue writes

@@ -155,10 +155,18 @@ impl fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
+/// A published manifest and the verdict of hashing its layers, taken once
+/// at publication.
+#[derive(Debug, Clone)]
+struct Published {
+    manifest: ImageManifest,
+    layers: Result<(), ImageError>,
+}
+
 /// The campus image registry plus the trusted-repository allow list.
 #[derive(Debug, Clone, Default)]
 pub struct ImageRegistry {
-    manifests: HashMap<Digest, ImageManifest>,
+    manifests: HashMap<Digest, Published>,
     allow_list: HashSet<String>,
 }
 
@@ -179,28 +187,41 @@ impl ImageRegistry {
         self.allow_list.contains(repository)
     }
 
-    /// Publish a manifest; returns the pinned reference.
+    /// Publish a manifest; returns the pinned reference. Its layers are
+    /// hashed here, once: [`Self::admit`] reuses the verdict for a pull
+    /// that delivers these exact bytes.
     pub fn publish(&mut self, manifest: ImageManifest) -> ImageRef {
         let r = manifest.image_ref();
-        self.manifests.insert(r.digest, manifest);
+        let layers = manifest.verify_layers();
+        self.manifests
+            .insert(r.digest, Published { manifest, layers });
         r
     }
 
     /// Look up a manifest by pinned reference.
     pub fn manifest(&self, r: &ImageRef) -> Option<&ImageManifest> {
-        self.manifests.get(&r.digest)
+        self.manifests.get(&r.digest).map(|p| &p.manifest)
     }
 
     /// Full deployment-time admission check, in the order the paper
     /// describes: allow list, then manifest digest, then per-layer SHA256.
     ///
     /// `received` is the manifest as the node received it (possibly corrupted
-    /// in transit); the check compares it against the pinned reference.
+    /// in transit); the check compares it against the pinned reference. A
+    /// manifest equal by value to the one published under `r` hashes to
+    /// `r` and its layers to what they hashed to at publication, so it gets
+    /// the verdict [`Self::publish`] stored; any other is hashed in full.
+    /// The allow list is consulted on every call.
     pub fn admit(&self, r: &ImageRef, received: &ImageManifest) -> Result<(), ImageError> {
         if !self.is_allowed(&r.repository) {
             return Err(ImageError::NotAllowListed {
                 repository: r.repository.clone(),
             });
+        }
+        if let Some(p) = self.manifests.get(&r.digest) {
+            if p.manifest == *received {
+                return p.layers.clone();
+            }
         }
         if received.digest() != r.digest {
             return Err(ImageError::ManifestDigestMismatch);
@@ -370,6 +391,39 @@ mod tests {
             let m = reg.manifest(r).unwrap().clone();
             assert_eq!(reg.admit(r, &m), Ok(()));
         }
+    }
+
+    /// The check `admit` runs on a manifest it has not seen published.
+    fn full_check(r: &ImageRef, received: &ImageManifest) -> Result<(), ImageError> {
+        if received.digest() != r.digest {
+            return Err(ImageError::ManifestDigestMismatch);
+        }
+        received.verify_layers()
+    }
+
+    #[test]
+    fn stored_verdict_equals_the_full_check_for_every_catalogue_image() {
+        let (reg, refs) = standard_catalogue();
+        for r in &refs {
+            let m = reg.manifest(r).unwrap();
+            assert_eq!(reg.manifests[&r.digest].layers, full_check(r, m));
+            assert_eq!(reg.admit(r, m), full_check(r, m));
+        }
+    }
+
+    #[test]
+    fn a_manifest_published_corrupt_keeps_failing() {
+        let mut reg = ImageRegistry::new();
+        reg.allow_repository("pytorch/pytorch");
+        // The registry's own bytes no longer hash to their layer digest.
+        let mut m = sample_manifest();
+        m.layers[0].content[3] ^= 0x10;
+        let r = reg.publish(m.clone());
+        assert_eq!(
+            reg.admit(&r, &m),
+            Err(ImageError::LayerDigestMismatch { layer: 0 })
+        );
+        assert_eq!(reg.admit(&r, &m), full_check(&r, &m));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! heartbeat: an agent's timer fires, the beat crosses the network and
 //! takes a coordinator turn on arrival. Nothing answers it. Every buffer on
 //! that path is one the platform, the network or the coordinator keeps, and
-//! the wake index appends to a ring it reuses, so what a warm beat may
-//! still allocate is what travels: its `gpu_stats` vector and one boxed
-//! envelope — on a campus large enough (64 hosts) that an ordered set under
-//! the beat's churn splits leaves, over twenty periods. Counted with a
-//! counting global allocator; the counter is per thread (const-initialized
-//! TLS), as in `crates/scheduler/tests/alloc.rs`.
+//! the wake index appends to a ring it reuses, and the directory files a
+//! beat's arrival time in a dense column, not an ordered set, so what a
+//! warm beat may allocate is what travels: its `gpu_stats` vector and one
+//! boxed envelope — exactly, over twenty periods of a 64-host campus.
+//! Counted with a counting global allocator; the counter is per thread
+//! (const-initialized TLS), as in `crates/scheduler/tests/alloc.rs`.
 
 use gpunion_core::{Platform, PlatformConfig, PlatformSim};
 use gpunion_des::{SimDuration, SimTime};
@@ -46,16 +46,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// What the one ordered set left on the path allocates over the window
-/// below. `CapacityIndex::by_heartbeat` repositions each beat's node —
-/// its oldest key out, the newest in — and a 64-entry B-tree under that
-/// queue pattern splits a leaf every seven inserts or so: a
-/// `BTreeSet<(u64, u64)>` of 64 driven through 1 280 such steps allocates
-/// 182–183 times, by phase. It stays a tree on purpose (ISSUE 25: its
-/// insert is 0.7 % of the profile); the platform's wake index, which
-/// churned the same way at the parent, no longer does.
-const BY_HEARTBEAT_LEAF_SPLITS: usize = 183;
-
 #[test]
 fn a_warm_heartbeat_round_trip_allocates_only_what_travels() {
     let specs: Vec<ServerSpec> = (0..64)
@@ -87,10 +77,8 @@ fn a_warm_heartbeat_round_trip_allocates_only_what_travels() {
         "wake, beat in; one sweep a period (a beat's status write applies \
          at the next coordinator turn, not at a wake of its own)"
     );
-    // The parent allocated 3 × 1 280 + 183 times here: it answered every
-    // beat with an ack, a second boxed envelope.
     assert_eq!(
-        spent - BY_HEARTBEAT_LEAF_SPLITS,
+        spent,
         2 * beats,
         "per beat, the `gpu_stats` vector and one boxed envelope, nothing else"
     );

@@ -4,8 +4,9 @@
 //! §3.5: allocation works through "a round-robin scheduler (which processes
 //! pending resource requests from a priority queue stored in the central
 //! database)". This module provides that queue plus the node / job /
-//! allocation tables, all WAL-backed so the coordinator can recover its
-//! state after a restart.
+//! allocation tables. Inserts, requeues and allocation changes append a
+//! tag-and-key record to the WAL; state changes do not, and no record
+//! carries enough to rebuild a row, so nothing recovers from it.
 
 use crate::wal::Wal;
 use gpunion_des::SimTime;
@@ -91,7 +92,13 @@ pub struct AllocationRecord {
 /// The system database.
 #[derive(Debug, Default)]
 pub struct SystemDb {
-    nodes: BTreeMap<NodeUid, NodeRecord>,
+    /// Node rows indexed by uid (`NodeUid::slot`: the coordinator issues
+    /// uids from a counter, so the table is dense and a heartbeat's status
+    /// write is an index, not a tree descent). Grown on first insert; a
+    /// slot past the end is no row.
+    nodes: Vec<Option<NodeRecord>>,
+    /// Rows present in `nodes`.
+    node_count: usize,
     jobs: BTreeMap<JobId, JobRecord>,
     allocations: BTreeMap<JobId, AllocationRecord>,
     /// Dispatch order is the natural set order: priority DESC (via
@@ -136,19 +143,32 @@ impl SystemDb {
     // ---- nodes ----
 
     /// Insert or replace a node row.
+    /// `rec.uid` must be a uid the coordinator issued: the table grows to
+    /// it.
     pub fn upsert_node(&mut self, rec: NodeRecord) {
         self.log("node", rec.uid.0);
-        self.nodes.insert(rec.uid, rec);
+        let slot = rec.uid.slot();
+        assert!(slot < usize::MAX, "uids are table positions");
+        if slot >= self.nodes.len() {
+            self.nodes.resize(slot + 1, None);
+        }
+        if self.nodes[slot].replace(rec).is_none() {
+            self.node_count += 1;
+        }
     }
 
     /// Fetch a node row.
     pub fn node(&self, uid: NodeUid) -> Option<&NodeRecord> {
-        self.nodes.get(&uid)
+        self.nodes.get(uid.slot())?.as_ref()
+    }
+
+    fn node_mut(&mut self, uid: NodeUid) -> Option<&mut NodeRecord> {
+        self.nodes.get_mut(uid.slot())?.as_mut()
     }
 
     /// Set a node's liveness state. Returns false if unknown.
     pub fn set_node_state(&mut self, uid: NodeUid, state: NodeState) -> bool {
-        let Some(n) = self.nodes.get_mut(&uid) else {
+        let Some(n) = self.node_mut(uid) else {
             return false;
         };
         n.state = state;
@@ -161,7 +181,7 @@ impl SystemDb {
     /// next heartbeat supersedes it), but it is a write transaction and
     /// counts as one. Returns false if the node is unknown.
     pub fn record_heartbeat(&mut self, uid: NodeUid, at: SimTime) -> bool {
-        let Some(n) = self.nodes.get_mut(&uid) else {
+        let Some(n) = self.node_mut(uid) else {
             return false;
         };
         n.last_seen = at;
@@ -172,12 +192,15 @@ impl SystemDb {
     /// All nodes in a given state, in uid order.
     #[cfg(test)]
     fn nodes_in_state(&self, state: NodeState) -> impl Iterator<Item = &NodeRecord> + '_ {
-        self.nodes.values().filter(move |n| n.state == state)
+        self.nodes
+            .iter()
+            .flatten()
+            .filter(move |n| n.state == state)
     }
 
     /// Count of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_count
     }
 
     // ---- jobs + pending queue ----
@@ -356,6 +379,14 @@ mod tests {
         assert_eq!(db.nodes_in_state(NodeState::Active).count(), 1);
         assert_eq!(db.nodes_in_state(NodeState::Unavailable).count(), 1);
         assert!(!db.set_node_state(NodeUid(9), NodeState::Active));
+        // A re-registration replaces its row: one row per uid.
+        db.upsert_node(node(1));
+        assert_eq!(db.node_count(), 2);
+        // uid 0 was never written: the dense table holds no row there, nor
+        // past its end.
+        assert!(db.node(NodeUid(0)).is_none());
+        assert!(db.node(NodeUid(u64::MAX)).is_none());
+        assert!(!db.record_heartbeat(NodeUid(u64::MAX), t(1)));
     }
 
     #[test]

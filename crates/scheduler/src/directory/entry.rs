@@ -1,7 +1,6 @@
 //! Per-node directory state: liveness, GPU slots, and the reservation
 //! ledger — everything the directory knows about one node.
 
-use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, GpuInfo, GpuStat, JobId, NodeUid};
 use std::collections::HashMap;
 
@@ -47,8 +46,6 @@ pub struct NodeEntry {
     /// Liveness. Mutations go through [`super::Directory::set_liveness`]
     /// so the capacity index stays consistent.
     pub(crate) liveness: NodeLiveness,
-    /// Last heartbeat receive time.
-    pub last_heartbeat: SimTime,
     /// Last heartbeat sequence.
     pub last_seq: u64,
     slots: Vec<GpuSlot>,
@@ -65,7 +62,6 @@ impl NodeEntry {
         machine_id: String,
         hostname: String,
         gpus: Vec<GpuInfo>,
-        now: SimTime,
     ) -> Self {
         let slots = gpus
             .into_iter()
@@ -80,7 +76,6 @@ impl NodeEntry {
             machine_id,
             hostname,
             liveness: NodeLiveness::Active,
-            last_heartbeat: now,
             last_seq: 0,
             slots,
             reservations: HashMap::new(),
@@ -97,14 +92,7 @@ impl NodeEntry {
         self.slots.len()
     }
 
-    pub(crate) fn apply_heartbeat(
-        &mut self,
-        now: SimTime,
-        seq: u64,
-        accepting: bool,
-        stats: &[GpuStat],
-    ) {
-        self.last_heartbeat = now;
+    pub(crate) fn apply_heartbeat(&mut self, seq: u64, accepting: bool, stats: &[GpuStat]) {
         self.last_seq = seq;
         if self.liveness != NodeLiveness::Departing {
             self.liveness = if accepting {
@@ -215,8 +203,13 @@ impl NodeEntry {
 
     /// Undo a reservation: credits back exactly the slots reserve debited,
     /// so one job's release can never strip bytes from another's. Returns
-    /// whether `job` held one.
+    /// whether `job` held one. A node holding no reservation — every beat
+    /// lists its running jobs, which long since released theirs — answers
+    /// without hashing.
     pub(crate) fn release(&mut self, job: JobId) -> bool {
+        if self.reservations.is_empty() {
+            return false;
+        }
         let Some((mem, taken)) = self.reservations.remove(&job) else {
             return false;
         };

@@ -1,12 +1,12 @@
 //! The incremental capacity index over the directory's nodes.
 //!
-//! Every mutation of the directory repositions the affected node here in
-//! O(log n). The index keeps two *ordered* views: capacity classes whose
-//! members sit in uid order (the round-robin walk), and heartbeat recency
-//! (staleness sweeps).
+//! A mutation of the directory that moves a node's capacity class
+//! repositions it here in O(log n). The index keeps one *ordered* view:
+//! capacity classes whose members sit in uid order (the round-robin walk).
+//! Staleness is not indexed: the sweep scans the directory's dense
+//! heartbeat column once a period.
 
 use super::entry::{NodeEntry, NodeLiveness};
-use gpunion_des::SimTime;
 use gpunion_protocol::{DispatchSpec, NodeUid};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,147 +63,71 @@ impl ClassFloor {
     }
 }
 
-/// Where one node currently sits in the index (for in-place updates).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct IndexedAt {
-    class: ClassKey,
-    heartbeat: SimTime,
-}
-
-/// How one node is filed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-enum Filed {
-    /// Never seen, or Offline: in no view.
-    #[default]
-    Nowhere,
-    /// Active: in every view, at these keys.
-    Scheduled(IndexedAt),
-    /// Paused or Departing: in `by_heartbeat` only, at this heartbeat.
-    Unscheduled(SimTime),
-}
-
 /// The incremental capacity index.
 ///
 /// Maintains a capacity-class view over the *schedulable* (Active) nodes
-/// for eligibility pruning and round-robin (each class's members sit in uid
-/// order), plus a heartbeat-recency view over all non-offline nodes for
-/// staleness sweeps.
+/// for eligibility pruning and round-robin: each class's members sit in
+/// uid order.
 #[derive(Debug, Default)]
 pub(crate) struct CapacityIndex {
     /// (bucket, cc) → members.
     by_class: BTreeMap<ClassKey, BTreeSet<NodeUid>>,
-    /// (last heartbeat, uid) over non-offline nodes (staleness sweeps).
-    by_heartbeat: BTreeSet<(SimTime, NodeUid)>,
-    /// How every node is filed, indexed by uid (`NodeUid::slot`; uids are
-    /// dense, so this is a table, not a hash per refresh). Grown on first
-    /// sight; a slot past the end is `Nowhere`.
-    filed: Vec<Filed>,
+    /// The class every Active node is filed under, indexed by uid
+    /// (`NodeUid::slot`; uids are dense, so this is a table, not a hash per
+    /// refresh). Grown when a node is first filed; a slot past the end,
+    /// like a node that is not Active, is `None`.
+    filed: Vec<Option<ClassKey>>,
 }
 
 /// Equal views and an equal filing of every node: `filed` may end in
-/// `Nowhere` slots a rebuilt index never grew.
+/// `None` slots a rebuilt index never grew.
 #[cfg(test)]
 impl PartialEq for CapacityIndex {
     fn eq(&self, other: &Self) -> bool {
-        fn trimmed(f: &[Filed]) -> &[Filed] {
-            let len = f.iter().rposition(|s| *s != Filed::Nowhere);
+        fn trimmed(f: &[Option<ClassKey>]) -> &[Option<ClassKey>] {
+            let len = f.iter().rposition(Option::is_some);
             &f[..len.map_or(0, |i| i + 1)]
         }
-        self.by_class == other.by_class
-            && self.by_heartbeat == other.by_heartbeat
-            && trimmed(&self.filed) == trimmed(&other.filed)
+        self.by_class == other.by_class && trimmed(&self.filed) == trimmed(&other.filed)
     }
 }
 
 impl CapacityIndex {
-    fn summarize(entry: &NodeEntry) -> IndexedAt {
-        IndexedAt {
-            class: ClassKey {
-                bucket: vram_bucket(entry.max_slot_free()),
-                cc: entry.max_cc(),
-            },
-            heartbeat: entry.last_heartbeat,
-        }
-    }
-
-    /// Take `uid` out of every view it is filed in.
-    fn unfile(&mut self, uid: NodeUid) {
-        let Some(filed) = self.filed.get_mut(uid.slot()) else {
-            return;
-        };
-        match std::mem::take(filed) {
-            Filed::Nowhere => {}
-            Filed::Scheduled(at) => {
-                if let Some(set) = self.by_class.get_mut(&at.class) {
-                    set.remove(&uid);
-                    if set.is_empty() {
-                        self.by_class.remove(&at.class);
-                    }
-                }
-                self.by_heartbeat.remove(&(at.heartbeat, uid));
-            }
-            Filed::Unscheduled(hb) => {
-                self.by_heartbeat.remove(&(hb, uid));
-            }
-        }
-    }
-
-    /// Move `uid` between class sets, dropping a set it leaves empty.
-    fn move_class(&mut self, uid: NodeUid, from: ClassKey, to: ClassKey) {
-        if let Some(set) = self.by_class.get_mut(&from) {
-            set.remove(&uid);
-            if set.is_empty() {
-                self.by_class.remove(&from);
-            }
-        }
-        self.by_class.entry(to).or_default().insert(uid);
-    }
-
     /// Re-derive a node's index position from its current entry state.
     ///
-    /// A node that was indexed as Active and still is keeps its place in
-    /// every view whose key did not move — a heartbeat repositions it in
-    /// `by_heartbeat`; a reservation, a release, telemetry or a
-    /// re-registration with other hardware moves it in `by_class` only
-    /// when its largest free slot crosses a bucket or its compute
-    /// capability changes. Any other case —
-    /// first sight, or liveness entering or leaving Active — takes the
-    /// node out of every view and files it under its new liveness.
+    /// An Active node moves between class sets only when its largest free
+    /// slot crosses a bucket or its compute capability changes — a
+    /// heartbeat, a reservation, a release or a re-registration with other
+    /// hardware that does neither leaves the index untouched. A node
+    /// entering Active is filed; one leaving it is taken out.
     pub(crate) fn refresh(&mut self, entry: &NodeEntry) {
         let uid = entry.uid;
-        if entry.liveness() == NodeLiveness::Active {
-            let now = Self::summarize(entry);
-            if let Some(Filed::Scheduled(slot)) = self.filed.get_mut(uid.slot()) {
-                let at = std::mem::replace(slot, now);
-                if now.class != at.class {
-                    self.move_class(uid, at.class, now.class);
-                }
-                if now.heartbeat != at.heartbeat {
-                    self.by_heartbeat.remove(&(at.heartbeat, uid));
-                    self.by_heartbeat.insert((now.heartbeat, uid));
-                }
+        let slot = uid.slot();
+        let class = (entry.liveness() == NodeLiveness::Active).then(|| ClassKey {
+            bucket: vram_bucket(entry.max_slot_free()),
+            cc: entry.max_cc(),
+        });
+        if slot >= self.filed.len() {
+            if class.is_none() {
                 return;
             }
+            self.filed.resize(slot + 1, None);
         }
-        self.unfile(uid);
-        let filed = match entry.liveness() {
-            NodeLiveness::Active => {
-                let at = Self::summarize(entry);
-                self.by_class.entry(at.class).or_default().insert(uid);
-                self.by_heartbeat.insert((at.heartbeat, uid));
-                Filed::Scheduled(at)
-            }
-            NodeLiveness::Paused | NodeLiveness::Departing => {
-                self.by_heartbeat.insert((entry.last_heartbeat, uid));
-                Filed::Unscheduled(entry.last_heartbeat)
-            }
-            NodeLiveness::Offline => return,
-        };
-        let slot = uid.slot();
-        if slot >= self.filed.len() {
-            self.filed.resize(slot + 1, Filed::Nowhere);
+        let was = std::mem::replace(&mut self.filed[slot], class);
+        if was == class {
+            return;
         }
-        self.filed[slot] = filed;
+        if let Some(from) = was {
+            if let Some(set) = self.by_class.get_mut(&from) {
+                set.remove(&uid);
+                if set.is_empty() {
+                    self.by_class.remove(&from);
+                }
+            }
+        }
+        if let Some(to) = class {
+            self.by_class.entry(to).or_default().insert(uid);
+        }
     }
 
     /// The index a directory holding exactly `entries` must have: every
@@ -217,7 +141,7 @@ impl CapacityIndex {
         index
     }
 
-    // ---- ordered read views -----------------------------------------
+    // ---- the ordered read view ---------------------------------------
 
     /// The classes `floor` admits, ascending class order.
     fn classes_from(&self, floor: ClassFloor) -> impl Iterator<Item = &BTreeSet<NodeUid>> + '_ {
@@ -244,14 +168,5 @@ impl CapacityIndex {
         self.classes_from(floor)
             .filter_map(|set| set.range(range).next().copied())
             .min()
-    }
-
-    /// Non-offline `(last heartbeat, uid)` strictly before `cutoff`,
-    /// ascending (staleness sweeps).
-    pub(crate) fn heartbeat_stream(
-        &self,
-        cutoff: SimTime,
-    ) -> impl Iterator<Item = (SimTime, NodeUid)> + '_ {
-        self.by_heartbeat.range(..(cutoff, NodeUid(0))).copied()
     }
 }

@@ -8,11 +8,16 @@
 //!
 //! Placement never rescans the world: every mutation (registration,
 //! heartbeat, reservation, release, liveness change) updates the
-//! `CapacityIndex` in place, and the read surface walks its two ordered
-//! views (by capacity class, by heartbeat recency). The round-robin walk
-//! prunes by free-VRAM bucket and compute capability and its caller
-//! verifies each surviving node exactly, so its answers are identical to a
-//! brute-force scan at a fraction of the cost.
+//! `CapacityIndex` in place, and the round-robin walk reads its one
+//! ordered view (by capacity class). The walk prunes by free-VRAM bucket
+//! and compute capability and its caller verifies each surviving node
+//! exactly, so its answers are identical to a brute-force scan at a
+//! fraction of the cost.
+//!
+//! The failure detector is the other way round: a heartbeat only stores
+//! its arrival time in a dense column, and the sweep scans that column
+//! once a period. A beat costs an array write, and the sweep O(n) reads a
+//! period.
 
 mod entry;
 mod index;
@@ -43,6 +48,10 @@ pub struct Directory {
     /// 176-byte record. Written wherever liveness changes: `register`,
     /// `apply_heartbeat`, `set_liveness`.
     liveness: Vec<NodeLiveness>,
+    /// Each node's last heartbeat receive time (its registration time until
+    /// the first beat), beside `liveness`: the staleness sweep's input.
+    /// Written by `register` and `apply_heartbeat`.
+    heartbeats: Vec<SimTime>,
     /// The incremental index over those nodes.
     index: CapacityIndex,
     by_machine: HashMap<String, NodeUid>,
@@ -66,18 +75,20 @@ impl Directory {
     ) -> (NodeUid, bool) {
         let known = self.by_machine.get(machine_id).copied();
         let uid = known.unwrap_or(NodeUid(self.nodes.len() as u64));
-        let entry = NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus, now);
+        let entry = NodeEntry::new(uid, machine_id.to_string(), hostname.to_string(), gpus);
         self.index.refresh(&entry);
         match known {
             // Returning provider: a fresh entry with the new inventory.
             Some(_) => {
                 self.nodes[uid.slot()] = entry;
                 self.liveness[uid.slot()] = NodeLiveness::Active;
+                self.heartbeats[uid.slot()] = now;
             }
             None => {
                 self.by_machine.insert(machine_id.to_string(), uid);
                 self.nodes.push(entry);
                 self.liveness.push(NodeLiveness::Active);
+                self.heartbeats.push(now);
             }
         }
         (uid, known.is_some())
@@ -106,8 +117,9 @@ impl Directory {
         let Some(e) = self.nodes.get_mut(uid.slot()) else {
             return false;
         };
-        e.apply_heartbeat(now, seq, accepting, stats);
+        e.apply_heartbeat(seq, accepting, stats);
         self.liveness[uid.slot()] = e.liveness;
+        self.heartbeats[uid.slot()] = now;
         self.index.refresh(e);
         true
     }
@@ -183,17 +195,23 @@ impl Directory {
             .unwrap_or(false)
     }
 
-    /// Nodes whose last heartbeat is older than `timeout`, among live ones.
-    /// A range scan over the heartbeat-recency view — O(log n + stale), in
-    /// (heartbeat, uid) order.
+    /// Nodes whose last heartbeat is older than `timeout`, among live
+    /// (non-Offline) ones, in (heartbeat, uid) order. One scan of the
+    /// liveness and heartbeat columns — O(n) reads, then a sort of the
+    /// stale few; no allocation when nothing is stale.
     pub fn stale_nodes(&self, now: SimTime, timeout: SimDuration) -> Vec<NodeUid> {
         let Some(cutoff) = now.checked_sub(timeout) else {
             return Vec::new();
         };
-        self.index
-            .heartbeat_stream(cutoff)
-            .map(|(_, uid)| uid)
-            .collect()
+        let mut stale: Vec<NodeUid> = (self.liveness.iter().zip(&self.heartbeats))
+            .enumerate()
+            .filter(|(_, (l, hb))| **l != NodeLiveness::Offline && **hb < cutoff)
+            .map(|(i, _)| NodeUid(i as u64))
+            .collect();
+        // (heartbeat, uid) pairs are distinct, so the unstable sort is
+        // deterministic (and, unlike the stable one, allocates nothing).
+        stale.sort_unstable_by_key(|uid| (self.heartbeats[uid.slot()], *uid));
+        stale
     }
 
     // ---- the round-robin walk ------------------------------------------
@@ -410,6 +428,26 @@ mod tests {
     }
 
     #[test]
+    fn stale_sweep_orders_by_heartbeat_then_uid() {
+        let mut d = Directory::new();
+        let uids: Vec<NodeUid> = (0..4)
+            .map(|i| {
+                d.register(&format!("m-{i}"), "h", gpus(1, GpuModel::Rtx3090), t(0))
+                    .0
+            })
+            .collect();
+        // uid 3 and uid 1 beat at the same instant, after uid 2; uid 0 is
+        // fresh. Paused and Departing nodes are still watched.
+        d.apply_heartbeat(uids[2], t(10), 1, true, &[]);
+        d.apply_heartbeat(uids[3], t(20), 1, false, &[]);
+        d.apply_heartbeat(uids[1], t(20), 1, true, &[]);
+        d.apply_heartbeat(uids[0], t(40), 1, true, &[]);
+        d.set_liveness(uids[1], NodeLiveness::Departing);
+        let stale = d.stale_nodes(t(50), SimDuration::from_secs(15));
+        assert_eq!(stale, vec![uids[2], uids[1], uids[3]]);
+    }
+
+    #[test]
     fn liveness_gates_candidacy() {
         let mut d = Directory::new();
         let (uid, _) = d.register("m-1", "x", gpus(1, GpuModel::Rtx3090), t(0));
@@ -547,7 +585,7 @@ mod tests {
                     proptest::prop_assert_eq!(d.len(), len);
                     let e = d.get(uid).unwrap();
                     proptest::prop_assert_eq!(&e.machine_id, &format!("m-{a}"));
-                    proptest::prop_assert_eq!(e.last_heartbeat, t(b));
+                    proptest::prop_assert_eq!(d.heartbeats[uid.slot()], t(b));
                 } else {
                     proptest::prop_assert_eq!(d.len(), len + usize::from(op == 0));
                 }
@@ -562,6 +600,49 @@ mod tests {
                 proptest::prop_assert!(d.get(NodeUid(d.len() as u64)).is_none());
                 proptest::prop_assert!(d.get(NodeUid(u64::MAX)).is_none());
                 proptest::prop_assert!(!d.apply_heartbeat(NodeUid(u64::MAX), t(b), b, true, &[]));
+            }
+        }
+
+        /// The staleness sweep is a scan of dense columns; after every
+        /// step of any interleaving — registrations and re-registrations,
+        /// heartbeats that pause and revive, departures, offline flips —
+        /// and at every cutoff, it must name exactly the
+        /// non-Offline nodes whose last beat (tracked here, apart from the
+        /// directory) is older than the cutoff, ordered by (heartbeat,
+        /// uid). Beat instants are drawn from 48 seconds over 12 machines,
+        /// so ties are common and the uid tie-break is exercised.
+        #[test]
+        fn prop_stale_nodes_equal_a_sorted_scan_after_every_step(
+            ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..48), 1..120),
+        ) {
+            let timeout = SimDuration::from_secs(15);
+            let mut d = Directory::new();
+            // Each uid's last beat (or registration) instant.
+            let mut beats: Vec<SimTime> = Vec::new();
+            for (op, a, b) in ops {
+                let known = (a as usize) < d.len();
+                apply_op(&mut d, op, a, b);
+                match op {
+                    0 => {
+                        let uid = d.by_machine[&format!("m-{a}")];
+                        beats.resize(d.len(), SimTime::ZERO);
+                        beats[uid.slot()] = t(b);
+                    }
+                    1 if known => beats[a as usize] = t(b),
+                    _ => {}
+                }
+                proptest::prop_assert!(d.stale_nodes(t(14), timeout).is_empty());
+                for cutoff in 0..=49 {
+                    let mut want: Vec<(SimTime, NodeUid)> = d
+                        .iter()
+                        .filter(|e| e.liveness() != NodeLiveness::Offline)
+                        .map(|e| (beats[e.uid.slot()], e.uid))
+                        .filter(|(hb, _)| *hb < t(cutoff))
+                        .collect();
+                    want.sort();
+                    let want: Vec<NodeUid> = want.into_iter().map(|(_, uid)| uid).collect();
+                    proptest::prop_assert_eq!(d.stale_nodes(t(cutoff) + timeout, timeout), want);
+                }
             }
         }
     }
