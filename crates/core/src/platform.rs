@@ -38,8 +38,9 @@ pub type PlatformSim = Sim<Platform, PlatformEvent>;
 ///
 /// These replace the boxed closures the platform used to schedule for its
 /// recurring work: the values live in the simulator's event slab, so the
-/// steady-state schedule→fire cycle touches no allocator and `cancel`
-/// (pump re-arming) is an O(1) generation bump.
+/// steady-state schedule→fire cycle touches no allocator. The pump is the
+/// simulator's armed event ([`Sim::arm_at`]): re-arming it never touches
+/// the timer wheel.
 #[derive(Debug)]
 pub enum PlatformEvent {
     /// Wake the pump: advance all passive components to `now`.
@@ -115,10 +116,7 @@ impl TypedEvent<Platform> for PlatformEvent {
 
     fn fire(self, w: &mut Platform, sim: &mut PlatformSim) {
         match self {
-            PlatformEvent::Pump => {
-                w.pump_armed = None;
-                w.pump(sim);
-            }
+            PlatformEvent::Pump => w.pump(sim),
             PlatformEvent::Boot(addr) => {
                 let mut actions = w
                     .agents
@@ -342,7 +340,6 @@ pub struct Platform {
     pub stats: PlatformStats,
     /// The coordinator–switch backbone link (traffic-share reporting).
     backbone_link: gpunion_simnet::LinkId,
-    pump_armed: Option<(SimTime, gpunion_des::EventId)>,
     /// Wake-ordered index over agents with a pending timer: the pump pops
     /// only the due prefix — O(due), not O(agents).
     wake_index: WakeIndex,
@@ -403,7 +400,6 @@ impl Platform {
             fresh_runs: HashMap::new(),
             stats: PlatformStats::default(),
             backbone_link,
-            pump_armed: None,
             wake_index: WakeIndex::default(),
             // Resync on the first pump: agents may carry deploy-time timers.
             wake_dirty: true,
@@ -986,7 +982,7 @@ impl Platform {
             }
         };
         if let Some(at) = next {
-            self.arm_pump(sim, at);
+            sim.arm_at(at, PlatformEvent::Pump);
         }
     }
 
@@ -1007,18 +1003,6 @@ impl Platform {
         }
         self.due_scratch = due;
         self.agent_actions = actions;
-    }
-
-    /// Arm the pump for `at`, unless an earlier or equal wake is pending.
-    fn arm_pump(&mut self, sim: &mut PlatformSim, at: SimTime) {
-        if let Some((armed_at, id)) = self.pump_armed {
-            if armed_at <= at {
-                return;
-            }
-            sim.cancel(id);
-        }
-        let id = sim.schedule_typed_at(at, PlatformEvent::Pump);
-        self.pump_armed = Some((at, id));
     }
 }
 

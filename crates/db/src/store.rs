@@ -321,16 +321,6 @@ impl SystemDb {
         self.allocations.get(&job)
     }
 
-    /// Jobs currently allocated on a node, in job-id order. Returns an
-    /// iterator — node-loss sweeps call this per lost node and must not
-    /// allocate per call.
-    pub fn jobs_on_node(&self, node: NodeUid) -> impl Iterator<Item = JobId> + '_ {
-        self.allocations
-            .values()
-            .filter(move |a| a.node == node)
-            .map(|a| a.job)
-    }
-
     /// Remove an allocation (job finished or was torn down). Durable:
     /// recovery must not resurrect a freed slot, so the removal is
     /// WAL-logged like the allocation was.
@@ -426,10 +416,6 @@ mod tests {
         assert_eq!(db.job(JobId(1)).unwrap().state, JobState::Allocated);
         let a = db.allocation(JobId(1)).unwrap();
         assert_eq!(a.node, NodeUid(3));
-        assert_eq!(
-            db.jobs_on_node(NodeUid(3)).collect::<Vec<_>>(),
-            vec![JobId(1)]
-        );
     }
 
     #[test]
@@ -500,7 +486,7 @@ mod tests {
         );
         assert!(!db.deallocate(JobId(1)), "already gone");
         assert_eq!(db.wal_bytes(), after_dealloc, "double-free appends nothing");
-        assert!(db.jobs_on_node(NodeUid(3)).next().is_none());
+        assert!(db.allocation(JobId(1)).is_none());
     }
 
     #[test]

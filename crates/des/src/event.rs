@@ -1,27 +1,12 @@
-//! Typed events and the generation-stamped event slab.
+//! Typed events and the event slab.
 //!
-//! Every scheduled event is a [`TypedEvent`] value — plain enum data fired
-//! by value — living in a slot of an `EventSlab`; the timer wheel holds
-//! only small copyable `(time, seq, slot, gen)` records. An [`EventId`] is
-//! a `(slot, generation)` pair: cancelling is an O(1) slot invalidation
-//! (bump the generation, free the slot), and a stale wheel record is
-//! detected by a generation mismatch when it surfaces — no side-table, no
-//! leak, and `pending()` is exact. Slots are recycled, so the warm
-//! schedule→fire path performs **zero heap allocations** (pinned by
-//! `tests/alloc.rs`).
+//! Every event scheduled on the timer wheel is a [`TypedEvent`] value —
+//! plain enum data fired by value — living in a slot of an `EventSlab`;
+//! the wheel holds only small copyable `(time, seq, slot)` records. Slots
+//! are recycled, so the warm schedule→fire path performs **zero heap
+//! allocations** (pinned by `tests/alloc.rs`).
 
 use crate::sim::Sim;
-
-/// Identifier for a scheduled event, used to cancel pending timers.
-///
-/// A generation-stamped slab slot: ids of fired or cancelled events go
-/// stale (the slot's generation advances) and are rejected by
-/// [`Sim::cancel`] in O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId {
-    pub(crate) slot: u32,
-    pub(crate) gen: u32,
-}
 
 /// A typed simulation event: plain data fired by value.
 ///
@@ -41,17 +26,10 @@ pub trait TypedEvent<W>: Sized {
     }
 }
 
-struct Slot<E> {
-    /// Advances every time the slot is freed (fire or cancel); an id or
-    /// wheel record whose stamp disagrees is stale.
-    gen: u32,
-    event: Option<E>,
-}
-
 /// Slab of pending events with a free list; slots are reused, so the
 /// steady-state schedule→fire cycle touches no allocator.
 pub(crate) struct EventSlab<E> {
-    slots: Vec<Slot<E>>,
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
     live: usize,
 }
@@ -70,40 +48,27 @@ impl<E> EventSlab<E> {
         self.live
     }
 
-    /// Store an event, returning its `(slot, generation)` id.
-    pub(crate) fn insert(&mut self, event: E) -> EventId {
+    /// Store an event, returning its slot.
+    pub(crate) fn insert(&mut self, event: E) -> u32 {
         self.live += 1;
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
-            debug_assert!(s.event.is_none());
-            s.event = Some(event);
-            EventId { slot, gen: s.gen }
+            debug_assert!(s.is_none());
+            *s = Some(event);
+            slot
         } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Slot {
-                gen: 0,
-                event: Some(event),
-            });
-            EventId { slot, gen: 0 }
+            self.slots.push(Some(event));
+            (self.slots.len() - 1) as u32
         }
     }
 
-    /// Is the `(slot, gen)` stamp still the live incarnation of its slot?
-    pub(crate) fn is_live(&self, slot: u32, gen: u32) -> bool {
-        self.slots[slot as usize].gen == gen
-    }
-
-    /// Take the event out and retire the slot (generation bump + free
-    /// list). Returns `None` if the stamp is stale.
-    pub(crate) fn take(&mut self, slot: u32, gen: u32) -> Option<E> {
-        let s = &mut self.slots[slot as usize];
-        if s.gen != gen {
-            return None;
-        }
-        let event = s.event.take().expect("live slot has an event");
-        s.gen = s.gen.wrapping_add(1);
+    /// Take the event out and put the slot on the free list.
+    pub(crate) fn take(&mut self, slot: u32) -> E {
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("a wheel record points at a live slot");
         self.free.push(slot);
         self.live -= 1;
-        Some(event)
+        event
     }
 }

@@ -1,18 +1,20 @@
 //! # gpunion-des — discrete-event simulation kernel
 //!
 //! The foundation of the GPUnion reproduction: a deterministic
-//! discrete-event simulator with a nanosecond virtual clock, cancellable
-//! timers, named reproducible RNG streams, and the statistics collectors the
-//! paper's evaluation metrics are computed from.
+//! discrete-event simulator with a nanosecond virtual clock, a timer wheel
+//! plus one re-armable event slot, named reproducible RNG streams, and the
+//! statistics collectors the paper's evaluation metrics are computed from.
 //!
 //! Everything above this crate — the campus network, GPU servers, container
 //! runtime, provider agents, and the central scheduler — advances by
 //! scheduling [`TypedEvent`] values on a [`Sim`]: plain data that can be
-//! recorded and replayed, fired by value from a recycled slab slot.
+//! recorded and replayed, fired by value from a recycled slab slot. The
+//! platform's pump, the one event that is re-armed over and over, waits in
+//! the armed slot instead ([`Sim::arm_at`]).
 //!
 //! ## Determinism contract
 //!
-//! * Events at equal timestamps fire in scheduling order.
+//! * Events at equal timestamps fire in scheduling (or arming) order.
 //! * All randomness flows through [`RngPool`] streams derived from one master
 //!   seed, so runs are bit-reproducible and baselines can be compared on
 //!   identical traces.
@@ -28,7 +30,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{EventId, TypedEvent};
+pub use event::TypedEvent;
 pub use rng::{chance, exponential, log_normal, RngPool};
 pub use sim::Sim;
 pub use stats::{Online, TimeWeighted};
@@ -39,6 +41,7 @@ mod proptests {
     use super::*;
     use crate::reference::{HeapEventId, HeapSim};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// One step of the equivalence workload driven against both queues.
     #[derive(Debug, Clone)]
@@ -49,32 +52,32 @@ mod proptests {
         ScheduleFar { dt: u64 },
         /// Event whose handler schedules a follow-up (insert-during-fire).
         Chained { dt: u64, child_dt: u64 },
-        /// Cancel one previously returned id (fired, pending, or repeat).
-        Cancel { pick: usize },
+        /// Arm the re-armable event `dt` ahead; once it fires it re-arms
+        /// itself `step` later, `hops` more times (the platform pump).
+        Arm { dt: u64, hops: u8, step: u64 },
         /// Bounded run with a relative deadline.
         RunUntil { dt: u64 },
-        /// Fire exactly one event.
-        Step,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         // The vendored prop_oneof! picks uniformly; repeated arms bias the
-        // mix toward scheduling so runs stay event-rich.
+        // mix toward scheduling so runs stay event-rich, and the tiny
+        // ranges make armed and scheduled events tie on one instant.
         prop_oneof![
             (0u64..1 << 20).prop_map(|dt| Op::Schedule { dt }),
             (0u64..1 << 20).prop_map(|dt| Op::Schedule { dt }),
             (0u64..64).prop_map(|dt| Op::Schedule { dt }),
+            (0u64..4).prop_map(|dt| Op::Schedule { dt }),
             (1u64 << 41..1 << 45).prop_map(|dt| Op::ScheduleFar { dt }),
             (0u64..1 << 14, 0u64..1 << 14).prop_map(|(dt, child_dt)| Op::Chained { dt, child_dt }),
-            any::<u64>().prop_map(|pick| Op::Cancel {
-                pick: pick as usize
+            (0u64..1 << 20, 0u8..4, 0u64..1 << 14).prop_map(|(dt, hops, step)| Op::Arm {
+                dt,
+                hops,
+                step
             }),
-            any::<u64>().prop_map(|pick| Op::Cancel {
-                pick: pick as usize
-            }),
+            (0u64..4, 0u8..4, 0u64..4).prop_map(|(dt, hops, step)| Op::Arm { dt, hops, step }),
             (0u64..1 << 21).prop_map(|dt| Op::RunUntil { dt }),
             (0u64..1 << 21).prop_map(|dt| Op::RunUntil { dt }),
-            Just(Op::Step),
         ]
     }
 
@@ -84,92 +87,143 @@ mod proptests {
     const CHILD: u64 = 1 << 32;
 
     /// The wheel side's event: log `(label, now)`; a chain parent then
-    /// schedules one child `child` later.
+    /// schedules one child `child` later, and an armed event re-arms
+    /// itself `step` later while hops remain.
     enum Rec {
         Leaf(u64),
-        Chain { label: u64, child: SimDuration },
+        Chain {
+            label: u64,
+            child: SimDuration,
+        },
+        Armed {
+            label: u64,
+            hops: u8,
+            step: SimDuration,
+        },
     }
 
     impl TypedEvent<Log> for Rec {
-        fn fire(self, w: &mut Log, s: &mut Sim<Log, Rec>) {
+        fn kind(&self) -> &'static str {
             match self {
-                Rec::Leaf(label) => w.push((label, s.now().as_nanos())),
+                Rec::Leaf(_) => "leaf",
+                Rec::Chain { .. } => "chain",
+                Rec::Armed { .. } => "armed",
+            }
+        }
+
+        fn fire(self, w: &mut Log, s: &mut Sim<Log, Rec>) {
+            let now = s.now();
+            match self {
+                Rec::Leaf(label) => w.push((label, now.as_nanos())),
                 Rec::Chain { label, child } => {
-                    w.push((label, s.now().as_nanos()));
+                    w.push((label, now.as_nanos()));
                     s.schedule_typed_in(child, Rec::Leaf(label + CHILD));
+                }
+                Rec::Armed { label, hops, step } => {
+                    w.push((label, now.as_nanos()));
+                    if hops > 0 {
+                        let hops = hops - 1;
+                        s.arm_at(now + step, Rec::Armed { label, hops, step });
+                    }
                 }
             }
         }
     }
 
-    /// The oracle side's equivalent of `Rec::Leaf`.
-    fn recorder_ref(label: u64) -> impl FnOnce(&mut Log, &mut HeapSim<Log>) {
-        move |w, s| w.push((label, s.now().as_nanos()))
+    /// The oracle side's world: the fire log plus what the oracle must
+    /// model by hand — the armed event's id, the live count, and the
+    /// per-kind fired counts.
+    #[derive(Default)]
+    struct Oracle {
+        log: Log,
+        armed: Option<(SimTime, HeapEventId)>,
+        live: usize,
+        fired: BTreeMap<&'static str, u64>,
+    }
+
+    type Ref = HeapSim<Oracle>;
+
+    impl Oracle {
+        fn fire(&mut self, kind: &'static str, label: u64, now: SimTime) {
+            self.live -= 1;
+            *self.fired.entry(kind).or_insert(0) += 1;
+            self.log.push((label, now.as_nanos()));
+        }
+
+        fn schedule(
+            &mut self,
+            s: &mut Ref,
+            at: SimTime,
+            f: impl FnOnce(&mut Oracle, &mut Ref) + 'static,
+        ) {
+            self.live += 1;
+            s.schedule_at(at, f);
+        }
+
+        fn leaf(&mut self, s: &mut Ref, at: SimTime, label: u64) {
+            self.schedule(s, at, move |w, s| w.fire("leaf", label, s.now()));
+        }
+
+        /// A re-arm as the platform did it before the armed slot: keep an
+        /// armed event due at or before `at`, else cancel it and schedule
+        /// the new one.
+        fn arm(&mut self, s: &mut Ref, at: SimTime, label: u64, hops: u8, step: SimDuration) {
+            if let Some((armed_at, id)) = self.armed {
+                if armed_at <= at {
+                    return;
+                }
+                assert!(s.cancel(id), "the armed event is live");
+                self.live -= 1;
+            }
+            self.live += 1;
+            let id = s.schedule_at(at, move |w: &mut Oracle, s: &mut Ref| {
+                w.armed = None;
+                w.fire("armed", label, s.now());
+                if hops > 0 {
+                    w.arm(s, s.now() + step, label, hops - 1, step);
+                }
+            });
+            self.armed = Some((at, id));
+        }
     }
 
     proptest! {
-        /// The slab + timer-wheel [`Sim`] is observationally identical to the
-        /// frozen heap-backed [`HeapSim`] oracle under random interleavings
-        /// of schedule / far-schedule / chained-schedule / cancel /
-        /// `run_until` / `step`: same fire logs (so the exact `(time, seq)`
-        /// FIFO tie-break), same clock, same executed counts. `cancel`
-        /// return values match wherever the old semantics were sound; for
-        /// already-fired ids — the old leak — the new queue must refuse, and
-        /// `pending()` must equal the exact live count throughout.
+        /// The slab + timer-wheel [`Sim`] with its armed slot is
+        /// observationally identical to the frozen heap-backed [`HeapSim`]
+        /// oracle, where a re-arm is a cancel plus a schedule, under random
+        /// interleavings of schedule / far-schedule / chained-schedule /
+        /// arm (self-re-arming) / `run_until`: same fire logs (so the exact
+        /// `(time, seq)` FIFO tie-break), same clock, same executed and
+        /// per-kind fired counts, and `pending()` equal to the live count
+        /// throughout.
         #[test]
         fn wheel_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..60)) {
             let mut sim: Sim<Log, Rec> = Sim::new();
-            let mut oracle: HeapSim<Log> = HeapSim::new();
-            let (mut wn, mut wo): (Log, Log) = (Vec::new(), Vec::new());
-            // Parallel id tables: (label, new id, oracle id, is chain parent).
-            let mut ids: Vec<(u64, EventId, HeapEventId, bool)> = Vec::new();
-            let mut label = 0u64;
-            let mut cancelled_ok = 0usize;
-            let mut cancelled_labels = std::collections::HashSet::new();
-            for op in ops {
+            sim.profile_events();
+            let mut oracle: Ref = HeapSim::new();
+            let mut wn: Log = Vec::new();
+            let mut wo = Oracle::default();
+            for (label, op) in (0u64..).zip(ops) {
                 match op {
                     Op::Schedule { dt } | Op::ScheduleFar { dt } => {
-                        let l = label;
-                        label += 1;
                         let at = sim.now() + SimDuration::from_nanos(dt);
-                        let a = sim.schedule_typed_at(at, Rec::Leaf(l));
-                        let b = oracle.schedule_at(at, recorder_ref(l));
-                        ids.push((l, a, b, false));
+                        sim.schedule_typed_at(at, Rec::Leaf(label));
+                        wo.leaf(&mut oracle, at, label);
                     }
                     Op::Chained { dt, child_dt } => {
-                        let l = label;
-                        label += 1;
                         let at = sim.now() + SimDuration::from_nanos(dt);
                         let d = SimDuration::from_nanos(child_dt);
-                        let a = sim.schedule_typed_at(at, Rec::Chain { label: l, child: d });
-                        let b = oracle.schedule_at(at, move |w: &mut Log, s: &mut HeapSim<Log>| {
-                            w.push((l, s.now().as_nanos()));
-                            s.schedule_in(d, recorder_ref(l + CHILD));
+                        sim.schedule_typed_at(at, Rec::Chain { label, child: d });
+                        wo.schedule(&mut oracle, at, move |w, s| {
+                            w.fire("chain", label, s.now());
+                            w.leaf(s, s.now() + d, label + CHILD);
                         });
-                        ids.push((l, a, b, true));
                     }
-                    Op::Cancel { pick } => {
-                        if ids.is_empty() {
-                            continue;
-                        }
-                        let (l, a, b, _) = ids[pick % ids.len()];
-                        let fired = wn.iter().any(|(fl, _)| *fl == l);
-                        let r_new = sim.cancel(a);
-                        let r_ref = oracle.cancel(b);
-                        if fired || cancelled_labels.contains(&l) {
-                            // Retired ids: the old queue could still answer
-                            // `true` here (cancel-after-fire leaks into the
-                            // side-table; re-cancel after the entry popped
-                            // re-inserts) — the warts this PR fixes. The new
-                            // queue must refuse.
-                            prop_assert!(!r_new, "cancel of retired id {l} must fail");
-                        } else {
-                            // Genuinely live: both must cancel it.
-                            prop_assert!(r_new, "cancel of live id {l} must succeed");
-                            prop_assert!(r_ref, "oracle refused a live id {l}");
-                            cancelled_labels.insert(l);
-                        }
-                        cancelled_ok += usize::from(r_new);
+                    Op::Arm { dt, hops, step } => {
+                        let at = sim.now() + SimDuration::from_nanos(dt);
+                        let step = SimDuration::from_nanos(step);
+                        sim.arm_at(at, Rec::Armed { label, hops, step });
+                        wo.arm(&mut oracle, at, label, hops, step);
                     }
                     Op::RunUntil { dt } => {
                         let deadline = sim.now() + SimDuration::from_nanos(dt);
@@ -177,29 +231,18 @@ mod proptests {
                         let m = oracle.run_until(&mut wo, deadline);
                         prop_assert_eq!(n, m, "run_until executed counts diverged");
                     }
-                    Op::Step => {
-                        prop_assert_eq!(sim.step(&mut wn), oracle.step(&mut wo));
-                    }
                 }
                 prop_assert_eq!(sim.now(), oracle.now());
-                prop_assert_eq!(&wn, &wo);
-                // Every fired chain parent scheduled exactly one child.
-                let chain_parents = wn
-                    .iter()
-                    .filter(|(fl, _)| *fl < CHILD && ids.iter().any(|(l, _, _, c)| l == fl && *c))
-                    .count();
-                let scheduled = label as usize + chain_parents;
-                prop_assert_eq!(
-                    sim.pending(),
-                    scheduled - wn.len() - cancelled_ok,
-                    "pending() must be the exact live count"
-                );
+                prop_assert_eq!(&wn, &wo.log);
+                prop_assert_eq!(sim.pending(), wo.live, "pending() must be the exact live count");
             }
             sim.run(&mut wn);
             oracle.run(&mut wo);
-            prop_assert_eq!(&wn, &wo);
+            prop_assert_eq!(&wn, &wo.log);
             prop_assert_eq!(sim.now(), oracle.now());
             prop_assert_eq!(sim.events_executed(), oracle.events_executed());
+            let fired: Vec<(&str, u64)> = wo.fired.into_iter().collect();
+            prop_assert_eq!(sim.fired_by_kind(), fired);
             prop_assert_eq!(sim.pending(), 0usize);
         }
     }

@@ -4,16 +4,18 @@
 //! a `BinaryHeap` of boxed `FnOnce` closures ordered by `(time, seq)` with
 //! a `HashSet` cancellation side-table. Its one job is the equivalence
 //! proptest in this crate, which runs it side-by-side with the slab +
-//! timer-wheel `Sim` under random schedule / cancel / `run_until`
-//! interleavings and asserts identical fire logs and clocks.
+//! timer-wheel `Sim` under random schedule / re-arm / `run_until`
+//! interleavings and asserts identical fire logs and clocks. `Sim` arms
+//! its re-armable event in a slot beside the wheel; here a re-arm is what
+//! it was before that slot existed, a `cancel` of the armed id plus a
+//! schedule.
 //!
 //! It deliberately preserves the old `cancel` wart — cancelling an
 //! already-fired id returns `true` and leaks a `cancelled` entry — because
-//! that is the behaviour the oracle documents; the proptest constrains its
-//! comparisons accordingly. Do not "fix" this module: its value is being
-//! frozen.
+//! that is the behaviour the oracle documents; the proptest only cancels
+//! live ids. Do not "fix" this module: its value is being frozen.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -95,15 +97,6 @@ impl<W> HeapSim<W> {
         HeapEventId(seq)
     }
 
-    /// Schedule `action` after a relative delay.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        action: impl FnOnce(&mut W, &mut HeapSim<W>) + 'static,
-    ) -> HeapEventId {
-        self.schedule_at(self.now + delay, action)
-    }
-
     /// Old cancel semantics, wart included: any allocated id — fired or not —
     /// inserts into the side-table and returns whether it was newly inserted.
     pub fn cancel(&mut self, id: HeapEventId) -> bool {
@@ -142,19 +135,5 @@ impl<W> HeapSim<W> {
             self.now = deadline;
         }
         self.executed - start_count
-    }
-
-    /// Execute exactly one event if any is pending.
-    pub fn step(&mut self, world: &mut W) -> Option<SimTime> {
-        loop {
-            let ev = self.heap.pop()?;
-            if self.cancelled.remove(&ev.seq) {
-                continue;
-            }
-            self.now = ev.at;
-            self.executed += 1;
-            (ev.action)(world, self);
-            return Some(self.now);
-        }
     }
 }

@@ -1,20 +1,21 @@
 //! The discrete-event simulator core.
 //!
-//! A [`Sim<W, E>`] owns the virtual clock, a generation-stamped event slab
-//! ([`crate::event`]), and a hierarchical timer wheel (`wheel` module).
+//! A [`Sim<W, E>`] owns the virtual clock, an event slab
+//! ([`crate::event`]), a hierarchical timer wheel (`wheel` module), and
+//! one slot beside the wheel for a re-armable event ([`Sim::arm_at`]).
 //! Every event is a value of a world-specific enum `E` implementing
-//! [`TypedEvent`], scheduled with [`Sim::schedule_typed_at`]: plain data in
-//! a slab slot, so the warm schedule→fire cycle allocates nothing and
-//! `cancel` is an O(1) generation bump.
+//! [`TypedEvent`]: plain data, so the warm schedule→fire and fire→re-arm
+//! cycles allocate nothing.
 //!
 //! Determinism: events at the same instant fire in the order they were
-//! scheduled (a monotonically increasing sequence number breaks ties), so a
-//! simulation with a fixed seed is exactly reproducible. The timer wheel
-//! preserves the `(time, seq)` FIFO contract bit-identically with the old
-//! heap-backed queue — proven by a proptest in this crate that runs the
-//! frozen heap implementation as a reference oracle.
+//! scheduled or armed (a monotonically increasing sequence number breaks
+//! ties), so a simulation with a fixed seed is exactly reproducible. The
+//! wheel plus the armed slot preserve the `(time, seq)` FIFO contract
+//! bit-identically with the old heap-backed queue, where a re-arm was a
+//! cancel plus a schedule — proven by a proptest in this crate that runs
+//! the frozen heap implementation as a reference oracle.
 
-use crate::event::{EventId, EventSlab, TypedEvent};
+use crate::event::{EventSlab, TypedEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{TimerWheel, WheelEntry};
 use std::marker::PhantomData;
@@ -48,6 +49,11 @@ pub struct Sim<W, E> {
     now: SimTime,
     slab: EventSlab<E>,
     wheel: TimerWheel,
+    /// The wheel's earliest entry, kept up to date on every insert and pop
+    /// so that choosing the next event never searches the wheel.
+    head: Option<WheelEntry>,
+    /// The re-armable event beside the wheel: `(at, seq, event)`.
+    armed: Option<(u64, u64, E)>,
     next_seq: u64,
     executed: u64,
     /// Per-kind fired counters, `None` (the default) when profiling is
@@ -71,6 +77,8 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
             now: SimTime::ZERO,
             slab: EventSlab::new(),
             wheel: TimerWheel::new(),
+            head: None,
+            armed: None,
             next_seq: 0,
             executed: 0,
             fired: None,
@@ -103,11 +111,9 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         self.executed
     }
 
-    /// Number of events still pending. Exact: fired and cancelled events
-    /// leave the count the moment they retire (unlike the old heap's
-    /// cancellation side-table, which made this an estimate).
+    /// Number of events still pending, the armed one included.
     pub fn pending(&self) -> usize {
-        self.slab.live()
+        self.slab.live() + usize::from(self.armed.is_some())
     }
 
     /// Schedule a typed event at absolute time `at`. Scheduling in the past
@@ -115,33 +121,38 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     /// clock). No allocation on the warm path: the value lives in a
     /// recycled slab slot, and the `(time, seq)` order is the heap push
     /// order of the old queue.
-    pub fn schedule_typed_at(&mut self, at: SimTime, event: E) -> EventId {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
+    pub fn schedule_typed_at(&mut self, at: SimTime, event: E) {
+        let entry = WheelEntry {
+            at: at.max(self.now).as_nanos(),
+            seq: self.next_seq,
+            slot: self.slab.insert(event),
+        };
         self.next_seq += 1;
-        let id = self.slab.insert(event);
-        self.wheel.insert(WheelEntry {
-            at: at.as_nanos(),
-            seq,
-            slot: id.slot,
-            gen: id.gen,
-        });
-        id
+        self.wheel.insert(entry);
+        if self.head.is_none_or(|head| entry < head) {
+            self.head = Some(entry);
+        }
     }
 
     /// Schedule a typed event after a relative delay.
-    pub fn schedule_typed_in(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_typed_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_typed_at(self.now + delay, event)
     }
 
-    /// Cancel a pending event. Returns `true` only if the event had not yet
-    /// fired (and was not already cancelled): the slot's generation stamp
-    /// went stale the moment it retired, so this is O(1) with no growing
-    /// side-table, and ids of fired events are correctly refused.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // Dropping the event frees the slot; the wheel entry is discarded
-        // lazily when it surfaces (its generation stamp no longer matches).
-        self.slab.take(id.slot, id.gen).is_some()
+    /// Arm the one re-armable event for `at` (a past time means now),
+    /// unless the armed event is already due at or before `at`; a replaced
+    /// event is dropped unfired. A replacement draws the next sequence
+    /// number, exactly as cancelling the old event and scheduling the new
+    /// one would, so it ties with scheduled events the same way. The slot
+    /// sits beside the wheel: the warm fire→re-arm cycle never touches the
+    /// wheel and allocates nothing.
+    pub fn arm_at(&mut self, at: SimTime, event: E) {
+        let at = at.max(self.now).as_nanos();
+        if matches!(self.armed, Some((armed_at, ..)) if armed_at <= at) {
+            return;
+        }
+        self.armed = Some((at, self.next_seq, event));
+        self.next_seq += 1;
     }
 
     /// Run until the queue drains. Returns the number of events executed.
@@ -155,53 +166,41 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     /// unless `deadline` is [`SimTime::MAX`].
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> u64 {
         let start_count = self.executed;
-        while let Some(ev) = self.wheel.peek() {
-            if !self.slab.is_live(ev.slot, ev.gen) {
-                // Cancelled: its slab slot was already freed; drop the
-                // stale wheel entry without touching the clock.
-                self.wheel.pop();
-                continue;
-            }
-            if SimTime::from_nanos(ev.at) > deadline {
-                // Advance the clock to the deadline so callers observe a
-                // consistent "simulated through `deadline`" view.
-                if deadline != SimTime::MAX {
-                    self.now = self.now.max(deadline);
-                }
+        loop {
+            // The armed event or the wheel's head, whichever is first by
+            // `(time, seq)`.
+            let (at, armed) = match (self.armed.as_ref(), self.head) {
+                (Some(&(at, seq, _)), Some(head)) if (at, seq) < (head.at, head.seq) => (at, true),
+                (_, Some(head)) => (head.at, false),
+                (Some(&(at, ..)), None) => (at, true),
+                (None, None) => break,
+            };
+            if at > deadline.as_nanos() {
                 break;
             }
-            self.wheel.pop();
-            self.fire(world, ev);
+            let event = if armed {
+                self.armed.take().expect("chosen above").2
+            } else {
+                let entry = self.wheel.pop().expect("the head is filed");
+                debug_assert_eq!(Some(entry), self.head);
+                self.head = self.wheel.peek();
+                self.wheel.advance_to(at);
+                self.slab.take(entry.slot)
+            };
+            self.fire(world, at, event);
         }
-        if self.wheel.is_empty() && deadline != SimTime::MAX && self.now < deadline {
-            self.now = deadline;
+        // Leave a consistent "simulated through `deadline`" view.
+        if deadline != SimTime::MAX {
+            self.now = self.now.max(deadline);
         }
         self.executed - start_count
     }
 
-    /// Execute exactly one event if any is pending. Returns the time the
-    /// event fired at.
-    pub fn step(&mut self, world: &mut W) -> Option<SimTime> {
-        loop {
-            let ev = self.wheel.pop()?;
-            if !self.slab.is_live(ev.slot, ev.gen) {
-                continue;
-            }
-            self.fire(world, ev);
-            return Some(self.now);
-        }
-    }
-
-    /// Advance the clock to `ev.at` and fire its (live) event.
-    fn fire(&mut self, world: &mut W, ev: WheelEntry) {
-        debug_assert!(ev.at >= self.now.as_nanos(), "event queue must be monotone");
-        self.wheel.advance_to(ev.at);
-        self.now = SimTime::from_nanos(ev.at);
+    /// Advance the clock to `at` and fire `event`.
+    fn fire(&mut self, world: &mut W, at: u64, event: E) {
+        debug_assert!(at >= self.now.as_nanos(), "event queue must be monotone");
+        self.now = SimTime::from_nanos(at);
         self.executed += 1;
-        let event = self
-            .slab
-            .take(ev.slot, ev.gen)
-            .expect("liveness checked before firing");
         if let Some(counts) = &mut self.fired {
             *counts.entry(event.kind()).or_insert(0) += 1;
         }
@@ -219,8 +218,8 @@ mod tests {
     }
 
     /// The test world's event kinds: a plain record, a record that
-    /// schedules a follow-up at an absolute time, and a self-re-arming
-    /// chain.
+    /// schedules a follow-up at an absolute time, a self-rescheduling
+    /// chain, and a self-re-arming one (the platform pump's shape).
     enum Ev {
         /// Log the tag at the firing instant.
         Rec(&'static str),
@@ -232,6 +231,8 @@ mod tests {
         },
         /// Log, then re-schedule itself `step` later while hops remain.
         Chain { hops: u32, step: SimDuration },
+        /// Log, then re-arm itself `step` later while hops remain.
+        Rearm { hops: u32, step: SimDuration },
     }
 
     impl TypedEvent<W> for Ev {
@@ -240,6 +241,7 @@ mod tests {
                 Ev::Rec(_) => "rec",
                 Ev::Spawn { .. } => "spawn",
                 Ev::Chain { .. } => "chain",
+                Ev::Rearm { .. } => "rearm",
             }
         }
 
@@ -261,6 +263,13 @@ mod tests {
                                 step,
                             },
                         );
+                    }
+                }
+                Ev::Rearm { hops, step } => {
+                    w.log.push((now, "rearm"));
+                    if hops > 0 {
+                        let hops = hops - 1;
+                        sim.arm_at(sim.now() + step, Ev::Rearm { hops, step });
                     }
                 }
             }
@@ -315,63 +324,147 @@ mod tests {
         assert_eq!(w.log, vec![(100, "outer"), (100, "late")]);
     }
 
+    /// Arming keeps whichever event is due first: a later arm is refused,
+    /// an earlier one replaces the armed event, which never fires.
+    #[test]
+    fn arm_at_keeps_the_earlier_of_two_events() {
+        let mut sim = Sim::new();
+        let mut w = W::default();
+        sim.arm_at(at(10), Ev::Rec("replaced"));
+        sim.arm_at(at(20), Ev::Rec("refused"));
+        sim.arm_at(at(10), Ev::Rec("refused too"));
+        sim.arm_at(at(5), Ev::Rec("armed"));
+        sim.schedule_typed_at(at(20), Ev::Rec("kept"));
+        sim.run(&mut w);
+        assert_eq!(w.log, vec![(5, "armed"), (20, "kept")]);
+        assert_eq!(sim.events_executed(), 2);
+    }
+
+    /// The armed event ties with scheduled ones by the sequence number its
+    /// arm drew — as the cancel + schedule it replaces would have — and a
+    /// refused re-arm draws none.
+    #[test]
+    fn armed_and_scheduled_events_tie_by_sequence() {
+        let mut sim = Sim::new();
+        let mut w = W::default();
+        sim.schedule_typed_at(at(5), Ev::Rec("before"));
+        sim.arm_at(at(9), Ev::Rec("replaced"));
+        sim.arm_at(at(5), Ev::Rec("armed"));
+        sim.arm_at(at(5), Ev::Rec("refused"));
+        sim.schedule_typed_at(at(5), Ev::Rec("after"));
+        sim.run(&mut w);
+        assert_eq!(w.log, vec![(5, "before"), (5, "armed"), (5, "after")]);
+    }
+
+    /// `pending()` counts the armed event, stays exact through replacing
+    /// re-arms and refused ones, and drops it once it fires.
+    #[test]
+    fn pending_counts_the_armed_event() {
+        let mut sim = Sim::new();
+        let mut w = W::default();
+        sim.schedule_typed_at(at(10), Ev::Rec("a"));
+        sim.schedule_typed_at(at(30), Ev::Rec("c"));
+        assert_eq!(sim.pending(), 2);
+        sim.arm_at(at(20), Ev::Rec("b"));
+        assert_eq!(sim.pending(), 3);
+        sim.arm_at(at(15), Ev::Rec("b"));
+        sim.arm_at(at(40), Ev::Rec("refused"));
+        assert_eq!(sim.pending(), 3, "a re-arm replaces, it does not add");
+        sim.run_until(&mut w, at(12));
+        assert_eq!(sim.pending(), 2, "a fired");
+        sim.run_until(&mut w, at(16));
+        assert_eq!(sim.pending(), 1, "the armed event fired");
+        sim.run(&mut w);
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(w.log, vec![(10, "a"), (15, "b"), (30, "c")]);
+    }
+
+    /// Cancelling is replacing: an earlier arm drops the armed event
+    /// unfired, and a second, later arm cannot bring it back.
     #[test]
     fn cancel_prevents_execution() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let id = sim.schedule_typed_at(at(10), Ev::Rec("dropped"));
+        sim.arm_at(at(10), Ev::Rec("dropped"));
         sim.schedule_typed_at(at(20), Ev::Rec("kept"));
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id), "double-cancel is a no-op");
+        sim.arm_at(at(5), Ev::Rec("replacement"));
+        sim.arm_at(at(10), Ev::Rec("dropped again"));
         sim.run(&mut w);
-        assert_eq!(w.log, vec![(20, "kept")]);
+        assert_eq!(w.log, vec![(5, "replacement"), (20, "kept")]);
     }
 
-    /// Regression: the old heap-backed queue let `cancel` of an
-    /// already-fired id insert into its cancellation side-table forever —
-    /// `pending()` undercounted and the set grew unbounded. Fired ids must
-    /// be refused.
+    /// A fired armed event is gone: it neither refuses a later arm nor
+    /// lingers in `pending()`, however often the slot is re-armed after.
     #[test]
     fn cancel_after_fire_returns_false_and_keeps_pending_exact() {
         let mut sim = Sim::new();
         let mut w = W::default();
-        let fired = sim.schedule_typed_at(at(1), Ev::Rec("fired"));
+        sim.arm_at(at(1), Ev::Rec("fired"));
         sim.run(&mut w);
         assert_eq!(w.log, vec![(1, "fired")]);
-        assert!(!sim.cancel(fired), "fired ids must not be cancellable");
-        assert!(!sim.cancel(fired), "…no matter how often they are retried");
+        assert_eq!(sim.pending(), 0, "the fired event is not pending");
 
         // pending() stays exact through an interleaving of fires and
-        // cancels (the old estimate would now undercount by one per
-        // cancel-after-fire above).
-        let a = sim.schedule_typed_at(at(10), Ev::Rec("a"));
-        let b = sim.schedule_typed_at(at(20), Ev::Rec("b"));
-        sim.schedule_typed_at(at(30), Ev::Rec("c"));
-        assert_eq!(sim.pending(), 3);
-        assert!(sim.cancel(b));
+        // replacing arms.
+        sim.schedule_typed_at(at(10), Ev::Rec("a"));
+        sim.arm_at(at(30), Ev::Rec("late"));
+        assert_eq!(sim.pending(), 2, "a later arm after a fire is accepted");
+        sim.arm_at(at(20), Ev::Rec("b"));
         assert_eq!(sim.pending(), 2);
         sim.run_until(&mut w, at(15));
-        assert_eq!(sim.pending(), 1, "a fired, b cancelled, c remains");
-        assert!(!sim.cancel(a), "fired after cancel of a sibling");
         assert_eq!(sim.pending(), 1);
         sim.run(&mut w);
         assert_eq!(sim.pending(), 0);
+        assert_eq!(w.log, vec![(1, "fired"), (10, "a"), (20, "b")]);
     }
 
     #[test]
-    fn event_id_slots_are_generation_stamped_across_reuse() {
-        let mut sim = Sim::new();
+    fn pending_count_tracks_cancellations() {
+        let mut sim: Sim<W, Ev> = Sim::new();
+        sim.arm_at(at(2), Ev::Rec("a"));
+        sim.schedule_typed_at(at(2), Ev::Rec("b"));
+        assert_eq!(sim.pending(), 2);
+        sim.arm_at(at(1), Ev::Rec("a"));
+        assert_eq!(sim.pending(), 2, "the replaced event left pending");
+    }
+
+    #[test]
+    fn typed_event_cancel_is_exact() {
+        let mut sim: Sim<W, Ev> = Sim::new();
         let mut w = W::default();
-        let first = sim.schedule_typed_at(at(1), Ev::Rec("one"));
-        sim.run_until(&mut w, at(5));
-        // The freed slot is reused; the stale id must not cancel the new
-        // tenant.
-        let second = sim.schedule_typed_at(at(10), Ev::Rec("two"));
-        assert_eq!(second.slot, first.slot, "the slot is recycled");
-        assert!(!sim.cancel(first));
+        sim.arm_at(at(10), Ev::Rec("beat"));
+        assert_eq!(sim.pending(), 1);
+        sim.arm_at(at(3), Ev::Rec("early beat"));
+        assert_eq!(sim.pending(), 1);
         sim.run(&mut w);
-        assert_eq!(w.log, vec![(1, "one"), (10, "two")]);
-        assert!(!sim.cancel(second));
+        assert_eq!(w.log, vec![(3, "early beat")]);
+        assert_eq!(sim.events_executed(), 1);
+        assert_eq!(sim.pending(), 0);
+    }
+
+    /// A self-re-arming event interleaves with wheel events at exactly the
+    /// arithmetic instants, however far its fires leave the wheel's clock
+    /// behind, and its fires are counted by kind.
+    #[test]
+    fn a_self_re_arming_event_interleaves_with_the_wheel() {
+        let step = SimDuration::from_nanos(1_000_003);
+        let mut sim: Sim<W, Ev> = Sim::new();
+        let mut w = W::default();
+        sim.profile_events();
+        sim.arm_at(SimTime::ZERO + step, Ev::Rearm { hops: 999, step });
+        let mut expected: Vec<(u64, &str)> =
+            (1..=1_000).map(|k| (k * 1_000_003, "rearm")).collect();
+        // Wheel events over every level and past the overflow horizon.
+        for k in 1..=70u64 {
+            let t = k * k * k * 15_625_001;
+            sim.schedule_typed_at(at(t), Ev::Rec("wheel"));
+            expected.push((t, "wheel"));
+        }
+        expected.sort_unstable();
+        sim.run(&mut w);
+        assert_eq!(w.log, expected);
+        assert_eq!(sim.fired_by_kind(), vec![("rearm", 1_000), ("rec", 70)]);
+        assert_eq!(sim.events_executed(), 1_070);
     }
 
     #[test]
@@ -394,22 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn step_executes_single_event() {
-        let mut sim = Sim::new();
-        let mut w = W::default();
-        let dropped = sim.schedule_typed_at(at(1), Ev::Rec("dropped"));
-        sim.schedule_typed_at(at(2), Ev::Rec("a"));
-        sim.schedule_typed_at(at(3), Ev::Rec("b"));
-        assert!(sim.cancel(dropped));
-        // A cancelled head is skipped, not fired.
-        assert_eq!(sim.step(&mut w), Some(at(2)));
-        assert_eq!(w.log, vec![(2, "a")]);
-        assert_eq!(sim.step(&mut w), Some(at(3)));
-        assert_eq!(sim.step(&mut w), None);
-        assert_eq!(sim.events_executed(), 2);
-    }
-
-    #[test]
     fn nested_scheduling_from_handlers() {
         let mut sim = Sim::new();
         let mut w = W::default();
@@ -423,29 +500,6 @@ mod tests {
         );
         sim.run(&mut w);
         assert_eq!(w.log, vec![(10, "parent"), (15, "nested")]);
-    }
-
-    #[test]
-    fn pending_count_tracks_cancellations() {
-        let mut sim: Sim<W, Ev> = Sim::new();
-        let a = sim.schedule_typed_at(at(1), Ev::Rec("a"));
-        sim.schedule_typed_at(at(2), Ev::Rec("b"));
-        assert_eq!(sim.pending(), 2);
-        sim.cancel(a);
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn typed_event_cancel_is_exact() {
-        let mut sim: Sim<W, Ev> = Sim::new();
-        let mut w = W::default();
-        let id = sim.schedule_typed_at(at(10), Ev::Rec("beat"));
-        assert_eq!(sim.pending(), 1);
-        assert!(sim.cancel(id));
-        assert_eq!(sim.pending(), 0);
-        sim.run(&mut w);
-        assert!(w.log.is_empty());
-        assert!(!sim.cancel(id));
     }
 
     /// A typed chain walking across wheel levels (steps far larger than one

@@ -8,8 +8,8 @@
 //! lists: the arena grows to the high-water pending count and is then
 //! recycled through an internal free list, so the warm schedule→fire
 //! cycle performs **zero** allocations no matter which slots the cursor
-//! rotates into. Each node is five words — `(time, seq, slot, gen,
-//! next)` — pointing at its payload in the event slab.
+//! rotates into. Each node is 24 bytes — `(time, seq, slot, next)` —
+//! pointing at its payload in the event slab.
 //!
 //! ## Placement and ordering
 //!
@@ -29,15 +29,15 @@
 //!
 //! ## Advancing
 //!
-//! The wheel time only moves at a real event firing (`advance_to`);
-//! peeks and stale-entry pops never move it, so late inserts below a
-//! `run_until` deadline stay correctly placed. On advance, each level
-//! whose cursor moved re-files the entries of its *new* cursor slot into
-//! finer levels (relinking nodes — no copies, no allocation); slots
-//! skipped over are provably empty because the firing time is the global
-//! minimum. Cancelled entries are recognised by their stale generation
-//! stamp when they surface and are dropped then — cancellation itself is
-//! O(1) in the slab and never touches the wheel.
+//! The wheel time only moves when one of its own entries fires
+//! (`advance_to`); peeks and pops never move it, so late inserts below a
+//! `run_until` deadline stay correctly placed. It may lag behind the
+//! simulator's clock (the simulator's armed event fires without touching
+//! the wheel), but it never passes the earliest entry. On advance, each
+//! level whose cursor moved re-files the entries of its *new* cursor slot
+//! into finer levels (relinking nodes — no copies, no allocation); slots
+//! skipped over are provably empty because the firing time is the
+//! wheel's minimum.
 
 /// Bits of the clock consumed per wheel level.
 const BITS: u32 = 6;
@@ -50,14 +50,13 @@ const SPAN: u64 = 1 << (BITS * LEVELS as u32);
 /// Null link / empty slot marker.
 const NIL: u32 = u32::MAX;
 
-/// A pending entry: when, FIFO tie-break, and the slab slot + generation
-/// stamp of its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A pending entry: when, FIFO tie-break, and the slab slot of its
+/// payload. Ordered by `(at, seq)` (`seq` is unique).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct WheelEntry {
     pub at: u64,
     pub seq: u64,
     pub slot: u32,
-    pub gen: u32,
 }
 
 /// Arena node: a [`WheelEntry`] threaded into its slot's list (or the
@@ -66,17 +65,17 @@ struct Node {
     at: u64,
     seq: u64,
     slot: u32,
-    gen: u32,
     next: u32,
 }
 
-/// Far-future entries, min-ordered by `(at, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Overflow {
-    at: u64,
-    seq: u64,
-    slot: u32,
-    gen: u32,
+impl Node {
+    fn entry(&self) -> WheelEntry {
+        WheelEntry {
+            at: self.at,
+            seq: self.seq,
+            slot: self.slot,
+        }
+    }
 }
 
 pub(crate) struct TimerWheel {
@@ -91,9 +90,8 @@ pub(crate) struct TimerWheel {
     heads: [[u32; SLOTS]; LEVELS],
     /// Per-level occupancy bitmaps (bit `s` ⇔ slot `s` non-empty).
     occupied: [u64; LEVELS],
-    overflow: std::collections::BinaryHeap<std::cmp::Reverse<Overflow>>,
-    /// Total entries held (live + stale), wheel and overflow.
-    len: usize,
+    /// Far-future entries, min-ordered.
+    overflow: std::collections::BinaryHeap<std::cmp::Reverse<WheelEntry>>,
 }
 
 impl TimerWheel {
@@ -105,26 +103,15 @@ impl TimerWheel {
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             overflow: std::collections::BinaryHeap::new(),
-            len: 0,
         }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert an entry with `at >= self.now` (callers schedule at or after
     /// the clock; the simulator clamps past times).
     pub(crate) fn insert(&mut self, e: WheelEntry) {
         debug_assert!(e.at >= self.now, "wheel inserts never predate the clock");
-        self.len += 1;
         if e.at ^ self.now >= SPAN {
-            self.overflow.push(std::cmp::Reverse(Overflow {
-                at: e.at,
-                seq: e.seq,
-                slot: e.slot,
-                gen: e.gen,
-            }));
+            self.overflow.push(std::cmp::Reverse(e));
             return;
         }
         let i = self.alloc_node(e);
@@ -136,7 +123,6 @@ impl TimerWheel {
             at: e.at,
             seq: e.seq,
             slot: e.slot,
-            gen: e.gen,
             next: NIL,
         };
         if self.free_head != NIL {
@@ -181,12 +167,7 @@ impl TimerWheel {
                 break;
             }
             let std::cmp::Reverse(o) = self.overflow.pop().expect("peeked");
-            let i = self.alloc_node(WheelEntry {
-                at: o.at,
-                seq: o.seq,
-                slot: o.slot,
-                gen: o.gen,
-            });
+            let i = self.alloc_node(o);
             self.link(i);
         }
     }
@@ -226,30 +207,19 @@ impl TimerWheel {
         None
     }
 
-    /// The earliest pending entry (stale ones included), if any. Promotes
-    /// due overflow entries first; never advances the wheel time.
+    /// The earliest pending entry, if any. Promotes due overflow entries
+    /// first; never advances the wheel time.
     pub(crate) fn peek(&mut self) -> Option<WheelEntry> {
         self.promote();
         if let Some((_, _, _, i)) = self.find_min() {
             let n = &self.nodes[i as usize];
-            return Some(WheelEntry {
-                at: n.at,
-                seq: n.seq,
-                slot: n.slot,
-                gen: n.gen,
-            });
+            return Some(n.entry());
         }
-        self.overflow.peek().map(|std::cmp::Reverse(o)| WheelEntry {
-            at: o.at,
-            seq: o.seq,
-            slot: o.slot,
-            gen: o.gen,
-        })
+        self.overflow.peek().map(|std::cmp::Reverse(o)| *o)
     }
 
-    /// Remove and return the earliest entry. Never advances the wheel time
-    /// (the simulator calls [`Self::advance_to`] only when it *fires* the
-    /// entry, so discarding stale entries leaves placement untouched).
+    /// Remove and return the earliest entry. Never advances the wheel time:
+    /// the simulator calls [`Self::advance_to`] when it fires the entry.
     pub(crate) fn pop(&mut self) -> Option<WheelEntry> {
         self.promote();
         if let Some((level, slot, prev, i)) = self.find_min() {
@@ -262,30 +232,15 @@ impl TimerWheel {
             } else {
                 self.nodes[prev as usize].next = next;
             }
-            let n = &self.nodes[i as usize];
-            let e = WheelEntry {
-                at: n.at,
-                seq: n.seq,
-                slot: n.slot,
-                gen: n.gen,
-            };
+            let e = self.nodes[i as usize].entry();
             self.free_node(i);
-            self.len -= 1;
             return Some(e);
         }
-        self.overflow.pop().map(|std::cmp::Reverse(o)| {
-            self.len -= 1;
-            WheelEntry {
-                at: o.at,
-                seq: o.seq,
-                slot: o.slot,
-                gen: o.gen,
-            }
-        })
+        self.overflow.pop().map(|std::cmp::Reverse(o)| o)
     }
 
     /// Move the wheel time to `t` (the timestamp of the entry being fired,
-    /// i.e. the global minimum) and cascade each level's new cursor slot
+    /// i.e. the wheel's minimum) and cascade each level's new cursor slot
     /// into finer levels.
     pub(crate) fn advance_to(&mut self, t: u64) {
         let prev = self.now;
@@ -328,7 +283,6 @@ mod tests {
             at,
             seq,
             slot: seq as u32,
-            gen: 0,
         }
     }
 
@@ -414,7 +368,7 @@ mod tests {
         w.insert(e(5, 0));
         w.insert(e(u64::MAX, 1));
         assert_eq!(drain(&mut w), vec![(5, 0), (u64::MAX, 1)]);
-        assert!(w.is_empty());
+        assert_eq!(w.pop(), None);
     }
 
     #[test]
