@@ -6,10 +6,9 @@
 
 use gpunion_des::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one provider agent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AgentConfig {
     /// Hostname for reports.
     pub hostname: String,

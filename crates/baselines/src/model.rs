@@ -8,10 +8,9 @@
 
 use gpunion_des::{Online, SimDuration};
 use gpunion_workload::LabId;
-use serde::{Deserialize, Serialize};
 
 /// One GPU as the capacity models see it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuShape {
     /// VRAM bytes.
     pub vram_bytes: u64,
@@ -22,7 +21,7 @@ pub struct GpuShape {
 }
 
 /// One host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostShape {
     /// Hostname for reports.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct HostShape {
 }
 
 /// The whole campus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampusShape {
     /// All GPU hosts (host index = position).
     pub hosts: Vec<HostShape>,
@@ -97,7 +96,7 @@ impl Outcome {
 }
 
 /// How a platform reacts to a provider leaving.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnReaction {
     /// Jobs on the node are lost and restart from iteration zero elsewhere
     /// (a platform with infrastructure-level fault tolerance only).
@@ -116,7 +115,7 @@ pub enum ChurnReaction {
 }
 
 /// Who can place work where.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Visibility {
     /// Labs see only their own machines; cross-lab borrowing succeeds with
     /// some probability after a negotiation delay (manual coordination).
@@ -131,7 +130,7 @@ pub enum Visibility {
 }
 
 /// Full policy description of one platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlatformPolicy {
     /// Placement visibility.
     pub visibility: Visibility,

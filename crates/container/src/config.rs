@@ -8,14 +8,13 @@
 //! violate host-guest isolation (the provider-trust foundation).
 
 use crate::image::ImageRef;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Linux namespaces a container is isolated in. GPUnion requires all of
 /// these for guest workloads; disabling any is a validation error unless the
 /// container is provider-privileged (not exposed to guests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Namespaces {
     /// PID namespace (guest can't see host processes).
     pub pid: bool,
@@ -55,7 +54,7 @@ impl Default for Namespaces {
 }
 
 /// cgroup v2 resource limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgroupLimits {
     /// CPU cores the container may use (cpu.max quota / period).
     pub cpu_cores: f64,
@@ -76,7 +75,7 @@ impl Default for CgroupLimits {
 }
 
 /// Seccomp syscall filter profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeccompProfile {
     /// The GPUnion default: Docker's default profile plus denials for
     /// mount/ptrace-class syscalls.
@@ -110,7 +109,7 @@ impl SeccompProfile {
 }
 
 /// A bind mount from host into container.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mount {
     /// Host-side path.
     pub host_path: String,
@@ -125,7 +124,7 @@ pub struct Mount {
 const ALLOWED_MOUNT_PREFIXES: &[&str] = &["/var/gpunion/data", "/mnt/campus-fs"];
 
 /// How the container runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Batch job with explicit entrypoint (production workloads).
     Batch {
@@ -141,7 +140,7 @@ pub enum ExecutionMode {
 }
 
 /// Complete container configuration, built via [`ContainerConfigBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerConfig {
     /// Digest-pinned image.
     pub image: ImageRef,
@@ -450,7 +449,7 @@ mod tests {
     #[test]
     fn config_serde_roundtrip_digest() {
         // The config participates in dispatch messages; make sure identity
-        // (the image digest) survives a serde round-trip via the Digest type.
+        // (the image digest) is carried by the Digest type.
         let c = ContainerConfigBuilder::new(image()).build().unwrap();
         let d2 = Sha256::digest(b"x");
         assert_ne!(c.image.digest, d2);

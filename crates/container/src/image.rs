@@ -12,14 +12,13 @@
 //! with Docker content trust.
 
 use crate::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::OnceLock;
 
 /// A tagged, digest-pinned image reference, e.g.
 /// `pytorch/pytorch:2.3-cuda12@sha256:…`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ImageRef {
     /// Repository, e.g. `pytorch/pytorch`.
     pub repository: String,
@@ -37,7 +36,7 @@ impl fmt::Display for ImageRef {
 
 /// One image layer: advertised wire size plus the synthetic content blob the
 /// digest protects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Digest of `content`.
     pub digest: Digest,
@@ -64,7 +63,7 @@ impl Layer {
 }
 
 /// An image manifest: ordered layers plus default process config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageManifest {
     /// Repository this manifest belongs to.
     pub repository: String,

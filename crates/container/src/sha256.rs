@@ -6,7 +6,6 @@
 //! NIST CAVP test vectors. Incremental hashing ([`Sha256::update`]) is
 //! supported so large image layers can be verified as they stream in.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
@@ -29,7 +28,7 @@ const K: [u32; 64] = [
 ];
 
 /// A 256-bit digest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -1,75 +1,28 @@
 //! The SystemDb write-queue actor (DESIGN.md §3b).
 //!
 //! §5.2 warns that "beyond 200 nodes, heartbeat monitoring and database
-//! contention could become bottlenecks". Earlier revisions *modelled* that
-//! wall with a closed-form M/M/1 formula ([`crate::contention`]); this
-//! module makes it **emergent**: the database is an actor owning
-//! [`SystemDb`] + WAL behind a bounded inbox of typed [`WriteIntent`]s.
-//! Writers fire-and-forget an intent; the single-server queue drains one
-//! intent per (stochastic) service time, and a write's latency is simply
-//! when its turn comes — real queue depth, not a formula. The formula
-//! survives as the validation oracle: the tests at the bottom drive the
-//! actor with Poisson traffic and assert the emergent sojourn time tracks
+//! contention could become bottlenecks". This module makes that wall
+//! **emergent**: the database is an actor owning [`SystemDb`] behind a
+//! bounded inbox of typed [`WriteIntent`]s. Writers fire-and-forget an
+//! intent; the single-server queue drains one intent per (stochastic)
+//! service time, and a write's latency is simply when its turn comes. The
+//! closed-form M/M/1 formula ([`crate::contention`]) that once modelled the
+//! wall is the validation oracle: the tests at the bottom drive the actor
+//! with Poisson traffic and assert the emergent sojourn time tracks
 //! `ContentionModel::transaction_latency` below the knee and blows up past
 //! it.
 //!
 //! The actor is passive like every other component (DESIGN.md §1): the
 //! embedding turn loop calls [`DbActor::next_wake`] / [`DbActor::advance`]
 //! exactly as it does for the coordinator's timers, so intents complete as
-//! ordinary DES events and no new scheduling machinery is needed.
+//! ordinary DES events.
 
-use crate::store::{JobState, NodeRecord, NodeState, SystemDb};
+use crate::intent::WriteIntent;
+use crate::store::SystemDb;
 use gpunion_des::{exponential, Online, SimDuration, SimTime};
-use gpunion_protocol::{JobId, NodeUid, UserId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-
-/// A typed write transaction bound for the system database.
-///
-/// Everything that mutates [`SystemDb`] travels as one of these; readers
-/// use the snapshot accessors ([`DbActor::state`]) and never hold
-/// references across a turn.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WriteIntent {
-    /// Insert or replace a node row (registration).
-    UpsertNode(NodeRecord),
-    /// Flip a node's liveness state.
-    SetNodeState(NodeUid, NodeState),
-    /// Heartbeat status write: refresh the node's `last_seen` column.
-    /// Sheddable — the next heartbeat carries fresher data anyway.
-    NodeSeen(NodeUid),
-    /// Insert a job row and enqueue it as pending.
-    SubmitJob {
-        /// Job id (assigned by the coordinator).
-        job: JobId,
-        /// Submission time recorded in the row.
-        submitted_at: SimTime,
-        /// Dispatch priority.
-        priority: u8,
-        /// Submitting user.
-        user: UserId,
-    },
-    /// Update a job's lifecycle state.
-    SetJobState(JobId, JobState),
-    /// Remove a job from the pending queue (dispatched or cancelled).
-    TakePending(JobId),
-    /// Re-enqueue a displaced job at the back of its priority class.
-    RequeueJob(JobId),
-    /// Record an allocation (job leaves pending).
-    Allocate {
-        /// The job.
-        job: JobId,
-        /// Hosting node.
-        node: NodeUid,
-        /// GPU indices bound on that node.
-        gpu_indices: Vec<u8>,
-        /// Allocation time recorded in the row.
-        at: SimTime,
-    },
-    /// Remove an allocation (job finished or torn down).
-    Deallocate(JobId),
-}
 
 /// Write-queue actor parameters.
 #[derive(Debug, Clone, Copy)]
@@ -249,10 +202,7 @@ impl DbActor {
         let start = self.busy_until.max(now);
         let applies_at = start + self.service_draw();
         self.busy_until = applies_at;
-        if matches!(
-            intent,
-            WriteIntent::SubmitJob { .. } | WriteIntent::RequeueJob(_)
-        ) {
+        if intent.enqueues() {
             self.queued_enqueues += 1;
         }
         self.inbox.push_back(QueuedWrite {
@@ -283,64 +233,24 @@ impl DbActor {
     /// writes.
     pub fn advance(&mut self, now: SimTime) -> usize {
         let mut n = 0;
-        while let Some(w) = self.inbox.front() {
-            if w.applies_at > now {
-                break;
-            }
+        while self.inbox.front().is_some_and(|w| w.applies_at <= now) {
             let w = self.inbox.pop_front().expect("just peeked");
-            if matches!(
-                w.intent,
-                WriteIntent::SubmitJob { .. } | WriteIntent::RequeueJob(_)
-            ) {
+            if w.intent.enqueues() {
                 self.queued_enqueues -= 1;
             }
-            Self::apply(&mut self.db, w.submitted, w.intent);
+            self.db.apply(w.submitted, w.intent);
             self.applied += 1;
             n += 1;
         }
         n
-    }
-
-    fn apply(db: &mut SystemDb, submitted: SimTime, intent: WriteIntent) {
-        match intent {
-            WriteIntent::UpsertNode(rec) => db.upsert_node(rec),
-            WriteIntent::SetNodeState(uid, state) => {
-                db.set_node_state(uid, state);
-            }
-            WriteIntent::NodeSeen(uid) => {
-                db.record_heartbeat(uid, submitted);
-            }
-            WriteIntent::SubmitJob {
-                job,
-                submitted_at,
-                priority,
-                user,
-            } => db.submit_job(job, submitted_at, priority, user),
-            WriteIntent::SetJobState(job, state) => {
-                db.set_job_state(job, state);
-            }
-            WriteIntent::TakePending(job) => {
-                db.take_pending(job);
-            }
-            WriteIntent::RequeueJob(job) => {
-                db.requeue_job(job);
-            }
-            WriteIntent::Allocate {
-                job,
-                node,
-                gpu_indices,
-                at,
-            } => db.allocate(job, node, gpu_indices, at),
-            WriteIntent::Deallocate(job) => {
-                db.deallocate(job);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{NodeRecord, NodeState};
+    use gpunion_protocol::{JobId, NodeUid, UserId};
     use rand::Rng;
 
     fn t(s: u64) -> SimTime {

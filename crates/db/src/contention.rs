@@ -17,10 +17,9 @@
 //! past it (`actor::tests::emergent_latency_*`).
 
 use gpunion_des::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Contention model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     /// Mean service time of one write transaction (row update + fsync).
     pub service_time: SimDuration,

@@ -4,19 +4,20 @@
 //! §3.5: allocation works through "a round-robin scheduler (which processes
 //! pending resource requests from a priority queue stored in the central
 //! database)". This module provides that queue plus the node / job /
-//! allocation tables. Inserts, requeues and allocation changes append a
-//! tag-and-key record to the WAL; state changes do not, and no record
-//! carries enough to rebuild a row, so nothing recovers from it.
+//! allocation tables. Their one mutator is [`SystemDb::apply`]: it takes a
+//! [`WriteIntent`] and appends each intent that finds its row to the WAL
+//! (heartbeat status writes aside), so [`SystemDb::replay`] of the log
+//! rebuilds the tables and the pending order.
 
+use crate::intent::WriteIntent;
 use crate::wal::Wal;
 use gpunion_des::SimTime;
-use gpunion_protocol::{JobId, NodeUid, UserId};
-use serde::{Deserialize, Serialize};
+use gpunion_protocol::{JobId, NodeUid, UserId, WireError};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Liveness state of a registered node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Heartbeating and accepting work.
     Active,
@@ -29,7 +30,7 @@ pub enum NodeState {
 }
 
 /// A registered node row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// Uid assigned at registration.
     pub uid: NodeUid,
@@ -40,14 +41,14 @@ pub struct NodeRecord {
     /// Registration time.
     pub registered_at: SimTime,
     /// Last heartbeat status write (§3.2 monitoring; refreshed by
-    /// [`SystemDb::record_heartbeat`]).
+    /// [`WriteIntent::NodeSeen`]).
     pub last_seen: SimTime,
     /// Current liveness.
     pub state: NodeState,
 }
 
 /// A job row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job id.
     pub job: JobId,
@@ -62,7 +63,7 @@ pub struct JobRecord {
 }
 
 /// Job lifecycle as the database sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// In the pending queue.
     Pending,
@@ -77,7 +78,7 @@ pub enum JobState {
 }
 
 /// An allocation row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationRecord {
     /// Job.
     pub job: JobId,
@@ -108,9 +109,8 @@ pub struct SystemDb {
     /// (the batched scheduling pass dequeues and requeues in bulk).
     pending_pos: HashMap<JobId, (Reverse<u8>, u64)>,
     pending_seq: u64,
+    /// Every critical intent applied, in order.
     wal: Wal,
-    /// Write operations performed (contention-model input).
-    writes: u64,
 }
 
 impl SystemDb {
@@ -119,43 +119,113 @@ impl SystemDb {
         Self::default()
     }
 
-    /// Total write operations (inserts/updates) performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
+    /// Rebuild a database from a log's bytes by applying its intact
+    /// records in order; a torn or corrupt tail ends the replay at the last
+    /// whole record. Heartbeat status writes are not logged, so a node's
+    /// `last_seen` is what its last registration wrote. An intact record
+    /// that is no [`WriteIntent`] is an error.
+    pub fn replay(bytes: &[u8]) -> Result<SystemDb, WireError> {
+        let mut db = SystemDb::new();
+        for record in Wal::recover(bytes).records {
+            db.apply(SimTime::ZERO, WriteIntent::decode(&record)?);
+        }
+        Ok(db)
     }
 
-    /// WAL size in bytes.
-    #[cfg(test)]
-    fn wal_bytes(&self) -> usize {
-        self.wal.len_bytes()
+    /// The write-ahead log's bytes, what [`SystemDb::replay`] reads.
+    pub fn log(&self) -> &[u8] {
+        self.wal.bytes()
     }
 
-    fn log(&mut self, tag: &str, key: u64) {
-        // Durability record: tag + key. Payload content is secondary for the
-        // simulation; the WAL's framing/recovery machinery is the real part.
-        let mut payload = Vec::with_capacity(tag.len() + 8);
-        payload.extend_from_slice(tag.as_bytes());
-        payload.extend_from_slice(&key.to_le_bytes());
-        self.wal.append(&payload).expect("small record");
-        self.writes += 1;
+    /// Apply one write submitted at `at` (the time a heartbeat status write
+    /// stamps). Returns whether it found its row: an insert always does; a
+    /// write to an unknown node or job, a job not pending or a freed
+    /// allocation is a no-op. A write that finds its row is appended to the
+    /// log, as the intent itself, before it applies — except
+    /// [`WriteIntent::NodeSeen`], monitoring churn the next beat supersedes.
+    pub fn apply(&mut self, at: SimTime, intent: WriteIntent) -> bool {
+        use WriteIntent as W;
+        let found = match &intent {
+            W::UpsertNode(_) | W::SubmitJob { .. } | W::Allocate { .. } => true,
+            W::SetNodeState(uid, _) | W::NodeSeen(uid) => self.node(*uid).is_some(),
+            W::SetJobState(job, _) | W::RequeueJob(job) => self.jobs.contains_key(job),
+            W::TakePending(job) => self.pending_pos.contains_key(job),
+            W::Deallocate(job) => self.allocations.contains_key(job),
+        };
+        if !found {
+            return false;
+        }
+        if !matches!(intent, W::NodeSeen(_)) {
+            self.wal.append(|w| intent.encode(w)).expect("small record");
+        }
+        match intent {
+            W::UpsertNode(rec) => {
+                // `rec.uid` is a uid the coordinator issued: the table
+                // grows to it.
+                let slot = rec.uid.slot();
+                assert!(slot < usize::MAX, "uids are table positions");
+                if slot >= self.nodes.len() {
+                    self.nodes.resize(slot + 1, None);
+                }
+                if self.nodes[slot].replace(rec).is_none() {
+                    self.node_count += 1;
+                }
+            }
+            W::SetNodeState(uid, state) => self.node_mut(uid).expect("found").state = state,
+            W::NodeSeen(uid) => self.node_mut(uid).expect("found").last_seen = at,
+            W::SubmitJob {
+                job,
+                submitted_at,
+                priority,
+                user,
+            } => {
+                let state = JobState::Pending;
+                let row = JobRecord {
+                    job,
+                    submitted_at,
+                    priority,
+                    user,
+                    state,
+                };
+                self.jobs.insert(job, row);
+                self.enqueue(job, priority);
+            }
+            W::SetJobState(job, state) => self.jobs.get_mut(&job).expect("found").state = state,
+            W::TakePending(job) => self.dequeue(job),
+            W::RequeueJob(job) => {
+                // Keeps its priority but goes to the back of its class.
+                let rec = self.jobs.get_mut(&job).expect("found");
+                rec.state = JobState::Pending;
+                let priority = rec.priority;
+                self.allocations.remove(&job);
+                self.enqueue(job, priority);
+            }
+            W::Allocate {
+                job,
+                node,
+                gpu_indices,
+                at,
+            } => {
+                self.dequeue(job);
+                if let Some(rec) = self.jobs.get_mut(&job) {
+                    rec.state = JobState::Allocated;
+                }
+                let row = AllocationRecord {
+                    job,
+                    node,
+                    gpu_indices,
+                    at,
+                };
+                self.allocations.insert(job, row);
+            }
+            W::Deallocate(job) => {
+                self.allocations.remove(&job);
+            }
+        }
+        true
     }
 
     // ---- nodes ----
-
-    /// Insert or replace a node row.
-    /// `rec.uid` must be a uid the coordinator issued: the table grows to
-    /// it.
-    pub fn upsert_node(&mut self, rec: NodeRecord) {
-        self.log("node", rec.uid.0);
-        let slot = rec.uid.slot();
-        assert!(slot < usize::MAX, "uids are table positions");
-        if slot >= self.nodes.len() {
-            self.nodes.resize(slot + 1, None);
-        }
-        if self.nodes[slot].replace(rec).is_none() {
-            self.node_count += 1;
-        }
-    }
 
     /// Fetch a node row.
     pub fn node(&self, uid: NodeUid) -> Option<&NodeRecord> {
@@ -166,61 +236,12 @@ impl SystemDb {
         self.nodes.get_mut(uid.slot())?.as_mut()
     }
 
-    /// Set a node's liveness state. Returns false if unknown.
-    pub fn set_node_state(&mut self, uid: NodeUid, state: NodeState) -> bool {
-        let Some(n) = self.node_mut(uid) else {
-            return false;
-        };
-        n.state = state;
-        self.writes += 1;
-        true
-    }
-
-    /// Heartbeat status write: refresh a node's `last_seen` column.
-    /// Monitoring churn is not WAL-logged (it needs no durability — the
-    /// next heartbeat supersedes it), but it is a write transaction and
-    /// counts as one. Returns false if the node is unknown.
-    pub fn record_heartbeat(&mut self, uid: NodeUid, at: SimTime) -> bool {
-        let Some(n) = self.node_mut(uid) else {
-            return false;
-        };
-        n.last_seen = at;
-        self.writes += 1;
-        true
-    }
-
-    /// All nodes in a given state, in uid order.
-    #[cfg(test)]
-    fn nodes_in_state(&self, state: NodeState) -> impl Iterator<Item = &NodeRecord> + '_ {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(move |n| n.state == state)
-    }
-
     /// Count of registered nodes.
     pub fn node_count(&self) -> usize {
         self.node_count
     }
 
     // ---- jobs + pending queue ----
-
-    /// Insert a job and enqueue it as pending, at the back of its priority
-    /// class.
-    pub fn submit_job(&mut self, job: JobId, submitted_at: SimTime, priority: u8, user: UserId) {
-        self.log("job", job.0);
-        self.jobs.insert(
-            job,
-            JobRecord {
-                job,
-                submitted_at,
-                priority,
-                user,
-                state: JobState::Pending,
-            },
-        );
-        self.enqueue(job, priority);
-    }
 
     fn enqueue(&mut self, job: JobId, priority: u8) {
         // A job can be pending at most once.
@@ -231,13 +252,9 @@ impl SystemDb {
         self.pending_pos.insert(job, key);
     }
 
-    fn dequeue(&mut self, job: JobId) -> bool {
-        match self.pending_pos.remove(&job) {
-            Some((p, seq)) => {
-                self.pending.remove(&(p, seq, job));
-                true
-            }
-            None => false,
+    fn dequeue(&mut self, job: JobId) {
+        if let Some((p, seq)) = self.pending_pos.remove(&job) {
+            self.pending.remove(&(p, seq, job));
         }
     }
 
@@ -251,12 +268,6 @@ impl SystemDb {
         self.pending.len()
     }
 
-    /// Peek the next pending job: highest priority first, then FIFO.
-    #[cfg(test)]
-    fn peek_pending(&self) -> Option<JobId> {
-        self.pending.first().map(|&(_, _, j)| j)
-    }
-
     /// Pending jobs in dispatch order (highest priority, then FIFO). The
     /// queue's natural order — one in-order walk, no sorting, and no
     /// allocation: the scheduling pass copies it into a buffer it keeps.
@@ -264,72 +275,11 @@ impl SystemDb {
         self.pending.iter().map(|&(_, _, j)| j)
     }
 
-    /// Remove a job from the pending queue (it was allocated or cancelled).
-    /// Keyed lookup, O(log n). Returns false when it was not pending.
-    pub fn take_pending(&mut self, job: JobId) -> bool {
-        let removed = self.dequeue(job);
-        if removed {
-            self.writes += 1;
-        }
-        removed
-    }
-
-    /// Re-enqueue a job (migration after node loss, or an index miss in a
-    /// batched pass). Keeps its priority but goes to the back of its class.
-    pub fn requeue_job(&mut self, job: JobId) -> bool {
-        let Some(rec) = self.jobs.get_mut(&job) else {
-            return false;
-        };
-        rec.state = JobState::Pending;
-        let priority = rec.priority;
-        self.allocations.remove(&job);
-        self.enqueue(job, priority);
-        self.log("requeue", job.0);
-        true
-    }
-
-    /// Update a job's state.
-    pub fn set_job_state(&mut self, job: JobId, state: JobState) -> bool {
-        let Some(rec) = self.jobs.get_mut(&job) else {
-            return false;
-        };
-        rec.state = state;
-        self.writes += 1;
-        true
-    }
-
     // ---- allocations ----
-
-    /// Record an allocation (job leaves pending).
-    pub fn allocate(&mut self, job: JobId, node: NodeUid, gpu_indices: Vec<u8>, at: SimTime) {
-        self.take_pending(job);
-        self.set_job_state(job, JobState::Allocated);
-        self.log("alloc", job.0);
-        self.allocations.insert(
-            job,
-            AllocationRecord {
-                job,
-                node,
-                gpu_indices,
-                at,
-            },
-        );
-    }
 
     /// The allocation of a job, if placed.
     pub fn allocation(&self, job: JobId) -> Option<&AllocationRecord> {
         self.allocations.get(&job)
-    }
-
-    /// Remove an allocation (job finished or was torn down). Durable:
-    /// recovery must not resurrect a freed slot, so the removal is
-    /// WAL-logged like the allocation was.
-    pub fn deallocate(&mut self, job: JobId) -> bool {
-        let existed = self.allocations.remove(&job).is_some();
-        if existed {
-            self.log("dealloc", job.0);
-        }
-        existed
     }
 }
 
@@ -337,9 +287,20 @@ impl SystemDb {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use WriteIntent as W;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// All nodes in a given state, in uid order.
+    fn nodes_in_state(db: &SystemDb, state: NodeState) -> impl Iterator<Item = &NodeRecord> + '_ {
+        db.nodes.iter().flatten().filter(move |n| n.state == state)
+    }
+
+    /// Peek the next pending job: highest priority first, then FIFO.
+    fn peek_pending(db: &SystemDb) -> Option<JobId> {
+        db.pending.first().map(|&(_, _, j)| j)
     }
 
     fn node(uid: u64) -> NodeRecord {
@@ -355,41 +316,59 @@ mod tests {
 
     /// Submit as the system user, the only submitter `Platform` has.
     fn submit(db: &mut SystemDb, job: u64, at: u64, priority: u8) {
-        db.submit_job(JobId(job), t(at), priority, UserId::SYSTEM);
+        db.apply(
+            t(at),
+            W::SubmitJob {
+                job: JobId(job),
+                submitted_at: t(at),
+                priority,
+                user: UserId::SYSTEM,
+            },
+        );
+    }
+
+    fn allocate(db: &mut SystemDb, job: u64, node: u64, at: u64) {
+        db.apply(
+            t(at),
+            W::Allocate {
+                job: JobId(job),
+                node: NodeUid(node),
+                gpu_indices: vec![0],
+                at: t(at),
+            },
+        );
     }
 
     #[test]
     fn node_crud() {
         let mut db = SystemDb::new();
-        db.upsert_node(node(1));
-        db.upsert_node(node(2));
+        db.apply(t(0), W::UpsertNode(node(1)));
+        db.apply(t(0), W::UpsertNode(node(2)));
         assert_eq!(db.node_count(), 2);
         assert_eq!(db.node(NodeUid(1)).unwrap().hostname, "ws-1");
-        assert!(db.set_node_state(NodeUid(2), NodeState::Unavailable));
-        assert_eq!(db.nodes_in_state(NodeState::Active).count(), 1);
-        assert_eq!(db.nodes_in_state(NodeState::Unavailable).count(), 1);
-        assert!(!db.set_node_state(NodeUid(9), NodeState::Active));
+        assert!(db.apply(t(0), W::SetNodeState(NodeUid(2), NodeState::Unavailable)));
+        assert_eq!(nodes_in_state(&db, NodeState::Active).count(), 1);
+        assert_eq!(nodes_in_state(&db, NodeState::Unavailable).count(), 1);
+        assert!(!db.apply(t(0), W::SetNodeState(NodeUid(9), NodeState::Active)));
         // A re-registration replaces its row: one row per uid.
-        db.upsert_node(node(1));
+        db.apply(t(0), W::UpsertNode(node(1)));
         assert_eq!(db.node_count(), 2);
         // uid 0 was never written: the dense table holds no row there, nor
         // past its end.
         assert!(db.node(NodeUid(0)).is_none());
         assert!(db.node(NodeUid(u64::MAX)).is_none());
-        assert!(!db.record_heartbeat(NodeUid(u64::MAX), t(1)));
+        assert!(!db.apply(t(1), W::NodeSeen(NodeUid(u64::MAX))));
     }
 
     #[test]
     fn heartbeat_write_updates_last_seen_only() {
         let mut db = SystemDb::new();
-        db.upsert_node(node(1));
-        let wal0 = db.wal_bytes();
-        let w0 = db.write_count();
-        assert!(db.record_heartbeat(NodeUid(1), t(42)));
+        db.apply(t(0), W::UpsertNode(node(1)));
+        let wal0 = db.log().len();
+        assert!(db.apply(t(42), W::NodeSeen(NodeUid(1))));
         assert_eq!(db.node(NodeUid(1)).unwrap().last_seen, t(42));
-        assert_eq!(db.write_count(), w0 + 1, "status write counted");
-        assert_eq!(db.wal_bytes(), wal0, "monitoring churn is not WAL-logged");
-        assert!(!db.record_heartbeat(NodeUid(9), t(42)), "unknown node");
+        assert_eq!(db.log().len(), wal0, "monitoring churn is not WAL-logged");
+        assert!(!db.apply(t(42), W::NodeSeen(NodeUid(9))), "unknown node");
     }
 
     #[test]
@@ -403,7 +382,7 @@ mod tests {
             db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(4), JobId(1), JobId(3)]
         );
-        assert_eq!(db.peek_pending(), Some(JobId(2)));
+        assert_eq!(peek_pending(&db), Some(JobId(2)));
     }
 
     #[test]
@@ -411,7 +390,7 @@ mod tests {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 1);
         assert_eq!(db.pending_count(), 1);
-        db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
+        allocate(&mut db, 1, 3, 5);
         assert_eq!(db.pending_count(), 0);
         assert_eq!(db.job(JobId(1)).unwrap().state, JobState::Allocated);
         let a = db.allocation(JobId(1)).unwrap();
@@ -422,13 +401,13 @@ mod tests {
     fn requeue_after_node_loss() {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 3);
-        db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
-        assert!(db.requeue_job(JobId(1)));
+        allocate(&mut db, 1, 3, 5);
+        assert!(db.apply(t(6), W::RequeueJob(JobId(1))));
         assert_eq!(db.pending_count(), 1);
         assert_eq!(db.job(JobId(1)).unwrap().state, JobState::Pending);
         assert!(db.allocation(JobId(1)).is_none());
         // Priority preserved.
-        assert_eq!(db.peek_pending(), Some(JobId(1)));
+        assert_eq!(peek_pending(&db), Some(JobId(1)));
     }
 
     #[test]
@@ -436,8 +415,8 @@ mod tests {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 1);
         submit(&mut db, 2, 1, 1);
-        db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
-        db.requeue_job(JobId(1));
+        allocate(&mut db, 1, 3, 5);
+        db.apply(t(6), W::RequeueJob(JobId(1)));
         assert_eq!(
             db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(1)]
@@ -447,25 +426,23 @@ mod tests {
     #[test]
     fn take_pending_unknown_is_false() {
         let mut db = SystemDb::new();
-        assert!(!db.take_pending(JobId(404)));
-        assert!(!db.requeue_job(JobId(404)));
+        assert!(!db.apply(t(0), W::TakePending(JobId(404))));
+        assert!(!db.apply(t(0), W::RequeueJob(JobId(404))));
     }
 
     /// Failure paths must not leave partial state behind: an unknown-job
-    /// take/requeue/deallocate is a clean no-op (no write counted, no WAL
-    /// growth, no phantom queue entry).
+    /// take/requeue/deallocate/state change is a clean no-op (no WAL
+    /// record, no phantom queue entry).
     #[test]
     fn unknown_job_operations_leave_no_trace() {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 1);
-        let w0 = db.write_count();
-        let wal0 = db.wal_bytes();
-        assert!(!db.take_pending(JobId(404)));
-        assert!(!db.requeue_job(JobId(404)));
-        assert!(!db.deallocate(JobId(404)));
-        assert!(!db.set_job_state(JobId(404), JobState::Failed));
-        assert_eq!(db.write_count(), w0, "no write counted for no-ops");
-        assert_eq!(db.wal_bytes(), wal0, "no WAL growth for no-ops");
+        let wal0 = db.log().len();
+        assert!(!db.apply(t(1), W::TakePending(JobId(404))));
+        assert!(!db.apply(t(1), W::RequeueJob(JobId(404))));
+        assert!(!db.apply(t(1), W::Deallocate(JobId(404))));
+        assert!(!db.apply(t(1), W::SetJobState(JobId(404), JobState::Failed)));
+        assert_eq!(db.log().len(), wal0, "no WAL growth for no-ops");
         assert_eq!(db.pending_count(), 1, "real queue entry untouched");
     }
 
@@ -476,16 +453,16 @@ mod tests {
     fn wal_accounts_deallocate_once() {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 1);
-        db.allocate(JobId(1), NodeUid(3), vec![0], t(5));
-        let after_alloc = db.wal_bytes();
-        assert!(db.deallocate(JobId(1)));
-        let after_dealloc = db.wal_bytes();
+        allocate(&mut db, 1, 3, 5);
+        let after_alloc = db.log().len();
+        assert!(db.apply(t(6), W::Deallocate(JobId(1))));
+        let after_dealloc = db.log().len();
         assert!(
             after_dealloc > after_alloc,
             "deallocate must be WAL-logged (recovery must not resurrect the slot)"
         );
-        assert!(!db.deallocate(JobId(1)), "already gone");
-        assert_eq!(db.wal_bytes(), after_dealloc, "double-free appends nothing");
+        assert!(!db.apply(t(7), W::Deallocate(JobId(1))), "already gone");
+        assert_eq!(db.log().len(), after_dealloc, "double-free appends nothing");
         assert!(db.allocation(JobId(1)).is_none());
     }
 
@@ -494,15 +471,21 @@ mod tests {
         let mut db = SystemDb::new();
         submit(&mut db, 1, 0, 1);
         submit(&mut db, 2, 1, 1);
-        assert!(db.requeue_job(JobId(1)), "requeue of a pending job");
+        assert!(
+            db.apply(t(2), W::RequeueJob(JobId(1))),
+            "requeue of a pending job"
+        );
         assert_eq!(db.pending_count(), 2, "no duplicate entry");
         // It moved behind its peer.
         assert_eq!(
             db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(1)]
         );
-        assert!(db.take_pending(JobId(1)));
-        assert!(!db.take_pending(JobId(1)), "single entry to take");
+        assert!(db.apply(t(3), W::TakePending(JobId(1))));
+        assert!(
+            !db.apply(t(3), W::TakePending(JobId(1))),
+            "single entry to take"
+        );
     }
 
     #[test]
@@ -522,7 +505,7 @@ mod tests {
             );
         }
         for j in order {
-            assert!(db.take_pending(j));
+            assert!(db.apply(t(100), W::TakePending(j)));
         }
         assert_eq!(db.pending_count(), 0);
     }
@@ -532,10 +515,16 @@ mod tests {
     #[test]
     fn fair_share_priority_still_dominates() {
         let mut db = SystemDb::new();
-        db.submit_job(JobId(1), t(0), 0, UserId(1));
-        db.submit_job(JobId(2), t(1), 5, UserId(1));
-        db.submit_job(JobId(3), t(2), 5, UserId(1));
-        db.submit_job(JobId(4), t(3), 0, UserId(2));
+        for (job, at, priority, user) in [(1, 0, 0, 1), (2, 1, 5, 1), (3, 2, 5, 1), (4, 3, 0, 2)] {
+            let (job, submitted_at, user) = (JobId(job), t(at), UserId(user));
+            let intent = W::SubmitJob {
+                job,
+                submitted_at,
+                priority,
+                user,
+            };
+            db.apply(submitted_at, intent);
+        }
         assert_eq!(
             db.pending_in_order().collect::<Vec<_>>(),
             vec![JobId(2), JobId(3), JobId(1), JobId(4)]
@@ -545,12 +534,15 @@ mod tests {
     #[test]
     fn writes_counted_and_wal_grows() {
         let mut db = SystemDb::new();
-        let w0 = db.write_count();
-        db.upsert_node(node(1));
+        db.apply(t(0), W::UpsertNode(node(1)));
         submit(&mut db, 1, 0, 1);
-        db.allocate(JobId(1), NodeUid(1), vec![0], t(1));
-        assert!(db.write_count() > w0);
-        assert!(db.wal_bytes() > 0);
+        allocate(&mut db, 1, 1, 1);
+        assert!(!db.log().is_empty());
+        assert_eq!(
+            Wal::recover(db.log()).records.len(),
+            3,
+            "one record a write"
+        );
     }
 
     proptest! {
@@ -570,23 +562,23 @@ mod tests {
             for (op, priority, pick) in ops {
                 match op {
                     0 => {
-                        db.submit_job(JobId(next), t(next), priority, UserId::SYSTEM);
+                        submit(&mut db, next, next, priority);
                         queued.push((priority, JobId(next)));
                         next += 1;
                     }
                     1 if !queued.is_empty() => {
                         let entry = queued.remove(pick % queued.len());
-                        prop_assert!(db.take_pending(entry.1));
+                        prop_assert!(db.apply(t(next), W::TakePending(entry.1)));
                         taken.push(entry);
                     }
                     2 if !queued.is_empty() => {
                         let entry = queued.remove(pick % queued.len());
-                        prop_assert!(db.requeue_job(entry.1));
+                        prop_assert!(db.apply(t(next), W::RequeueJob(entry.1)));
                         queued.push(entry);
                     }
                     3 if !taken.is_empty() => {
                         let entry = taken.remove(pick % taken.len());
-                        prop_assert!(db.requeue_job(entry.1));
+                        prop_assert!(db.apply(t(next), W::RequeueJob(entry.1)));
                         queued.push(entry);
                     }
                     _ => {}
@@ -594,7 +586,7 @@ mod tests {
             }
             queued.sort_by_key(|&(priority, _)| Reverse(priority));
             let expected: Vec<JobId> = queued.iter().map(|&(_, job)| job).collect();
-            prop_assert_eq!(db.peek_pending(), expected.first().copied());
+            prop_assert_eq!(peek_pending(&db), expected.first().copied());
             prop_assert_eq!(db.pending_in_order().collect::<Vec<_>>(), expected);
         }
     }
@@ -615,10 +607,142 @@ mod fair_share_oracle {
         ) {
             let mut db = SystemDb::new();
             for (i, user) in users.iter().enumerate() {
-                db.submit_job(JobId(i as u64), SimTime::from_secs(i as u64), 1, UserId(*user));
+                let submitted_at = SimTime::from_secs(i as u64);
+                let intent = WriteIntent::SubmitJob {
+                    job: JobId(i as u64),
+                    submitted_at,
+                    priority: 1,
+                    user: UserId(*user),
+                };
+                db.apply(submitted_at, intent);
             }
             let expected: Vec<JobId> = (0..users.len() as u64).map(JobId).collect();
             prop_assert_eq!(db.pending_in_order().collect::<Vec<_>>(), expected);
         }
+    }
+}
+
+#[cfg(test)]
+mod replay {
+    use super::*;
+    use gpunion_protocol::WireSink;
+    use proptest::prelude::*;
+    use WriteIntent as W;
+
+    /// Everything a replay must rebuild: every table, the pending order
+    /// and its sequence counter. Each node's `last_seen` is left out —
+    /// only the unlogged heartbeat status write moves it.
+    fn rows(db: &SystemDb) -> String {
+        let nodes: Vec<_> = db
+            .nodes
+            .iter()
+            .map(|n| {
+                n.clone().map(|n| NodeRecord {
+                    last_seen: SimTime::ZERO,
+                    ..n
+                })
+            })
+            .collect();
+        let pending_pos: BTreeMap<_, _> = db.pending_pos.iter().collect();
+        format!(
+            "{nodes:?} {} {:?} {:?} {:?} {pending_pos:?} {}",
+            db.node_count, db.jobs, db.allocations, db.pending, db.pending_seq
+        )
+    }
+
+    /// One intent over a small id space, so most writes find their row.
+    fn intent((kind, id, small, secs): (u8, u64, u8, u64)) -> WriteIntent {
+        use JobState::*;
+        use NodeState::*;
+        let node_state = [Active, Paused, Unavailable, Departed][small as usize % 4];
+        let at = SimTime::from_secs(secs);
+        match kind {
+            0 => W::UpsertNode(NodeRecord {
+                uid: NodeUid(id),
+                hostname: format!("ws-{id}-{small}"),
+                gpu_count: small,
+                registered_at: at,
+                last_seen: at,
+                state: node_state,
+            }),
+            1 => W::SetNodeState(NodeUid(id), node_state),
+            2 => W::NodeSeen(NodeUid(id)),
+            3 => W::SubmitJob {
+                job: JobId(id),
+                submitted_at: at,
+                priority: small,
+                user: UserId(secs % 3),
+            },
+            4 => {
+                let state = [Pending, Allocated, Completed, Failed, Cancelled][small as usize];
+                W::SetJobState(JobId(id), state)
+            }
+            5 => W::TakePending(JobId(id)),
+            6 => W::RequeueJob(JobId(id)),
+            7 => W::Allocate {
+                job: JobId(id),
+                node: NodeUid(secs % 8),
+                gpu_indices: (0..small).collect(),
+                at,
+            },
+            _ => W::Deallocate(JobId(id)),
+        }
+    }
+
+    proptest! {
+        /// Replaying the log rebuilds the live database; a log torn `tail`
+        /// bytes short rebuilds it as of its last whole record. Heartbeat
+        /// status writes (`NodeSeen`) are applied but never logged.
+        #[test]
+        fn prop_replay_of_the_log_is_the_database(
+            ops in proptest::collection::vec((0u8..9, 0u64..8, 0u8..5, 0u64..1000), 1..80),
+            tail in 0usize..4096,
+        ) {
+            let mut live = SystemDb::new();
+            // The database as of each log length it passed through.
+            let mut as_of = vec![(0, rows(&live))];
+            for op in ops {
+                let intent = intent(op);
+                prop_assert_eq!(
+                    WriteIntent::decode(&encoded(&intent)).expect("round trip"),
+                    intent.clone()
+                );
+                live.apply(SimTime::from_secs(op.3), intent);
+                as_of.push((live.log().len(), rows(&live)));
+            }
+            let replayed = SystemDb::replay(live.log()).expect("the log decodes");
+            prop_assert_eq!(rows(&replayed), rows(&live));
+            prop_assert_eq!(replayed.log(), live.log(), "the replay re-logs every record");
+
+            let torn = &live.log()[..live.log().len() - tail % (live.log().len() + 1)];
+            let replayed = SystemDb::replay(torn).expect("the log decodes");
+            let (whole, expected) = as_of
+                .iter()
+                .rev()
+                .find(|(len, _)| *len <= torn.len())
+                .expect("the empty log is a record boundary");
+            prop_assert_eq!(replayed.log(), &live.log()[..*whole]);
+            prop_assert_eq!(&rows(&replayed), expected);
+        }
+    }
+
+    /// A checksummed record that is no intent — an unknown tag, or an
+    /// intent with bytes left over — fails the replay instead of being
+    /// skipped.
+    #[test]
+    fn an_intact_record_that_is_no_intent_is_an_error() {
+        let mut tail = encoded(&W::TakePending(JobId(1)));
+        tail.push(0);
+        for record in [vec![9, 0, 0, 0, 0, 0, 0, 0, 0], tail] {
+            let mut wal = Wal::default();
+            wal.append(|w| w.put_fixed(&record)).expect("small record");
+            assert!(SystemDb::replay(wal.bytes()).is_err(), "{record:?}");
+        }
+    }
+
+    fn encoded(intent: &WriteIntent) -> Vec<u8> {
+        let mut w = gpunion_protocol::WireWriter::new();
+        intent.encode(&mut w);
+        w.finish().to_vec()
     }
 }

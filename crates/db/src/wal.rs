@@ -4,14 +4,12 @@
 //! allocations, and historical monitoring data" (§3.2). Durability here is
 //! modelled over an in-memory byte log (the simulator has no real disk), but
 //! the format is the real thing: `[len u32][crc32 u32][payload]` records,
-//! torn-tail tolerance on recovery, and corruption detection — the
-//! properties a WAL actually has to provide.
+//! torn-tail tolerance on recovery, and corruption detection. A payload is
+//! encoded by the wire codec's [`WireWriter`] straight into the log's own
+//! buffer, so an append allocates nothing but that buffer's doubling.
 
-use std::fmt;
-
-/// Log sequence number of an appended record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Lsn(pub u64);
+use bytes::BytesMut;
+use gpunion_protocol::{WireError, WireSink, WireWriter};
 
 /// Recovery outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +24,7 @@ pub struct Recovery {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) — implemented inline; small and standard.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc ^= b as u32;
@@ -41,61 +39,35 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// The write-ahead log.
 #[derive(Debug, Default, Clone)]
 pub struct Wal {
-    buf: Vec<u8>,
-    next_lsn: u64,
+    buf: BytesMut,
 }
 
 /// Maximum record payload (1 MiB — DB rows are small).
 const MAX_RECORD: usize = 1 << 20;
 
-/// Append error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordTooLarge {
-    /// Attempted size.
-    pub size: usize,
-}
-
-impl fmt::Display for RecordTooLarge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WAL record of {} bytes exceeds {MAX_RECORD}", self.size)
-    }
-}
-
-impl std::error::Error for RecordTooLarge {}
-
 impl Wal {
-    /// Fresh empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current size in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Records appended so far.
-    pub fn record_count(&self) -> u64 {
-        self.next_lsn
-    }
-
-    /// Append one record, returning its LSN.
-    pub fn append(&mut self, payload: &[u8]) -> Result<Lsn, RecordTooLarge> {
-        if payload.len() > MAX_RECORD {
-            return Err(RecordTooLarge {
-                size: payload.len(),
-            });
+    /// Append one record whose payload is what `encode` writes. A payload
+    /// over 1 MiB is taken back out and refused.
+    pub fn append(&mut self, encode: impl FnOnce(&mut WireWriter)) -> Result<(), WireError> {
+        let header = self.buf.len();
+        let mut w = WireWriter::from_buf(std::mem::take(&mut self.buf));
+        w.put_fixed(&[0; 8]); // length and CRC, filled in below
+        encode(&mut w);
+        self.buf = w.into_buf();
+        let payload = header + 8;
+        let size = self.buf.len() - payload;
+        if size > MAX_RECORD {
+            self.buf.truncate(header);
+            let (declared, max) = (size as u64, MAX_RECORD as u64);
+            return Err(WireError::LengthOverflow { declared, max });
         }
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        let lsn = Lsn(self.next_lsn);
-        self.next_lsn += 1;
-        Ok(lsn)
+        let crc = crc32(&self.buf[payload..]);
+        self.buf[header..header + 4].copy_from_slice(&(size as u32).to_le_bytes());
+        self.buf[header + 4..payload].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
     }
 
-    /// Raw bytes (what would be on disk) — for recovery tests and snapshots.
+    /// Raw bytes (what would be on disk), for recovery and replay.
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -105,54 +77,45 @@ impl Wal {
     /// good record and flags corruption.
     pub fn recover(bytes: &[u8]) -> Recovery {
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            if pos + 8 > bytes.len() {
-                return Recovery {
-                    torn_tail_bytes: bytes.len() - pos,
-                    records,
-                    corruption_detected: false,
-                };
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let mut pos = 0;
+        let corruption_detected = loop {
+            let Some(header) = bytes.get(pos..pos + 8) else {
+                break false;
+            };
+            let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4"));
+            let len = word(0) as usize;
             if len > MAX_RECORD {
-                // Garbage length ⇒ treat as corruption.
-                return Recovery {
-                    records,
-                    torn_tail_bytes: 0,
-                    corruption_detected: true,
-                };
+                break true; // a garbage length
             }
-            if pos + 8 + len > bytes.len() {
-                return Recovery {
-                    torn_tail_bytes: bytes.len() - pos,
-                    records,
-                    corruption_detected: false,
-                };
-            }
-            let payload = &bytes[pos + 8..pos + 8 + len];
-            if crc32(payload) != crc {
-                return Recovery {
-                    records,
-                    torn_tail_bytes: 0,
-                    corruption_detected: true,
-                };
+            let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
+                break false;
+            };
+            if crc32(payload) != word(4) {
+                break true;
             }
             records.push(payload.to_vec());
             pos += 8 + len;
+        };
+        let torn_tail_bytes = if corruption_detected {
+            0
+        } else {
+            bytes.len() - pos
+        };
+        Recovery {
+            records,
+            torn_tail_bytes,
+            corruption_detected,
         }
-    }
-
-    /// Truncate the log after a snapshot (compaction).
-    pub fn truncate(&mut self) {
-        self.buf.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put(wal: &mut Wal, payload: &[u8]) -> Result<(), WireError> {
+        wal.append(|w| w.put_fixed(payload))
+    }
 
     #[test]
     fn crc32_known_vectors() {
@@ -166,23 +129,22 @@ mod tests {
 
     #[test]
     fn append_and_recover_all() {
-        let mut wal = Wal::new();
+        let mut wal = Wal::default();
         let payloads: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; (i as usize + 1) * 3]).collect();
         for p in &payloads {
-            wal.append(p).unwrap();
+            put(&mut wal, p).unwrap();
         }
         let rec = Wal::recover(wal.bytes());
         assert_eq!(rec.records, payloads);
         assert_eq!(rec.torn_tail_bytes, 0);
         assert!(!rec.corruption_detected);
-        assert_eq!(wal.record_count(), 10);
     }
 
     #[test]
     fn torn_tail_tolerated() {
-        let mut wal = Wal::new();
-        wal.append(b"complete").unwrap();
-        wal.append(b"will-be-torn").unwrap();
+        let mut wal = Wal::default();
+        put(&mut wal, b"complete").unwrap();
+        put(&mut wal, b"will-be-torn").unwrap();
         let bytes = wal.bytes();
         let torn = &bytes[..bytes.len() - 5];
         let rec = Wal::recover(torn);
@@ -194,10 +156,10 @@ mod tests {
 
     #[test]
     fn corruption_detected_and_stops() {
-        let mut wal = Wal::new();
-        wal.append(b"good-one").unwrap();
-        wal.append(b"corrupt-me").unwrap();
-        wal.append(b"after").unwrap();
+        let mut wal = Wal::default();
+        put(&mut wal, b"good-one").unwrap();
+        put(&mut wal, b"corrupt-me").unwrap();
+        put(&mut wal, b"after").unwrap();
         let mut bytes = wal.bytes().to_vec();
         // Flip a byte inside record 2's payload.
         let pos = 8 + 8 + 8 + 3;
@@ -209,21 +171,17 @@ mod tests {
 
     #[test]
     fn oversized_record_rejected() {
-        let mut wal = Wal::new();
+        let mut wal = Wal::default();
+        put(&mut wal, b"kept").unwrap();
+        let before = wal.bytes().len();
         let huge = vec![0u8; MAX_RECORD + 1];
-        assert!(wal.append(&huge).is_err());
-        assert_eq!(wal.record_count(), 0);
-    }
-
-    #[test]
-    fn truncate_compacts() {
-        let mut wal = Wal::new();
-        wal.append(b"x").unwrap();
-        assert!(wal.len_bytes() > 0);
-        wal.truncate();
-        assert_eq!(wal.len_bytes(), 0);
-        // LSNs keep increasing after compaction.
-        assert_eq!(wal.append(b"y").unwrap(), Lsn(1));
+        assert!(put(&mut wal, &huge).is_err());
+        assert_eq!(
+            wal.bytes().len(),
+            before,
+            "the refused record is taken back out"
+        );
+        assert_eq!(Wal::recover(wal.bytes()).records, vec![b"kept".to_vec()]);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //!   (migration downtime, scheduling latency).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Time-weighted average of a piecewise-constant signal.
 ///
 /// Call [`TimeWeighted::set`] whenever the signal changes; the collector
 /// integrates value × duration between changes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
@@ -94,7 +93,7 @@ impl TimeWeighted {
 
 /// Online (Welford-style incremental) mean / sum / extrema for sampled
 /// values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Online {
     n: u64,
     mean: f64,

@@ -9,11 +9,10 @@
 
 use crate::specs::{GpuModel, GpuSpec};
 use gpunion_des::{SimTime, TimeWeighted};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Handle to one VRAM allocation on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemAllocId(pub u64);
 
 /// Errors from device operations.
@@ -47,7 +46,7 @@ impl std::fmt::Display for GpuError {
 impl std::error::Error for GpuError {}
 
 /// Point-in-time telemetry snapshot — the PyNVML surface the agent reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuTelemetry {
     /// VRAM in use, bytes.
     pub memory_used: u64,

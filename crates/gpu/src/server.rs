@@ -8,14 +8,13 @@
 use crate::device::{GpuDevice, GpuError, GpuTelemetry, MemAllocId};
 use crate::specs::{ComputeCapability, GpuModel};
 use gpunion_des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Index of a GPU within one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuIndex(pub u8);
 
 /// Static description of a machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerSpec {
     /// Hostname, e.g. "lab3-ws1".
     pub hostname: String,

@@ -6,11 +6,10 @@
 //! throughput; the thermal/power telemetry the agent reports via PyNVML
 //! depends on TDP. The numbers below are the public spec-sheet values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// CUDA compute capability, e.g. 8.6 for Ampere consumer parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComputeCapability {
     /// Major version.
     pub major: u8,
@@ -33,7 +32,7 @@ impl fmt::Display for ComputeCapability {
 
 /// The GPU models that appear in the paper's deployment, plus the A100 80 GB
 /// variant for heterogeneity experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuModel {
     /// NVIDIA GeForce RTX 3090 (Ampere, 24 GB) — the 8 workstation cards.
     Rtx3090,
@@ -48,7 +47,7 @@ pub enum GpuModel {
 }
 
 /// Static properties of a GPU model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: &'static str,

@@ -10,7 +10,6 @@
 use crate::framing::MAX_FRAME_LEN;
 use crate::wire::{CountingSink, WireError, WireReader, WireSink, WireWriter};
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Protocol version; bumped on incompatible changes.
@@ -18,7 +17,7 @@ pub const PROTOCOL_VERSION: u8 = 1;
 
 /// Unique machine identifier assigned at registration (the paper's
 /// "registration scripts that generate unique machine identifiers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeUid(pub u64);
 
 impl NodeUid {
@@ -32,14 +31,14 @@ impl NodeUid {
 }
 
 /// Platform-wide job identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
 /// Platform-wide submitting-user identifier. It rides every
 /// [`DispatchSpec`] and is stored in the coordinator's job row; nothing
 /// orders or admits by it (every submission is admitted, and the pending
 /// queue is priority then FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub u64);
 
 impl UserId {
@@ -48,7 +47,7 @@ impl UserId {
 }
 
 /// 128-bit bearer token issued at registration.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AuthToken(pub [u8; 16]);
 
 impl AuthToken {
@@ -64,7 +63,7 @@ impl fmt::Debug for AuthToken {
 }
 
 /// Hardware inventory for one GPU, sent at registration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuInfo {
     /// Marketing name ("NVIDIA GeForce RTX 3090").
     pub model_name: String,
@@ -79,7 +78,7 @@ pub struct GpuInfo {
 }
 
 /// Telemetry for one GPU, carried in every heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuStat {
     /// Bytes of VRAM in use.
     pub memory_used: u64,
@@ -94,7 +93,7 @@ pub struct GpuStat {
 }
 
 /// Coarse workload state as reported over the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadState {
     /// Image pull / verify / container start.
     Provisioning,
@@ -111,7 +110,7 @@ pub enum WorkloadState {
 }
 
 /// Status of one workload in a heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStatus {
     /// Job.
     pub job: JobId,
@@ -124,7 +123,7 @@ pub struct WorkloadStatus {
 }
 
 /// How a provider is leaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepartureMode {
     /// Scheduled departure: workloads get `grace_secs` to checkpoint.
     Graceful {
@@ -136,7 +135,7 @@ pub enum DepartureMode {
 }
 
 /// Why a workload was killed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillReason {
     /// The provider pressed the kill-switch.
     ProviderKillSwitch,
@@ -147,7 +146,7 @@ pub enum KillReason {
 }
 
 /// Execution mode requested for a dispatch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecMode {
     /// Batch job with an entrypoint.
     Batch {
@@ -162,7 +161,7 @@ pub enum ExecMode {
 }
 
 /// Everything an agent needs to run a job — the payload of `Dispatch`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DispatchSpec {
     /// Job being placed.
     pub job: JobId,
@@ -197,7 +196,7 @@ pub struct DispatchSpec {
 /// Node-membership and platform-status traffic: registration, liveness,
 /// departure, provider pausing, and protocol errors. Everything here is
 /// about *nodes joining/leaving/reporting*, never about a specific job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Control {
     /// Agent → coordinator: join the platform.
     Register {
@@ -269,7 +268,7 @@ pub enum Control {
 
 /// Job-placement and workload-lifecycle traffic: dispatch, kills,
 /// checkpoints, and workload status. Everything here names a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Work {
     /// Coordinator → agent: place this job.
     Dispatch {
@@ -321,7 +320,7 @@ pub enum Work {
 /// node membership/status traffic, [`Work`] carries job placement and
 /// lifecycle traffic. Wire tags are flat across both groups, so the
 /// encoding of every pre-existing variant is unchanged by the grouping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Node membership / platform status.
     Control(Control),

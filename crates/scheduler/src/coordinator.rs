@@ -1997,9 +1997,9 @@ mod tests {
         settle_db(c);
         let db = c.db.state();
         out += &format!(
-            "{:?} {} {}\n",
+            "{:?} {:?} {}\n",
             db.pending_in_order().collect::<Vec<_>>(),
-            db.write_count(),
+            db.log(),
             c.db.applied_writes()
         );
         out

@@ -8,10 +8,9 @@
 
 use crate::topology::LinkId;
 use gpunion_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What a byte on the wire was moving for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrafficClass {
     /// Scheduler/agent control messages: heartbeats, dispatches, acks.
     Control,

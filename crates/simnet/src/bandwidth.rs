@@ -1,6 +1,5 @@
 //! Link bandwidth as a strongly-typed quantity.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -8,7 +7,7 @@ use std::ops::{Add, Div, Mul, Sub};
 ///
 /// Campus deployments in the paper use 1 Gb/s access links and a 10 Gb/s
 /// backbone; constructors are provided for the common units.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {

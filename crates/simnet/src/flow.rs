@@ -29,10 +29,9 @@ use crate::accounting::{Accounting, TrafficClass};
 use crate::bandwidth::Bandwidth;
 use crate::topology::{Channel, Route, Topology};
 use gpunion_des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an in-flight bulk transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 /// Why a flow left the flow table.

@@ -13,19 +13,18 @@
 
 use crate::bandwidth::Bandwidth;
 use gpunion_des::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::ops::Deref;
 
 /// A network endpoint (server, workstation, switch, or the coordinator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// An undirected link between a leaf and the switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// One direction of a link: `link` traversed from `from` towards `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Channel {
     /// The underlying undirected link.
     pub link: LinkId,

@@ -7,10 +7,9 @@
 //! framework re-initialization.
 
 use gpunion_des::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Cost parameters for application-level checkpointing on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointCostModel {
     /// Serialization throughput to local disk, bytes/sec (NVMe-class).
     pub serialize_bytes_per_sec: f64,

@@ -8,13 +8,12 @@
 
 use gpunion_des::SimDuration;
 use gpunion_gpu::ComputeCapability;
-use serde::{Deserialize, Serialize};
 
 const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
 /// Canonical workload classes used across experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelClass {
     /// ResNet-style CNN (~100 MB state): fast checkpoints.
     CnnSmall,
@@ -30,7 +29,7 @@ pub enum ModelClass {
 }
 
 /// Static parameters of a model class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelProfile {
     /// Display name.
     pub name: &'static str,
@@ -105,7 +104,7 @@ impl ModelClass {
 }
 
 /// A batch training job request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingJobSpec {
     /// Model class.
     pub model: ModelClass,
@@ -157,7 +156,7 @@ pub fn iter_secs(model: ModelClass, tflops: f64, gpus: u8) -> f64 {
 }
 
 /// An interactive (Jupyter) session request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractiveSpec {
     /// VRAM the session needs on one GPU.
     pub gpu_mem_bytes: u64,

@@ -8,10 +8,9 @@
 
 use gpunion_des::{exponential, log_normal, RngPool, SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The three interruption classes from the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptionKind {
     /// Provider initiates graceful shutdown; workloads get a grace window.
     ScheduledDeparture,
@@ -33,7 +32,7 @@ impl InterruptionKind {
 }
 
 /// One provider interruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterruptionEvent {
     /// When it happens.
     pub at: SimTime,
@@ -46,7 +45,7 @@ pub struct InterruptionEvent {
 }
 
 /// Churn generator parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnModel {
     /// Interruption events per day per node (the paper sweeps 0.5–3.2).
     pub events_per_day: f64,

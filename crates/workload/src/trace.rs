@@ -14,14 +14,13 @@
 use crate::job::{InteractiveSpec, ModelClass, TrainingJobSpec};
 use gpunion_des::{exponential, log_normal, RngPool, SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a research group in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LabId(pub u32);
 
 /// A research group and its demand characteristics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabProfile {
     /// Group name for reports.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct LabProfile {
 }
 
 /// One demand event in the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Arrival time.
     pub at: SimTime,
@@ -48,7 +47,7 @@ pub struct TraceEvent {
 }
 
 /// The two request kinds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Batch training job.
     Training(TrainingJobSpec),
@@ -57,7 +56,7 @@ pub enum Request {
 }
 
 /// Trace-level configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Simulated horizon.
     pub horizon: SimDuration,

@@ -13,7 +13,6 @@
 
 use crate::job::{iter_secs, ModelClass, TrainingJobSpec};
 use gpunion_des::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Logical page size of checkpointed state: 4 MiB (coarse-grained dirty
 /// tracking, the granularity PyTorch checkpoint shards change at).
@@ -29,7 +28,7 @@ const DELTA_BYTES_PER_PAGE: u64 = 8;
 const LOG_BYTES_PER_ITER: u64 = 256;
 
 /// Outcome of advancing a run for some wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunProgress {
     /// Still training.
     InProgress,
