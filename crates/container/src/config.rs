@@ -337,7 +337,6 @@ impl ContainerConfigBuilder {
 mod tests {
     use super::*;
     use crate::image::{standard_catalogue, ImageRef};
-    use crate::sha256::Sha256;
 
     fn image() -> ImageRef {
         let (_, refs) = standard_catalogue();
@@ -446,12 +445,15 @@ mod tests {
         assert_eq!(c.mode, ExecutionMode::Interactive { jupyter_port: 8888 });
     }
 
+    /// A built config pins its image to the catalogue manifest's content
+    /// digest: the identity the deployment-time admission check verifies.
     #[test]
-    fn config_serde_roundtrip_digest() {
-        // The config participates in dispatch messages; make sure identity
-        // (the image digest) is carried by the Digest type.
-        let c = ContainerConfigBuilder::new(image()).build().unwrap();
-        let d2 = Sha256::digest(b"x");
-        assert_ne!(c.image.digest, d2);
+    fn config_pins_the_manifest_digest() {
+        let (registry, refs) = standard_catalogue();
+        let c = ContainerConfigBuilder::new(refs[0].clone())
+            .build()
+            .unwrap();
+        let manifest = registry.manifest(&c.image).expect("a catalogue image");
+        assert_eq!(c.image.digest, manifest.digest());
     }
 }

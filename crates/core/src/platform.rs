@@ -37,10 +37,10 @@ pub type PlatformSim = Sim<Platform, PlatformEvent>;
 /// Typed top-level simulation events.
 ///
 /// These replace the boxed closures the platform used to schedule for its
-/// recurring work: the values live in the simulator's event slab, so the
-/// steady-state schedule→fire cycle touches no allocator. The pump is the
-/// simulator's armed event ([`Sim::arm_at`]): re-arming it never touches
-/// the timer wheel.
+/// recurring work: the values live by value in the simulator's heap, so
+/// the steady-state schedule→fire cycle touches no allocator. The pump is
+/// the simulator's armed event ([`Sim::arm_at`]): re-arming it never
+/// touches the heap, which holds only boots and harness injections.
 #[derive(Debug)]
 pub enum PlatformEvent {
     /// Wake the pump: advance all passive components to `now`.
@@ -55,8 +55,8 @@ pub enum PlatformEvent {
 /// A harness injection: what `Scenario` used to encode as (triple-)nested
 /// boxed closures, now plain data dispatched by [`Platform::run_injection`].
 ///
-/// Arrival variants box their specs so the recurring variants stay small in
-/// the event slab; the boxing happens once at scenario construction (the
+/// Arrival variants box their specs so every event stays small in the
+/// simulator's heap; the boxing happens once at scenario construction (the
 /// cold path), exactly where the old closure capture allocated.
 #[derive(Debug)]
 pub enum Injection {

@@ -123,11 +123,21 @@ impl SystemDb {
     /// records in order; a torn or corrupt tail ends the replay at the last
     /// whole record. Heartbeat status writes are not logged, so a node's
     /// `last_seen` is what its last registration wrote. An intact record
-    /// that is no [`WriteIntent`] is an error.
+    /// that is no [`WriteIntent`] is an error, and so is a node uid not
+    /// below the log's length: uids are issued densely from 0 and each
+    /// costs the log a record of more than 20 bytes, so a larger uid was
+    /// never issued, and it would size the dense node table to itself.
     pub fn replay(bytes: &[u8]) -> Result<SystemDb, WireError> {
         let mut db = SystemDb::new();
         for record in Wal::recover(bytes).records {
-            db.apply(SimTime::ZERO, WriteIntent::decode(&record)?);
+            let intent = WriteIntent::decode(&record)?;
+            if let WriteIntent::UpsertNode(row) = &intent {
+                if row.uid.slot() >= bytes.len() {
+                    let (declared, max) = (row.uid.0, bytes.len() as u64);
+                    return Err(WireError::LengthOverflow { declared, max });
+                }
+            }
+            db.apply(SimTime::ZERO, intent);
         }
         Ok(db)
     }
@@ -737,6 +747,34 @@ mod replay {
             let mut wal = Wal::default();
             wal.append(|w| w.put_fixed(&record)).expect("small record");
             assert!(SystemDb::replay(wal.bytes()).is_err(), "{record:?}");
+        }
+    }
+
+    /// A checksummed registration whose uid no coordinator issued — one
+    /// past the platform's index type, or one far past the log's length —
+    /// fails the replay instead of panicking or sizing the node table to
+    /// it.
+    #[test]
+    fn a_node_uid_past_the_log_is_an_error() {
+        for uid in [u64::MAX, 1 << 40] {
+            let at = SimTime::ZERO;
+            let row = NodeRecord {
+                uid: NodeUid(uid),
+                hostname: "ws".into(),
+                gpu_count: 1,
+                registered_at: at,
+                last_seen: at,
+                state: NodeState::Active,
+            };
+            let mut wal = Wal::default();
+            wal.append(|w| W::UpsertNode(row).encode(w))
+                .expect("small record");
+            assert_eq!(Wal::recover(wal.bytes()).records.len(), 1, "intact");
+            let max = wal.bytes().len() as u64;
+            assert_eq!(
+                SystemDb::replay(wal.bytes()).unwrap_err(),
+                WireError::LengthOverflow { declared: uid, max }
+            );
         }
     }
 

@@ -1,16 +1,17 @@
 //! # gpunion-des — discrete-event simulation kernel
 //!
 //! The foundation of the GPUnion reproduction: a deterministic
-//! discrete-event simulator with a nanosecond virtual clock, a timer wheel
-//! plus one re-armable event slot, named reproducible RNG streams, and the
-//! statistics collectors the paper's evaluation metrics are computed from.
+//! discrete-event simulator with a nanosecond virtual clock, a binary heap
+//! of events plus one re-armable event slot, named reproducible RNG
+//! streams, and the statistics collectors the paper's evaluation metrics
+//! are computed from.
 //!
 //! Everything above this crate — the campus network, GPU servers, container
 //! runtime, provider agents, and the central scheduler — advances by
 //! scheduling [`TypedEvent`] values on a [`Sim`]: plain data that can be
-//! recorded and replayed, fired by value from a recycled slab slot. The
-//! platform's pump, the one event that is re-armed over and over, waits in
-//! the armed slot instead ([`Sim::arm_at`]).
+//! recorded and replayed, held by value in the queue and fired by value.
+//! The platform's pump, the one event that is re-armed over and over,
+//! waits in the armed slot instead ([`Sim::arm_at`]).
 //!
 //! ## Determinism contract
 //!
@@ -28,7 +29,6 @@ pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
-mod wheel;
 
 pub use event::TypedEvent;
 pub use rng::{chance, exponential, log_normal, RngPool};
@@ -46,9 +46,10 @@ mod proptests {
     /// One step of the equivalence workload driven against both queues.
     #[derive(Debug, Clone)]
     enum Op {
-        /// Near-horizon event (exercises wheel levels 0–3).
+        /// Event within ~1 ms of the clock.
         Schedule { dt: u64 },
-        /// Far-future event (exercises the overflow heap + promotion).
+        /// Event 37 minutes to 10 hours past the clock, far beyond any
+        /// `RunUntil` step: it waits while nearer events fire around it.
         ScheduleFar { dt: u64 },
         /// Event whose handler schedules a follow-up (insert-during-fire).
         Chained { dt: u64, child_dt: u64 },
@@ -86,7 +87,7 @@ mod proptests {
     /// Labels ≥ this mark chained children (scheduled mid-fire).
     const CHILD: u64 = 1 << 32;
 
-    /// The wheel side's event: log `(label, now)`; a chain parent then
+    /// The `Sim` side's event: log `(label, now)`; a chain parent then
     /// schedules one child `child` later, and an armed event re-arms
     /// itself `step` later while hops remain.
     enum Rec {
@@ -188,8 +189,8 @@ mod proptests {
     }
 
     proptest! {
-        /// The slab + timer-wheel [`Sim`] with its armed slot is
-        /// observationally identical to the frozen heap-backed [`HeapSim`]
+        /// The typed-event [`Sim`], one heap plus its armed slot, is
+        /// observationally identical to the frozen closure-queue [`HeapSim`]
         /// oracle, where a re-arm is a cancel plus a schedule, under random
         /// interleavings of schedule / far-schedule / chained-schedule /
         /// arm (self-re-arming) / `run_until`: same fire logs (so the exact

@@ -1,12 +1,12 @@
-//! The original heap-backed event queue, kept as a test-only oracle.
+//! The original closure-queue simulator, kept as a test-only oracle.
 //!
-//! `HeapSim` is the pre-wheel implementation of the simulator verbatim:
-//! a `BinaryHeap` of boxed `FnOnce` closures ordered by `(time, seq)` with
-//! a `HashSet` cancellation side-table. Its one job is the equivalence
-//! proptest in this crate, which runs it side-by-side with the slab +
-//! timer-wheel `Sim` under random schedule / re-arm / `run_until`
-//! interleavings and asserts identical fire logs and clocks. `Sim` arms
-//! its re-armable event in a slot beside the wheel; here a re-arm is what
+//! `HeapSim` is the simulator's first event queue, verbatim: a
+//! `BinaryHeap` of boxed `FnOnce` closures ordered by `(time, seq)` with a
+//! `HashSet` cancellation side-table. Its one job is the equivalence
+//! proptest in this crate, which runs it side-by-side with the typed-event
+//! `Sim` under random schedule / re-arm / `run_until` interleavings and
+//! asserts identical fire logs and clocks. `Sim` arms
+//! its re-armable event in a slot beside its queue; here a re-arm is what
 //! it was before that slot existed, a `cancel` of the armed id plus a
 //! schedule.
 //!

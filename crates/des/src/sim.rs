@@ -1,24 +1,59 @@
 //! The discrete-event simulator core.
 //!
-//! A [`Sim<W, E>`] owns the virtual clock, an event slab
-//! ([`crate::event`]), a hierarchical timer wheel (`wheel` module), and
-//! one slot beside the wheel for a re-armable event ([`Sim::arm_at`]).
-//! Every event is a value of a world-specific enum `E` implementing
-//! [`TypedEvent`]: plain data, so the warm schedule→fire and fire→re-arm
-//! cycles allocate nothing.
+//! A [`Sim<W, E>`] owns the virtual clock, one binary heap of scheduled
+//! events held by value, and one slot beside it for a re-armable event
+//! ([`Sim::arm_at`]). Every event is a value of a world-specific enum `E`
+//! implementing [`TypedEvent`]: plain data, so once the heap has grown to
+//! its high-water mark the warm schedule→fire and fire→re-arm cycles
+//! allocate nothing.
 //!
 //! Determinism: events at the same instant fire in the order they were
 //! scheduled or armed (a monotonically increasing sequence number breaks
 //! ties), so a simulation with a fixed seed is exactly reproducible. The
-//! wheel plus the armed slot preserve the `(time, seq)` FIFO contract
-//! bit-identically with the old heap-backed queue, where a re-arm was a
+//! heap plus the armed slot preserve the `(time, seq)` FIFO contract
+//! bit-identically with the old closure queue, where a re-arm was a
 //! cancel plus a schedule — proven by a proptest in this crate that runs
-//! the frozen heap implementation as a reference oracle.
+//! that frozen implementation as a reference oracle.
 
-use crate::event::{EventSlab, TypedEvent};
+use crate::event::TypedEvent;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{TimerWheel, WheelEntry};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+
+/// A scheduled event and its place in the `(at, seq)` order; `seq` is
+/// unique, so the order is total and the event never takes part in it.
+struct Queued<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Queued<E> {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Queued<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Queued<E> {}
+
+impl<E> PartialOrd for Queued<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Queued<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// Discrete-event simulator over a world state `W` and a typed-event enum
 /// `E`.
@@ -47,13 +82,10 @@ use std::marker::PhantomData;
 /// ```
 pub struct Sim<W, E> {
     now: SimTime,
-    slab: EventSlab<E>,
-    wheel: TimerWheel,
-    /// The wheel's earliest entry, kept up to date on every insert and pop
-    /// so that choosing the next event never searches the wheel.
-    head: Option<WheelEntry>,
-    /// The re-armable event beside the wheel: `(at, seq, event)`.
-    armed: Option<(u64, u64, E)>,
+    /// Scheduled events, earliest `(at, seq)` on top.
+    queue: BinaryHeap<Reverse<Queued<E>>>,
+    /// The re-armable event beside the queue.
+    armed: Option<Queued<E>>,
     next_seq: u64,
     executed: u64,
     /// Per-kind fired counters, `None` (the default) when profiling is
@@ -75,9 +107,7 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            slab: EventSlab::new(),
-            wheel: TimerWheel::new(),
-            head: None,
+            queue: BinaryHeap::new(),
             armed: None,
             next_seq: 0,
             executed: 0,
@@ -113,25 +143,18 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
 
     /// Number of events still pending, the armed one included.
     pub fn pending(&self) -> usize {
-        self.slab.live() + usize::from(self.armed.is_some())
+        self.queue.len() + usize::from(self.armed.is_some())
     }
 
     /// Schedule a typed event at absolute time `at`. Scheduling in the past
     /// fires the event at the current instant instead (never rewinds the
-    /// clock). No allocation on the warm path: the value lives in a
-    /// recycled slab slot, and the `(time, seq)` order is the heap push
-    /// order of the old queue.
+    /// clock). No allocation on the warm path: the heap keeps its
+    /// capacity, and ties at one instant fire in scheduling order.
     pub fn schedule_typed_at(&mut self, at: SimTime, event: E) {
-        let entry = WheelEntry {
-            at: at.max(self.now).as_nanos(),
-            seq: self.next_seq,
-            slot: self.slab.insert(event),
-        };
+        let at = at.max(self.now).as_nanos();
+        let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.insert(entry);
-        if self.head.is_none_or(|head| entry < head) {
-            self.head = Some(entry);
-        }
+        self.queue.push(Reverse(Queued { at, seq, event }));
     }
 
     /// Schedule a typed event after a relative delay.
@@ -144,15 +167,16 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     /// event is dropped unfired. A replacement draws the next sequence
     /// number, exactly as cancelling the old event and scheduling the new
     /// one would, so it ties with scheduled events the same way. The slot
-    /// sits beside the wheel: the warm fire→re-arm cycle never touches the
-    /// wheel and allocates nothing.
+    /// sits beside the queue: the warm fire→re-arm cycle never touches the
+    /// heap and allocates nothing.
     pub fn arm_at(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now).as_nanos();
-        if matches!(self.armed, Some((armed_at, ..)) if armed_at <= at) {
+        if self.armed.as_ref().is_some_and(|armed| armed.at <= at) {
             return;
         }
-        self.armed = Some((at, self.next_seq, event));
+        let seq = self.next_seq;
         self.next_seq += 1;
+        self.armed = Some(Queued { at, seq, event });
     }
 
     /// Run until the queue drains. Returns the number of events executed.
@@ -167,26 +191,26 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> u64 {
         let start_count = self.executed;
         loop {
-            // The armed event or the wheel's head, whichever is first by
+            // The armed event or the queue's head, whichever is first by
             // `(time, seq)`.
-            let (at, armed) = match (self.armed.as_ref(), self.head) {
-                (Some(&(at, seq, _)), Some(head)) if (at, seq) < (head.at, head.seq) => (at, true),
-                (_, Some(head)) => (head.at, false),
-                (Some(&(at, ..)), None) => (at, true),
-                (None, None) => break,
+            let armed_first = match (&self.armed, self.queue.peek()) {
+                (Some(armed), Some(Reverse(head))) => armed < head,
+                (armed, _) => armed.is_some(),
             };
-            if at > deadline.as_nanos() {
+            let next = if armed_first {
+                self.armed.as_ref()
+            } else {
+                self.queue.peek().map(|Reverse(head)| head)
+            };
+            if next.is_none_or(|next| next.at > deadline.as_nanos()) {
                 break;
             }
-            let event = if armed {
-                self.armed.take().expect("chosen above").2
+            let Queued { at, event, .. } = if armed_first {
+                self.armed.take()
             } else {
-                let entry = self.wheel.pop().expect("the head is filed");
-                debug_assert_eq!(Some(entry), self.head);
-                self.head = self.wheel.peek();
-                self.wheel.advance_to(at);
-                self.slab.take(entry.slot)
-            };
+                self.queue.pop().map(|Reverse(head)| head)
+            }
+            .expect("chosen above");
             self.fire(world, at, event);
         }
         // Leave a consistent "simulated through `deadline`" view.
@@ -442,9 +466,9 @@ mod tests {
         assert_eq!(sim.pending(), 0);
     }
 
-    /// A self-re-arming event interleaves with wheel events at exactly the
-    /// arithmetic instants, however far its fires leave the wheel's clock
-    /// behind, and its fires are counted by kind.
+    /// A self-re-arming event interleaves with queued events at exactly the
+    /// arithmetic instants, near ones and ones hours out alike, and its
+    /// fires are counted by kind.
     #[test]
     fn a_self_re_arming_event_interleaves_with_the_wheel() {
         let step = SimDuration::from_nanos(1_000_003);
@@ -454,11 +478,11 @@ mod tests {
         sim.arm_at(SimTime::ZERO + step, Ev::Rearm { hops: 999, step });
         let mut expected: Vec<(u64, &str)> =
             (1..=1_000).map(|k| (k * 1_000_003, "rearm")).collect();
-        // Wheel events over every level and past the overflow horizon.
+        // Queued events from 15 ms to 1.5 h out.
         for k in 1..=70u64 {
             let t = k * k * k * 15_625_001;
-            sim.schedule_typed_at(at(t), Ev::Rec("wheel"));
-            expected.push((t, "wheel"));
+            sim.schedule_typed_at(at(t), Ev::Rec("queued"));
+            expected.push((t, "queued"));
         }
         expected.sort_unstable();
         sim.run(&mut w);
@@ -502,8 +526,8 @@ mod tests {
         assert_eq!(w.log, vec![(10, "parent"), (15, "nested")]);
     }
 
-    /// A typed chain walking across wheel levels (steps far larger than one
-    /// level span) fires at exactly the arithmetic instants.
+    /// A typed chain whose every link is scheduled from the previous one's
+    /// firing fires at exactly the arithmetic instants.
     #[test]
     fn typed_chain_crosses_wheel_levels_exactly() {
         let step = SimDuration::from_nanos((1 << 20) + 17);
@@ -555,8 +579,8 @@ mod tests {
         );
     }
 
-    /// Events at the `SimTime::MAX` horizon live in the far-future overflow
-    /// and still fire, after everything else, with the clock landing on MAX.
+    /// Events at the `SimTime::MAX` horizon still fire, after everything
+    /// else, with the clock landing on MAX.
     #[test]
     fn event_at_time_max_fires_last() {
         let mut sim = Sim::new();
@@ -568,16 +592,15 @@ mod tests {
         assert_eq!(sim.now(), SimTime::MAX);
     }
 
-    /// Far-future events must be promoted out of the overflow heap even
-    /// when nearer same-epoch events are scheduled after the clock has
-    /// entered that epoch (the promotion-order trap).
+    /// A far-future event fires before a later one that a nearer firing
+    /// schedules after it.
     #[test]
     fn overflow_promotion_keeps_time_order() {
-        const EPOCH: u64 = 1 << 42; // first time beyond the wheel horizon
+        const EPOCH: u64 = 1 << 42; // ~73 simulated minutes
         let mut sim = Sim::new();
         let mut w = W::default();
-        // Later than the still-overflowed (EPOCH + 10) event: the wheel
-        // must promote that one ahead of this same-epoch insert.
+        // Fires at EPOCH + 1 and schedules EPOCH + 50, after the
+        // (EPOCH + 10) event was scheduled: that one still fires first.
         sim.schedule_typed_at(
             at(EPOCH + 1),
             Ev::Spawn {

@@ -1,15 +1,14 @@
 //! Allocation discipline of the warm typed-event schedule→fire path.
 //!
-//! The point of the typed-event slab + timer wheel + armed slot is that the
-//! hot recurring event kinds — pump wakes, heartbeats, periodic timers —
-//! cost zero heap traffic at steady state: events recycle slab slots,
-//! wheel entries recycle arena nodes through intrusive per-slot lists, and
-//! the armed event re-arms in place. These tests pin that with a counting
-//! global allocator (same idiom as `scheduler/tests/alloc.rs` and
-//! `protocol/tests/alloc.rs`): warm the capacities up, then assert ZERO
-//! allocations over a measured window that covers level-0 inserts,
-//! multi-level cascades, self-rescheduling heartbeats and a self-re-arming
-//! pump.
+//! The point of typed events held by value in one heap, plus the armed
+//! slot, is that the hot recurring event kinds — pump wakes, heartbeats,
+//! periodic timers — cost zero heap traffic at steady state: the heap keeps
+//! the capacity its high-water mark gave it, and the armed event re-arms
+//! in place. These tests pin that with a counting global allocator (same
+//! idiom as `scheduler/tests/alloc.rs` and `protocol/tests/alloc.rs`): warm
+//! the capacity up, then assert ZERO allocations over a measured window
+//! that covers self-rescheduling heartbeats at staggered phases and a
+//! self-re-arming pump.
 //! The counter is **per thread** (const-initialized TLS, so reading it
 //! never recurses into the allocator): the libtest harness's main thread
 //! lazily initializes channel state while it blocks waiting for a test,
@@ -50,8 +49,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// A node heartbeat, the shape of the hot recurring wheel event in the
-/// platform, and the pump, its armed event.
+/// A node heartbeat, the shape of a hot recurring queued event, and the
+/// pump, the platform's armed event.
 enum Beat {
     Node { id: u32, period: SimDuration },
     Pump { every: SimDuration },
@@ -100,15 +99,13 @@ fn warm_typed_schedule_fire_path_does_not_allocate() {
     let nodes = 64u32;
     let period = SimDuration::from_secs(60);
     for id in 0..nodes {
-        // Staggered phases so level-0 slots, cascades, and slot vectors all
-        // see traffic.
+        // Staggered phases, so pushes and pops land all over the heap.
         let phase = SimTime::from_nanos(1 + id as u64 * 937_000_000);
         sim.schedule_typed_at(phase, Beat::Node { id, period });
     }
 
-    // Warm up: reach steady-state capacities (slab, free list, wheel node
-    // arena) across several full 60 s rounds — each one crosses multiple
-    // wheel levels.
+    // Warm up: reach the heap's steady-state capacity across several full
+    // 60 s rounds.
     drive(&mut sim, &mut w, nodes, 8);
 
     // Measured window: the same steady-state traffic must touch the
