@@ -66,7 +66,7 @@ pub enum FlowPurpose {
 }
 
 /// Actions the embedding loop must perform on the agent's behalf.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Action {
     /// Send a control message to the coordinator.
     Send(Message),
@@ -104,7 +104,7 @@ pub enum AgentPhase {
 }
 
 /// Per-workload execution phase: the workload's one lifecycle.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum WorkPhase {
     /// Image pull in progress.
     Pulling,
@@ -125,6 +125,7 @@ enum WorkPhase {
 }
 
 /// One workload under agent management.
+#[derive(Clone)]
 struct Workload {
     spec: DispatchSpec,
     /// The container config dispatch built and validated from `spec`.
@@ -153,6 +154,7 @@ impl Workload {
 }
 
 /// The provider agent.
+#[derive(Clone)]
 pub struct Agent {
     config: AgentConfig,
     server: GpuServer,

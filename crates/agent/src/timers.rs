@@ -26,7 +26,7 @@ pub(crate) enum Timer {
 }
 
 /// The armed timers of one agent.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Timers {
     /// Every armed timer but the heartbeat, by `(due, arm sequence)`.
     tree: BTreeMap<(SimTime, u64), Timer>,

@@ -87,8 +87,7 @@ fn env_factor(name: &str, default: f64) -> f64 {
 
 /// Wall-clock statistics of the **cold** actor turn that applies the
 /// 20-job queue writes and drains one scheduling pass at `n` nodes: the
-/// coordinator is rebuilt per sample (setup excluded, like the criterion
-/// harness).
+/// coordinator is rebuilt per sample, and the rebuild is not timed.
 fn pass_ns(n: usize, iters: usize) -> PassStats {
     let samples: Vec<u64> = (0..iters)
         .map(|_| {

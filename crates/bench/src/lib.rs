@@ -11,8 +11,8 @@
 //! | `scalability`        | §5.2 scalability discussion         |
 //! | `table1_comparison`  | Table 1 quantitative proxies        |
 //!
-//! Criterion benches measure the real data-structure costs: scheduling
-//! pass, protocol codec, and max-min reallocation.
+//! The `bench_gate` binary times single layers against a checked-in
+//! baseline: scheduling pass, heartbeat period and protocol codec.
 //!
 //! Scenario construction shared between a figure binary and its golden
 //! test lives here (e.g. [`net_traffic_run`]) so the test pins the same
@@ -351,8 +351,8 @@ pub fn loaded_coordinator_with(
     c
 }
 
-/// Pending jobs of the saturated-fleet pass rows (criterion
-/// `scheduling_pass/saturated_400`, gate row `pass_ns_400_saturated`).
+/// Pending jobs of the saturated-fleet pass row (gate row
+/// `pass_ns_400_saturated`).
 pub const SATURATED_JOBS: usize = 50;
 
 /// The status a heartbeat reports for `job` running on its node.

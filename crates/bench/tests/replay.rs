@@ -10,40 +10,16 @@
 //! writes are not logged, so a replayed row keeps the `last_seen` its last
 //! registration wrote.
 
-use gpunion_core::{PlatformConfig, Scenario};
+use gpunion_core::{fig3_scenario, Scenario};
 use gpunion_db::{NodeRecord, SystemDb};
-use gpunion_des::{RngPool, SimDuration, SimTime};
-use gpunion_gpu::{GpuModel, ServerSpec};
+use gpunion_des::{SimDuration, SimTime};
 use gpunion_protocol::{JobId, NodeUid};
-use gpunion_workload::{fig3_job_set, ChurnModel};
 
-/// `run_fig3(2, 1.5, seed)`'s campus, jobs and interruptions.
+/// `run_fig3(2, 1.5, seed)`'s campus, jobs and interruptions, run to the
+/// horizon.
 fn fig3_two_days(seed: u64) -> Scenario {
-    let config = PlatformConfig {
-        seed,
-        ..Default::default()
-    };
-    let specs: Vec<ServerSpec> = (0..4)
-        .map(|i| ServerSpec::workstation(format!("vol-{i}"), GpuModel::Rtx3090))
-        .collect();
-    let mut scenario = Scenario::new(config, &specs);
-    let days = 2;
-    let jobs = fig3_job_set();
-    let jobs_total = days * 9;
-    let spacing = (days * 86_400 - 40_000) / jobs_total;
-    for i in 0..jobs_total {
-        let spec = jobs[i as usize % jobs.len()].clone();
-        scenario.submit_training_at(SimTime::from_secs(60 + i * spacing), i, spec);
-    }
-    let churn = ChurnModel {
-        events_per_day: 1.5,
-        ..Default::default()
-    };
-    let horizon = SimDuration::from_days(days);
-    let events = churn.generate(2, horizon, &RngPool::new(seed ^ 0xF16));
-    let volunteers = [scenario.hosts()[0], scenario.hosts()[1]];
-    scenario.inject_interruptions(&events, &volunteers);
-    scenario.run_until(SimTime::ZERO + horizon);
+    let (mut scenario, _) = fig3_scenario(2, 1.5, seed);
+    scenario.run_until(SimTime::ZERO + SimDuration::from_days(2));
     scenario
 }
 

@@ -25,7 +25,7 @@ pub const JUPYTER_PROVISION: SimDuration = SimDuration::from_millis(9_000);
 const VERIFY_BYTES_PER_SEC: f64 = 1.8e9;
 
 /// The per-node runtime: the images this node has verified.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ContainerRuntime {
     image_cache: HashSet<Digest>,
 }

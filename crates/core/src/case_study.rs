@@ -218,6 +218,35 @@ impl Fig3Report {
 /// over a small fleet with 2 volunteer (churning) nodes, over `days` days
 /// at `events_per_day` interruptions per volunteer.
 pub fn run_fig3(days: u64, events_per_day: f64, seed: u64) -> Fig3Report {
+    let (mut scenario, jobs_total) = fig3_scenario(days, events_per_day, seed);
+    let end = SimTime::ZERO + SimDuration::from_days(days);
+    scenario.run_until(end);
+
+    let [scheduled, emergency, temporary] = attribute_displacements(
+        &scenario.injected,
+        &scenario.world.stats,
+        end,
+        // A displacement on a node within 10 min of that node losing its
+        // workloads belongs to the triggering event. (Heartbeat-loss
+        // detection adds up to 3 beats.)
+        SimDuration::from_mins(10),
+        // One restart window: the slack a displaced job needs before the
+        // horizon to have a fair shot at restarting (failure detection,
+        // requeue behind the backlog, redispatch, restore).
+        SimDuration::from_mins(30),
+    );
+    Fig3Report {
+        scheduled,
+        emergency,
+        temporary,
+        jobs_completed: scenario.world.stats.jobs_completed,
+        jobs_total,
+    }
+}
+
+/// [`run_fig3`]'s scenario, deployed, booted and staged but not yet run,
+/// with the number of jobs it submits over the `days`-day horizon.
+pub fn fig3_scenario(days: u64, events_per_day: f64, seed: u64) -> (Scenario, usize) {
     let config = PlatformConfig {
         seed,
         ..Default::default()
@@ -250,30 +279,7 @@ pub fn run_fig3(days: u64, events_per_day: f64, seed: u64) -> Fig3Report {
     let events = churn.generate(2, horizon, &RngPool::new(seed ^ 0xF16));
     let volunteers = [scenario.hosts()[0], scenario.hosts()[1]];
     scenario.inject_interruptions(&events, &volunteers);
-
-    let end = SimTime::ZERO + horizon;
-    scenario.run_until(end);
-
-    let [scheduled, emergency, temporary] = attribute_displacements(
-        &scenario.injected,
-        &scenario.world.stats,
-        end,
-        // A displacement on a node within 10 min of that node losing its
-        // workloads belongs to the triggering event. (Heartbeat-loss
-        // detection adds up to 3 beats.)
-        SimDuration::from_mins(10),
-        // One restart window: the slack a displaced job needs before the
-        // horizon to have a fair shot at restarting (failure detection,
-        // requeue behind the backlog, redispatch, restore).
-        SimDuration::from_mins(30),
-    );
-    Fig3Report {
-        scheduled,
-        emergency,
-        temporary,
-        jobs_completed: scenario.world.stats.jobs_completed,
-        jobs_total,
-    }
+    (scenario, jobs_total)
 }
 
 /// Attribute displacements to interruption classes (scheduled, emergency,

@@ -13,14 +13,23 @@ pub mod platform;
 pub mod scenario;
 
 pub use case_study::{
-    attribute_displacements, campus_shape, run_fig2, run_fig3, run_table1, Fig2Report, Fig3Report,
-    MigrationClassStats,
+    attribute_displacements, campus_shape, fig3_scenario, run_fig2, run_fig3, run_table1,
+    Fig2Report, Fig3Report, MigrationClassStats,
 };
 pub use platform::{
     Displacement, Injection, Payload, Platform, PlatformConfig, PlatformEvent, PlatformSim,
     PlatformStats,
 };
 pub use scenario::{InjectedInterruption, Scenario};
+
+// The world is a value: cloning a scenario (or a platform with its
+// simulator) forks the run, and the fork ends where the original does.
+const _: fn() = || {
+    fn clone<T: Clone>() {}
+    clone::<Platform>();
+    clone::<PlatformSim>();
+    clone::<Scenario>();
+};
 
 #[cfg(test)]
 mod tests {

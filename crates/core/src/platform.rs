@@ -37,11 +37,11 @@ pub type PlatformSim = Sim<Platform, PlatformEvent>;
 /// Typed top-level simulation events.
 ///
 /// These replace the boxed closures the platform used to schedule for its
-/// recurring work: the values live by value in the simulator's heap, so
+/// recurring work: the values live by value in the simulator's queue, so
 /// the steady-state schedule→fire cycle touches no allocator. The pump is
 /// the simulator's armed event ([`Sim::arm_at`]): re-arming it never
-/// touches the heap, which holds only boots and harness injections.
-#[derive(Debug)]
+/// touches the queue, which holds only boots and harness injections.
+#[derive(Debug, Clone)]
 pub enum PlatformEvent {
     /// Wake the pump: advance all passive components to `now`.
     Pump,
@@ -56,9 +56,9 @@ pub enum PlatformEvent {
 /// boxed closures, now plain data dispatched by [`Platform::run_injection`].
 ///
 /// Arrival variants box their specs so every event stays small in the
-/// simulator's heap; the boxing happens once at scenario construction (the
+/// simulator's queue; the boxing happens once at scenario construction (the
 /// cold path), exactly where the old closure capture allocated.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Injection {
     /// Submit a training job.
     Training {
@@ -161,7 +161,7 @@ pub struct Displacement {
 }
 
 /// Platform-level statistics collected during a run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PlatformStats {
     /// Job lifecycle log (ordered so post-run sweeps are deterministic).
     pub job_log: BTreeMap<JobId, Vec<(SimTime, JobEvent)>>,
@@ -256,6 +256,7 @@ impl Default for PlatformConfig {
 /// agent is boxed so a slot is 24 bytes: the wake index validates every
 /// entry against a slot's `wake`, and at 10 000 agents the table of those
 /// is 240 KB rather than a cold line of a 600-byte agent per check.
+#[derive(Clone)]
 struct AgentSlot {
     agent: Box<Agent>,
     /// The instant under which this agent is due in `wake_index`, `None`
@@ -270,6 +271,7 @@ struct AgentSlot {
 /// slots; the table is sized once at deploy, and walking it visits agents
 /// in ascending address order — the order boot staggering, uid assignment
 /// and the utilisation sums depend on.
+#[derive(Clone)]
 struct AgentTable(Vec<Option<AgentSlot>>);
 
 impl AgentTable {
@@ -312,7 +314,9 @@ impl AgentTable {
     }
 }
 
-/// The assembled platform (the simulation world).
+/// The assembled platform (the simulation world). A value: cloning it
+/// (with its [`PlatformSim`]) forks the run.
+#[derive(Clone)]
 pub struct Platform {
     /// The campus network.
     pub net: Network<Payload>,
@@ -943,9 +947,10 @@ impl Platform {
     /// was due changed nothing, so the three instants it read are still
     /// true and the pump is armed from them.
     ///
-    /// Agent wakes come off the wake index: each iteration pops only the
-    /// due prefix — amortised O(1) an entry for the append run that holds
-    /// nearly every wake, O(log n) for the rest — and visits the due agents
+    /// Agent wakes come off the wake index, a [`gpunion_des::TimeQueue`]
+    /// validated against the agent slots: each iteration pops only the due
+    /// prefix — amortised O(1) an entry for the append run that holds
+    /// nearly every wake, O(log n) for its heap — and visits the due agents
     /// in ascending address order, exactly the order the old full scan
     /// produced. Agents woken *by* this iteration's processing (a delivery
     /// arming a timer at or before `now`) re-enter the index via

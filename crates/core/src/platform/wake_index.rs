@@ -1,74 +1,51 @@
 //! The pump's wake index: which agents are due, and when the next one is.
 //!
-//! A heartbeat re-armed by a beat lands one period after `now`, at or after
-//! every wake filed before it, so nearly every refresh is an append. The
-//! index keeps those in an append-only run — a ring buffer, in
-//! non-decreasing instant order, whose front is its earliest — and files
-//! the rest (a job timer earlier than the last beat filed, a resync) in an
-//! ordered set.
+//! The agents' wakes sit in a [`TimeQueue`]: a heartbeat re-armed by a
+//! beat lands one period after `now`, at or after every wake filed before
+//! it, so nearly every refresh is an append to its run, and the rest (a
+//! job timer earlier than the last beat filed, a resync) go to its heap.
 //!
 //! Nothing is removed when an agent's wake moves or is cleared. The
 //! agent's slot holds the one wake that counts, and every entry is
 //! validated against it on the way out: the index may hold stale entries,
 //! and for one agent the same `(instant, addr)` twice (filed again after
-//! the first copy went stale, one copy in the run and one in the set).
-//! Popping *takes* the slot's wake, so whichever copy comes out first wakes
-//! the agent and the other is stale by then. The due set of an instant and
-//! the earliest live wake are therefore exactly those of an index that
-//! removed eagerly — the `BTreeSet<(SimTime, NodeId)>` this replaced, kept
-//! below as the reference the property test drives it against.
+//! the first copy went stale). Popping *takes* the slot's wake, so
+//! whichever copy comes out first wakes the agent and the other is stale
+//! by then. The due set of an instant and the earliest live wake are
+//! therefore exactly those of an index that removed eagerly — the
+//! `BTreeSet<(SimTime, NodeId)>` this replaced, kept below as the
+//! reference the property test drives it against.
 
-use gpunion_des::{earliest, SimTime};
+use gpunion_des::{SimTime, TimeQueue, Timed};
 use gpunion_simnet::NodeId;
-use std::collections::{BTreeSet, VecDeque};
 
 /// Agents by wake instant, removed lazily (see the module docs).
-#[derive(Debug, Default)]
-pub(super) struct WakeIndex {
-    /// Wakes at or after the last one filed here, in filing order.
-    run: VecDeque<(SimTime, NodeId)>,
-    /// Every wake filed earlier than the run's last instant.
-    tree: BTreeSet<(SimTime, NodeId)>,
-}
+#[derive(Debug, Default, Clone)]
+pub(super) struct WakeIndex(TimeQueue<NodeId>);
 
 impl WakeIndex {
     /// File `addr` under `at`. The caller's record of the agent's wake
     /// must now say `Some(at)`.
     pub(super) fn file(&mut self, at: SimTime, addr: NodeId) {
-        match self.run.back() {
-            Some(&(last, _)) if at < last => {
-                self.tree.insert((at, addr));
-            }
-            _ => self.run.push_back((at, addr)),
-        }
+        self.0.push(at, addr);
     }
 
     /// Drop every entry (before every agent is filed again).
     pub(super) fn clear(&mut self) {
-        self.run.clear();
-        self.tree.clear();
+        self.0.clear();
     }
 
     /// The earliest live wake. `live(at, addr)` says whether the agent's
     /// wake is `Some(at)`; the stale entries in front of a live one are
     /// discarded on the way.
     pub(super) fn head(&mut self, live: impl Fn(SimTime, NodeId) -> bool) -> Option<SimTime> {
-        while let Some(&(at, addr)) = self.run.front() {
+        loop {
+            let &Timed { at, item: addr, .. } = self.0.earliest()?;
             if live(at, addr) {
-                break;
+                return Some(at);
             }
-            self.run.pop_front();
+            self.0.pop_due(at);
         }
-        while let Some(&(at, addr)) = self.tree.first() {
-            if live(at, addr) {
-                break;
-            }
-            self.tree.pop_first();
-        }
-        earliest(
-            self.run.front().map(|&(at, _)| at),
-            self.tree.first().map(|&(at, _)| at),
-        )
     }
 
     /// Remove every entry due at or before `now` and append the agents
@@ -81,22 +58,9 @@ impl WakeIndex {
         mut take: impl FnMut(SimTime, NodeId) -> bool,
         due: &mut Vec<NodeId>,
     ) {
-        while let Some(&(at, addr)) = self.run.front() {
-            if at > now {
-                break;
-            }
-            self.run.pop_front();
-            if take(at, addr) {
-                due.push(addr);
-            }
-        }
-        while let Some(&(at, addr)) = self.tree.first() {
-            if at > now {
-                break;
-            }
-            self.tree.pop_first();
-            if take(at, addr) {
-                due.push(addr);
+        while let Some(entry) = self.0.pop_due(now) {
+            if take(entry.at, entry.item) {
+                due.push(entry.item);
             }
         }
     }
@@ -107,25 +71,25 @@ impl WakeIndex {
     pub(super) fn live_entries(
         &self,
         live: impl Fn(SimTime, NodeId) -> bool,
-    ) -> BTreeSet<(SimTime, NodeId)> {
-        self.run
+    ) -> std::collections::BTreeSet<(SimTime, NodeId)> {
+        self.0
             .iter()
-            .chain(&self.tree)
-            .copied()
+            .map(|entry| (entry.at, entry.item))
             .filter(|&(at, addr)| live(at, addr))
             .collect()
     }
 
-    /// How many entries sit in the run and in the tree.
+    /// How many entries sit in the run and in the heap.
     #[cfg(test)]
     fn lens(&self) -> (usize, usize) {
-        (self.run.len(), self.tree.len())
+        self.0.lens()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// The agents' slots as far as the index is concerned: each one's wake.
     struct Slots(Vec<Option<SimTime>>);
@@ -176,6 +140,8 @@ mod tests {
         }
     }
 
+    /// Appends go to the run, an earlier wake to the heap (the name is
+    /// older than the heap), and stale entries are skipped.
     #[test]
     fn appends_go_to_the_run_and_earlier_wakes_to_the_tree() {
         let t = SimTime::from_secs;
@@ -200,7 +166,7 @@ mod tests {
 
     /// The hazard a lazily removing index has: an agent's wake leaves an
     /// instant and comes back to it, so the same entry is filed twice —
-    /// here a stale copy in the run and the live one in the tree. It must
+    /// here a stale copy in the run and the live one in the heap. It must
     /// wake once.
     #[test]
     fn an_entry_filed_twice_wakes_its_agent_once() {
@@ -210,7 +176,7 @@ mod tests {
         refresh(&mut index, &mut slots, NodeId(1), Some(t(8)));
         refresh(&mut index, &mut slots, NodeId(0), Some(t(9)));
         refresh(&mut index, &mut slots, NodeId(0), Some(t(5)));
-        assert_eq!(index.lens(), (3, 1), "(5, 0) in the run and the tree");
+        assert_eq!(index.lens(), (3, 1), "(5, 0) in the run and the heap");
         let mut due = Vec::new();
         index.pop_due(t(6), |at, a| slots.take(at, a), &mut due);
         assert_eq!(due, vec![NodeId(0)]);
@@ -220,8 +186,8 @@ mod tests {
     proptest::proptest! {
         /// Random refreshes that move wakes earlier, later and to `None`
         /// over few agents and few instants (so entries are filed again
-        /// after going stale, in the run and in the tree), out-of-order
-        /// wakes that land in the tree, raw changes to the slots followed
+        /// after going stale, in the run and in the heap), out-of-order
+        /// wakes that land in the heap, raw changes to the slots followed
         /// by a `clear` and a refile (the platform's resync), and pops at
         /// arbitrary instants: after every step the lazy index names the
         /// same earliest wake as the eager reference, each pop yields the

@@ -26,6 +26,7 @@ pub struct InjectedInterruption {
 }
 
 /// The scenario runner.
+#[derive(Clone)]
 pub struct Scenario {
     sim: PlatformSim,
     /// The platform under test (public for report extraction).

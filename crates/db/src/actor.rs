@@ -50,7 +50,7 @@ impl Default for DbActorConfig {
 }
 
 /// A queued write: accepted at `submitted`, applies at `applies_at`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct QueuedWrite {
     submitted: SimTime,
     applies_at: SimTime,
@@ -63,7 +63,7 @@ struct QueuedWrite {
 /// `max(t, busy_until)` and completes one exponential service draw later.
 /// [`DbActor::submit`] returns that emergent sojourn time, which is what
 /// callers quote as "database transaction latency" — the §5.2 quantity.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DbActor {
     db: SystemDb,
     config: DbActorConfig,

@@ -91,7 +91,7 @@ pub struct AllocationRecord {
 }
 
 /// The system database.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SystemDb {
     /// Node rows indexed by uid (`NodeUid::slot`: the coordinator issues
     /// uids from a counter, so the table is dense and a heartbeat's status

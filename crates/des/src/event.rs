@@ -1,8 +1,8 @@
 //! Typed events.
 //!
 //! Every event a [`Sim`] queues is a [`TypedEvent`] value — plain enum
-//! data held by value in the simulator's heap and fired by value — so
-//! once the heap has reached its high-water mark the warm schedule→fire
+//! data held by value in the simulator's queue and fired by value — so
+//! once the queue has reached its high-water mark the warm schedule→fire
 //! path performs **zero heap allocations** (pinned by `tests/alloc.rs`).
 
 use crate::sim::Sim;

@@ -1,8 +1,8 @@
 //! # gpunion-des — discrete-event simulation kernel
 //!
 //! The foundation of the GPUnion reproduction: a deterministic
-//! discrete-event simulator with a nanosecond virtual clock, a binary heap
-//! of events plus one re-armable event slot, named reproducible RNG
+//! discrete-event simulator with a nanosecond virtual clock, a time-ordered
+//! queue of events plus one re-armable event slot, named reproducible RNG
 //! streams, and the statistics collectors the paper's evaluation metrics
 //! are computed from.
 //!
@@ -12,6 +12,10 @@
 //! recorded and replayed, held by value in the queue and fired by value.
 //! The platform's pump, the one event that is re-armed over and over,
 //! waits in the armed slot instead ([`Sim::arm_at`]).
+//!
+//! [`TimeQueue`], the container under the simulator's events, is the one
+//! time-ordered queue of the whole simulation: simnet's in-flight messages
+//! and the platform pump's agent wakes ride it too.
 //!
 //! ## Determinism contract
 //!
@@ -23,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod queue;
 #[cfg(test)]
 mod reference;
 pub mod rng;
@@ -31,6 +36,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::TypedEvent;
+pub use queue::{TimeQueue, Timed};
 pub use rng::{chance, exponential, log_normal, RngPool};
 pub use sim::Sim;
 pub use stats::{Online, TimeWeighted};
@@ -189,7 +195,7 @@ mod proptests {
     }
 
     proptest! {
-        /// The typed-event [`Sim`], one heap plus its armed slot, is
+        /// The typed-event [`Sim`], one time queue plus its armed slot, is
         /// observationally identical to the frozen closure-queue [`HeapSim`]
         /// oracle, where a re-arm is a cancel plus a schedule, under random
         /// interleavings of schedule / far-schedule / chained-schedule /

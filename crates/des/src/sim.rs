@@ -1,59 +1,25 @@
 //! The discrete-event simulator core.
 //!
-//! A [`Sim<W, E>`] owns the virtual clock, one binary heap of scheduled
+//! A [`Sim<W, E>`] owns the virtual clock, one [`TimeQueue`] of scheduled
 //! events held by value, and one slot beside it for a re-armable event
 //! ([`Sim::arm_at`]). Every event is a value of a world-specific enum `E`
-//! implementing [`TypedEvent`]: plain data, so once the heap has grown to
+//! implementing [`TypedEvent`]: plain data, so once the queue has grown to
 //! its high-water mark the warm schedule→fire and fire→re-arm cycles
 //! allocate nothing.
 //!
 //! Determinism: events at the same instant fire in the order they were
 //! scheduled or armed (a monotonically increasing sequence number breaks
-//! ties), so a simulation with a fixed seed is exactly reproducible. The
-//! heap plus the armed slot preserve the `(time, seq)` FIFO contract
+//! ties, and the armed event draws its number from the queue's counter),
+//! so a simulation with a fixed seed is exactly reproducible. The queue
+//! plus the armed slot preserve the `(time, seq)` FIFO contract
 //! bit-identically with the old closure queue, where a re-arm was a
 //! cancel plus a schedule — proven by a proptest in this crate that runs
 //! that frozen implementation as a reference oracle.
 
 use crate::event::TypedEvent;
+use crate::queue::{TimeQueue, Timed};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
-
-/// A scheduled event and its place in the `(at, seq)` order; `seq` is
-/// unique, so the order is total and the event never takes part in it.
-struct Queued<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Queued<E> {
-    fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Queued<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Queued<E> {}
-
-impl<E> PartialOrd for Queued<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Queued<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// Discrete-event simulator over a world state `W` and a typed-event enum
 /// `E`.
@@ -80,13 +46,13 @@ impl<E> Ord for Queued<E> {
 /// assert_eq!(world.pings, 2);
 /// assert_eq!(sim.now(), SimTime::from_secs(2));
 /// ```
+#[derive(Clone)]
 pub struct Sim<W, E> {
     now: SimTime,
-    /// Scheduled events, earliest `(at, seq)` on top.
-    queue: BinaryHeap<Reverse<Queued<E>>>,
+    /// Scheduled events by `(at, seq)`.
+    queue: TimeQueue<E>,
     /// The re-armable event beside the queue.
-    armed: Option<Queued<E>>,
-    next_seq: u64,
+    armed: Option<Timed<E>>,
     executed: u64,
     /// Per-kind fired counters, `None` (the default) when profiling is
     /// off — the hot fire path then pays a single branch and no
@@ -107,9 +73,8 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: TimeQueue::new(),
             armed: None,
-            next_seq: 0,
             executed: 0,
             fired: None,
             world: PhantomData,
@@ -148,13 +113,10 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
 
     /// Schedule a typed event at absolute time `at`. Scheduling in the past
     /// fires the event at the current instant instead (never rewinds the
-    /// clock). No allocation on the warm path: the heap keeps its
+    /// clock). No allocation on the warm path: the queue keeps its
     /// capacity, and ties at one instant fire in scheduling order.
     pub fn schedule_typed_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now).as_nanos();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Queued { at, seq, event }));
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Schedule a typed event after a relative delay.
@@ -168,15 +130,18 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     /// number, exactly as cancelling the old event and scheduling the new
     /// one would, so it ties with scheduled events the same way. The slot
     /// sits beside the queue: the warm fire→re-arm cycle never touches the
-    /// heap and allocates nothing.
+    /// queue and allocates nothing.
     pub fn arm_at(&mut self, at: SimTime, event: E) {
-        let at = at.max(self.now).as_nanos();
+        let at = at.max(self.now);
         if self.armed.as_ref().is_some_and(|armed| armed.at <= at) {
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.armed = Some(Queued { at, seq, event });
+        let seq = self.queue.draw_seq();
+        self.armed = Some(Timed {
+            at,
+            seq,
+            item: event,
+        });
     }
 
     /// Run until the queue drains. Returns the number of events executed.
@@ -193,25 +158,19 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         loop {
             // The armed event or the queue's head, whichever is first by
             // `(time, seq)`.
-            let armed_first = match (&self.armed, self.queue.peek()) {
-                (Some(armed), Some(Reverse(head))) => armed < head,
+            let armed_first = match (&self.armed, self.queue.earliest()) {
+                (Some(armed), Some(head)) => armed < head,
                 (armed, _) => armed.is_some(),
             };
             let next = if armed_first {
-                self.armed.as_ref()
+                self.armed.take_if(|armed| armed.at <= deadline)
             } else {
-                self.queue.peek().map(|Reverse(head)| head)
+                self.queue.pop_due(deadline)
             };
-            if next.is_none_or(|next| next.at > deadline.as_nanos()) {
+            let Some(Timed { at, item, .. }) = next else {
                 break;
-            }
-            let Queued { at, event, .. } = if armed_first {
-                self.armed.take()
-            } else {
-                self.queue.pop().map(|Reverse(head)| head)
-            }
-            .expect("chosen above");
-            self.fire(world, at, event);
+            };
+            self.fire(world, at, item);
         }
         // Leave a consistent "simulated through `deadline`" view.
         if deadline != SimTime::MAX {
@@ -221,9 +180,9 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
     }
 
     /// Advance the clock to `at` and fire `event`.
-    fn fire(&mut self, world: &mut W, at: u64, event: E) {
-        debug_assert!(at >= self.now.as_nanos(), "event queue must be monotone");
-        self.now = SimTime::from_nanos(at);
+    fn fire(&mut self, world: &mut W, at: SimTime, event: E) {
+        debug_assert!(at >= self.now, "event queue must be monotone");
+        self.now = at;
         self.executed += 1;
         if let Some(counts) = &mut self.fired {
             *counts.entry(event.kind()).or_insert(0) += 1;

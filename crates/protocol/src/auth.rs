@@ -13,7 +13,7 @@ use rand::RngCore;
 /// A table indexed by uid: the coordinator's directory hands uids out from
 /// a counter, so the table is as long as the highest uid ever issued a
 /// token and validating a heartbeat is one indexed read.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TokenRegistry {
     tokens: Vec<Option<AuthToken>>,
     /// Occupied slots, so `len` is not a scan.

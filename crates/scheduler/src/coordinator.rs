@@ -66,7 +66,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// harness injections have their own variants. Timer wakes are internal to
 /// the actor (they never cross the inbox); the DES pump only ever observes
 /// them through [`Coordinator::next_wake`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CoordEnvelope {
     /// An authenticated-on-arrival network envelope (Register, Heartbeat,
     /// DispatchReply, WorkloadUpdate, CheckpointDone, DepartureNotice, …).
@@ -106,7 +106,7 @@ pub enum SendOutcome {
 }
 
 /// Actions for the embedding loop.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum CoordAction {
     /// Send a message to a node's agent. `delay` models the scheduling /
     /// database latency accrued before the message leaves the coordinator.
@@ -225,7 +225,7 @@ enum CoordTimer {
 type TimerKey = (SimTime, u64);
 
 /// An inbox entry: accepted at `enqueued`, processed at its turn.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct QueuedEnvelope {
     enqueued: SimTime,
     env: CoordEnvelope,
@@ -281,6 +281,7 @@ pub struct CoordinatorStats {
 }
 
 /// The coordinator actor.
+#[derive(Clone)]
 pub struct Coordinator {
     config: CoordinatorConfig,
     db: DbActor,
@@ -1531,7 +1532,7 @@ impl Placement {
 
 /// Node → jobs, each node's jobs in `JobId` order: the order in which a
 /// scan over every tracked job would visit them.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct NodeJobs(BTreeSet<(NodeUid, JobId)>);
 
 impl NodeJobs {
@@ -1595,7 +1596,7 @@ impl Shape {
 /// A shape is recorded only when its own pick missed, and a job whose
 /// shape dominates a recorded one either skips or hits, so each shape
 /// misses a real pick at most once per pass.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct MissMemo {
     /// Each missed shape with its F, a range of `nodes`.
     shapes: Vec<(Shape, usize, usize)>,

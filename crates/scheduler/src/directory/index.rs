@@ -68,7 +68,7 @@ impl ClassFloor {
 /// Maintains a capacity-class view over the *schedulable* (Active) nodes
 /// for eligibility pruning and round-robin: each class's members sit in
 /// uid order.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CapacityIndex {
     /// (bucket, cc) → members.
     by_class: BTreeMap<ClassKey, BTreeSet<NodeUid>>,

@@ -36,7 +36,7 @@ use std::ops::Bound;
 /// Registration identity (machine-id → uid) is kept across
 /// re-registrations: a returning machine keeps its uid, which is what the
 /// paper's migrate-back depends on.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Directory {
     /// Indexed by uid: `register` hands uids out from a counter and never
     /// frees one, so entry `i` is node `NodeUid(i)` and iteration is in uid

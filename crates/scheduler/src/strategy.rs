@@ -19,7 +19,7 @@ use crate::directory::{ClassFloor, Directory};
 use gpunion_protocol::{DispatchSpec, NodeUid};
 
 /// The round-robin selector: a cursor the next walk starts at.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Selector {
     /// Round-robin resumes scanning at this uid.
     rr_cursor: NodeUid,

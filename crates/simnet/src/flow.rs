@@ -67,7 +67,7 @@ pub struct FlowEnd {
 }
 
 /// The set of active flows plus the fair-share allocator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     /// Active flows in `FlowId` order (ids are handed out in ascending
     /// order and removal keeps order).

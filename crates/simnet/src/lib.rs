@@ -31,7 +31,7 @@ pub mod topology;
 pub use accounting::{Accounting, TrafficClass};
 pub use bandwidth::Bandwidth;
 pub use flow::{FlowEnd, FlowId, FlowOutcome, FlowTable};
-pub use message::{Delivery, MessageQueue};
+pub use message::Delivery;
 pub use network::{NetError, NetEvent, Network};
 pub use topology::{star_campus, Channel, LinkId, NodeId, Route, Topology};
 

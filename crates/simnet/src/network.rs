@@ -16,9 +16,9 @@
 use crate::accounting::{Accounting, TrafficClass};
 use crate::bandwidth::Bandwidth;
 use crate::flow::{FlowEnd, FlowId, FlowOutcome, FlowTable};
-use crate::message::{Delivery, MessageQueue};
+use crate::message::Delivery;
 use crate::topology::{LinkId, NodeId, Topology};
-use gpunion_des::{earliest, SimDuration, SimTime};
+use gpunion_des::{earliest, SimDuration, SimTime, TimeQueue};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -71,10 +71,12 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// The simulated campus network.
+#[derive(Clone)]
 pub struct Network<M> {
     topo: Topology,
     flows: FlowTable,
-    msgs: MessageQueue<M>,
+    /// In-flight control messages by due instant, ties in send order.
+    msgs: TimeQueue<Delivery<M>>,
     accounting: Accounting,
     tags: HashMap<FlowId, M>,
     /// Completions found while a mutator settled the flows; the next
@@ -98,7 +100,7 @@ impl<M> Network<M> {
         Network {
             topo,
             flows: FlowTable::new(local_rate),
-            msgs: MessageQueue::new(),
+            msgs: TimeQueue::new(),
             accounting,
             tags: HashMap::new(),
             ended: Vec::new(),
@@ -199,7 +201,7 @@ impl<M> Network<M> {
                 return Ok(()); // lost in transit; sender cannot tell
             }
         }
-        self.msgs.enqueue(
+        self.msgs.push(
             at,
             Delivery {
                 from,
@@ -271,8 +273,9 @@ impl<M> Network<M> {
         let mut events = Vec::new();
         if !up {
             let topo = &self.topo;
-            let lost = self.msgs.drop_where(|d| topo.route(d.from, d.to).is_none());
-            self.messages_dropped += lost as u64;
+            let before = self.msgs.len();
+            self.msgs.retain(|d| topo.route(d.from, d.to).is_some());
+            self.messages_dropped += (before - self.msgs.len()) as u64;
             for end in self.flows.fail_broken_paths(&self.topo) {
                 events.push(self.flow_end_event(end));
             }
@@ -299,7 +302,10 @@ impl<M> Network<M> {
     pub fn next_event_at(&self) -> Option<SimTime> {
         let waiting = (!self.ended.is_empty()).then_some(self.ended_at);
         earliest(
-            earliest(self.msgs.next_at(), self.flows.next_completion()),
+            earliest(
+                self.msgs.earliest().map(|m| m.at),
+                self.flows.next_completion(),
+            ),
             waiting,
         )
     }
@@ -324,7 +330,7 @@ impl<M> Network<M> {
         for end in std::mem::take(&mut self.ended) {
             events.push(self.flow_end_event(end));
         }
-        while let Some(d) = self.msgs.pop_due(now) {
+        while let Some(d) = self.msgs.pop_due(now).map(|m| m.item) {
             if self.topo.node_up(d.to) {
                 events.push(NetEvent::Delivered {
                     from: d.from,

@@ -217,39 +217,45 @@ fn deterministic_replay() {
     assert_eq!(a, b, "same seed ⇒ identical run");
 }
 
-/// A reclaim storm in miniature, twice in one process: 20 hosts pull the
-/// same image at the same instant (the pulls end in the same nanosecond),
-/// then half the fleet leaves within a minute and returns. Flows that end
-/// together leave simnet in `FlowId` order and every flow byte is summed in
-/// one order, so the displacement records agree *in order* and the bulk
-/// byte totals bit for bit — no sorting, no tolerance.
+/// A reclaim storm in miniature, staged: 20 hosts pull the same image at
+/// the same instant (the pulls end in the same nanosecond), then half the
+/// fleet leaves within a minute and returns five minutes on.
+fn mini_storm() -> Scenario {
+    let mut s = Scenario::new(PlatformConfig::default(), &campus(20));
+    for i in 0..24u64 {
+        let mut spec = TrainingJobSpec::new(ModelClass::CnnSmall, 60_000);
+        spec.checkpoint_interval = SimDuration::from_mins(2);
+        s.submit_training_at(SimTime::from_secs(30), i, spec);
+    }
+    let kinds = [
+        InterruptionKind::ScheduledDeparture,
+        InterruptionKind::EmergencyDeparture,
+        InterruptionKind::TemporaryUnavailability,
+    ];
+    let storm: Vec<InterruptionEvent> = (0..10)
+        .map(|host| {
+            let at = SimTime::from_secs(1_200 + 6 * (host as u64 % 5));
+            InterruptionEvent {
+                at,
+                node_index: host,
+                kind: kinds[host % kinds.len()],
+                returns_at: at + SimDuration::from_mins(5),
+            }
+        })
+        .collect();
+    let hosts = s.hosts().to_vec();
+    s.inject_interruptions(&storm, &hosts);
+    s
+}
+
+/// The mini storm, twice in one process. Flows that end together leave
+/// simnet in `FlowId` order and every flow byte is summed in one order, so
+/// the displacement records agree *in order* and the bulk byte totals bit
+/// for bit — no sorting, no tolerance.
 #[test]
 fn reclaim_storm_replays_in_order_and_to_the_bit() {
     let run = || {
-        let mut s = Scenario::new(PlatformConfig::default(), &campus(20));
-        for i in 0..24u64 {
-            let mut spec = TrainingJobSpec::new(ModelClass::CnnSmall, 60_000);
-            spec.checkpoint_interval = SimDuration::from_mins(2);
-            s.submit_training_at(SimTime::from_secs(30), i, spec);
-        }
-        let kinds = [
-            InterruptionKind::ScheduledDeparture,
-            InterruptionKind::EmergencyDeparture,
-            InterruptionKind::TemporaryUnavailability,
-        ];
-        let storm: Vec<InterruptionEvent> = (0..10)
-            .map(|host| {
-                let at = SimTime::from_secs(1_200 + 6 * (host as u64 % 5));
-                InterruptionEvent {
-                    at,
-                    node_index: host,
-                    kind: kinds[host % kinds.len()],
-                    returns_at: at + SimDuration::from_mins(5),
-                }
-            })
-            .collect();
-        let hosts = s.hosts().to_vec();
-        s.inject_interruptions(&storm, &hosts);
+        let mut s = mini_storm();
         let end = SimTime::from_secs(3_600);
         s.run_until(end);
         s.world.net.settle(end);
@@ -272,6 +278,49 @@ fn reclaim_storm_replays_in_order_and_to_the_bit() {
         "pulls, checkpoints and restores all moved bytes"
     );
     assert_eq!((displacements, bulk), run());
+}
+
+/// The world is a value: a scenario cloned mid-run and run on to the
+/// horizon ends exactly where the original does — the same job log and
+/// displacements, the same messages sent and dropped, and every traffic
+/// class's byte total to the bit. Forked at three instants each on the
+/// 2-day Fig. 3 run (seed 42) and on the mini storm (mid-pull, mid-storm
+/// and with half the fleet away), so the forks carry in-flight messages,
+/// flows, armed timers and queued injections.
+#[test]
+fn a_forked_run_ends_where_the_original_does() {
+    let outcome = |mut s: Scenario, end: SimTime| {
+        s.run_until(end);
+        s.world.net.settle(end);
+        let net = &s.world.net;
+        let bytes = TrafficClass::ALL.map(|class| net.accounting().class_total(class).to_bits());
+        (
+            format!("{:?}", s.world.stats.job_log),
+            format!("{:?}", s.world.stats.displacements),
+            net.messages_sent(),
+            net.messages_dropped(),
+            bytes,
+        )
+    };
+    let fig3 = gpunion::core::fig3_scenario(2, 1.5, 42).0;
+    let hours = |h: u64| SimTime::from_secs(h * 3_600);
+    let storm_at = [60, 1_215, 1_500].map(SimTime::from_secs);
+    let runs = [
+        (fig3, [hours(6), hours(25), hours(40)], hours(48)),
+        (mini_storm(), storm_at, SimTime::from_secs(3_600)),
+    ];
+    for (mut original, fork_at, end) in runs {
+        let mut forks = Vec::new();
+        for at in fork_at {
+            original.run_until(at);
+            forks.push(original.clone());
+        }
+        let expected = outcome(original, end);
+        assert!(expected.2 > 0 && !expected.4.iter().all(|&b| b == 0));
+        for (at, fork) in fork_at.iter().zip(forks) {
+            assert_eq!(outcome(fork, end), expected, "forked at {at}");
+        }
+    }
 }
 
 /// Regression for the fig3 migrate-back gap: under temporary provider
