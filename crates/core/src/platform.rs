@@ -663,6 +663,12 @@ impl Platform {
                     );
                 }
                 CoordAction::JobEvent { job, event } => {
+                    // An ended job is never dispatched again: drop the run
+                    // kept from its last displacement, which a dispatch
+                    // that did not restore (no checkpoint yet) left behind.
+                    if matches!(event, JobEvent::Completed | JobEvent::Failed) {
+                        self.displaced_runs.remove(&job);
+                    }
                     self.stats.log(now, job, event);
                 }
             }
@@ -1061,6 +1067,29 @@ mod tests {
         }
         assert_eq!(w.net.messages_sent(), sent);
         assert_eq!(w.addr_of_uid.len(), 1, "lookups grow nothing");
+    }
+
+    /// A run kept for a displaced job is dropped when the job ends: at the
+    /// end of a churn scenario — a week of Fig. 3 departures, jobs
+    /// displaced before their first checkpoint among them, whose next
+    /// dispatch starts a fresh run and leaves the kept one unused — no
+    /// kept run belongs to a job that has completed or failed.
+    #[test]
+    fn no_displaced_run_outlives_its_job() {
+        let days = 7;
+        let (mut s, _) = crate::case_study::fig3_scenario(days, 1.5, 42);
+        s.run_until(SimTime::ZERO + SimDuration::from_days(days));
+        let w = &s.world;
+        assert!(!w.stats.displacements.is_empty(), "the scenario churns");
+        let ended = |job: &JobId| {
+            w.stats.job_log.get(job).is_some_and(|log| {
+                log.iter()
+                    .any(|(_, e)| matches!(e, JobEvent::Completed | JobEvent::Failed))
+            })
+        };
+        let mut leaked: Vec<JobId> = w.displaced_runs.keys().copied().filter(ended).collect();
+        leaked.sort_unstable();
+        assert!(leaked.is_empty(), "runs kept for ended jobs: {leaked:?}");
     }
 
     #[test]

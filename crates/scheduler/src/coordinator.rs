@@ -41,7 +41,8 @@
 //! the directory's capacity index, reserving capacity as it places so later
 //! jobs in the same pass see the updated state — no per-job rescans, no
 //! re-ranking between placements, and no pick for a job whose shape the
-//! pass has already proved unplaceable. Displaced jobs whose provider returned
+//! pass has already proved unplaceable — a job whose shape is *doomed* costs
+//! the pass one table read. Displaced jobs whose provider returned
 //! take a preferred-node fast path that runs before the general drain, so
 //! migrate-back can't lose its home slot to an earlier queue position.
 
@@ -57,6 +58,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU32;
 
 /// A typed envelope bound for the coordinator actor's inbox.
 ///
@@ -298,6 +300,14 @@ pub struct Coordinator {
     /// jobs in id order (node loss, provider return) read the per-node
     /// indexes below, so this is looked up, never iterated.
     jobs: JobMap,
+    /// What the pass reads of each tracked job before its `JobMeta`,
+    /// indexed by `JobId` (ids come from a counter, so the table is
+    /// dense). Grown at admission, never at deploy; cleared in
+    /// `remove_job`.
+    tags: Vec<JobTag>,
+    /// Tracked jobs whose `preferred` is set: phase 1 of the pass runs only
+    /// when there are some, and then visits only them.
+    preferring: usize,
     /// Jobs currently holding a migrate-back home slot — the sweep and
     /// node-loss scans walk this (holds are rare) instead of every job.
     held_jobs: BTreeSet<JobId>,
@@ -349,6 +359,8 @@ impl Coordinator {
             inbox: VecDeque::new(),
             stalled: false,
             jobs: JobMap::default(),
+            tags: Vec::new(),
+            preferring: 0,
             held_jobs: BTreeSet::new(),
             placed_index: NodeJobs::default(),
             displaced_index: NodeJobs::default(),
@@ -693,21 +705,7 @@ impl Coordinator {
                 user: spec.user,
             },
         );
-        self.jobs.insert(
-            job,
-            JobMeta {
-                spec,
-                current_node: None,
-                offered_to: None,
-                excluded: Vec::new(),
-                preferred: None,
-                home_hold: None,
-                latest_checkpoint: None,
-                displaced_from: None,
-                migrating_back: false,
-                retries: 0,
-            },
-        );
+        self.insert_job(spec, Vec::new());
         actions.push(CoordAction::JobEvent {
             job,
             event: JobEvent::Queued,
@@ -777,23 +775,67 @@ impl Coordinator {
     /// releasing it must re-open general placement even on a quiet fleet.
     fn abandon_migrate_back(&mut self, now: SimTime, job: JobId) {
         self.drop_hold(job);
-        if let Some(meta) = self.jobs.get_mut(&job) {
+        self.update_job(job, |meta| {
             meta.preferred = None;
             meta.migrating_back = false;
-        }
+        });
         self.arm_pass(now);
     }
 
     // ---- job bookkeeping ------------------------------------------------
 
+    /// Start tracking a pending job: its bookkeeping and its tag.
+    fn insert_job(&mut self, spec: DispatchSpec, excluded: Vec<NodeUid>) {
+        let job = spec.job;
+        let slot = job_slot(job);
+        if slot >= self.tags.len() {
+            self.tags.resize(slot + 1, JobTag::default());
+        }
+        self.tags[slot] = JobTag {
+            shape: Some(self.misses.intern(Shape::of(&spec))),
+            preferred: false,
+        };
+        self.jobs.insert(
+            job,
+            JobMeta {
+                spec,
+                current_node: None,
+                offered_to: None,
+                excluded,
+                preferred: None,
+                home_hold: None,
+                latest_checkpoint: None,
+                displaced_from: None,
+                migrating_back: false,
+                retries: 0,
+            },
+        );
+    }
+
+    /// A job's tag; an untracked job's is the default (no shape).
+    fn tag(&self, job: JobId) -> JobTag {
+        self.tags.get(job_slot(job)).copied().unwrap_or_default()
+    }
+
     /// Mutate a job's bookkeeping, keeping the per-node indexes in step with
-    /// its `current_node`, `offered_to` and `displaced_from`. Every change to
-    /// those three fields goes through here (or [`Coordinator::remove_job`]).
+    /// its `current_node`, `offered_to` and `displaced_from`, and its tag and
+    /// the `preferring` count with its `preferred`. Every change to those
+    /// four fields goes through here (or [`Coordinator::remove_job`]).
     fn update_job<R>(&mut self, job: JobId, f: impl FnOnce(&mut JobMeta) -> R) -> Option<R> {
         let meta = self.jobs.get_mut(&job)?;
         let before = Placement::of(meta);
+        let preferred_before = meta.preferred.is_some();
         let out = f(meta);
         let after = Placement::of(meta);
+        let preferred = meta.preferred.is_some();
+        if preferred != preferred_before {
+            self.tags[job_slot(job)].preferred = preferred;
+            if preferred {
+                self.preferring += 1;
+            } else {
+                self.preferring -= 1;
+            }
+        }
         for node in before.placed() {
             if !after.placed().any(|n| n == node) {
                 self.placed_index.remove(node, job);
@@ -813,9 +855,14 @@ impl Coordinator {
         Some(out)
     }
 
-    /// Stop tracking a job, dropping it from the per-node indexes.
+    /// Stop tracking a job, dropping it from the per-node indexes and
+    /// clearing its tag.
     fn remove_job(&mut self, job: JobId) -> Option<JobMeta> {
         let meta = self.jobs.remove(&job)?;
+        if meta.preferred.is_some() {
+            self.preferring -= 1;
+        }
+        self.tags[job_slot(job)] = JobTag::default();
         let placement = Placement::of(&meta);
         for node in placement.placed() {
             self.placed_index.remove(node, job);
@@ -1276,11 +1323,16 @@ impl Coordinator {
                 .is_some_and(|(_, at)| now.since(at) <= window)
         }));
         for &job in &candidates {
-            let meta = self.jobs.get_mut(&job).expect("just listed");
-            meta.preferred = Some(node);
-            // A rejection from a past epoch must not veto the return home.
-            meta.excluded.retain(|u| *u != node);
-            match meta.current_node {
+            let current = self
+                .update_job(job, |meta| {
+                    meta.preferred = Some(node);
+                    // A rejection from a past epoch must not veto the
+                    // return home.
+                    meta.excluded.retain(|u| *u != node);
+                    meta.current_node
+                })
+                .expect("just listed");
+            match current {
                 None => {
                     // Still queued: the preferred-node fast path in the next
                     // pass places it home before the general drain runs.
@@ -1294,7 +1346,7 @@ impl Coordinator {
                     // right now (a sibling displaced job may have taken the
                     // capacity first), leave the healthy run alone; the
                     // preference stays set for any future displacement.
-                    let spec = meta.spec.clone();
+                    let spec = self.jobs[&job].spec.clone();
                     if self.dir.is_candidate(node, &spec)
                         && self
                             .dir
@@ -1329,7 +1381,11 @@ impl Coordinator {
     /// (returning) node first, then the general drain picks round-robin,
     /// skipping every pick the pass has already proved would miss
     /// ([`MissMemo`]). The queue is walked through a buffer the coordinator
-    /// keeps, so a warm pass allocates nothing for it.
+    /// keeps, so a warm pass allocates nothing for it. The pass pays for
+    /// what it places, not for the backlog it walks past: phase 1 looks
+    /// only at jobs that prefer a node, a job whose shape is doomed costs
+    /// phase 2 one read of its tag, and a pick the capacity index proves
+    /// would miss walks no node ([`Selector::pick`]).
     ///
     /// Each placement submits its dequeue transaction to the write-queue
     /// actor and pays that write's *emergent* sojourn time as its decision
@@ -1354,6 +1410,12 @@ impl Coordinator {
 
     /// The two phases of [`Coordinator::scheduling_pass`] over `pending`.
     /// Returns false when database backpressure deferred the pass.
+    ///
+    /// Both phases test the write queue's bound before each job they
+    /// consider. Phase 1 passes over a job that prefers no node before that
+    /// test, which changes no outcome: only a submitted write moves the
+    /// bound, a job passed over submits none, and phase 2 tests before its
+    /// first job, so the pass defers exactly where it would have.
     fn drain_pending(
         &mut self,
         now: SimTime,
@@ -1361,21 +1423,18 @@ impl Coordinator {
         actions: &mut Vec<CoordAction>,
     ) -> bool {
         // Phase 1: the preferred-node (migrate-back) fast path.
-        for &job in pending {
+        let phase1: &[JobId] = if self.preferring > 0 { pending } else { &[] };
+        for &job in phase1 {
+            if !self.tag(job).preferred {
+                continue;
+            }
             if self.db.would_block() {
                 self.defer_pass(now);
                 return false;
             }
-            let Some(meta) = self.jobs.get(&job) else {
-                continue;
-            };
-            if meta.offered_to.is_some() {
-                continue;
-            }
-            let Some(pref) = meta.preferred else {
-                continue;
-            };
-            if meta.excluded.contains(&pref) {
+            let meta = &self.jobs[&job];
+            let pref = meta.preferred.expect("tagged as preferring");
+            if meta.offered_to.is_some() || meta.excluded.contains(&pref) {
                 continue;
             }
             if meta.home_hold.is_some_and(|(n, _)| n != pref) {
@@ -1405,6 +1464,9 @@ impl Coordinator {
             if self.db.would_block() {
                 self.defer_pass(now);
                 return false;
+            }
+            if self.misses.is_doomed(self.tag(job).shape) {
+                continue;
             }
             let Some(meta) = self.jobs.get(&job) else {
                 // Job no longer tracked (cancelled/failed elsewhere):
@@ -1551,8 +1613,23 @@ impl NodeJobs {
     }
 }
 
+/// What the pass reads of a tracked job before its bookkeeping (see
+/// `Coordinator::tags`). The default is an untracked job's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct JobTag {
+    /// The job's interned shape ([`MissMemo::intern`]).
+    shape: Option<ShapeId>,
+    /// `JobMeta::preferred` is set.
+    preferred: bool,
+}
+
+/// A job's row in `Coordinator::tags`.
+fn job_slot(job: JobId) -> usize {
+    usize::try_from(job.0).expect("job ids come from the coordinator's counter")
+}
+
 /// What a job needs of a node: the inputs of [`Directory::is_candidate`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Shape {
     gpus: u8,
     mem: u64,
@@ -1581,6 +1658,16 @@ impl Shape {
     }
 }
 
+/// An interned [`Shape`]: its index in [`MissMemo`]'s table, plus one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShapeId(NonZeroU32);
+
+impl ShapeId {
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
 /// The shapes whose pick missed in the current pass's general drain, each
 /// with the nodes that could still host it when it missed.
 ///
@@ -1591,22 +1678,59 @@ impl Shape {
 /// exactly F = {n ∈ J.excluded : n can host S}. A later job J′ whose shape
 /// dominates S can then land only on a node of F that J′ does not exclude;
 /// when none of those can host J′, its pick would miss and is skipped.
-/// F is not empty in general — a node that refused J may still show room —
-/// which is why a miss does not, by itself, doom every dominating shape.
+///
+/// When F is empty — no node at all could host S — nothing J′ excludes
+/// matters: every dominating shape is **doomed** for the rest of the pass,
+/// its jobs' picks certain to miss. The memo interns every tracked job's
+/// shape, so a miss with an empty F marks each interned shape that
+/// dominates S, and the drain skips a job of a doomed shape on one read of
+/// its tag, before its bookkeeping is looked up. A miss whose F is not
+/// empty — a node that refused J may still show room — dooms nothing: it
+/// is kept with its F and tested per job, as above.
 /// A shape is recorded only when its own pick missed, and a job whose
 /// shape dominates a recorded one either skips or hits, so each shape
 /// misses a real pick at most once per pass.
 #[derive(Debug, Clone, Default)]
 struct MissMemo {
-    /// Each missed shape with its F, a range of `nodes`.
+    /// Each missed shape whose F is not empty, with its F, a range of
+    /// `nodes`.
     shapes: Vec<(Shape, usize, usize)>,
     nodes: Vec<NodeUid>,
+    /// Every shape a tracked job has had, by [`ShapeId`]. Never shrinks:
+    /// a campus submits a handful of shapes.
+    interned: Vec<Shape>,
+    ids: HashMap<Shape, ShapeId>,
+    /// Per interned shape, the last pass that doomed it.
+    doomed_in: Vec<u64>,
+    /// The current pass, counted by [`MissMemo::clear`].
+    pass: u64,
 }
 
 impl MissMemo {
+    /// The id of `shape`, interning it on first sight.
+    fn intern(&mut self, shape: Shape) -> ShapeId {
+        if let Some(&id) = self.ids.get(&shape) {
+            return id;
+        }
+        let next = u32::try_from(self.interned.len() + 1).expect("fewer than 2^32 shapes");
+        let id = ShapeId(NonZeroU32::new(next).expect("counted from 1"));
+        self.interned.push(shape);
+        self.doomed_in.push(0);
+        self.ids.insert(shape, id);
+        id
+    }
+
+    /// Forget the previous pass's misses.
     fn clear(&mut self) {
         self.shapes.clear();
         self.nodes.clear();
+        self.pass += 1;
+    }
+
+    /// Whether a job of this interned shape is certain to miss for the
+    /// rest of the pass (an untracked job has none and is not).
+    fn is_doomed(&self, shape: Option<ShapeId>) -> bool {
+        shape.is_some_and(|id| self.doomed_in[id.index()] == self.pass)
     }
 
     /// Whether `Selector::pick` for `spec` excluding `excluded` is certain
@@ -1621,8 +1745,11 @@ impl MissMemo {
         })
     }
 
-    /// Record that the pick for `spec` excluding `excluded` missed.
+    /// Record that the pick for `spec` excluding `excluded` missed: doom
+    /// every shape that dominates it when its F is empty, else keep it
+    /// with its F.
     fn record(&mut self, dir: &Directory, spec: &DispatchSpec, excluded: &[NodeUid]) {
+        let missed = Shape::of(spec);
         let lo = self.nodes.len();
         self.nodes.extend(
             excluded
@@ -1630,7 +1757,15 @@ impl MissMemo {
                 .copied()
                 .filter(|&n| dir.is_candidate(n, spec)),
         );
-        self.shapes.push((Shape::of(spec), lo, self.nodes.len()));
+        if self.nodes.len() > lo {
+            self.shapes.push((missed, lo, self.nodes.len()));
+            return;
+        }
+        for (shape, doomed) in self.interned.iter().zip(&mut self.doomed_in) {
+            if shape.dominates(missed) {
+                *doomed = self.pass;
+            }
+        }
     }
 }
 
@@ -1693,12 +1828,20 @@ impl Coordinator {
         self.dir.liveness(node) == Some(NodeLiveness::Offline)
     }
 
-    /// The per-node indexes hold exactly what a scan of `jobs` finds.
+    /// The per-node indexes, the job tags and the `preferring` count hold
+    /// exactly what a scan of `jobs` finds.
     #[cfg(test)]
     fn assert_job_index_matches_scan(&self) {
         let mut placed = NodeJobs::default();
         let mut displaced = NodeJobs::default();
+        let mut tags = vec![JobTag::default(); self.tags.len()];
         for (&job, meta) in &self.jobs {
+            let shape = self.misses.ids.get(&Shape::of(&meta.spec)).copied();
+            assert!(shape.is_some(), "{job:?}'s shape is interned");
+            tags[job_slot(job)] = JobTag {
+                shape,
+                preferred: meta.preferred.is_some(),
+            };
             let placement = Placement::of(meta);
             for node in placement.placed() {
                 placed.insert(node, job);
@@ -1712,6 +1855,9 @@ impl Coordinator {
             "jobs running or offered, by node"
         );
         assert_eq!(self.displaced_index, displaced, "jobs displaced, by node");
+        assert_eq!(self.tags, tags, "job tags");
+        let preferring = tags.iter().filter(|t| t.preferred).count();
+        assert_eq!(self.preferring, preferring, "jobs preferring a node");
     }
 }
 
@@ -1723,9 +1869,11 @@ mod tests {
     use rand::Rng;
 
     impl Coordinator {
-        /// The scheduling pass as it was before the miss memo and the kept
-        /// queue buffer: a fresh snapshot of the queue and one real pick
-        /// per job in phase 2. The oracle of
+        /// The scheduling pass as it was before the miss memo, the job tags
+        /// and the kept queue buffer: a fresh snapshot of the queue, a
+        /// phase 1 that looks at every pending job's bookkeeping, and one
+        /// pick per job in phase 2, made by a scan of every node rather
+        /// than through the capacity index. The oracle of
         /// `prop_memoised_pass_equals_the_pick_per_job_pass`.
         fn scheduling_pass_reference(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
             let pending: Vec<JobId> = self.db.state().pending_in_order().collect();
@@ -1770,7 +1918,10 @@ mod tests {
                 if meta.home_hold.is_some() {
                     continue;
                 }
-                let Some(target) = self.selector.pick(&self.dir, &meta.spec, &meta.excluded) else {
+                let Some(target) =
+                    self.selector
+                        .pick_by_scan(&self.dir, &meta.spec, &meta.excluded)
+                else {
                     continue;
                 };
                 self.dispatch_offer(now, job, target, actions);
@@ -1816,25 +1967,6 @@ mod tests {
         }
     }
 
-    /// Track `job` as a pending job that nothing holds yet.
-    fn track(c: &mut Coordinator, spec: DispatchSpec, excluded: Vec<NodeUid>) {
-        c.jobs.insert(
-            spec.job,
-            JobMeta {
-                spec,
-                current_node: None,
-                offered_to: None,
-                excluded,
-                preferred: None,
-                home_hold: None,
-                latest_checkpoint: None,
-                displaced_from: None,
-                migrating_back: false,
-                retries: 0,
-            },
-        );
-    }
-
     /// Apply every queued database write, whenever it completes.
     fn settle_db(c: &mut Coordinator) {
         while let Some(at) = c.db.next_wake() {
@@ -1843,15 +1975,19 @@ mod tests {
     }
 
     /// A coordinator in mid-life, drawn from `seed`: one to eight nodes of
-    /// one or two GPUs at random fill, some paused or offline; up to forty
-    /// queued jobs of 1–2 GPUs, 4–20 GB and four compute floors, each with
-    /// a random exclusion list (so it often excludes nodes that could still
-    /// host it), some already offered, some holding a migrate-back home
-    /// slot, some preferring a returned node, and some orphaned (queued but
-    /// no longer tracked); a database write queue a few slots short of its
-    /// bound, with job requeues among the writes in flight; and the
-    /// round-robin cursor somewhere in the fleet. Returns the world and
-    /// the instant its pass runs.
+    /// one or two GPUs at random fill, some paused or offline; up to three
+    /// hundred queued jobs whose shapes come from a palette of at most six
+    /// (1–2 GPUs, 4–20 GB, four compute floors; a palette shape is often a
+    /// larger copy of an earlier one, so shapes dominate one another and
+    /// repeat, and a miss dooms the jobs behind it), each with a random
+    /// exclusion list (so it often excludes nodes that could still host
+    /// it), some already offered, some holding a migrate-back home slot,
+    /// some preferring a returned node, and some orphaned (queued but no
+    /// longer tracked); a database write queue a few slots short of its
+    /// bound or far from it, with job requeues among the writes in flight;
+    /// and the round-robin cursor somewhere in the fleet. Jobs, offers,
+    /// holds and preferences go through the coordinator's own bookkeeping.
+    /// Returns the world and the instant its pass runs.
     fn random_world(seed: u64) -> (Coordinator, SimTime) {
         const MODELS: [GpuModel; 4] = [
             GpuModel::Rtx3090,
@@ -1863,7 +1999,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed);
         let in_flight = rng.gen_range(0..12usize);
         let mut config = CoordinatorConfig::default();
-        config.db.inbox_capacity = in_flight + rng.gen_range(1..30usize);
+        config.db.inbox_capacity = in_flight
+            + if rng.gen_bool(0.5) {
+                rng.gen_range(1..30usize)
+            } else {
+                1_000
+            };
         let mut c = Coordinator::new(config, seed);
         let (t0, now) = (t(1), t(10));
 
@@ -1886,15 +2027,33 @@ mod tests {
         }
         let nodes: Vec<NodeUid> = c.dir.iter().map(|e| e.uid).collect();
 
-        let jobs = rng.gen_range(1..41u64);
+        let mut palette: Vec<Shape> = Vec::new();
+        for _ in 0..rng.gen_range(1..7) {
+            let drawn = Shape {
+                gpus: rng.gen_range(1..3),
+                mem: (4 * rng.gen_range(1..6u64)) << 30,
+                min_cc: FLOORS[rng.gen_range(0..FLOORS.len())],
+            };
+            let shape = match palette.last() {
+                // A larger copy of the last shape: it dominates it.
+                Some(&last) if rng.gen_bool(0.5) => Shape {
+                    gpus: last.gpus.max(drawn.gpus),
+                    mem: last.mem.max(drawn.mem),
+                    min_cc: last.min_cc.max(drawn.min_cc),
+                },
+                _ => drawn,
+            };
+            palette.push(shape);
+        }
+        let jobs = rng.gen_range(1..301u64);
         for k in 1..=jobs {
             let job = JobId(k);
-            let s = spec(
-                job,
-                rng.gen_range(1..3),
-                4 * rng.gen_range(1..6u64),
-                FLOORS[rng.gen_range(0..FLOORS.len())],
-            );
+            let shape = palette[rng.gen_range(0..palette.len())];
+            let (gpus, mem, cc) = (shape.gpus, shape.mem, shape.min_cc);
+            let s = DispatchSpec {
+                gpu_mem_bytes: mem,
+                ..spec(job, gpus, 0, cc)
+            };
             c.db.submit(
                 t0,
                 WriteIntent::SubmitJob {
@@ -1904,16 +2063,21 @@ mod tests {
                     user: UserId::SYSTEM,
                 },
             );
-            if rng.gen_bool(0.1) {
-                continue; // an orphan queue entry
-            }
             let excluded = nodes
                 .iter()
                 .copied()
                 .filter(|_| rng.gen_bool(0.3))
                 .collect();
-            let (gpus, mem, cc) = (s.gpus, s.gpu_mem_bytes, s.min_cc);
-            track(&mut c, s, excluded);
+            if rng.gen_bool(0.1) {
+                // An orphan queue entry: a job dropped while still queued,
+                // or one the coordinator never tracked.
+                if rng.gen_bool(0.5) {
+                    c.insert_job(s, excluded);
+                    c.remove_job(job);
+                }
+                continue;
+            }
+            c.insert_job(s, excluded);
             let node = nodes[rng.gen_range(0..nodes.len())];
             match rng.gen_range(0..10) {
                 0 => {
@@ -1930,20 +2094,24 @@ mod tests {
                         } else {
                             nodes[rng.gen_range(0..nodes.len())]
                         };
-                        let meta = c.jobs.get_mut(&job).expect("tracked");
-                        meta.home_hold = Some((node, t0));
-                        meta.preferred = Some(pref);
-                        meta.migrating_back = true;
+                        c.update_job(job, |m| {
+                            m.home_hold = Some((node, t0));
+                            m.preferred = Some(pref);
+                            m.migrating_back = true;
+                        });
                         c.held_jobs.insert(job);
                     } else {
                         c.dir.release(node, job);
                     }
                 }
-                2 => c.jobs.get_mut(&job).expect("tracked").preferred = Some(node),
+                2 => {
+                    c.update_job(job, |m| m.preferred = Some(node));
+                }
                 _ => {}
             }
         }
         settle_db(&mut c);
+        c.assert_job_index_matches_scan();
 
         // Writes in flight at the pass, requeues among them.
         for _ in 0..in_flight {
@@ -2018,6 +2186,7 @@ mod tests {
             let mut b = Vec::new();
             memoised.scheduling_pass(now, &mut a);
             reference.scheduling_pass_reference(now, &mut b);
+            memoised.assert_job_index_matches_scan();
             proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
             proptest::prop_assert_eq!(observe(&mut memoised, now), observe(&mut reference, now));
         }
@@ -2043,7 +2212,7 @@ mod tests {
                     user: UserId::SYSTEM,
                 },
             );
-            track(&mut c, spec(job, 1, 8, None), excluded);
+            c.insert_job(spec(job, 1, 8, None), excluded);
         }
         settle_db(&mut c);
         let mut actions = Vec::new();

@@ -11,9 +11,10 @@
 //! On a fleet where most nodes are eligible a pick is O(classes · log n)
 //! per candidate it examines. On a **saturated** fleet — many pending jobs,
 //! no free node, the regime a campus short of GPUs lives in — a pick that
-//! finds nothing costs O(classes) set lookups and verifies only the nodes
-//! of the floor bucket itself, instead of walking the fleet once per
-//! pending job.
+//! finds nothing walks only the nodes of floor-bucket classes whose largest
+//! free slot could hold the job, instead of walking the fleet once per
+//! pending job; and when the index shows no such class, the miss costs one
+//! comparison per class and walks no node at all.
 
 use crate::directory::{ClassFloor, Directory};
 use gpunion_protocol::{DispatchSpec, NodeUid};
@@ -36,6 +37,14 @@ impl Default for Selector {
 impl Selector {
     /// The next node in round-robin order that can host `spec` and is not
     /// in `exclude`; a hit advances the cursor past it, a miss leaves it.
+    ///
+    /// When the capacity index proves that no Active node can host `spec`
+    /// — no class at or above its floor has a member with a slot of
+    /// `gpu_mem_bytes` free — the pick returns `None` without walking a
+    /// node. The proof cannot change a pick: a class it leaves out holds
+    /// no node with a slot that large, so every member would fail the
+    /// exact check the walk applies, and the walk over the remaining
+    /// classes yields the other candidates in the same order.
     pub fn pick(
         &mut self,
         dir: &Directory,
@@ -47,6 +56,22 @@ impl Selector {
         // host `spec`, which `ok` rejects.
         let hit = dir
             .round_robin_candidates(ClassFloor::of(spec), self.rr_cursor)
+            .find(|uid| !exclude.contains(uid) && dir.is_candidate(*uid, spec))?;
+        self.rr_cursor = NodeUid(hit.0 + 1);
+        Some(hit)
+    }
+
+    /// [`Self::pick`] by a scan of every Active node in round-robin order,
+    /// without the capacity index: the pick the index must reproduce.
+    #[cfg(test)]
+    pub(crate) fn pick_by_scan(
+        &mut self,
+        dir: &Directory,
+        spec: &DispatchSpec,
+        exclude: &[NodeUid],
+    ) -> Option<NodeUid> {
+        let hit = dir
+            .round_robin_from(self.rr_cursor)
             .find(|uid| !exclude.contains(uid) && dir.is_candidate(*uid, spec))?;
         self.rr_cursor = NodeUid(hit.0 + 1);
         Some(hit)
@@ -198,23 +223,39 @@ mod tests {
     }
 
     /// A failing pick asks the capacity classes, not every node: on a
-    /// saturated 400-node fleet it verifies only the few nodes that share
-    /// the spec's floor bucket without fitting it.
+    /// saturated 400-node fleet it verifies only the few nodes whose
+    /// largest free slot could hold the job, and when no class has a slot
+    /// that large it walks none.
     #[test]
     fn failing_pick_on_a_saturated_fleet_verifies_a_handful_of_nodes() {
         let mut d = uniform_dir(400);
         for uid in 0..400u64 {
-            // Five nodes keep 17 GB free (the 20 GB job's own bucket, yet
-            // too small); the rest keep 4 GB.
-            let held = if uid % 80 == 3 { 7 } else { 20 };
+            // Five nodes keep 22 GB free (room for one 20 GB GPU, not the
+            // two a 2-GPU job needs); the rest keep 4 GB.
+            let held = if uid % 80 == 3 { 2 } else { 20 };
             d.reserve(NodeUid(uid), JobId(uid), 1, held << 30, None);
+        }
+        let mut s = spec(20);
+        s.gpus = 2;
+        assert_eq!(Selector::default().pick(&d, &s, &[]), None);
+        let walked = |d: &Directory, s: &DispatchSpec| {
+            d.round_robin_candidates(ClassFloor::of(s), NodeUid(0))
+                .count()
+        };
+        assert_eq!(
+            walked(&d, &s),
+            5,
+            "exactly the nodes with 20 GB free, of 400"
+        );
+
+        // Shrink those five to 17 GB free: still the 20 GB job's own
+        // bucket, but no class has a 20 GB slot, so the miss walks nothing.
+        for uid in (3..400u64).step_by(80) {
+            d.reserve(NodeUid(uid), JobId(uid), 1, 7 << 30, None);
         }
         let s = spec(20);
         assert_eq!(Selector::default().pick(&d, &s, &[]), None);
-        let walked = d
-            .round_robin_candidates(ClassFloor::of(&s), NodeUid(0))
-            .count();
-        assert_eq!(walked, 5, "exactly the floor bucket's members, of 400");
+        assert_eq!(walked(&d, &s), 0, "the index proves the miss");
     }
 
     /// A pick-turn spec drawn from few class floors (3 byte counts in 3
