@@ -39,10 +39,9 @@
 //!   **cold 10k** turn: a 10× fleet at steady state is no slower than a
 //!   small fleet from scratch.
 //! * **A backlog costs what the pass places**: the 2 000-job backlog turn
-//!   must cost at most `BENCH_GATE_BACKLOG_FACTOR`× (default
-//!   [`BACKLOG_FACTOR`]) the 50-job saturated turn on the same full
-//!   400-node fleet: jobs whose shape already missed cost the pass a read
-//!   each, not a walk.
+//!   must cost at most [`BACKLOG_FACTOR`] times the 50-job saturated turn
+//!   on the same full 400-node fleet: jobs whose shape already missed cost
+//!   the pass a read each, not a walk.
 //! * **The sweep is a small share of its period**: the one staleness
 //!   sweep of a 100k-node heartbeat period (a scan of the directory's
 //!   dense heartbeat column) must cost at most [`SWEEP_SHARE_BOUND`] of
@@ -83,8 +82,7 @@ const DEFAULT_OUT: &str = "BENCH_scheduler.json";
 const SWEEP_SHARE_BOUND: f64 = 0.1;
 
 /// The most the 400-node backlog turn may cost, as a multiple of the
-/// saturated turn on the same full fleet (sample minima). Override with
-/// `BENCH_GATE_BACKLOG_FACTOR`.
+/// saturated turn on the same full fleet (sample minima).
 const BACKLOG_FACTOR: f64 = 1.25;
 
 /// Env-tunable factor with a default.
@@ -222,19 +220,18 @@ fn main() {
     // Backlog invariant: a pass pays for what it places, not for the
     // backlog it walks past, so 2 000 pending jobs on the full fleet cost
     // at most a small multiple of 50.
-    let backlog_factor = env_factor("BENCH_GATE_BACKLOG_FACTOR", BACKLOG_FACTOR);
     let backlog_ratio = p400_backlog.min_ns as f64 / p400_sat.min_ns as f64;
     assert!(
-        backlog_ratio <= backlog_factor,
+        backlog_ratio <= BACKLOG_FACTOR,
         "400-node backlog turn is {backlog_ratio:.2}× the saturated turn \
-         (bound {backlog_factor}×): {} ns vs {} ns (minima)",
+         (bound {BACKLOG_FACTOR}×): {} ns vs {} ns (minima)",
         p400_backlog.min_ns,
         p400_sat.min_ns
     );
     eprintln!(
         "bench_gate: backlog ok — {BACKLOG_JOBS}-job backlog turn {} ns is \
          {backlog_ratio:.2}× the {SATURATED_JOBS}-job saturated turn ({} ns), \
-         bound {backlog_factor}× (minima)",
+         bound {BACKLOG_FACTOR}× (minima)",
         p400_backlog.min_ns, p400_sat.min_ns
     );
     eprintln!("bench_gate: measuring one heartbeat period (100k nodes)…");

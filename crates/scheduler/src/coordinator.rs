@@ -305,9 +305,6 @@ pub struct Coordinator {
     /// dense). Grown at admission, never at deploy; cleared in
     /// `remove_job`.
     tags: Vec<JobTag>,
-    /// Tracked jobs whose `preferred` is set: phase 1 of the pass runs only
-    /// when there are some, and then visits only them.
-    preferring: usize,
     /// Jobs currently holding a migrate-back home slot — the sweep and
     /// node-loss scans walk this (holds are rare) instead of every job.
     held_jobs: BTreeSet<JobId>,
@@ -360,7 +357,6 @@ impl Coordinator {
             stalled: false,
             jobs: JobMap::default(),
             tags: Vec::new(),
-            preferring: 0,
             held_jobs: BTreeSet::new(),
             placed_index: NodeJobs::default(),
             displaced_index: NodeJobs::default(),
@@ -818,24 +814,15 @@ impl Coordinator {
     }
 
     /// Mutate a job's bookkeeping, keeping the per-node indexes in step with
-    /// its `current_node`, `offered_to` and `displaced_from`, and its tag and
-    /// the `preferring` count with its `preferred`. Every change to those
-    /// four fields goes through here (or [`Coordinator::remove_job`]).
+    /// its `current_node`, `offered_to` and `displaced_from`, and its tag
+    /// with its `preferred`. Every change to those four fields goes through
+    /// here (or [`Coordinator::remove_job`]).
     fn update_job<R>(&mut self, job: JobId, f: impl FnOnce(&mut JobMeta) -> R) -> Option<R> {
         let meta = self.jobs.get_mut(&job)?;
         let before = Placement::of(meta);
-        let preferred_before = meta.preferred.is_some();
         let out = f(meta);
         let after = Placement::of(meta);
-        let preferred = meta.preferred.is_some();
-        if preferred != preferred_before {
-            self.tags[job_slot(job)].preferred = preferred;
-            if preferred {
-                self.preferring += 1;
-            } else {
-                self.preferring -= 1;
-            }
-        }
+        self.tags[job_slot(job)].preferred = meta.preferred.is_some();
         for node in before.placed() {
             if !after.placed().any(|n| n == node) {
                 self.placed_index.remove(node, job);
@@ -859,9 +846,6 @@ impl Coordinator {
     /// clearing its tag.
     fn remove_job(&mut self, job: JobId) -> Option<JobMeta> {
         let meta = self.jobs.remove(&job)?;
-        if meta.preferred.is_some() {
-            self.preferring -= 1;
-        }
         self.tags[job_slot(job)] = JobTag::default();
         let placement = Placement::of(&meta);
         for node in placement.placed() {
@@ -1382,9 +1366,10 @@ impl Coordinator {
     /// skipping every pick the pass has already proved would miss
     /// ([`MissMemo`]). The queue is walked through a buffer the coordinator
     /// keeps, so a warm pass allocates nothing for it. The pass pays for
-    /// what it places, not for the backlog it walks past: phase 1 looks
-    /// only at jobs that prefer a node, a job whose shape is doomed costs
-    /// phase 2 one read of its tag, and a pick the capacity index proves
+    /// what it places, not for the backlog it walks past: phase 1 reads
+    /// the bookkeeping only of jobs whose tag says they prefer a node, a
+    /// job whose shape is doomed costs phase 2 one read of its tag, and a
+    /// pick the capacity index proves
     /// would miss walks no node ([`Selector::pick`]).
     ///
     /// Each placement submits its dequeue transaction to the write-queue
@@ -1423,8 +1408,7 @@ impl Coordinator {
         actions: &mut Vec<CoordAction>,
     ) -> bool {
         // Phase 1: the preferred-node (migrate-back) fast path.
-        let phase1: &[JobId] = if self.preferring > 0 { pending } else { &[] };
-        for &job in phase1 {
+        for &job in pending {
             if !self.tag(job).preferred {
                 continue;
             }
@@ -1828,8 +1812,8 @@ impl Coordinator {
         self.dir.liveness(node) == Some(NodeLiveness::Offline)
     }
 
-    /// The per-node indexes, the job tags and the `preferring` count hold
-    /// exactly what a scan of `jobs` finds.
+    /// The per-node indexes and the job tags hold exactly what a scan of
+    /// `jobs` finds.
     #[cfg(test)]
     fn assert_job_index_matches_scan(&self) {
         let mut placed = NodeJobs::default();
@@ -1856,8 +1840,6 @@ impl Coordinator {
         );
         assert_eq!(self.displaced_index, displaced, "jobs displaced, by node");
         assert_eq!(self.tags, tags, "job tags");
-        let preferring = tags.iter().filter(|t| t.preferred).count();
-        assert_eq!(self.preferring, preferring, "jobs preferring a node");
     }
 }
 
